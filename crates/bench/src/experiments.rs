@@ -859,15 +859,12 @@ pub fn scaling(cfg: &ExpConfig) -> String {
         rounds.push(ops);
 
         let apply = |engine: &mut Engine, ops: &[Mutation]| -> u64 {
-            let mut b = engine.update("p");
-            for op in ops {
-                b = match *op {
-                    Mutation::Insert(it) => b.insert([it]),
-                    Mutation::Delete(id) => b.delete([id]),
-                    Mutation::Upsert(it) => b.upsert([it]),
-                };
-            }
-            b.apply().expect("update batch validated").epoch()
+            engine
+                .update("p")
+                .mutations(ops)
+                .apply()
+                .expect("update batch validated")
+                .epoch()
         };
 
         let mut engine = build("live");

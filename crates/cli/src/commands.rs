@@ -14,6 +14,7 @@ use ringjoin_core::{
 };
 use ringjoin_datagen::{gaussian_clusters, gnis_like, io as dio, uniform, GnisDataset};
 use ringjoin_rtree::{bulk_load, Item, RTree};
+use ringjoin_server::proto::{self, parse_mutation_row, write_mutation_row};
 use ringjoin_server::{Client, Mutation, RingBounds, Server, ServerConfig};
 use ringjoin_spatialjoin::{epsilon_join, k_closest_pairs, knn_join, precision_recall};
 use ringjoin_storage::{CostModel, MemDisk, Pager, SharedPager};
@@ -310,28 +311,13 @@ fn server_err(e: ringjoin_server::ServerError) -> ArgError {
 fn parse_bounds(args: &Args) -> Result<Option<RingBounds>, ArgError> {
     match (args.opt("bounds"), args.opt("max-diameter")) {
         (None, None) => Ok(None),
-        (Some(b), Some(d)) => {
-            let nums: Vec<f64> = b
-                .split(',')
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| ArgError(format!("invalid --bounds coordinate {v:?}")))
-                })
-                .collect::<Result<_, _>>()?;
-            let [x0, y0, x1, y1] = nums.as_slice() else {
-                return Err(ArgError("--bounds needs exactly X0,Y0,X1,Y1".into()));
-            };
-            let max_diameter: f64 = d
+        (Some(b), Some(d)) => Ok(Some(RingBounds {
+            bounds: proto::parse_bounds(b)
+                .map_err(|e| ArgError(format!("invalid --bounds: {e}")))?,
+            max_diameter: d
                 .parse()
-                .map_err(|_| ArgError(format!("invalid --max-diameter {d:?}")))?;
-            Ok(Some(RingBounds {
-                bounds: ringjoin_geom::Rect::new(
-                    ringjoin_geom::pt(*x0, *y0),
-                    ringjoin_geom::pt(*x1, *y1),
-                ),
-                max_diameter,
-            }))
-        }
+                .map_err(|_| ArgError(format!("invalid --max-diameter {d:?}")))?,
+        })),
         _ => Err(ArgError(
             "--bounds and --max-diameter must be given together".into(),
         )),
@@ -361,66 +347,28 @@ fn describe_update(name: &str, reply: &ringjoin_server::proto::Reply) -> String 
 }
 
 /// Appends one batch to a mutation log in the `replay` grammar: a
-/// `batch` separator line, then one `+ id x y` / `- id` / `^ id x y`
-/// row per operation. `f64` Display round-trips exactly, so a replayed
-/// log rebuilds bit-identical coordinates.
+/// `batch` separator line, then one wire mutation row (`+ id x y` /
+/// `- id` / `^ id x y`) per operation. `f64` Display round-trips
+/// exactly, so a replayed log rebuilds bit-identical coordinates.
 fn encode_log_batch(out: &mut String, ops: &[Mutation]) {
-    use std::fmt::Write as _;
     out.push_str("batch\n");
     for op in ops {
-        match op {
-            Mutation::Insert(it) => {
-                writeln!(out, "+ {} {} {}", it.id, it.point.x, it.point.y)
-            }
-            Mutation::Delete(id) => writeln!(out, "- {id}"),
-            Mutation::Upsert(it) => {
-                writeln!(out, "^ {} {} {}", it.id, it.point.x, it.point.y)
-            }
-        }
-        .expect("writing to a String cannot fail");
+        write_mutation_row(out, op);
     }
 }
 
-/// Parses one mutation row (already trimmed, non-empty, non-comment)
-/// into `batches`.
-fn parse_mutation_row(
-    line: &str,
-    lineno: usize,
-    batches: &mut Vec<Vec<Mutation>>,
-) -> Result<(), ArgError> {
-    let id = |v: &str| {
-        v.parse::<u64>()
-            .map_err(|_| ArgError(format!("log line {lineno}: invalid id {v:?}")))
-    };
-    let coord = |v: &str| {
-        v.parse::<f64>()
-            .map_err(|_| ArgError(format!("log line {lineno}: invalid coordinate {v:?}")))
-    };
-    let op = match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-        ["batch", ..] => {
-            batches.push(Vec::new());
-            return Ok(());
-        }
-        ["+", i, x, y] => {
-            Mutation::Insert(Item::new(id(i)?, ringjoin_geom::pt(coord(x)?, coord(y)?)))
-        }
-        ["^", i, x, y] => {
-            Mutation::Upsert(Item::new(id(i)?, ringjoin_geom::pt(coord(x)?, coord(y)?)))
-        }
-        ["-", i] => Mutation::Delete(id(i)?),
-        _ => {
-            return Err(ArgError(format!(
-                "log line {lineno}: unrecognized mutation row {line:?}"
-            )))
-        }
-    };
+/// Parses one log line (already trimmed, non-empty, non-comment) into
+/// `batches`: a `batch` separator opens a batch, any other line is a
+/// mutation row of the open batch.
+fn parse_log_line(line: &str, batches: &mut Vec<Vec<Mutation>>) -> Result<(), String> {
+    if line.split_whitespace().next() == Some("batch") {
+        batches.push(Vec::new());
+        return Ok(());
+    }
+    let op = parse_mutation_row(line).map_err(|e| e.to_string())?;
     batches
         .last_mut()
-        .ok_or_else(|| {
-            ArgError(format!(
-                "log line {lineno}: mutation row before the first `batch` separator"
-            ))
-        })?
+        .ok_or("mutation row before the first `batch` separator")?
         .push(op);
     Ok(())
 }
@@ -445,10 +393,10 @@ fn parse_mutation_log(text: &str) -> Result<Vec<Vec<Mutation>>, ArgError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match parse_mutation_row(line, idx + 1, &mut batches) {
+        match parse_log_line(line, &mut batches) {
             Ok(()) => {}
             Err(_) if !terminated && idx + 1 == lines.len() => break,
-            Err(e) => return Err(e),
+            Err(e) => return Err(ArgError(format!("log line {}: {e}", idx + 1))),
         }
     }
     Ok(batches)
@@ -459,15 +407,11 @@ fn parse_mutation_log(text: &str) -> Result<Vec<Vec<Mutation>>, ArgError> {
 /// emission order — depends on the exact mutation history, not just the
 /// final pointset.
 fn apply_log_batch(engine: &mut Engine, name: &str, ops: &[Mutation]) -> Result<(), ArgError> {
-    let mut batch = engine.update(name);
-    for op in ops {
-        batch = match *op {
-            Mutation::Insert(it) => batch.insert([it]),
-            Mutation::Delete(id) => batch.delete([id]),
-            Mutation::Upsert(it) => batch.upsert([it]),
-        };
-    }
-    batch.apply().map_err(engine_err)?;
+    engine
+        .update(name)
+        .mutations(ops)
+        .apply()
+        .map_err(engine_err)?;
     Ok(())
 }
 

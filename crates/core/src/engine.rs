@@ -425,10 +425,17 @@ impl LoadBuilder<'_> {
     }
 }
 
-/// One operation of a mutation batch, applied in call order.
-enum UpdateOp {
+/// One live-update operation of a mutation batch. A batch
+/// ([`UpdateBuilder`]) applies its operations in order, atomically:
+/// validation runs against the dataset's pointset with earlier
+/// operations simulated, so a failing batch changes nothing.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Mutation {
+    /// Add a new point; its id must not exist yet.
     Insert(Item),
+    /// Remove a point by id; the id must exist.
     Delete(u64),
+    /// Insert-or-replace; never fails validation.
     Upsert(Item),
 }
 
@@ -457,7 +464,7 @@ enum UpdateOp {
 pub struct UpdateBuilder<'e> {
     engine: &'e mut Engine,
     name: String,
-    ops: Vec<UpdateOp>,
+    ops: Vec<Mutation>,
     version_store: bool,
 }
 
@@ -466,7 +473,7 @@ impl UpdateBuilder<'_> {
     /// the dataset or earlier in this batch) fails the whole batch with
     /// [`EngineError::DuplicateId`].
     pub fn insert(mut self, items: impl IntoIterator<Item = Item>) -> Self {
-        self.ops.extend(items.into_iter().map(UpdateOp::Insert));
+        self.ops.extend(items.into_iter().map(Mutation::Insert));
         self
     }
 
@@ -474,13 +481,20 @@ impl UpdateBuilder<'_> {
     /// (or was deleted earlier in this batch) fails the whole batch with
     /// [`EngineError::MissingId`].
     pub fn delete(mut self, ids: impl IntoIterator<Item = u64>) -> Self {
-        self.ops.extend(ids.into_iter().map(UpdateOp::Delete));
+        self.ops.extend(ids.into_iter().map(Mutation::Delete));
         self
     }
 
     /// Queues insert-or-replace operations; never fails validation.
     pub fn upsert(mut self, items: impl IntoIterator<Item = Item>) -> Self {
-        self.ops.extend(items.into_iter().map(UpdateOp::Upsert));
+        self.ops.extend(items.into_iter().map(Mutation::Upsert));
+        self
+    }
+
+    /// Queues a recorded batch of mixed operations, in order — the
+    /// replay of a mutation history.
+    pub fn mutations(mut self, ops: &[Mutation]) -> Self {
+        self.ops.extend_from_slice(ops);
         self
     }
 
@@ -514,7 +528,7 @@ impl UpdateBuilder<'_> {
             let mut sim: std::collections::BTreeSet<u64> = ds.items.keys().copied().collect();
             for op in &ops {
                 match op {
-                    UpdateOp::Insert(it) => {
+                    Mutation::Insert(it) => {
                         if !sim.insert(it.id) {
                             return Err(EngineError::DuplicateId {
                                 dataset: name,
@@ -522,7 +536,7 @@ impl UpdateBuilder<'_> {
                             });
                         }
                     }
-                    UpdateOp::Delete(id) => {
+                    Mutation::Delete(id) => {
                         if !sim.remove(id) {
                             return Err(EngineError::MissingId {
                                 dataset: name,
@@ -530,7 +544,7 @@ impl UpdateBuilder<'_> {
                             });
                         }
                     }
-                    UpdateOp::Upsert(it) => {
+                    Mutation::Upsert(it) => {
                         // Never fails itself, but the id it creates (or
                         // keeps) is visible to later ops in the batch.
                         sim.insert(it.id);
@@ -557,8 +571,8 @@ impl UpdateBuilder<'_> {
             AnyIndex::Quadtree(t) => {
                 let region = t.region();
                 ops.iter().any(|op| match op {
-                    UpdateOp::Insert(it) | UpdateOp::Upsert(it) => !region.contains_point(it.point),
-                    UpdateOp::Delete(_) => false,
+                    Mutation::Insert(it) | Mutation::Upsert(it) => !region.contains_point(it.point),
+                    Mutation::Delete(_) => false,
                 })
             }
             AnyIndex::Rtree(_) => false,
@@ -566,10 +580,10 @@ impl UpdateBuilder<'_> {
         if needs_rebuild {
             for op in ops {
                 match op {
-                    UpdateOp::Insert(it) | UpdateOp::Upsert(it) => {
+                    Mutation::Insert(it) | Mutation::Upsert(it) => {
                         ds.items.insert(it.id, it.point);
                     }
-                    UpdateOp::Delete(id) => {
+                    Mutation::Delete(id) => {
                         ds.items.remove(&id);
                     }
                 }
@@ -584,14 +598,14 @@ impl UpdateBuilder<'_> {
         } else {
             for op in ops {
                 match op {
-                    UpdateOp::Insert(it) => {
+                    Mutation::Insert(it) => {
                         ds.items.insert(it.id, it.point);
                         match &mut ds.index {
                             AnyIndex::Rtree(t) => t.insert(it),
                             AnyIndex::Quadtree(t) => t.insert(it.id, it.point),
                         }
                     }
-                    UpdateOp::Delete(id) => {
+                    Mutation::Delete(id) => {
                         let point = ds.items.remove(&id).expect("validated above");
                         let removed = match &mut ds.index {
                             AnyIndex::Rtree(t) => t.remove(Item::new(id, point)),
@@ -599,7 +613,7 @@ impl UpdateBuilder<'_> {
                         };
                         debug_assert!(removed, "catalog and index disagree on id {id}");
                     }
-                    UpdateOp::Upsert(it) => {
+                    Mutation::Upsert(it) => {
                         if let Some(old) = ds.items.insert(it.id, it.point) {
                             let removed = match &mut ds.index {
                                 AnyIndex::Rtree(t) => t.remove(Item::new(it.id, old)),

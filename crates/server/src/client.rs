@@ -10,7 +10,7 @@
 //! so a hung server surfaces as [`ServerError::Timeout`] instead of
 //! wedging the caller forever.
 
-use crate::proto::{parse_pairs, read_frame, write_frame, Reply, Request};
+use crate::proto::{parse_pairs, read_frame, stats_from_reply, write_frame, Reply, Request};
 use crate::sharded::RingBounds;
 use crate::ServerError;
 use ringjoin_core::{IndexKind, RcjAlgorithm, RcjPair, RcjStats};
@@ -48,13 +48,6 @@ pub struct RemoteOutput {
     pub stats: RcjStats,
     /// How many shards the server queried for this request.
     pub shards_queried: usize,
-}
-
-fn field_u64(reply: &Reply, key: &str) -> u64 {
-    reply
-        .field(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_default()
 }
 
 fn io_error(context: &str, e: std::io::Error) -> ServerError {
@@ -298,18 +291,13 @@ impl Client {
     /// [`RemoteOutput`] — public so pipelining callers can decode the
     /// replies [`Client::pipeline`] hands back.
     pub fn decode_output(reply: &Reply) -> Result<RemoteOutput, ServerError> {
-        let pairs = parse_pairs(&reply.body)?;
-        let stats = RcjStats {
-            candidate_pairs: field_u64(reply, "candidates"),
-            result_pairs: field_u64(reply, "result_pairs"),
-            filter_heap_pops: field_u64(reply, "heap_pops"),
-            filter_node_reads: field_u64(reply, "filter_node_reads"),
-            verify_node_visits: field_u64(reply, "verify_node_visits"),
-        };
         Ok(RemoteOutput {
-            pairs,
-            stats,
-            shards_queried: field_u64(reply, "shards_queried") as usize,
+            pairs: parse_pairs(&reply.body)?,
+            stats: stats_from_reply(reply),
+            shards_queried: reply
+                .field("shards_queried")
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_default(),
         })
     }
 

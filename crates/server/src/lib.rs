@@ -18,9 +18,12 @@
 //!   [`RcjStats`](ringjoin_core::RcjStats) merge to the sequential
 //!   totals.
 //! * [`proto`] — the frame format (`u32` big-endian length + UTF-8
-//!   payload) and the request/response grammar (`LOAD`, `JOIN`,
-//!   `SELFJOIN`, `TOPK`, `EXPLAIN`, `STATS`, `SHUTDOWN`), with optional
-//!   `#<id>` request tokens echoed in replies so clients can pipeline.
+//!   payload), the client grammar (`LOAD`, `INSERT`, `DELETE`,
+//!   `UPSERT`, `JOIN`, `SELFJOIN`, `TOPK`, `EXPLAIN`, `STATS`, `HELLO`,
+//!   `SHUTDOWN`) with optional `#<id>` request tokens echoed in replies
+//!   so clients can pipeline, and the shard message
+//!   ([`proto::ShardRequest`] / [`proto::ShardReply`]) every shard
+//!   worker — thread or process — answers.
 //! * [`Server`] / [`Client`] — the blocking TCP endpoints. The server
 //!   accepts up to `max_sessions` concurrent sessions (one thread
 //!   each) over one shared engine, with a bounded admission queue in
@@ -67,10 +70,10 @@ mod topology;
 pub use client::{Client, RemoteOutput, DEFAULT_TIMEOUT};
 pub use partition::SpacePartition;
 pub use remote::{ShardWorkerServer, WorkerHandle};
+pub use ringjoin_core::Mutation;
 pub use server::{Server, ServerConfig};
 pub use sharded::{
-    DatasetInfo, Mutation, RingBounds, ShardedEngine, ShardedOutput, TopologyConfig, UpdateInfo,
-    WorkerSpec,
+    DatasetInfo, RingBounds, ShardedEngine, ShardedOutput, TopologyConfig, UpdateInfo, WorkerSpec,
 };
 
 use std::fmt;

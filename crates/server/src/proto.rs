@@ -2,8 +2,8 @@
 //!
 //! Every message — request or response — is one **frame**: a 4-byte
 //! big-endian payload length followed by that many bytes of UTF-8 text.
-//! A request payload is a command line (plus, for `LOAD`, a body of data
-//! rows); a response payload is a status line (`OK key=value ...` or
+//! A request payload is a command line (plus, for the data verbs, a body
+//! of rows); a response payload is a status line (`OK key=value ...` or
 //! `ERR message`) plus an optional body. One request yields exactly one
 //! response; requests are served in order on a connection, so a client
 //! may **pipeline**: send several frames back to back and read the
@@ -23,12 +23,18 @@
 //! | `[#<id>] HELLO` | — | — (role handshake) |
 //! | `[#<id>] SHUTDOWN` | — | — |
 //!
+//! Coordinates must be finite: a row with a `NaN` or infinite coordinate
+//! is refused with `ERR` (and never reaches the log), and so is a
+//! `bounds=` rectangle with a `NaN` corner.
+//!
 //! # Shard-worker grammar
 //!
 //! A **shard worker** (`ringjoin serve --shard-of ...`) speaks the same
-//! frame format but a different command set — the process form of the
-//! in-process [`ShardedEngine`](crate::ShardedEngine) worker messages,
-//! parsed as [`ShardRequest`]:
+//! frame format but a different command set, parsed as
+//! [`ShardRequest`] and answered as [`ShardReply`]. These two types are
+//! the *only* shard message: in-process worker threads receive the same
+//! `ShardRequest` values over a channel, so a worker process is just the
+//! thread worker behind this codec.
 //!
 //! | request | body | response |
 //! |---|---|---|
@@ -38,7 +44,14 @@
 //! | `SJOIN <outer> [inner=<name>] [algo=..] [bounds=.. maxd=..]` | — | counters + tagged pair rows |
 //! | `STOPK <outer> <k> [inner=<name>]` | — | counters + pair rows |
 //! | `SEXPLAIN <outer> [inner=<name>] [algo=..] [k=K]` | — | plan text |
-//! | `SHUTDOWN` | — | — |
+//! | `SHUTDOWN` | — | `OK bye=1` |
+//!
+//! Both grammars share one `key=value` option parser: the shard grammar
+//! accepts the client keys (`algo`, `bounds`, `maxd`, `k`) plus `cell`,
+//! `spill`, `writer`, `inner` and `epoch`; each grammar refuses any
+//! other key. `bounds=` corners are normalised (`x0,y0,x1,y1` in any
+//! corner order), while `cell=` corners travel verbatim, so the empty
+//! rectangle round-trips as empty.
 //!
 //! The coordinator's merge keys are **global outer-leaf indices**, so
 //! `SJOIN` replies carry leaf-tagged rows (`leaf p_id p_x p_y q_id q_x
@@ -50,6 +63,15 @@
 //! fast instead of misbehaving. Rects travel as `x0,y0,x1,y1` in the
 //! same shortest-round-trip float form (`inf`/`-inf` included — the
 //! outermost partition cells are unbounded).
+//!
+//! # Durable history records
+//!
+//! The coordinator's write-ahead log stores each batch as the wire
+//! request that carried it: a load as the client `LOAD` payload (which
+//! names no partition cell, so recovery is shard-count invariant), an
+//! update as the shard `SUPDATE <name> epoch=<n>` payload. Recovery
+//! decodes records with [`Request::parse`] and [`ShardRequest::parse`];
+//! there is no separate log grammar.
 //!
 //! # Request IDs
 //!
@@ -66,16 +88,27 @@
 //! retry_after_ms=<ms> (...)`; clients surface that as
 //! [`ServerError::Busy`] carrying the retry hint.
 //!
-//! Pair rows are `p_id p_x p_y q_id q_x q_y` (floats in Rust's
-//! shortest-round-trip `Display` form, so coordinates survive the wire
-//! bit-exactly and a client can re-derive centers and radii without
-//! loss). Numbers in command lines use the same convention.
+//! # Rows
+//!
+//! One codec per row shape serves the wire, the durable log and the
+//! CLI's mutation log alike: item rows `id x y`, mutation rows
+//! `+ id x y`, `- id`, `^ id x y` (the item row behind a sign;
+//! [`write_mutation_row`]/[`parse_mutation_row`]),
+//! and pair rows `p_id p_x p_y q_id q_x q_y`, optionally led by a leaf
+//! index. Floats use Rust's shortest-round-trip `Display` form, so
+//! coordinates survive the wire bit-exactly and a client can re-derive
+//! centers and radii without loss. Numbers in command lines use the same
+//! convention.
 
-use crate::sharded::{Mutation, RingBounds};
+use crate::sharded::RingBounds;
 use crate::ServerError;
-use ringjoin_core::{IndexKind, RcjAlgorithm, RcjPair, RcjStats};
+use ringjoin_core::planner::DatasetSummary;
+use ringjoin_core::{IndexKind, Mutation, RcjAlgorithm, RcjPair, RcjStats};
 use ringjoin_geom::{pt, Item, Rect};
+use std::fmt::Write as _;
 use std::io::{Read, Write};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Hard cap on a frame payload (64 MiB): a malformed or hostile length
 /// prefix must not make either end allocate unboundedly.
@@ -345,10 +378,6 @@ pub fn validate_name(name: &str) -> Result<(), ServerError> {
     Ok(())
 }
 
-fn kind_name(kind: IndexKind) -> &'static str {
-    kind.name()
-}
-
 fn parse_kind(s: &str) -> Result<IndexKind, ServerError> {
     match s {
         "rtree" => Ok(IndexKind::Rtree),
@@ -375,100 +404,133 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, ServerError
 
 fn encode_bounds(out: &mut String, bounds: &Option<RingBounds>) {
     if let Some(rb) = bounds {
-        out.push_str(&format!(
-            " bounds={},{},{},{} maxd={}",
-            rb.bounds.min.x, rb.bounds.min.y, rb.bounds.max.x, rb.bounds.max.y, rb.max_diameter
-        ));
+        let _ = write!(
+            out,
+            " bounds={} maxd={}",
+            encode_rect(rb.bounds),
+            rb.max_diameter
+        );
     }
 }
 
-/// Parses `algo=`/`bounds=`/`maxd=`/`k=` options from command-line
-/// tokens; unknown options are a protocol error.
+/// The option keys of the client grammar.
+const CLIENT_OPTIONS: &[&str] = &["algo", "bounds", "maxd", "k"];
+
+/// The option keys of the shard-worker grammar: the client keys plus
+/// the placement (`cell`, `spill`, `writer`), routing (`inner`) and
+/// history (`epoch`) extras.
+const SHARD_OPTIONS: &[&str] = &[
+    "algo", "bounds", "maxd", "k", "cell", "spill", "writer", "inner", "epoch",
+];
+
+/// The `key=value` options of a request line. One parser serves both
+/// grammars; each is handed the keys it allows, and every other key is
+/// a protocol error.
 struct Options {
     algo: RcjAlgorithm,
     bounds: Option<Rect>,
     maxd: Option<f64>,
     k: Option<usize>,
+    cell: Option<Rect>,
+    spill: Option<PathBuf>,
+    writer: bool,
+    inner: Option<String>,
+    epoch: Option<u64>,
 }
 
-fn parse_options(tokens: &[&str]) -> Result<Options, ServerError> {
-    let mut opts = Options {
-        algo: RcjAlgorithm::Auto,
-        bounds: None,
-        maxd: None,
-        k: None,
-    };
-    for t in tokens {
-        let (key, value) = t.split_once('=').ok_or_else(|| {
-            ServerError::BadRequest(format!("expected key=value option, got {t:?}"))
-        })?;
-        match key {
-            "algo" => opts.algo = parse_algo(value)?,
-            "maxd" => opts.maxd = Some(parse_num(value, "maxd")?),
-            "k" => opts.k = Some(parse_num(value, "k")?),
-            "bounds" => {
-                let nums: Vec<f64> = value
-                    .split(',')
-                    .map(|v| parse_num(v, "bounds coordinate"))
-                    .collect::<Result<_, _>>()?;
-                if nums.len() != 4 {
-                    return Err(ServerError::BadRequest(
-                        "bounds needs exactly x0,y0,x1,y1".into(),
-                    ));
-                }
-                opts.bounds = Some(Rect::new(pt(nums[0], nums[1]), pt(nums[2], nums[3])));
+impl Options {
+    fn parse(tokens: &[&str], allowed: &[&str]) -> Result<Options, ServerError> {
+        let mut opts = Options {
+            algo: RcjAlgorithm::Auto,
+            bounds: None,
+            maxd: None,
+            k: None,
+            cell: None,
+            spill: None,
+            writer: false,
+            inner: None,
+            epoch: None,
+        };
+        for t in tokens {
+            let (key, value) = t.split_once('=').ok_or_else(|| {
+                ServerError::BadRequest(format!("expected key=value option, got {t:?}"))
+            })?;
+            let unknown = || ServerError::BadRequest(format!("unknown option {key:?}"));
+            if !allowed.contains(&key) {
+                return Err(unknown());
             }
-            other => return Err(ServerError::BadRequest(format!("unknown option {other:?}"))),
+            match key {
+                "algo" => opts.algo = parse_algo(value)?,
+                "maxd" => opts.maxd = Some(parse_num(value, "maxd")?),
+                "k" => opts.k = Some(parse_num(value, "k")?),
+                "bounds" => opts.bounds = Some(parse_bounds(value)?),
+                "cell" => opts.cell = Some(parse_rect(value)?),
+                "spill" => opts.spill = Some(PathBuf::from(value)),
+                "writer" => opts.writer = value == "1",
+                "inner" => {
+                    validate_name(value)?;
+                    opts.inner = Some(value.to_string());
+                }
+                "epoch" => opts.epoch = Some(parse_num(value, "epoch")?),
+                _ => return Err(unknown()),
+            }
+        }
+        Ok(opts)
+    }
+
+    /// The `bounds=`/`maxd=` pair as a ring restriction: both or
+    /// neither.
+    fn ring_bounds(&self) -> Result<Option<RingBounds>, ServerError> {
+        match (self.bounds, self.maxd) {
+            (None, None) => Ok(None),
+            (Some(bounds), Some(max_diameter)) => Ok(Some(RingBounds {
+                bounds,
+                max_diameter,
+            })),
+            _ => Err(ServerError::BadRequest(
+                "bounds= and maxd= must be given together".into(),
+            )),
         }
     }
-    Ok(opts)
 }
 
-fn ring_bounds(opts: &Options) -> Result<Option<RingBounds>, ServerError> {
-    match (opts.bounds, opts.maxd) {
-        (None, None) => Ok(None),
-        (Some(bounds), Some(max_diameter)) => Ok(Some(RingBounds {
-            bounds,
-            max_diameter,
-        })),
-        _ => Err(ServerError::BadRequest(
-            "bounds= and maxd= must be given together".into(),
-        )),
+/// Splits a payload into its command line and body, and the command
+/// line into its verb and arguments.
+fn split_command(payload: &str) -> Option<(&str, Vec<&str>, &str)> {
+    let (line, body) = payload.split_once('\n').unwrap_or((payload, ""));
+    let mut tokens = line.split_whitespace();
+    let cmd = tokens.next()?;
+    Some((cmd, tokens.collect(), body))
+}
+
+/// The `LOAD` payload: a header plus one item row per point. It is
+/// both the client request that registers a dataset and the durable-log
+/// record of that load.
+pub(crate) fn encode_load(name: &str, kind: IndexKind, items: &[Item]) -> String {
+    with_item_rows(format!("LOAD {name} {}\n", kind.name()), items)
+}
+
+fn with_item_rows(mut out: String, items: &[Item]) -> String {
+    for it in items {
+        write_item_row(&mut out, it);
     }
+    out
 }
 
 impl Request {
     /// Encodes the request as a frame payload.
     pub fn encode(&self) -> String {
         match self {
-            Request::Load { name, kind, items } => {
-                let mut out = format!("LOAD {name} {}\n", kind_name(*kind));
-                for it in items {
-                    out.push_str(&format!("{} {} {}\n", it.id, it.point.x, it.point.y));
-                }
-                out
-            }
-            Request::Insert { name, items } => {
-                let mut out = format!("INSERT {name}\n");
-                for it in items {
-                    out.push_str(&format!("{} {} {}\n", it.id, it.point.x, it.point.y));
-                }
-                out
-            }
+            Request::Load { name, kind, items } => encode_load(name, *kind, items),
+            Request::Insert { name, items } => with_item_rows(format!("INSERT {name}\n"), items),
             Request::Delete { name, ids } => {
                 let mut out = format!("DELETE {name}\n");
                 for id in ids {
-                    out.push_str(&format!("{id}\n"));
+                    let _ = writeln!(out, "{id}");
                 }
                 out
             }
-            Request::Upsert { name, items } => {
-                let mut out = format!("UPSERT {name}\n");
-                for it in items {
-                    out.push_str(&format!("{} {} {}\n", it.id, it.point.x, it.point.y));
-                }
-                out
-            }
+            Request::Upsert { name, items } => with_item_rows(format!("UPSERT {name}\n"), items),
             Request::Join {
                 outer,
                 inner,
@@ -497,11 +559,11 @@ impl Request {
             } => {
                 let mut out = format!("EXPLAIN {outer}");
                 if let Some(inner) = inner {
-                    out.push_str(&format!(" {inner}"));
+                    let _ = write!(out, " {inner}");
                 }
-                out.push_str(&format!(" algo={}", algo_name(*algo)));
+                let _ = write!(out, " algo={}", algo_name(*algo));
                 if let Some(k) = k {
-                    out.push_str(&format!(" k={k}"));
+                    let _ = write!(out, " k={k}");
                 }
                 out
             }
@@ -513,23 +575,18 @@ impl Request {
 
     /// Parses a frame payload into a request.
     pub fn parse(payload: &str) -> Result<Request, ServerError> {
-        let (line, body) = match payload.split_once('\n') {
-            Some((line, body)) => (line, body),
-            None => (payload, ""),
-        };
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        let Some((&cmd, args)) = tokens.split_first() else {
+        let Some((cmd, args, body)) = split_command(payload) else {
             return Err(ServerError::BadRequest("empty request".into()));
         };
         match cmd {
             "LOAD" => {
-                let [name, kind] = args else {
+                let [name, kind] = args[..] else {
                     return Err(ServerError::BadRequest(
                         "usage: LOAD <name> <rtree|quadtree>".into(),
                     ));
                 };
                 validate_name(name)?;
-                let items = parse_item_rows(body)?;
+                let items = parse_rows(body, parse_item_row)?;
                 Ok(Request::Load {
                     name: name.to_string(),
                     kind: parse_kind(kind)?,
@@ -537,14 +594,14 @@ impl Request {
                 })
             }
             "INSERT" | "UPSERT" => {
-                let [name] = args else {
+                let [name] = args[..] else {
                     return Err(ServerError::BadRequest(format!(
                         "usage: {cmd} <name> (with `id x y` data rows)"
                     )));
                 };
                 validate_name(name)?;
                 let name = name.to_string();
-                let items = parse_item_rows(body)?;
+                let items = parse_rows(body, parse_item_row)?;
                 Ok(if cmd == "INSERT" {
                     Request::Insert { name, items }
                 } else {
@@ -552,7 +609,7 @@ impl Request {
                 })
             }
             "DELETE" => {
-                let [name] = args else {
+                let [name] = args[..] else {
                     return Err(ServerError::BadRequest(
                         "usage: DELETE <name> (with `id` data rows)".into(),
                     ));
@@ -560,38 +617,38 @@ impl Request {
                 validate_name(name)?;
                 Ok(Request::Delete {
                     name: name.to_string(),
-                    ids: parse_id_rows(body)?,
+                    ids: parse_rows(body, |line| parse_num(line, "item id"))?,
                 })
             }
             "JOIN" => {
-                let [outer, inner, rest @ ..] = args else {
+                let [outer, inner, ref rest @ ..] = args[..] else {
                     return Err(ServerError::BadRequest(
                         "usage: JOIN <outer> <inner> [algo=..] [bounds=.. maxd=..]".into(),
                     ));
                 };
-                let opts = parse_options(rest)?;
+                let opts = Options::parse(rest, CLIENT_OPTIONS)?;
                 Ok(Request::Join {
                     outer: outer.to_string(),
                     inner: inner.to_string(),
                     algo: opts.algo,
-                    bounds: ring_bounds(&opts)?,
+                    bounds: opts.ring_bounds()?,
                 })
             }
             "SELFJOIN" => {
-                let [dataset, rest @ ..] = args else {
+                let [dataset, ref rest @ ..] = args[..] else {
                     return Err(ServerError::BadRequest(
                         "usage: SELFJOIN <dataset> [algo=..] [bounds=.. maxd=..]".into(),
                     ));
                 };
-                let opts = parse_options(rest)?;
+                let opts = Options::parse(rest, CLIENT_OPTIONS)?;
                 Ok(Request::SelfJoin {
                     dataset: dataset.to_string(),
                     algo: opts.algo,
-                    bounds: ring_bounds(&opts)?,
+                    bounds: opts.ring_bounds()?,
                 })
             }
             "TOPK" => {
-                let [outer, inner, k] = args else {
+                let [outer, inner, k] = args[..] else {
                     return Err(ServerError::BadRequest(
                         "usage: TOPK <outer> <inner> <k>".into(),
                     ));
@@ -605,7 +662,7 @@ impl Request {
             "EXPLAIN" => {
                 let (names, rest): (Vec<&str>, Vec<&str>) =
                     args.iter().partition(|t| !t.contains('='));
-                let (outer, inner) = match names.as_slice() {
+                let (outer, inner) = match names[..] {
                     [outer] => (outer.to_string(), None),
                     [outer, inner] => (outer.to_string(), Some(inner.to_string())),
                     _ => {
@@ -614,7 +671,7 @@ impl Request {
                         ))
                     }
                 };
-                let opts = parse_options(&rest)?;
+                let opts = Options::parse(&rest, CLIENT_OPTIONS)?;
                 Ok(Request::Explain {
                     outer,
                     inner,
@@ -632,84 +689,105 @@ impl Request {
     }
 }
 
-/// Parses `id x y` data rows (used by `LOAD`).
-fn parse_item_rows(body: &str) -> Result<Vec<Item>, ServerError> {
-    let mut items = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let [id, x, y] = fields.as_slice() else {
-            return Err(ServerError::BadRequest(format!(
-                "expected `id x y` data row, got {line:?}"
-            )));
-        };
-        items.push(Item::new(
-            parse_num(id, "item id")?,
-            pt(parse_num(x, "x coordinate")?, parse_num(y, "y coordinate")?),
-        ));
-    }
-    Ok(items)
-}
+// ---------------------------------------------------------------------
+// Row codecs
+// ---------------------------------------------------------------------
 
-/// Parses bare `id` data rows (used by `DELETE`).
-fn parse_id_rows(body: &str) -> Result<Vec<u64>, ServerError> {
+/// Parses every non-blank line of a body with `row`.
+fn parse_rows<T>(
+    body: &str,
+    row: impl Fn(&str) -> Result<T, ServerError>,
+) -> Result<Vec<T>, ServerError> {
     body.lines()
         .map(str::trim)
         .filter(|line| !line.is_empty())
-        .map(|line| parse_num(line, "item id"))
+        .map(row)
         .collect()
 }
 
-/// Encodes a mutation batch as `SUPDATE` body rows: `+ id x y`
-/// (insert), `- id` (delete), `^ id x y` (upsert).
-fn encode_mutation_rows(out: &mut String, ops: &[Mutation]) {
-    for op in ops {
-        match op {
-            Mutation::Insert(it) => {
-                out.push_str(&format!("+ {} {} {}\n", it.id, it.point.x, it.point.y));
-            }
-            Mutation::Delete(id) => out.push_str(&format!("- {id}\n")),
-            Mutation::Upsert(it) => {
-                out.push_str(&format!("^ {} {} {}\n", it.id, it.point.x, it.point.y));
-            }
+/// The whitespace-separated fields of `line`, when there are exactly
+/// `N` of them — without allocating, since row parsers run once per
+/// point of every `LOAD` and every recovered log record.
+fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
+    let mut tokens = line.split_whitespace();
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = tokens.next()?;
+    }
+    tokens.next().is_none().then_some(out)
+}
+
+fn item(id: &str, x: &str, y: &str) -> Result<Item, ServerError> {
+    Ok(Item::new(
+        parse_num(id, "item id")?,
+        pt(parse_num(x, "x coordinate")?, parse_num(y, "y coordinate")?),
+    ))
+}
+
+/// Appends one `id x y` item row.
+pub(crate) fn write_item_row(out: &mut String, it: &Item) {
+    let _ = writeln!(out, "{} {} {}", it.id, it.point.x, it.point.y);
+}
+
+/// Parses one `id x y` item row (bit-exact round trip of
+/// [`write_item_row`]).
+pub(crate) fn parse_item_row(line: &str) -> Result<Item, ServerError> {
+    let [id, x, y] = fields(line).ok_or_else(|| {
+        ServerError::BadRequest(format!("expected `id x y` data row, got {line:?}"))
+    })?;
+    item(id, x, y)
+}
+
+/// Appends one mutation row: `+ id x y` (insert), `- id` (delete) or
+/// `^ id x y` (upsert) — the item-row codec behind a sign.
+pub fn write_mutation_row(out: &mut String, op: &Mutation) {
+    match op {
+        Mutation::Insert(it) => {
+            out.push_str("+ ");
+            write_item_row(out, it);
+        }
+        Mutation::Delete(id) => {
+            let _ = writeln!(out, "- {id}");
+        }
+        Mutation::Upsert(it) => {
+            out.push_str("^ ");
+            write_item_row(out, it);
         }
     }
 }
 
-/// Parses `SUPDATE` body rows back into a mutation batch.
-fn parse_mutation_rows(body: &str) -> Result<Vec<Mutation>, ServerError> {
-    let mut ops = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let op = match fields.as_slice() {
-            ["+", id, x, y] | ["^", id, x, y] => {
-                let item = Item::new(
-                    parse_num(id, "item id")?,
-                    pt(parse_num(x, "x coordinate")?, parse_num(y, "y coordinate")?),
-                );
-                if fields[0] == "+" {
-                    Mutation::Insert(item)
-                } else {
-                    Mutation::Upsert(item)
-                }
-            }
-            ["-", id] => Mutation::Delete(parse_num(id, "item id")?),
-            _ => {
-                return Err(ServerError::BadRequest(format!(
-                    "expected `+ id x y`, `- id` or `^ id x y` mutation row, got {line:?}"
-                )))
-            }
-        };
-        ops.push(op);
+/// Parses one [`write_mutation_row`] row (bit-exact round trip).
+pub fn parse_mutation_row(line: &str) -> Result<Mutation, ServerError> {
+    let bad = || {
+        ServerError::BadRequest(format!(
+            "expected `+ id x y`, `- id` or `^ id x y` mutation row, got {line:?}"
+        ))
+    };
+    let (sign, rest) = line
+        .trim_start()
+        .split_once(char::is_whitespace)
+        .ok_or_else(bad)?;
+    match sign {
+        "+" => parse_item_row(rest).map(Mutation::Insert),
+        "^" => parse_item_row(rest).map(Mutation::Upsert),
+        "-" => parse_num(rest.trim(), "item id").map(Mutation::Delete),
+        _ => Err(bad()),
     }
-    Ok(ops)
+}
+
+fn write_pair_row(out: &mut String, pr: &RcjPair) {
+    let _ = writeln!(
+        out,
+        "{} {} {} {} {} {}",
+        pr.p.id, pr.p.point.x, pr.p.point.y, pr.q.id, pr.q.point.x, pr.q.point.y
+    );
+}
+
+fn parse_pair_row(line: &str) -> Result<RcjPair, ServerError> {
+    let [pid, px, py, qid, qx, qy] = fields(line).ok_or_else(|| {
+        ServerError::BadRequest(format!("expected 6-field pair row, got {line:?}"))
+    })?;
+    Ok(RcjPair::new(item(pid, px, py)?, item(qid, qx, qy)?))
 }
 
 /// Encodes result pairs as wire rows (`p_id p_x p_y q_id q_x q_y`, one
@@ -717,40 +795,36 @@ fn parse_mutation_rows(body: &str) -> Result<Vec<Mutation>, ServerError> {
 pub fn encode_pairs(pairs: &[RcjPair]) -> String {
     let mut out = String::new();
     for pr in pairs {
-        out.push_str(&format!(
-            "{} {} {} {} {} {}\n",
-            pr.p.id, pr.p.point.x, pr.p.point.y, pr.q.id, pr.q.point.x, pr.q.point.y
-        ));
+        write_pair_row(&mut out, pr);
     }
     out
 }
 
 /// Parses wire pair rows back into [`RcjPair`]s (bit-exact round trip).
 pub fn parse_pairs(body: &str) -> Result<Vec<RcjPair>, ServerError> {
-    let mut pairs = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let [pid, px, py, qid, qx, qy] = fields.as_slice() else {
-            return Err(ServerError::BadRequest(format!(
-                "expected 6-field pair row, got {line:?}"
-            )));
-        };
-        pairs.push(RcjPair::new(
-            Item::new(
-                parse_num(pid, "p id")?,
-                pt(parse_num(px, "p x")?, parse_num(py, "p y")?),
-            ),
-            Item::new(
-                parse_num(qid, "q id")?,
-                pt(parse_num(qx, "q x")?, parse_num(qy, "q y")?),
-            ),
-        ));
+    parse_rows(body, parse_pair_row)
+}
+
+/// Encodes leaf-tagged result pairs as wire rows (`leaf p_id p_x p_y
+/// q_id q_x q_y`): the shard-worker reply shape whose leading global
+/// outer-leaf index is the coordinator's deterministic merge key.
+pub fn encode_tagged_pairs(pairs: &[(usize, RcjPair)]) -> String {
+    let mut out = String::new();
+    for (leaf, pr) in pairs {
+        let _ = write!(out, "{leaf} ");
+        write_pair_row(&mut out, pr);
     }
-    Ok(pairs)
+    out
+}
+
+/// Parses [`encode_tagged_pairs`] rows (bit-exact round trip).
+pub fn parse_tagged_pairs(body: &str) -> Result<Vec<(usize, RcjPair)>, ServerError> {
+    parse_rows(body, |line| {
+        let (leaf, row) = line.split_once(char::is_whitespace).ok_or_else(|| {
+            ServerError::BadRequest(format!("expected 7-field tagged pair row, got {line:?}"))
+        })?;
+        Ok((parse_num(leaf, "leaf index")?, parse_pair_row(row)?))
+    })
 }
 
 /// Encodes a rectangle as `x0,y0,x1,y1` (shortest-round-trip floats;
@@ -762,67 +836,38 @@ pub fn encode_rect(r: Rect) -> String {
 
 /// Parses a [`encode_rect`] rectangle (bit-exact round trip).
 pub fn parse_rect(s: &str) -> Result<Rect, ServerError> {
-    let nums: Vec<f64> = s
-        .split(',')
-        .map(|v| parse_num(v, "rect coordinate"))
-        .collect::<Result<_, _>>()?;
-    if nums.len() != 4 {
-        return Err(ServerError::BadRequest(format!(
-            "rect needs exactly x0,y0,x1,y1, got {s:?}"
-        )));
+    let bad = || ServerError::BadRequest(format!("rect needs exactly x0,y0,x1,y1, got {s:?}"));
+    let mut parts = s.split(',');
+    let mut c = [0.0f64; 4];
+    for v in &mut c {
+        *v = parse_num(parts.next().ok_or_else(bad)?, "rect coordinate")?;
+    }
+    if parts.next().is_some() {
+        return Err(bad());
     }
     // Construct the corners verbatim: `Rect::new` would normalize a
     // min > max pair, silently turning the empty rect (`inf,inf,-inf,
     // -inf`) into an everything-rect on the way in.
     Ok(Rect {
-        min: pt(nums[0], nums[1]),
-        max: pt(nums[2], nums[3]),
+        min: pt(c[0], c[1]),
+        max: pt(c[2], c[3]),
     })
 }
 
-/// Encodes leaf-tagged result pairs as wire rows (`leaf p_id p_x p_y
-/// q_id q_x q_y`): the shard-worker reply shape whose leading global
-/// outer-leaf index is the coordinator's deterministic merge key.
-pub fn encode_tagged_pairs(pairs: &[(usize, RcjPair)]) -> String {
-    let mut out = String::new();
-    for (leaf, pr) in pairs {
-        out.push_str(&format!(
-            "{} {} {} {} {} {} {}\n",
-            leaf, pr.p.id, pr.p.point.x, pr.p.point.y, pr.q.id, pr.q.point.x, pr.q.point.y
-        ));
+/// Parses a region of interest, `x0,y0,x1,y1` with the corners in any
+/// order (they are normalised). A NaN corner is refused: `Rect::new`
+/// would silently drop it and answer for another window.
+pub fn parse_bounds(s: &str) -> Result<Rect, ServerError> {
+    let r = parse_rect(s)?;
+    if [r.min.x, r.min.y, r.max.x, r.max.y]
+        .iter()
+        .any(|c| c.is_nan())
+    {
+        return Err(ServerError::BadRequest(format!(
+            "bounds {s:?} has a NaN corner"
+        )));
     }
-    out
-}
-
-/// Parses [`encode_tagged_pairs`] rows (bit-exact round trip).
-pub fn parse_tagged_pairs(body: &str) -> Result<Vec<(usize, RcjPair)>, ServerError> {
-    let mut pairs = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let [leaf, pid, px, py, qid, qx, qy] = fields.as_slice() else {
-            return Err(ServerError::BadRequest(format!(
-                "expected 7-field tagged pair row, got {line:?}"
-            )));
-        };
-        pairs.push((
-            parse_num(leaf, "leaf index")?,
-            RcjPair::new(
-                Item::new(
-                    parse_num(pid, "p id")?,
-                    pt(parse_num(px, "p x")?, parse_num(py, "p y")?),
-                ),
-                Item::new(
-                    parse_num(qid, "q id")?,
-                    pt(parse_num(qx, "q x")?, parse_num(qy, "q y")?),
-                ),
-            ),
-        ));
-    }
-    Ok(pairs)
+    Ok(Rect::new(r.min, r.max))
 }
 
 /// The full [`RcjStats`] counter set as status-line fields — shard
@@ -856,10 +901,15 @@ pub fn stats_from_reply(reply: &Reply) -> RcjStats {
     }
 }
 
-/// A parsed shard-worker request — the wire form of the messages a
-/// coordinator sends its shard workers (see the module docs' worker
-/// grammar table). Carried over the same frame format as [`Request`]
-/// but parsed by worker processes only.
+// ---------------------------------------------------------------------
+// The shard message
+// ---------------------------------------------------------------------
+
+/// A shard-worker request — the one message a coordinator sends its
+/// shard workers, whether they are threads (over a channel) or
+/// processes (over the worker grammar in the module docs). Items and
+/// operations sit behind an [`Arc`], so one fan-out to every replica
+/// shares one copy.
 #[derive(Clone, Debug)]
 pub enum ShardRequest {
     /// Role handshake; a worker answers `role=shard`.
@@ -878,14 +928,15 @@ pub enum ShardRequest {
         cell: Rect,
         /// Disk-native serving: the shared page file (a path visible to
         /// the worker — loopback workers share the coordinator's
-        /// filesystem). No whitespace (paths are tokens on the wire).
-        spill: Option<String>,
+        /// filesystem). On the wire it is one token, so it must be
+        /// whitespace-free UTF-8.
+        spill: Option<PathBuf>,
         /// Whether this worker materializes the page file (exactly one
         /// writer per `LOAD`; replicas and replays attach).
         writer: bool,
         /// The full point set (the index is replicated; the cell
         /// partitions the *work*).
-        items: Vec<Item>,
+        items: Arc<Vec<Item>>,
     },
     /// Apply a mutation batch carrying the epoch it must produce. The
     /// target epoch makes the message **idempotent**: a worker already
@@ -898,7 +949,7 @@ pub enum ShardRequest {
         /// The epoch this batch advances the dataset to.
         target_epoch: u64,
         /// The mutations, in application order.
-        ops: Vec<Mutation>,
+        ops: Arc<Vec<Mutation>>,
     },
     /// Leaf-driven join over the worker's owned outer leaves; the reply
     /// carries leaf-tagged pairs plus full counters.
@@ -936,6 +987,12 @@ pub enum ShardRequest {
     Shutdown,
 }
 
+fn encode_inner(out: &mut String, inner: &Option<String>) {
+    if let Some(inner) = inner {
+        let _ = write!(out, " inner={inner}");
+    }
+}
+
 impl ShardRequest {
     /// Encodes the shard request as a frame payload.
     pub fn encode(&self) -> String {
@@ -949,19 +1006,17 @@ impl ShardRequest {
                 writer,
                 items,
             } => {
-                let mut out = format!(
-                    "SLOAD {name} {} cell={}",
-                    kind_name(*kind),
-                    encode_rect(*cell)
-                );
+                let mut out = format!("SLOAD {name} {} cell={}", kind.name(), encode_rect(*cell));
                 if let Some(path) = spill {
-                    out.push_str(&format!(" spill={path} writer={}", u8::from(*writer)));
+                    let _ = write!(
+                        out,
+                        " spill={} writer={}",
+                        path.display(),
+                        u8::from(*writer)
+                    );
                 }
                 out.push('\n');
-                for it in items {
-                    out.push_str(&format!("{} {} {}\n", it.id, it.point.x, it.point.y));
-                }
-                out
+                with_item_rows(out, items)
             }
             ShardRequest::Update {
                 name,
@@ -969,7 +1024,9 @@ impl ShardRequest {
                 ops,
             } => {
                 let mut out = format!("SUPDATE {name} epoch={target_epoch}\n");
-                encode_mutation_rows(&mut out, ops);
+                for op in ops.iter() {
+                    write_mutation_row(&mut out, op);
+                }
                 out
             }
             ShardRequest::Join {
@@ -979,18 +1036,14 @@ impl ShardRequest {
                 bounds,
             } => {
                 let mut out = format!("SJOIN {outer}");
-                if let Some(inner) = inner {
-                    out.push_str(&format!(" inner={inner}"));
-                }
-                out.push_str(&format!(" algo={}", algo_name(*algo)));
+                encode_inner(&mut out, inner);
+                let _ = write!(out, " algo={}", algo_name(*algo));
                 encode_bounds(&mut out, bounds);
                 out
             }
             ShardRequest::TopK { outer, inner, k } => {
                 let mut out = format!("STOPK {outer} {k}");
-                if let Some(inner) = inner {
-                    out.push_str(&format!(" inner={inner}"));
-                }
+                encode_inner(&mut out, inner);
                 out
             }
             ShardRequest::Explain {
@@ -1000,12 +1053,10 @@ impl ShardRequest {
                 k,
             } => {
                 let mut out = format!("SEXPLAIN {outer}");
-                if let Some(inner) = inner {
-                    out.push_str(&format!(" inner={inner}"));
-                }
-                out.push_str(&format!(" algo={}", algo_name(*algo)));
+                encode_inner(&mut out, inner);
+                let _ = write!(out, " algo={}", algo_name(*algo));
                 if let Some(k) = k {
-                    out.push_str(&format!(" k={k}"));
+                    let _ = write!(out, " k={k}");
                 }
                 out
             }
@@ -1015,25 +1066,20 @@ impl ShardRequest {
 
     /// Parses a frame payload into a shard request.
     pub fn parse(payload: &str) -> Result<ShardRequest, ServerError> {
-        let (line, body) = match payload.split_once('\n') {
-            Some((line, body)) => (line, body),
-            None => (payload, ""),
-        };
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        let Some((&cmd, args)) = tokens.split_first() else {
+        let Some((cmd, args, body)) = split_command(payload) else {
             return Err(ServerError::BadRequest("empty shard request".into()));
         };
         match cmd {
             "HELLO" => Ok(ShardRequest::Hello),
             "SHUTDOWN" => Ok(ShardRequest::Shutdown),
             "SLOAD" => {
-                let [name, kind, rest @ ..] = args else {
+                let [name, kind, ref rest @ ..] = args[..] else {
                     return Err(ServerError::BadRequest(
                         "usage: SLOAD <name> <kind> cell=<rect> [spill=<path> writer=<0|1>]".into(),
                     ));
                 };
                 validate_name(name)?;
-                let opts = parse_shard_options(rest)?;
+                let opts = Options::parse(rest, SHARD_OPTIONS)?;
                 let cell = opts.cell.ok_or_else(|| {
                     ServerError::BadRequest("SLOAD requires a cell= rectangle".into())
                 })?;
@@ -1043,34 +1089,34 @@ impl ShardRequest {
                     cell,
                     spill: opts.spill,
                     writer: opts.writer,
-                    items: parse_item_rows(body)?,
+                    items: Arc::new(parse_rows(body, parse_item_row)?),
                 })
             }
             "SUPDATE" => {
-                let [name, rest @ ..] = args else {
+                let [name, ref rest @ ..] = args[..] else {
                     return Err(ServerError::BadRequest(
                         "usage: SUPDATE <name> epoch=<n> (with mutation rows)".into(),
                     ));
                 };
                 validate_name(name)?;
-                let opts = parse_shard_options(rest)?;
+                let opts = Options::parse(rest, SHARD_OPTIONS)?;
                 let target_epoch = opts.epoch.ok_or_else(|| {
                     ServerError::BadRequest("SUPDATE requires an epoch= target".into())
                 })?;
                 Ok(ShardRequest::Update {
                     name: name.to_string(),
                     target_epoch,
-                    ops: parse_mutation_rows(body)?,
+                    ops: Arc::new(parse_rows(body, parse_mutation_row)?),
                 })
             }
             "SJOIN" => {
-                let [outer, rest @ ..] = args else {
+                let [outer, ref rest @ ..] = args[..] else {
                     return Err(ServerError::BadRequest(
                         "usage: SJOIN <outer> [inner=<name>] [algo=..] [bounds=.. maxd=..]".into(),
                     ));
                 };
-                let opts = parse_shard_options(rest)?;
-                let bounds = ring_bounds_shard(&opts)?;
+                let opts = Options::parse(rest, SHARD_OPTIONS)?;
+                let bounds = opts.ring_bounds()?;
                 Ok(ShardRequest::Join {
                     outer: outer.to_string(),
                     inner: opts.inner,
@@ -1079,12 +1125,12 @@ impl ShardRequest {
                 })
             }
             "STOPK" => {
-                let [outer, k, rest @ ..] = args else {
+                let [outer, k, ref rest @ ..] = args[..] else {
                     return Err(ServerError::BadRequest(
                         "usage: STOPK <outer> <k> [inner=<name>]".into(),
                     ));
                 };
-                let opts = parse_shard_options(rest)?;
+                let opts = Options::parse(rest, SHARD_OPTIONS)?;
                 Ok(ShardRequest::TopK {
                     outer: outer.to_string(),
                     inner: opts.inner,
@@ -1092,12 +1138,12 @@ impl ShardRequest {
                 })
             }
             "SEXPLAIN" => {
-                let [outer, rest @ ..] = args else {
+                let [outer, ref rest @ ..] = args[..] else {
                     return Err(ServerError::BadRequest(
                         "usage: SEXPLAIN <outer> [inner=<name>] [algo=..] [k=K]".into(),
                     ));
                 };
-                let opts = parse_shard_options(rest)?;
+                let opts = Options::parse(rest, SHARD_OPTIONS)?;
                 Ok(ShardRequest::Explain {
                     outer: outer.to_string(),
                     inner: opts.inner,
@@ -1112,70 +1158,139 @@ impl ShardRequest {
     }
 }
 
-/// `key=value` options of the shard-worker grammar (a superset of the
-/// client grammar's: `cell=`, `spill=`, `writer=`, `inner=`, `epoch=`
-/// ride along with `algo=`/`bounds=`/`maxd=`/`k=`).
-struct ShardOptions {
-    algo: RcjAlgorithm,
-    bounds: Option<Rect>,
-    maxd: Option<f64>,
-    k: Option<usize>,
-    cell: Option<Rect>,
-    spill: Option<String>,
-    writer: bool,
-    inner: Option<String>,
-    epoch: Option<u64>,
+/// A worker's ownership of a dataset after a load or an update batch:
+/// its owned outer-leaf count, the union of those leaves' regions, and
+/// the planner summary.
+#[derive(Clone, Copy, Debug)]
+pub struct Ownership {
+    /// Outer leaf groups the worker owns.
+    pub leaves: usize,
+    /// Union of the owned leaf regions (empty when none are owned).
+    pub extent: Rect,
+    /// The dataset's planner-facing summary.
+    pub summary: DatasetSummary,
 }
 
-fn parse_shard_options(tokens: &[&str]) -> Result<ShardOptions, ServerError> {
-    let mut opts = ShardOptions {
-        algo: RcjAlgorithm::Auto,
-        bounds: None,
-        maxd: None,
-        k: None,
-        cell: None,
-        spill: None,
-        writer: false,
-        inner: None,
-        epoch: None,
-    };
-    for t in tokens {
-        let (key, value) = t.split_once('=').ok_or_else(|| {
-            ServerError::BadRequest(format!("expected key=value option, got {t:?}"))
-        })?;
-        match key {
-            "algo" => opts.algo = parse_algo(value)?,
-            "maxd" => opts.maxd = Some(parse_num(value, "maxd")?),
-            "k" => opts.k = Some(parse_num(value, "k")?),
-            "bounds" => opts.bounds = Some(parse_rect(value)?),
-            "cell" => opts.cell = Some(parse_rect(value)?),
-            "spill" => opts.spill = Some(value.to_string()),
-            "writer" => opts.writer = value == "1",
-            "inner" => {
-                validate_name(value)?;
-                opts.inner = Some(value.to_string());
+/// A shard worker's answer to one [`ShardRequest`] — one variant per
+/// reply shape.
+#[derive(Clone, Debug)]
+pub enum ShardReply {
+    /// `HELLO`: the worker's role, plus the cell extent it accepts
+    /// (`None` = any).
+    Hello {
+        /// The `--shard-of` placement contract.
+        accepts: Option<Rect>,
+    },
+    /// `SLOAD` / `SUPDATE`: the worker's ownership afterwards.
+    Indexed(Ownership),
+    /// `SJOIN`: leaf-tagged pairs in leaf order plus the run counters.
+    Joined {
+        /// `(global outer-leaf index, pair)` rows.
+        pairs: Vec<(usize, RcjPair)>,
+        /// The worker's run counters.
+        stats: RcjStats,
+    },
+    /// `STOPK`: the cell's most compact pairs, ascending diameter.
+    Ranked {
+        /// At most `k` pairs.
+        pairs: Vec<RcjPair>,
+        /// The worker's run counters.
+        stats: RcjStats,
+    },
+    /// `SEXPLAIN`: the plan text.
+    Plan(String),
+    /// `SHUTDOWN` acknowledged.
+    Bye,
+}
+
+fn required<'r>(reply: &'r Reply, key: &str) -> Result<&'r str, ServerError> {
+    reply
+        .field(key)
+        .ok_or_else(|| ServerError::BadRequest(format!("worker reply lacks {key}=")))
+}
+
+impl ShardReply {
+    /// Encodes the reply as an `OK` frame payload.
+    pub fn encode(&self) -> String {
+        match self {
+            ShardReply::Hello { accepts } => Reply::encode(
+                &[
+                    ("role", "shard".to_string()),
+                    ("accepts", accepts.map_or_else(|| "any".into(), encode_rect)),
+                ],
+                "",
+            ),
+            ShardReply::Indexed(own) => Reply::encode(
+                &[
+                    ("leaves", own.leaves.to_string()),
+                    ("extent", encode_rect(own.extent)),
+                    ("items", own.summary.items.to_string()),
+                    ("pages", own.summary.pages.to_string()),
+                    ("leaf_pages", own.summary.leaf_pages.to_string()),
+                    ("kind", own.summary.kind.to_string()),
+                ],
+                "",
+            ),
+            ShardReply::Joined { pairs, stats } => {
+                let mut fields = vec![("pairs", pairs.len().to_string())];
+                fields.extend(encode_stats_fields(stats));
+                Reply::encode(&fields, &encode_tagged_pairs(pairs))
             }
-            "epoch" => opts.epoch = Some(parse_num(value, "epoch")?),
-            other => {
-                return Err(ServerError::BadRequest(format!(
-                    "unknown shard option {other:?}"
-                )))
+            ShardReply::Ranked { pairs, stats } => {
+                let mut fields = vec![("pairs", pairs.len().to_string())];
+                fields.extend(encode_stats_fields(stats));
+                Reply::encode(&fields, &encode_pairs(pairs))
             }
+            ShardReply::Plan(text) => Reply::encode(&[], text),
+            ShardReply::Bye => Reply::encode(&[("bye", "1".to_string())], ""),
         }
     }
-    Ok(opts)
-}
 
-fn ring_bounds_shard(opts: &ShardOptions) -> Result<Option<RingBounds>, ServerError> {
-    match (opts.bounds, opts.maxd) {
-        (None, None) => Ok(None),
-        (Some(bounds), Some(max_diameter)) => Ok(Some(RingBounds {
-            bounds,
-            max_diameter,
-        })),
-        _ => Err(ServerError::BadRequest(
-            "bounds= and maxd= must be given together".into(),
-        )),
+    /// Parses a worker's answer to `req`. An `ERR` payload is an error,
+    /// and so is a `HELLO` answered by anything but a shard worker.
+    pub fn parse(req: &ShardRequest, payload: &str) -> Result<ShardReply, ServerError> {
+        let reply = Reply::parse(payload)?;
+        Ok(match req {
+            ShardRequest::Hello => {
+                let role = reply.field("role");
+                if role != Some("shard") {
+                    return Err(ServerError::BadRequest(format!(
+                        "peer is not a shard worker (role={})",
+                        role.unwrap_or("?")
+                    )));
+                }
+                let accepts = match required(&reply, "accepts")? {
+                    "any" => None,
+                    rect => Some(parse_rect(rect)?),
+                };
+                ShardReply::Hello { accepts }
+            }
+            ShardRequest::Load { .. } | ShardRequest::Update { .. } => {
+                let num = |key: &str| -> Result<u64, ServerError> {
+                    parse_num(required(&reply, key)?, key)
+                };
+                ShardReply::Indexed(Ownership {
+                    leaves: parse_num(required(&reply, "leaves")?, "leaves")?,
+                    extent: parse_rect(required(&reply, "extent")?)?,
+                    summary: DatasetSummary {
+                        kind: parse_kind(required(&reply, "kind")?)?.name(),
+                        items: num("items")?,
+                        pages: num("pages")?,
+                        leaf_pages: num("leaf_pages")?,
+                    },
+                })
+            }
+            ShardRequest::Join { .. } => ShardReply::Joined {
+                pairs: parse_tagged_pairs(&reply.body)?,
+                stats: stats_from_reply(&reply),
+            },
+            ShardRequest::TopK { .. } => ShardReply::Ranked {
+                pairs: parse_pairs(&reply.body)?,
+                stats: stats_from_reply(&reply),
+            },
+            ShardRequest::Explain { .. } => ShardReply::Plan(reply.body),
+            ShardRequest::Shutdown => ShardReply::Bye,
+        })
     }
 }
 
@@ -1202,10 +1317,10 @@ impl Reply {
     pub fn encode_ok(id: Option<u64>, fields: &[(&str, String)], body: &str) -> String {
         let mut out = String::from("OK");
         if let Some(id) = id {
-            out.push_str(&format!(" id={id}"));
+            let _ = write!(out, " id={id}");
         }
         for (k, v) in fields {
-            out.push_str(&format!(" {k}={v}"));
+            let _ = write!(out, " {k}={v}");
         }
         out.push('\n');
         out.push_str(body);
@@ -1249,10 +1364,7 @@ impl Reply {
     /// the response is an error — a pipelining client needs it to match
     /// an `ERR` to the request that caused it.
     pub fn parse_with_id(payload: &str) -> (Option<u64>, Result<Reply, ServerError>) {
-        let (line, body) = match payload.split_once('\n') {
-            Some((line, body)) => (line, body),
-            None => (payload, ""),
-        };
+        let (line, body) = payload.split_once('\n').unwrap_or((payload, ""));
         if let Some(msg) = line.strip_prefix("ERR") {
             let mut msg = msg.trim();
             let mut id = None;
@@ -1433,94 +1545,6 @@ mod tests {
     }
 
     #[test]
-    fn requests_round_trip_through_encode_parse() {
-        let reqs = [
-            Request::Load {
-                name: "shops".into(),
-                kind: IndexKind::Quadtree,
-                items: vec![Item::new(7, pt(1.25, -3.5)), Item::new(9, pt(0.1, 2e-17))],
-            },
-            Request::Join {
-                outer: "q".into(),
-                inner: "p".into(),
-                algo: RcjAlgorithm::Obj,
-                bounds: None,
-            },
-            Request::SelfJoin {
-                dataset: "d".into(),
-                algo: RcjAlgorithm::Auto,
-                bounds: Some(RingBounds {
-                    bounds: Rect::new(pt(0.5, 1.5), pt(10.25, 20.75)),
-                    max_diameter: 3.375,
-                }),
-            },
-            Request::TopK {
-                outer: "q".into(),
-                inner: "p".into(),
-                k: 12,
-            },
-            Request::Explain {
-                outer: "q".into(),
-                inner: Some("p".into()),
-                algo: RcjAlgorithm::Inj,
-                k: Some(4),
-            },
-            Request::Explain {
-                outer: "d".into(),
-                inner: None,
-                algo: RcjAlgorithm::Auto,
-                k: None,
-            },
-            Request::Stats,
-            Request::Shutdown,
-        ];
-        for req in reqs {
-            let parsed = Request::parse(&req.encode()).unwrap();
-            // RingBounds has no PartialEq; compare the re-encoding,
-            // which is injective over the request structure.
-            assert_eq!(req.encode(), parsed.encode(), "{req:?}");
-        }
-    }
-
-    #[test]
-    fn malformed_requests_are_protocol_errors() {
-        for bad in [
-            "",
-            "FROBNICATE x",
-            "LOAD",
-            "LOAD name btree",
-            "LOAD bad name rtree",
-            "JOIN onlyone",
-            "JOIN q p algo=fastest",
-            "JOIN q p bounds=1,2,3",
-            "JOIN q p bounds=1,2,3,4", // maxd missing
-            "JOIN q p maxd=5",         // bounds missing
-            "TOPK q p notanumber",
-            "EXPLAIN",
-            "EXPLAIN a b c",
-            "JOIN q p frobnicate=1",
-        ] {
-            assert!(Request::parse(bad).is_err(), "accepted {bad:?}");
-        }
-        assert!(Request::parse("LOAD d rtree\n1 2").is_err());
-        assert!(Request::parse("LOAD d rtree\n1 x y").is_err());
-    }
-
-    #[test]
-    fn pair_rows_round_trip_bit_exactly() {
-        let pairs = vec![
-            RcjPair::new(
-                Item::new(1, pt(0.1 + 0.2, 1e300)),
-                Item::new(2, pt(-0.0, 2.5e-308)),
-            ),
-            RcjPair::new(Item::new(3, pt(7.0, 8.0)), Item::new(4, pt(9.5, 10.25))),
-        ];
-        let parsed = parse_pairs(&encode_pairs(&pairs)).unwrap();
-        assert_eq!(parsed, pairs);
-        assert!(parse_pairs("1 2 3\n").is_err());
-    }
-
-    #[test]
     fn replies_parse_fields_and_errors() {
         let payload = Reply::encode(&[("pairs", "3".into()), ("shards", "2".into())], "a b\n");
         let reply = Reply::parse(&payload).unwrap();
@@ -1555,48 +1579,73 @@ mod tests {
     }
 
     #[test]
-    fn tagged_pair_rows_round_trip_with_their_leaf_indices() {
-        let tagged = vec![
-            (
-                0usize,
-                RcjPair::new(
-                    Item::new(1, pt(0.1 + 0.2, 1e-300)),
-                    Item::new(2, pt(-7.0, 8.5)),
-                ),
-            ),
-            (
-                41,
-                RcjPair::new(Item::new(3, pt(1.0, 2.0)), Item::new(4, pt(3.0, 4.0))),
-            ),
+    fn requests_round_trip_through_encode_parse() {
+        let awkward = [
+            Item::new(7, pt(0.1 + 0.2, 1e300)),
+            Item::new(u64::MAX, pt(-0.0, 2.5e-308)),
         ];
-        let parsed = parse_tagged_pairs(&encode_tagged_pairs(&tagged)).unwrap();
-        assert_eq!(parsed, tagged);
-        assert!(parse_tagged_pairs("1 2 3 4 5 6\n").is_err(), "untagged row");
-        assert!(parse_tagged_pairs("x 1 2 3 4 5 6\n").is_err(), "bad leaf");
-    }
-
-    #[test]
-    fn stats_fields_survive_a_reply_round_trip() {
-        let stats = RcjStats {
-            candidate_pairs: 10,
-            result_pairs: 3,
-            filter_heap_pops: 77,
-            filter_node_reads: 5,
-            verify_node_visits: 9,
-        };
-        let fields: Vec<(&str, String)> = encode_stats_fields(&stats).into_iter().collect();
-        let reply = Reply::parse(&Reply::encode(&fields, "")).unwrap();
-        assert_eq!(stats_from_reply(&reply), stats);
-        // Absent fields default to zero rather than failing the reply.
-        let bare = Reply::parse(&Reply::encode(&[("candidates", "4".into())], "")).unwrap();
-        assert_eq!(stats_from_reply(&bare).candidate_pairs, 4);
-        assert_eq!(stats_from_reply(&bare).result_pairs, 0);
-    }
-
-    #[test]
-    fn shard_requests_round_trip_through_encode_parse() {
+        let bounds = Some(RingBounds {
+            bounds: Rect::new(pt(0.5, 1.5), pt(10.25, 20.75)),
+            max_diameter: 3.375,
+        });
+        let reqs = [
+            Request::Load {
+                name: "shops".into(),
+                kind: IndexKind::Quadtree,
+                items: awkward.to_vec(),
+            },
+            Request::Insert {
+                name: "pts".into(),
+                items: awkward.to_vec(),
+            },
+            Request::Delete {
+                name: "pts".into(),
+                ids: vec![7, 9, u64::MAX],
+            },
+            Request::Upsert {
+                name: "pts".into(),
+                items: vec![Item::new(7, pt(4.25, 5.5))],
+            },
+            Request::Join {
+                outer: "q".into(),
+                inner: "p".into(),
+                algo: RcjAlgorithm::Obj,
+                bounds: None,
+            },
+            Request::SelfJoin {
+                dataset: "d".into(),
+                algo: RcjAlgorithm::Auto,
+                bounds,
+            },
+            Request::TopK {
+                outer: "q".into(),
+                inner: "p".into(),
+                k: 12,
+            },
+            Request::Explain {
+                outer: "q".into(),
+                inner: Some("p".into()),
+                algo: RcjAlgorithm::Inj,
+                k: Some(4),
+            },
+            Request::Explain {
+                outer: "d".into(),
+                inner: None,
+                algo: RcjAlgorithm::Auto,
+                k: None,
+            },
+            Request::Stats,
+            Request::Hello,
+            Request::Shutdown,
+        ];
+        for req in reqs {
+            // RingBounds has no PartialEq; compare the re-encoding,
+            // which is injective over the request structure.
+            let parsed = Request::parse(&req.encode()).unwrap();
+            assert_eq!(req.encode(), parsed.encode(), "{req:?}");
+        }
         let cell = Rect::new(pt(-10.0, -10.0), pt(0.5, 7.25));
-        let reqs = vec![
+        let shard_reqs = [
             ShardRequest::Hello,
             ShardRequest::Shutdown,
             ShardRequest::Load {
@@ -1605,24 +1654,30 @@ mod tests {
                 cell,
                 spill: Some("/tmp/spill.pages".into()),
                 writer: true,
-                items: vec![Item::new(9, pt(1.5, -2.5))],
+                items: Arc::new(awkward.to_vec()),
             },
             ShardRequest::Load {
                 name: "q".into(),
                 kind: IndexKind::Rtree,
-                cell,
+                cell: Rect::empty(),
                 spill: None,
                 writer: false,
-                items: Vec::new(),
+                items: Arc::default(),
+            },
+            ShardRequest::Update {
+                name: "pts".into(),
+                target_epoch: 3,
+                ops: Arc::new(vec![
+                    Mutation::Insert(awkward[0]),
+                    Mutation::Delete(2),
+                    Mutation::Upsert(awkward[1]),
+                ]),
             },
             ShardRequest::Join {
                 outer: "a".into(),
                 inner: Some("b".into()),
                 algo: RcjAlgorithm::Bij,
-                bounds: Some(RingBounds {
-                    bounds: Rect::new(pt(0.0, 0.0), pt(50.0, 50.0)),
-                    max_diameter: 4.0,
-                }),
+                bounds,
             },
             ShardRequest::Join {
                 outer: "a".into(),
@@ -1642,73 +1697,145 @@ mod tests {
                 k: Some(3),
             },
         ];
-        for req in reqs {
+        for req in shard_reqs {
             let wire = req.encode();
             let back = ShardRequest::parse(&wire).unwrap();
             assert_eq!(back.encode(), wire, "shard request drifted: {wire:?}");
         }
-        assert!(ShardRequest::parse("SLOAD x rtree").is_err(), "no cell");
-        assert!(ShardRequest::parse("SJOIN").is_err(), "no outer");
-        assert!(ShardRequest::parse("STOPK a notanum").is_err());
     }
 
     #[test]
-    fn update_requests_round_trip_through_encode_parse() {
-        let reqs = [
-            Request::Insert {
-                name: "pts".into(),
-                items: vec![
-                    Item::new(7, pt(0.1 + 0.2, -3.5)),
-                    Item::new(9, pt(1e-300, 2.0)),
-                ],
-            },
-            Request::Delete {
-                name: "pts".into(),
-                ids: vec![7, 9, u64::MAX],
-            },
-            Request::Upsert {
-                name: "pts".into(),
-                items: vec![Item::new(7, pt(4.25, 5.5))],
-            },
-        ];
-        for req in reqs {
-            let parsed = Request::parse(&req.encode()).unwrap();
-            assert_eq!(req.encode(), parsed.encode(), "{req:?}");
+    fn malformed_requests_are_protocol_errors() {
+        for bad in [
+            "",
+            "FROBNICATE x",
+            "LOAD",
+            "LOAD name btree",
+            "LOAD bad name rtree",
+            "LOAD d rtree\n1 2",
+            "LOAD d rtree\n1 x y",
+            "INSERT",
+            "DELETE d\n1 2 3",
+            "UPSERT d\n1 2",
+            "JOIN onlyone",
+            "JOIN q p algo=fastest",
+            "JOIN q p bounds=1,2,3",
+            "JOIN q p bounds=1,2,3,4", // maxd missing
+            "JOIN q p maxd=5",         // bounds missing
+            "JOIN q p frobnicate=1",
+            "TOPK q p notanumber",
+            "EXPLAIN",
+            "EXPLAIN a b c",
+            // The shard grammar's extra keys are unknown options here.
+            "JOIN q p cell=0,0,1,1",
+            "SELFJOIN d epoch=3",
+            "EXPLAIN q p inner=p",
+            "JOIN q p spill=/x writer=1",
+        ] {
+            assert!(Request::parse(bad).is_err(), "accepted {bad:?}");
         }
-        assert!(Request::parse("INSERT").is_err(), "no name");
-        assert!(Request::parse("DELETE d\n1 2 3").is_err(), "id x y row");
-        assert!(Request::parse("UPSERT d\n1 2").is_err(), "short row");
+        for bad in [
+            "",
+            "SLOAD x rtree", // no cell
+            "SJOIN",
+            "SJOIN q frobnicate=1",
+            "STOPK a notanum",
+            "SUPDATE pts\n+ 1 2 3", // epoch= is mandatory
+            "SUPDATE pts epoch=1\n* 1 2 3",
+            "LOAD d rtree", // a client verb
+        ] {
+            assert!(ShardRequest::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        assert!(ShardRequest::parse("SJOIN q inner=p cell=0,0,1,1 epoch=2").is_ok());
     }
 
     #[test]
-    fn shard_update_round_trips_mixed_mutation_rows() {
-        let req = ShardRequest::Update {
-            name: "pts".into(),
-            target_epoch: 3,
-            ops: vec![
-                Mutation::Insert(Item::new(1, pt(0.1 + 0.2, -0.0))),
-                Mutation::Delete(2),
-                Mutation::Upsert(Item::new(3, pt(1e300, 2.5e-308))),
-            ],
-        };
-        let wire = req.encode();
-        let back = ShardRequest::parse(&wire).unwrap();
-        assert_eq!(back.encode(), wire, "SUPDATE drifted: {wire:?}");
-        let ShardRequest::Update {
-            target_epoch, ops, ..
-        } = back
+    fn bounds_normalise_and_refuse_nan_while_cells_travel_verbatim() {
+        let Request::Join {
+            bounds: Some(rb), ..
+        } = Request::parse("JOIN q p bounds=5,6,1,2 maxd=1").unwrap()
         else {
-            panic!("parsed to a different verb");
+            panic!("bounds lost");
         };
-        assert_eq!(target_epoch, 3);
-        assert_eq!(ops.len(), 3);
-        assert!(
-            ShardRequest::parse("SUPDATE pts\n+ 1 2 3").is_err(),
-            "epoch= is mandatory"
-        );
-        assert!(
-            ShardRequest::parse("SUPDATE pts epoch=1\n* 1 2 3").is_err(),
-            "unknown mutation marker"
+        assert_eq!((rb.bounds.min, rb.bounds.max), (pt(1.0, 2.0), pt(5.0, 6.0)));
+        let ShardRequest::Load { cell, .. } =
+            ShardRequest::parse("SLOAD d rtree cell=inf,inf,-inf,-inf").unwrap()
+        else {
+            panic!("not a load");
+        };
+        assert!(cell.is_empty(), "the empty cell must stay empty");
+        // A NaN corner would silently vanish inside `Rect::new`; it is
+        // a protocol error in both grammars instead.
+        assert!(Request::parse("JOIN q p bounds=nan,0,1,1 maxd=1").is_err());
+        assert!(Request::parse("SELFJOIN d bounds=0,0,NaN,1 maxd=1").is_err());
+        assert!(ShardRequest::parse("SJOIN q bounds=0,nan,1,1 maxd=1").is_err());
+        // Infinite corners are a legitimate everything-window.
+        assert!(Request::parse("JOIN q p bounds=-inf,-inf,inf,inf maxd=1").is_ok());
+    }
+
+    #[test]
+    fn pair_rows_round_trip_bit_exactly() {
+        let pairs = vec![
+            RcjPair::new(
+                Item::new(1, pt(0.1 + 0.2, 1e300)),
+                Item::new(2, pt(-0.0, 2.5e-308)),
+            ),
+            RcjPair::new(Item::new(3, pt(7.0, 8.0)), Item::new(4, pt(9.5, 10.25))),
+        ];
+        assert_eq!(parse_pairs(&encode_pairs(&pairs)).unwrap(), pairs);
+        assert!(parse_pairs("1 2 3\n").is_err());
+        let tagged: Vec<(usize, RcjPair)> = vec![(0, pairs[0]), (41, pairs[1])];
+        let parsed = parse_tagged_pairs(&encode_tagged_pairs(&tagged)).unwrap();
+        assert_eq!(parsed, tagged);
+        assert!(parse_tagged_pairs("1 2 3 4 5 6\n").is_err(), "untagged row");
+        assert!(parse_tagged_pairs("x 1 2 3 4 5 6\n").is_err(), "bad leaf");
+
+        let stats = RcjStats {
+            candidate_pairs: 10,
+            result_pairs: 3,
+            filter_heap_pops: 77,
+            filter_node_reads: 5,
+            verify_node_visits: 9,
+        };
+        let fields: Vec<(&str, String)> = encode_stats_fields(&stats).into_iter().collect();
+        let reply = Reply::parse(&Reply::encode(&fields, "")).unwrap();
+        assert_eq!(stats_from_reply(&reply), stats);
+        // Absent fields default to zero rather than failing the reply.
+        let bare = Reply::parse(&Reply::encode(&[("candidates", "4".into())], "")).unwrap();
+        assert_eq!(stats_from_reply(&bare).candidate_pairs, 4);
+        assert_eq!(stats_from_reply(&bare).result_pairs, 0);
+    }
+
+    #[test]
+    fn item_and_mutation_rows_round_trip_and_refuse_malformed_rows() {
+        let ops = [
+            Mutation::Insert(Item::new(1, pt(0.1 + 0.2, -0.0))),
+            Mutation::Delete(u64::MAX),
+            Mutation::Upsert(Item::new(3, pt(1e-300, f64::MAX))),
+        ];
+        for op in ops {
+            let mut row = String::new();
+            write_mutation_row(&mut row, &op);
+            assert_eq!(parse_mutation_row(row.trim_end()).unwrap(), op, "{row:?}");
+        }
+        for bad in [
+            "",
+            "+",
+            "+ 1 2",
+            "+ 1 2 3 4",
+            "- ",
+            "- 1 2",
+            "* 1 2 3",
+            "+1 2 3",
+        ] {
+            assert!(parse_mutation_row(bad).is_err(), "accepted {bad:?}");
+        }
+        for bad in ["", "1 2", "1 2 3 4", "x 2 3", "1 y 3"] {
+            assert!(parse_item_row(bad).is_err(), "accepted {bad:?}");
+        }
+        assert_eq!(
+            parse_item_row(" 5\t1.5  -2 ").unwrap(),
+            Item::new(5, pt(1.5, -2.0))
         );
     }
 }

@@ -5,11 +5,13 @@
 //! relaunches) itself.
 //!
 //! The worker speaks the shard grammar of [`proto`](crate::proto)
-//! (`HELLO`/`SLOAD`/`SJOIN`/`STOPK`/`SEXPLAIN`/`SHUTDOWN`) over the
-//! same length-prefixed frames as the client protocol. Join replies
-//! carry **leaf-tagged** pairs: merge keys are global outer-leaf
-//! indices, so the coordinator's deterministic merge — and with it
-//! byte-identity to a local run — survives the process hop.
+//! (`HELLO`/`SLOAD`/`SUPDATE`/`SJOIN`/`STOPK`/`SEXPLAIN`/`SHUTDOWN`)
+//! over the same length-prefixed frames as the client protocol: a
+//! worker process is the in-process worker thread behind the
+//! [`ShardRequest`]/[`ShardReply`] codec. Join replies carry
+//! **leaf-tagged** pairs: merge keys are global outer-leaf indices, so
+//! the coordinator's deterministic merge — and with it byte-identity to
+//! a local run — survives the process hop.
 //!
 //! Failure semantics: any socket-level failure (reset, EOF, deadline)
 //! surfaces as [`ShardFault::Gone`] after bounded in-place reconnect
@@ -24,26 +26,17 @@
 //! makes the supervisor's replay log idempotent.
 
 use crate::proto::{
-    encode_pairs, encode_rect, encode_stats_fields, encode_tagged_pairs, parse_pairs, parse_rect,
-    parse_tagged_pairs, read_frame, read_frame_idle, stats_from_reply, write_frame, FrameRead,
-    Reply, ShardRequest,
+    read_frame, read_frame_idle, write_frame, FrameRead, Reply, ShardReply, ShardRequest,
 };
-use crate::sharded::{
-    spawn_worker, ExplainReq, JoinReq, LoadReq, ShardMsg, SpillSpec, TopKReq, UpdateReq,
-};
-use crate::topology::{
-    ExplainCall, JoinCall, LoadCall, LoadOutcome, ShardBackend, ShardFault, TopKCall, UpdateCall,
-};
+use crate::sharded::LocalShard;
+use crate::topology::{ShardBackend, ShardFault};
 use crate::ServerError;
-use ringjoin_core::planner::DatasetSummary;
-use ringjoin_core::{RcjPair, RcjStats};
 use ringjoin_geom::Rect;
 use ringjoin_storage::BufferPool;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Idle-poll granularity of worker sessions (mirrors the coordinator
@@ -63,12 +56,10 @@ const RECONNECT_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Everything worker session threads share.
 struct WorkerShared {
-    /// The worker engine's mailbox (the same worker loop the local
-    /// backend uses, behind TCP instead of process-local channels).
-    tx: Sender<ShardMsg>,
-    /// When set, `SLOAD`s whose cell misses this rectangle are
-    /// rejected — the `--shard-of <rect>` placement contract.
-    accepts: Option<Rect>,
+    /// The worker thread — the same backend the coordinator uses for
+    /// in-process shards, behind TCP instead of a direct call. It
+    /// answers one request at a time either way.
+    worker: Mutex<LocalShard>,
     /// Fault injection: a killed worker stops replying and drops its
     /// sockets, exactly like a SIGKILLed process as seen from the
     /// coordinator.
@@ -109,7 +100,6 @@ impl WorkerHandle {
 pub struct ShardWorkerServer {
     listener: TcpListener,
     shared: Arc<WorkerShared>,
-    engine_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ShardWorkerServer {
@@ -132,17 +122,14 @@ impl ShardWorkerServer {
         } else {
             buffer_pages
         });
-        let (tx, engine_thread) = spawn_worker(pool);
         Ok(ShardWorkerServer {
             listener,
             shared: Arc::new(WorkerShared {
-                tx,
-                accepts,
+                worker: Mutex::new(LocalShard::spawn(pool, accepts)),
                 dead: AtomicBool::new(false),
                 stop: AtomicBool::new(false),
                 addr: bound,
             }),
-            engine_thread: Some(engine_thread),
         })
     }
 
@@ -161,7 +148,7 @@ impl ShardWorkerServer {
 
     /// Serves coordinator connections until `SHUTDOWN` (or
     /// [`WorkerHandle::kill`]), then drains the engine thread.
-    pub fn serve(mut self) -> std::io::Result<()> {
+    pub fn serve(self) -> std::io::Result<()> {
         let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
             let (stream, _peer) = self.listener.accept()?;
@@ -177,10 +164,11 @@ impl ShardWorkerServer {
         for handle in sessions {
             let _ = handle.join();
         }
-        let _ = self.shared.tx.send(ShardMsg::Shutdown);
-        if let Some(handle) = self.engine_thread.take() {
-            let _ = handle.join();
-        }
+        self.shared
+            .worker
+            .lock()
+            .expect("worker lock poisoned")
+            .shutdown();
         Ok(())
     }
 }
@@ -201,7 +189,18 @@ fn serve_worker_session(mut stream: TcpStream, shared: &WorkerShared) -> std::io
             FrameRead::Frame(payload) => payload,
         };
         let (reply, stop) = match ShardRequest::parse(&payload) {
-            Ok(req) => handle_shard_request(req, shared),
+            Ok(req) => {
+                let out = shared
+                    .worker
+                    .lock()
+                    .expect("worker lock poisoned")
+                    .request(&req);
+                let reply = match out {
+                    Ok(reply) => reply.encode(),
+                    Err(fault) => Reply::encode_err(&fault.message()),
+                };
+                (reply, matches!(req, ShardRequest::Shutdown))
+            }
             Err(e) => (Reply::encode_err(&e.to_string()), false),
         };
         // The kill switch may have flipped while the engine worked:
@@ -217,166 +216,6 @@ fn serve_worker_session(mut stream: TcpStream, shared: &WorkerShared) -> std::io
             return Ok(());
         }
     }
-}
-
-/// Dispatches one parsed shard request against the worker engine.
-/// Returns `(reply payload, stop after replying)`.
-fn handle_shard_request(req: ShardRequest, shared: &WorkerShared) -> (String, bool) {
-    let reply = match req {
-        ShardRequest::Hello => {
-            let accepts = match shared.accepts {
-                Some(rect) => encode_rect(rect),
-                None => "any".to_string(),
-            };
-            Ok(Reply::encode(
-                &[("role", "shard".to_string()), ("accepts", accepts)],
-                "",
-            ))
-        }
-        ShardRequest::Shutdown => {
-            return (Reply::encode(&[("bye", "1".to_string())], ""), true);
-        }
-        ShardRequest::Load {
-            name,
-            kind,
-            cell,
-            spill,
-            writer,
-            items,
-        } => {
-            if let Some(accepts) = shared.accepts {
-                if !accepts.intersects(cell) {
-                    return (
-                        Reply::encode_err(&format!(
-                            "worker accepts cell {} only, got {}",
-                            encode_rect(accepts),
-                            encode_rect(cell)
-                        )),
-                        false,
-                    );
-                }
-            }
-            let (reply, rx) = channel();
-            let msg = ShardMsg::Load(LoadReq {
-                name,
-                kind,
-                items,
-                cell,
-                spill: spill.map(|path| SpillSpec {
-                    path: PathBuf::from(path),
-                    writer,
-                }),
-                reply,
-            });
-            engine_round_trip(shared, msg, rx).map(|(leaves, extent, summary)| {
-                Reply::encode(
-                    &[
-                        ("leaves", leaves.to_string()),
-                        ("extent", encode_rect(extent)),
-                        ("items", summary.items.to_string()),
-                        ("pages", summary.pages.to_string()),
-                        ("leaf_pages", summary.leaf_pages.to_string()),
-                        ("kind", summary.kind.to_string()),
-                    ],
-                    "",
-                )
-            })
-        }
-        ShardRequest::Update {
-            name,
-            target_epoch,
-            ops,
-        } => {
-            let (reply, rx) = channel();
-            let msg = ShardMsg::Update(UpdateReq {
-                name,
-                ops: Arc::new(ops),
-                target_epoch,
-                reply,
-            });
-            engine_round_trip(shared, msg, rx).map(|(leaves, extent, summary)| {
-                Reply::encode(
-                    &[
-                        ("leaves", leaves.to_string()),
-                        ("extent", encode_rect(extent)),
-                        ("items", summary.items.to_string()),
-                        ("pages", summary.pages.to_string()),
-                        ("leaf_pages", summary.leaf_pages.to_string()),
-                        ("kind", summary.kind.to_string()),
-                    ],
-                    "",
-                )
-            })
-        }
-        ShardRequest::Join {
-            outer,
-            inner,
-            algo,
-            bounds,
-        } => {
-            let (reply, rx) = channel();
-            let msg = ShardMsg::Join(JoinReq {
-                outer,
-                inner,
-                algo,
-                bounds,
-                reply,
-            });
-            engine_round_trip(shared, msg, rx).map(|(tagged, stats)| {
-                let mut fields = vec![("pairs", tagged.len().to_string())];
-                fields.extend(encode_stats_fields(&stats).map(|(k, v)| (k, v)));
-                Reply::encode(&fields, &encode_tagged_pairs(&tagged))
-            })
-        }
-        ShardRequest::TopK { outer, inner, k } => {
-            let (reply, rx) = channel();
-            let msg = ShardMsg::TopK(TopKReq {
-                outer,
-                inner,
-                k,
-                reply,
-            });
-            engine_round_trip(shared, msg, rx).map(|(pairs, stats)| {
-                let mut fields = vec![("pairs", pairs.len().to_string())];
-                fields.extend(encode_stats_fields(&stats).map(|(k, v)| (k, v)));
-                Reply::encode(&fields, &encode_pairs(&pairs))
-            })
-        }
-        ShardRequest::Explain {
-            outer,
-            inner,
-            algo,
-            k,
-        } => {
-            let (reply, rx) = channel();
-            let msg = ShardMsg::Explain(ExplainReq {
-                outer,
-                inner,
-                algo,
-                top_k: k,
-                reply,
-            });
-            engine_round_trip(shared, msg, rx).map(|plan| Reply::encode(&[], &plan))
-        }
-    };
-    match reply {
-        Ok(payload) => (payload, false),
-        Err(msg) => (Reply::encode_err(&msg), false),
-    }
-}
-
-/// One round-trip through the worker engine thread.
-fn engine_round_trip<T>(
-    shared: &WorkerShared,
-    msg: ShardMsg,
-    rx: std::sync::mpsc::Receiver<Result<T, String>>,
-) -> Result<T, String> {
-    shared
-        .tx
-        .send(msg)
-        .map_err(|_| "worker engine thread is gone".to_string())?;
-    rx.recv()
-        .map_err(|_| "worker engine thread died mid-request".to_string())?
 }
 
 // ---------------------------------------------------------------------
@@ -413,7 +252,7 @@ impl RemoteShard {
         if self.stream.is_some() {
             return Ok(());
         }
-        let stream = TcpStream::connect(&self.addr)
+        let mut stream = TcpStream::connect(&self.addr)
             .map_err(|e| format!("connecting to worker {}: {e}", self.addr))?;
         stream.set_nodelay(true).ok();
         stream
@@ -422,39 +261,44 @@ impl RemoteShard {
         stream
             .set_write_timeout(Some(self.timeout))
             .map_err(|e| e.to_string())?;
-        let mut stream = stream;
-        let reply =
-            Self::round_trip_on(&mut stream, &ShardRequest::Hello).map_err(|f| match f {
-                ShardFault::Gone(m) | ShardFault::Request(m) => m,
-            })?;
-        match reply.field("role") {
-            Some("shard") => {}
-            other => {
-                return Err(format!(
-                    "peer {} is not a shard worker (role={})",
-                    self.addr,
-                    other.unwrap_or("?")
-                ))
-            }
-        }
+        Self::round_trip_on(&mut stream, &ShardRequest::Hello)
+            .map_err(|f| format!("{}: {}", self.addr, f.message()))?;
         self.stream = Some(stream);
         Ok(())
     }
 
-    /// One request/response exchange on an established stream.
-    fn round_trip_on(stream: &mut TcpStream, req: &ShardRequest) -> Result<Reply, ShardFault> {
+    /// One request/response exchange on an established stream: encode,
+    /// frame, parse.
+    fn round_trip_on(stream: &mut TcpStream, req: &ShardRequest) -> Result<ShardReply, ShardFault> {
         write_frame(stream, req.encode().as_bytes())
             .map_err(|e| ShardFault::Gone(format!("worker write failed: {e}")))?;
         let payload = read_frame(stream)
             .map_err(|e| ShardFault::Gone(format!("worker read failed: {e}")))?
             .ok_or_else(|| ShardFault::Gone("worker closed the connection".into()))?;
-        Reply::parse(&payload).map_err(|e| ShardFault::Request(e.to_string()))
+        ShardReply::parse(req, &payload).map_err(|e| ShardFault::Request(e.to_string()))
     }
+}
 
+impl ShardBackend for RemoteShard {
     /// Sends one request with bounded whole-request retries. Safe
     /// because every shard operation is idempotent (see module docs);
     /// a worker-reported `ERR` is never retried.
-    fn request(&mut self, req: &ShardRequest) -> Result<Reply, ShardFault> {
+    fn request(&mut self, req: &ShardRequest) -> Result<ShardReply, ShardFault> {
+        if let ShardRequest::Load {
+            spill: Some(path), ..
+        } = req
+        {
+            // The page-file path travels as one wire token.
+            if path
+                .to_str()
+                .is_none_or(|p| p.contains(char::is_whitespace))
+            {
+                return Err(ShardFault::Request(format!(
+                    "spill path {} must be whitespace-free UTF-8 to reach a worker process",
+                    path.display()
+                )));
+            }
+        }
         let mut last = String::new();
         for attempt in 0..RECONNECT_ATTEMPTS {
             if attempt > 0 {
@@ -472,133 +316,15 @@ impl RemoteShard {
             }
             let stream = self.stream.as_mut().expect("just connected");
             match Self::round_trip_on(stream, req) {
-                Ok(reply) => return Ok(reply),
-                Err(ShardFault::Request(msg)) => return Err(ShardFault::Request(msg)),
                 Err(ShardFault::Gone(msg)) => {
                     // Drop the stream; the next attempt reconnects.
                     self.stream = None;
                     last = msg;
                 }
+                outcome => return outcome,
             }
         }
         Err(ShardFault::Gone(last))
-    }
-}
-
-/// Maps a wire `kind` back to the static name the planner summary
-/// carries.
-fn static_kind(kind: &str) -> Result<&'static str, ShardFault> {
-    match kind {
-        "rtree" => Ok("rtree"),
-        "quadtree" => Ok("quadtree"),
-        other => Err(ShardFault::Request(format!(
-            "worker reported unknown index kind {other:?}"
-        ))),
-    }
-}
-
-fn field_u64(reply: &Reply, key: &str) -> Result<u64, ShardFault> {
-    reply
-        .field(key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| ShardFault::Request(format!("worker reply lacks {key}=")))
-}
-
-/// Parses the shared `SLOAD`/`SUPDATE` reply shape (leaf count, owned
-/// extent, dataset summary) back into a [`LoadOutcome`].
-fn load_outcome_from_reply(reply: &Reply) -> Result<LoadOutcome, ShardFault> {
-    let extent = reply
-        .field("extent")
-        .ok_or_else(|| ShardFault::Request("worker reply lacks extent=".into()))
-        .and_then(|s| parse_rect(s).map_err(|e| ShardFault::Request(e.to_string())))?;
-    let kind = static_kind(
-        reply
-            .field("kind")
-            .ok_or_else(|| ShardFault::Request("worker reply lacks kind=".into()))?,
-    )?;
-    Ok(LoadOutcome {
-        leaves: field_u64(reply, "leaves")? as usize,
-        extent,
-        summary: DatasetSummary {
-            kind,
-            items: field_u64(reply, "items")?,
-            pages: field_u64(reply, "pages")?,
-            leaf_pages: field_u64(reply, "leaf_pages")?,
-        },
-    })
-}
-
-impl ShardBackend for RemoteShard {
-    fn load(&mut self, call: &LoadCall) -> Result<LoadOutcome, ShardFault> {
-        let spill = match &call.spill {
-            None => None,
-            Some((path, _)) => {
-                let path = path.to_str().ok_or_else(|| {
-                    ShardFault::Request(format!("spill path {} is not valid UTF-8", path.display()))
-                })?;
-                if path.chars().any(char::is_whitespace) {
-                    return Err(ShardFault::Request(format!(
-                        "spill path {path:?} contains whitespace (paths are wire tokens)"
-                    )));
-                }
-                Some(path.to_string())
-            }
-        };
-        let req = ShardRequest::Load {
-            name: call.name.clone(),
-            kind: call.kind,
-            cell: call.cell,
-            spill,
-            writer: call.spill.as_ref().is_some_and(|(_, w)| *w),
-            items: call.items.as_ref().clone(),
-        };
-        let reply = self.request(&req)?;
-        load_outcome_from_reply(&reply)
-    }
-
-    fn update(&mut self, call: &UpdateCall) -> Result<LoadOutcome, ShardFault> {
-        let req = ShardRequest::Update {
-            name: call.name.clone(),
-            target_epoch: call.target_epoch,
-            ops: call.ops.as_ref().clone(),
-        };
-        let reply = self.request(&req)?;
-        load_outcome_from_reply(&reply)
-    }
-
-    fn join(&mut self, call: &JoinCall) -> Result<(Vec<(usize, RcjPair)>, RcjStats), ShardFault> {
-        let req = ShardRequest::Join {
-            outer: call.outer.clone(),
-            inner: call.inner.clone(),
-            algo: call.algo,
-            bounds: call.bounds,
-        };
-        let reply = self.request(&req)?;
-        let tagged = parse_tagged_pairs(&reply.body)
-            .map_err(|e| ShardFault::Request(format!("bad tagged pair rows: {e}")))?;
-        Ok((tagged, stats_from_reply(&reply)))
-    }
-
-    fn top_k(&mut self, call: &TopKCall) -> Result<(Vec<RcjPair>, RcjStats), ShardFault> {
-        let req = ShardRequest::TopK {
-            outer: call.outer.clone(),
-            inner: call.inner.clone(),
-            k: call.k,
-        };
-        let reply = self.request(&req)?;
-        let pairs = parse_pairs(&reply.body)
-            .map_err(|e| ShardFault::Request(format!("bad pair rows: {e}")))?;
-        Ok((pairs, stats_from_reply(&reply)))
-    }
-
-    fn explain(&mut self, call: &ExplainCall) -> Result<String, ShardFault> {
-        let req = ShardRequest::Explain {
-            outer: call.outer.clone(),
-            inner: call.inner.clone(),
-            algo: call.algo,
-            k: call.k,
-        };
-        Ok(self.request(&req)?.body)
     }
 
     fn shutdown(&mut self) {
@@ -704,24 +430,8 @@ impl SpawnedShard {
 }
 
 impl ShardBackend for SpawnedShard {
-    fn load(&mut self, call: &LoadCall) -> Result<LoadOutcome, ShardFault> {
-        self.remote.load(call)
-    }
-
-    fn update(&mut self, call: &UpdateCall) -> Result<LoadOutcome, ShardFault> {
-        self.remote.update(call)
-    }
-
-    fn join(&mut self, call: &JoinCall) -> Result<(Vec<(usize, RcjPair)>, RcjStats), ShardFault> {
-        self.remote.join(call)
-    }
-
-    fn top_k(&mut self, call: &TopKCall) -> Result<(Vec<RcjPair>, RcjStats), ShardFault> {
-        self.remote.top_k(call)
-    }
-
-    fn explain(&mut self, call: &ExplainCall) -> Result<String, ShardFault> {
-        self.remote.explain(call)
+    fn request(&mut self, req: &ShardRequest) -> Result<ShardReply, ShardFault> {
+        self.remote.request(req)
     }
 
     fn shutdown(&mut self) {
@@ -755,16 +465,28 @@ impl Drop for SpawnedShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{ExplainCall, JoinCall, LoadCall, TopKCall};
     use ringjoin_core::{IndexKind, RcjAlgorithm};
     use ringjoin_geom::{pt, Item};
 
-    fn items(n: usize, seed: u64, span: f64) -> Vec<Item> {
-        ringjoin_testsupport::lcg_points(n, seed, span)
-            .into_iter()
-            .enumerate()
-            .map(|(i, (x, y))| Item::new(i as u64, pt(x, y)))
-            .collect()
+    fn items(n: usize, seed: u64, span: f64) -> Arc<Vec<Item>> {
+        Arc::new(
+            ringjoin_testsupport::lcg_points(n, seed, span)
+                .into_iter()
+                .enumerate()
+                .map(|(i, (x, y))| Item::new(i as u64, pt(x, y)))
+                .collect(),
+        )
+    }
+
+    fn load(cell: Rect, items: Arc<Vec<Item>>) -> ShardRequest {
+        ShardRequest::Load {
+            name: "d".into(),
+            kind: IndexKind::Rtree,
+            cell,
+            spill: None,
+            writer: false,
+            items,
+        }
     }
 
     /// Binds a worker on an ephemeral port, serving on its own thread.
@@ -786,48 +508,46 @@ mod tests {
             pt(f64::NEG_INFINITY, f64::NEG_INFINITY),
             pt(f64::INFINITY, f64::INFINITY),
         );
-        let out = shard
-            .load(&LoadCall {
-                name: "d".into(),
-                kind: IndexKind::Rtree,
-                items: Arc::new(items(150, 3, 800.0)),
-                cell: everything,
-                spill: None,
-            })
-            .unwrap();
+        let Ok(ShardReply::Indexed(out)) = shard.request(&load(everything, items(150, 3, 800.0)))
+        else {
+            panic!("load did not index");
+        };
         assert!(out.leaves > 0);
         assert_eq!(out.summary.items, 150);
         assert_eq!(out.summary.kind, "rtree");
 
-        let (tagged, stats) = shard
-            .join(&JoinCall {
-                outer: "d".into(),
-                inner: None,
-                algo: RcjAlgorithm::Auto,
-                bounds: None,
-            })
-            .unwrap();
-        assert_eq!(stats.result_pairs as usize, tagged.len());
+        let join = ShardRequest::Join {
+            outer: "d".into(),
+            inner: None,
+            algo: RcjAlgorithm::Auto,
+            bounds: None,
+        };
+        let Ok(ShardReply::Joined { pairs, stats }) = shard.request(&join) else {
+            panic!("join did not answer with tagged pairs");
+        };
+        assert_eq!(stats.result_pairs as usize, pairs.len());
         // Tagged rows arrive in leaf order, ready for the global merge.
-        assert!(tagged.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0));
 
-        let (pairs, _) = shard
-            .top_k(&TopKCall {
-                outer: "d".into(),
-                inner: None,
-                k: 5,
-            })
-            .unwrap();
+        let top = ShardRequest::TopK {
+            outer: "d".into(),
+            inner: None,
+            k: 5,
+        };
+        let Ok(ShardReply::Ranked { pairs, .. }) = shard.request(&top) else {
+            panic!("top-k did not answer with ranked pairs");
+        };
         assert!(pairs.len() <= 5);
 
-        let plan = shard
-            .explain(&ExplainCall {
-                outer: "d".into(),
-                inner: None,
-                algo: RcjAlgorithm::Auto,
-                k: None,
-            })
-            .unwrap();
+        let explain = ShardRequest::Explain {
+            outer: "d".into(),
+            inner: None,
+            algo: RcjAlgorithm::Auto,
+            k: None,
+        };
+        let Ok(ShardReply::Plan(plan)) = shard.request(&explain) else {
+            panic!("explain did not answer with a plan");
+        };
         assert!(plan.contains("self-join"), "{plan}");
         shard.shutdown();
     }
@@ -843,13 +563,7 @@ mod tests {
         });
         let mut shard = RemoteShard::connect(&addr, Duration::from_secs(10)).unwrap();
         let far = Rect::new(pt(500.0, 500.0), pt(600.0, 600.0));
-        let err = shard.load(&LoadCall {
-            name: "d".into(),
-            kind: IndexKind::Rtree,
-            items: Arc::new(items(10, 5, 50.0)),
-            cell: far,
-            spill: None,
-        });
+        let err = shard.request(&load(far, items(10, 5, 50.0)));
         assert!(matches!(err, Err(ShardFault::Request(_))));
         handle.kill();
     }
@@ -859,7 +573,7 @@ mod tests {
         let (handle, addr) = start_worker();
         let mut shard = RemoteShard::connect(&addr, Duration::from_secs(2)).unwrap();
         handle.kill();
-        let err = shard.explain(&ExplainCall {
+        let err = shard.request(&ShardRequest::Explain {
             outer: "d".into(),
             inner: None,
             algo: RcjAlgorithm::Auto,

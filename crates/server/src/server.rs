@@ -24,10 +24,12 @@
 
 use crate::admission::Admission;
 use crate::proto::{
-    encode_pairs, read_frame_idle, split_request_id, write_frame, FrameRead, Reply, Request,
+    encode_pairs, encode_stats_fields, read_frame_idle, split_request_id, write_frame, FrameRead,
+    Reply, Request,
 };
-use crate::sharded::{Mutation, ShardedEngine, ShardedOutput, UpdateInfo};
+use crate::sharded::{ShardedEngine, ShardedOutput, UpdateInfo};
 use crate::ServerError;
+use ringjoin_core::Mutation;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -521,20 +523,10 @@ fn update_reply(id: Option<u64>, info: &UpdateInfo) -> String {
 /// The shared reply shape of `JOIN`/`SELFJOIN`/`TOPK`: run counters on
 /// the status line, pair rows in the body.
 fn join_reply(id: Option<u64>, out: &ShardedOutput) -> String {
-    Reply::encode_ok(
-        id,
-        &[
-            ("pairs", out.pairs.len().to_string()),
-            ("shards_queried", out.shards_queried.to_string()),
-            ("candidates", out.stats.candidate_pairs.to_string()),
-            ("result_pairs", out.stats.result_pairs.to_string()),
-            ("heap_pops", out.stats.filter_heap_pops.to_string()),
-            ("filter_node_reads", out.stats.filter_node_reads.to_string()),
-            (
-                "verify_node_visits",
-                out.stats.verify_node_visits.to_string(),
-            ),
-        ],
-        &encode_pairs(&out.pairs),
-    )
+    let mut fields = vec![
+        ("pairs", out.pairs.len().to_string()),
+        ("shards_queried", out.shards_queried.to_string()),
+    ];
+    fields.extend(encode_stats_fields(&out.stats));
+    Reply::encode_ok(id, &fields, &encode_pairs(&out.pairs))
 }

@@ -33,25 +33,25 @@
 //!
 //! Shard workers are long-lived threads owning their engines, so index
 //! construction is paid once per `LOAD` and queries are message
-//! round-trips — the in-process shape of the wire protocol the
-//! [`Server`](crate::Server) speaks.
+//! round-trips. The message is the [`ShardRequest`] worker processes
+//! parse off the wire, and one dispatch answers it in both places.
 
 use crate::partition::SpacePartition;
 use crate::plan_cache::{PlanCache, QueryShape};
+use crate::proto::{encode_load, encode_rect, Ownership, Request, ShardReply, ShardRequest};
 use crate::remote::{RemoteShard, SpawnedShard};
-use crate::topology::{
-    BackendFactory, ExplainCall, HealFn, JoinCall, LoadCall, LoadOutcome, RespawnPolicy,
-    ShardBackend, ShardFault, TopKCall, Topology, UpdateCall,
-};
+use crate::topology::{BackendFactory, HealFn, RespawnPolicy, ShardBackend, ShardFault, Topology};
 use crate::ServerError;
 use ringjoin_core::planner::{DatasetSummary, JoinCostModel};
-use ringjoin_core::{Engine, IndexKind, Plan, QueryBuilder, RcjAlgorithm, RcjPair, RcjStats};
+use ringjoin_core::{
+    Engine, IndexKind, Mutation, Plan, QueryBuilder, RcjAlgorithm, RcjPair, RcjStats,
+};
 use ringjoin_geom::{Item, Point, Rect};
 use ringjoin_storage::{BufferPool, Wal};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -120,21 +120,6 @@ pub struct DatasetInfo {
     pub items_per_shard: Vec<u64>,
 }
 
-/// One live-update operation against a served dataset. A batch
-/// ([`ShardedEngine::update`]) applies its operations in order,
-/// atomically: validation runs against the coordinator's catalog
-/// pointset with earlier operations simulated, so a failing batch is
-/// rejected before any worker sees it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Mutation {
-    /// Add a new point; its id must not exist yet.
-    Insert(Item),
-    /// Remove a point by id; the id must exist.
-    Delete(u64),
-    /// Insert-or-replace; never fails validation.
-    Upsert(Item),
-}
-
 /// What [`ShardedEngine::update`] reports for one applied batch.
 #[derive(Clone, Debug)]
 pub struct UpdateInfo {
@@ -149,80 +134,6 @@ pub struct UpdateInfo {
 }
 
 // ---------------------------------------------------------------------
-// Worker-side request/reply messages
-// ---------------------------------------------------------------------
-
-/// Disk-mode instruction riding on a `LoadReq`: where the shared page
-/// file lives and whether this shard materializes it. Exactly one shard
-/// per `LOAD` is the writer (shard 0, which loads *first*); the others
-/// attach to the file it wrote. Replicas are built identically, so
-/// their page-id spaces coincide with the file's byte for byte.
-pub(crate) struct SpillSpec {
-    pub(crate) path: PathBuf,
-    pub(crate) writer: bool,
-}
-
-/// What a shard returns for one load: (owned leaf count, union of owned
-/// leaf regions, catalog summary).
-pub(crate) type LoadReply = Result<(usize, Rect, DatasetSummary), String>;
-
-pub(crate) struct LoadReq {
-    pub(crate) name: String,
-    pub(crate) kind: IndexKind,
-    pub(crate) items: Vec<Item>,
-    pub(crate) cell: Rect,
-    pub(crate) spill: Option<SpillSpec>,
-    pub(crate) reply: Sender<LoadReply>,
-}
-
-/// What a shard returns for one join request: leaf-tagged pairs plus
-/// its run counters.
-pub(crate) type ShardJoinReply = (Vec<(usize, RcjPair)>, RcjStats);
-
-pub(crate) struct JoinReq {
-    pub(crate) outer: String,
-    /// `None` = self-join of `outer`.
-    pub(crate) inner: Option<String>,
-    pub(crate) algo: RcjAlgorithm,
-    pub(crate) bounds: Option<RingBounds>,
-    pub(crate) reply: Sender<Result<ShardJoinReply, String>>,
-}
-
-/// One mutation batch bound for a worker; the reply is load-shaped
-/// because an update moves leaves and shifts extents the same way a
-/// load establishes them.
-pub(crate) struct UpdateReq {
-    pub(crate) name: String,
-    pub(crate) ops: Arc<Vec<Mutation>>,
-    pub(crate) target_epoch: u64,
-    pub(crate) reply: Sender<LoadReply>,
-}
-
-pub(crate) struct TopKReq {
-    pub(crate) outer: String,
-    pub(crate) inner: Option<String>,
-    pub(crate) k: usize,
-    pub(crate) reply: Sender<Result<(Vec<RcjPair>, RcjStats), String>>,
-}
-
-pub(crate) struct ExplainReq {
-    pub(crate) outer: String,
-    pub(crate) inner: Option<String>,
-    pub(crate) algo: RcjAlgorithm,
-    pub(crate) top_k: Option<usize>,
-    pub(crate) reply: Sender<Result<String, String>>,
-}
-
-pub(crate) enum ShardMsg {
-    Load(LoadReq),
-    Update(UpdateReq),
-    Join(JoinReq),
-    TopK(TopKReq),
-    Explain(ExplainReq),
-    Shutdown,
-}
-
-// ---------------------------------------------------------------------
 // The worker: one long-lived thread owning one Engine
 // ---------------------------------------------------------------------
 
@@ -232,6 +143,9 @@ struct WorkerDataset {
     owned: Vec<usize>,
 }
 
+/// One shard worker: an engine replica plus each dataset's owned
+/// leaves. [`ShardWorker::handle`] is the single dispatch behind both
+/// the in-process backend and the worker-process server.
 struct ShardWorker {
     engine: Engine,
     datasets: BTreeMap<String, WorkerDataset>,
@@ -241,72 +155,113 @@ struct ShardWorker {
     /// faults in are warm for every other shard's, instead of each
     /// replica re-faulting its private engine buffer.
     pool: BufferPool,
+    /// The `--shard-of` placement contract: loads whose cell misses
+    /// this rectangle are refused (`None` = any cell).
+    accepts: Option<Rect>,
 }
 
 impl ShardWorker {
-    fn run(mut self, rx: Receiver<ShardMsg>) {
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                ShardMsg::Load(req) => {
-                    let out = self.load(req.name, req.kind, req.items, req.cell, req.spill);
-                    let _ = req.reply.send(out);
-                }
-                ShardMsg::Update(req) => {
-                    let out = self.update(&req.name, &req.ops, req.target_epoch);
-                    let _ = req.reply.send(out);
-                }
-                ShardMsg::Join(req) => {
-                    let out = self.join(&req.outer, req.inner.as_deref(), req.algo, req.bounds);
-                    let _ = req.reply.send(out);
-                }
-                ShardMsg::TopK(req) => {
-                    let out = self.top_k(&req.outer, req.inner.as_deref(), req.k);
-                    let _ = req.reply.send(out);
-                }
-                ShardMsg::Explain(req) => {
-                    let out = self.explain(&req.outer, req.inner.as_deref(), req.algo, req.top_k);
-                    let _ = req.reply.send(out);
-                }
-                ShardMsg::Shutdown => break,
-            }
+    /// Answers one shard message.
+    fn handle(&mut self, req: &ShardRequest) -> Result<ShardReply, String> {
+        match req {
+            ShardRequest::Hello => Ok(ShardReply::Hello {
+                accepts: self.accepts,
+            }),
+            ShardRequest::Load {
+                name,
+                kind,
+                cell,
+                spill,
+                writer,
+                items,
+            } => self
+                .load(
+                    name,
+                    *kind,
+                    *cell,
+                    spill.as_deref().map(|p| (p, *writer)),
+                    items,
+                )
+                .map(ShardReply::Indexed),
+            ShardRequest::Update {
+                name,
+                target_epoch,
+                ops,
+            } => self
+                .update(name, ops, *target_epoch)
+                .map(ShardReply::Indexed),
+            ShardRequest::Join {
+                outer,
+                inner,
+                algo,
+                bounds,
+            } => self.join(outer, inner.as_deref(), *algo, *bounds),
+            ShardRequest::TopK { outer, inner, k } => self.top_k(outer, inner.as_deref(), *k),
+            ShardRequest::Explain {
+                outer,
+                inner,
+                algo,
+                k,
+            } => Self::plan(&self.engine, outer, inner.as_deref(), *algo, *k)
+                .map(|plan| ShardReply::Plan(plan.to_string())),
+            ShardRequest::Shutdown => Ok(ShardReply::Bye),
         }
     }
 
+    /// Builds the replica and, in disk mode, either materializes the
+    /// shared page file (`writer`) or attaches to it.
     fn load(
         &mut self,
-        name: String,
+        name: &str,
         kind: IndexKind,
-        items: Vec<Item>,
         cell: Rect,
-        spill: Option<SpillSpec>,
-    ) -> Result<(usize, Rect, DatasetSummary), String> {
-        let handle = self.engine.load(name.clone(), items).index(kind);
-        let summary = handle.summary();
-        if let Some(spill) = spill {
+        spill: Option<(&Path, bool)>,
+        items: &[Item],
+    ) -> Result<Ownership, String> {
+        if let Some(accepts) = self.accepts {
+            if !accepts.intersects(cell) {
+                return Err(format!(
+                    "worker accepts cell {} only, got {}",
+                    encode_rect(accepts),
+                    encode_rect(cell)
+                ));
+            }
+        }
+        let summary = self
+            .engine
+            .load(name.to_string(), items.to_vec())
+            .index(kind)
+            .summary();
+        if let Some((path, writer)) = spill {
             let pager = self.engine.pager();
-            if spill.writer {
-                // Shard 0 materializes the page file; its pager becomes
-                // disk-native (write-through keeps the file current for
-                // later loads, where the same-path spill is a no-op).
+            if writer {
+                // The writer materializes the page file; its pager
+                // becomes disk-native (write-through keeps the file
+                // current for later loads, where the same-path spill is
+                // a no-op).
                 pager
                     .borrow_mut()
-                    .spill_to(&spill.path)
-                    .map_err(|e| format!("spilling pages to {}: {e}", spill.path.display()))?;
+                    .spill_to(path)
+                    .map_err(|e| format!("spilling pages to {}: {e}", path.display()))?;
             } else {
                 // Replicas were built identically, so the writer's page
                 // file *is* their page space: attach without copying.
-                pager.borrow_mut().attach_store(&spill.path);
+                pager.borrow_mut().attach_store(path);
             }
         }
-        let (owned_count, extent) = self.reindex_ownership(&name, cell)?;
-        Ok((owned_count, extent, summary))
+        self.reindex_ownership(name, cell, summary)
     }
 
     /// Recomputes which leaf groups this worker owns for `name` (their
     /// regions changed under a load or a mutation batch) and records
-    /// them, returning the owned count and extent the coordinator's
-    /// routing catalog wants.
-    fn reindex_ownership(&mut self, name: &str, cell: Rect) -> Result<(usize, Rect), String> {
+    /// them, returning the ownership the coordinator's routing catalog
+    /// wants.
+    fn reindex_ownership(
+        &mut self,
+        name: &str,
+        cell: Rect,
+        summary: DatasetSummary,
+    ) -> Result<Ownership, String> {
         let leaf_regions = self.engine.leaf_regions(name).map_err(|e| e.to_string())?;
         let owned: Vec<usize> = leaf_regions
             .iter()
@@ -318,7 +273,7 @@ impl ShardWorker {
         for &i in &owned {
             extent.expand_rect(leaf_regions[i]);
         }
-        let owned_count = owned.len();
+        let leaves = owned.len();
         self.datasets.insert(
             name.to_string(),
             WorkerDataset {
@@ -327,7 +282,11 @@ impl ShardWorker {
                 owned,
             },
         );
-        Ok((owned_count, extent))
+        Ok(Ownership {
+            leaves,
+            extent,
+            summary,
+        })
     }
 
     /// Applies one mutation batch, keyed by its **target epoch** for
@@ -348,22 +307,20 @@ impl ShardWorker {
         name: &str,
         ops: &[Mutation],
         target_epoch: u64,
-    ) -> Result<(usize, Rect, DatasetSummary), String> {
+    ) -> Result<Ownership, String> {
         let current = self
             .engine
             .dataset(name)
             .ok_or_else(|| format!("shard has no dataset {name:?}"))?
             .epoch();
         if current + 1 == target_epoch {
-            let mut batch = self.engine.update(name.to_string()).version_store(false);
-            for op in ops {
-                batch = match op {
-                    Mutation::Insert(it) => batch.insert([*it]),
-                    Mutation::Delete(id) => batch.delete([*id]),
-                    Mutation::Upsert(it) => batch.upsert([*it]),
-                };
-            }
-            let handle = batch.apply().map_err(|e| e.to_string())?;
+            let handle = self
+                .engine
+                .update(name.to_string())
+                .version_store(false)
+                .mutations(ops)
+                .apply()
+                .map_err(|e| e.to_string())?;
             debug_assert_eq!(handle.epoch(), target_epoch);
             self.engine.pager().borrow_mut().detach_unowned_store();
         } else if current != target_epoch {
@@ -381,8 +338,7 @@ impl ShardWorker {
             .get(name)
             .ok_or_else(|| format!("shard has no cell recorded for {name:?}"))?
             .cell;
-        let (owned_count, extent) = self.reindex_ownership(name, cell)?;
-        Ok((owned_count, extent, summary))
+        self.reindex_ownership(name, cell, summary)
     }
 
     fn plan<'e>(
@@ -409,7 +365,7 @@ impl ShardWorker {
         inner: Option<&str>,
         algo: RcjAlgorithm,
         bounds: Option<RingBounds>,
-    ) -> Result<ShardJoinReply, String> {
+    ) -> Result<ShardReply, String> {
         let ds = self
             .datasets
             .get(outer)
@@ -432,15 +388,13 @@ impl ShardWorker {
             tagged.retain(|(_, pr)| rb.admits(pr));
             stats.result_pairs = tagged.len() as u64;
         }
-        Ok((tagged, stats))
+        Ok(ShardReply::Joined {
+            pairs: tagged,
+            stats,
+        })
     }
 
-    fn top_k(
-        &mut self,
-        outer: &str,
-        inner: Option<&str>,
-        k: usize,
-    ) -> Result<(Vec<RcjPair>, RcjStats), String> {
+    fn top_k(&mut self, outer: &str, inner: Option<&str>, k: usize) -> Result<ShardReply, String> {
         let ds = self
             .datasets
             .get(outer)
@@ -449,18 +403,10 @@ impl ShardWorker {
         let plan = Self::plan(&self.engine, outer, inner, RcjAlgorithm::Auto, Some(k))?;
         let mut stream = plan.stream_by_diameter_in(cell);
         let pairs: Vec<RcjPair> = stream.by_ref().collect();
-        Ok((pairs, stream.stats()))
-    }
-
-    fn explain(
-        &mut self,
-        outer: &str,
-        inner: Option<&str>,
-        algo: RcjAlgorithm,
-        top_k: Option<usize>,
-    ) -> Result<String, String> {
-        let plan = Self::plan(&self.engine, outer, inner, algo, top_k)?;
-        Ok(plan.to_string())
+        Ok(ShardReply::Ranked {
+            pairs,
+            stats: stream.stats(),
+        })
     }
 }
 
@@ -468,61 +414,49 @@ impl ShardWorker {
 // Local backend: the worker thread behind the ShardBackend trait
 // ---------------------------------------------------------------------
 
-/// Spawns one shard worker thread accounting through `pool` and
-/// returns its mailbox. The engine is built *inside* the thread: its
-/// pager is single-threaded by design (`Rc`-shared) and never leaves
-/// the thread that owns it — workers only exchange plain-data
-/// messages. Shared by the in-process backend below and the
-/// [`remote`](crate::remote) worker server, which puts the same worker
-/// loop behind a TCP listener.
-pub(crate) fn spawn_worker(pool: BufferPool) -> (Sender<ShardMsg>, JoinHandle<()>) {
-    let (tx, rx) = channel();
-    let handle = std::thread::spawn(move || {
-        let worker = ShardWorker {
-            engine: Engine::new(),
-            datasets: BTreeMap::new(),
-            pool,
-        };
-        worker.run(rx);
-    });
-    (tx, handle)
-}
+/// One shard message plus the channel its reply goes back on.
+type Envelope = (ShardRequest, Sender<Result<ShardReply, String>>);
 
-/// The in-process [`ShardBackend`]: one worker thread reached over
-/// channels. A closed channel (the worker thread died) surfaces as
-/// [`ShardFault::Gone`], so even thread workers are respawned and
-/// replayed by the topology's supervisor.
-struct LocalShard {
-    tx: Sender<ShardMsg>,
+/// The in-process [`ShardBackend`]: one worker thread reached over a
+/// channel that carries the shard message itself. The engine is built
+/// *inside* the thread: its pager is single-threaded by design
+/// (`Rc`-shared) and never leaves the thread that owns it. A closed
+/// channel (the worker thread died) surfaces as [`ShardFault::Gone`],
+/// so even thread workers are respawned and replayed by the topology's
+/// supervisor. The [`remote`](crate::remote) worker server puts the
+/// same thread behind a TCP listener.
+pub(crate) struct LocalShard {
+    tx: Sender<Envelope>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl LocalShard {
-    fn spawn(pool: BufferPool) -> LocalShard {
-        let (tx, handle) = spawn_worker(pool);
+    /// Spawns one worker thread accounting through `pool` and accepting
+    /// loads for cells meeting `accepts` (`None` = any cell).
+    pub(crate) fn spawn(pool: BufferPool, accepts: Option<Rect>) -> LocalShard {
+        let (tx, rx) = channel::<Envelope>();
+        let handle = std::thread::spawn(move || {
+            let mut worker = ShardWorker {
+                engine: Engine::new(),
+                datasets: BTreeMap::new(),
+                pool,
+                accepts,
+            };
+            while let Ok((req, reply)) = rx.recv() {
+                let _ = reply.send(worker.handle(&req));
+                if matches!(req, ShardRequest::Shutdown) {
+                    break;
+                }
+            }
+        });
         LocalShard {
             tx,
             handle: Some(handle),
         }
     }
 
-    /// One message round-trip; channel loss on either leg is a
-    /// transport fault, a worker-reported error a request fault.
-    fn round_trip<T>(
-        &self,
-        msg: ShardMsg,
-        rx: Receiver<Result<T, String>>,
-    ) -> Result<T, ShardFault> {
-        self.tx
-            .send(msg)
-            .map_err(|_| ShardFault::Gone("worker thread hung up".into()))?;
-        rx.recv()
-            .map_err(|_| ShardFault::Gone("worker thread died mid-request".into()))?
-            .map_err(ShardFault::Request)
-    }
-
     fn stop(&mut self) {
-        let _ = self.tx.send(ShardMsg::Shutdown);
+        let _ = self.request(&ShardRequest::Shutdown);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -530,76 +464,16 @@ impl LocalShard {
 }
 
 impl ShardBackend for LocalShard {
-    fn load(&mut self, call: &LoadCall) -> Result<LoadOutcome, ShardFault> {
+    /// One message round trip; channel loss on either leg is a
+    /// transport fault, a worker-reported error a request fault.
+    fn request(&mut self, req: &ShardRequest) -> Result<ShardReply, ShardFault> {
         let (reply, rx) = channel();
-        let msg = ShardMsg::Load(LoadReq {
-            name: call.name.clone(),
-            kind: call.kind,
-            items: call.items.as_ref().clone(),
-            cell: call.cell,
-            spill: call
-                .spill
-                .clone()
-                .map(|(path, writer)| SpillSpec { path, writer }),
-            reply,
-        });
-        self.round_trip(msg, rx)
-            .map(|(leaves, extent, summary)| LoadOutcome {
-                leaves,
-                extent,
-                summary,
-            })
-    }
-
-    fn update(&mut self, call: &UpdateCall) -> Result<LoadOutcome, ShardFault> {
-        let (reply, rx) = channel();
-        let msg = ShardMsg::Update(UpdateReq {
-            name: call.name.clone(),
-            ops: Arc::clone(&call.ops),
-            target_epoch: call.target_epoch,
-            reply,
-        });
-        self.round_trip(msg, rx)
-            .map(|(leaves, extent, summary)| LoadOutcome {
-                leaves,
-                extent,
-                summary,
-            })
-    }
-
-    fn join(&mut self, call: &JoinCall) -> Result<(Vec<(usize, RcjPair)>, RcjStats), ShardFault> {
-        let (reply, rx) = channel();
-        let msg = ShardMsg::Join(JoinReq {
-            outer: call.outer.clone(),
-            inner: call.inner.clone(),
-            algo: call.algo,
-            bounds: call.bounds,
-            reply,
-        });
-        self.round_trip(msg, rx)
-    }
-
-    fn top_k(&mut self, call: &TopKCall) -> Result<(Vec<RcjPair>, RcjStats), ShardFault> {
-        let (reply, rx) = channel();
-        let msg = ShardMsg::TopK(TopKReq {
-            outer: call.outer.clone(),
-            inner: call.inner.clone(),
-            k: call.k,
-            reply,
-        });
-        self.round_trip(msg, rx)
-    }
-
-    fn explain(&mut self, call: &ExplainCall) -> Result<String, ShardFault> {
-        let (reply, rx) = channel();
-        let msg = ShardMsg::Explain(ExplainReq {
-            outer: call.outer.clone(),
-            inner: call.inner.clone(),
-            algo: call.algo,
-            top_k: call.k,
-            reply,
-        });
-        self.round_trip(msg, rx)
+        self.tx
+            .send((req.clone(), reply))
+            .map_err(|_| ShardFault::Gone("worker thread hung up".into()))?;
+        rx.recv()
+            .map_err(|_| ShardFault::Gone("worker thread died mid-request".into()))?
+            .map_err(ShardFault::Request)
     }
 
     fn shutdown(&mut self) {
@@ -741,180 +615,9 @@ struct CatalogEntry {
 
 type Catalog = BTreeMap<String, CatalogEntry>;
 
-/// One replayable `LOAD`: everything a respawned worker needs to
-/// rebuild its replica — the full item set (kept alive by the log;
-/// workers do not retain raw items after indexing) and every cell of
-/// the dataset's partition.
-struct LoadRecord {
-    name: String,
-    kind: IndexKind,
-    items: Arc<Vec<Item>>,
-    /// Per-cell partition rectangles (index = cell).
-    cells: Vec<Rect>,
-}
-
-/// One replayable mutation batch: the operations in order plus the
-/// epoch the batch produced. Replay applies records in log order, so a
-/// respawned worker reconstructs exactly the live epoch — bulk load at
-/// epoch 0, then every batch in sequence.
-struct UpdateRecord {
-    name: String,
-    ops: Arc<Vec<Mutation>>,
-    target_epoch: u64,
-}
-
-/// The mutation log: loads and update batches in application order.
-enum LogRecord {
-    Load(LoadRecord),
-    Update(UpdateRecord),
-}
-
 // ---------------------------------------------------------------------
-// Durable log codec + crash-fault injection
+// Durable log + crash-fault injection
 // ---------------------------------------------------------------------
-
-/// One decoded WAL record, ready to re-drive through the public
-/// [`ShardedEngine::load`] / [`ShardedEngine::update`] entry points.
-/// The WAL stores the *logical* history only — no partition cells —
-/// so recovery recomputes the partition deterministically and adapts
-/// to a changed shard count; epochs (the replayed-history contract)
-/// are shard-count-invariant.
-enum WalReplay {
-    Load {
-        name: String,
-        kind: IndexKind,
-        items: Vec<Item>,
-    },
-    Update {
-        name: String,
-        target_epoch: u64,
-        ops: Vec<Mutation>,
-    },
-}
-
-/// Encodes a LOAD batch as a WAL payload. Text, one line per item —
-/// Rust's `f64` `Display` is shortest-round-trip, the same property the
-/// CLI's replay-log grammar already leans on, so decode reproduces the
-/// coordinates bit for bit.
-fn wal_encode_load(name: &str, kind: IndexKind, items: &[Item]) -> Vec<u8> {
-    use std::fmt::Write;
-    let mut out = format!("LOAD {} {} {name}\n", kind.name(), items.len());
-    for it in items {
-        writeln!(out, "{} {} {}", it.id, it.point.x, it.point.y).expect("string write");
-    }
-    out.into_bytes()
-}
-
-/// Encodes one mutation batch as a WAL payload (`+` insert, `-` delete,
-/// `^` upsert — the CLI's mutation-log grammar).
-fn wal_encode_update(name: &str, target_epoch: u64, ops: &[Mutation]) -> Vec<u8> {
-    use std::fmt::Write;
-    let mut out = format!("UPDATE {target_epoch} {} {name}\n", ops.len());
-    for op in ops {
-        match op {
-            Mutation::Insert(it) => writeln!(out, "+ {} {} {}", it.id, it.point.x, it.point.y),
-            Mutation::Delete(id) => writeln!(out, "- {id}"),
-            Mutation::Upsert(it) => writeln!(out, "^ {} {} {}", it.id, it.point.x, it.point.y),
-        }
-        .expect("string write");
-    }
-    out.into_bytes()
-}
-
-fn wal_parse_item(line: &str) -> Result<Item, String> {
-    let mut fields = line.split_whitespace();
-    let mut next = |what: &str| -> Result<&str, String> {
-        fields
-            .next()
-            .ok_or_else(|| format!("WAL item line {line:?} is missing its {what}"))
-    };
-    let id: u64 = next("id")?
-        .parse()
-        .map_err(|_| format!("bad id in WAL item line {line:?}"))?;
-    let x: f64 = next("x")?
-        .parse()
-        .map_err(|_| format!("bad x in WAL item line {line:?}"))?;
-    let y: f64 = next("y")?
-        .parse()
-        .map_err(|_| format!("bad y in WAL item line {line:?}"))?;
-    Ok(Item::new(id, Point { x, y }))
-}
-
-/// Decodes one CRC-valid WAL payload. A decode failure here means a
-/// record that passed its checksum but does not parse — not a torn
-/// tail but genuine corruption (or a version skew), so recovery
-/// surfaces it as an error instead of truncating silently.
-fn wal_decode(payload: &[u8]) -> Result<WalReplay, String> {
-    let text = std::str::from_utf8(payload).map_err(|_| "WAL record is not UTF-8".to_string())?;
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| "empty WAL record".to_string())?;
-    let mut fields = header.splitn(4, ' ');
-    let tag = fields.next().unwrap_or_default();
-    match tag {
-        "LOAD" => {
-            let kind = match fields.next() {
-                Some("rtree") => IndexKind::Rtree,
-                Some("quadtree") => IndexKind::Quadtree,
-                other => return Err(format!("unknown index kind {other:?} in WAL LOAD")),
-            };
-            let n: usize = fields
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("bad item count in WAL LOAD header {header:?}"))?;
-            let name = fields
-                .next()
-                .ok_or_else(|| format!("missing dataset name in WAL LOAD header {header:?}"))?
-                .to_string();
-            let mut items = Vec::new();
-            for _ in 0..n {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| "WAL LOAD record is shorter than its item count".to_string())?;
-                items.push(wal_parse_item(line)?);
-            }
-            Ok(WalReplay::Load { name, kind, items })
-        }
-        "UPDATE" => {
-            let target_epoch: u64 = fields
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("bad target epoch in WAL UPDATE header {header:?}"))?;
-            let n: usize = fields
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("bad op count in WAL UPDATE header {header:?}"))?;
-            let name = fields
-                .next()
-                .ok_or_else(|| format!("missing dataset name in WAL UPDATE header {header:?}"))?
-                .to_string();
-            let mut ops = Vec::new();
-            for _ in 0..n {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| "WAL UPDATE record is shorter than its op count".to_string())?;
-                let (sym, rest) = line
-                    .split_once(' ')
-                    .ok_or_else(|| format!("bad WAL mutation line {line:?}"))?;
-                match sym {
-                    "+" => ops.push(Mutation::Insert(wal_parse_item(rest)?)),
-                    "^" => ops.push(Mutation::Upsert(wal_parse_item(rest)?)),
-                    "-" => ops.push(Mutation::Delete(
-                        rest.trim()
-                            .parse()
-                            .map_err(|_| format!("bad id in WAL delete line {line:?}"))?,
-                    )),
-                    _ => return Err(format!("unknown WAL mutation {sym:?}")),
-                }
-            }
-            Ok(WalReplay::Update {
-                name,
-                target_epoch,
-                ops,
-            })
-        }
-        _ => Err(format!("unknown WAL record tag {tag:?} in {header:?}")),
-    }
-}
 
 /// Crash-fault injection hook: aborts the process (no unwinding, no
 /// flushing — the closest in-process stand-in for SIGKILL) when the
@@ -938,12 +641,12 @@ fn crash_point(point: &str) {
     }
 }
 
-/// Appends `payload` to the durable log (if one is configured) and
-/// fsyncs it — the log-*durably*-before-fan-out point. A no-op without
-/// a `data_dir`.
-fn wal_append(st: &mut CatalogState, payload: &[u8]) -> Result<(), ServerError> {
+/// Appends the batch's wire payload to the durable log (if one is
+/// configured) and fsyncs it — the log-*durably*-before-fan-out point.
+/// A no-op without a `data_dir`, which then never encodes the payload.
+fn wal_append(st: &mut CatalogState, payload: impl FnOnce() -> String) -> Result<(), ServerError> {
     if let Some(wal) = st.wal.as_mut() {
-        wal.append(payload)
+        wal.append(payload().as_bytes())
             .map_err(|e| ServerError::Internal(format!("WAL append failed: {e}")))?;
         crash_point("wal-pre-sync");
         wal.sync()
@@ -967,16 +670,19 @@ fn wal_abort(st: &mut CatalogState) {
     }
 }
 
-/// The routing catalog and the mutation replay log behind **one**
-/// lock. One lock, not two, is load-bearing: the heal function replays
-/// the log and flips its slot up under the read lock, and
-/// `load`/`update` append and fan out under the write lock, so a
-/// healing slot can never land between "missed the fan-out" and
-/// "missed the log".
+/// The routing catalog and the replay log behind **one** lock. One
+/// lock, not two, is load-bearing: the heal function replays the log
+/// and flips its slot up under the read lock, and `load`/`update`
+/// append and fan out under the write lock, so a healing slot can never
+/// land between "missed the fan-out" and "missed the log".
 #[derive(Default)]
 struct CatalogState {
     catalog: Catalog,
-    log: Vec<LogRecord>,
+    /// The replay log: every applied load and mutation batch, in
+    /// order, stored as the shard requests a respawned worker of each
+    /// cell re-receives (`log[record][cell]`). A load's requests differ
+    /// only in their `cell=`; an update sends every cell the same one.
+    log: Vec<Vec<ShardRequest>>,
     /// The durable image of `log` (`None` without a `data_dir`). Living
     /// behind the same lock, it appends exactly when the in-memory log
     /// pushes and truncates exactly when it pops — the two can never
@@ -1071,7 +777,7 @@ impl ShardedEngine {
             WorkerSpec::Local => {
                 let pool = pool.clone();
                 Arc::new(move |_cell, _rep| {
-                    Ok(Box::new(LocalShard::spawn(pool.clone())) as Box<dyn ShardBackend>)
+                    Ok(Box::new(LocalShard::spawn(pool.clone(), None)) as Box<dyn ShardBackend>)
                 })
             }
             WorkerSpec::Remote(addrs) => {
@@ -1110,38 +816,23 @@ impl ShardedEngine {
         };
         let heal: HealFn = {
             let state = Arc::clone(&state);
-            let on_disk = cfg.on_disk.clone();
             Arc::new(move |cell, mut backend, slot| {
-                // Catalog READ lock: excludes a concurrent LOAD's write
-                // lock, so the replay plus the up flip are atomic with
-                // respect to new datasets (see the topology module
-                // docs for the race this closes).
+                // Catalog READ lock: excludes a concurrent load's or
+                // update's write lock, so the replay plus the up flip
+                // are atomic with respect to new batches (see the
+                // topology module docs for the race this closes).
                 let st = state.read().expect("catalog lock poisoned");
-                let mut replayed = 0u64;
-                for rec in &st.log {
-                    match rec {
-                        LogRecord::Load(rec) => backend
-                            .load(&LoadCall {
-                                name: rec.name.clone(),
-                                kind: rec.kind,
-                                items: Arc::clone(&rec.items),
-                                cell: rec.cells[cell],
-                                // The page file already exists: attach.
-                                spill: on_disk.clone().map(|path| (path, false)),
-                            })
-                            .map_err(ShardFault::message)?,
-                        LogRecord::Update(rec) => backend
-                            .update(&UpdateCall {
-                                name: rec.name.clone(),
-                                ops: Arc::clone(&rec.ops),
-                                target_epoch: rec.target_epoch,
-                            })
-                            .map_err(ShardFault::message)?,
-                    };
-                    replayed += 1;
+                for record in &st.log {
+                    match backend
+                        .request(&record[cell])
+                        .map_err(ShardFault::message)?
+                    {
+                        ShardReply::Indexed(_) => {}
+                        _ => return Err(WRONG_REPLY.to_string()),
+                    }
                 }
                 slot.install(backend);
-                Ok(replayed)
+                Ok(st.log.len() as u64)
             })
         };
         let topology = Topology::new(
@@ -1176,34 +867,42 @@ impl ShardedEngine {
     /// verifies each update batch lands on exactly the epoch the log
     /// recorded. Runs inside construction — before the server binds its
     /// listener — so no session ever observes a half-recovered catalog.
-    fn recover(&self, data_dir: &std::path::Path) -> Result<(), ServerError> {
+    fn recover(&self, data_dir: &Path) -> Result<(), ServerError> {
         let (payloads, wal) = Wal::open(data_dir.join("wal"))
             .map_err(|e| ServerError::Internal(format!("WAL open failed: {e}")))?;
-        let mut replayed = 0u64;
-        for payload in &payloads {
-            match wal_decode(payload)
-                .map_err(|e| ServerError::Internal(format!("WAL record {replayed} corrupt: {e}")))?
-            {
-                WalReplay::Load { name, kind, items } => {
-                    self.load(&name, items, kind)?;
-                }
-                WalReplay::Update {
+        for (i, payload) in payloads.iter().enumerate() {
+            let corrupt = |e: &dyn std::fmt::Display| {
+                ServerError::Internal(format!("WAL record {i} corrupt: {e}"))
+            };
+            let text = std::str::from_utf8(payload).map_err(|e| corrupt(&e))?;
+            // Each record is the wire request that carried its batch.
+            if text.starts_with("SUPDATE ") {
+                let ShardRequest::Update {
                     name,
                     target_epoch,
                     ops,
-                } => {
-                    let info = self.update(&name, ops)?;
-                    if info.epoch != target_epoch {
-                        return Err(ServerError::Internal(format!(
-                            "recovery drove dataset {name:?} to epoch {} but the log recorded {target_epoch}",
-                            info.epoch
-                        )));
-                    }
+                } = ShardRequest::parse(text).map_err(|e| corrupt(&e))?
+                else {
+                    return Err(corrupt(&"not an SUPDATE payload"));
+                };
+                let info = self.update(&name, Arc::unwrap_or_clone(ops))?;
+                if info.epoch != target_epoch {
+                    return Err(ServerError::Internal(format!(
+                        "recovery drove dataset {name:?} to epoch {} but the log recorded {target_epoch}",
+                        info.epoch
+                    )));
                 }
+            } else {
+                let Request::Load { name, kind, items } =
+                    Request::parse(text).map_err(|e| corrupt(&e))?
+                else {
+                    return Err(corrupt(&"neither a LOAD nor an SUPDATE payload"));
+                };
+                self.load(&name, items, kind)?;
             }
-            replayed += 1;
         }
-        self.recovered.store(replayed, Ordering::Relaxed);
+        self.recovered
+            .store(payloads.len() as u64, Ordering::Relaxed);
         // The replayed-and-truncated log now becomes the live one:
         // every batch from here on appends after the recovered prefix.
         self.state.write().expect("catalog lock poisoned").wal = Some(wal);
@@ -1332,7 +1031,8 @@ impl ShardedEngine {
     /// replicated — see the module docs) plus its cell, and records the
     /// routing catalog. Rejects a name that is already loaded with a
     /// protocol-level error instead of silently replacing the dataset
-    /// (a serving process must not swap data under a running client).
+    /// (a serving process must not swap data under a running client),
+    /// and refuses items with a non-finite coordinate.
     ///
     /// Holds the catalog's **write** lock for the whole load, so a
     /// `LOAD` waits for in-flight joins (which hold read locks) and
@@ -1348,9 +1048,8 @@ impl ShardedEngine {
         if st.catalog.contains_key(name) {
             return Err(ServerError::DuplicateDataset(name.to_string()));
         }
+        items.iter().try_for_each(require_finite)?;
         let cells_n = self.topology.cells();
-        let replicas = self.topology.replicas();
-        let total = cells_n * replicas;
         let points: Vec<_> = items.iter().map(|it| it.point).collect();
         let partition = SpacePartition::build(&points, cells_n);
         let mut item_counts = vec![0u64; cells_n];
@@ -1359,121 +1058,28 @@ impl ShardedEngine {
         }
         let cells: Vec<Rect> = (0..cells_n).map(|i| partition.cell(i)).collect();
         let items = Arc::new(items);
-        // The record enters the log BEFORE the fan-out (and is popped
-        // on failure): a slot healing concurrently cannot flip up while
-        // we hold the write lock, so it replays a log that already
-        // includes this load — down replicas catch up through replay.
-        st.log.push(LogRecord::Load(LoadRecord {
-            name: name.to_string(),
-            kind,
-            items: Arc::clone(&items),
-            cells: cells.clone(),
-        }));
-        // ... and is durable before it: the WAL fsync happens here, so
-        // every batch a worker ever sees is already on disk.
-        if let Err(e) = wal_append(&mut st, &wal_encode_load(name, kind, &items)) {
-            st.log.pop();
-            return Err(e);
-        }
-        let call = |cell: usize, writer: bool| LoadCall {
-            name: name.to_string(),
-            kind,
-            items: Arc::clone(&items),
-            cell: cells[cell],
-            spill: self.on_disk.clone().map(|path| (path, writer)),
-        };
-        // Per-cell successful outcomes (identical across a cell's
-        // replicas — every replica builds the same index).
-        let mut successes: Vec<Vec<LoadOutcome>> = (0..cells_n).map(|_| Vec::new()).collect();
-        let mut hard_err: Option<String> = None;
-        let mut writer_slot = None;
-        if self.on_disk.is_some() {
-            // Disk-native: the first live slot (cell-major) loads
-            // synchronously as the writer and materializes the shared
-            // page file; everyone else attaches afterwards — never to
-            // a file that is still being written.
-            for idx in 0..total {
-                match self.topology.load_slot(idx, &call(idx / replicas, true)) {
-                    Some(Ok(out)) => {
-                        successes[idx / replicas].push(out);
-                        writer_slot = Some(idx);
-                        break;
-                    }
-                    Some(Err(msg)) => {
-                        hard_err = Some(msg);
-                        break;
-                    }
-                    None => continue,
-                }
-            }
-            if writer_slot.is_none() && hard_err.is_none() {
-                st.log.pop();
-                wal_abort(&mut st);
-                return Err(ServerError::ShardGone(0));
-            }
-        }
-        if hard_err.is_none() {
-            // Fan out to every remaining slot concurrently (attach
-            // loads in disk mode — the writer above already ran).
-            let topo = &self.topology;
-            let calls: Vec<Option<LoadCall>> = (0..total)
-                .map(|idx| (Some(idx) != writer_slot).then(|| call(idx / replicas, false)))
-                .collect();
-            let outcomes: Vec<Option<Result<LoadOutcome, String>>> = std::thread::scope(|s| {
-                let handles: Vec<_> = calls
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, c)| {
-                        s.spawn(move || c.as_ref().and_then(|c| topo.load_slot(idx, c)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("load fan-out thread panicked"))
-                    .collect()
-            });
-            for (idx, out) in outcomes.into_iter().enumerate() {
-                match out {
-                    Some(Ok(out)) => successes[idx / replicas].push(out),
-                    Some(Err(msg)) => {
-                        hard_err = Some(msg);
-                        break;
-                    }
-                    // Not up (or died mid-load): the supervisor's
-                    // replay delivers this very record later.
-                    None => {}
-                }
-            }
-        }
-        if let Some(msg) = hard_err {
-            st.log.pop();
-            wal_abort(&mut st);
-            return Err(ServerError::Internal(msg));
-        }
-        // Every cell needs at least one live replica holding the data;
-        // a fully dark cell cannot answer queries, so the LOAD fails.
-        if let Some(cell) = successes.iter().position(|s| s.is_empty()) {
-            st.log.pop();
-            wal_abort(&mut st);
-            return Err(ServerError::ShardGone(cell));
-        }
-        let mut leaves = Vec::with_capacity(cells_n);
-        let mut extents = Vec::with_capacity(cells_n);
-        let mut summary = None;
-        for outcomes in &successes {
-            leaves.push(outcomes[0].leaves);
-            extents.push(outcomes[0].extent);
-            summary = Some(outcomes[0].summary);
-        }
-        let summary = summary.expect("at least one cell");
-        let points: BTreeMap<u64, Point> = items.iter().map(|it| (it.id, it.point)).collect();
+        // One request per cell, exactly as a replay re-sends it (in
+        // disk mode: attach to the page file the writer produced).
+        let record = cells
+            .iter()
+            .map(|&cell| ShardRequest::Load {
+                name: name.to_string(),
+                kind,
+                cell,
+                spill: self.on_disk.clone(),
+                writer: false,
+                items: Arc::clone(&items),
+            })
+            .collect();
+        let owners = self.log_and_fan_out(&mut st, record, || encode_load(name, kind, &items))?;
+        let (leaves, extents, summary) = routing(&owners);
         st.catalog.insert(
             name.to_string(),
             CatalogEntry {
                 kind,
                 items: items.len() as u64,
                 epoch: 0,
-                points,
+                points: items.iter().map(|it| (it.id, it.point)).collect(),
                 cells,
                 leaves: leaves.clone(),
                 item_counts: item_counts.clone(),
@@ -1501,14 +1107,14 @@ impl ShardedEngine {
     /// The whole batch is validated *here*, against the coordinator's
     /// authoritative pointset, under exactly the engine's rules
     /// (`INSERT` of a present id and `DELETE` of an absent id refuse the
-    /// whole batch; `UPSERT` never fails). Workers therefore only see
-    /// batches that must succeed — a worker-side refusal means its
-    /// state has diverged from the log, and the topology layer tears it
-    /// down for a rebuild. If the batch cannot land on at least one
-    /// replica of every cell, it is abandoned: the log record is
-    /// popped and every worker that *did* apply it is quarantined (it
-    /// sits one epoch ahead of the log and would otherwise silently
-    /// diverge on the next batch).
+    /// whole batch; `UPSERT` never fails), plus finite coordinates.
+    /// Workers therefore only see batches that must succeed — a
+    /// worker-side refusal means its state has diverged from the log,
+    /// and the topology layer tears it down for a rebuild. If the batch
+    /// cannot land on at least one replica of every cell, it is
+    /// abandoned: the log record is popped and every worker that *did*
+    /// apply it is quarantined (it sits one epoch ahead of the log and
+    /// would otherwise silently diverge on the next batch).
     pub fn update(&self, name: &str, ops: Vec<Mutation>) -> Result<UpdateInfo, ServerError> {
         if ops.is_empty() {
             return Err(ServerError::BadRequest(
@@ -1525,6 +1131,7 @@ impl ShardedEngine {
             for op in &ops {
                 match op {
                     Mutation::Insert(it) => {
+                        require_finite(it)?;
                         if !sim.insert(it.id) {
                             return Err(ServerError::BadRequest(format!(
                                 "INSERT of duplicate id {} into dataset {name:?}",
@@ -1540,6 +1147,7 @@ impl ShardedEngine {
                         }
                     }
                     Mutation::Upsert(it) => {
+                        require_finite(it)?;
                         sim.insert(it.id);
                     }
                 }
@@ -1547,76 +1155,13 @@ impl ShardedEngine {
             entry.epoch + 1
         };
         let ops = Arc::new(ops);
-        // Log before fan-out, exactly like LOAD: a slot healing
-        // concurrently replays a log that already carries this batch.
-        st.log.push(LogRecord::Update(UpdateRecord {
+        let req = ShardRequest::Update {
             name: name.to_string(),
-            ops: Arc::clone(&ops),
             target_epoch,
-        }));
-        if let Err(e) = wal_append(&mut st, &wal_encode_update(name, target_epoch, &ops)) {
-            st.log.pop();
-            return Err(e);
-        }
-        let cells_n = self.topology.cells();
-        let replicas = self.topology.replicas();
-        let total = cells_n * replicas;
-        let topo = &self.topology;
-        let call = UpdateCall {
-            name: name.to_string(),
             ops: Arc::clone(&ops),
-            target_epoch,
         };
-        let outcomes: Vec<Option<Result<LoadOutcome, String>>> = std::thread::scope(|s| {
-            let call = &call;
-            let handles: Vec<_> = (0..total)
-                .map(|idx| {
-                    s.spawn(move || {
-                        let out = topo.update_slot(idx, call);
-                        if idx == 0 {
-                            // Slot 0 has applied the batch; the rest of
-                            // the fleet may not have — the genuinely
-                            // partial state a recovery must heal.
-                            crash_point("mid-fanout");
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("update fan-out thread panicked"))
-                .collect()
-        });
-        let mut successes: Vec<Vec<LoadOutcome>> = (0..cells_n).map(|_| Vec::new()).collect();
-        let mut applied_slots: Vec<usize> = Vec::new();
-        let mut hard_err: Option<String> = None;
-        for (idx, out) in outcomes.into_iter().enumerate() {
-            match out {
-                Some(Ok(out)) => {
-                    successes[idx / replicas].push(out);
-                    applied_slots.push(idx);
-                }
-                // A refusal: update_slot already tore the slot down.
-                // Keep draining so applied_slots is complete.
-                Some(Err(msg)) => hard_err = Some(msg),
-                // Down (or died mid-apply): replay delivers this very
-                // record when the supervisor heals the slot.
-                None => {}
-            }
-        }
-        let dark_cell = successes.iter().position(|s| s.is_empty());
-        if hard_err.is_some() || dark_cell.is_some() {
-            st.log.pop();
-            wal_abort(&mut st);
-            for idx in applied_slots {
-                self.topology.quarantine(idx);
-            }
-            return Err(match hard_err {
-                Some(msg) => ServerError::Internal(msg),
-                None => ServerError::ShardGone(dark_cell.expect("checked above")),
-            });
-        }
+        let record = vec![req.clone(); self.topology.cells()];
+        let owners = self.log_and_fan_out(&mut st, record, || req.encode())?;
         // Unanimous: refresh the routing catalog from the fan-out and
         // the authoritative pointset from the batch itself.
         let entry = st.catalog.get_mut(name).expect("validated above");
@@ -1632,7 +1177,7 @@ impl ShardedEngine {
         }
         entry.items = entry.points.len() as u64;
         entry.epoch = target_epoch;
-        let mut item_counts = vec![0u64; cells_n];
+        let mut item_counts = vec![0u64; entry.cells.len()];
         for p in entry.points.values() {
             let cell = entry
                 .cells
@@ -1642,23 +1187,123 @@ impl ShardedEngine {
             item_counts[cell] += 1;
         }
         entry.item_counts = item_counts;
-        let mut leaves = Vec::with_capacity(cells_n);
-        let mut extents = Vec::with_capacity(cells_n);
-        let mut summary = entry.summary;
-        for outcomes in &successes {
-            leaves.push(outcomes[0].leaves);
-            extents.push(outcomes[0].extent);
-            summary = outcomes[0].summary;
-        }
-        entry.leaves = leaves;
-        entry.extents = extents;
-        entry.summary = summary;
+        (entry.leaves, entry.extents, entry.summary) = routing(&owners);
         self.updates.fetch_add(1, Ordering::Relaxed);
         Ok(UpdateInfo {
             name: name.to_string(),
             epoch: target_epoch,
             applied: ops.len(),
             items: entry.items,
+        })
+    }
+
+    /// The one fan-out of a history record — a load, or an update
+    /// batch — given as the request each cell receives.
+    ///
+    /// The record enters the replay log and the WAL (fsynced) **before**
+    /// any worker sees it: a slot healing concurrently cannot flip up
+    /// while the caller holds the write lock, so it replays a log that
+    /// already carries this record, and every batch a worker ever sees
+    /// is already on disk. Then every replica slot receives its cell's
+    /// request concurrently — except that a disk-native load first runs
+    /// on the first live slot alone, as the writer that materializes
+    /// the shared page file, so nobody attaches to a file that is still
+    /// being written.
+    ///
+    /// Returns each cell's ownership (identical across a cell's
+    /// replicas). A record that a live worker refuses, or that cannot
+    /// land on at least one replica of every cell, is abandoned: popped
+    /// from both logs, with any slot that applied an abandoned update
+    /// quarantined for a rebuild.
+    fn log_and_fan_out(
+        &self,
+        st: &mut CatalogState,
+        record: Vec<ShardRequest>,
+        payload: impl FnOnce() -> String,
+    ) -> Result<Vec<Ownership>, ServerError> {
+        st.log.push(record.clone());
+        if let Err(e) = wal_append(st, payload) {
+            st.log.pop();
+            return Err(e);
+        }
+        let update = matches!(record[0], ShardRequest::Update { .. });
+        let replicas = self.topology.replicas();
+        let total = record.len() * replicas;
+        let topo = &self.topology;
+        let mut outcomes = Vec::with_capacity(total);
+        if matches!(record[0], ShardRequest::Load { spill: Some(_), .. }) {
+            for idx in 0..total {
+                let mut req = record[idx / replicas].clone();
+                if let ShardRequest::Load { writer, .. } = &mut req {
+                    *writer = true;
+                }
+                let out = topo.call_slot(idx, &req);
+                let answered = out.is_some();
+                outcomes.push(out);
+                if answered {
+                    break;
+                }
+            }
+        }
+        if !matches!(outcomes.last(), Some(Some(Err(_)))) {
+            let first = outcomes.len();
+            outcomes.extend(std::thread::scope(|s| {
+                let handles: Vec<_> = (first..total)
+                    .map(|idx| {
+                        let req = &record[idx / replicas];
+                        s.spawn(move || {
+                            let out = topo.call_slot(idx, req);
+                            if update && idx == 0 {
+                                // Slot 0 has applied the batch; the rest
+                                // of the fleet may not have — the
+                                // genuinely partial state a recovery
+                                // must heal.
+                                crash_point("mid-fanout");
+                            }
+                            out
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("fan-out thread panicked"))
+                    .collect::<Vec<_>>()
+            }));
+        }
+        let mut owners: Vec<Option<Ownership>> = vec![None; record.len()];
+        let mut applied = Vec::new();
+        let mut hard_err = None;
+        for (idx, out) in outcomes.into_iter().enumerate() {
+            match out {
+                Some(Ok(ShardReply::Indexed(own))) => {
+                    owners[idx / replicas].get_or_insert(own);
+                    applied.push(idx);
+                }
+                Some(Ok(_)) => {
+                    hard_err.get_or_insert_with(|| WRONG_REPLY.to_string());
+                }
+                Some(Err(msg)) => {
+                    hard_err.get_or_insert(msg);
+                }
+                // Not up (or died mid-call): the supervisor's replay
+                // delivers this very record later.
+                None => {}
+            }
+        }
+        let dark_cell = owners.iter().position(Option::is_none);
+        if hard_err.is_none() && dark_cell.is_none() {
+            return Ok(owners.into_iter().flatten().collect());
+        }
+        st.log.pop();
+        wal_abort(st);
+        if update {
+            for idx in applied {
+                self.topology.quarantine(idx);
+            }
+        }
+        Err(match hard_err {
+            Some(msg) => ServerError::Internal(msg),
+            None => ServerError::ShardGone(dark_cell.unwrap_or_default()),
         })
     }
 
@@ -1782,14 +1427,17 @@ impl ShardedEngine {
                 Some(rb) => entry.extents[i].intersects(rb.inflated()),
             })
             .collect();
-        let req = JoinCall {
+        let req = ShardRequest::Join {
             outer: outer.to_string(),
             inner: inner.map(str::to_string),
             algo,
             bounds,
         };
         let replies = self.fan_out(&participating, |cell| {
-            self.topology.call(cell, |b| b.join(&req))
+            match self.topology.call(cell, &req)? {
+                ShardReply::Joined { pairs, stats } => Ok((pairs, stats)),
+                _ => Err(ServerError::Internal(WRONG_REPLY.into())),
+            }
         })?;
         let mut stats = RcjStats::default();
         let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
@@ -1839,13 +1487,16 @@ impl ShardedEngine {
         let participating: Vec<usize> = (0..self.topology.cells())
             .filter(|&i| entry.item_counts[i] > 0)
             .collect();
-        let req = TopKCall {
+        let req = ShardRequest::TopK {
             outer: outer.to_string(),
             inner: inner.map(str::to_string),
             k,
         };
         let replies = self.fan_out(&participating, |cell| {
-            self.topology.call(cell, |b| b.top_k(&req))
+            match self.topology.call(cell, &req)? {
+                ShardReply::Ranked { pairs, stats } => Ok((pairs, stats)),
+                _ => Err(ServerError::Internal(WRONG_REPLY.into())),
+            }
         })?;
         let mut stats = RcjStats::default();
         let mut streams: Vec<std::vec::IntoIter<RcjPair>> = Vec::new();
@@ -1878,14 +1529,15 @@ impl ShardedEngine {
         if let Some(inner) = inner {
             Self::require(&st.catalog, inner)?;
         }
-        let req = ExplainCall {
+        let req = ShardRequest::Explain {
             outer: outer.to_string(),
             inner: inner.map(str::to_string),
             algo,
             k: top_k,
         };
-        let plan = self.topology.call(0, |b| b.explain(&req))?;
-        let mut out = plan;
+        let ShardReply::Plan(mut out) = self.topology.call(0, &req)? else {
+            return Err(ServerError::Internal(WRONG_REPLY.into()));
+        };
         out.push('\n');
         out.push_str(&format!(
             "  sharding: {} shard(s) x {} replica(s); outer leaves per shard: {:?}; items per shard: {:?}",
@@ -1905,9 +1557,44 @@ impl ShardedEngine {
     }
 }
 
+/// How a reply of the wrong shape for its request is reported — only
+/// a misbehaving worker sends one.
+const WRONG_REPLY: &str = "shard worker answered with the wrong reply shape";
+
+/// Refuses a point no index can hold: one with a NaN or infinite
+/// coordinate.
+fn require_finite(it: &Item) -> Result<(), ServerError> {
+    if it.point.x.is_finite() && it.point.y.is_finite() {
+        Ok(())
+    } else {
+        Err(ServerError::BadRequest(format!(
+            "item {} has a non-finite coordinate ({}, {})",
+            it.id, it.point.x, it.point.y
+        )))
+    }
+}
+
+/// The routing-catalog view of a fan-out: per-cell owned-leaf counts
+/// and extents, plus the planner summary (identical across cells —
+/// every replica builds the same index).
+fn routing(owners: &[Ownership]) -> (Vec<usize>, Vec<Rect>, DatasetSummary) {
+    (
+        owners.iter().map(|o| o.leaves).collect(),
+        owners.iter().map(|o| o.extent).collect(),
+        owners[0].summary,
+    )
+}
+
 /// Validates a [`RingBounds`] request parameter.
 fn validate_bounds(rb: &RingBounds) -> Result<(), ServerError> {
-    if rb.bounds.is_empty() {
+    let r = rb.bounds;
+    if [r.min.x, r.min.y, r.max.x, r.max.y]
+        .iter()
+        .any(|c| c.is_nan())
+    {
+        return Err(ServerError::BadRequest("bounds has a NaN corner".into()));
+    }
+    if r.is_empty() {
         return Err(ServerError::BadRequest("bounds rectangle is empty".into()));
     }
     if !(rb.max_diameter.is_finite() && rb.max_diameter >= 0.0) {
@@ -2132,15 +1819,11 @@ mod tests {
     /// order follows tree structure, and an incrementally mutated tree
     /// legitimately differs from a bulk-built one.)
     fn apply_to_engine(engine: &mut Engine, name: &str, ops: &[Mutation]) {
-        let mut batch = engine.update(name.to_string());
-        for op in ops {
-            batch = match op {
-                Mutation::Insert(it) => batch.insert([*it]),
-                Mutation::Delete(id) => batch.delete([*id]),
-                Mutation::Upsert(it) => batch.upsert([*it]),
-            };
-        }
-        batch.apply().expect("oracle batch must apply");
+        engine
+            .update(name.to_string())
+            .mutations(ops)
+            .apply()
+            .expect("oracle batch must apply");
     }
 
     #[test]

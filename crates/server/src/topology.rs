@@ -1,6 +1,6 @@
 //! The self-healing shard topology: replicated worker slots behind
 //! round-robin routing, health-aware failover, and a supervisor that
-//! respawns dead workers and replays the coordinator's LOAD log.
+//! respawns dead workers and replays the coordinator's history log.
 //!
 //! # Slots, cells and replicas
 //!
@@ -30,84 +30,20 @@
 //! backend through the topology's factory (bounded attempts with
 //! exponential backoff), and runs the heal function the
 //! [`ShardedEngine`](crate::ShardedEngine) provides — which replays
-//! every logged `LOAD` into the fresh worker under the catalog's read
-//! lock and only then installs it as up. Because installation happens
-//! under that lock, a healing slot can never miss a concurrent `LOAD`:
-//! either the slot is up before the load takes the write lock (and is
-//! fanned out to), or the load's record is already in the log the
-//! replay reads.
+//! the history log (every logged load and mutation batch, in order)
+//! into the fresh worker under the catalog's read lock and only then
+//! installs it as up. Because installation happens under that lock, a
+//! healing slot can never miss a concurrent load or update: either the
+//! slot is up before the batch takes the write lock (and is fanned out
+//! to), or the batch's record is already in the log the replay reads.
 
+use crate::proto::{ShardReply, ShardRequest};
 use crate::ServerError;
-use ringjoin_core::planner::DatasetSummary;
-use ringjoin_core::{IndexKind, RcjAlgorithm, RcjPair, RcjStats};
-use ringjoin_geom::{Item, Rect};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crate::sharded::{Mutation, RingBounds};
-
-// ---------------------------------------------------------------------
-// Backend-facing call shapes
-// ---------------------------------------------------------------------
-
-/// One dataset registration, as a backend sees it: the full item set
-/// (the index is replicated), the half-open partition cell this worker
-/// owns, and the disk-mode spill instruction `(path, writer)`.
-pub(crate) struct LoadCall {
-    pub name: String,
-    pub kind: IndexKind,
-    pub items: Arc<Vec<Item>>,
-    pub cell: Rect,
-    pub spill: Option<(PathBuf, bool)>,
-}
-
-/// One mutation batch, as a backend sees it: the ordered operations
-/// plus the dataset epoch the batch produces. The target epoch is what
-/// makes delivery **idempotent**: a worker already at `target_epoch`
-/// acknowledges without re-applying (the previous delivery's reply was
-/// lost in transit), and a worker at any epoch other than
-/// `target_epoch - 1` refuses — it has diverged and must be rebuilt
-/// from the log.
-pub(crate) struct UpdateCall {
-    pub name: String,
-    pub ops: Arc<Vec<Mutation>>,
-    pub target_epoch: u64,
-}
-
-/// A leaf-driven join against one worker.
-pub(crate) struct JoinCall {
-    pub outer: String,
-    pub inner: Option<String>,
-    pub algo: RcjAlgorithm,
-    pub bounds: Option<RingBounds>,
-}
-
-/// A cell-restricted diameter-ordered top-k against one worker.
-pub(crate) struct TopKCall {
-    pub outer: String,
-    pub inner: Option<String>,
-    pub k: usize,
-}
-
-/// A plan-display request against one worker.
-pub(crate) struct ExplainCall {
-    pub outer: String,
-    pub inner: Option<String>,
-    pub algo: RcjAlgorithm,
-    pub k: Option<usize>,
-}
-
-/// What one worker reports back for a [`LoadCall`]: owned leaf count,
-/// the union of its owned leaf regions, and the planner summary.
-pub(crate) struct LoadOutcome {
-    pub leaves: usize,
-    pub extent: Rect,
-    pub summary: DatasetSummary,
-}
 
 /// How a backend call failed — the distinction that drives failover.
 #[derive(Debug)]
@@ -136,14 +72,8 @@ impl ShardFault {
 /// Implementations are owned by their slot's mutex, so calls take
 /// `&mut self` and need no internal locking.
 pub(crate) trait ShardBackend: Send {
-    fn load(&mut self, call: &LoadCall) -> Result<LoadOutcome, ShardFault>;
-    /// Applies one mutation batch; the outcome carries the worker's
-    /// recomputed owned-leaf count, extent and summary (the same shape a
-    /// load reports — updates move leaves between cells).
-    fn update(&mut self, call: &UpdateCall) -> Result<LoadOutcome, ShardFault>;
-    fn join(&mut self, call: &JoinCall) -> Result<(Vec<(usize, RcjPair)>, RcjStats), ShardFault>;
-    fn top_k(&mut self, call: &TopKCall) -> Result<(Vec<RcjPair>, RcjStats), ShardFault>;
-    fn explain(&mut self, call: &ExplainCall) -> Result<String, ShardFault>;
+    /// Sends one shard message and waits for its reply.
+    fn request(&mut self, req: &ShardRequest) -> Result<ShardReply, ShardFault>;
     /// Best-effort orderly stop (the topology is shutting down).
     fn shutdown(&mut self) {}
     /// The worker's OS process id, when it has one of its own.
@@ -157,10 +87,11 @@ pub(crate) trait ShardBackend: Send {
 pub(crate) type BackendFactory =
     Arc<dyn Fn(usize, usize) -> Result<Box<dyn ShardBackend>, String> + Send + Sync>;
 
-/// Replays the LOAD log into a fresh backend for `cell` and, on
-/// success, installs it into the slot (flipping it up) — all under
-/// whatever catalog lock the engine needs to exclude concurrent loads.
-/// Returns how many datasets were replayed.
+/// Replays the history log (loads and mutation batches) into a fresh
+/// backend for `cell` and, on success, installs it into the slot
+/// (flipping it up) — all under whatever catalog lock the engine needs
+/// to exclude concurrent loads and updates. Returns how many records
+/// were replayed.
 pub(crate) type HealFn =
     Arc<dyn Fn(usize, Box<dyn ShardBackend>, &Slot) -> Result<u64, String> + Send + Sync>;
 
@@ -212,7 +143,7 @@ impl Slot {
 
     /// Installs a healed backend and flips the slot up. Called by the
     /// heal function under the engine's catalog lock — see the module
-    /// docs for why that ordering closes the missed-LOAD race.
+    /// docs for why that ordering closes the missed-batch race.
     pub(crate) fn install(&self, backend: Box<dyn ShardBackend>) {
         *self.backend.lock().expect("slot lock poisoned") = Some(backend);
         self.state.store(UP, Ordering::SeqCst);
@@ -362,61 +293,42 @@ impl Topology {
         }
     }
 
-    /// Routes one query call to `cell`: starts at the round-robin
-    /// replica, fails over across siblings on [`ShardFault::Gone`]
-    /// (marking the faulty slot down), and surfaces
-    /// [`ServerError::ShardGone`] only when no replica of the cell can
-    /// answer. [`ShardFault::Request`] returns immediately as an
-    /// internal error — the worker is healthy, so a sibling would
-    /// answer the same way.
-    pub(crate) fn call<T>(
-        &self,
-        cell: usize,
-        op: impl Fn(&mut dyn ShardBackend) -> Result<T, ShardFault>,
-    ) -> Result<T, ServerError> {
+    /// Routes one query to `cell`: starts at the round-robin replica,
+    /// fails over across siblings on [`ShardFault::Gone`] (marking the
+    /// faulty slot down), and surfaces [`ServerError::ShardGone`] only
+    /// when no replica of the cell can answer. [`ShardFault::Request`]
+    /// returns immediately as an internal error — the worker is
+    /// healthy, so a sibling would answer the same way.
+    pub(crate) fn call(&self, cell: usize, req: &ShardRequest) -> Result<ShardReply, ServerError> {
         let start = self.rr[cell].fetch_add(1, Ordering::Relaxed);
         for probe in 0..self.replicas {
             let idx = cell * self.replicas + (start + probe) % self.replicas;
-            let slot = &self.slots[idx];
-            match slot.state.load(Ordering::SeqCst) {
-                UP => {}
-                DOWN => {
-                    // A parked slot (respawn attempts exhausted) gets
-                    // another chance as soon as traffic probes it.
-                    self.kick(idx);
-                    continue;
-                }
-                _ => continue,
-            }
-            let mut guard = slot.backend.lock().expect("slot lock poisoned");
-            let Some(backend) = guard.as_mut() else {
-                continue;
-            };
-            slot.requests.fetch_add(1, Ordering::Relaxed);
-            match op(backend.as_mut()) {
-                Ok(out) => return Ok(out),
-                Err(ShardFault::Gone(_)) => {
-                    // Drop the dead transport with the lock held, then
-                    // hand the slot to the supervisor and fail over.
-                    *guard = None;
-                    drop(guard);
-                    self.mark_down(idx);
-                }
-                Err(ShardFault::Request(msg)) => return Err(ServerError::Internal(msg)),
+            match self.call_slot(idx, req) {
+                Some(Ok(out)) => return Ok(out),
+                Some(Err(msg)) => return Err(ServerError::Internal(msg)),
+                // Not up, or its transport just died (and the slot went
+                // to the supervisor): fail over to the next replica.
+                None => continue,
             }
         }
         Err(ServerError::ShardGone(cell))
     }
 
-    /// Fans one `LOAD` into a specific slot. `None` means the slot was
-    /// not up (or its transport died mid-load — it is then marked down
-    /// for healing, whose replay will deliver this very load);
-    /// `Some(Err)` is a hard request error that must fail the `LOAD`.
-    pub(crate) fn load_slot(
+    /// Sends one request to a specific slot. `None` means the slot was
+    /// not up (a parked slot is kicked to the supervisor again) or its
+    /// transport died mid-call — it is then marked down for healing,
+    /// whose log replay delivers any history record it missed;
+    /// `Some(Err)` is a refusal from a live worker.
+    ///
+    /// A refused **update** also tears the slot down: coordinator-side
+    /// validation makes refusals unreachable for a worker in sync, so a
+    /// refusing worker has diverged, and the supervisor's full-log
+    /// replay rebuilds it. Any other refusal leaves the slot as it is.
+    pub(crate) fn call_slot(
         &self,
         idx: usize,
-        call: &LoadCall,
-    ) -> Option<Result<LoadOutcome, String>> {
+        req: &ShardRequest,
+    ) -> Option<Result<ShardReply, String>> {
         let slot = &self.slots[idx];
         match slot.state.load(Ordering::SeqCst) {
             UP => {}
@@ -429,58 +341,20 @@ impl Topology {
         let mut guard = slot.backend.lock().expect("slot lock poisoned");
         let backend = guard.as_mut()?;
         slot.requests.fetch_add(1, Ordering::Relaxed);
-        match backend.load(call) {
-            Ok(out) => Some(Ok(out)),
-            Err(ShardFault::Gone(_)) => {
-                *guard = None;
-                drop(guard);
-                self.mark_down(idx);
-                None
-            }
-            Err(ShardFault::Request(msg)) => Some(Err(msg)),
-        }
-    }
-
-    /// Fans one mutation batch into a specific slot. `None` means the
-    /// slot was not up (or its transport died mid-update — it is then
-    /// marked down for healing, whose log replay delivers this very
-    /// batch); `Some(Err)` is a hard refusal from a live worker.
-    /// Coordinator-side validation makes refusals unreachable for a
-    /// worker in sync, so a refusing worker has **diverged** — its
-    /// backend is dropped and the slot handed to the supervisor, whose
-    /// full-log replay rebuilds it into a consistent state.
-    pub(crate) fn update_slot(
-        &self,
-        idx: usize,
-        call: &UpdateCall,
-    ) -> Option<Result<LoadOutcome, String>> {
-        let slot = &self.slots[idx];
-        match slot.state.load(Ordering::SeqCst) {
-            UP => {}
-            DOWN => {
-                self.kick(idx);
-                return None;
-            }
-            _ => return None,
-        }
-        let mut guard = slot.backend.lock().expect("slot lock poisoned");
-        let backend = guard.as_mut()?;
-        slot.requests.fetch_add(1, Ordering::Relaxed);
-        match backend.update(call) {
-            Ok(out) => Some(Ok(out)),
-            Err(ShardFault::Gone(_)) => {
-                *guard = None;
-                drop(guard);
-                self.mark_down(idx);
-                None
-            }
+        let (out, tear_down) = match backend.request(req) {
+            Ok(out) => (Some(Ok(out)), false),
+            Err(ShardFault::Gone(_)) => (None, true),
             Err(ShardFault::Request(msg)) => {
-                *guard = None;
-                drop(guard);
-                self.mark_down(idx);
-                Some(Err(msg))
+                let diverged = matches!(req, ShardRequest::Update { .. });
+                (Some(Err(msg)), diverged)
             }
+        };
+        if tear_down {
+            *guard = None;
+            drop(guard);
+            self.mark_down(idx);
         }
+        out
     }
 
     /// Tears a slot down for rebuild: drops its backend and hands it to
@@ -563,59 +437,49 @@ impl Drop for Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Ownership;
+    use ringjoin_core::planner::DatasetSummary;
+    use ringjoin_core::{IndexKind, RcjAlgorithm};
+    use ringjoin_geom::Rect;
     use std::sync::atomic::AtomicBool;
 
-    /// A scriptable backend: answers `explain` with its label, or
-    /// reports its transport dead when `gone` is set.
+    /// A scriptable backend: acknowledges history records, answers
+    /// `explain` with its label, and reports its transport dead when
+    /// `gone` is set.
     struct Mock {
         label: String,
         gone: Arc<AtomicBool>,
     }
 
     impl ShardBackend for Mock {
-        fn load(&mut self, _call: &LoadCall) -> Result<LoadOutcome, ShardFault> {
+        fn request(&mut self, req: &ShardRequest) -> Result<ShardReply, ShardFault> {
             if self.gone.load(Ordering::SeqCst) {
                 return Err(ShardFault::Gone("mock transport dead".into()));
             }
-            Ok(LoadOutcome {
-                leaves: 1,
-                extent: Rect::empty(),
-                summary: DatasetSummary::new("rtree", 1, 1, 1),
-            })
-        }
-        fn update(&mut self, _call: &UpdateCall) -> Result<LoadOutcome, ShardFault> {
-            if self.gone.load(Ordering::SeqCst) {
-                return Err(ShardFault::Gone("mock transport dead".into()));
+            match req {
+                ShardRequest::Load { .. } | ShardRequest::Update { .. } => {
+                    Ok(ShardReply::Indexed(Ownership {
+                        leaves: 1,
+                        extent: Rect::empty(),
+                        summary: DatasetSummary::new("rtree", 1, 1, 1),
+                    }))
+                }
+                ShardRequest::Explain { .. } => Ok(ShardReply::Plan(self.label.clone())),
+                _ => Err(ShardFault::Request("mock has no such verb".into())),
             }
-            Ok(LoadOutcome {
-                leaves: 1,
-                extent: Rect::empty(),
-                summary: DatasetSummary::new("rtree", 1, 1, 1),
-            })
-        }
-        fn join(
-            &mut self,
-            _call: &JoinCall,
-        ) -> Result<(Vec<(usize, RcjPair)>, RcjStats), ShardFault> {
-            Err(ShardFault::Request("mock has no join".into()))
-        }
-        fn top_k(&mut self, _call: &TopKCall) -> Result<(Vec<RcjPair>, RcjStats), ShardFault> {
-            Err(ShardFault::Request("mock has no top-k".into()))
-        }
-        fn explain(&mut self, _call: &ExplainCall) -> Result<String, ShardFault> {
-            if self.gone.load(Ordering::SeqCst) {
-                return Err(ShardFault::Gone("mock transport dead".into()));
-            }
-            Ok(self.label.clone())
         }
     }
 
-    fn explain_call() -> ExplainCall {
-        ExplainCall {
+    fn explain(topo: &Topology, cell: usize) -> Result<String, ServerError> {
+        let req = ShardRequest::Explain {
             outer: "d".into(),
             inner: None,
             algo: RcjAlgorithm::Auto,
             k: None,
+        };
+        match topo.call(cell, &req)? {
+            ShardReply::Plan(text) => Ok(text),
+            other => panic!("unexpected reply {other:?}"),
         }
     }
 
@@ -645,8 +509,7 @@ mod tests {
         // (replica 1) without ever surfacing an error.
         switches.lock().unwrap()[0].store(true, Ordering::SeqCst);
         for _ in 0..4 {
-            let text = topo.call(0, |b| b.explain(&explain_call())).unwrap();
-            assert_eq!(text, "cell0-rep1");
+            assert_eq!(explain(&topo, 0).unwrap(), "cell0-rep1");
         }
         // The supervisor respawns slot 0 (the factory hands out a fresh
         // healthy mock) and counts the heal's replays.
@@ -657,7 +520,7 @@ mod tests {
         // Round-robin reaches the healed replica again.
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..4 {
-            seen.insert(topo.call(0, |b| b.explain(&explain_call())).unwrap());
+            seen.insert(explain(&topo, 0).unwrap());
         }
         assert!(seen.contains("cell0-rep0"));
     }
@@ -669,19 +532,13 @@ mod tests {
         let topo = Topology::new(2, 1, factory, heal, RespawnPolicy::default()).unwrap();
         switches.lock().unwrap()[1].store(true, Ordering::SeqCst);
         // Cell 1 has no sibling: the loss surfaces as ShardGone(1).
-        let err = topo.call(1, |b| b.explain(&explain_call()));
+        let err = explain(&topo, 1);
         assert!(matches!(err, Err(ServerError::ShardGone(1))), "{err:?}");
         // Cell 0 is untouched.
-        assert_eq!(
-            topo.call(0, |b| b.explain(&explain_call())).unwrap(),
-            "cell0-rep0"
-        );
+        assert_eq!(explain(&topo, 0).unwrap(), "cell0-rep0");
         // ...and the supervisor brings cell 1 back.
         assert!(topo.wait_healthy(Duration::from_secs(5)));
-        assert_eq!(
-            topo.call(1, |b| b.explain(&explain_call())).unwrap(),
-            "cell1-rep0"
-        );
+        assert_eq!(explain(&topo, 1).unwrap(), "cell1-rep0");
     }
 
     #[test]
@@ -689,14 +546,13 @@ mod tests {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(Arc::clone(&switches));
         let topo = Topology::new(1, 2, factory, heal, RespawnPolicy::default()).unwrap();
-        let err = topo.call(0, |b| {
-            b.join(&JoinCall {
-                outer: "d".into(),
-                inner: None,
-                algo: RcjAlgorithm::Auto,
-                bounds: None,
-            })
-        });
+        let join = ShardRequest::Join {
+            outer: "d".into(),
+            inner: None,
+            algo: RcjAlgorithm::Auto,
+            bounds: None,
+        };
+        let err = topo.call(0, &join);
         assert!(matches!(err, Err(ServerError::Internal(_))), "{err:?}");
         // Both replicas stay up: a bad request is not a bad worker.
         assert!(topo.health().iter().all(|(state, _)| *state == "up"));
@@ -706,22 +562,29 @@ mod tests {
     }
 
     #[test]
-    fn load_slot_skips_down_slots_and_reports_hard_errors() {
+    fn call_slot_skips_down_slots_and_reports_hard_errors() {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(Arc::clone(&switches));
         let topo = Topology::new(1, 2, factory, heal, RespawnPolicy::default()).unwrap();
-        let call = LoadCall {
+        let load = ShardRequest::Load {
             name: "d".into(),
             kind: IndexKind::Rtree,
-            items: Arc::new(Vec::new()),
             cell: Rect::empty(),
             spill: None,
+            writer: false,
+            items: Arc::new(Vec::new()),
         };
-        assert!(matches!(topo.load_slot(0, &call), Some(Ok(_))));
+        assert!(matches!(topo.call_slot(0, &load), Some(Ok(_))));
+        // A refused request that is not an update leaves the slot up.
+        assert!(matches!(
+            topo.call_slot(0, &ShardRequest::Hello),
+            Some(Err(_))
+        ));
+        assert_eq!(topo.health()[0].0, "up");
         // Kill slot 1 mid-load: the fan-out sees None (the heal's
         // replay owns delivering this dataset), not an error.
         switches.lock().unwrap()[1].store(true, Ordering::SeqCst);
-        assert!(topo.load_slot(1, &call).is_none());
+        assert!(topo.call_slot(1, &load).is_none());
         assert!(topo.wait_healthy(Duration::from_secs(5)));
     }
 

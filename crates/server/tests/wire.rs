@@ -624,3 +624,70 @@ fn retry_rides_out_a_coordinator_restart_window() {
     handle2.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Regression (non-finite coordinates): `NaN` and `inf` rows used to
+/// pass every parser. One `NaN` INSERT panicked a durable coordinator
+/// while it held the catalog write lock — poisoning it for every later
+/// session — after the batch was already fsynced, so the restart
+/// panicked in recovery too. A `NaN` `bounds=` corner was silently
+/// dropped and the join answered for another window. All of these are
+/// protocol errors now, and a refused batch never reaches the log.
+#[test]
+fn non_finite_coordinates_are_refused_and_never_logged() {
+    use ringjoin_server::proto::{read_frame, write_frame};
+    let dir = ringjoin_testsupport::scratch_dir("wire-non-finite");
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        shards: 1,
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = start_with(config.clone());
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .load("p", IndexKind::Rtree, &items(40, 7, 300.0))
+        .unwrap();
+    client
+        .load("q", IndexKind::Rtree, &items(40, 9, 300.0))
+        .unwrap();
+    client
+        .insert("p", &[Item::new(9000, pt(1.0, 2.0))])
+        .unwrap();
+
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert!(client
+            .insert("p", &[Item::new(9999, pt(bad, 1.0))])
+            .is_err());
+        assert!(client.upsert("p", &[Item::new(3, pt(1.0, bad))]).is_err());
+        assert!(client
+            .load("r", IndexKind::Rtree, &[Item::new(1, pt(bad, bad))])
+            .is_err());
+    }
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    write_frame(&mut raw, b"JOIN q p bounds=nan,0,1,1 maxd=1").unwrap();
+    let reply = read_frame(&mut raw).unwrap().unwrap();
+    assert!(reply.starts_with("ERR"), "{reply}");
+    drop(raw);
+
+    // A fresh session still gets answers: nothing was poisoned, and
+    // only the one valid batch moved the epoch.
+    let mut fresh = Client::connect(addr).unwrap();
+    let stats = fresh.stats().unwrap();
+    assert!(stats.contains("updates_total 1"), "{stats}");
+    assert!(stats.contains("datasets 2"), "{stats}");
+    fresh.self_join("p", RcjAlgorithm::Auto, None).unwrap();
+    fresh.shutdown().unwrap();
+    handle.join().unwrap();
+
+    // The restart recovers the two loads and the one valid batch.
+    let (addr, handle) = start_with(config);
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client
+        .request(&ringjoin_server::proto::Request::Stats)
+        .unwrap();
+    assert_eq!(reply.field("recovered_epochs"), Some("3"));
+    assert_eq!(reply.field("datasets"), Some("2"));
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}

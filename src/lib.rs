@@ -72,15 +72,15 @@ pub use ringjoin_core::{
     pair_keys, rcj_brute, rcj_brute_self, rcj_join, rcj_join_into, rcj_self_join,
     rcj_self_join_into, rcj_self_stream, rcj_self_stream_by_diameter, rcj_stream,
     rcj_stream_by_diameter, sort_by_diameter, DatasetHandle, Engine, EngineError, Executor,
-    IndexKind, IndexProbe, OuterOrder, PairSink, Plan, QueryBuilder, RcjAlgorithm, RcjIndex,
-    RcjOptions, RcjOutput, RcjPair, RcjStats, RcjStream,
+    IndexKind, IndexProbe, Mutation, OuterOrder, PairSink, Plan, QueryBuilder, RcjAlgorithm,
+    RcjIndex, RcjOptions, RcjOutput, RcjPair, RcjStats, RcjStream,
 };
 pub use ringjoin_datagen::{gaussian_clusters, gnis_like, uniform, GnisDataset};
 pub use ringjoin_geom::{pt, Circle, HalfPlane, Metric, Point, Rect};
 pub use ringjoin_rtree::{bulk_load, bulk_load_with, Item, RTree, RTreeConfig};
 pub use ringjoin_server::{
-    Client, Mutation, RingBounds, Server, ServerConfig, ShardWorkerServer, ShardedEngine,
-    TopologyConfig, UpdateInfo, WorkerHandle, WorkerSpec,
+    Client, RingBounds, Server, ServerConfig, ShardWorkerServer, ShardedEngine, TopologyConfig,
+    UpdateInfo, WorkerHandle, WorkerSpec,
 };
 pub use ringjoin_spatialjoin::{epsilon_join, k_closest_pairs, knn_join, precision_recall};
 pub use ringjoin_storage::{

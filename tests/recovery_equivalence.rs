@@ -81,15 +81,11 @@ fn oracle_join(p: &[Item], q: &[Item], history: &[Vec<Mutation>]) -> Vec<RcjPair
     engine.load("p", p.to_vec()).index(IndexKind::Rtree);
     engine.load("q", q.to_vec()).index(IndexKind::Rtree);
     for ops in history {
-        let mut batch = engine.update("p");
-        for op in ops {
-            batch = match *op {
-                Mutation::Insert(it) => batch.insert([it]),
-                Mutation::Delete(id) => batch.delete([id]),
-                Mutation::Upsert(it) => batch.upsert([it]),
-            };
-        }
-        batch.apply().expect("oracle batch");
+        engine
+            .update("p")
+            .mutations(ops)
+            .apply()
+            .expect("oracle batch");
     }
     engine
         .query()

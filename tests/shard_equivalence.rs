@@ -435,15 +435,7 @@ fn remote_updates_replay_into_healed_workers() {
     let mut reference = Engine::new();
     reference.load("p", p.clone()).index(kind);
     reference.load("q", q.clone()).index(kind);
-    let mut oracle_batch = reference.update("p");
-    for op in &batch {
-        oracle_batch = match op {
-            Mutation::Insert(it) => oracle_batch.insert([*it]),
-            Mutation::Delete(id) => oracle_batch.delete([*id]),
-            Mutation::Upsert(it) => oracle_batch.upsert([*it]),
-        };
-    }
-    oracle_batch.apply().unwrap();
+    reference.update("p").mutations(&batch).apply().unwrap();
     let ref_out = reference.query().join("q", "p").collect().unwrap();
 
     let (se, fleet) = provisioned(2, 2);
