@@ -1016,15 +1016,24 @@ impl Plan<'_> {
     /// as a [`RcjStream::limit`], preserving the early exit per shard; a
     /// k-bounded merge of per-cell streams reproduces the unrestricted
     /// top-k answer.
-    pub fn stream_by_diameter_in(&self, q_region: Rect) -> RcjStream {
+    ///
+    /// Pages are read through the caller-supplied
+    /// [`BufferPool`](ringjoin_storage::BufferPool), as in
+    /// [`Plan::run_leaves_pooled`]: a shard's top-k stays within the
+    /// shard's page budget and is counted in the pool's hits and faults.
+    pub fn stream_by_diameter_in(
+        &self,
+        q_region: Rect,
+        pool: &ringjoin_storage::BufferPool,
+    ) -> RcjStream {
         let opts = self.options();
         let stream = if self.self_join {
             with_tree!(self.outer, |t| rcj_self_stream_by_diameter_in(
-                t, q_region, &opts
+                t, q_region, pool, &opts
             ))
         } else {
             with_tree_pair!(self.outer, self.inner, |tq, tp| {
-                rcj_stream_by_diameter_in(tq, tp, q_region, &opts)
+                rcj_stream_by_diameter_in(tq, tp, q_region, pool, &opts)
             })
         };
         match self.top_k {

@@ -401,7 +401,7 @@ impl ShardWorker {
             .ok_or_else(|| format!("shard has no dataset {outer:?}"))?;
         let cell = ds.cell;
         let plan = Self::plan(&self.engine, outer, inner, RcjAlgorithm::Auto, Some(k))?;
-        let mut stream = plan.stream_by_diameter_in(cell);
+        let mut stream = plan.stream_by_diameter_in(cell, &self.pool);
         let pairs: Vec<RcjPair> = stream.by_ref().collect();
         Ok(ShardReply::Ranked {
             pairs,
@@ -2052,8 +2052,16 @@ mod tests {
         let out = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
         assert_eq!(out.pairs, self_ref.pairs);
         assert_eq!(out.stats, self_ref.stats);
+        // A served top-k reads through the shards' 8-frame pool, within
+        // the page budget and counted in the pool's hits and faults.
+        let (hits, faults, _, _) = se.pool_stats();
         let topk = se.top_k_self("d", 9).unwrap();
         assert_eq!(topk.pairs, topk_ref.pairs);
+        let (hits_after, faults_after, _, _) = se.pool_stats();
+        assert!(
+            hits_after + faults_after > hits + faults,
+            "top-k bypassed the pool: {hits}+{faults} -> {hits_after}+{faults_after}"
+        );
         drop(se);
         drop(resident);
         std::fs::remove_dir_all(&dir).ok();

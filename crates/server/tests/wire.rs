@@ -6,6 +6,7 @@
 use ringjoin_core::{Engine, IndexKind, RcjAlgorithm};
 use ringjoin_geom::{pt, Item, Rect};
 use ringjoin_server::{Client, RingBounds, Server, ServerConfig};
+use std::collections::BTreeSet;
 
 fn items(n: usize, seed: u64, span: f64) -> Vec<Item> {
     ringjoin_testsupport::lcg_points(n, seed, span)
@@ -286,13 +287,104 @@ fn fresh_server_stats_are_finite_and_split_ok_from_err() {
     handle.join().unwrap();
 }
 
+/// The README's STATS schema table, as `(line, key)` pairs: `line` is
+/// `status`, `dataset row` or `shard row`.
+fn documented_stats_keys() -> BTreeSet<(String, String)> {
+    let readme = include_str!("../../../README.md");
+    let section = readme
+        .split("### STATS schema")
+        .nth(1)
+        .expect("README has a STATS schema section");
+    section
+        .lines()
+        .skip(1)
+        .take_while(|line| !line.starts_with('#'))
+        .filter(|line| line.starts_with("| `"))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let key = cells[1].trim_matches('`');
+            (cells[2].to_string(), key.to_string())
+        })
+        .collect()
+}
+
+/// Every STATS key the server emits is documented, and every documented
+/// key is emitted.
+#[test]
+fn stats_keys_match_the_documented_schema() {
+    use ringjoin_server::proto::Request;
+    let (addr, handle) = start(2);
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .load("p", IndexKind::Rtree, &items(120, 5, 900.0))
+        .unwrap();
+    let reply = client.request(&Request::Stats).unwrap();
+    let mut emitted: BTreeSet<(String, String)> = reply
+        .fields
+        .iter()
+        .filter(|(k, _)| k != "id")
+        .map(|(k, _)| ("status".to_string(), k.clone()))
+        .collect();
+    let keys_of = |row: &str| -> Vec<String> {
+        row.split_whitespace()
+            .filter_map(|token| token.split_once('=').map(|(k, _)| k.to_string()))
+            .collect()
+    };
+    let mut rows = (0, 0);
+    for row in reply.body.lines() {
+        if let Some(rest) = row.strip_prefix("dataset ") {
+            rows.0 += 1;
+            emitted.insert(("dataset row".into(), "dataset".into()));
+            for key in keys_of(rest) {
+                emitted.insert(("dataset row".into(), key));
+            }
+        } else {
+            rows.1 += 1;
+            for key in keys_of(row) {
+                // `shard3_state` is documented as `shard<i>_state`.
+                let digits = key.trim_start_matches("shard");
+                let suffix = digits.trim_start_matches(|c: char| c.is_ascii_digit());
+                assert!(
+                    key.starts_with("shard") && suffix.len() < digits.len(),
+                    "unexpected body row {row:?}"
+                );
+                emitted.insert(("shard row".into(), format!("shard<i>{suffix}")));
+            }
+        }
+    }
+    assert_eq!(rows, (1, 2), "one dataset row, one row per shard slot");
+    let status_keys = emitted.iter().filter(|(line, _)| line == "status");
+    assert_eq!(status_keys.count(), 23, "{:?}", reply.fields);
+    let documented = documented_stats_keys();
+    let undocumented: Vec<_> = emitted.difference(&documented).collect();
+    let missing: Vec<_> = documented.difference(&emitted).collect();
+    assert!(
+        undocumented.is_empty(),
+        "emitted but undocumented: {undocumented:?}"
+    );
+    assert!(
+        missing.is_empty(),
+        "documented but not emitted: {missing:?}"
+    );
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 /// Backpressure: with one admission slot and a zero-depth queue, a
 /// client whose join lands while another is running gets `ERR busy`
 /// plus a retry hint — never an unbounded wait.
+///
+/// The hog keeps the only slot busy until the probe has collided with
+/// it: it keeps a few joins pipelined and sends a fresh one per reply
+/// until the probe raises `probe_saw_busy`. A generous deadline is the
+/// only way the test can fail on a slow host.
 #[test]
 fn admission_queue_overflow_returns_busy() {
     use ringjoin_server::proto::Request;
     use ringjoin_server::ServerError;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
     let (addr, handle) = start_with(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         shards: 1,
@@ -308,49 +400,56 @@ fn admission_queue_overflow_returns_busy() {
         .load("q", IndexKind::Rtree, &items(400, 67, 1500.0))
         .unwrap();
 
-    // The hog pipelines a burst of joins, keeping the only slot busy.
-    let mut hog = Client::connect(addr).unwrap();
-    let join_req = Request::Join {
-        outer: "q".to_string(),
-        inner: "p".to_string(),
-        algo: RcjAlgorithm::Auto,
-        bounds: None,
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let probe_saw_busy = Arc::new(AtomicBool::new(false));
+    let hog = {
+        let probe_saw_busy = Arc::clone(&probe_saw_busy);
+        std::thread::spawn(move || {
+            let mut hog = Client::connect(addr).unwrap();
+            let join_req = Request::Join {
+                outer: "q".to_string(),
+                inner: "p".to_string(),
+                algo: RcjAlgorithm::Auto,
+                bounds: None,
+            };
+            const PIPELINED: usize = 4;
+            let mut pending = std::collections::VecDeque::new();
+            for _ in 0..PIPELINED {
+                pending.push_back(hog.send(&join_req).unwrap());
+            }
+            // Each reply is either a result or a busy rejection (the
+            // probe may have held the slot) — in-order ids either way.
+            while let Some(id) = pending.pop_front() {
+                let (reply_id, outcome) = hog.recv().unwrap();
+                assert_eq!(reply_id, Some(id));
+                match outcome {
+                    Ok(_) | Err(ServerError::Busy { .. }) => {}
+                    Err(other) => panic!("unexpected error: {other:?}"),
+                }
+                if !probe_saw_busy.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    pending.push_back(hog.send(&join_req).unwrap());
+                }
+            }
+            // The session stays usable.
+            let after = hog.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
+            assert!(!after.pairs.is_empty());
+        })
     };
-    const BURST: usize = 24;
-    let mut hog_ids = Vec::new();
-    for _ in 0..BURST {
-        hog_ids.push(hog.send(&join_req).unwrap());
-    }
 
     // The probe keeps asking until it collides with the hog.
     let mut probe = Client::connect(addr).unwrap();
     let mut saw_busy = None;
-    for _ in 0..200 {
+    while saw_busy.is_none() && Instant::now() < deadline {
         match probe.join("q", "p", RcjAlgorithm::Auto, None) {
-            Err(ServerError::Busy { retry_after_ms }) => {
-                saw_busy = Some(retry_after_ms);
-                break;
-            }
+            Err(ServerError::Busy { retry_after_ms }) => saw_busy = Some(retry_after_ms),
             Err(other) => panic!("unexpected error: {other:?}"),
             Ok(_) => {}
         }
     }
-    let retry_after_ms = saw_busy.expect("probe never saw ERR busy during the hog's burst");
+    probe_saw_busy.store(true, Ordering::SeqCst);
+    hog.join().unwrap();
+    let retry_after_ms = saw_busy.expect("probe never saw ERR busy before the deadline");
     assert!(retry_after_ms > 0, "busy must carry a retry hint");
-
-    // The hog drains its replies: each is either a result or a busy
-    // rejection (the probe may have held the slot) — in-order ids
-    // either way, and the session stays usable.
-    for id in hog_ids {
-        let (reply_id, outcome) = hog.recv().unwrap();
-        assert_eq!(reply_id, Some(id));
-        match outcome {
-            Ok(_) | Err(ServerError::Busy { .. }) => {}
-            Err(other) => panic!("unexpected error: {other:?}"),
-        }
-    }
-    let after = hog.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
-    assert!(!after.pairs.is_empty());
 
     loader.shutdown().unwrap();
     handle.join().unwrap();

@@ -11,7 +11,8 @@
 //! stand (e.g., which metro exit to take).
 
 use ringjoin::{
-    bulk_load, gnis_like, rcj_join, sort_by_diameter, GnisDataset, MemDisk, Pager, RcjOptions,
+    bulk_load, gnis_like, rcj_by_diameter, rcj_join, sort_by_diameter, GnisDataset, MemDisk, Pager,
+    RcjOptions, RcjPair,
 };
 
 fn main() {
@@ -47,6 +48,11 @@ fn main() {
     for w in out.pairs.windows(2) {
         assert!(w[0].diameter() <= w[1].diameter());
     }
+
+    // A browsing UI only needs the first page: the diameter-ordered
+    // stream yields the same ten pairs without computing the whole join.
+    let top10: Vec<RcjPair> = rcj_by_diameter(&tp, &tq).take(10).collect();
+    assert_eq!(top10, out.pairs[..10]);
 
     // Filtering on the fly (the paper's browsing scenario): only pairs
     // whose center is near the tourist's hotel.

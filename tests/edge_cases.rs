@@ -2,9 +2,11 @@
 //! inputs, and ablation claims that deserve assertions rather than just
 //! bench numbers.
 
+use ringjoin::quadtree::QuadTree;
 use ringjoin::{
-    bulk_load, pair_keys, pt, rcj_brute_self, rcj_join, rcj_self_join, uniform, Executor, Item,
-    MemDisk, OuterOrder, Pager, RcjOptions,
+    bulk_load, pair_keys, pt, rcj_brute_self, rcj_join, rcj_self_join, rcj_self_stream_by_diameter,
+    rcj_stream_by_diameter, sort_by_diameter, uniform, Executor, Item, MemDisk, OuterOrder, Pager,
+    RcjIndex, RcjOptions, RcjPair, Rect,
 };
 
 #[test]
@@ -169,7 +171,7 @@ fn grid_data_with_massive_cocircularity() {
         .collect();
     let expect = pair_keys(&ringjoin::rcj_brute(&ps, &qs));
     let pager = Pager::new(MemDisk::new(1024), 64).into_shared();
-    let tp = bulk_load(pager.clone(), ps);
+    let tp = bulk_load(pager.clone(), ps.clone());
     let tq = bulk_load(pager.clone(), qs);
     for algo in [
         ringjoin::RcjAlgorithm::Inj,
@@ -179,4 +181,44 @@ fn grid_data_with_massive_cocircularity() {
         let out = rcj_join(&tq, &tp, &RcjOptions::algorithm(algo));
         assert_eq!(pair_keys(&out.pairs), expect, "{}", algo.name());
     }
+
+    // The diameter stream prunes with the same strict-interior test, so
+    // every pruning decision here sits on a circle boundary: drained and
+    // cut at k, it must equal the sorted full join, ties included.
+    let opts = RcjOptions::default();
+    let mut sorted = rcj_join(&tq, &tp, &opts).pairs;
+    sort_by_diameter(&mut sorted);
+    let drained: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &opts).collect();
+    assert_eq!(drained, sorted);
+    for k in [1, 10] {
+        let top: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &opts).limit(k).collect();
+        assert_eq!(top, sorted[..k], "k = {k}");
+    }
+
+    // Self-join streams over the grid plus co-located duplicates, on
+    // both indexes.
+    let twins: Vec<Item> = (0..12)
+        .map(|i| Item::new(100 + i, ps[(i * 7) as usize].point))
+        .collect();
+    let items: Vec<Item> = ps.into_iter().chain(twins).collect();
+    let expect = pair_keys(&rcj_brute_self(&items));
+    let rtree = bulk_load(pager.clone(), items.clone());
+    let mut quad = QuadTree::new(pager, Rect::new(pt(-1.0, -1.0), pt(11.0, 11.0)));
+    for it in &items {
+        quad.insert(it.id, it.point);
+    }
+    fn check_self_stream<I: RcjIndex>(tree: &I, expect: &[(u64, u64)], index: &str) {
+        let opts = RcjOptions::default();
+        let mut sorted = rcj_self_join(tree, &opts).pairs;
+        assert_eq!(pair_keys(&sorted), expect, "{index}");
+        sort_by_diameter(&mut sorted);
+        let drained: Vec<RcjPair> = rcj_self_stream_by_diameter(tree, &opts).collect();
+        assert_eq!(drained, sorted, "{index}");
+        for k in [1, 10] {
+            let top: Vec<RcjPair> = rcj_self_stream_by_diameter(tree, &opts).limit(k).collect();
+            assert_eq!(top, sorted[..k], "{index}, k = {k}");
+        }
+    }
+    check_self_stream(&rtree, &expect, "rtree");
+    check_self_stream(&quad, &expect, "quadtree");
 }
