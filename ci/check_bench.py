@@ -7,13 +7,19 @@ regresses by more than the tolerance for any (combination, threads)
 entry. Logical reads are deterministic — the same code reads the same
 pages — so they gate reliably on shared runners, where wall-clock
 numbers are advisory noise (they are printed for context only).
-Read faults share the tolerance rather than an exact gate: with the
-shared buffer pool, two parallel workers racing on a cold page may both
-fault it, so parallel fault counts can wiggle by a handful of pages
-between runs — a >10% jump, by contrast, means the cache actually got
-worse (e.g. someone re-split it per worker). On disk-native recordings
-(`"storage": "on-disk"`) the fault gate is relaxed further to a
-residency invariant — whether the background prefetcher staged a page
+
+Sequential entries (`threads: 1`) are the paper's fault counts: one
+join through one LRU buffer, with no prefetcher and no scheduling, so
+their `logical_reads` and `read_faults` must equal the baseline
+exactly, in either storage mode.
+
+Parallel read faults share the tolerance rather than an exact gate:
+the order in which workers touch the shared buffer pool varies between
+runs, so parallel fault counts can wiggle by a handful of pages — a
+>10% jump, by contrast, means the cache actually got worse (e.g.
+someone re-split it per worker). On disk-native recordings
+(`"storage": "on-disk"`) the parallel fault gate is relaxed further to
+a residency invariant — whether the background prefetcher staged a page
 before the worker asked for it is scheduling-timing dependent, so the
 hit/fault *split* is not reproducible, only the accounting identity
 `read_hits + read_faults == logical_reads` and `prefetch_hits <=
@@ -120,10 +126,19 @@ def check_scaling(baseline_path: str, fresh_path: str, tolerance: float) -> None
                 f"quarter-size budget that never faults means the budget is "
                 f"not being enforced"
             )
-        # The fault split is prefetch-timing dependent whenever the page
-        # space is a real file, so those entries keep only the invariants
-        # above plus the deterministic logical_reads gate.
-        fault_gated = not on_disk and not ooc
+        # A sequential run replays one LRU with no prefetcher: its counts
+        # are exact in either storage mode.
+        if key[1] == 1:
+            for counter in ("logical_reads", "read_faults"):
+                if f[counter] != b[counter]:
+                    regressions.append(
+                        f"{key}: sequential {counter} changed {b[counter]} -> "
+                        f"{f[counter]} (must equal the baseline exactly)"
+                    )
+        # The parallel fault split is prefetch-timing dependent whenever
+        # the page space is a real file, so those entries keep only the
+        # invariants above plus the deterministic logical_reads gate.
+        fault_gated = key[1] == 1 or (not on_disk and not ooc)
         for counter in ("logical_reads", "read_faults", "result_pairs"):
             if b.get(counter, 0) == 0:
                 continue

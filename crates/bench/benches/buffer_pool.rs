@@ -1,6 +1,6 @@
-//! Micro-benchmarks of the shared sharded buffer pool: the hit, miss
-//! and eviction paths that sit on every parallel page access, single-
-//! threaded and under 8-way contention.
+//! Micro-benchmarks of the shared exact-LRU buffer pool: the hit, miss
+//! and eviction paths that sit on every pooled page access, single-
+//! threaded and under 8-way contention on its one lock.
 //!
 //! The pool is bookkeeping-only (bytes are served from the immutable
 //! snapshot), so these numbers bound the *accounting overhead* the
@@ -31,7 +31,7 @@ fn bench_single_thread(c: &mut Criterion) {
     });
 
     // Pure miss/eviction path: a cyclic scan over twice the capacity
-    // defeats the clock, so every access faults and evicts.
+    // defeats the LRU, so every access faults and evicts.
     g.bench_function("miss_evict_cyclic_scan", |b| {
         let pool = BufferPool::new(SCAN as usize / 2);
         b.iter(|| {
@@ -48,8 +48,8 @@ fn bench_contended(c: &mut Criterion) {
     let mut g = c.benchmark_group("buffer_pool_8threads");
     g.sample_size(10);
 
-    // 8 workers hammering one warm pool: measures lock-stripe
-    // contention on the hit path (each worker scans the same pages).
+    // 8 workers hammering one warm pool: measures lock contention on
+    // the hit path (each worker scans the same pages).
     g.bench_function("hit_scan_warm_shared", |b| {
         let pool = BufferPool::new(SCAN as usize * 2);
         for i in 0..SCAN {
@@ -69,8 +69,8 @@ fn bench_contended(c: &mut Criterion) {
         })
     });
 
-    // 8 workers evicting concurrently: the worst case for the striped
-    // locks (every access mutates a shard).
+    // 8 workers evicting concurrently: the worst case for the lock
+    // (every access mutates the recency list).
     g.bench_function("miss_evict_cyclic_shared", |b| {
         let pool = BufferPool::new(SCAN as usize / 2);
         b.iter(|| {

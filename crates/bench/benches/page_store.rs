@@ -50,28 +50,28 @@ fn bench_page_store(c: &mut Criterion) {
     });
 
     // Every load faults: a cyclic scan over twice the pool's capacity
-    // defeats the clock sweep, so each access evicts a frame and reads
+    // defeats the LRU, so each access evicts a frame and reads
     // the file on demand.
     g.bench_function("pool_fault_cyclic", |b| {
         let pool = BufferPool::new(SCAN as usize / 2);
         b.iter(|| {
             for i in 0..SCAN {
-                black_box(pool.load(black_box(PageId(i)), &store));
+                black_box(pool.load(0, black_box(PageId(i)), &store));
             }
         })
     });
 
     // Every load hits: the pool holds the whole file, so after the
-    // warm-up pass each access is one striped-lock probe plus an `Arc`
+    // warm-up pass each access is one locked probe plus an `Arc`
     // clone of the frame's bytes.
     g.bench_function("pool_hit_warm", |b| {
         let pool = BufferPool::new(SCAN as usize * 2);
         for i in 0..SCAN {
-            pool.load(PageId(i), &store);
+            pool.load(0, PageId(i), &store);
         }
         b.iter(|| {
             for i in 0..SCAN {
-                black_box(pool.load(black_box(PageId(i)), &store));
+                black_box(pool.load(0, black_box(PageId(i)), &store));
             }
         })
     });
@@ -83,8 +83,8 @@ fn bench_page_store(c: &mut Criterion) {
         let pool = BufferPool::new(SCAN as usize / 2);
         b.iter(|| {
             for i in 0..SCAN {
-                pool.prefetch(PageId(i), &store);
-                black_box(pool.load(black_box(PageId(i)), &store));
+                pool.prefetch(0, PageId(i), &store);
+                black_box(pool.load(0, black_box(PageId(i)), &store));
             }
         })
     });

@@ -60,7 +60,7 @@ impl Workload {
 
     /// Moves the workload's page space into an on-disk page file: after
     /// this every buffer miss is a real file read, for both the
-    /// sequential LRU path and the pool-framed parallel path.
+    /// sequential pager path and the pooled parallel path.
     pub fn spill_to(&self, path: &std::path::Path) {
         self.pager
             .borrow_mut()

@@ -26,8 +26,8 @@
 //! verbatim.
 
 use crate::join::{
-    leaf_regions, rcj_join, rcj_join_leaves_into, rcj_join_leaves_pooled, rcj_self_join,
-    rcj_self_join_leaves_into, rcj_self_join_leaves_pooled, RcjAlgorithm, RcjOptions, RcjOutput,
+    leaf_regions, rcj_join, rcj_join_leaves_pooled, rcj_self_join, rcj_self_join_leaves_pooled,
+    RcjAlgorithm, RcjOptions, RcjOutput,
 };
 use crate::planner::{DatasetSummary, JoinCostModel, PlanEstimate};
 use crate::stats::RcjStats;
@@ -965,31 +965,24 @@ impl Plan<'_> {
     /// per-run [`RcjStats`] merging to the sequential totals. The subset
     /// runs sequentially in-thread (the caller owns the parallelism) and
     /// any `top_k` bound on the plan is ignored — top-k shards use
-    /// [`Plan::stream_by_diameter_in`] instead.
+    /// [`Plan::stream_by_diameter_in`] instead. Pages are counted in the
+    /// engine pager's buffer.
     pub fn run_leaves(&self, positions: &[usize], sink: &mut dyn TaggedPairSink) -> RcjStats {
-        let opts = self.options();
-        if self.self_join {
-            with_tree!(self.outer, |t| rcj_self_join_leaves_into(
-                t, positions, &opts, sink
-            ))
-        } else {
-            with_tree_pair!(self.outer, self.inner, |tq, tp| rcj_join_leaves_into(
-                tq, tp, positions, &opts, sink
-            ))
-        }
+        let pool = with_tree!(self.outer, |t| t.pager().borrow().pool().clone());
+        self.run_leaves_pooled(positions, &pool, sink)
     }
 
     /// [`Plan::run_leaves`] with page accounting routed through a
     /// caller-supplied shared
     /// [`BufferPool`](ringjoin_storage::BufferPool) instead of the
-    /// engine pager's LRU.
+    /// engine pager's.
     ///
     /// Engine datasets all live in one pager, so the run reads a single
-    /// cached snapshot through the pool; per-run I/O counters are
-    /// absorbed back into the engine pager on return. This is how the
-    /// sharded server keeps its replicas on **one** warm cache: every
-    /// shard passes the same pool, and pages faulted by one shard's
-    /// leaf subset are hits for the next.
+    /// cached snapshot (or the page store, on disk) through the pool;
+    /// per-run I/O counters are absorbed back into the engine pager on
+    /// return. This is how the sharded server keeps its replicas on
+    /// **one** warm cache: every shard passes the same pool, and pages
+    /// faulted by one shard's leaf subset are hits for the next.
     pub fn run_leaves_pooled(
         &self,
         positions: &[usize],
@@ -1312,6 +1305,42 @@ mod tests {
             let streamed: Vec<RcjPair> = plan.stream().collect();
             assert_eq!(streamed, collected.pairs, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn updates_do_not_grow_an_unbounded_pool() {
+        // Recency-only frames are keyed by page, not by (epoch, page): a
+        // resident dataset joined after each of many one-point batches
+        // keeps at most one frame per page, in the caller's pool and in
+        // the pager's own buffer alike.
+        let mut engine = Engine::new();
+        engine
+            .load("p", points(1500, 83, 3000.0))
+            .index(IndexKind::Rtree);
+        engine
+            .load("q", points(1500, 89, 3000.0))
+            .index(IndexKind::Rtree);
+        let pool = ringjoin_storage::BufferPool::new(usize::MAX / 2);
+        for i in 0..50u64 {
+            engine
+                .update("p")
+                .upsert([Item::new(i, pt(i as f64 * 7.0, 11.0))])
+                .apply()
+                .unwrap();
+            let all: Vec<usize> = (0..engine.leaf_regions("q").unwrap().len()).collect();
+            let plan = engine.query().join("q", "p").plan().unwrap();
+            let mut sink: Vec<(usize, RcjPair)> = Vec::new();
+            plan.run_leaves_pooled(&all, &pool, &mut sink);
+        }
+        let pager = engine.pager();
+        let pages = pager.borrow().num_pages() as usize;
+        assert!(
+            pool.len() <= pages,
+            "{} frames for {pages} pages",
+            pool.len()
+        );
+        let own = pager.borrow().pool().len();
+        assert!(own <= pages, "{own} pager frames for {pages} pages");
     }
 
     #[test]

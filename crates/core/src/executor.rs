@@ -11,11 +11,11 @@
 //!   the `Arc`-shared read-only
 //!   [`PageSnapshot`](ringjoin_storage::PageSnapshot) through a
 //!   [`PooledPager`](ringjoin_storage::PooledPager) accounting into the
-//!   pager's cached [shared pool](ringjoin_storage::Pager::shared_pool)
-//!   — a sharded clock-sweep cache at the **same total budget** as the
-//!   sequential LRU. Hot inner nodes faulted by one worker are hits for
-//!   every other worker (and for later runs: the pool stays warm across
-//!   joins over an unmodified pager).
+//!   pager's own [buffer pool](ringjoin_storage::Pager::pool) — the
+//!   exact-LRU cache sequential runs read through, at the **same total
+//!   budget**. Hot inner nodes faulted by one worker are hits for every
+//!   other worker (and for later runs: the pool stays warm across joins
+//!   over an unmodified pager).
 //! * **Work stealing, merged by leaf index.** The outer leaf list is
 //!   seeded into per-worker deques as contiguous chunks weighted by
 //!   **leaf spatial extent** (a cheap locality-aware proxy for work on
@@ -28,13 +28,15 @@
 //!   regardless of which worker processed which leaf — the same merge
 //!   contract the sharded server uses.
 //!
-//! Per-worker [`RcjStats`] and [`IoStats`] are plain sums over leaf
-//! groups, so merging them ([`RcjStats::merge`],
-//! [`Pager::absorb`](ringjoin_storage::Pager::absorb)) yields the exact
-//! sequential totals — parallel CPU counters and `logical_reads` are
-//! deterministic; only the hit/fault split varies with scheduling (two
-//! workers racing on a cold page may both fault it), which is why the
-//! bench guard gates faults with a tolerance and logical reads exactly.
+//! Per-worker [`RcjStats`] and [`IoStats`](ringjoin_storage::IoStats)
+//! are plain sums over leaf groups, so merging them
+//! ([`RcjStats::merge`], [`Pager::absorb`](ringjoin_storage::Pager::absorb))
+//! yields the exact sequential totals — parallel CPU counters and
+//! `logical_reads` are deterministic; only the hit/fault split varies
+//! with scheduling (the order in which workers touch the one LRU, and
+//! two workers racing on a cold store page may both fault it), which is
+//! why the bench guard gates parallel faults with a tolerance and
+//! sequential faults and all logical reads exactly.
 //!
 //! Workers are plain `std::thread::scope` threads. Pairs leave the
 //! executor through the caller's [`PairSink`](crate::PairSink); the
@@ -45,7 +47,7 @@ use crate::index::{IndexProbe, NodeRef};
 use crate::join::{leaf_items, process_leaf, RcjOptions, TagAdapter};
 use crate::stats::RcjStats;
 use crate::stream::PairSink;
-use ringjoin_storage::{IoStats, PageAccess, PageId, PooledPager, Prefetcher, SharedPager};
+use ringjoin_storage::{BufferPool, PageAccess, PageId, PooledPager, Prefetcher, SharedPager};
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Mutex;
@@ -150,6 +152,66 @@ impl Pagers<'_> {
         match self {
             Pagers::Shared(pg) => *pg,
             Pagers::Split { p, .. } => *p,
+        }
+    }
+}
+
+/// A reader's private handles on the pages of a join's two trees: one
+/// [`PooledPager`] per distinct pager, pinned to the pager's page source
+/// and epoch at the time of [`Readers::pin`], so a mutation batch landing
+/// mid-run cannot change what the reader sees.
+///
+/// Cloning a set that has not read yet gives another reader over the
+/// same sources, pools and epochs (a parallel worker);
+/// [`Readers::absorb`] folds a set's I/O counters back into the pagers.
+#[derive(Clone)]
+pub(crate) struct Readers {
+    q: PooledPager,
+    /// `None` when both trees share a pager (always for self-joins): the
+    /// outer handle serves both sides, as one pager serves both
+    /// sequentially.
+    p: Option<PooledPager>,
+}
+
+impl Readers {
+    /// Pins `pager_q` and, if it is a different pager, `pager_p`. The
+    /// handles account through `pool`, or through each pager's own
+    /// buffer when `pool` is `None`.
+    pub(crate) fn pin(
+        pager_q: &SharedPager,
+        pager_p: &SharedPager,
+        pool: Option<&BufferPool>,
+    ) -> Readers {
+        let pin = |pager: &SharedPager| {
+            let mut pg = pager.borrow_mut();
+            let pool = pool.unwrap_or(pg.pool()).clone();
+            PooledPager::new(pg.page_source(), pool, pg.epoch())
+        };
+        Readers {
+            q: pin(pager_q),
+            p: (!Rc::ptr_eq(pager_q, pager_p)).then(|| pin(pager_p)),
+        }
+    }
+
+    /// The handles as the per-leaf driver takes them.
+    pub(crate) fn pagers(&mut self) -> Pagers<'_> {
+        match &mut self.p {
+            None => Pagers::Shared(&mut self.q),
+            Some(p) => Pagers::Split { q: &mut self.q, p },
+        }
+    }
+
+    /// A background stager for the outer tree's pages, when they live
+    /// in a page store.
+    pub(crate) fn prefetcher(&self) -> Option<Prefetcher> {
+        self.q.prefetcher()
+    }
+
+    /// Adds the handles' I/O counters to the pagers they read.
+    pub(crate) fn absorb(&self, pager_q: &SharedPager, pager_p: &SharedPager) {
+        pager_q.borrow_mut().absorb(self.q.stats());
+        if let Some(p) = &self.p {
+            pager_p.borrow_mut().absorb(p.stats());
         }
     }
 }
@@ -313,8 +375,7 @@ struct WorkerOutput {
     /// scheduled leaf list.
     tagged: Vec<(usize, crate::RcjPair)>,
     stats: RcjStats,
-    io_q: IoStats,
-    io_p: Option<IoStats>,
+    readers: Readers,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -329,53 +390,33 @@ fn run_parallel<PQ: IndexProbe, PP: IndexProbe>(
     opts: &RcjOptions,
     sink: &mut dyn PairSink,
 ) -> RcjStats {
-    // One page source and one shared pool per distinct pager: trees
-    // sharing a pager (the paper's setup, and every self-join) share
-    // both, exactly as they share one LRU buffer sequentially. The pool
-    // is cached in the pager, so repeated runs keep it warm. A
-    // disk-native pager hands out its store instead of a resident
-    // snapshot — the pool's frames become the only RAM copy.
-    let one_pager = Rc::ptr_eq(&pager_q, &pager_p);
-    let (source_q, pool_q, epoch_q) = {
-        let mut pg = pager_q.borrow_mut();
-        (pg.page_source(), pg.shared_pool(), pg.epoch())
-    };
-    let source_pool_p = if one_pager {
-        None
-    } else {
-        let mut pg = pager_p.borrow_mut();
-        Some((pg.page_source(), pg.shared_pool(), pg.epoch()))
-    };
+    // Workers read each pager's page source through its own buffer:
+    // trees sharing a pager (the paper's setup, and every self-join)
+    // share both, exactly as they share one LRU buffer sequentially,
+    // and the buffer stays warm across runs. A disk-native pager hands
+    // out its store instead of a resident snapshot — the pool's frames
+    // become the only RAM copy.
+    let pinned = Readers::pin(&pager_q, &pager_p, None);
 
     // The prefetch schedule rides on the outer (`T_Q`) store: the
     // extent-weighted chunks the workers claim are known in advance, so
     // a background thread can stage each worker's upcoming leaf pages
     // while it verifies the current ones.
-    let prefetcher = source_q.store().map(|store| {
-        Prefetcher::spawn_versioned(pool_q.clone(), std::sync::Arc::clone(store), epoch_q)
-    });
+    let prefetcher = pinned.prefetcher();
 
     let queues = seed_queues(leaves, workers);
 
     let results: Vec<WorkerOutput> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let source_q = source_q.clone();
-                let source_pool_p = source_pool_p.clone();
-                let pool_q = pool_q.clone();
+                let mut readers = pinned.clone();
                 let queues = &queues;
                 let prefetcher = prefetcher.as_ref();
                 scope.spawn(move || {
                     let mut tagged: Vec<(usize, crate::RcjPair)> = Vec::new();
                     let mut stats = RcjStats::default();
-                    let mut wq = PooledPager::versioned(source_q, pool_q, epoch_q);
-                    let mut wp =
-                        source_pool_p.map(|(s, pool, e)| PooledPager::versioned(s, pool, e));
                     {
-                        let mut pagers = match wp.as_mut() {
-                            None => Pagers::Shared(&mut wq),
-                            Some(wp) => Pagers::Split { q: &mut wq, p: wp },
-                        };
+                        let mut pagers = readers.pagers();
                         // Claims until the next lookahead refresh: each
                         // refresh stages the next window of this
                         // worker's own deque (steals land on the tail,
@@ -417,8 +458,7 @@ fn run_parallel<PQ: IndexProbe, PP: IndexProbe>(
                     WorkerOutput {
                         tagged,
                         stats,
-                        io_q: wq.stats(),
-                        io_p: wp.map(|w| w.stats()),
+                        readers,
                     }
                 })
             })
@@ -439,10 +479,7 @@ fn run_parallel<PQ: IndexProbe, PP: IndexProbe>(
     let mut merged: Vec<(usize, crate::RcjPair)> = Vec::new();
     for w in results {
         stats.merge(w.stats);
-        pager_q.borrow_mut().absorb(w.io_q);
-        if let Some(io) = w.io_p {
-            pager_p.borrow_mut().absorb(io);
-        }
+        w.readers.absorb(&pager_q, &pager_p);
         merged.extend(w.tagged);
     }
     merged.sort_by_key(|(leaf, _)| *leaf);

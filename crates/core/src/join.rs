@@ -7,8 +7,9 @@
 //! [`IndexProbe`](crate::IndexProbe). Execution is delegated to the
 //! [`executor`](crate::executor): leaf groups of the outer tree are
 //! processed either sequentially through the shared pager or split into
-//! contiguous depth-first chunks across worker threads, with results
-//! merged deterministically so both modes produce identical output.
+//! contiguous depth-first chunks across worker threads reading through
+//! the pager's buffer, with results merged deterministically so both
+//! modes produce identical output and count in one LRU.
 //!
 //! Result pairs are *emitted*, not materialised: every driver reports
 //! through a [`PairSink`](crate::PairSink), and a plain `Vec<RcjPair>`
@@ -20,7 +21,7 @@
 //! [`RcjAlgorithm::Auto`] defers the algorithm choice to the
 //! [`planner`](crate::planner)'s calibrated cost model.
 
-use crate::executor::{execute, Pagers};
+use crate::executor::{execute, Pagers, Readers};
 use crate::filter::{bulk_filter_with, filter_with};
 use crate::index::{IndexEntry, IndexProbe, NodeRef, RcjIndex};
 use crate::pair::RcjPair;
@@ -266,7 +267,7 @@ fn run_into<IQ: RcjIndex, IP: RcjIndex>(
 /// order [`rcj_join`]'s drivers process them in (with the default
 /// [`OuterOrder::DepthFirst`]), so the position of a region in this list
 /// is the leaf group's **global leaf index**: the partition key of
-/// [`rcj_join_leaves_into`] and the merge key sharded executions order
+/// [`rcj_join_leaves_pooled`] and the merge key sharded executions order
 /// their results by.
 ///
 /// Each region is the *tight* MBR of the group's data items, not the
@@ -307,7 +308,7 @@ impl PairSink for TagAdapter<'_> {
 
 /// Runs the RCJ drivers over an explicit **subset** of the outer tree's
 /// leaf groups, emitting each pair tagged with the global leaf index
-/// that produced it.
+/// that produced it, with page reads counted in `pool`.
 ///
 /// `positions` index into the depth-first leaf list (the order of
 /// [`leaf_regions`]); out-of-range positions are ignored. Because every
@@ -316,47 +317,24 @@ impl PairSink for TagAdapter<'_> {
 /// the tagged results by leaf index reproduces the full
 /// [`rcj_join`] output *byte for byte*, and the per-run [`RcjStats`]
 /// [merge](RcjStats::merge) to the sequential totals. This is the
-/// primitive a space-partitioned shard router executes per shard.
-///
-/// The subset is processed sequentially in-thread (the caller owns the
+/// primitive a space-partitioned shard router executes per shard. The
+/// subset is processed sequentially in-thread (the caller owns the
 /// parallelism); a sink returning `false` stops the run early.
-pub fn rcj_join_leaves_into<IQ: RcjIndex, IP: RcjIndex>(
-    tq: &IQ,
-    tp: &IP,
-    positions: &[usize],
-    opts: &RcjOptions,
-    sink: &mut dyn TaggedPairSink,
-) -> RcjStats {
-    run_leaf_subset(tq, tp, false, positions, opts, sink)
-}
-
-/// Self-join variant of [`rcj_join_leaves_into`]; see there for the
-/// partitioning contract.
-pub fn rcj_self_join_leaves_into<I: RcjIndex>(
-    tree: &I,
-    positions: &[usize],
-    opts: &RcjOptions,
-    sink: &mut dyn TaggedPairSink,
-) -> RcjStats {
-    run_leaf_subset(tree, tree, true, positions, opts, sink)
-}
-
-/// [`rcj_join_leaves_into`] with page accounting routed through a
-/// caller-supplied shared [`BufferPool`](ringjoin_storage::BufferPool)
-/// instead of the owning pagers'
-/// LRU buffers.
 ///
-/// This is the per-shard hot path of the sharded server: every shard
-/// replica accounts into **one** pool, so inner-tree pages faulted by
-/// one shard's run are warm for every other shard (the replicas are
-/// built identically, so their page-id spaces coincide). Reads go
-/// through cached [snapshots](ringjoin_storage::Pager::snapshot) and
-/// the per-run [`IoStats`](ringjoin_storage::IoStats) are absorbed back
-/// into the owning pager(s) on return, exactly like a parallel
-/// executor worker's. When the two trees live in *different* pagers
-/// they share the one pool — results stay exact (bytes always come
-/// from each side's own snapshot); only the hit/fault accounting
-/// conflates the two id spaces.
+/// Pass the pager's own [buffer](ringjoin_storage::Pager::pool) to
+/// count in the one LRU every other access path uses. The sharded
+/// server instead passes **one** pool to every shard replica, so
+/// inner-tree pages faulted by one shard's run are warm for every
+/// other shard (the replicas are built identically, so their page-id
+/// spaces coincide). Reads go through cached
+/// [snapshots](ringjoin_storage::Pager::snapshot) (or the page store of
+/// a disk-native pager), and the per-run
+/// [`IoStats`](ringjoin_storage::IoStats) are absorbed back into the
+/// owning pager(s) on return, exactly like a parallel executor
+/// worker's. When the two trees live in *different* pagers they share
+/// the one pool — results stay exact (bytes always come from each
+/// side's own source); only the hit/fault accounting conflates the two
+/// id spaces.
 pub fn rcj_join_leaves_pooled<IQ: RcjIndex, IP: RcjIndex>(
     tq: &IQ,
     tp: &IP,
@@ -379,24 +357,6 @@ pub fn rcj_self_join_leaves_pooled<I: RcjIndex>(
     run_leaf_subset_pooled(tree, tree, true, positions, pool, opts, sink)
 }
 
-fn run_leaf_subset<IQ: RcjIndex, IP: RcjIndex>(
-    tq: &IQ,
-    tp: &IP,
-    self_join: bool,
-    positions: &[usize],
-    opts: &RcjOptions,
-    sink: &mut dyn TaggedPairSink,
-) -> RcjStats {
-    let mut pgq = tq.pager();
-    let mut pgp = tp.pager();
-    let mut pagers = Pagers::Split {
-        q: &mut pgq,
-        p: &mut pgp,
-    };
-    leaf_subset_loop(tq, tp, self_join, positions, opts, &mut pagers, None, sink)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn run_leaf_subset_pooled<IQ: RcjIndex, IP: RcjIndex>(
     tq: &IQ,
     tp: &IP,
@@ -406,66 +366,6 @@ fn run_leaf_subset_pooled<IQ: RcjIndex, IP: RcjIndex>(
     opts: &RcjOptions,
     sink: &mut dyn TaggedPairSink,
 ) -> RcjStats {
-    let pager_q = tq.pager();
-    let pager_p = tp.pager();
-    let one_pager = std::rc::Rc::ptr_eq(&pager_q, &pager_p);
-    let (source_q, epoch_q) = {
-        let mut pg = pager_q.borrow_mut();
-        (pg.page_source(), pg.epoch())
-    };
-    let source_p = (!one_pager).then(|| {
-        let mut pg = pager_p.borrow_mut();
-        (pg.page_source(), pg.epoch())
-    });
-    // Disk-native replicas prefetch their upcoming outer leaves exactly
-    // like the executor's workers: the subset positions are this call's
-    // schedule.
-    let prefetcher = source_q.store().map(|store| {
-        ringjoin_storage::Prefetcher::spawn_versioned(
-            pool.clone(),
-            std::sync::Arc::clone(store),
-            epoch_q,
-        )
-    });
-    let mut wq = ringjoin_storage::PooledPager::versioned(source_q, pool.clone(), epoch_q);
-    let mut wp =
-        source_p.map(|(s, e)| ringjoin_storage::PooledPager::versioned(s, pool.clone(), e));
-    let stats = {
-        let mut pagers = match wp.as_mut() {
-            None => Pagers::Shared(&mut wq),
-            Some(wp) => Pagers::Split { q: &mut wq, p: wp },
-        };
-        leaf_subset_loop(
-            tq,
-            tp,
-            self_join,
-            positions,
-            opts,
-            &mut pagers,
-            prefetcher.as_ref(),
-            sink,
-        )
-    };
-    // Aggregate I/O exactly as the parallel executor does, so the
-    // owning pagers report the same totals under either access path.
-    pager_q.borrow_mut().absorb(wq.stats());
-    if let Some(wp) = wp {
-        pager_p.borrow_mut().absorb(wp.stats());
-    }
-    stats
-}
-
-#[allow(clippy::too_many_arguments)]
-fn leaf_subset_loop<IQ: RcjIndex, IP: RcjIndex>(
-    tq: &IQ,
-    tp: &IP,
-    self_join: bool,
-    positions: &[usize],
-    opts: &RcjOptions,
-    pagers: &mut Pagers<'_>,
-    prefetcher: Option<&ringjoin_storage::Prefetcher>,
-    sink: &mut dyn TaggedPairSink,
-) -> RcjStats {
     let opts = RcjOptions {
         algorithm: opts.algorithm.resolve(&tq.summary()),
         // Global leaf indices are only meaningful in depth-first order.
@@ -473,6 +373,13 @@ fn leaf_subset_loop<IQ: RcjIndex, IP: RcjIndex>(
         ..*opts
     };
     let leaves = outer_leaves(tq, &opts);
+    let (pager_q, pager_p) = (tq.pager(), tp.pager());
+    let mut readers = Readers::pin(&pager_q, &pager_p, Some(pool));
+    // Disk-native replicas prefetch their upcoming outer leaves exactly
+    // like the executor's workers: the subset positions are this call's
+    // schedule.
+    let prefetcher = readers.prefetcher();
+    let mut pagers = readers.pagers();
     let probe_q = tq.probe();
     let probe_p = tp.probe();
     let mut stats = RcjStats::default();
@@ -480,7 +387,7 @@ fn leaf_subset_loop<IQ: RcjIndex, IP: RcjIndex>(
     const LOOKAHEAD: usize = 16;
     let mut staged = 0usize;
     for (i, &pos) in positions.iter().enumerate() {
-        if let Some(pf) = prefetcher {
+        if let Some(pf) = &prefetcher {
             if i >= staged {
                 let upcoming: Vec<_> = positions[i..]
                     .iter()
@@ -502,7 +409,7 @@ fn leaf_subset_loop<IQ: RcjIndex, IP: RcjIndex>(
         if !process_leaf(
             &probe_q,
             &probe_p,
-            pagers,
+            &mut pagers,
             &items,
             self_join,
             &opts,
@@ -512,6 +419,9 @@ fn leaf_subset_loop<IQ: RcjIndex, IP: RcjIndex>(
             break;
         }
     }
+    // Aggregate I/O exactly as the parallel executor does, so the
+    // owning pagers report the same totals under either access path.
+    readers.absorb(&pager_q, &pager_p);
     stats
 }
 
@@ -892,13 +802,21 @@ mod tests {
 
         let regions = leaf_regions(&tq);
         assert!(regions.len() > 1, "workload too small to partition");
+        let pool = pg.borrow().pool().clone();
         // Split the leaf list into interleaved (non-contiguous) subsets:
         // the merge key is the tag, not the subset shape.
         let evens: Vec<usize> = (0..regions.len()).step_by(2).collect();
         let odds: Vec<usize> = (1..regions.len()).step_by(2).collect();
         let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
-        let mut stats = rcj_join_leaves_into(&tq, &tp, &odds, &opts, &mut tagged);
-        stats.merge(rcj_join_leaves_into(&tq, &tp, &evens, &opts, &mut tagged));
+        let mut stats = rcj_join_leaves_pooled(&tq, &tp, &odds, &pool, &opts, &mut tagged);
+        stats.merge(rcj_join_leaves_pooled(
+            &tq,
+            &tp,
+            &evens,
+            &pool,
+            &opts,
+            &mut tagged,
+        ));
         // Ordering by the global leaf index reproduces the sequential
         // output byte for byte, and the stats merge to its totals.
         tagged.sort_by_key(|(leaf, _)| *leaf);
@@ -907,7 +825,7 @@ mod tests {
         assert_eq!(stats, full.stats);
         // Out-of-range positions are ignored, not a panic.
         let mut none: Vec<(usize, RcjPair)> = Vec::new();
-        let s = rcj_join_leaves_into(&tq, &tp, &[regions.len() + 7], &opts, &mut none);
+        let s = rcj_join_leaves_pooled(&tq, &tp, &[regions.len() + 7], &pool, &opts, &mut none);
         assert!(none.is_empty());
         assert_eq!(s, RcjStats::default());
     }
@@ -920,13 +838,15 @@ mod tests {
         let opts = RcjOptions::default().with_executor(Executor::Sequential);
         let full = rcj_self_join(&tree, &opts);
         let n = leaf_regions(&tree).len();
+        let pool = pg.borrow().pool().clone();
         let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
         let mut stats = RcjStats::default();
         for start in 0..3usize {
             let subset: Vec<usize> = (start..n).step_by(3).collect();
-            stats.merge(rcj_self_join_leaves_into(
+            stats.merge(rcj_self_join_leaves_pooled(
                 &tree,
                 &subset,
+                &pool,
                 &opts,
                 &mut tagged,
             ));

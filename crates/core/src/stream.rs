@@ -19,9 +19,8 @@
 //!   * **parallel leaf order** — outer leaves are processed in *waves*
 //!     of `workers × 4` leaves on scoped threads over per-worker
 //!     [`PooledPager`](ringjoin_storage::PooledPager)s that all account
-//!     into the pager's cached
-//!     [shared pool](ringjoin_storage::Pager::shared_pool), merged by
-//!     chunk index. The pair sequence is **identical** to the
+//!     into the pager's [buffer pool](ringjoin_storage::Pager::pool),
+//!     merged by chunk index. The pair sequence is **identical** to the
 //!     sequential stream (and to [`rcj_join`](crate::rcj_join) under
 //!     either executor); memory stays bounded by one wave, and the
 //!     cache stays warm across waves and across runs;
@@ -51,17 +50,16 @@
 //! [`rcj_stream_by_diameter`] and [`rcj_self_stream_by_diameter`] build
 //! streams directly over trees.
 
-use crate::executor::Pagers;
+use crate::executor::Readers;
 use crate::index::{IndexEntry, IndexProbe, NodeRef, RcjIndex};
 use crate::join::{leaf_items, outer_leaves, process_leaf, RcjOptions};
 use crate::pair::RcjPair;
 use crate::stats::RcjStats;
 use crate::verify::verify_with;
 use ringjoin_geom::{Circle, Item, Point, Rect};
-use ringjoin_storage::{BufferPool, PooledPager, SharedPager};
+use ringjoin_storage::{BufferPool, SharedPager};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::rc::Rc;
 
 /// Receiver of RCJ result pairs.
 ///
@@ -86,7 +84,7 @@ impl PairSink for Vec<RcjPair> {
 /// index** that produced them.
 ///
 /// The tag is what makes distributed execution mergeable: a shard
-/// router runs [`rcj_join_leaves_into`](crate::rcj_join_leaves_into)
+/// router runs [`rcj_join_leaves_pooled`](crate::rcj_join_leaves_pooled)
 /// over disjoint leaf subsets and orders the union of tagged pairs by
 /// leaf index, reproducing the single-engine output byte for byte (the
 /// router adds its own shard id as provenance). Returning `false` asks
@@ -182,21 +180,12 @@ impl Iterator for RcjStream {
 // Leaf-order sources
 // ---------------------------------------------------------------------
 
-/// A private handle on `pager`'s page source at its current epoch,
-/// accounting through `pool` — the pager's own
-/// [shared pool](ringjoin_storage::Pager::shared_pool) when `None`.
-fn pin(pager: &SharedPager, pool: Option<&BufferPool>) -> PooledPager {
-    let mut pg = pager.borrow_mut();
-    let pool = pool.cloned().unwrap_or_else(|| pg.shared_pool());
-    PooledPager::versioned(pg.page_source(), pool, pg.epoch())
-}
-
 /// Sequential source: one outer leaf group per batch — the sequential
 /// executor, suspended between leaf groups.
 ///
 /// The source is **pinned to the epoch it was opened at**: construction
-/// captures each pager's page source, shared pool and current epoch into
-/// private [`PooledPager`] handles, so a mutation batch
+/// captures each pager's page source and current epoch into private
+/// [`Readers`] handles on the pager's buffer, so a mutation batch
 /// ([`Pager::begin_epoch`](ringjoin_storage::Pager::begin_epoch)) landing
 /// while the stream is suspended between batches cannot change what the
 /// remaining batches read — the stream drains the snapshot it started on.
@@ -207,11 +196,7 @@ struct SeqLeafSource<PQ: IndexProbe, PP: IndexProbe> {
     /// when the stream is dropped (consumed or abandoned).
     pager_q: SharedPager,
     pager_p: SharedPager,
-    /// Pinned outer-tree handle at stream-open epoch.
-    wq: PooledPager,
-    /// Pinned inner-tree handle; `None` when both trees share a pager
-    /// (always true for self-joins).
-    wp: Option<PooledPager>,
+    readers: Readers,
     leaves: Vec<NodeRef>,
     pos: usize,
     self_join: bool,
@@ -229,16 +214,13 @@ impl<PQ: IndexProbe, PP: IndexProbe> SeqLeafSource<PQ, PP> {
         self_join: bool,
         opts: RcjOptions,
     ) -> Self {
-        let one_pager = Rc::ptr_eq(&pager_q, &pager_p);
-        let wq = pin(&pager_q, None);
-        let wp = (!one_pager).then(|| pin(&pager_p, None));
+        let readers = Readers::pin(&pager_q, &pager_p, None);
         SeqLeafSource {
             probe_q,
             probe_p,
             pager_q,
             pager_p,
-            wq,
-            wp,
+            readers,
             leaves,
             pos: 0,
             self_join,
@@ -254,13 +236,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for SeqLeafSource<PQ, PP> {
         }
         let leaf = self.leaves[self.pos];
         self.pos += 1;
-        let mut pagers = match self.wp.as_mut() {
-            None => Pagers::Shared(&mut self.wq),
-            Some(wp) => Pagers::Split {
-                q: &mut self.wq,
-                p: wp,
-            },
-        };
+        let mut pagers = self.readers.pagers();
         let items = leaf_items(&self.probe_q, pagers.q(), leaf);
         process_leaf(
             &self.probe_q,
@@ -280,10 +256,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> Drop for SeqLeafSource<PQ, PP> {
     /// Folds the pinned handles' I/O counters back into the owning
     /// pagers, mirroring [`ParLeafSource`]'s accounting.
     fn drop(&mut self) {
-        self.pager_q.borrow_mut().absorb(self.wq.stats());
-        if let Some(wp) = &self.wp {
-            self.pager_p.borrow_mut().absorb(wp.stats());
-        }
+        self.readers.absorb(&self.pager_q, &self.pager_p);
     }
 }
 
@@ -291,15 +264,6 @@ impl<PQ: IndexProbe, PP: IndexProbe> Drop for SeqLeafSource<PQ, PP> {
 /// parallel stream. Small enough to bound buffered output, large enough
 /// to amortise the scoped-thread spawn.
 const WAVE_LEAVES_PER_WORKER: usize = 4;
-
-/// One parallel worker's persistent state across waves: its pooled
-/// handle(s) over the shared snapshot. The cache itself lives in the
-/// pager's shared pool — residency survives waves, workers, and whole
-/// runs; only the per-worker counters are private here.
-struct WaveWorker {
-    wq: PooledPager,
-    wp: Option<PooledPager>,
-}
 
 /// Parallel source: waves of `workers × WAVE_LEAVES_PER_WORKER` leaf
 /// groups on scoped threads, merged by chunk index — the same
@@ -311,7 +275,10 @@ struct ParLeafSource<PQ: IndexProbe, PP: IndexProbe> {
     /// the stream is dropped (consumed or abandoned).
     pager_q: SharedPager,
     pager_p: SharedPager,
-    workers: Vec<WaveWorker>,
+    /// Each worker's handles, kept across waves. The cache itself is
+    /// the pager's buffer — residency survives waves, workers and whole
+    /// runs; only the per-worker counters are private here.
+    workers: Vec<Readers>,
     leaves: Vec<NodeRef>,
     pos: usize,
     self_join: bool,
@@ -334,30 +301,9 @@ impl<PQ: IndexProbe, PP: IndexProbe> ParLeafSource<PQ, PP> {
         self_join: bool,
         opts: RcjOptions,
     ) -> Self {
-        let one_pager = Rc::ptr_eq(&pager_q, &pager_p);
-        let (source_q, pool_q, epoch_q) = {
-            let mut pg = pager_q.borrow_mut();
-            (pg.page_source(), pg.shared_pool(), pg.epoch())
-        };
-        let source_pool_p = (!one_pager).then(|| {
-            let mut pg = pager_p.borrow_mut();
-            (pg.page_source(), pg.shared_pool(), pg.epoch())
-        });
-        let prefetcher = source_q.store().map(|store| {
-            ringjoin_storage::Prefetcher::spawn_versioned(
-                pool_q.clone(),
-                std::sync::Arc::clone(store),
-                epoch_q,
-            )
-        });
-        let workers = (0..workers)
-            .map(|_| WaveWorker {
-                wq: PooledPager::versioned(source_q.clone(), pool_q.clone(), epoch_q),
-                wp: source_pool_p
-                    .clone()
-                    .map(|(s, pool, e)| PooledPager::versioned(s, pool, e)),
-            })
-            .collect();
+        let pinned = Readers::pin(&pager_q, &pager_p, None);
+        let prefetcher = pinned.prefetcher();
+        let workers = vec![pinned; workers];
         ParLeafSource {
             probe_q,
             probe_p,
@@ -408,13 +354,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for ParLeafSource<PQ, PP> {
                     scope.spawn(move || {
                         let mut pairs: Vec<RcjPair> = Vec::new();
                         let mut wstats = RcjStats::default();
-                        let mut pagers = match worker.wp.as_mut() {
-                            None => Pagers::Shared(&mut worker.wq),
-                            Some(wp) => Pagers::Split {
-                                q: &mut worker.wq,
-                                p: wp,
-                            },
-                        };
+                        let mut pagers = worker.pagers();
                         for leaf in chunk {
                             let items = leaf_items(&probe_q, pagers.q(), *leaf);
                             process_leaf(
@@ -451,16 +391,8 @@ impl<PQ: IndexProbe, PP: IndexProbe> Drop for ParLeafSource<PQ, PP> {
     /// aggregate statistics match the whole-run executor's accounting
     /// even for partially consumed streams.
     fn drop(&mut self) {
-        let mut pq = self.pager_q.borrow_mut();
         for w in &self.workers {
-            pq.absorb(w.wq.stats());
-        }
-        drop(pq);
-        let mut pp = self.pager_p.borrow_mut();
-        for w in &self.workers {
-            if let Some(wp) = &w.wp {
-                pp.absorb(wp.stats());
-            }
+            w.absorb(&self.pager_q, &self.pager_p);
         }
     }
 }
@@ -657,7 +589,7 @@ impl Frontier {
 ///
 /// Like the leaf-order sources, the traversal is **pinned to the epoch
 /// it was opened at**: expansion and verification read through private
-/// [`PooledPager`] handles captured at construction, so a top-k stream
+/// [`Readers`] handles captured at construction, so a top-k stream
 /// being drained incrementally keeps its answer set stable across
 /// concurrent mutation batches.
 struct DiameterSource<PQ: IndexProbe, PP: IndexProbe> {
@@ -667,11 +599,7 @@ struct DiameterSource<PQ: IndexProbe, PP: IndexProbe> {
     /// when the stream is dropped (consumed or abandoned).
     pager_q: SharedPager,
     pager_p: SharedPager,
-    /// Pinned `Q`-side handle at stream-open epoch.
-    wq: PooledPager,
-    /// Pinned `P`-side handle; `None` when both trees share a pager
-    /// (always true for self-joins) — the `Q` handle serves both sides.
-    wp: Option<PooledPager>,
+    readers: Readers,
     frontier: Frontier,
     /// Entries of the node being expanded and of its partner node.
     entries: Vec<IndexEntry>,
@@ -696,16 +624,13 @@ impl<PQ: IndexProbe, PP: IndexProbe> DiameterSource<PQ, PP> {
         pool: Option<&BufferPool>,
         opts: &RcjOptions,
     ) -> Self {
-        let one_pager = Rc::ptr_eq(&pager_q, &pager_p);
-        let wq = pin(&pager_q, pool);
-        let wp = (!one_pager).then(|| pin(&pager_p, pool));
+        let readers = Readers::pin(&pager_q, &pager_p, pool);
         let mut src = DiameterSource {
             probe_q,
             probe_p,
             pager_q,
             pager_p,
-            wq,
-            wp,
+            readers,
             frontier: Frontier {
                 heap: BinaryHeap::new(),
                 seq: 0,
@@ -728,12 +653,10 @@ impl<PQ: IndexProbe, PP: IndexProbe> DiameterSource<PQ, PP> {
     fn read(&mut self, side: Side, node: NodeRef, out: &mut Vec<IndexEntry>, stats: &mut RcjStats) {
         stats.filter_node_reads += 1;
         out.clear();
+        let mut pagers = self.readers.pagers();
         match side {
-            Side::P => {
-                let wp = self.wp.as_mut().unwrap_or(&mut self.wq);
-                self.probe_p.expand(wp, node, out);
-            }
-            Side::Q => self.probe_q.expand(&mut self.wq, node, out),
+            Side::P => self.probe_p.expand(pagers.p(), node, out),
+            Side::Q => self.probe_q.expand(pagers.q(), node, out),
         }
     }
 
@@ -849,19 +772,19 @@ impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for DiameterSource<PQ, PP> {
                     stats.candidate_pairs += 1;
                     let mut alive = [true];
                     if self.verify {
+                        let mut pagers = self.readers.pagers();
                         verify_with(
                             &self.probe_q,
-                            &mut self.wq,
+                            pagers.q(),
                             &[pair],
                             &mut alive,
                             self.face_rule,
                             stats,
                         );
                         if alive[0] && !self.frontier.self_join {
-                            let wp = self.wp.as_mut().unwrap_or(&mut self.wq);
                             verify_with(
                                 &self.probe_p,
-                                wp,
+                                pagers.p(),
                                 &[pair],
                                 &mut alive,
                                 self.face_rule,
@@ -898,10 +821,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> Drop for DiameterSource<PQ, PP> {
     /// Folds the pinned handles' I/O counters back into the owning
     /// pagers, mirroring [`ParLeafSource`]'s accounting.
     fn drop(&mut self) {
-        self.pager_q.borrow_mut().absorb(self.wq.stats());
-        if let Some(wp) = &self.wp {
-            self.pager_p.borrow_mut().absorb(wp.stats());
-        }
+        self.readers.absorb(&self.pager_q, &self.pager_p);
     }
 }
 
@@ -997,7 +917,7 @@ pub fn rcj_stream_by_diameter<IQ: RcjIndex, IP: RcjIndex>(
 /// pairs whose `q` lies in `q_region` (half-open membership:
 /// min-inclusive, max-exclusive) are emitted, and `Q`-subtrees disjoint
 /// from the region are never expanded. Pages are read through `pool`,
-/// the caller's page budget, rather than the pagers' own shared pool.
+/// the caller's page budget, rather than the pagers' own buffers.
 ///
 /// Running this stream per cell of a space partition yields **disjoint**
 /// sub-streams whose union is exactly the unrestricted stream — so a

@@ -46,6 +46,14 @@ pub trait DiskStorage {
 
     /// Writes `buf` to page `id` (`buf.len() == page_size()`).
     fn write_page(&mut self, id: PageId, buf: &[u8]);
+
+    /// The bytes of page `id` if the device keeps its pages in memory;
+    /// `None` (the default) for a device that must be read. The
+    /// [`Pager`](crate::Pager) reads resident pages in place, and buffers
+    /// copies of the others.
+    fn resident_page(&self, _id: PageId) -> Option<&[u8]> {
+        None
+    }
 }
 
 /// An in-memory page device.
@@ -93,6 +101,10 @@ impl DiskStorage for MemDisk {
 
     fn write_page(&mut self, id: PageId, buf: &[u8]) {
         self.pages[id.0 as usize].copy_from_slice(buf);
+    }
+
+    fn resident_page(&self, id: PageId) -> Option<&[u8]> {
+        Some(&self.pages[id.0 as usize])
     }
 }
 

@@ -10,7 +10,8 @@
 //! * [`DiskStorage`] — the raw page device, with an in-memory
 //!   implementation ([`MemDisk`], used by tests and benchmarks for
 //!   determinism) and a real file-backed one ([`FileDisk`]).
-//! * [`BufferManager`] — a strict-LRU page cache of configurable capacity.
+//! * [`BufferPool`] — the LRU page cache of configurable capacity that
+//!   every access path counts in.
 //! * [`Pager`] — ties the two together and maintains [`IoStats`]: logical
 //!   reads (the paper's CPU proxy), page faults (the paper's I/O unit), and
 //!   writes.
@@ -21,10 +22,11 @@
 //!   pager and per-worker handles over an `Arc`-shared read-only
 //!   snapshot, which is what lets the join executor run workers without
 //!   a contended lock on the bytes.
-//! * [`BufferPool`] + [`PooledPager`] — the shared, sharded clock-sweep
-//!   cache parallel workers account through ([`Pager::shared_pool`]):
-//!   one warm cache at the sequential budget instead of `workers` cold
-//!   per-worker LRUs, with atomic hit/fault counters for observability.
+//! * [`PooledPager`] — a worker's handle on a shared [`BufferPool`]
+//!   (usually the pager's own, [`Pager::pool`]): parallel workers,
+//!   streams and server shards read through one warm cache at the
+//!   sequential budget instead of `workers` cold ones, and the pool's
+//!   lifetime hit/fault counters serve observability.
 //! * [`PageStore`] + [`PageSource`] — the disk-native residency layer:
 //!   [`Pager::spill_to`] moves a dataset onto a real on-disk page file
 //!   ([`FilePageStore`]), the pool's frames then *own* whatever page
@@ -62,17 +64,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
 mod buffer_pool;
 mod disk;
 mod pager;
 mod snapshot;
 mod wal;
 
-pub use buffer::BufferManager;
-pub use buffer_pool::{
-    BufferPool, PageSource, PoolRead, PooledPager, Prefetcher, DEFAULT_POOL_SHARDS,
-};
+pub use buffer_pool::{BufferPool, PageSource, PoolRead, PooledPager, Prefetcher};
 pub use disk::{DiskStorage, FileDisk, FilePageStore, MemDisk, PageId, PageStore};
 pub use pager::{read_page_as, CostModel, IoStats, PageAccess, Pager, SharedPager};
 pub use snapshot::PageSnapshot;

@@ -1,6 +1,6 @@
 //! The pager: buffer-managed page access with the paper's I/O accounting.
 
-use crate::buffer::BufferManager;
+use crate::buffer_pool::{BufferPool, PoolRead};
 use crate::disk::{DiskStorage, FileDisk, PageId};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -83,6 +83,19 @@ impl IoStats {
         self.logical_writes += other.logical_writes;
         self.write_faults += other.write_faults;
     }
+
+    /// Counts one page read that the buffer served as `outcome`.
+    pub(crate) fn count_read(&mut self, outcome: PoolRead) {
+        self.logical_reads += 1;
+        match outcome {
+            PoolRead::Hit => self.read_hits += 1,
+            PoolRead::PrefetchHit => {
+                self.read_hits += 1;
+                self.prefetch_hits += 1;
+            }
+            PoolRead::Fault => self.read_faults += 1,
+        }
+    }
 }
 
 /// Converts [`IoStats`] into simulated I/O time.
@@ -116,19 +129,18 @@ impl CostModel {
 /// buffer is 1% of the sum of both tree sizes").
 pub struct Pager {
     disk: Box<dyn DiskStorage>,
-    buffer: BufferManager,
+    /// The LRU buffer. The pager's own reads and writes count in it, and
+    /// so does every [`PooledPager`](crate::PooledPager) pinned on
+    /// [`Pager::pool`] — parallel workers and streams — so every access
+    /// path replays one LRU. It stays warm across runs and is resized
+    /// and emptied in place, so handles taken earlier keep accounting
+    /// against the live budget.
+    pool: BufferPool,
     stats: IoStats,
     /// Last snapshot taken, reused while no write/allocation has
     /// invalidated it — repeated parallel joins over unmodified trees
     /// must not each pay an O(database) copy.
     snapshot_cache: Option<crate::PageSnapshot>,
-    /// The shared buffer pool parallel runs account through, sized to
-    /// this pager's buffer capacity and kept **warm across runs** (the
-    /// whole point of the shared-pool design). Resized **in place** when
-    /// the capacity changes (outstanding worker handles must see the
-    /// new budget, not keep accounting against a dead pool); emptied —
-    /// but not replaced — by [`Pager::clear_buffer`].
-    pool_cache: Option<crate::BufferPool>,
     /// Path of the on-disk page file, once [`Pager::spill_to`] or
     /// [`Pager::attach_store`] made this pager disk-native.
     store_path: Option<PathBuf>,
@@ -146,21 +158,20 @@ pub struct Pager {
     /// `<base>.e<N>` files.
     store_base: Option<PathBuf>,
     /// Dataset version counter: bumped by [`Pager::begin_epoch`] before
-    /// a mutation batch, so snapshot and pool keys taken under the old
-    /// epoch stay isolated from pages rewritten under the new one.
+    /// a mutation batch, so snapshots and byte-owning frames taken under
+    /// the old epoch stay isolated from pages rewritten under the new one.
     epoch: u64,
 }
 
 impl Pager {
-    /// Creates a pager over `disk` with a buffer of `buffer_pages` pages.
+    /// Creates a pager over `disk` with a buffer of `buffer_pages` pages
+    /// (clamped to at least 1).
     pub fn new<D: DiskStorage + 'static>(disk: D, buffer_pages: usize) -> Self {
-        let page_size = disk.page_size();
         Pager {
             disk: Box::new(disk),
-            buffer: BufferManager::new(page_size, buffer_pages),
+            pool: BufferPool::new(buffer_pages),
             stats: IoStats::default(),
             snapshot_cache: None,
-            pool_cache: None,
             store_path: None,
             store_cache: None,
             store_owned: false,
@@ -193,55 +204,60 @@ impl Pager {
         self.disk.allocate()
     }
 
-    /// Reads page `id`, faulting it in if absent, and passes its bytes to
-    /// `f`.
+    /// Reads page `id` through the buffer and passes its bytes to `f`.
+    ///
+    /// A memory-resident device is read in place, and its page's frame
+    /// only tracks recency. Any other device's page is served from its
+    /// frame on a hit and read from the device into one on a fault.
     pub fn read<T>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> T {
-        self.stats.logical_reads += 1;
-        if self.buffer.get(id).is_some() {
-            self.stats.read_hits += 1;
-        } else {
-            self.stats.read_faults += 1;
-            let mut staging = vec![0u8; self.disk.page_size()];
-            self.disk.read_page(id, &mut staging);
-            self.buffer.insert(id).copy_from_slice(&staging);
+        if let Some(bytes) = self.disk.resident_page(id) {
+            self.stats
+                .count_read(PoolRead::touched(self.pool.access(id)));
+            return f(bytes);
         }
-        f(self
-            .buffer
-            .get(id)
-            .expect("page just inserted must be cached"))
+        let (bytes, outcome) = self.fetch(id);
+        self.stats.count_read(outcome);
+        f(&bytes)
+    }
+
+    /// The byte-owning frame of page `id` at the current epoch, read
+    /// from the device on a fault.
+    fn fetch(&mut self, id: PageId) -> (Arc<[u8]>, PoolRead) {
+        let disk = &mut self.disk;
+        self.pool.fetch(self.epoch, id, disk.page_size(), |buf| {
+            disk.read_page(id, buf)
+        })
     }
 
     /// Updates page `id` through `f` and writes it through to the device.
     ///
     /// Write-through keeps the device authoritative, so evictions never
     /// need a dirty-page flush — the join algorithms are read-only and the
-    /// paper's measurements exclude index construction anyway.
+    /// paper's measurements exclude index construction anyway. A page
+    /// not in the buffer is a write fault; the written bytes refresh its
+    /// frame.
     pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) {
         self.snapshot_cache = None;
-        if self.store_path.is_some() {
-            // The bytes behind the store change: reopen it on next use
-            // and evict any pool frame that may hold the old bytes.
-            // Writes only happen during (unmeasured) index builds, so
-            // the cost of restarting the pool cold is irrelevant.
-            self.store_cache = None;
-            if let Some(pool) = &self.pool_cache {
-                pool.clear();
-            }
-        }
+        // The bytes behind a page store change: reopen it on next use.
+        self.store_cache = None;
         self.stats.logical_writes += 1;
-        if self.buffer.get_mut(id).is_none() {
+        let resident = self.disk.resident_page(id).is_some();
+        let (mut bytes, outcome) = if resident {
+            let mut bytes = vec![0u8; self.disk.page_size()];
+            self.disk.read_page(id, &mut bytes);
+            (bytes, PoolRead::touched(self.pool.access(id)))
+        } else {
+            let (bytes, outcome) = self.fetch(id);
+            (bytes.to_vec(), outcome)
+        };
+        if outcome == PoolRead::Fault {
             self.stats.write_faults += 1;
-            let mut staging = vec![0u8; self.disk.page_size()];
-            self.disk.read_page(id, &mut staging);
-            self.buffer.insert(id).copy_from_slice(&staging);
         }
-        let bytes = self
-            .buffer
-            .get_mut(id)
-            .expect("page just inserted must be cached");
-        f(bytes);
-        let snapshot = bytes.to_vec();
-        self.disk.write_page(id, &snapshot);
+        f(&mut bytes);
+        self.disk.write_page(id, &bytes);
+        if !resident {
+            self.pool.refresh(self.epoch, id, bytes.into());
+        }
     }
 
     /// Current statistics snapshot.
@@ -318,6 +334,11 @@ impl Pager {
             self.disk.read_page(id, &mut buf);
             file.write_page(id, &buf);
         }
+        // The buffer keeps its contents across the move, as a buffer of
+        // the file: its frames take the bytes of the pages they hold.
+        let old = &mut self.disk;
+        self.pool
+            .own_bytes(self.epoch, page_size, |id, buf| old.read_page(id, buf));
         self.disk = Box::new(file);
         self.store_path = Some(path.to_path_buf());
         self.store_cache = None;
@@ -364,16 +385,17 @@ impl Pager {
 
     /// Current dataset epoch: `0` until the first
     /// [`Pager::begin_epoch`], then one per mutation batch. Readers that
-    /// pin a [`page_source`](Pager::page_source) tag their pool frames
-    /// with this value, so frames populated under different epochs never
-    /// alias.
+    /// pin a [`page_source`](Pager::page_source) tag the byte-owning
+    /// frames they read with this value, so bytes read under different
+    /// epochs never alias.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Opens a new epoch ahead of a mutation batch: bumps the epoch
-    /// counter and invalidates the cached snapshot and read-only store,
-    /// so page sources handed out *before* this call keep the old bytes
+    /// counter, drops the buffer's byte-owning frames of retired epochs
+    /// and invalidates the cached snapshot and read-only store, so page
+    /// sources handed out *before* this call keep the old bytes
     /// (resident snapshots are immutable; a disk-native store keeps its
     /// open descriptor) while sources taken *after* the batch see the new
     /// page versions.
@@ -393,6 +415,7 @@ impl Pager {
     /// [`Pager::spill_to`]'s callers.
     pub fn begin_epoch(&mut self, version_store: bool) -> u64 {
         self.epoch += 1;
+        self.pool.drop_epochs_before(self.epoch);
         self.snapshot_cache = None;
         if self.store_path.is_some() {
             self.store_cache = None;
@@ -454,24 +477,12 @@ impl Pager {
         }
     }
 
-    /// The shared [`BufferPool`](crate::BufferPool) parallel runs over
-    /// this pager account through, sized to the current buffer capacity
-    /// — a parallel run competes with the sequential LRU at the **same
-    /// total budget**, it does not get `workers ×` the memory.
-    ///
-    /// Cached like the snapshot: repeated parallel runs (and streaming
-    /// waves) over an unmodified pager share one pool and therefore hit
-    /// pages earlier runs warmed. [`Pager::set_buffer_capacity`]
-    /// resizes the pool in place (the budget changed);
-    /// [`Pager::clear_buffer`] empties it in place (a cold start). In
-    /// both cases outstanding handles stay live and correct.
-    pub fn shared_pool(&mut self) -> crate::BufferPool {
-        if let Some(pool) = &self.pool_cache {
-            return pool.clone();
-        }
-        let pool = crate::BufferPool::new(self.buffer.capacity());
-        self.pool_cache = Some(pool.clone());
-        pool
+    /// The pager's buffer, for [`PooledPager`](crate::PooledPager)s to
+    /// account through: a parallel run competes with the sequential one
+    /// at the **same total budget**, in the same LRU, and hits pages
+    /// earlier runs warmed.
+    pub fn pool(&self) -> &BufferPool {
+        &self.pool
     }
 
     /// Zeroes the statistics (e.g. after index construction, before the
@@ -480,44 +491,33 @@ impl Pager {
         self.stats = IoStats::default();
     }
 
-    /// Resizes the LRU buffer (Figure 15 sweeps this). If a shared pool
-    /// was handed out it is resized **in place**, so workers holding an
-    /// old handle account against the live, re-budgeted pool — not a
-    /// detached one that silently kept the stale capacity.
+    /// Resizes the LRU buffer (Figure 15 sweeps this) **in place**, so
+    /// workers holding an old pool handle account against the live,
+    /// re-budgeted buffer.
     pub fn set_buffer_capacity(&mut self, pages: usize) {
-        self.buffer.set_capacity(pages);
-        if let Some(pool) = &self.pool_cache {
-            pool.set_capacity(pages);
-        }
+        self.pool.set_capacity(pages);
     }
 
     /// Current buffer capacity in pages.
     pub fn buffer_capacity(&self) -> usize {
-        self.buffer.capacity()
+        self.pool.capacity()
     }
 
-    /// Empties the buffer — and the shared pool, if one was handed out —
-    /// for a cold start without touching statistics. Outstanding pool
-    /// handles stay valid (the pool is emptied in place, not replaced),
-    /// so measured runs restart cold under both execution modes.
+    /// Empties the buffer in place for a cold start without touching
+    /// statistics.
     pub fn clear_buffer(&mut self) {
-        self.buffer.clear();
-        if let Some(pool) = &self.pool_cache {
-            pool.clear();
-        }
+        self.pool.clear();
     }
 }
 
 /// Shared-ownership handle to a [`Pager`], letting two R-trees (and the
 /// join operators walking both) go through one buffer pool.
 ///
-/// This is the *sequential* access path — the paper's cost model counts
-/// page faults through one LRU buffer, so `Rc<RefCell<_>>` suffices and
-/// no lock is ever contended. Parallel runs never touch it: they go
-/// through an [`Arc`-shared snapshot](Pager::snapshot) with per-worker
-/// [`PooledPager`](crate::PooledPager)s over the shared
-/// [`BufferPool`](crate::BufferPool) instead, and both paths meet in
-/// the [`PageAccess`] trait.
+/// This is the *sequential* access path, so `Rc<RefCell<_>>` suffices.
+/// Parallel runs read an [`Arc`-shared snapshot](Pager::snapshot) (or
+/// the page store) through per-worker
+/// [`PooledPager`](crate::PooledPager)s instead; both paths count in the
+/// pager's one [`BufferPool`] and meet in the [`PageAccess`] trait.
 pub type SharedPager = Rc<RefCell<Pager>>;
 
 /// Object-safe read access to pages.
@@ -578,6 +578,58 @@ impl PageAccess for SharedPager {
 mod tests {
     use super::*;
     use crate::disk::{MemDisk, PageStore};
+    use crate::PageSource;
+
+    /// A device that must be read (no resident pages) and counts reads.
+    struct CountingDisk {
+        inner: MemDisk,
+        reads: Rc<std::cell::Cell<u32>>,
+    }
+
+    impl DiskStorage for CountingDisk {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn num_pages(&self) -> u32 {
+            self.inner.num_pages()
+        }
+        fn allocate(&mut self) -> PageId {
+            self.inner.allocate()
+        }
+        fn read_page(&mut self, id: PageId, buf: &mut [u8]) {
+            self.reads.set(self.reads.get() + 1);
+            self.inner.read_page(id, buf);
+        }
+        fn write_page(&mut self, id: PageId, buf: &[u8]) {
+            self.inner.write_page(id, buf);
+        }
+    }
+
+    #[test]
+    fn hits_on_a_read_device_serve_frames_without_device_reads() {
+        let reads = Rc::new(std::cell::Cell::new(0));
+        let disk = CountingDisk {
+            inner: MemDisk::new(128),
+            reads: Rc::clone(&reads),
+        };
+        let mut p = Pager::new(disk, 4);
+        let a = p.allocate();
+        p.write(a, |b| b[0] = 1);
+        assert_eq!(reads.get(), 1, "the first write faults the page in");
+        // The write refreshed the frame: reads hit it, with new bytes.
+        p.read(a, |b| assert_eq!(b[0], 1));
+        p.write(a, |b| b[0] = 2);
+        p.read(a, |b| assert_eq!(b[0], 2));
+        assert_eq!(reads.get(), 1, "hits never read the device");
+        assert_eq!(p.stats().read_faults, 0);
+        assert_eq!(p.stats().write_faults, 1);
+        // A new epoch drops the retired epoch's frames.
+        p.begin_epoch(false);
+        assert!(p.pool().is_empty());
+        p.read(a, |b| assert_eq!(b[0], 2));
+        assert_eq!(reads.get(), 2);
+        assert_eq!(p.stats().read_faults, 1);
+    }
 
     #[test]
     fn read_faults_then_hits() {
@@ -689,15 +741,15 @@ mod tests {
         for _ in 0..8 {
             p.allocate();
         }
-        let old_handle = p.shared_pool();
+        let old_handle = p.pool().clone();
         p.set_buffer_capacity(2);
         assert!(
-            old_handle.shares_frames(&p.shared_pool()),
+            old_handle.shares_frames(p.pool()),
             "resize must keep outstanding handles on the live pool"
         );
         assert_eq!(old_handle.capacity(), 2, "old handle sees the new budget");
         // The old handle evicts at the new budget: a cyclic scan of 8
-        // pages through ~2 frames cannot accumulate 8 residents.
+        // pages through 2 frames cannot accumulate 8 residents.
         for i in 0..8u32 {
             old_handle.access(PageId(i));
         }
@@ -705,7 +757,7 @@ mod tests {
             old_handle.access(PageId(i));
         }
         assert!(
-            old_handle.len() <= old_handle.shard_count().max(2),
+            old_handle.len() <= 2,
             "old handle must evict at the resized budget, not the stale one"
         );
     }
@@ -725,6 +777,13 @@ mod tests {
         p.spill_to(&path).unwrap();
         assert_eq!(p.store_path(), Some(path.as_path()));
 
+        // The buffer keeps its contents across the spill: the two pages
+        // written last are still resident, now with their bytes.
+        p.reset_stats();
+        p.read(ids[5], |b| assert_eq!(b[0], 6));
+        p.read(ids[4], |b| assert_eq!(b[0], 5));
+        assert_eq!(p.stats().read_hits, 2);
+
         // Sequential reads now come from the file, faulting under the
         // 2-page buffer, with the same bytes.
         p.clear_buffer();
@@ -735,9 +794,9 @@ mod tests {
         assert_eq!(p.stats().read_faults, 6);
 
         // Parallel runs get a store-backed source over the same file.
-        let source = p.page_source();
-        assert!(source.is_store());
-        let store = source.store().unwrap();
+        let PageSource::Store(store) = p.page_source() else {
+            panic!("a spilled pager hands out its page store");
+        };
         let mut buf = vec![0u8; 128];
         store.read_into(ids[3], &mut buf);
         assert_eq!(buf[0], 4);

@@ -7,9 +7,9 @@
 //! that design in two: an immutable [`PageSnapshot`] holding the bytes
 //! (this module), and per-worker
 //! [`PooledPager`](crate::PooledPager) handles accounting hits and
-//! faults through the shared, sharded
-//! [`BufferPool`](crate::BufferPool). Worker stats are merged back into
-//! the owning pager when the run completes.
+//! faults through the pager's shared [`BufferPool`](crate::BufferPool).
+//! Worker stats are merged back into the owning pager when the run
+//! completes.
 
 use crate::disk::{PageId, PageStore};
 use std::path::Path;

@@ -14,7 +14,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`geom`] | `ringjoin-geom` | points, MBRs, circles, the Ψ⁻ pruning half-planes, metrics |
-//! | [`storage`] | `ringjoin-storage` | 1 KB pages, LRU buffer manager, the 10 ms/fault cost model |
+//! | [`storage`] | `ringjoin-storage` | 1 KB pages, the LRU buffer pool, the 10 ms/fault cost model |
 //! | [`rtree`] | `ringjoin-rtree` | disk-based R*-tree with incremental NN search |
 //! | [`core`] | `ringjoin-core` | the RCJ: INJ / BIJ / OBJ, self-join, brute oracle, metric variants |
 //! | [`spatialjoin`] | `ringjoin-spatialjoin` | ε-join, k-closest-pairs, kNN join, precision/recall |

@@ -12,7 +12,7 @@
 //! `k`-th smallest diameter.
 
 use proptest::prelude::*;
-use ringjoin::{pt, Engine, IndexKind, Item, RcjAlgorithm, RcjPair};
+use ringjoin::{pt, uniform, Engine, IndexKind, IoStats, Item, RcjAlgorithm, RcjPair};
 
 const REGION: f64 = 1000.0;
 const ALGOS: [RcjAlgorithm; 3] = [RcjAlgorithm::Inj, RcjAlgorithm::Bij, RcjAlgorithm::Obj];
@@ -120,6 +120,62 @@ proptest! {
             }
         }
     }
+}
+
+/// One query, one I/O count: after `set_buffer_pages`, a sequential
+/// `collect()` and a drained `stream()` of the same plan read the same
+/// pages, in the same order, through the pager's one LRU buffer — so
+/// they report equal logical reads, hits and faults, for either index,
+/// resident or on disk, whether the budget holds every page or not.
+#[test]
+fn sequential_collect_and_stream_count_the_same_io() {
+    let dir = std::env::temp_dir().join(format!("ringjoin-stream-io-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for kind in KINDS {
+        for on_disk in [false, true] {
+            let mut engine = Engine::new();
+            engine.load("p", uniform(3000, 1)).index(kind);
+            let load = engine.load("q", uniform(3000, 2));
+            if on_disk {
+                load.on_disk(dir.join(format!("{}.rjp", kind.name())))
+                    .index(kind);
+            } else {
+                load.index(kind);
+            }
+            let pages = engine.pager().borrow().num_pages() as usize;
+            let mut run = |budget: usize, drain: bool| -> IoStats {
+                engine.set_buffer_pages(budget);
+                let plan = engine.query().join("q", "p").threads(1).plan().unwrap();
+                if drain {
+                    plan.stream().for_each(drop);
+                } else {
+                    plan.collect();
+                }
+                let io = engine.pager().borrow().stats();
+                io
+            };
+            for budget in [pages, pages / 8] {
+                let collected = run(budget, false);
+                let streamed = run(budget, true);
+                assert!(collected.read_faults > 0);
+                assert_eq!(
+                    (
+                        streamed.logical_reads,
+                        streamed.read_hits,
+                        streamed.read_faults
+                    ),
+                    (
+                        collected.logical_reads,
+                        collected.read_hits,
+                        collected.read_faults
+                    ),
+                    "{} on_disk={on_disk} budget={budget}/{pages}",
+                    kind.name(),
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Bounded-memory smoke: a top-5 query through the diameter-ordered
