@@ -26,7 +26,7 @@
 //! verbatim.
 
 use crate::join::{
-    leaf_regions, rcj_join, rcj_join_leaves_pooled, rcj_self_join, rcj_self_join_leaves_pooled,
+    rcj_join, rcj_join_leaves_pooled, rcj_self_join, rcj_self_join_leaves_pooled, LeafRegionMemo,
     RcjAlgorithm, RcjOptions, RcjOutput,
 };
 use crate::planner::{DatasetSummary, JoinCostModel, PlanEstimate};
@@ -36,10 +36,11 @@ use crate::stream::{
     rcj_stream_by_diameter, rcj_stream_by_diameter_in, RcjStream, TaggedPairSink,
 };
 use crate::{Executor, OuterOrder, RcjIndex};
-use ringjoin_geom::{pt, Item, Rect};
+use ringjoin_geom::{pt, Item, Point, Rect};
 use ringjoin_quadtree::QuadTree;
 use ringjoin_rtree::{bulk_load, RTree};
 use ringjoin_storage::{MemDisk, Pager, SharedPager};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -134,11 +135,15 @@ struct Dataset {
     /// sorted iteration order is the canonical pointset of the epoch
     /// ([`Engine::dataset_items`]), which is what a rebuild-from-scratch
     /// oracle loads.
-    items: BTreeMap<u64, ringjoin_geom::Point>,
+    items: BTreeMap<u64, Point>,
     /// Mutation epoch: 0 at load, +1 per applied non-empty update batch.
     /// Queries planned at different epochs may see different answers;
     /// plan caches must key on this.
     epoch: u64,
+    /// The decoded nodes [`Engine::leaf_regions`] walks, kept across
+    /// calls so a walk after a mutation batch reads only the pages the
+    /// batch wrote.
+    regions: RefCell<LeafRegionMemo>,
 }
 
 /// The index kinds the engine can host natively.
@@ -320,13 +325,20 @@ impl Engine {
     /// The regions of a dataset's leaf groups in depth-first order — the
     /// position of a region in this list is the leaf group's **global
     /// leaf index**, the key [`Plan::run_leaves`] partitions by and
-    /// sharded executions merge by.
+    /// sharded executions merge by. Equal to
+    /// [`leaf_regions`](crate::leaf_regions) over the dataset's index.
     ///
-    /// Reads every index page once; shard routers should cache the
-    /// result per dataset (it is immutable until the name is re-loaded).
+    /// The result holds until the next applied [`Engine::update`] batch
+    /// or re-load of the name, which can move, split or merge leaf
+    /// groups. The first call reads every index page once; the engine
+    /// keeps each dataset's decoded nodes, keyed by page and checked
+    /// against the page's write stamp, so a later call reads only the
+    /// pages written since — after a mutation batch, the pages the batch
+    /// wrote.
     pub fn leaf_regions(&self, name: &str) -> Result<Vec<Rect>, EngineError> {
         let ds = self.get(name)?;
-        Ok(with_tree!(ds, |t| leaf_regions(t)))
+        let mut memo = ds.regions.borrow_mut();
+        Ok(with_tree!(ds, |t| memo.regions(t)))
     }
 
     /// Starts building a query over this engine's datasets.
@@ -387,8 +399,7 @@ impl LoadBuilder<'_> {
             items,
             on_disk,
         } = self;
-        let catalog: BTreeMap<u64, ringjoin_geom::Point> =
-            items.iter().map(|it| (it.id, it.point)).collect();
+        let catalog: BTreeMap<u64, Point> = items.iter().map(|it| (it.id, it.point)).collect();
         let index = match kind {
             IndexKind::Rtree => AnyIndex::Rtree(bulk_load(engine.pager.clone(), items)),
             IndexKind::Quadtree => {
@@ -406,6 +417,7 @@ impl LoadBuilder<'_> {
             index,
             items: catalog,
             epoch: 0,
+            regions: RefCell::default(),
         };
         let handle = DatasetHandle {
             name: ds.name.clone(),
@@ -437,6 +449,54 @@ pub enum Mutation {
     Delete(u64),
     /// Insert-or-replace; never fails validation.
     Upsert(Item),
+}
+
+/// Validates a mutation batch against `items`, the pointset of
+/// `dataset`, as [`UpdateBuilder::apply`] does before it touches a page:
+/// operations are checked in order, each against the pointset with the
+/// batch's earlier operations already applied, and the first failing
+/// one refuses the batch. An [`Mutation::Insert`] of a present id is
+/// [`EngineError::DuplicateId`], a [`Mutation::Delete`] of an absent id
+/// is [`EngineError::MissingId`], and a [`Mutation::Upsert`] never
+/// fails.
+///
+/// On success, returns the batch's net effect: every id it touches,
+/// mapped to the id's point after the batch (`None` if the batch
+/// deletes it). The check reads `items` and never copies it, so it
+/// costs the batch, not the dataset.
+pub fn validate_batch(
+    dataset: &str,
+    items: &BTreeMap<u64, Point>,
+    ops: &[Mutation],
+) -> Result<BTreeMap<u64, Option<Point>>, EngineError> {
+    let mut delta: BTreeMap<u64, Option<Point>> = BTreeMap::new();
+    for op in ops {
+        let (id, after) = match *op {
+            Mutation::Insert(it) | Mutation::Upsert(it) => (it.id, Some(it.point)),
+            Mutation::Delete(id) => (id, None),
+        };
+        let present = match delta.get(&id) {
+            Some(now) => now.is_some(),
+            None => items.contains_key(&id),
+        };
+        match op {
+            Mutation::Insert(_) if present => {
+                return Err(EngineError::DuplicateId {
+                    dataset: dataset.to_string(),
+                    id,
+                })
+            }
+            Mutation::Delete(_) if !present => {
+                return Err(EngineError::MissingId {
+                    dataset: dataset.to_string(),
+                    id,
+                })
+            }
+            _ => {}
+        }
+        delta.insert(id, after);
+    }
+    Ok(delta)
 }
 
 /// Pending mutation batch: created by [`Engine::update`], applied by
@@ -521,37 +581,8 @@ impl UpdateBuilder<'_> {
             ops,
             version_store,
         } = self;
-        // Whole-batch validation before any mutation: simulate the id
-        // set op by op so intra-batch conflicts surface too.
-        {
-            let ds = engine.get(&name)?;
-            let mut sim: std::collections::BTreeSet<u64> = ds.items.keys().copied().collect();
-            for op in &ops {
-                match op {
-                    Mutation::Insert(it) => {
-                        if !sim.insert(it.id) {
-                            return Err(EngineError::DuplicateId {
-                                dataset: name,
-                                id: it.id,
-                            });
-                        }
-                    }
-                    Mutation::Delete(id) => {
-                        if !sim.remove(id) {
-                            return Err(EngineError::MissingId {
-                                dataset: name,
-                                id: *id,
-                            });
-                        }
-                    }
-                    Mutation::Upsert(it) => {
-                        // Never fails itself, but the id it creates (or
-                        // keeps) is visible to later ops in the batch.
-                        sim.insert(it.id);
-                    }
-                }
-            }
-        }
+        // Whole-batch validation before any mutation.
+        validate_batch(&name, &engine.get(&name)?.items, &ops)?;
         if ops.is_empty() {
             return Ok(engine.dataset(&name).expect("existence checked above"));
         }
@@ -1341,6 +1372,94 @@ mod tests {
         );
         let own = pager.borrow().pool().len();
         assert!(own <= pages, "{own} pager frames for {pages} pages");
+    }
+
+    /// The leaf regions as first defined: collect the leaf groups in one
+    /// walk, then re-read each leaf for its items.
+    fn two_pass_leaf_regions(engine: &Engine, name: &str) -> Vec<Rect> {
+        let ds = engine.get(name).unwrap();
+        with_tree!(ds, |t| {
+            let probe = t.probe();
+            let mut pg = t.pager();
+            crate::join::outer_leaves(t, &RcjOptions::default())
+                .into_iter()
+                .map(|n| {
+                    let items = crate::join::leaf_items(&probe, &mut pg, n);
+                    Rect::from_points(items.iter().map(|it| it.point)).unwrap()
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn a_write_reads_only_the_pages_it_wrote() {
+        for kind in [IndexKind::Rtree, IndexKind::Quadtree] {
+            let items = points(20_000, 97, 10_000.0);
+            let inside = items[0].point;
+            let mut engine = Engine::new();
+            engine.load("d", items).index(kind);
+            engine.leaf_regions("d").unwrap();
+            let pager = engine.pager();
+            let before = pager.borrow().stats();
+            engine
+                .update("d")
+                .insert([Item::new(1 << 40, inside)])
+                .apply()
+                .unwrap();
+            let applied = pager.borrow().stats();
+            let regions = engine.leaf_regions("d").unwrap();
+            let walked = pager.borrow().stats().since(applied);
+            let wrote = applied.since(before).logical_writes;
+            assert!(wrote > 0, "{}: the batch wrote nothing", kind.name());
+            assert!(
+                walked.logical_reads <= wrote,
+                "{}: the walk after a one-point batch read {} pages, the batch wrote {wrote}",
+                kind.name(),
+                walked.logical_reads
+            );
+            assert_eq!(regions, two_pass_leaf_regions(&engine, "d"));
+        }
+    }
+
+    #[test]
+    fn memoized_leaf_regions_track_splits_condenses_chains_and_rebuilds() {
+        for kind in [IndexKind::Rtree, IndexKind::Quadtree] {
+            let mut engine = Engine::new();
+            engine.load("d", points(600, 5, 1000.0)).index(kind);
+            let grow = points(400, 6, 1000.0)
+                .into_iter()
+                .map(|it| Item::new(it.id + 1000, it.point));
+            // Splits and forced reinserts; co-located points past the
+            // quadtree's depth limit (overflow chains); deletes that
+            // underfill nodes (condense); an out-of-region point (the
+            // quadtree rebuild); upserts that move points.
+            let batches: Vec<Vec<Mutation>> = vec![
+                grow.map(Mutation::Insert).collect(),
+                (2000..2120)
+                    .map(|id| Mutation::Insert(Item::new(id, pt(250.0, 250.0))))
+                    .collect(),
+                (0..600).step_by(2).map(Mutation::Delete).collect(),
+                (2000..2100).map(Mutation::Delete).collect(),
+                vec![Mutation::Insert(Item::new(3000, pt(-500.0, 1800.0)))],
+                (1001..1300)
+                    .step_by(3)
+                    .map(|id| Mutation::Upsert(Item::new(id, pt(id as f64 % 997.0, 3.5))))
+                    .collect(),
+            ];
+            assert_eq!(
+                engine.leaf_regions("d").unwrap(),
+                two_pass_leaf_regions(&engine, "d")
+            );
+            for (i, ops) in batches.iter().enumerate() {
+                engine.update("d").mutations(ops).apply().unwrap();
+                assert_eq!(
+                    engine.leaf_regions("d").unwrap(),
+                    two_pass_leaf_regions(&engine, "d"),
+                    "{}: batch {i}",
+                    kind.name()
+                );
+            }
+        }
     }
 
     #[test]

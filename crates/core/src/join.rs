@@ -31,7 +31,8 @@ use crate::stream::{PairSink, TaggedPairSink};
 use crate::verify::verify_with;
 use crate::Executor;
 use ringjoin_geom::{Item, Rect};
-use ringjoin_storage::PageAccess;
+use ringjoin_storage::{PageAccess, PageId};
+use std::collections::HashMap;
 
 /// Which RCJ algorithm to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -276,19 +277,88 @@ fn run_into<IQ: RcjIndex, IP: RcjIndex>(
 /// a space partition, not a data bound), and a shard router needs a
 /// finite, data-derived rectangle to assign and route by.
 ///
-/// Reads every leaf page once; callers that route repeatedly (a shard
-/// router) should cache the result per dataset.
+/// Reads every index page once. Callers that route repeatedly over a
+/// tree that changes between calls should go through
+/// [`Engine::leaf_regions`](crate::Engine::leaf_regions), which keeps
+/// each dataset's decoded nodes and re-reads only rewritten pages.
 pub fn leaf_regions<I: RcjIndex>(tree: &I) -> Vec<Rect> {
-    let opts = RcjOptions::default();
-    let probe = tree.probe();
-    let mut pg = tree.pager();
-    outer_leaves(tree, &opts)
-        .into_iter()
-        .map(|n| {
-            let items = leaf_items(&probe, &mut pg, n);
-            Rect::from_points(items.iter().map(|it| it.point)).unwrap_or(n.region)
-        })
-        .collect()
+    LeafRegionMemo::default().regions(tree)
+}
+
+/// What the leaf-region walk keeps of one decoded node.
+struct NodeSummary {
+    /// The page's [write stamp](ringjoin_storage::Pager::page_stamp)
+    /// when it was decoded.
+    stamp: u64,
+    /// Child pages, overflow continuations included, in storage order.
+    children: Box<[PageId]>,
+    /// Tight MBR of the node's own data items; `None` if it holds none.
+    items: Option<Rect>,
+}
+
+/// A page-keyed memo of decoded node summaries for one tree, behind
+/// [`leaf_regions`].
+///
+/// Invariant: an entry decoded at stamp `s` is used only while the
+/// pager still reports stamp `s` for its page, so it always equals what
+/// decoding the page now would give. A walk re-reads exactly the pages a
+/// write moved — after a mutation batch, the pages the batch wrote — and
+/// answers the rest from memory. It still visits every node, in the
+/// order a from-scratch walk would, so leaf indices need no splicing.
+/// Entries for pages the walk no longer reaches (a condensed R-tree
+/// node, a rebuilt quadtree) are dropped by it.
+#[derive(Default)]
+pub(crate) struct LeafRegionMemo {
+    nodes: HashMap<PageId, NodeSummary>,
+}
+
+impl LeafRegionMemo {
+    /// The regions of `tree`'s leaf groups, exactly as [`leaf_regions`]
+    /// documents them.
+    pub(crate) fn regions<I: RcjIndex>(&mut self, tree: &I) -> Vec<Rect> {
+        let probe = tree.probe();
+        let root = probe.root();
+        let mut pg = tree.pager();
+        let mut known = std::mem::take(&mut self.nodes);
+        self.nodes.reserve(known.len());
+        let mut regions = Vec::new();
+        let mut entries = Vec::new();
+        let mut stack = vec![root.page];
+        while let Some(page) = stack.pop() {
+            let stamp = pg.borrow().page_stamp(page);
+            let node = match known.remove(&page) {
+                Some(node) if node.stamp == stamp => node,
+                _ => {
+                    // Only child pages and item bounds are kept, so the
+                    // region the node is expanded under does not matter.
+                    entries.clear();
+                    probe.expand(&mut pg, NodeRef { page, ..root }, &mut entries);
+                    summarize(stamp, &entries)
+                }
+            };
+            regions.extend(node.items);
+            stack.extend(node.children.iter().rev());
+            self.nodes.insert(page, node);
+        }
+        regions
+    }
+}
+
+fn summarize(stamp: u64, entries: &[IndexEntry]) -> NodeSummary {
+    NodeSummary {
+        stamp,
+        children: entries
+            .iter()
+            .filter_map(|e| match e {
+                IndexEntry::Node(child) => Some(child.page),
+                IndexEntry::Item(_) => None,
+            })
+            .collect(),
+        items: Rect::from_points(entries.iter().filter_map(|e| match e {
+            IndexEntry::Item(it) => Some(it.point),
+            IndexEntry::Node(_) => None,
+        })),
+    }
 }
 
 /// Adapts a [`TaggedPairSink`] to the per-leaf [`PairSink`] contract,

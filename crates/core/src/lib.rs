@@ -133,8 +133,8 @@ mod verify;
 
 pub use brute::{brute_candidates, rcj_brute, rcj_brute_self};
 pub use engine::{
-    DatasetHandle, Engine, EngineError, IndexKind, LoadBuilder, Mutation, Plan, QueryBuilder,
-    UpdateBuilder,
+    validate_batch, DatasetHandle, Engine, EngineError, IndexKind, LoadBuilder, Mutation, Plan,
+    QueryBuilder, UpdateBuilder,
 };
 pub use executor::Executor;
 pub use filter::{bulk_filter, bulk_filter_with, filter, filter_with, BulkFilterResult};

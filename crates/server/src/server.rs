@@ -462,6 +462,7 @@ fn stats_reply(id: Option<u64>, shared: &Shared) -> String {
             ("wal_records", wal_records.to_string()),
             ("wal_bytes", wal_bytes.to_string()),
             ("recovered_epochs", engine.recovered_epochs().to_string()),
+            ("recovery_ms", format!("{:.3}", engine.recovery_ms())),
             (
                 "shards_up",
                 health

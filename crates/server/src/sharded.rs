@@ -44,17 +44,18 @@ use crate::topology::{BackendFactory, HealFn, RespawnPolicy, ShardBackend, Shard
 use crate::ServerError;
 use ringjoin_core::planner::{DatasetSummary, JoinCostModel};
 use ringjoin_core::{
-    Engine, IndexKind, Mutation, Plan, QueryBuilder, RcjAlgorithm, RcjPair, RcjStats,
+    validate_batch, Engine, EngineError, IndexKind, Mutation, Plan, QueryBuilder, RcjAlgorithm,
+    RcjPair, RcjStats,
 };
 use ringjoin_geom::{Item, Point, Rect};
 use ringjoin_storage::{BufferPool, Wal};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A region-of-interest restriction on a join: report only pairs whose
 /// ring (the pair's circle) intersects `bounds` and whose diameter is at
@@ -255,7 +256,8 @@ impl ShardWorker {
     /// Recomputes which leaf groups this worker owns for `name` (their
     /// regions changed under a load or a mutation batch) and records
     /// them, returning the ownership the coordinator's routing catalog
-    /// wants.
+    /// wants. After a batch, the engine's memoized walk reads only the
+    /// pages the batch wrote.
     fn reindex_ownership(
         &mut self,
         name: &str,
@@ -590,18 +592,18 @@ struct CatalogEntry {
     /// dataset (the fan-out keeps them in lockstep; a worker that
     /// drifts is quarantined and rebuilt from the log).
     epoch: u64,
-    /// The current pointset, id → point. This is what update batches
-    /// validate against — the same simulate-then-apply rules as
-    /// [`Engine::update`], run **once** at the coordinator so a
-    /// rejected batch provably never reaches a worker — and what
-    /// `items_per_shard` is recomputed from after a mutation.
+    /// The current pointset, id → point. Update batches validate
+    /// against it through [`validate_batch`], the rules
+    /// [`Engine::update`] runs, **once** at the coordinator so a
+    /// rejected batch provably never reaches a worker.
     points: BTreeMap<u64, Point>,
     /// The dataset's partition cells (fixed at load; updates move
     /// points between existing cells but never re-partition).
     cells: Vec<Rect>,
     /// Leaf groups owned by each shard.
     leaves: Vec<usize>,
-    /// Points located in each shard's cell.
+    /// Points located in each shard's cell, moved by each batch's net
+    /// effect.
     item_counts: Vec<u64>,
     /// Union of each shard's owned leaf regions — the shard extent
     /// ring-expanded bounds are routed against. Empty for shards that
@@ -723,7 +725,10 @@ pub struct ShardedEngine {
     /// re-establishing epoch 0 plus update batches advancing one epoch
     /// each) — `0` for a fresh or non-durable engine; what `STATS`
     /// reports as `recovered_epochs`.
-    recovered: AtomicU64,
+    recovered: u64,
+    /// How long that replay took, WAL open included — zero when nothing
+    /// was replayed; what `STATS` reports as `recovery_ms`.
+    recovery: Duration,
 }
 
 impl ShardedEngine {
@@ -845,17 +850,22 @@ impl ShardedEngine {
                 backoff: cfg.respawn_backoff,
             },
         )?;
-        let engine = ShardedEngine {
+        let mut engine = ShardedEngine {
             topology,
             state,
             plans: PlanCache::new(),
             pool,
             on_disk: cfg.on_disk,
             updates: AtomicU64::new(0),
-            recovered: AtomicU64::new(0),
+            recovered: 0,
+            recovery: Duration::ZERO,
         };
         if let Some(dir) = &cfg.data_dir {
-            engine.recover(dir)?;
+            let started = Instant::now();
+            engine.recovered = engine.recover(dir)?;
+            if engine.recovered > 0 {
+                engine.recovery = started.elapsed();
+            }
         }
         Ok(engine)
     }
@@ -867,7 +877,8 @@ impl ShardedEngine {
     /// verifies each update batch lands on exactly the epoch the log
     /// recorded. Runs inside construction — before the server binds its
     /// listener — so no session ever observes a half-recovered catalog.
-    fn recover(&self, data_dir: &Path) -> Result<(), ServerError> {
+    /// Returns how many records it replayed.
+    fn recover(&self, data_dir: &Path) -> Result<u64, ServerError> {
         let (payloads, wal) = Wal::open(data_dir.join("wal"))
             .map_err(|e| ServerError::Internal(format!("WAL open failed: {e}")))?;
         for (i, payload) in payloads.iter().enumerate() {
@@ -901,12 +912,10 @@ impl ShardedEngine {
                 self.load(&name, items, kind)?;
             }
         }
-        self.recovered
-            .store(payloads.len() as u64, Ordering::Relaxed);
         // The replayed-and-truncated log now becomes the live one:
         // every batch from here on appends after the recovered prefix.
         self.state.write().expect("catalog lock poisoned").wal = Some(wal);
-        Ok(())
+        Ok(payloads.len() as u64)
     }
 
     /// Number of shards (partition cells).
@@ -954,7 +963,14 @@ impl ShardedEngine {
     /// `STATS` reports as `recovered_epochs`, and what the CI crash-
     /// smoke job polls to confirm a restarted coordinator healed.
     pub fn recovered_epochs(&self) -> u64 {
-        self.recovered.load(Ordering::Relaxed)
+        self.recovered
+    }
+
+    /// Wall time of that startup recovery in milliseconds (`0` for a
+    /// fresh or non-durable engine) — what `STATS` reports as
+    /// `recovery_ms`. A timing: it stays out of [`RcjStats`].
+    pub fn recovery_ms(&self) -> f64 {
+        self.recovery.as_secs_f64() * 1e3
     }
 
     /// Polls until every worker slot is up, or `timeout` lapses.
@@ -1105,10 +1121,11 @@ impl ShardedEngine {
     /// a half-applied batch.
     ///
     /// The whole batch is validated *here*, against the coordinator's
-    /// authoritative pointset, under exactly the engine's rules
+    /// authoritative pointset, by the engine's own [`validate_batch`]
     /// (`INSERT` of a present id and `DELETE` of an absent id refuse the
-    /// whole batch; `UPSERT` never fails), plus finite coordinates.
-    /// Workers therefore only see batches that must succeed — a
+    /// whole batch; `UPSERT` never fails), plus finite coordinates. Like
+    /// the catalog refresh after it, the check costs the batch, not the
+    /// dataset. Workers therefore only see batches that must succeed — a
     /// worker-side refusal means its state has diverged from the log,
     /// and the topology layer tears it down for a rebuild. If the batch
     /// cannot land on at least one replica of every cell, it is
@@ -1122,38 +1139,22 @@ impl ShardedEngine {
             ));
         }
         let mut st = self.state.write().expect("catalog lock poisoned");
-        let target_epoch = {
-            let entry = Self::require(&st.catalog, name)?;
-            // Whole-batch simulation over the live id set — the same
-            // validation the engine itself runs, so a batch accepted
-            // here cannot fail on any in-sync worker.
-            let mut sim: BTreeSet<u64> = entry.points.keys().copied().collect();
-            for op in &ops {
-                match op {
-                    Mutation::Insert(it) => {
-                        require_finite(it)?;
-                        if !sim.insert(it.id) {
-                            return Err(ServerError::BadRequest(format!(
-                                "INSERT of duplicate id {} into dataset {name:?}",
-                                it.id
-                            )));
-                        }
-                    }
-                    Mutation::Delete(id) => {
-                        if !sim.remove(id) {
-                            return Err(ServerError::BadRequest(format!(
-                                "DELETE of missing id {id} from dataset {name:?}"
-                            )));
-                        }
-                    }
-                    Mutation::Upsert(it) => {
-                        require_finite(it)?;
-                        sim.insert(it.id);
-                    }
-                }
-            }
-            entry.epoch + 1
-        };
+        let entry = Self::require(&st.catalog, name)?;
+        // The engine's own validator, so a batch accepted here cannot
+        // fail on any in-sync worker. Ids are checked in batch order up
+        // to the first non-finite point, which is refused in its turn.
+        let finite = ops
+            .iter()
+            .take_while(|op| match op {
+                Mutation::Insert(it) | Mutation::Upsert(it) => require_finite(it).is_ok(),
+                Mutation::Delete(_) => true,
+            })
+            .count();
+        let delta = validate_batch(name, &entry.points, &ops[..finite]).map_err(refusal)?;
+        if let Some(Mutation::Insert(it) | Mutation::Upsert(it)) = ops.get(finite) {
+            require_finite(it)?;
+        }
+        let target_epoch = entry.epoch + 1;
         let ops = Arc::new(ops);
         let req = ShardRequest::Update {
             name: name.to_string(),
@@ -1162,31 +1163,30 @@ impl ShardedEngine {
         };
         let record = vec![req.clone(); self.topology.cells()];
         let owners = self.log_and_fan_out(&mut st, record, || req.encode())?;
-        // Unanimous: refresh the routing catalog from the fan-out and
-        // the authoritative pointset from the batch itself.
+        // Unanimous: refresh the routing catalog from the fan-out, and
+        // the pointset and per-cell counts from the batch's net effect.
         let entry = st.catalog.get_mut(name).expect("validated above");
-        for op in ops.iter() {
-            match op {
-                Mutation::Insert(it) | Mutation::Upsert(it) => {
-                    entry.points.insert(it.id, it.point);
-                }
-                Mutation::Delete(id) => {
-                    entry.points.remove(id);
-                }
+        let cell_of = |p: Point| {
+            entry
+                .cells
+                .iter()
+                .position(|c| c.contains_point_half_open(p))
+                .expect("partition cells tile the plane")
+        };
+        for (id, after) in delta {
+            let before = match after {
+                Some(p) => entry.points.insert(id, p),
+                None => entry.points.remove(&id),
+            };
+            if let Some(p) = before {
+                entry.item_counts[cell_of(p)] -= 1;
+            }
+            if let Some(p) = after {
+                entry.item_counts[cell_of(p)] += 1;
             }
         }
         entry.items = entry.points.len() as u64;
         entry.epoch = target_epoch;
-        let mut item_counts = vec![0u64; entry.cells.len()];
-        for p in entry.points.values() {
-            let cell = entry
-                .cells
-                .iter()
-                .position(|c| c.contains_point_half_open(*p))
-                .expect("partition cells tile the plane");
-            item_counts[cell] += 1;
-        }
-        entry.item_counts = item_counts;
         (entry.leaves, entry.extents, entry.summary) = routing(&owners);
         self.updates.fetch_add(1, Ordering::Relaxed);
         Ok(UpdateInfo {
@@ -1246,28 +1246,15 @@ impl ShardedEngine {
             }
         }
         if !matches!(outcomes.last(), Some(Some(Err(_)))) {
-            let first = outcomes.len();
-            outcomes.extend(std::thread::scope(|s| {
-                let handles: Vec<_> = (first..total)
-                    .map(|idx| {
-                        let req = &record[idx / replicas];
-                        s.spawn(move || {
-                            let out = topo.call_slot(idx, req);
-                            if update && idx == 0 {
-                                // Slot 0 has applied the batch; the rest
-                                // of the fleet may not have — the
-                                // genuinely partial state a recovery
-                                // must heal.
-                                crash_point("mid-fanout");
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fan-out thread panicked"))
-                    .collect::<Vec<_>>()
+            outcomes.extend(fan_out(outcomes.len()..total, |idx| {
+                let out = topo.call_slot(idx, &record[idx / replicas]);
+                if update && idx == 0 {
+                    // Slot 0 has applied the batch; the rest of the
+                    // fleet may not have — the genuinely partial state
+                    // a recovery must heal.
+                    crash_point("mid-fanout");
+                }
+                out
             }));
         }
         let mut owners: Vec<Option<Ownership>> = vec![None; record.len()];
@@ -1372,31 +1359,6 @@ impl ShardedEngine {
         self.join_locked(&st.catalog, dataset, None, algo, bounds)
     }
 
-    /// Runs `op` for every participating cell — concurrently when more
-    /// than one participates — and returns the results in cell order
-    /// (which downstream merges rely on for byte-identity).
-    fn fan_out<T: Send>(
-        &self,
-        cells: &[usize],
-        op: impl Fn(usize) -> Result<T, ServerError> + Sync,
-    ) -> Result<Vec<T>, ServerError> {
-        match cells {
-            [] => Ok(Vec::new()),
-            [cell] => Ok(vec![op(*cell)?]),
-            _ => std::thread::scope(|s| {
-                let op = &op;
-                let handles: Vec<_> = cells
-                    .iter()
-                    .map(|&cell| s.spawn(move || op(cell)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("query fan-out thread panicked"))
-                    .collect()
-            }),
-        }
-    }
-
     /// The shared join fan-out, run under the catalog's read lock (held
     /// by the caller through `catalog`): routing, the cache-resolved
     /// algorithm, the replica round-trips (with failover — see the
@@ -1433,12 +1395,14 @@ impl ShardedEngine {
             algo,
             bounds,
         };
-        let replies = self.fan_out(&participating, |cell| {
+        let replies = fan_out(participating.iter().copied(), |cell| {
             match self.topology.call(cell, &req)? {
                 ShardReply::Joined { pairs, stats } => Ok((pairs, stats)),
                 _ => Err(ServerError::Internal(WRONG_REPLY.into())),
             }
-        })?;
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, ServerError>>()?;
         let mut stats = RcjStats::default();
         let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
         for (pairs, shard_stats) in replies {
@@ -1492,12 +1456,14 @@ impl ShardedEngine {
             inner: inner.map(str::to_string),
             k,
         };
-        let replies = self.fan_out(&participating, |cell| {
+        let replies = fan_out(participating.iter().copied(), |cell| {
             match self.topology.call(cell, &req)? {
                 ShardReply::Ranked { pairs, stats } => Ok((pairs, stats)),
                 _ => Err(ServerError::Internal(WRONG_REPLY.into())),
             }
-        })?;
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, ServerError>>()?;
         let mut stats = RcjStats::default();
         let mut streams: Vec<std::vec::IntoIter<RcjPair>> = Vec::new();
         for (pairs, shard_stats) in replies {
@@ -1572,6 +1538,39 @@ fn require_finite(it: &Item) -> Result<(), ServerError> {
             it.id, it.point.x, it.point.y
         )))
     }
+}
+
+/// The wire refusal of a batch [`validate_batch`] turned down.
+fn refusal(e: EngineError) -> ServerError {
+    ServerError::BadRequest(match e {
+        EngineError::DuplicateId { dataset, id } => {
+            format!("INSERT of duplicate id {id} into dataset {dataset:?}")
+        }
+        EngineError::MissingId { dataset, id } => {
+            format!("DELETE of missing id {id} from dataset {dataset:?}")
+        }
+        other => other.to_string(),
+    })
+}
+
+/// Runs `op` for every index — on scoped threads when there is more
+/// than one, inline when there is one — and returns the results in
+/// index order, which the merges rely on for byte-identity.
+fn fan_out<T: Send>(
+    indices: impl ExactSizeIterator<Item = usize>,
+    op: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    if indices.len() < 2 {
+        return indices.map(op).collect();
+    }
+    std::thread::scope(|s| {
+        let op = &op;
+        let handles: Vec<_> = indices.map(|i| s.spawn(move || op(i))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fan-out thread panicked"))
+            .collect()
+    })
 }
 
 /// The routing-catalog view of a fan-out: per-cell owned-leaf counts
@@ -1661,6 +1660,7 @@ fn merge_top_k(mut streams: Vec<std::vec::IntoIter<RcjPair>>, k: usize) -> Vec<R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ringjoin_core::{Engine, RcjStream};
     use ringjoin_geom::pt;
 
@@ -1886,57 +1886,254 @@ mod tests {
         }
     }
 
-    #[test]
-    fn update_validation_refuses_whole_batches_and_leaves_state_intact() {
-        let se = ShardedEngine::new(2).unwrap();
-        se.load("d", items(120, 7, 800.0), IndexKind::Quadtree)
-            .unwrap();
-        let before = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
+    /// A random operation over ids `0..160` of a 120-point dataset
+    /// (ids `0..120`): inserts that may collide, deletes that may miss,
+    /// upserts, and repeats within one batch.
+    fn mutation() -> impl Strategy<Value = Mutation> {
+        let item = || {
+            (0..160u64, 0.0..800.0f64, 0.0..800.0f64).prop_map(|(id, x, y)| Item::new(id, pt(x, y)))
+        };
+        prop_oneof![
+            2 => item().prop_map(Mutation::Insert),
+            2 => (0..160u64).prop_map(Mutation::Delete),
+            1 => item().prop_map(Mutation::Upsert),
+        ]
+    }
 
-        // Each refused batch: a protocol error, no epoch movement.
-        assert!(matches!(
-            se.update("d", Vec::new()),
-            Err(ServerError::BadRequest(_))
-        ));
-        assert!(matches!(
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// One validator, one verdict: every batch gets the same accept
+        /// or refuse verdict from a plain [`Engine`] and from the
+        /// sharded coordinator, a refusal names the same offending id in
+        /// the wire text, and a refused batch changes nothing.
+        #[test]
+        fn update_validation_refuses_whole_batches_and_leaves_state_intact(
+            batches in proptest::collection::vec(proptest::collection::vec(mutation(), 1..5), 1..8),
+        ) {
+            let its = items(120, 7, 800.0);
+            let se = ShardedEngine::new(2).unwrap();
+            se.load("d", its.clone(), IndexKind::Quadtree).unwrap();
+            let mut engine = Engine::new();
+            engine.load("d", its).index(IndexKind::Quadtree);
+            let before = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
+
+            // Each refused batch: a protocol error, no epoch movement.
+            prop_assert!(matches!(se.update("d", Vec::new()), Err(ServerError::BadRequest(_))));
             // id 3 exists: the whole batch (including the valid delete)
             // must be refused.
-            se.update(
-                "d",
-                vec![
-                    Mutation::Delete(0),
-                    Mutation::Insert(Item::new(3, pt(1.0, 2.0)))
-                ]
-            ),
-            Err(ServerError::BadRequest(_))
-        ));
-        assert!(matches!(
-            se.update("d", vec![Mutation::Delete(4242)]),
-            Err(ServerError::BadRequest(_))
-        ));
-        // Intra-batch conflict: the upsert introduces the id the later
-        // insert collides with.
-        assert!(matches!(
-            se.update(
-                "d",
+            let fixed = vec![
+                vec![Mutation::Delete(0), Mutation::Insert(Item::new(3, pt(1.0, 2.0)))],
+                vec![Mutation::Delete(4242)],
+                // Intra-batch conflict: the upsert introduces the id the
+                // later insert collides with.
                 vec![
                     Mutation::Upsert(Item::new(500, pt(5.0, 6.0))),
-                    Mutation::Insert(Item::new(500, pt(7.0, 8.0)))
-                ]
-            ),
-            Err(ServerError::BadRequest(_))
-        ));
-        assert!(matches!(
-            se.update("missing", vec![Mutation::Delete(0)]),
-            Err(ServerError::UnknownDataset(_))
-        ));
+                    Mutation::Insert(Item::new(500, pt(7.0, 8.0))),
+                ],
+            ];
+            for ops in &fixed {
+                prop_assert!(matches!(se.update("d", ops.clone()), Err(ServerError::BadRequest(_))));
+            }
+            prop_assert!(matches!(
+                se.update("missing", vec![Mutation::Delete(0)]),
+                Err(ServerError::UnknownDataset(_))
+            ));
+            let info = se.dataset("d").unwrap();
+            prop_assert_eq!((info.epoch, info.items), (0, 120));
+            prop_assert_eq!(se.updates_total(), 0);
+            let after = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
+            prop_assert!(after.pairs == before.pairs, "refused batches must be no-ops");
+            prop_assert_eq!(after.stats, before.stats);
 
-        let info = se.dataset("d").unwrap();
-        assert_eq!((info.epoch, info.items), (0, 120));
-        assert_eq!(se.updates_total(), 0);
-        let after = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
-        assert_eq!(after.pairs, before.pairs, "refused batches must be no-ops");
-        assert_eq!(after.stats, before.stats);
+            // Delete-then-insert of one id is accepted.
+            let reinsert = vec![Mutation::Delete(5), Mutation::Insert(Item::new(5, pt(9.0, 9.0)))];
+            for ops in fixed.into_iter().chain([reinsert]).chain(batches) {
+                let live = se.dataset_items("d").unwrap();
+                let info = se.dataset("d").unwrap();
+                let verdict = engine.update("d").mutations(&ops).apply();
+                match (verdict, se.update("d", ops.clone())) {
+                    (Ok(handle), Ok(applied)) => {
+                        prop_assert_eq!(handle.epoch(), applied.epoch);
+                        prop_assert_eq!(handle.summary().items, applied.items);
+                    }
+                    (Err(e), Err(ServerError::BadRequest(msg))) => {
+                        let expected = match &e {
+                            EngineError::DuplicateId { id, .. } => {
+                                format!("INSERT of duplicate id {id} into dataset \"d\"")
+                            }
+                            EngineError::MissingId { id, .. } => {
+                                format!("DELETE of missing id {id} from dataset \"d\"")
+                            }
+                            other => format!("unexpected engine refusal {other}"),
+                        };
+                        prop_assert_eq!(msg, expected);
+                        prop_assert!(se.dataset_items("d").unwrap() == live);
+                        let now = se.dataset("d").unwrap();
+                        prop_assert_eq!((now.epoch, now.items_per_shard), (info.epoch, info.items_per_shard));
+                    }
+                    (verdict, served) => prop_assert!(
+                        false,
+                        "{ops:?}: the engine said {verdict:?}, the coordinator {served:?}"
+                    ),
+                }
+            }
+            prop_assert!(se.dataset_items("d").unwrap() == engine.dataset_items("d").unwrap());
+            let served = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
+            let reference = engine.query().self_join("d").collect().unwrap();
+            prop_assert!(served.pairs == reference.pairs);
+            prop_assert_eq!(served.stats, reference.stats);
+        }
+    }
+
+    /// Five batches over a 400-point dataset in `[0, 1000)²` whose sizes
+    /// `sizes` picks: random inserts into full STR leaves (R* forced
+    /// reinserts and splits, quadtree splits); a pile of co-located
+    /// points past the quadtree's depth limit (overflow chains); deletes
+    /// that underfill nodes (condense); points outside the loaded region
+    /// (the quadtree rebuild); upserts that move points.
+    fn routing_batches(seed: u64, sizes: &[usize]) -> Vec<Vec<Mutation>> {
+        let at = |n: usize, salt: u64| items(n, seed * 8 + salt, 1000.0).into_iter();
+        let fresh = |id: u64, p: Item| Item::new(10_000 + 1_000 * id + p.id, p.point);
+        vec![
+            at(sizes[0], 1)
+                .map(|p| Mutation::Insert(fresh(0, p)))
+                .collect(),
+            (0..45 + sizes[1] as u64)
+                .map(|i| Mutation::Insert(Item::new(20_000 + i, pt(333.25, 666.5))))
+                .collect(),
+            (0..400)
+                .step_by(400 / sizes[2])
+                .map(Mutation::Delete)
+                .collect(),
+            at(sizes[3] % 3 + 1, 4)
+                .map(|p| {
+                    Mutation::Insert(fresh(4, Item::new(p.id, pt(p.point.x + 1000.0, p.point.y))))
+                })
+                .collect(),
+            at(sizes[4], 5)
+                .map(|p| Mutation::Upsert(Item::new(10_000 + p.id, p.point)))
+                .collect(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Routing gate: after every batch, the routing state the batch
+        /// patched in — each worker's leaf regions (the memoized walk)
+        /// and owned leaves, the coordinator's per-cell leaf counts,
+        /// extents, and item counts moved by the batch's net effect —
+        /// equals a from-scratch recomputation: a fresh engine replays
+        /// the same history into the same tree, walks it with no memo,
+        /// and every point is recounted.
+        #[test]
+        fn batch_patched_routing_equals_a_from_scratch_rebuild(
+            shards in 1..5usize,
+            quadtree in any::<bool>(),
+            seed in 0..1000u64,
+            sizes in proptest::collection::vec(20..90usize, 5),
+        ) {
+            let kind = if quadtree { IndexKind::Quadtree } else { IndexKind::Rtree };
+            let base = items(400, seed, 1000.0);
+            let se = ShardedEngine::new(shards).unwrap();
+            se.load("d", base.clone(), kind).unwrap();
+            let cells = se.read_state().catalog["d"].cells.clone();
+            let cell_of = |p: Point| cells.iter().position(|c| c.contains_point_half_open(p)).unwrap();
+            // The workers behind `se` are out of reach, so the same
+            // messages also drive one worker per cell in the open.
+            let mut workers: Vec<ShardWorker> = cells
+                .iter()
+                .map(|&cell| {
+                    let mut worker = ShardWorker {
+                        engine: Engine::new(),
+                        datasets: BTreeMap::new(),
+                        pool: BufferPool::new(usize::MAX / 2),
+                        accepts: None,
+                    };
+                    worker
+                        .handle(&ShardRequest::Load {
+                            name: "d".into(),
+                            kind,
+                            cell,
+                            spill: None,
+                            writer: false,
+                            items: Arc::new(base.clone()),
+                        })
+                        .unwrap();
+                    worker
+                })
+                .collect();
+            let mut history: Vec<Vec<Mutation>> = Vec::new();
+            let mut fresh = Engine::new();
+            for ops in routing_batches(seed, &sizes) {
+                se.update("d", ops.clone()).unwrap();
+                let update = ShardRequest::Update {
+                    name: "d".into(),
+                    target_epoch: history.len() as u64 + 1,
+                    ops: Arc::new(ops.clone()),
+                };
+                for worker in &mut workers {
+                    worker.handle(&update).unwrap();
+                }
+                history.push(ops);
+                fresh = Engine::new();
+                fresh.load("d", base.clone()).index(kind);
+                for ops in &history {
+                    fresh.update("d").mutations(ops).apply().unwrap();
+                }
+                let regions = fresh.leaf_regions("d").unwrap();
+                let mut owned = vec![Vec::new(); cells.len()];
+                let mut extents = vec![Rect::empty(); cells.len()];
+                for (i, region) in regions.iter().enumerate() {
+                    let cell = cell_of(region.center());
+                    owned[cell].push(i);
+                    extents[cell].expand_rect(*region);
+                }
+                for (worker, owned) in workers.iter().zip(&owned) {
+                    let ds = &worker.datasets["d"];
+                    prop_assert_eq!(&ds.leaf_regions, &regions);
+                    prop_assert_eq!(&ds.owned, owned);
+                }
+                let leaves: Vec<usize> = owned.iter().map(Vec::len).collect();
+                let mut counts = vec![0u64; cells.len()];
+                for it in fresh.dataset_items("d").unwrap() {
+                    counts[cell_of(it.point)] += 1;
+                }
+                let st = se.read_state();
+                let entry = &st.catalog["d"];
+                prop_assert_eq!(&entry.leaves, &leaves);
+                prop_assert_eq!(&entry.extents, &extents);
+                prop_assert_eq!(&entry.item_counts, &counts);
+                prop_assert_eq!(entry.summary, fresh.dataset("d").unwrap().summary());
+            }
+            let served = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
+            let reference = fresh.query().self_join("d").collect().unwrap();
+            prop_assert!(served.pairs == reference.pairs);
+            prop_assert_eq!(served.stats, reference.stats);
+        }
+    }
+
+    #[test]
+    fn recovery_reports_its_wall_time_beside_its_record_count() {
+        let dir = ringjoin_testsupport::scratch_dir("sharded-recovery-ms");
+        let cfg = TopologyConfig {
+            data_dir: Some(dir.clone()),
+            ..TopologyConfig::default()
+        };
+        let fresh = ShardedEngine::with_topology(cfg.clone()).unwrap();
+        assert_eq!((fresh.recovered_epochs(), fresh.recovery_ms()), (0, 0.0));
+        fresh
+            .load("d", items(300, 41, 900.0), IndexKind::Rtree)
+            .unwrap();
+        fresh.update("d", vec![Mutation::Delete(7)]).unwrap();
+        fresh.shutdown();
+        let restarted = ShardedEngine::with_topology(cfg).unwrap();
+        assert_eq!(restarted.recovered_epochs(), 2);
+        assert!(restarted.recovery_ms() > 0.0);
+        restarted.shutdown();
+        assert_eq!(ShardedEngine::new(1).unwrap().recovery_ms(), 0.0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

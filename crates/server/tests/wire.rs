@@ -354,7 +354,7 @@ fn stats_keys_match_the_documented_schema() {
     }
     assert_eq!(rows, (1, 2), "one dataset row, one row per shard slot");
     let status_keys = emitted.iter().filter(|(line, _)| line == "status");
-    assert_eq!(status_keys.count(), 23, "{:?}", reply.fields);
+    assert_eq!(status_keys.count(), 24, "{:?}", reply.fields);
     let documented = documented_stats_keys();
     let undocumented: Vec<_> = emitted.difference(&documented).collect();
     let missing: Vec<_> = documented.difference(&emitted).collect();

@@ -161,6 +161,12 @@ pub struct Pager {
     /// a mutation batch, so snapshots and byte-owning frames taken under
     /// the old epoch stay isolated from pages rewritten under the new one.
     epoch: u64,
+    /// Write stamps: `stamps[i]` is the `write_clock` value of the last
+    /// [`Pager::write`] to page `i` (`0`, or past the end: never written
+    /// through this pager). See [`Pager::page_stamp`].
+    stamps: Vec<u64>,
+    /// Writes so far; only ever grows, so no two writes share a stamp.
+    write_clock: u64,
 }
 
 impl Pager {
@@ -177,6 +183,8 @@ impl Pager {
             store_owned: false,
             store_base: None,
             epoch: 0,
+            stamps: Vec::new(),
+            write_clock: 0,
         }
     }
 
@@ -241,6 +249,12 @@ impl Pager {
         // The bytes behind a page store change: reopen it on next use.
         self.store_cache = None;
         self.stats.logical_writes += 1;
+        self.write_clock += 1;
+        let slot = id.0 as usize;
+        if self.stamps.len() <= slot {
+            self.stamps.resize(slot + 1, 0);
+        }
+        self.stamps[slot] = self.write_clock;
         let resident = self.disk.resident_page(id).is_some();
         let (mut bytes, outcome) = if resident {
             let mut bytes = vec![0u8; self.disk.page_size()];
@@ -258,6 +272,21 @@ impl Pager {
         if !resident {
             self.pool.refresh(self.epoch, id, bytes.into());
         }
+    }
+
+    /// The write stamp of page `id`: a value that changes every time
+    /// [`Pager::write`] rewrites the page and at no other time. A reader
+    /// that decoded the page when its stamp was `s` may keep the decoded
+    /// form for as long as the stamp still reads `s`, without reading
+    /// the page again. Stamps are not I/O: asking costs no logical read.
+    ///
+    /// The invariant holds because every change to a page's bytes goes
+    /// through [`Pager::write`]: [`Pager::spill_to`],
+    /// [`Pager::attach_store`] and [`Pager::begin_epoch`] move or
+    /// version the bytes without changing them, and a page fresh from
+    /// [`Pager::allocate`] reads as zeroes until its first write.
+    pub fn page_stamp(&self, id: PageId) -> u64 {
+        self.stamps.get(id.0 as usize).copied().unwrap_or(0)
     }
 
     /// Current statistics snapshot.
@@ -629,6 +658,32 @@ mod tests {
         p.read(a, |b| assert_eq!(b[0], 2));
         assert_eq!(reads.get(), 2);
         assert_eq!(p.stats().read_faults, 1);
+    }
+
+    #[test]
+    fn a_write_moves_only_its_own_page_stamp() {
+        let dir = std::env::temp_dir().join(format!("ringjoin-stamps-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut p = Pager::new(MemDisk::new(128), 4);
+        let (a, b) = (p.allocate(), p.allocate());
+        assert_eq!((p.page_stamp(a), p.page_stamp(b)), (0, 0));
+        p.write(a, |bytes| bytes[0] = 1);
+        let stamp_a = p.page_stamp(a);
+        assert_ne!(stamp_a, 0);
+        assert_eq!(p.page_stamp(b), 0, "b was not written");
+        // Reads, moves and epochs keep the bytes, so they keep the stamps.
+        let reads = p.stats().logical_reads;
+        p.read(a, |_| ());
+        p.spill_to(dir.join("pages.rj")).unwrap();
+        p.begin_epoch(true);
+        assert_eq!(p.page_stamp(a), stamp_a);
+        assert_eq!(p.stats().logical_reads, reads + 1, "asking is not a read");
+        // Every write moves the stamp, even one that rewrites equal bytes.
+        p.write(a, |bytes| bytes[0] = 1);
+        assert!(p.page_stamp(a) > stamp_a);
+        p.write(b, |_| ());
+        assert!(p.page_stamp(b) > p.page_stamp(a));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
