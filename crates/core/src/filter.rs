@@ -22,49 +22,342 @@
 //! an entry is discarded only when it is prunable *for every* `q` in the
 //! leaf. With the symmetric rule of Lemma 5 enabled (the OBJ algorithm),
 //! sibling points of `q`'s leaf act as additional pruners at zero I/O
-//! cost.
+//! cost. The single-point filter is the same traversal over a "leaf" of
+//! one point, with the point itself as the reference location.
+//!
+//! # Live sets
+//!
+//! Each query point owns one flat list of precomputed half-planes: its
+//! leaf siblings (under Lemma 5), then each candidate as it joins `S`.
+//! A test is an `any` over that list, so its order is free; the slot
+//! that pruned last is tried first.
+//!
+//! Every heap entry carries a *live set*: a bitset of the query points
+//! its parent was not pruned for (⌈n/64⌉ words, whatever the leaf size).
+//! A node is tested only for its live points and hands the survivors to
+//! its children; a point is tested only for its live points. Once a
+//! region is pruned for `q`, `q`'s verdict on everything below it is
+//! known, and that knowledge is exact:
+//!
+//! * [`HalfPlane::contains_rect`] evaluates the expression of
+//!   [`HalfPlane::contains_point`] at the region's extreme corner, and
+//!   IEEE rounding is monotone, so a half-plane that covers a region
+//!   also covers every point and every sub-rectangle of it (see the
+//!   [`HalfPlane`] docs);
+//! * every child region and item lies inside its parent's region (an
+//!   index invariant, `debug_assert!`ed at expansion — the one fact the
+//!   inheritance adds to what Lemma 3 already assumes);
+//! * pruner lists only grow, so the half-plane that pruned the parent
+//!   still prunes when the child is popped.
+//!
+//! # Push-time discard
+//!
+//! A child is tested against the current pruners as soon as its node is
+//! expanded; one with no live point left is never pushed. At pop time an
+//! entry is re-tested only against the pruners that joined since its
+//! push — the earlier ones already failed for every live point. The
+//! traversal drains its heap, so a discarded child would have been
+//! popped and thrown away: it still counts in
+//! [`RcjStats::filter_heap_pops`], which stays one (the root) plus every
+//! entry produced. Pop order, candidate sets, their order and every
+//! counter are those of testing each popped entry for every query point
+//! against every pruner.
 
-use crate::index::{IndexEntry, IndexProbe, NodeRef, RcjIndex};
+use crate::index::{IndexEntry, IndexProbe, RcjIndex};
 use crate::stats::RcjStats;
-use ringjoin_geom::{prunes, HalfPlane, Item, Point, Rect};
+use ringjoin_geom::{HalfPlane, Item, Point};
 use ringjoin_storage::PageAccess;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Priority-queue element of the filter traversal, ordered by ascending
-/// `key` (squared distance from the reference point).
-struct HeapElem {
+/// Priority-queue key of the filter traversal: ascending squared
+/// distance from the reference location, ties in push order. `idx` is
+/// the push order itself and names the entry in [`Traversal::pushed`].
+struct HeapKey {
     key: f64,
-    seq: u64,
-    target: Target,
+    idx: usize,
 }
 
-enum Target {
-    /// An unvisited node with its subtree-bounding region (kept for
-    /// deheap-time Lemma 3 tests).
-    Node(NodeRef),
-    /// A data point awaiting its Lemma 1 test.
-    Point(Item),
-}
-
-impl PartialEq for HeapElem {
+impl PartialEq for HeapKey {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
+        self.key == other.key && self.idx == other.idx
     }
 }
-impl Eq for HeapElem {}
-impl PartialOrd for HeapElem {
+impl Eq for HeapKey {}
+impl PartialOrd for HeapKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapElem {
+impl Ord for HeapKey {
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .key
             .total_cmp(&self.key)
-            .then_with(|| other.seq.cmp(&self.seq))
+            .then_with(|| other.idx.cmp(&self.idx))
     }
+}
+
+/// A pushed entry: a node (Lemma 3) or a data point (Lemma 1).
+struct Pushed {
+    entry: IndexEntry,
+    /// [`Traversal::clock`] at the push: the pruners born later are the
+    /// only ones the entry has not been tested against.
+    clock: u64,
+}
+
+/// The pruning half-planes `Ψ⁻(q, ·)` of one query point, in one flat
+/// list in the order they joined.
+struct PrunerList {
+    planes: Vec<HalfPlane>,
+    /// `born[k]`: the traversal clock when `planes[k]` joined
+    /// (non-decreasing; leaf siblings are born at 0).
+    born: Vec<u64>,
+    /// The slot that pruned last, tried first.
+    hint: usize,
+}
+
+impl PrunerList {
+    fn push(&mut self, q: Point, p: Point, clock: u64) {
+        self.planes.push(HalfPlane::pruning_region(q, p));
+        self.born.push(clock);
+    }
+
+    /// Does any pruner cover the entry (`covers` is Lemma 1 for a point,
+    /// Lemma 3 for a region)?
+    #[inline]
+    fn any(&mut self, covers: impl Fn(&HalfPlane) -> bool) -> bool {
+        if self.planes.get(self.hint).is_some_and(&covers) {
+            return true;
+        }
+        match self.planes.iter().position(covers) {
+            Some(k) => {
+                self.hint = k;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Does any pruner born after `clock` cover the entry?
+    #[inline]
+    fn any_since(&self, clock: u64, covers: impl Fn(&HalfPlane) -> bool) -> bool {
+        let fresh = self.born.iter().rev().take_while(|&&b| b > clock).count();
+        self.planes[self.planes.len() - fresh..].iter().any(covers)
+    }
+}
+
+/// One query point of a traversal: its candidate set `S` and the list of
+/// half-planes that prune on its behalf.
+struct Query {
+    q: Point,
+    /// Self-join mode: the id of `q` itself, never its own candidate.
+    exclude: Option<u64>,
+    cands: Vec<Item>,
+    pruners: PrunerList,
+}
+
+impl Query {
+    /// A query point with room for `siblings` Lemma 5 pruners plus a few
+    /// candidates.
+    fn new(q: Point, exclude: Option<u64>, siblings: usize) -> Self {
+        let room = siblings + 8;
+        Query {
+            q,
+            exclude,
+            cands: Vec::new(),
+            pruners: PrunerList {
+                planes: Vec::with_capacity(room),
+                born: Vec::with_capacity(room),
+                hint: 0,
+            },
+        }
+    }
+}
+
+/// Calls `f` for every query point in the live set.
+#[inline]
+fn for_each_live(live: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in live.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Clears the bit of every live point `i` with `pruned(i)`; returns
+/// `true` if any bit is left.
+#[inline]
+fn retain_live(live: &mut [u64], mut pruned: impl FnMut(usize) -> bool) -> bool {
+    let mut left = 0;
+    for (w, word) in live.iter_mut().enumerate() {
+        let mut bits = *word;
+        while bits != 0 {
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            if pruned(w * 64 + b as usize) {
+                *word &= !(1 << b);
+            }
+        }
+        left |= *word;
+    }
+    left != 0
+}
+
+/// The incremental-NN traversal of `T_P` for a set of query points (see
+/// the module docs for the live-set rule).
+struct Traversal<'q> {
+    /// The location heap keys are measured from.
+    origin: Point,
+    queries: &'q mut [Query],
+    /// Words per live set.
+    words: usize,
+    /// Every pushed entry, in push order.
+    pushed: Vec<Pushed>,
+    /// Live sets: `pushed[idx]`'s is `slab[idx * words..][..words]`.
+    slab: Vec<u64>,
+    heap: BinaryHeap<HeapKey>,
+    /// Point pops so far: the birth time of the pruners they add.
+    clock: u64,
+}
+
+impl Traversal<'_> {
+    /// Tests `children`, just produced by a node whose live set is
+    /// `parent`, against the current pruners of the parent's live
+    /// points. Pushes each child that keeps a live point, in order; a
+    /// child with none is discarded and counted as popped.
+    fn offer(&mut self, children: &[IndexEntry], parent: &[u64], stats: &mut RcjStats) {
+        let words = self.words;
+        let first = self.slab.len();
+        self.slab.resize(first + children.len() * words, 0);
+        let sets = &mut self.slab[first..];
+        let queries = &mut *self.queries;
+        for_each_live(parent, |i| {
+            let qp = &mut queries[i];
+            let (w, bit) = (i / 64, 1u64 << (i % 64));
+            for (k, child) in children.iter().enumerate() {
+                let pruned = match *child {
+                    IndexEntry::Item(it) => {
+                        qp.exclude == Some(it.id) || qp.pruners.any(|h| h.contains_point(it.point))
+                    }
+                    IndexEntry::Node(node) => qp.pruners.any(|h| h.contains_rect(node.region)),
+                };
+                if !pruned {
+                    sets[k * words + w] |= bit;
+                }
+            }
+        });
+        // Survivors move down into their push slots.
+        let mut slot = first;
+        for (k, &child) in children.iter().enumerate() {
+            let at = first + k * words;
+            if self.slab[at..at + words].iter().all(|&w| w == 0) {
+                stats.filter_heap_pops += 1;
+                continue;
+            }
+            self.slab.copy_within(at..at + words, slot);
+            slot += words;
+            let key = match child {
+                IndexEntry::Item(it) => self.origin.dist_sq(it.point),
+                IndexEntry::Node(node) => node.region.mindist_sq(self.origin),
+            };
+            self.heap.push(HeapKey {
+                key,
+                idx: self.pushed.len(),
+            });
+            self.pushed.push(Pushed {
+                entry: child,
+                clock: self.clock,
+            });
+        }
+        self.slab.truncate(slot);
+    }
+
+    fn run(mut self, probe: &impl IndexProbe, pg: &mut dyn PageAccess, stats: &mut RcjStats) {
+        let n = self.queries.len();
+        // The root's parent set: every query point.
+        let mut parent: Vec<u64> = (0..self.words)
+            .map(|w| match n - 64 * w {
+                r if r >= 64 => !0,
+                r => (1 << r) - 1,
+            })
+            .collect();
+        self.offer(&[IndexEntry::Node(probe.root())], &parent, stats);
+
+        let mut children: Vec<IndexEntry> = Vec::new();
+        while let Some(HeapKey { idx, .. }) = self.heap.pop() {
+            stats.filter_heap_pops += 1;
+            let Pushed { entry, clock } = self.pushed[idx];
+            let live = idx * self.words..(idx + 1) * self.words;
+            match entry {
+                IndexEntry::Node(node) => {
+                    // Lemma 3 at deheap time, for the live points, against
+                    // the pruners that joined since the push (Algorithm 7,
+                    // line 7: discard once no point is left).
+                    let queries = &*self.queries;
+                    let alive = retain_live(&mut self.slab[live.clone()], |i| {
+                        queries[i]
+                            .pruners
+                            .any_since(clock, |h| h.contains_rect(node.region))
+                    });
+                    if !alive {
+                        continue;
+                    }
+                    parent.clear();
+                    parent.extend_from_slice(&self.slab[live]);
+                    children.clear();
+                    stats.filter_node_reads += 1;
+                    probe.expand(pg, node, &mut children);
+                    debug_assert!(
+                        children.iter().all(|e| match e {
+                            IndexEntry::Item(it) => node.region.contains_point(it.point),
+                            IndexEntry::Node(child) => node.region.contains_rect(child.region),
+                        }),
+                        "an entry of {node:?} escapes its region"
+                    );
+                    self.offer(&children, &parent, stats);
+                }
+                IndexEntry::Item(it) => {
+                    // Lemma 1 for the live points; a survivor joins `S`
+                    // and prunes on its query point's behalf from now on.
+                    self.clock += 1;
+                    let born = self.clock;
+                    let queries = &mut *self.queries;
+                    for_each_live(&self.slab[live], |i| {
+                        let qp = &mut queries[i];
+                        if !qp.pruners.any_since(clock, |h| h.contains_point(it.point)) {
+                            qp.cands.push(it);
+                            qp.pruners.push(qp.q, it.point, born);
+                        }
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// Runs the filter traversal from `origin` for `queries`, returning each
+/// query point's candidate set in the order of discovery.
+fn traverse(
+    probe: &impl IndexProbe,
+    pg: &mut dyn PageAccess,
+    origin: Point,
+    mut queries: Vec<Query>,
+    stats: &mut RcjStats,
+) -> Vec<Vec<Item>> {
+    Traversal {
+        origin,
+        words: queries.len().div_ceil(64),
+        queries: &mut queries,
+        pushed: Vec::new(),
+        slab: Vec::new(),
+        heap: BinaryHeap::new(),
+        clock: 0,
+    }
+    .run(probe, pg, stats);
+    queries.into_iter().map(|qp| qp.cands).collect()
 }
 
 /// Algorithm 2: candidate retrieval for a single query point, through
@@ -96,69 +389,8 @@ pub fn filter_with(
     exclude_id: Option<u64>,
     stats: &mut RcjStats,
 ) -> Vec<Item> {
-    let mut s: Vec<Item> = Vec::new();
-    let mut heap = BinaryHeap::new();
-    let mut seq = 0u64;
-    heap.push(HeapElem {
-        key: 0.0,
-        seq,
-        target: Target::Node(probe.root()),
-    });
-
-    let mut entries: Vec<IndexEntry> = Vec::new();
-    while let Some(elem) = heap.pop() {
-        stats.filter_heap_pops += 1;
-        match elem.target {
-            Target::Node(node) => {
-                // Lemma 3 at deheap time: S may have grown since this
-                // entry was enqueued.
-                if rect_pruned(q, &s, node.region) {
-                    continue;
-                }
-                entries.clear();
-                stats.filter_node_reads += 1;
-                probe.expand(pg, node, &mut entries);
-                for e in &entries {
-                    seq += 1;
-                    match e {
-                        IndexEntry::Item(it) => heap.push(HeapElem {
-                            key: q.dist_sq(it.point),
-                            seq,
-                            target: Target::Point(*it),
-                        }),
-                        IndexEntry::Node(child) => heap.push(HeapElem {
-                            key: child.region.mindist_sq(q),
-                            seq,
-                            target: Target::Node(*child),
-                        }),
-                    }
-                }
-            }
-            Target::Point(it) => {
-                if exclude_id == Some(it.id) {
-                    continue;
-                }
-                if !point_pruned(q, &s, it.point) {
-                    s.push(it);
-                }
-            }
-        }
-    }
-    s
-}
-
-/// Lemma 1: is `x` inside `Ψ⁻(q, p)` for some pruner `p`?
-#[inline]
-fn point_pruned(q: Point, pruners: &[Item], x: Point) -> bool {
-    pruners.iter().any(|p| prunes(q, p.point, x))
-}
-
-/// Lemma 3: is the region fully inside `Ψ⁻(q, p)` for some pruner `p`?
-#[inline]
-fn rect_pruned(q: Point, pruners: &[Item], r: Rect) -> bool {
-    pruners
-        .iter()
-        .any(|p| HalfPlane::pruning_region(q, p.point).contains_rect(r))
+    let queries = vec![Query::new(q, exclude_id, 0)];
+    traverse(probe, pg, q, queries, stats).swap_remove(0)
 }
 
 /// Output of the bulk filter: one candidate set per point of the leaf.
@@ -205,9 +437,8 @@ pub fn bulk_filter_with(
     stats: &mut RcjStats,
 ) -> BulkFilterResult {
     let n = leaf_points.len();
-    let mut sets: Vec<Vec<Item>> = vec![Vec::new(); n];
     if n == 0 {
-        return BulkFilterResult { sets };
+        return BulkFilterResult { sets: Vec::new() };
     }
 
     // The reference location: centroid of the leaf's points.
@@ -218,93 +449,33 @@ pub fn bulk_filter_with(
         Point::new(sx / n as f64, sy / n as f64)
     };
 
-    let mut heap = BinaryHeap::new();
-    let mut seq = 0u64;
-    heap.push(HeapElem {
-        key: 0.0,
-        seq,
-        target: Target::Node(probe.root()),
-    });
-
-    // Pruner enumeration for leaf point `i`: its candidate set plus (under
-    // the symmetric rule) every sibling point of the leaf.
-    let rect_pruned_for = |i: usize, sets: &[Vec<Item>], r: Rect| -> bool {
-        let q = leaf_points[i].point;
-        if rect_pruned(q, &sets[i], r) {
-            return true;
-        }
-        if symmetric {
-            for (j, sib) in leaf_points.iter().enumerate() {
-                if j != i && HalfPlane::pruning_region(q, sib.point).contains_rect(r) {
-                    return true;
-                }
-            }
-        }
-        false
-    };
-    let point_pruned_for = |i: usize, sets: &[Vec<Item>], x: Point| -> bool {
-        let q = leaf_points[i].point;
-        if point_pruned(q, &sets[i], x) {
-            return true;
-        }
-        if symmetric {
-            for (j, sib) in leaf_points.iter().enumerate() {
-                if j != i && prunes(q, sib.point, x) {
-                    return true;
-                }
-            }
-        }
-        false
-    };
-
-    let mut entries: Vec<IndexEntry> = Vec::new();
-    while let Some(elem) = heap.pop() {
-        stats.filter_heap_pops += 1;
-        match elem.target {
-            Target::Node(node) => {
-                // Discard only if prunable with respect to *every* leaf
-                // point (Algorithm 7, line 7).
-                if (0..n).all(|i| rect_pruned_for(i, &sets, node.region)) {
-                    continue;
-                }
-                entries.clear();
-                stats.filter_node_reads += 1;
-                probe.expand(pg, node, &mut entries);
-                for e in &entries {
-                    seq += 1;
-                    match e {
-                        IndexEntry::Item(it) => heap.push(HeapElem {
-                            key: centroid.dist_sq(it.point),
-                            seq,
-                            target: Target::Point(*it),
-                        }),
-                        IndexEntry::Node(child) => heap.push(HeapElem {
-                            key: child.region.mindist_sq(centroid),
-                            seq,
-                            target: Target::Node(*child),
-                        }),
+    let siblings = if symmetric { n - 1 } else { 0 };
+    let queries = leaf_points
+        .iter()
+        .enumerate()
+        .map(|(i, it)| {
+            let mut qp = Query::new(it.point, exclude_same_id.then_some(it.id), siblings);
+            if symmetric {
+                // Lemma 5: every sibling prunes on q's behalf from the start.
+                for (j, sib) in leaf_points.iter().enumerate() {
+                    if j != i {
+                        qp.pruners.push(it.point, sib.point, 0);
                     }
                 }
             }
-            Target::Point(it) => {
-                for i in 0..n {
-                    if exclude_same_id && it.id == leaf_points[i].id {
-                        continue;
-                    }
-                    if !point_pruned_for(i, &sets, it.point) {
-                        sets[i].push(it);
-                    }
-                }
-            }
-        }
-    }
-
+            qp
+        })
+        .collect();
+    let sets = traverse(probe, pg, centroid, queries, stats);
     BulkFilterResult { sets }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ringjoin_geom::pt;
+    use proptest::prelude::*;
+    use ringjoin_geom::{prunes, pt, Rect};
+    use ringjoin_quadtree::QuadTree;
     use ringjoin_rtree::{bulk_load, RTree};
     use ringjoin_storage::{MemDisk, Pager};
 
@@ -419,12 +590,10 @@ mod tests {
     #[test]
     fn bulk_filter_supersets_single_filters() {
         // Per the paper, BIJ's candidate sets can only be larger than
-        // INJ's (the traversal order is optimised for the centroid, so
-        // per-point pruning kicks in later) — but each per-point set must
-        // still contain every true candidate, i.e. be a superset of the
-        // single filter run *restricted to unpruned points*... The precise
-        // invariant testable here: every single-filter candidate appears
-        // in the bulk set for the same q.
+        // INJ's: the bulk traversal runs in distance order from the leaf
+        // centroid, not from each q, so q's closest pruners may arrive
+        // later. Every candidate of the single-point filter for q must
+        // therefore appear in the bulk set for q.
         let points: Vec<(f64, f64)> = (0..150)
             .map(|i| {
                 (
@@ -496,6 +665,250 @@ mod tests {
                     assert!(invalidated, "symmetric rule wrongly pruned p{}", p.id);
                 }
             }
+        }
+    }
+
+    /// The bulk filter without live sets: every popped entry is tested
+    /// for every leaf point against all of its siblings and candidates,
+    /// each half-plane rebuilt per test. The oracle of
+    /// `bulk_filter_matches_the_reference_loop`.
+    fn bulk_filter_reference(
+        probe: &impl IndexProbe,
+        pg: &mut dyn PageAccess,
+        leaf_points: &[Item],
+        symmetric: bool,
+        exclude_same_id: bool,
+        stats: &mut RcjStats,
+    ) -> BulkFilterResult {
+        let n = leaf_points.len();
+        let mut sets: Vec<Vec<Item>> = vec![Vec::new(); n];
+        if n == 0 {
+            return BulkFilterResult { sets };
+        }
+
+        // The reference location: centroid of the leaf's points.
+        let centroid = {
+            let (sx, sy) = leaf_points.iter().fold((0.0f64, 0.0f64), |(sx, sy), it| {
+                (sx + it.point.x, sy + it.point.y)
+            });
+            Point::new(sx / n as f64, sy / n as f64)
+        };
+
+        // Entries in push order; a heap key's `idx` names its entry.
+        let mut heap = BinaryHeap::new();
+        let mut targets = vec![IndexEntry::Node(probe.root())];
+        heap.push(HeapKey { key: 0.0, idx: 0 });
+
+        // Pruner enumeration for leaf point `i`: its candidate set plus
+        // (under the symmetric rule) every sibling point of the leaf.
+        let rect_pruned_for = |i: usize, sets: &[Vec<Item>], r: Rect| -> bool {
+            let q = leaf_points[i].point;
+            if sets[i]
+                .iter()
+                .any(|p| HalfPlane::pruning_region(q, p.point).contains_rect(r))
+            {
+                return true;
+            }
+            if symmetric {
+                for (j, sib) in leaf_points.iter().enumerate() {
+                    if j != i && HalfPlane::pruning_region(q, sib.point).contains_rect(r) {
+                        return true;
+                    }
+                }
+            }
+            false
+        };
+        let point_pruned_for = |i: usize, sets: &[Vec<Item>], x: Point| -> bool {
+            let q = leaf_points[i].point;
+            if sets[i].iter().any(|p| prunes(q, p.point, x)) {
+                return true;
+            }
+            if symmetric {
+                for (j, sib) in leaf_points.iter().enumerate() {
+                    if j != i && prunes(q, sib.point, x) {
+                        return true;
+                    }
+                }
+            }
+            false
+        };
+
+        let mut entries: Vec<IndexEntry> = Vec::new();
+        while let Some(HeapKey { idx, .. }) = heap.pop() {
+            stats.filter_heap_pops += 1;
+            match targets[idx] {
+                IndexEntry::Node(node) => {
+                    // Discard only if prunable with respect to *every*
+                    // leaf point (Algorithm 7, line 7).
+                    if (0..n).all(|i| rect_pruned_for(i, &sets, node.region)) {
+                        continue;
+                    }
+                    entries.clear();
+                    stats.filter_node_reads += 1;
+                    probe.expand(pg, node, &mut entries);
+                    for e in &entries {
+                        let key = match e {
+                            IndexEntry::Item(it) => centroid.dist_sq(it.point),
+                            IndexEntry::Node(child) => child.region.mindist_sq(centroid),
+                        };
+                        heap.push(HeapKey {
+                            key,
+                            idx: targets.len(),
+                        });
+                        targets.push(*e);
+                    }
+                }
+                IndexEntry::Item(it) => {
+                    for i in 0..n {
+                        if exclude_same_id && it.id == leaf_points[i].id {
+                            continue;
+                        }
+                        if !point_pruned_for(i, &sets, it.point) {
+                            sets[i].push(it);
+                        }
+                    }
+                }
+            }
+        }
+
+        BulkFilterResult { sets }
+    }
+
+    /// Lays raw coordinates in `[0, 100)²` out as one of the shapes that
+    /// stress pruning ties: uniform, a handful of duplicate sites, a
+    /// line, or a coarse grid.
+    fn layout(shape: u8, raw: &[(f64, f64)]) -> Vec<Point> {
+        raw.iter()
+            .map(|&(x, y)| match shape {
+                0 => pt(x, y),
+                1 => {
+                    let site = (x / 20.0).floor();
+                    pt(site * 17.0 + 5.0, site * 11.0 + 40.0)
+                }
+                2 => pt(x, x),
+                _ => pt((x / 8.0).floor() * 8.0, (y / 8.0).floor() * 8.0),
+            })
+            .collect()
+    }
+
+    fn coords(
+        len: impl Into<proptest::collection::SizeRange>,
+    ) -> impl Strategy<Value = Vec<(f64, f64)>> {
+        proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64), len)
+    }
+
+    /// An R*-tree and a quadtree over `points` after one update batch:
+    /// `inserts` one by one (R* forced reinsertion; quadtree splits and,
+    /// on duplicate sites, overflow chains), then the deletions `deletes`
+    /// picks (R* condensing). Returns the trees and their live items.
+    fn updated_trees(
+        points: &[Point],
+        inserts: &[Point],
+        deletes: &[usize],
+    ) -> (RTree, QuadTree, Vec<Item>) {
+        let pager = Pager::new(MemDisk::new(256), 64).into_shared();
+        let mut items: Vec<Item> = points
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| Item::new(i as u64, p))
+            .collect();
+        let mut rtree = bulk_load(pager.clone(), items.clone());
+        let mut quad = QuadTree::new(pager, Rect::new(pt(0.0, 0.0), pt(100.0, 100.0)));
+        for it in &items {
+            quad.insert(it.id, it.point);
+        }
+        for (k, &p) in inserts.iter().enumerate() {
+            let it = Item::new(10_000 + k as u64, p);
+            rtree.insert(it);
+            quad.insert(it.id, it.point);
+            items.push(it);
+        }
+        for &d in deletes {
+            if items.is_empty() {
+                break;
+            }
+            let it = items.swap_remove(d % items.len());
+            assert!(rtree.remove(it));
+            assert!(quad.remove(it.id, it.point));
+        }
+        (rtree, quad, items)
+    }
+
+    /// Both kernels over `tree`, for BIJ and OBJ, with and without
+    /// self-join exclusion: same sets in the same order, same counters.
+    fn kernels_agree<I: RcjIndex>(tree: &I, leaf: &[Item]) -> Result<(), TestCaseError> {
+        let probe = tree.probe();
+        for symmetric in [false, true] {
+            for exclude in [false, true] {
+                let (mut got_stats, mut want_stats) = (RcjStats::default(), RcjStats::default());
+                let got = bulk_filter_with(
+                    &probe,
+                    &mut tree.pager(),
+                    leaf,
+                    symmetric,
+                    exclude,
+                    &mut got_stats,
+                );
+                let want = bulk_filter_reference(
+                    &probe,
+                    &mut tree.pager(),
+                    leaf,
+                    symmetric,
+                    exclude,
+                    &mut want_stats,
+                );
+                prop_assert_eq!(
+                    &got.sets,
+                    &want.sets,
+                    "sets differ (symmetric {}, exclude {})",
+                    symmetric,
+                    exclude
+                );
+                prop_assert_eq!(got_stats, want_stats);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The live-set kernel returns exactly what testing every popped
+        /// entry for every leaf point returns — sets, their order,
+        /// `filter_heap_pops` and `filter_node_reads` — on R*-trees and
+        /// quadtrees after an update batch, for leaves of 1 to 130
+        /// points (more than 64 needs a multi-word live set). A leaf is
+        /// either a subset of the tree's own items (as in a self-join,
+        /// where exclusion bites) or fresh points.
+        #[test]
+        fn bulk_filter_matches_the_reference_loop(
+            shape in 0u8..4,
+            raw in coords(0..200),
+            inserts in coords(0..60),
+            deletes in proptest::collection::vec(any::<usize>(), 0..60),
+            leaf_size in prop_oneof![1usize..20, 20usize..65, 65usize..131],
+            own_items in any::<bool>(),
+            leaf_raw in coords(130),
+            offset in any::<usize>(),
+        ) {
+            let (rtree, quad, items) = updated_trees(
+                &layout(shape, &raw),
+                &layout(shape, &inserts),
+                &deletes,
+            );
+            let leaf: Vec<Item> = if own_items && !items.is_empty() {
+                (0..leaf_size.min(items.len()))
+                    .map(|k| items[(offset % items.len() + k) % items.len()])
+                    .collect()
+            } else {
+                layout(shape, &leaf_raw[..leaf_size])
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, p)| Item::new(1_000_000 + k as u64, p))
+                    .collect()
+            };
+            kernels_agree(&rtree, &leaf)?;
+            kernels_agree(&quad, &leaf)?;
         }
     }
 }

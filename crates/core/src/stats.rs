@@ -14,8 +14,10 @@ pub struct RcjStats {
     pub candidate_pairs: u64,
     /// Pairs that survived verification — the RCJ result cardinality.
     pub result_pairs: u64,
-    /// Entries deheaped across all filter invocations (CPU-side filter
-    /// effort).
+    /// Entries taken off the filter heap, or discarded when their node is
+    /// expanded, across all filter invocations (CPU-side filter effort).
+    /// A traversal drains its heap, so this is one (the root) plus every
+    /// entry its expansions produce.
     pub filter_heap_pops: u64,
     /// Index nodes expanded (= pages read) by the filter step. Together
     /// with [`RcjStats::verify_node_visits`] this splits the total node

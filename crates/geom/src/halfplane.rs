@@ -43,6 +43,26 @@ use crate::{Circle, Point, Rect, Vec2};
 /// assert!(!psi.contains_point(y));
 /// assert!(!Circle::strictly_contains_diameter(p, q, y));
 /// ```
+///
+/// # Containment is inherited, in floating point too
+///
+/// [`HalfPlane::contains_rect`] evaluates exactly the expression of
+/// [`HalfPlane::contains_point`], `(x − p) · (p − q)`, at the rectangle's
+/// extreme corner: the one that minimises it. Moving `x` from that corner
+/// into the rectangle moves each coordinate difference in the direction
+/// that raises its product with the normal, and IEEE-754 rounding is
+/// monotone, so the computed value can only grow. [`prunes`] computes the
+/// exact negation of the same value. Hence, whenever `contains_rect(r)`
+/// holds:
+///
+/// * `contains_point(x)` and `prunes(q, p, x)` hold for every point `x`
+///   of `r` — corners, edges and interior;
+/// * `contains_rect(r')` holds for every rectangle `r' ⊆ r`, including
+///   those that share a corner with `r`.
+///
+/// The bulk filter relies on this to carry a subtree's pruning verdicts
+/// down to its children; `rect_containment_is_inherited` in the crate's
+/// property tests checks it on rectangles within a few ulps of the line.
 #[derive(Clone, Copy, Debug)]
 pub struct HalfPlane {
     /// A point on the boundary line (the pruning point `p`).

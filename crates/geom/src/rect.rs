@@ -256,10 +256,16 @@ impl Rect {
     /// A linear functional over a box attains its minimum at a corner chosen
     /// coordinate-wise by the sign of `d`; this closed form is what makes
     /// the Lemma 3 MBR pruning test O(1).
+    ///
+    /// The corner is picked by indexing, not branching: the filter scans
+    /// pruners of every orientation against one rectangle, and a branch
+    /// on the sign of `d` would mispredict half the time.
     #[inline]
     pub fn min_linear(&self, origin: Point, d: Vec2) -> f64 {
-        let x = if d.x >= 0.0 { self.min.x } else { self.max.x };
-        let y = if d.y >= 0.0 { self.min.y } else { self.max.y };
+        // A non-negative component takes the min side; a negative (or
+        // NaN) one the max side.
+        let x = [self.max.x, self.min.x][usize::from(d.x >= 0.0)];
+        let y = [self.max.y, self.min.y][usize::from(d.y >= 0.0)];
         d.x * (x - origin.x) + d.y * (y - origin.y)
     }
 }

@@ -6,7 +6,7 @@
 //! axioms of the Section 6 generalisation.
 
 use proptest::prelude::*;
-use ringjoin_geom::{pt, Circle, HalfPlane, Metric, Point, Rect};
+use ringjoin_geom::{prunes, pt, Circle, HalfPlane, Metric, Point, Rect};
 
 fn coord() -> impl Strategy<Value = f64> {
     // The evaluation domain of the paper plus a margin; finite and tame so
@@ -20,6 +20,29 @@ fn point() -> impl Strategy<Value = Point> {
 
 fn rect() -> impl Strategy<Value = Rect> {
     (point(), point()).prop_map(|(a, b)| Rect::new(a, b))
+}
+
+/// The point of `r` at fractions `(tx, ty)` of its extent, clamped so
+/// rounding cannot carry it outside.
+fn at(r: Rect, (tx, ty): (f64, f64)) -> Point {
+    pt(
+        (r.min.x + tx * (r.max.x - r.min.x)).clamp(r.min.x, r.max.x),
+        (r.min.y + ty * (r.max.y - r.min.y)).clamp(r.min.y, r.max.y),
+    )
+}
+
+/// A `w × h` rectangle beyond the boundary line of `Ψ⁻(q, p)` whose
+/// extreme corner lies `gap · |p − q|²` from the line (negative: on
+/// `q`'s side), `along` times `|p − q|` along it — where rounding decides
+/// containment.
+fn hugging_rect(q: Point, p: Point, along: f64, gap: f64, w: f64, h: f64) -> Rect {
+    let (nx, ny) = (p.x - q.x, p.y - q.y);
+    let c = pt(p.x - along * ny + gap * nx, p.y + along * nx + gap * ny);
+    let far = pt(
+        c.x + if nx >= 0.0 { w } else { -w },
+        c.y + if ny >= 0.0 { h } else { -h },
+    );
+    Rect::new(c, far)
 }
 
 proptest! {
@@ -41,6 +64,50 @@ proptest! {
         let psi = HalfPlane::pruning_region(q, p);
         let corners = r.corners().iter().all(|&c| psi.contains_point(c));
         prop_assert_eq!(psi.contains_rect(r), corners);
+    }
+
+    /// The floating-point fact the bulk filter's live sets rest on: once
+    /// `Ψ⁻(q, p)` contains a rectangle, both Lemma 1 tests
+    /// (`contains_point` and `prunes`) hold at every corner, edge point
+    /// and interior point of it, and `contains_rect` holds for every
+    /// rectangle inside it — including those sharing one of its corners.
+    /// A point is the degenerate rectangle: the two tests agree on it.
+    /// Half the rectangles hug the boundary line, within a few ulps of it.
+    #[test]
+    fn rect_containment_is_inherited(
+        q in point(),
+        p in point(),
+        hug in any::<bool>(),
+        shape in (-2.0..2.0f64, 6.0..18.0f64, any::<bool>(), 0.0..200.0f64, 0.0..200.0f64),
+        random in rect(),
+        ts in proptest::collection::vec((0.0..1.0f64, 0.0..1.0f64), 6),
+    ) {
+        let (along, exponent, behind, w, h) = shape;
+        let gap = if behind { -1.0 } else { 1.0 } * 10f64.powf(-exponent);
+        let r = if hug { hugging_rect(q, p, along, gap, w, h) } else { random };
+        let psi = HalfPlane::pruning_region(q, p);
+        prop_assume!(psi.contains_rect(r));
+
+        let [c0, c1, c2, c3] = r.corners();
+        let edges = [
+            pt(at(r, ts[0]).x, r.min.y),
+            pt(r.max.x, at(r, ts[1]).y),
+            pt(at(r, ts[2]).x, r.max.y),
+            pt(r.min.x, at(r, ts[3]).y),
+        ];
+        let inside = [at(r, ts[4]), at(r, ts[5])];
+        for x in [c0, c1, c2, c3].into_iter().chain(edges).chain(inside) {
+            prop_assert!(psi.contains_point(x), "{:?} of {:?}", x, r);
+            prop_assert!(prunes(q, p, x), "{:?} of {:?}", x, r);
+            prop_assert_eq!(psi.contains_rect(Rect::from_point(x)), psi.contains_point(x));
+        }
+        for corner in [c0, c1, c2, c3] {
+            for x in inside {
+                prop_assert!(psi.contains_rect(Rect::new(corner, x)));
+            }
+        }
+        prop_assert!(psi.contains_rect(Rect::new(inside[0], inside[1])));
+        prop_assert!(psi.contains_rect(Rect::new(edges[0], edges[2])));
     }
 
     /// The diameter-circle dot test agrees with the constructed
