@@ -1,27 +1,37 @@
-//! The wire's pair-row codec on a real answer: the 40,476 pairs of the
+//! The row codec on real payloads. Pair rows: the 40,476 pairs of the
 //! full SP join (GNIS-like Schools `q` ⋈ PopulatedPlaces `p`, at the
 //! served benchmark's scale), as a client receives them (`encode_pairs`
 //! / `parse_pairs`) and as a shard worker tags them with their outer
-//! leaf (`encode_tagged_pairs` / `parse_tagged_pairs`).
+//! leaf (`encode_tagged_pairs` / `parse_tagged_pairs`). Item rows: the
+//! two SP `LOAD` requests that register `q` and `p` (both in one
+//! iteration, through `Request::encode` / `Request::parse`).
 //!
-//! Prints the row count and the bytes per row once; divide a mean by
-//! the row count for the cost per row.
+//! Prints the row counts and the bytes per row once, and each case's
+//! mean per row (`ns/elem`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ringjoin_core::{Engine, IndexKind, RcjPair};
 use ringjoin_datagen::{gnis_like, GnisDataset};
-use ringjoin_server::proto::{encode_pairs, encode_tagged_pairs, parse_pairs, parse_tagged_pairs};
+use ringjoin_geom::Item;
+use ringjoin_server::proto::{
+    encode_pairs, encode_tagged_pairs, parse_pairs, parse_tagged_pairs, Request,
+};
 use std::hint::black_box;
 
+/// The SP pair's points: `q` (Schools) and `p` (PopulatedPlaces).
+fn sp_items() -> [(&'static str, Vec<Item>); 2] {
+    [
+        ("q", gnis_like(GnisDataset::Schools, 21_523)),
+        ("p", gnis_like(GnisDataset::PopulatedPlaces, 22_247)),
+    ]
+}
+
 /// The SP full join's pairs, each tagged with its outer leaf.
-fn sp_answer() -> Vec<(usize, RcjPair)> {
+fn sp_answer(items: &[(&str, Vec<Item>)]) -> Vec<(usize, RcjPair)> {
     let mut engine = Engine::new();
-    engine
-        .load("q", gnis_like(GnisDataset::Schools, 21_523))
-        .index(IndexKind::Rtree);
-    engine
-        .load("p", gnis_like(GnisDataset::PopulatedPlaces, 22_247))
-        .index(IndexKind::Rtree);
+    for &(name, ref points) in items {
+        engine.load(name, points.clone()).index(IndexKind::Rtree);
+    }
     let leaves: Vec<usize> = (0..engine.leaf_regions("q").unwrap().len()).collect();
     let plan = engine.query().join("q", "p").plan().unwrap();
     let mut tagged = Vec::new();
@@ -30,7 +40,8 @@ fn sp_answer() -> Vec<(usize, RcjPair)> {
 }
 
 fn bench_codec(c: &mut Criterion) {
-    let tagged = sp_answer();
+    let items = sp_items();
+    let tagged = sp_answer(&items);
     let pairs: Vec<RcjPair> = tagged.iter().map(|&(_, pr)| pr).collect();
     let plain = encode_pairs(&pairs);
     let tagged_rows = encode_tagged_pairs(&tagged);
@@ -41,9 +52,30 @@ fn bench_codec(c: &mut Criterion) {
         plain.len() as f64 / rows,
         tagged_rows.len() as f64 / rows
     );
+    let loads: Vec<Request> = items
+        .into_iter()
+        .map(|(name, items)| Request::Load {
+            name: name.to_string(),
+            kind: IndexKind::Rtree,
+            items,
+        })
+        .collect();
+    let payloads: Vec<String> = loads.iter().map(Request::encode).collect();
+    let load_rows: usize = loads
+        .iter()
+        .map(|load| match load {
+            Request::Load { items, .. } => items.len(),
+            _ => unreachable!("only loads"),
+        })
+        .sum();
+    println!(
+        "pair_codec: {load_rows} LOAD rows; {:.1} bytes/row",
+        payloads.iter().map(String::len).sum::<usize>() as f64 / load_rows as f64
+    );
 
     let mut g = c.benchmark_group("pair_codec_sp");
     g.sample_size(20);
+    g.throughput(Throughput::Elements(pairs.len() as u64));
     g.bench_function("encode_pairs", |b| {
         b.iter(|| encode_pairs(black_box(&pairs)))
     });
@@ -55,6 +87,23 @@ fn bench_codec(c: &mut Criterion) {
     });
     g.bench_function("parse_tagged_pairs", |b| {
         b.iter(|| parse_tagged_pairs(black_box(&tagged_rows)).unwrap())
+    });
+    g.throughput(Throughput::Elements(load_rows as u64));
+    g.bench_function("encode_loads", |b| {
+        b.iter(|| {
+            black_box(&loads)
+                .iter()
+                .map(Request::encode)
+                .collect::<Vec<_>>()
+        })
+    });
+    g.bench_function("parse_loads", |b| {
+        b.iter(|| {
+            black_box(&payloads)
+                .iter()
+                .map(|payload| Request::parse(payload).unwrap())
+                .collect::<Vec<_>>()
+        })
     });
     g.finish();
 }

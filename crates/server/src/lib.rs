@@ -59,6 +59,7 @@
 
 mod admission;
 mod client;
+mod num;
 mod partition;
 mod plan_cache;
 pub mod proto;

@@ -99,7 +99,23 @@
 //! coordinates survive the wire bit-exactly and a client can re-derive
 //! centers and radii without loss. Numbers in command lines use the same
 //! convention.
+//!
+//! Every row shape and [`encode_rect`] write their numbers with one
+//! writer and read their rows with one scanner:
+//!
+//! * The writer's text equals `Display` byte for byte, for every `f64`
+//!   and every `u64`. Floats get the shortest digits that read back to
+//!   the same bits (Ryū), laid out as `Display` lays them out (no
+//!   exponent form; `-0`, `inf`, `-inf`, `NaN`). When the exact value
+//!   lies halfway between two shortest candidates, the larger digit
+//!   wins, as in `Display`, not the even one of Ryū as published.
+//! * The reader splits rows on `\n` only, skips blank and
+//!   whitespace-only rows, and separates fields by exactly
+//!   [`char::is_whitespace`]: space, tab, `\r`, VT, FF, NBSP, U+0085,
+//!   U+2028, U+3000 and the rest of Unicode's `White_Space`. A field
+//!   becomes a number through `str::parse`.
 
+use crate::num::{write_f64, write_u64, Row, Rows};
 use crate::sharded::RingBounds;
 use crate::ServerError;
 use ringjoin_core::planner::DatasetSummary;
@@ -128,6 +144,28 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.write_all(&len.to_be_bytes())?;
     w.write_all(payload)?;
     w.flush()
+}
+
+/// The payload a serving loop sends for `reply`: the reply itself, or —
+/// when it is larger than `limit` bytes — an `ERR [id=N]` naming its
+/// size. The peer gets an answer and the session stays open, where a
+/// failed [`write_frame`] would end it. The flag is `false` when the
+/// reply was replaced.
+pub(crate) fn bounded_reply(id: Option<u64>, reply: String, limit: u32) -> (String, bool) {
+    if reply.len() <= limit as usize {
+        return (reply, true);
+    }
+    const MIB: u32 = 1024 * 1024;
+    let limit = if limit.is_multiple_of(MIB) {
+        format!("{} MiB", limit / MIB)
+    } else {
+        format!("{limit}-byte")
+    };
+    let message = format!(
+        "reply of {} bytes exceeds the {limit} frame limit",
+        reply.len()
+    );
+    (Reply::encode_err_id(id, &message), false)
 }
 
 /// Largest single read while receiving a payload. The receive buffer
@@ -510,11 +548,19 @@ pub(crate) fn encode_load(name: &str, kind: IndexKind, items: &[Item]) -> String
     with_item_rows(format!("LOAD {name} {}\n", kind.name()), items)
 }
 
-fn with_item_rows(mut out: String, items: &[Item]) -> String {
+/// A header line, then one item row per point.
+fn with_item_rows(header: String, items: &[Item]) -> String {
+    let mut out = header.into_bytes();
     for it in items {
         write_item_row(&mut out, it);
     }
-    out
+    text(out)
+}
+
+/// A body built as bytes, as a `String`. The check cannot fail: bodies
+/// hold UTF-8 names and ASCII numbers.
+fn text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("row text is UTF-8 names and ASCII numbers")
 }
 
 impl Request {
@@ -524,11 +570,12 @@ impl Request {
             Request::Load { name, kind, items } => encode_load(name, *kind, items),
             Request::Insert { name, items } => with_item_rows(format!("INSERT {name}\n"), items),
             Request::Delete { name, ids } => {
-                let mut out = format!("DELETE {name}\n");
-                for id in ids {
-                    let _ = writeln!(out, "{id}");
+                let mut out = format!("DELETE {name}\n").into_bytes();
+                for &id in ids {
+                    write_u64(&mut out, id);
+                    out.push(b'\n');
                 }
-                out
+                text(out)
             }
             Request::Upsert { name, items } => with_item_rows(format!("UPSERT {name}\n"), items),
             Request::Join {
@@ -586,7 +633,7 @@ impl Request {
                     ));
                 };
                 validate_name(name)?;
-                let items = parse_rows(body, parse_item_row)?;
+                let items = parse_rows(body, item_row)?;
                 Ok(Request::Load {
                     name: name.to_string(),
                     kind: parse_kind(kind)?,
@@ -601,7 +648,7 @@ impl Request {
                 };
                 validate_name(name)?;
                 let name = name.to_string();
-                let items = parse_rows(body, parse_item_row)?;
+                let items = parse_rows(body, item_row)?;
                 Ok(if cmd == "INSERT" {
                     Request::Insert { name, items }
                 } else {
@@ -617,7 +664,7 @@ impl Request {
                 validate_name(name)?;
                 Ok(Request::Delete {
                     name: name.to_string(),
-                    ids: parse_rows(body, |line| parse_num(line, "item id"))?,
+                    ids: parse_rows(body, id_row)?,
                 })
             }
             "JOIN" => {
@@ -693,28 +740,18 @@ impl Request {
 // Row codecs
 // ---------------------------------------------------------------------
 
-/// Parses every non-blank line of a body with `row`.
-fn parse_rows<T>(
+/// Parses every non-blank row of a body with `row`, which sees the
+/// row's first `N` fields.
+fn parse_rows<T, const N: usize>(
     body: &str,
-    row: impl Fn(&str) -> Result<T, ServerError>,
+    row: impl Fn(&Row<'_, N>) -> Result<T, ServerError>,
 ) -> Result<Vec<T>, ServerError> {
-    body.lines()
-        .map(str::trim)
-        .filter(|line| !line.is_empty())
-        .map(row)
-        .collect()
-}
-
-/// The whitespace-separated fields of `line`, when there are exactly
-/// `N` of them — without allocating, since row parsers run once per
-/// point of every `LOAD` and every recovered log record.
-fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
-    let mut tokens = line.split_whitespace();
-    let mut out = [""; N];
-    for slot in &mut out {
-        *slot = tokens.next()?;
+    let mut rows = Rows::body(body);
+    let mut out = Vec::new();
+    while let Some(r) = rows.next_row() {
+        out.push(row(&r)?);
     }
-    tokens.next().is_none().then_some(out)
+    Ok(out)
 }
 
 fn item(id: &str, x: &str, y: &str) -> Result<Item, ServerError> {
@@ -724,114 +761,186 @@ fn item(id: &str, x: &str, y: &str) -> Result<Item, ServerError> {
     ))
 }
 
-/// Appends one `id x y` item row.
-pub(crate) fn write_item_row(out: &mut String, it: &Item) {
-    let _ = writeln!(out, "{} {} {}", it.id, it.point.x, it.point.y);
+/// Appends `id x y` (no row break).
+fn write_item(out: &mut Vec<u8>, it: &Item) {
+    write_u64(out, it.id);
+    out.push(b' ');
+    write_f64(out, it.point.x);
+    out.push(b' ');
+    write_f64(out, it.point.y);
 }
 
-/// Parses one `id x y` item row (bit-exact round trip of
-/// [`write_item_row`]).
-pub(crate) fn parse_item_row(line: &str) -> Result<Item, ServerError> {
-    let [id, x, y] = fields(line).ok_or_else(|| {
-        ServerError::BadRequest(format!("expected `id x y` data row, got {line:?}"))
-    })?;
+/// Appends one `id x y` item row.
+fn write_item_row(out: &mut Vec<u8>, it: &Item) {
+    write_item(out, it);
+    out.push(b'\n');
+}
+
+fn item_row_error(line: &str) -> ServerError {
+    ServerError::BadRequest(format!("expected `id x y` data row, got {line:?}"))
+}
+
+/// One `id x y` item row (bit-exact round trip of [`write_item_row`]).
+fn item_row(row: &Row<'_, 3>) -> Result<Item, ServerError> {
+    let [id, x, y] = row.fields().ok_or_else(|| item_row_error(row.line()))?;
     item(id, x, y)
+}
+
+/// Parses one `id x y` item row.
+#[cfg(test)]
+pub(crate) fn parse_item_row(line: &str) -> Result<Item, ServerError> {
+    match Rows::line(line).next_row() {
+        Some(row) => item_row(&row),
+        None => Err(item_row_error(line)),
+    }
+}
+
+/// One `DELETE` row: an item id alone.
+fn id_row(row: &Row<'_, 1>) -> Result<u64, ServerError> {
+    let id = if row.count() == 1 {
+        row.field(0)
+    } else {
+        row.line()
+    };
+    parse_num(id, "item id")
 }
 
 /// Appends one mutation row: `+ id x y` (insert), `- id` (delete) or
 /// `^ id x y` (upsert) — the item-row codec behind a sign.
 pub fn write_mutation_row(out: &mut String, op: &Mutation) {
+    let mut row = Vec::new();
+    push_mutation_row(&mut row, op);
+    out.push_str(&text(row));
+}
+
+fn push_mutation_row(out: &mut Vec<u8>, op: &Mutation) {
     match op {
         Mutation::Insert(it) => {
-            out.push_str("+ ");
+            out.extend_from_slice(b"+ ");
             write_item_row(out, it);
         }
         Mutation::Delete(id) => {
-            let _ = writeln!(out, "- {id}");
+            out.extend_from_slice(b"- ");
+            write_u64(out, *id);
+            out.push(b'\n');
         }
         Mutation::Upsert(it) => {
-            out.push_str("^ ");
+            out.extend_from_slice(b"^ ");
             write_item_row(out, it);
         }
     }
+}
+
+fn mutation_row_error(line: &str) -> ServerError {
+    ServerError::BadRequest(format!(
+        "expected `+ id x y`, `- id` or `^ id x y` mutation row, got {line:?}"
+    ))
 }
 
 /// Parses one [`write_mutation_row`] row (bit-exact round trip).
 pub fn parse_mutation_row(line: &str) -> Result<Mutation, ServerError> {
-    let bad = || {
-        ServerError::BadRequest(format!(
-            "expected `+ id x y`, `- id` or `^ id x y` mutation row, got {line:?}"
-        ))
-    };
-    let (sign, rest) = line
-        .trim_start()
-        .split_once(char::is_whitespace)
-        .ok_or_else(bad)?;
-    match sign {
-        "+" => parse_item_row(rest).map(Mutation::Insert),
-        "^" => parse_item_row(rest).map(Mutation::Upsert),
-        "-" => parse_num(rest.trim(), "item id").map(Mutation::Delete),
-        _ => Err(bad()),
+    match Rows::line(line).next_row() {
+        Some(row) => mutation_row(&row),
+        None => Err(mutation_row_error(line)),
     }
 }
 
-fn write_pair_row(out: &mut String, pr: &RcjPair) {
-    let _ = writeln!(
-        out,
-        "{} {} {} {} {} {}",
-        pr.p.id, pr.p.point.x, pr.p.point.y, pr.q.id, pr.q.point.x, pr.q.point.y
-    );
+fn mutation_row(row: &Row<'_, 4>) -> Result<Mutation, ServerError> {
+    let rest = row
+        .after_first()
+        .ok_or_else(|| mutation_row_error(row.line()))?;
+    match row.field(0) {
+        sign @ ("+" | "^") => {
+            let [_, id, x, y] = row.fields().ok_or_else(|| item_row_error(rest))?;
+            let it = item(id, x, y)?;
+            Ok(if sign == "+" {
+                Mutation::Insert(it)
+            } else {
+                Mutation::Upsert(it)
+            })
+        }
+        "-" => parse_num(rest.trim(), "item id").map(Mutation::Delete),
+        _ => Err(mutation_row_error(row.line())),
+    }
 }
 
-fn parse_pair_row(line: &str) -> Result<RcjPair, ServerError> {
-    let [pid, px, py, qid, qx, qy] = fields(line).ok_or_else(|| {
-        ServerError::BadRequest(format!("expected 6-field pair row, got {line:?}"))
-    })?;
+fn write_pair_row(out: &mut Vec<u8>, pr: &RcjPair) {
+    write_item(out, &pr.p);
+    out.push(b' ');
+    write_item(out, &pr.q);
+    out.push(b'\n');
+}
+
+fn pair_row_error(line: &str) -> ServerError {
+    ServerError::BadRequest(format!("expected 6-field pair row, got {line:?}"))
+}
+
+fn pair(fields: [&str; 6]) -> Result<RcjPair, ServerError> {
+    let [pid, px, py, qid, qx, qy] = fields;
     Ok(RcjPair::new(item(pid, px, py)?, item(qid, qx, qy)?))
+}
+
+fn pair_row(row: &Row<'_, 6>) -> Result<RcjPair, ServerError> {
+    pair(row.fields().ok_or_else(|| pair_row_error(row.line()))?)
+}
+
+fn tagged_pair_row(row: &Row<'_, 7>) -> Result<(usize, RcjPair), ServerError> {
+    let rest = row.after_first().ok_or_else(|| {
+        ServerError::BadRequest(format!(
+            "expected 7-field tagged pair row, got {:?}",
+            row.line()
+        ))
+    })?;
+    let leaf = parse_num(row.field(0), "leaf index")?;
+    let [_, pair_fields @ ..] = row.fields().ok_or_else(|| pair_row_error(rest))?;
+    Ok((leaf, pair(pair_fields)?))
 }
 
 /// Encodes result pairs as wire rows (`p_id p_x p_y q_id q_x q_y`, one
 /// per line, shortest-round-trip floats).
 pub fn encode_pairs(pairs: &[RcjPair]) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     for pr in pairs {
         write_pair_row(&mut out, pr);
     }
-    out
+    text(out)
 }
 
 /// Parses wire pair rows back into [`RcjPair`]s (bit-exact round trip).
 pub fn parse_pairs(body: &str) -> Result<Vec<RcjPair>, ServerError> {
-    parse_rows(body, parse_pair_row)
+    parse_rows(body, pair_row)
 }
 
 /// Encodes leaf-tagged result pairs as wire rows (`leaf p_id p_x p_y
 /// q_id q_x q_y`): the shard-worker reply shape whose leading global
 /// outer-leaf index is the coordinator's deterministic merge key.
 pub fn encode_tagged_pairs(pairs: &[(usize, RcjPair)]) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     for (leaf, pr) in pairs {
-        let _ = write!(out, "{leaf} ");
+        write_u64(&mut out, *leaf as u64);
+        out.push(b' ');
         write_pair_row(&mut out, pr);
     }
-    out
+    text(out)
 }
 
 /// Parses [`encode_tagged_pairs`] rows (bit-exact round trip).
 pub fn parse_tagged_pairs(body: &str) -> Result<Vec<(usize, RcjPair)>, ServerError> {
-    parse_rows(body, |line| {
-        let (leaf, row) = line.split_once(char::is_whitespace).ok_or_else(|| {
-            ServerError::BadRequest(format!("expected 7-field tagged pair row, got {line:?}"))
-        })?;
-        Ok((parse_num(leaf, "leaf index")?, parse_pair_row(row)?))
-    })
+    parse_rows(body, tagged_pair_row)
 }
 
 /// Encodes a rectangle as `x0,y0,x1,y1` (shortest-round-trip floats;
 /// `inf`/`-inf` legal — partition cells reach to infinity, and
 /// [`Rect::empty`] round-trips as `inf,inf,-inf,-inf`).
 pub fn encode_rect(r: Rect) -> String {
-    format!("{},{},{},{}", r.min.x, r.min.y, r.max.x, r.max.y)
+    let mut out = Vec::new();
+    for (i, c) in [r.min.x, r.min.y, r.max.x, r.max.y].into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_f64(&mut out, c);
+    }
+    text(out)
 }
 
 /// Parses a [`encode_rect`] rectangle (bit-exact round trip).
@@ -1023,11 +1132,11 @@ impl ShardRequest {
                 target_epoch,
                 ops,
             } => {
-                let mut out = format!("SUPDATE {name} epoch={target_epoch}\n");
+                let mut out = format!("SUPDATE {name} epoch={target_epoch}\n").into_bytes();
                 for op in ops.iter() {
-                    write_mutation_row(&mut out, op);
+                    push_mutation_row(&mut out, op);
                 }
-                out
+                text(out)
             }
             ShardRequest::Join {
                 outer,
@@ -1089,7 +1198,7 @@ impl ShardRequest {
                     cell,
                     spill: opts.spill,
                     writer: opts.writer,
-                    items: Arc::new(parse_rows(body, parse_item_row)?),
+                    items: Arc::new(parse_rows(body, item_row)?),
                 })
             }
             "SUPDATE" => {
@@ -1106,7 +1215,7 @@ impl ShardRequest {
                 Ok(ShardRequest::Update {
                     name: name.to_string(),
                     target_epoch,
-                    ops: Arc::new(parse_rows(body, parse_mutation_row)?),
+                    ops: Arc::new(parse_rows(body, mutation_row)?),
                 })
             }
             "SJOIN" => {
@@ -1434,6 +1543,7 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn frames_round_trip_and_reject_oversize() {
@@ -1837,5 +1947,452 @@ mod tests {
             parse_item_row(" 5\t1.5  -2 ").unwrap(),
             Item::new(5, pt(1.5, -2.0))
         );
+    }
+
+    #[test]
+    fn replies_too_large_for_a_frame_become_err_and_keep_their_id() {
+        let reply = Reply::encode_ok(Some(4), &[("pairs", "2".into())], "1 2 3 4 5 6\n");
+        let (sent, fits) = bounded_reply(Some(4), reply.clone(), reply.len() as u32);
+        assert!(fits);
+        assert_eq!(sent, reply, "a reply that fits goes out unchanged");
+
+        let (sent, fits) = bounded_reply(Some(4), reply.clone(), 16);
+        assert!(!fits);
+        let (id, err) = Reply::parse_with_id(&sent);
+        assert_eq!(id, Some(4));
+        let want = format!(
+            "reply of {} bytes exceeds the 16-byte frame limit",
+            reply.len()
+        );
+        assert!(
+            matches!(err, Err(ServerError::Remote(m)) if m == want),
+            "{sent}"
+        );
+
+        let (sent, _) = bounded_reply(None, "x".repeat(3 << 20), 2 << 20);
+        assert_eq!(
+            sent,
+            "ERR reply of 3145728 bytes exceeds the 2 MiB frame limit"
+        );
+    }
+
+    // -----------------------------------------------------------------
+    // The previous row codec (`write!` writers, `lines().map(str::trim)`
+    // and `split_whitespace` reader), kept as the new codec's oracle
+    // -----------------------------------------------------------------
+
+    mod reference {
+        use super::super::{item, parse_num};
+        use crate::ServerError;
+        use ringjoin_core::{Mutation, RcjPair};
+        use ringjoin_geom::{Item, Rect};
+        use std::fmt::Write;
+
+        pub fn parse_rows<T>(
+            body: &str,
+            row: impl Fn(&str) -> Result<T, ServerError>,
+        ) -> Result<Vec<T>, ServerError> {
+            body.lines()
+                .map(str::trim)
+                .filter(|line| !line.is_empty())
+                .map(row)
+                .collect()
+        }
+
+        fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
+            let mut tokens = line.split_whitespace();
+            let mut out = [""; N];
+            for slot in &mut out {
+                *slot = tokens.next()?;
+            }
+            tokens.next().is_none().then_some(out)
+        }
+
+        pub fn item_row(line: &str) -> Result<Item, ServerError> {
+            let [id, x, y] = fields(line).ok_or_else(|| {
+                ServerError::BadRequest(format!("expected `id x y` data row, got {line:?}"))
+            })?;
+            item(id, x, y)
+        }
+
+        pub fn id_row(line: &str) -> Result<u64, ServerError> {
+            parse_num(line, "item id")
+        }
+
+        pub fn mutation_row(line: &str) -> Result<Mutation, ServerError> {
+            let bad = || {
+                ServerError::BadRequest(format!(
+                    "expected `+ id x y`, `- id` or `^ id x y` mutation row, got {line:?}"
+                ))
+            };
+            let (sign, rest) = line
+                .trim_start()
+                .split_once(char::is_whitespace)
+                .ok_or_else(bad)?;
+            match sign {
+                "+" => item_row(rest).map(Mutation::Insert),
+                "^" => item_row(rest).map(Mutation::Upsert),
+                "-" => parse_num(rest.trim(), "item id").map(Mutation::Delete),
+                _ => Err(bad()),
+            }
+        }
+
+        pub fn pair_row(line: &str) -> Result<RcjPair, ServerError> {
+            let [pid, px, py, qid, qx, qy] = fields(line).ok_or_else(|| {
+                ServerError::BadRequest(format!("expected 6-field pair row, got {line:?}"))
+            })?;
+            Ok(RcjPair::new(item(pid, px, py)?, item(qid, qx, qy)?))
+        }
+
+        pub fn tagged_pair_row(line: &str) -> Result<(usize, RcjPair), ServerError> {
+            let (leaf, row) = line.split_once(char::is_whitespace).ok_or_else(|| {
+                ServerError::BadRequest(format!("expected 7-field tagged pair row, got {line:?}"))
+            })?;
+            Ok((parse_num(leaf, "leaf index")?, pair_row(row)?))
+        }
+
+        pub fn write_item_row(out: &mut String, it: &Item) {
+            let _ = writeln!(out, "{} {} {}", it.id, it.point.x, it.point.y);
+        }
+
+        pub fn write_mutation_row(out: &mut String, op: &Mutation) {
+            match op {
+                Mutation::Insert(it) => {
+                    out.push_str("+ ");
+                    write_item_row(out, it);
+                }
+                Mutation::Delete(id) => {
+                    let _ = writeln!(out, "- {id}");
+                }
+                Mutation::Upsert(it) => {
+                    out.push_str("^ ");
+                    write_item_row(out, it);
+                }
+            }
+        }
+
+        pub fn write_pair_row(out: &mut String, pr: &RcjPair) {
+            let _ = writeln!(
+                out,
+                "{} {} {} {} {} {}",
+                pr.p.id, pr.p.point.x, pr.p.point.y, pr.q.id, pr.q.point.x, pr.q.point.y
+            );
+        }
+
+        pub fn encode_rect(r: Rect) -> String {
+            format!("{},{},{},{}", r.min.x, r.min.y, r.max.x, r.max.y)
+        }
+    }
+
+    /// A parsed row's values, floats as bits: "the same `Ok`" means bit
+    /// for bit (`-0` is not `0`, and NaN equals NaN).
+    trait Bits {
+        fn bits(&self) -> Vec<u64>;
+    }
+
+    impl Bits for Item {
+        fn bits(&self) -> Vec<u64> {
+            vec![self.id, self.point.x.to_bits(), self.point.y.to_bits()]
+        }
+    }
+
+    impl Bits for u64 {
+        fn bits(&self) -> Vec<u64> {
+            vec![*self]
+        }
+    }
+
+    impl Bits for RcjPair {
+        fn bits(&self) -> Vec<u64> {
+            [self.p.bits(), self.q.bits()].concat()
+        }
+    }
+
+    impl Bits for (usize, RcjPair) {
+        fn bits(&self) -> Vec<u64> {
+            [vec![self.0 as u64], self.1.bits()].concat()
+        }
+    }
+
+    impl Bits for Mutation {
+        fn bits(&self) -> Vec<u64> {
+            match self {
+                Mutation::Insert(it) => [vec![0], it.bits()].concat(),
+                Mutation::Delete(id) => vec![1, *id],
+                Mutation::Upsert(it) => [vec![2], it.bits()].concat(),
+            }
+        }
+    }
+
+    /// A parse outcome in comparable form: the values as bits, or the
+    /// error's full message.
+    fn outcome<T: Bits>(parsed: Result<Vec<T>, ServerError>) -> Result<Vec<Vec<u64>>, String> {
+        parsed
+            .map(|rows| rows.iter().map(Bits::bits).collect())
+            .map_err(|e| e.to_string())
+    }
+
+    /// Every row shape, read by the new reader and by the reference.
+    fn assert_readers_agree(body: &str) {
+        assert_eq!(
+            outcome(parse_pairs(body)),
+            outcome(reference::parse_rows(body, reference::pair_row)),
+            "pair rows of {body:?}"
+        );
+        assert_eq!(
+            outcome(parse_tagged_pairs(body)),
+            outcome(reference::parse_rows(body, reference::tagged_pair_row)),
+            "tagged pair rows of {body:?}"
+        );
+        assert_eq!(
+            outcome(parse_rows(body, item_row)),
+            outcome(reference::parse_rows(body, reference::item_row)),
+            "item rows of {body:?}"
+        );
+        assert_eq!(
+            outcome(parse_rows(body, mutation_row)),
+            outcome(reference::parse_rows(body, reference::mutation_row)),
+            "mutation rows of {body:?}"
+        );
+        assert_eq!(
+            outcome(parse_rows(body, id_row)),
+            outcome(reference::parse_rows(body, reference::id_row)),
+            "id rows of {body:?}"
+        );
+        // One row given whole (the CLI log's entry point, and the
+        // `+`/`-`/`^` row inside `SUPDATE`).
+        assert_eq!(
+            outcome(parse_mutation_row(body).map(|op| vec![op])),
+            outcome(reference::mutation_row(body).map(|op| vec![op])),
+            "one mutation row {body:?}"
+        );
+        assert_eq!(
+            outcome(parse_item_row(body).map(|it| vec![it])),
+            outcome(reference::item_row(body).map(|it| vec![it])),
+            "one item row {body:?}"
+        );
+    }
+
+    /// Field separators: every ASCII member of `char::is_whitespace`
+    /// (a lone `\r` included) and a few wide ones.
+    const SEPARATORS: &[&str] = &[
+        " ", " ", " ", "\t", "\r", "\x0b", "\x0c", "  ", " \t", "\u{a0}", "\u{85}", "\u{2028}",
+        "\u{3000}", "\u{2003}",
+    ];
+
+    /// Field tokens: valid ids and floats, the edge forms `str::parse`
+    /// accepts or refuses, and junk.
+    const TOKENS: &[&str] = &[
+        "0",
+        "7",
+        "42",
+        "-0",
+        "1e5",
+        ".5",
+        "5.",
+        "+3",
+        "inf",
+        "-inf",
+        "NaN",
+        "nan",
+        "infinity",
+        "18446744073709551615",
+        "18446744073709551616",
+        "00012",
+        "-3",
+        "1.5e-7",
+        "4.9e-324",
+        "1e400",
+        "+",
+        "-",
+        "^",
+        "x",
+        "é",
+        "1,2",
+        "--1",
+        "1.2.3",
+        "0x10",
+        "∞",
+        "#",
+    ];
+
+    /// Expands one drawn seed into a body of rows shaped like one of
+    /// the row kinds (a row of another shape now and then), with
+    /// separators, CRLF ends and blank rows mixed in.
+    fn random_body(seed: u64) -> String {
+        let mut state = seed | 1;
+        let mut next = move |n: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+        };
+        let mut body = String::new();
+        let body_shape = next(6);
+        for _ in 0..1 + next(6) {
+            let sep = |next: &mut dyn FnMut(usize) -> usize| SEPARATORS[next(SEPARATORS.len())];
+            if next(5) == 0 {
+                // A blank or whitespace-only row.
+                for _ in 0..next(3) {
+                    body.push_str(sep(&mut next));
+                }
+            } else {
+                let shape = if next(8) == 0 { next(6) } else { body_shape };
+                // Mostly the shape's own field count, sometimes one off.
+                let count = match next(10) {
+                    0 => [6, 7, 3, 4, 2, 1][shape] - 1,
+                    1 => [6, 7, 3, 4, 2, 1][shape] + 1,
+                    _ => [6, 7, 3, 4, 2, 1][shape],
+                };
+                if next(3) == 0 {
+                    body.push_str(sep(&mut next));
+                }
+                for i in 0..count {
+                    if i > 0 {
+                        body.push_str(sep(&mut next));
+                    }
+                    let id_fields: &[usize] = match shape {
+                        0 => &[0, 3],
+                        1 => &[0, 1, 4],
+                        3 | 4 => &[1],
+                        _ => &[0],
+                    };
+                    let token = if (shape == 3 || shape == 4) && i == 0 {
+                        ["+", "-", "^", "*"][next(4)].to_string()
+                    } else if next(12) == 0 {
+                        TOKENS[next(TOKENS.len())].to_string()
+                    } else if id_fields.contains(&i) {
+                        next(1_000_000).to_string()
+                    } else if next(2) == 0 {
+                        format!("{}", next(1 << 30) as f64 / 1024.0 - 5e5)
+                    } else {
+                        format!("{}", f64::from_bits(next(1 << 30) as u64 * 0x1_0000_0001))
+                    };
+                    body.push_str(&token);
+                }
+                if next(3) == 0 {
+                    body.push_str(sep(&mut next));
+                }
+            }
+            body.push_str(["\n", "\r\n", "\n", "\n"][next(4)]);
+        }
+        if next(4) == 0 {
+            // No final row break.
+            body.pop();
+        }
+        body
+    }
+
+    #[test]
+    fn readers_agree_on_hand_picked_bodies() {
+        for body in [
+            "",
+            "\n\n",
+            "1 2 3",
+            "1 2 3\r\n4 5 6\n",
+            "1\u{3000}2\u{a0}3\u{85}\n\u{2028}\n 4\t5\r6 \n",
+            "1 2\r3 4 5 6",
+            "7 1 2 3 4 5 6\n0 1 2 3 4 5 6 7\n",
+            "x 1 2 3 4 5 6",
+            "7",
+            "+ 1 2 3\n- 4\n^ 5 6 7\n",
+            "- 1 2",
+            "-\u{a0}",
+            "+\t1 2",
+            "  * 1 2 3  ",
+            "+ 1 nan inf\n+ 2 -0 1e5\n+ 3 .5 5.\n",
+            "18446744073709551616 1 2",
+            "1 2 3 4 5 6 7 8 9",
+        ] {
+            assert_readers_agree(body);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3_000))]
+
+        #[test]
+        fn readers_agree_on_random_bodies(seed in any::<u64>()) {
+            assert_readers_agree(&random_body(seed));
+        }
+
+        #[test]
+        fn writers_agree_with_the_write_macro_codec(
+            seed in any::<u64>(),
+            raw in proptest::collection::vec(any::<u64>(), 1..24),
+        ) {
+            // Random bit patterns (NaN, inf and subnormals included)
+            // mixed with the plain coordinates the wire mostly carries.
+            let coord = |i: usize| match raw[i % raw.len()] % 3 {
+                0 => f64::from_bits(raw[(i + 1) % raw.len()]),
+                _ => (raw[(i + 2) % raw.len()] % 2_000_000) as f64 / 7.0 - 1e5,
+            };
+            let items: Vec<Item> = (0..raw.len())
+                .map(|i| Item::new(raw[i] ^ seed, pt(coord(2 * i), coord(2 * i + 1))))
+                .collect();
+            let pairs: Vec<RcjPair> = items
+                .windows(2)
+                .map(|w| RcjPair::new(w[0], w[1]))
+                .collect();
+            let tagged: Vec<(usize, RcjPair)> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &pr)| ((seed as usize).wrapping_add(i), pr))
+                .collect();
+            let ops: Vec<Mutation> = items
+                .iter()
+                .enumerate()
+                .map(|(i, &it)| match i % 3 {
+                    0 => Mutation::Insert(it),
+                    1 => Mutation::Delete(it.id),
+                    _ => Mutation::Upsert(it),
+                })
+                .collect();
+
+            let mut want = String::new();
+            for pr in &pairs {
+                reference::write_pair_row(&mut want, pr);
+            }
+            prop_assert_eq!(encode_pairs(&pairs), want);
+
+            let mut want = String::new();
+            for (leaf, pr) in &tagged {
+                let _ = write!(want, "{leaf} ");
+                reference::write_pair_row(&mut want, pr);
+            }
+            prop_assert_eq!(encode_tagged_pairs(&tagged), want);
+
+            let mut want = String::from("LOAD pts rtree\n");
+            for it in &items {
+                reference::write_item_row(&mut want, it);
+            }
+            prop_assert_eq!(encode_load("pts", IndexKind::Rtree, &items), want);
+
+            let mut want = String::from("SUPDATE pts epoch=9\n");
+            let mut got = String::new();
+            for op in &ops {
+                reference::write_mutation_row(&mut want, op);
+                write_mutation_row(&mut got, op);
+            }
+            prop_assert_eq!(&got, &want["SUPDATE pts epoch=9\n".len()..]);
+            let update = ShardRequest::Update {
+                name: "pts".into(),
+                target_epoch: 9,
+                ops: Arc::new(ops),
+            };
+            prop_assert_eq!(update.encode(), want);
+
+            let ids: Vec<u64> = items.iter().map(|it| it.id).collect();
+            let want: String = std::iter::once("DELETE pts\n".to_string())
+                .chain(ids.iter().map(|id| format!("{id}\n")))
+                .collect();
+            let delete = Request::Delete { name: "pts".into(), ids };
+            prop_assert_eq!(delete.encode(), want);
+
+            for w in items.windows(2) {
+                let rect = Rect { min: w[0].point, max: w[1].point };
+                prop_assert_eq!(encode_rect(rect), reference::encode_rect(rect));
+            }
+        }
     }
 }

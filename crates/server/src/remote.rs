@@ -26,7 +26,8 @@
 //! makes the supervisor's replay log idempotent.
 
 use crate::proto::{
-    read_frame, read_frame_idle, write_frame, FrameRead, Reply, ShardReply, ShardRequest,
+    bounded_reply, read_frame, read_frame_idle, write_frame, FrameRead, Reply, ShardReply,
+    ShardRequest, MAX_FRAME,
 };
 use crate::sharded::LocalShard;
 use crate::topology::{ShardBackend, ShardFault};
@@ -208,6 +209,7 @@ fn serve_worker_session(mut stream: TcpStream, shared: &WorkerShared) -> std::io
         if shared.dead.load(Ordering::SeqCst) {
             return Ok(());
         }
+        let (reply, _) = bounded_reply(None, reply, MAX_FRAME);
         write_frame(&mut stream, reply.as_bytes())?;
         if stop {
             shared.stop.store(true, Ordering::SeqCst);

@@ -16,16 +16,17 @@
 //! accumulates it.
 //!
 //! A request can never take the process down: every failure — protocol,
-//! catalog, validation, overload — is returned to the client as an
-//! `ERR` frame and the serving loop continues; only `SHUTDOWN` ends it.
+//! catalog, validation, overload, a reply too large for one frame — is
+//! returned to the client as an `ERR` frame and the serving loop
+//! continues; only `SHUTDOWN` ends it.
 //! The shutdown decision is acted on *before* the ack write, so a
 //! client that dies right after sending `SHUTDOWN` still stops the
 //! server.
 
 use crate::admission::Admission;
 use crate::proto::{
-    encode_pairs, encode_stats_fields, read_frame_idle, split_request_id, write_frame, FrameRead,
-    Reply, Request,
+    bounded_reply, encode_pairs, encode_stats_fields, read_frame_idle, split_request_id,
+    write_frame, FrameRead, Reply, Request, MAX_FRAME,
 };
 use crate::sharded::{ShardedEngine, ShardedOutput, UpdateInfo};
 use crate::ServerError;
@@ -149,10 +150,11 @@ impl Drop for SessionGuard {
     }
 }
 
-/// What handling one request decided: the response payload, whether the
-/// server should stop after sending it, and whether it counts as a
-/// success.
+/// What handling one request decided: the request id, the response
+/// payload, whether the server should stop after sending it, and
+/// whether it counts as a success.
 struct Handled {
+    id: Option<u64>,
     payload: String,
     shutdown: bool,
     ok: bool,
@@ -161,6 +163,7 @@ struct Handled {
 impl Handled {
     fn err(id: Option<u64>, e: &ServerError) -> Handled {
         Handled {
+            id,
             payload: Reply::encode_err_id(id, &e.to_string()),
             shutdown: false,
             ok: false,
@@ -278,7 +281,8 @@ fn serve_session(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
             FrameRead::Frame(payload) => payload,
         };
         let handled = handle_payload(&payload, shared);
-        if handled.ok {
+        let (reply, fits) = bounded_reply(handled.id, handled.payload, MAX_FRAME);
+        if handled.ok && fits {
             shared.requests_ok.fetch_add(1, Ordering::Relaxed);
         } else {
             shared.requests_err.fetch_add(1, Ordering::Relaxed);
@@ -287,10 +291,10 @@ fn serve_session(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
             // Commit to stopping *before* the ack write: if the client
             // is already gone, the decision must not be lost with it.
             shared.begin_shutdown();
-            let _ = write_frame(&mut stream, handled.payload.as_bytes());
+            let _ = write_frame(&mut stream, reply.as_bytes());
             return Ok(());
         }
-        write_frame(&mut stream, handled.payload.as_bytes())?;
+        write_frame(&mut stream, reply.as_bytes())?;
     }
 }
 
@@ -315,6 +319,7 @@ fn handle_payload(payload: &str, shared: &Shared) -> Handled {
             Ok(permit) => Some(permit),
             Err(_) => {
                 return Handled {
+                    id,
                     payload: Reply::encode_busy(id, RETRY_AFTER_MS, "admission queue full"),
                     shutdown: false,
                     ok: false,
@@ -407,6 +412,7 @@ fn dispatch(req: Request, id: Option<u64>, shared: &Shared) -> Handled {
     };
     match result {
         Ok((payload, shutdown)) => Handled {
+            id,
             payload,
             shutdown,
             ok: true,
