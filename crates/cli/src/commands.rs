@@ -1346,6 +1346,18 @@ mod tests {
     }
 
     #[test]
+    fn bound_does_not_overflow_on_huge_inputs() {
+        let b = run(&parse(&s(&["bound", "--np", "18446744073709551615", "--nq", "1"])).unwrap())
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            b,
+            "general-position bound: 55340232221128654842   \
+             worst case (degenerate): 18446744073709551615"
+        );
+    }
+
+    #[test]
     fn threaded_join_output_is_identical_to_sequential() {
         let p = tmp("tp_par.bin");
         let q = tmp("tq_par.bin");

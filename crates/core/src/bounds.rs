@@ -10,12 +10,11 @@
 //! therefore the set of **bichromatic** Gabriel edges of `S`.
 //!
 //! The Gabriel graph is a subgraph of the Delaunay triangulation, hence
-//! planar: for `|S| ≥ 3` points *in general position* it has at most
-//! `3·|S| − 8` edges (a planar bipartite-free bound would give `3|S|−6`;
-//! Gabriel graphs save two more because the convex hull contributes at
-//! least ... the classical bound for Delaunay is `3|S| − 2h − 3` with
-//! hull size `h ≥ 3`, so `3|S| − 9 + h·0`; we expose the safe
-//! `3·|S| − 6` Delaunay bound). This confirms and explains the paper's
+//! planar, and a planar graph on `|S| ≥ 3` vertices has at most
+//! `3·|S| − 6` edges. So for points *in general position* the RCJ
+//! returns at most `3·(|P| + |Q|) − 6` pairs: the value of
+//! [`general_position_bound`], which is 1 when each set holds one point
+//! and 0 when either is empty. This confirms and explains the paper's
 //! empirical observation that the result cardinality grows linearly with
 //! the input size (Figure 16b).
 //!
@@ -30,15 +29,16 @@
 
 /// Upper bound on the RCJ result size for inputs in **general position**
 /// (no two points coincide, no four points co-circular): the Delaunay
-/// edge bound `3·(|P| + |Q|) − 6` on the union set.
+/// edge bound `3·(|P| + |Q|) − 6` on the union set. Computed in `u128`,
+/// like [`worst_case_bound`], so no pair of `u64` sizes overflows.
 ///
 /// ```
 /// use ringjoin_core::bounds::general_position_bound;
 /// assert_eq!(general_position_bound(100, 100), 594);
 /// assert_eq!(general_position_bound(1, 1), 1); // a single pair
 /// ```
-pub fn general_position_bound(np: u64, nq: u64) -> u64 {
-    let s = np + nq;
+pub fn general_position_bound(np: u64, nq: u64) -> u128 {
+    let s = u128::from(np) + u128::from(nq);
     if np == 0 || nq == 0 {
         return 0;
     }
@@ -73,6 +73,16 @@ mod tests {
     }
 
     #[test]
+    fn bound_does_not_overflow_at_u64_max() {
+        let max = u128::from(u64::MAX);
+        assert_eq!(general_position_bound(u64::MAX, 1), 3 * (max + 1) - 6);
+        assert_eq!(general_position_bound(1, u64::MAX), 3 * (max + 1) - 6);
+        assert_eq!(general_position_bound(u64::MAX, u64::MAX), 6 * max - 6);
+        // 3·(|P| + |Q|) − 6 lands exactly on u64::MAX here.
+        assert_eq!(general_position_bound(6148914691236517206, 1), max);
+    }
+
+    #[test]
     fn random_inputs_respect_general_position_bound() {
         let mut state = 0xabcdefu64;
         let mut next = || {
@@ -89,7 +99,7 @@ mod tests {
             let qs: Vec<Item> = (0..n)
                 .map(|i| Item::new(i as u64, pt(next() * 1000.0, next() * 1000.0)))
                 .collect();
-            let result = rcj_brute(&ps, &qs).len() as u64;
+            let result = rcj_brute(&ps, &qs).len() as u128;
             assert!(
                 result <= general_position_bound(n as u64, n as u64),
                 "trial {trial}: {result} pairs exceeds the planar bound"
@@ -104,7 +114,7 @@ mod tests {
         // potential blockers lie exactly ON it).
         let ps: Vec<Item> = (0..20).map(|i| Item::new(i, pt(0.0, 0.0))).collect();
         let qs: Vec<Item> = (0..20).map(|i| Item::new(i, pt(10.0, 0.0))).collect();
-        let result = rcj_brute(&ps, &qs).len() as u64;
+        let result = rcj_brute(&ps, &qs).len() as u128;
         assert_eq!(result, 400);
         assert!(result > general_position_bound(20, 20));
         assert_eq!(worst_case_bound(20, 20), 400);

@@ -1381,7 +1381,8 @@ mod tests {
         with_tree!(ds, |t| {
             let probe = t.probe();
             let mut pg = t.pager();
-            crate::join::outer_leaves(t, &RcjOptions::default())
+            crate::join::LeafPass::new(t, t, false, &RcjOptions::default())
+                .leaves
                 .into_iter()
                 .map(|n| {
                     let items = crate::join::leaf_items(&probe, &mut pg, n);

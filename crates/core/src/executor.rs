@@ -1,11 +1,32 @@
-//! The pluggable execution layer of the RCJ engine.
+//! The schedules of the RCJ leaf pass.
 //!
-//! The outer-leaf loop of every RCJ algorithm is embarrassingly parallel:
-//! leaf groups of `T_Q` touch disjoint slices of the output and all index
-//! access is read-only. What made the seed single-threaded was the
-//! storage layer (one `Rc<RefCell<_>>` pager), not the algorithms — so
-//! the executor parallelises at exactly that seam. Two design decisions
-//! carry the parallel cold-cache fix:
+//! Every leaf-order path runs the same per-leaf work, the paper's
+//! Algorithms 5–7 held by one `LeafPass`: expand a leaf group of `T_Q`,
+//! filter it against `T_P`, verify its candidates. The paths differ only
+//! in which leaves run, in what order, on which threads:
+//!
+//! * **Sequential** ([`Executor::Sequential`]): every leaf in list order
+//!   through the pagers themselves, with no snapshot and no prefetch, so
+//!   the paper's fault counts are exact. A sink's early exit stops it
+//!   leaf by leaf.
+//! * **Work stealing** ([`Executor::Parallel`]): the leaves spread over
+//!   worker threads, as below. The parallel leaf-order stream runs the
+//!   same scheduler one wave at a time, on readers it keeps across waves.
+//! * **Leaf subset**, behind
+//!   [`rcj_join_leaves_pooled`](crate::rcj_join_leaves_pooled) and every
+//!   shard's [`Plan::run_leaves_pooled`](crate::Plan::run_leaves_pooled):
+//!   the caller's positions in the caller's order on one reader, each
+//!   pair tagged with its leaf index.
+//!
+//! On disk, a reader that knows its upcoming leaves stages their pages
+//! on a background [`Prefetcher`] through one lookahead: on every eighth
+//! claim, the next 16 leaf pages. A work-stealing worker looks ahead in
+//! its own deque, the subset reader along its subset. The sequential
+//! executor and the sequential stream never prefetch.
+//!
+//! The outer-leaf loop is embarrassingly parallel: leaf groups of `T_Q`
+//! touch disjoint slices of the output and all index access is
+//! read-only. Two design decisions carry the parallel cold-cache fix:
 //!
 //! * **One shared cache, not `workers` cold ones.** Every worker reads
 //!   the `Arc`-shared read-only
@@ -39,16 +60,17 @@
 //! sequential faults and all logical reads exactly.
 //!
 //! Workers are plain `std::thread::scope` threads. Pairs leave the
-//! executor through the caller's [`PairSink`](crate::PairSink); the
-//! sequential path honors a sink's early-exit request leaf by leaf, the
+//! executor through the caller's [`PairSink`](crate::PairSink), in the
 //! parallel path after its deterministic merge.
 
 use crate::index::{IndexProbe, NodeRef};
-use crate::join::{leaf_items, process_leaf, RcjOptions, TagAdapter};
+use crate::join::LeafPass;
+use crate::pair::RcjPair;
 use crate::stats::RcjStats;
-use crate::stream::PairSink;
-use ringjoin_storage::{BufferPool, PageAccess, PageId, PooledPager, Prefetcher, SharedPager};
+use crate::stream::{PairSink, TaggedPairSink};
+use ringjoin_storage::{BufferPool, PageAccess, PooledPager, Prefetcher, SharedPager};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Mutex;
 
@@ -216,64 +238,109 @@ impl Readers {
     }
 }
 
-/// Runs the per-leaf driver over `leaves` under the executor chosen in
-/// `opts`, emitting pairs into `sink` in deterministic leaf order and
-/// returning the accumulated CPU-side counters.
-#[allow(clippy::too_many_arguments)]
+/// Runs the pass under the executor chosen in its options, emitting
+/// pairs into `sink` in deterministic leaf order and returning the
+/// accumulated CPU-side counters.
 pub(crate) fn execute<PQ: IndexProbe, PP: IndexProbe>(
-    probe_q: &PQ,
-    probe_p: &PP,
+    pass: &LeafPass<PQ, PP>,
     pager_q: SharedPager,
     pager_p: SharedPager,
-    leaves: &[NodeRef],
-    self_join: bool,
-    opts: &RcjOptions,
-    sink: &mut dyn PairSink,
-) -> RcjStats {
-    let workers = opts.executor.worker_count().min(leaves.len().max(1));
-    if workers <= 1 {
-        return run_sequential(
-            probe_q, probe_p, pager_q, pager_p, leaves, self_join, opts, sink,
-        );
-    }
-    run_parallel(
-        probe_q, probe_p, pager_q, pager_p, leaves, workers, self_join, opts, sink,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sequential<PQ: IndexProbe, PP: IndexProbe>(
-    probe_q: &PQ,
-    probe_p: &PP,
-    pager_q: SharedPager,
-    pager_p: SharedPager,
-    leaves: &[NodeRef],
-    self_join: bool,
-    opts: &RcjOptions,
     sink: &mut dyn PairSink,
 ) -> RcjStats {
     let mut stats = RcjStats::default();
-    let mut pgq = pager_q;
-    let mut pgp = pager_p;
-    let mut pagers = Pagers::Split {
-        q: &mut pgq,
-        p: &mut pgp,
-    };
-    for leaf in leaves {
-        let items = leaf_items(probe_q, pagers.q(), *leaf);
-        if !process_leaf(
-            probe_q,
-            probe_p,
-            &mut pagers,
-            &items,
-            self_join,
-            opts,
-            sink,
-            &mut stats,
-        ) {
+    let workers = pass.workers();
+    if workers <= 1 {
+        // Through the pagers themselves: no snapshot and no prefetch, so
+        // the paper's fault counts are exact.
+        let (mut pgq, mut pgp) = (pager_q, pager_p);
+        let mut pagers = Pagers::Split {
+            q: &mut pgq,
+            p: &mut pgp,
+        };
+        for pos in 0..pass.leaves.len() {
+            if !pass.run(pos, &mut pagers, sink, &mut stats) {
+                break;
+            }
+        }
+        return stats;
+    }
+    // Workers read each pager's page source through its own buffer:
+    // trees sharing a pager (the paper's setup, and every self-join)
+    // share both, exactly as they share one LRU buffer sequentially,
+    // and the buffer stays warm across runs. A disk-native pager hands
+    // out its store instead of a resident snapshot — the pool's frames
+    // become the only RAM copy.
+    let pinned = Readers::pin(&pager_q, &pager_p, None);
+    let prefetcher = pinned.prefetcher();
+    let mut readers = vec![pinned; workers];
+    let pairs = run_stealing(
+        pass,
+        0..pass.leaves.len(),
+        &mut readers,
+        prefetcher.as_ref(),
+        &mut stats,
+    );
+    // Counters and I/O are always fully absorbed (the work has already
+    // happened); the sink can only stop the *reporting* early.
+    for r in &readers {
+        r.absorb(&pager_q, &pager_p);
+    }
+    for pr in pairs {
+        if !sink.push(pr) {
             break;
         }
     }
+    stats
+}
+
+/// Adapts a [`TaggedPairSink`] to the per-leaf [`PairSink`] contract,
+/// stamping every pair with the global leaf index being processed — the
+/// work-stealing merge key, and what a shard's leaf subset reports.
+struct TagAdapter<'a> {
+    leaf: usize,
+    inner: &'a mut dyn TaggedPairSink,
+}
+
+impl PairSink for TagAdapter<'_> {
+    fn push(&mut self, pair: RcjPair) -> bool {
+        self.inner.push(self.leaf, pair)
+    }
+}
+
+/// Runs the pass over an explicit subset of leaf positions, in the
+/// given order, on one reader pinned to `pool`, emitting each pair
+/// tagged with its leaf position. Out-of-range positions are skipped; a
+/// sink returning `false` stops the run. The reader's I/O counters are
+/// absorbed into the pagers on return, like a parallel worker's.
+///
+/// Disk-native pages are prefetched along the subset itself: it is this
+/// call's schedule, so each [`lookahead`] stages the upcoming positions,
+/// the current one included.
+pub(crate) fn run_subset<PQ: IndexProbe, PP: IndexProbe>(
+    pass: &LeafPass<PQ, PP>,
+    pager_q: &SharedPager,
+    pager_p: &SharedPager,
+    positions: &[usize],
+    pool: &BufferPool,
+    sink: &mut dyn TaggedPairSink,
+) -> RcjStats {
+    let mut readers = Readers::pin(pager_q, pager_p, Some(pool));
+    let prefetcher = readers.prefetcher();
+    let mut pagers = readers.pagers();
+    let mut stats = RcjStats::default();
+    for (claim, &pos) in positions.iter().enumerate() {
+        lookahead(prefetcher.as_ref(), claim, &pass.leaves, || {
+            positions[claim..].iter().copied()
+        });
+        let mut tagged = TagAdapter {
+            leaf: pos,
+            inner: sink,
+        };
+        if pos < pass.leaves.len() && !pass.run(pos, &mut pagers, &mut tagged, &mut stats) {
+            break;
+        }
+    }
+    readers.absorb(pager_q, pager_p);
     stats
 }
 
@@ -287,12 +354,34 @@ fn run_sequential<PQ: IndexProbe, PP: IndexProbe>(
 /// small, cache-friendly contiguous run.
 const STEAL_BATCH: usize = 32;
 
-/// Number of upcoming leaf pages a worker hands the background
-/// [`Prefetcher`] each time it refreshes its lookahead (store-backed
-/// runs only). Deep enough that staging overlaps the verification of
-/// the current chunk, shallow enough not to flood a tight buffer
-/// budget with pages that would be evicted before their turn.
+/// Number of upcoming leaf pages a prefetching reader hands the
+/// background [`Prefetcher`] at each [`lookahead`] (store-backed runs
+/// only). Deep enough that staging overlaps the verification of the
+/// current leaves, shallow enough not to flood a tight buffer budget
+/// with pages that would be evicted before their turn.
 const PREFETCH_WINDOW: usize = 16;
+
+/// A reader's prefetch lookahead, called once per claimed leaf: on the
+/// first claim and every `PREFETCH_WINDOW / 2` claims after it, stages
+/// the pages of the leaves at the first `PREFETCH_WINDOW` positions
+/// `upcoming` lists. Positions index `leaves`; out-of-range ones are
+/// skipped. Does nothing without a prefetcher (resident pages).
+fn lookahead<I: IntoIterator<Item = usize>>(
+    prefetcher: Option<&Prefetcher>,
+    claim: usize,
+    leaves: &[NodeRef],
+    upcoming: impl FnOnce() -> I,
+) {
+    if let Some(pf) = prefetcher.filter(|_| claim.is_multiple_of(PREFETCH_WINDOW / 2)) {
+        pf.request(
+            upcoming()
+                .into_iter()
+                .take(PREFETCH_WINDOW)
+                .filter_map(|pos| leaves.get(pos).map(|leaf| leaf.page))
+                .collect(),
+        );
+    }
+}
 
 /// Scheduling weight of one outer leaf group: its spatial extent
 /// (rectangle half-perimeter). On skewed `T_Q` a wide leaf spans more of
@@ -369,97 +458,50 @@ fn next_leaf(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
     None
 }
 
-/// Per-worker result, merged deterministically by leaf tag.
-struct WorkerOutput {
-    /// Pairs tagged with the position of their outer leaf group in the
-    /// scheduled leaf list.
-    tagged: Vec<(usize, crate::RcjPair)>,
-    stats: RcjStats,
-    readers: Readers,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_parallel<PQ: IndexProbe, PP: IndexProbe>(
-    probe_q: &PQ,
-    probe_p: &PP,
-    pager_q: SharedPager,
-    pager_p: SharedPager,
-    leaves: &[NodeRef],
-    workers: usize,
-    self_join: bool,
-    opts: &RcjOptions,
-    sink: &mut dyn PairSink,
-) -> RcjStats {
-    // Workers read each pager's page source through its own buffer:
-    // trees sharing a pager (the paper's setup, and every self-join)
-    // share both, exactly as they share one LRU buffer sequentially,
-    // and the buffer stays warm across runs. A disk-native pager hands
-    // out its store instead of a resident snapshot — the pool's frames
-    // become the only RAM copy.
-    let pinned = Readers::pin(&pager_q, &pager_p, None);
-
-    // The prefetch schedule rides on the outer (`T_Q`) store: the
-    // extent-weighted chunks the workers claim are known in advance, so
-    // a background thread can stage each worker's upcoming leaf pages
-    // while it verifies the current ones.
-    let prefetcher = pinned.prefetcher();
-
+/// Runs the pass's leaf groups at `positions` on one work-stealing
+/// worker per reader set (at most one per leaf), adding the workers'
+/// counters to `stats` and returning their pairs in leaf order. The
+/// executor runs the whole leaf list this way; the parallel stream runs
+/// it one wave at a time, on readers it keeps across waves.
+///
+/// With a prefetcher, each worker's [`lookahead`] stages the front of
+/// its own deque (steals land on the tail, so the front stays an
+/// accurate schedule).
+pub(crate) fn run_stealing<PQ: IndexProbe, PP: IndexProbe>(
+    pass: &LeafPass<PQ, PP>,
+    positions: Range<usize>,
+    readers: &mut [Readers],
+    prefetcher: Option<&Prefetcher>,
+    stats: &mut RcjStats,
+) -> Vec<RcjPair> {
+    let base = positions.start;
+    let leaves = &pass.leaves[positions];
+    let workers = readers.len().min(leaves.len());
     let queues = seed_queues(leaves, workers);
-
-    let results: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let mut readers = pinned.clone();
+    let results: Vec<(Vec<(usize, RcjPair)>, RcjStats)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = readers[..workers]
+            .iter_mut()
+            .enumerate()
+            .map(|(w, reader)| {
                 let queues = &queues;
-                let prefetcher = prefetcher.as_ref();
                 scope.spawn(move || {
-                    let mut tagged: Vec<(usize, crate::RcjPair)> = Vec::new();
+                    let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
                     let mut stats = RcjStats::default();
-                    {
-                        let mut pagers = readers.pagers();
-                        // Claims until the next lookahead refresh: each
-                        // refresh stages the next window of this
-                        // worker's own deque (steals land on the tail,
-                        // so the front stays an accurate schedule).
-                        let mut until_refresh = 0usize;
-                        while let Some(pos) = next_leaf(queues, w) {
-                            if let Some(pf) = prefetcher {
-                                if until_refresh == 0 {
-                                    let upcoming: Vec<PageId> = {
-                                        let dq = queues[w].lock().expect("worker deque poisoned");
-                                        dq.iter()
-                                            .take(PREFETCH_WINDOW)
-                                            .map(|&p| leaves[p].page)
-                                            .collect()
-                                    };
-                                    until_refresh = (upcoming.len() / 2).max(1);
-                                    pf.request(upcoming);
-                                } else {
-                                    until_refresh -= 1;
-                                }
-                            }
-                            let items = leaf_items(probe_q, pagers.q(), leaves[pos]);
-                            let mut tag_sink = TagAdapter {
-                                leaf: pos,
-                                inner: &mut tagged,
-                            };
-                            process_leaf(
-                                probe_q,
-                                probe_p,
-                                &mut pagers,
-                                &items,
-                                self_join,
-                                opts,
-                                &mut tag_sink,
-                                &mut stats,
-                            );
-                        }
+                    let mut pagers = reader.pagers();
+                    let mut claim = 0;
+                    while let Some(i) = next_leaf(queues, w) {
+                        lookahead(prefetcher, claim, leaves, || {
+                            let dq = queues[w].lock().expect("worker deque poisoned");
+                            dq.iter().take(PREFETCH_WINDOW).copied().collect::<Vec<_>>()
+                        });
+                        claim += 1;
+                        let mut tag_sink = TagAdapter {
+                            leaf: base + i,
+                            inner: &mut tagged,
+                        };
+                        pass.run(base + i, &mut pagers, &mut tag_sink, &mut stats);
                     }
-                    WorkerOutput {
-                        tagged,
-                        stats,
-                        readers,
-                    }
+                    (tagged, stats)
                 })
             })
             .collect();
@@ -472,23 +514,14 @@ fn run_parallel<PQ: IndexProbe, PP: IndexProbe>(
     // Deterministic merge: every leaf is processed by exactly one worker
     // and its pairs are contiguous in that worker's emission order, so a
     // stable sort on the leaf tag reconstructs the sequential sequence
-    // exactly — whichever worker ended up with which leaf. Counters and
-    // I/O are always fully absorbed (the work has already happened); the
-    // sink can only stop the *reporting* early.
-    let mut stats = RcjStats::default();
-    let mut merged: Vec<(usize, crate::RcjPair)> = Vec::new();
-    for w in results {
-        stats.merge(w.stats);
-        w.readers.absorb(&pager_q, &pager_p);
-        merged.extend(w.tagged);
+    // exactly — whichever worker ended up with which leaf.
+    let mut merged: Vec<(usize, RcjPair)> = Vec::new();
+    for (tagged, worker_stats) in results {
+        stats.merge(worker_stats);
+        merged.extend(tagged);
     }
     merged.sort_by_key(|(leaf, _)| *leaf);
-    for (_, pr) in merged {
-        if !sink.push(pr) {
-            break;
-        }
-    }
-    stats
+    merged.into_iter().map(|(_, pr)| pr).collect()
 }
 
 #[cfg(test)]

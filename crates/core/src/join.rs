@@ -1,15 +1,18 @@
-//! The RCJ join drivers: INJ (Algorithms 4–5), BIJ (Algorithm 6) and OBJ
+//! The RCJ join: INJ (Algorithms 4–5), BIJ (Algorithm 6) and OBJ
 //! (Section 4.2), plus the self-join variant.
 //!
-//! The drivers are generic over [`RcjIndex`], so one implementation of
-//! each algorithm serves every index (R*-tree, quadtree, and any future
-//! one) — the index-specific knowledge lives entirely in the
-//! [`IndexProbe`](crate::IndexProbe). Execution is delegated to the
-//! [`executor`](crate::executor): leaf groups of the outer tree are
-//! processed either sequentially through the shared pager or split into
-//! contiguous depth-first chunks across worker threads reading through
-//! the pager's buffer, with results merged deterministically so both
-//! modes produce identical output and count in one LRU.
+//! All three algorithms are one loop over the outer tree's leaf groups,
+//! held by `LeafPass`: its `run` filters one leaf group of `T_Q` against
+//! `T_P` (per point for INJ, in bulk for BIJ and OBJ) and verifies the
+//! candidates. The pass is generic over [`RcjIndex`], so it serves every
+//! index (R*-tree, quadtree, and any future one) — the index-specific
+//! knowledge lives entirely in the [`IndexProbe`](crate::IndexProbe).
+//! When and where each leaf runs is the
+//! [`executor`](crate::executor)'s schedule: sequentially through the
+//! shared pager, on work-stealing threads reading through the pager's
+//! buffer, or over an explicit leaf subset ([`rcj_join_leaves_pooled`]).
+//! Every schedule gives the same pairs in the same order and counts in
+//! one LRU.
 //!
 //! Result pairs are *emitted*, not materialised: every driver reports
 //! through a [`PairSink`](crate::PairSink), and a plain `Vec<RcjPair>`
@@ -21,7 +24,7 @@
 //! [`RcjAlgorithm::Auto`] defers the algorithm choice to the
 //! [`planner`](crate::planner)'s calibrated cost model.
 
-use crate::executor::{execute, Pagers, Readers};
+use crate::executor::{execute, run_subset, Pagers};
 use crate::filter::{bulk_filter_with, filter_with};
 use crate::index::{IndexEntry, IndexProbe, NodeRef, RcjIndex};
 use crate::pair::RcjPair;
@@ -244,22 +247,10 @@ fn run_into<IQ: RcjIndex, IP: RcjIndex>(
     opts: &RcjOptions,
     sink: &mut dyn PairSink,
 ) -> RcjStats {
-    // `Auto` resolves against the outer summary before any leaf work;
-    // the drivers below only ever see concrete algorithms.
-    let opts = RcjOptions {
-        algorithm: opts.algorithm.resolve(&tq.summary()),
-        ..*opts
-    };
-    let probe_q = tq.probe();
-    let leaves = outer_leaves(tq, &opts);
     execute(
-        &probe_q,
-        &tp.probe(),
+        &LeafPass::new(tq, tp, self_join, opts),
         tq.pager(),
         tp.pager(),
-        &leaves,
-        self_join,
-        &opts,
         sink,
     )
 }
@@ -361,21 +352,6 @@ fn summarize(stamp: u64, entries: &[IndexEntry]) -> NodeSummary {
     }
 }
 
-/// Adapts a [`TaggedPairSink`] to the per-leaf [`PairSink`] contract,
-/// stamping every pair with the global leaf index being processed. Used
-/// by the leaf-subset drivers below and by the work-stealing executor
-/// (whose deterministic merge key is exactly this tag).
-pub(crate) struct TagAdapter<'a> {
-    pub(crate) leaf: usize,
-    pub(crate) inner: &'a mut dyn TaggedPairSink,
-}
-
-impl PairSink for TagAdapter<'_> {
-    fn push(&mut self, pair: RcjPair) -> bool {
-        self.inner.push(self.leaf, pair)
-    }
-}
-
 /// Runs the RCJ drivers over an explicit **subset** of the outer tree's
 /// leaf groups, emitting each pair tagged with the global leaf index
 /// that produced it, with page reads counted in `pool`.
@@ -389,7 +365,10 @@ impl PairSink for TagAdapter<'_> {
 /// [merge](RcjStats::merge) to the sequential totals. This is the
 /// primitive a space-partitioned shard router executes per shard. The
 /// subset is processed sequentially in-thread (the caller owns the
-/// parallelism); a sink returning `false` stops the run early.
+/// parallelism); a sink returning `false` stops the run early. On a
+/// disk-native pager the run stages its upcoming leaf pages in the
+/// background as it goes: on every eighth position, the pages of the
+/// next 16.
 ///
 /// Pass the pager's own [buffer](ringjoin_storage::Pager::pool) to
 /// count in the one LRU every other access path uses. The sharded
@@ -436,82 +415,159 @@ fn run_leaf_subset_pooled<IQ: RcjIndex, IP: RcjIndex>(
     opts: &RcjOptions,
     sink: &mut dyn TaggedPairSink,
 ) -> RcjStats {
+    // Global leaf indices are only meaningful in depth-first order.
     let opts = RcjOptions {
-        algorithm: opts.algorithm.resolve(&tq.summary()),
-        // Global leaf indices are only meaningful in depth-first order.
         outer_order: OuterOrder::DepthFirst,
         ..*opts
     };
-    let leaves = outer_leaves(tq, &opts);
-    let (pager_q, pager_p) = (tq.pager(), tp.pager());
-    let mut readers = Readers::pin(&pager_q, &pager_p, Some(pool));
-    // Disk-native replicas prefetch their upcoming outer leaves exactly
-    // like the executor's workers: the subset positions are this call's
-    // schedule.
-    let prefetcher = readers.prefetcher();
-    let mut pagers = readers.pagers();
-    let probe_q = tq.probe();
-    let probe_p = tp.probe();
-    let mut stats = RcjStats::default();
-    // Window of upcoming positions already handed to the prefetcher.
-    const LOOKAHEAD: usize = 16;
-    let mut staged = 0usize;
-    for (i, &pos) in positions.iter().enumerate() {
-        if let Some(pf) = &prefetcher {
-            if i >= staged {
-                let upcoming: Vec<_> = positions[i..]
-                    .iter()
-                    .take(LOOKAHEAD)
-                    .filter_map(|&p| leaves.get(p).map(|leaf| leaf.page))
-                    .collect();
-                staged = i + LOOKAHEAD / 2;
-                pf.request(upcoming);
-            }
-        }
-        let Some(leaf) = leaves.get(pos) else {
-            continue;
-        };
-        let items = leaf_items(&probe_q, pagers.q(), *leaf);
-        let mut tagged = TagAdapter {
-            leaf: pos,
-            inner: sink,
-        };
-        if !process_leaf(
-            &probe_q,
-            &probe_p,
-            &mut pagers,
-            &items,
-            self_join,
-            &opts,
-            &mut tagged,
-            &mut stats,
-        ) {
-            break;
-        }
-    }
-    // Aggregate I/O exactly as the parallel executor does, so the
-    // owning pagers report the same totals under either access path.
-    readers.absorb(&pager_q, &pager_p);
-    stats
+    let pass = LeafPass::new(tq, tp, self_join, &opts);
+    run_subset(&pass, &tq.pager(), &tp.pager(), positions, pool, sink)
 }
 
-/// Collects the outer leaf groups in depth-first order (one cheap pass
-/// over `T_Q`, charged to the shared pager in both execution modes),
-/// optionally destroying the locality for the ablation. Re-reading each
-/// leaf page right before its group is processed keeps it hot in the
-/// buffer in the depth-first case, matching Algorithm 5's inline
-/// recursion.
-pub(crate) fn outer_leaves<IQ: RcjIndex>(tq: &IQ, opts: &RcjOptions) -> Vec<NodeRef> {
-    let probe_q = tq.probe();
-    let mut leaves: Vec<NodeRef> = Vec::new();
+/// One pass over the outer tree's leaf groups — the loop of Algorithms
+/// 5–7: filter a leaf group of `T_Q` against `T_P`, then verify its
+/// candidates.
+///
+/// The pass holds what every leaf needs: both probes, the outer leaf
+/// groups in processing order, the self-join flag and the run's options
+/// with [`RcjAlgorithm::Auto`] resolved. Every leaf-order path runs its
+/// leaves through [`LeafPass::run`] and differs only in schedule (see
+/// the [`executor`](crate::executor)): the sequential and work-stealing
+/// executors, the leaf-subset driver behind [`rcj_join_leaves_pooled`],
+/// and the leaf-order [`RcjStream`](crate::RcjStream).
+pub(crate) struct LeafPass<PQ: IndexProbe, PP: IndexProbe> {
+    probe_q: PQ,
+    probe_p: PP,
+    /// The outer leaf groups; a position in this list is a leaf's global
+    /// index when the order is depth-first.
+    pub(crate) leaves: Vec<NodeRef>,
+    self_join: bool,
+    opts: RcjOptions,
+}
+
+impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
+    /// Resolves `Auto` against the outer summary, then collects the outer
+    /// leaf groups in depth-first order (one cheap pass over `T_Q`,
+    /// charged to its pager), optionally destroying the locality for the
+    /// ablation. [`LeafPass::run`] re-reads each leaf page right before
+    /// its group is processed, which keeps it hot in the buffer in the
+    /// depth-first case, matching Algorithm 5's inline recursion.
+    pub(crate) fn new<IQ, IP>(tq: &IQ, tp: &IP, self_join: bool, opts: &RcjOptions) -> Self
+    where
+        IQ: RcjIndex<Probe = PQ>,
+        IP: RcjIndex<Probe = PP>,
     {
-        let mut pg = tq.pager();
-        collect_leaves(&probe_q, &mut pg, probe_q.root(), &mut leaves);
+        let opts = RcjOptions {
+            algorithm: opts.algorithm.resolve(&tq.summary()),
+            ..*opts
+        };
+        let probe_q = tq.probe();
+        let mut leaves = Vec::new();
+        collect_leaves(&probe_q, &mut tq.pager(), probe_q.root(), &mut leaves);
+        if let OuterOrder::Shuffled(seed) = opts.outer_order {
+            shuffle(&mut leaves, seed);
+        }
+        LeafPass {
+            probe_q,
+            probe_p: tp.probe(),
+            leaves,
+            self_join,
+            opts,
+        }
     }
-    if let OuterOrder::Shuffled(seed) = opts.outer_order {
-        shuffle(&mut leaves, seed);
+
+    /// The number of workers the options' executor runs the pass on: at
+    /// most one per leaf group.
+    pub(crate) fn workers(&self) -> usize {
+        self.opts
+            .executor
+            .worker_count()
+            .min(self.leaves.len().max(1))
     }
-    leaves
+
+    /// Expands the leaf group at `pos` and computes its RCJ contribution,
+    /// emitting result pairs into `sink`. Returns `false` as soon as the
+    /// sink requests a stop (early exit), `true` otherwise.
+    pub(crate) fn run(
+        &self,
+        pos: usize,
+        pagers: &mut Pagers<'_>,
+        sink: &mut dyn PairSink,
+        stats: &mut RcjStats,
+    ) -> bool {
+        let leaf_points = leaf_items(&self.probe_q, pagers.q(), self.leaves[pos]);
+        match self.opts.algorithm {
+            RcjAlgorithm::Inj => {
+                // Algorithm 4: per-point filter and verification.
+                for &q in &leaf_points {
+                    let exclude = self.self_join.then_some(q.id);
+                    let cands = filter_with(&self.probe_p, pagers.p(), q.point, exclude, stats);
+                    stats.candidate_pairs += cands.len() as u64;
+                    let pairs: Vec<RcjPair> =
+                        cands.into_iter().map(|p| RcjPair::new(p, q)).collect();
+                    if !self.finish(pagers, pairs, sink, stats) {
+                        return false;
+                    }
+                }
+                true
+            }
+            RcjAlgorithm::Bij | RcjAlgorithm::Obj => {
+                let symmetric = self.opts.algorithm == RcjAlgorithm::Obj;
+                let bulk = bulk_filter_with(
+                    &self.probe_p,
+                    pagers.p(),
+                    &leaf_points,
+                    symmetric,
+                    self.self_join,
+                    stats,
+                );
+                let mut pairs: Vec<RcjPair> = Vec::new();
+                for (i, &q) in leaf_points.iter().enumerate() {
+                    stats.candidate_pairs += bulk.sets[i].len() as u64;
+                    pairs.extend(bulk.sets[i].iter().map(|&p| RcjPair::new(p, q)));
+                }
+                self.finish(pagers, pairs, sink, stats)
+            }
+            RcjAlgorithm::Auto => unreachable!("Auto is resolved when the pass is built"),
+        }
+    }
+
+    /// Verification + reporting for a batch of candidate pairs. Returns
+    /// `false` when the sink stopped the run mid-batch.
+    fn finish(
+        &self,
+        pagers: &mut Pagers<'_>,
+        pairs: Vec<RcjPair>,
+        sink: &mut dyn PairSink,
+        stats: &mut RcjStats,
+    ) -> bool {
+        if pairs.is_empty() {
+            return true;
+        }
+        let mut alive = vec![true; pairs.len()];
+        if !self.opts.skip_verification {
+            let face = !self.opts.no_face_rule;
+            verify_with(&self.probe_q, pagers.q(), &pairs, &mut alive, face, stats);
+            if !self.self_join {
+                verify_with(&self.probe_p, pagers.p(), &pairs, &mut alive, face, stats);
+            }
+        }
+        for (i, pr) in pairs.into_iter().enumerate() {
+            if !alive[i] {
+                continue;
+            }
+            // Self-joins discover each unordered pair from both endpoints;
+            // report it from the smaller id only.
+            if self.self_join && pr.p.id >= pr.q.id {
+                continue;
+            }
+            stats.result_pairs += 1;
+            if !sink.push(pr) {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 /// Depth-first walk recording every node that stores data items — R-tree
@@ -550,103 +606,6 @@ pub(crate) fn leaf_items(
             IndexEntry::Node(_) => None,
         })
         .collect()
-}
-
-/// Computes the RCJ contribution of one leaf group of `T_Q`, emitting
-/// result pairs into `sink`. Returns `false` as soon as the sink
-/// requests a stop (early exit), `true` otherwise.
-///
-/// `opts.algorithm` must be concrete — [`RcjAlgorithm::Auto`] is
-/// resolved at plan time, before leaf processing starts.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_leaf<PQ: IndexProbe, PP: IndexProbe>(
-    probe_q: &PQ,
-    probe_p: &PP,
-    pagers: &mut Pagers<'_>,
-    leaf_points: &[Item],
-    self_join: bool,
-    opts: &RcjOptions,
-    sink: &mut dyn PairSink,
-    stats: &mut RcjStats,
-) -> bool {
-    match opts.algorithm {
-        RcjAlgorithm::Inj => {
-            // Algorithm 4: per-point filter and verification.
-            for &q in leaf_points {
-                let exclude = self_join.then_some(q.id);
-                let cands = filter_with(probe_p, pagers.p(), q.point, exclude, stats);
-                stats.candidate_pairs += cands.len() as u64;
-                let pairs: Vec<RcjPair> = cands.into_iter().map(|p| RcjPair::new(p, q)).collect();
-                if !finish(
-                    probe_q, probe_p, pagers, pairs, self_join, opts, sink, stats,
-                ) {
-                    return false;
-                }
-            }
-            true
-        }
-        RcjAlgorithm::Bij | RcjAlgorithm::Obj => {
-            let symmetric = opts.algorithm == RcjAlgorithm::Obj;
-            let bulk = bulk_filter_with(
-                probe_p,
-                pagers.p(),
-                leaf_points,
-                symmetric,
-                self_join,
-                stats,
-            );
-            let mut pairs: Vec<RcjPair> = Vec::new();
-            for (i, &q) in leaf_points.iter().enumerate() {
-                stats.candidate_pairs += bulk.sets[i].len() as u64;
-                pairs.extend(bulk.sets[i].iter().map(|&p| RcjPair::new(p, q)));
-            }
-            finish(
-                probe_q, probe_p, pagers, pairs, self_join, opts, sink, stats,
-            )
-        }
-        RcjAlgorithm::Auto => unreachable!("Auto must be resolved before leaf processing"),
-    }
-}
-
-/// Verification + reporting for a batch of candidate pairs. Returns
-/// `false` when the sink stopped the run mid-batch.
-#[allow(clippy::too_many_arguments)]
-fn finish<PQ: IndexProbe, PP: IndexProbe>(
-    probe_q: &PQ,
-    probe_p: &PP,
-    pagers: &mut Pagers<'_>,
-    pairs: Vec<RcjPair>,
-    self_join: bool,
-    opts: &RcjOptions,
-    sink: &mut dyn PairSink,
-    stats: &mut RcjStats,
-) -> bool {
-    if pairs.is_empty() {
-        return true;
-    }
-    let mut alive = vec![true; pairs.len()];
-    if !opts.skip_verification {
-        let face = !opts.no_face_rule;
-        verify_with(probe_q, pagers.q(), &pairs, &mut alive, face, stats);
-        if !self_join {
-            verify_with(probe_p, pagers.p(), &pairs, &mut alive, face, stats);
-        }
-    }
-    for (i, pr) in pairs.into_iter().enumerate() {
-        if !alive[i] {
-            continue;
-        }
-        // Self-joins discover each unordered pair from both endpoints;
-        // report it from the smaller id only.
-        if self_join && pr.p.id >= pr.q.id {
-            continue;
-        }
-        stats.result_pairs += 1;
-        if !sink.push(pr) {
-            return false;
-        }
-    }
-    true
 }
 
 /// Deterministic Fisher–Yates shuffle with an xorshift generator — no RNG

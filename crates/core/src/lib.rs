@@ -101,8 +101,6 @@
 //! Plus, beyond the paper's evaluation:
 //!
 //! * [`rcj_self_join`] — the self-RCJ (postboxes application).
-//! * [`metric_rcj`] — the Section 6 "future work" generalisation to
-//!   `L1`/`L∞` metrics, via the mirror-point reformulation of Lemma 1.
 //! * [`RcjIndex`]/[`IndexProbe`] — the drivers are index-agnostic: the
 //!   same INJ/BIJ/OBJ code runs over R*-trees, quadtrees, and any index
 //!   that can expand a node into items and region-bounded children.
@@ -124,7 +122,6 @@ mod executor;
 mod filter;
 mod index;
 mod join;
-pub mod metric_rcj;
 mod pair;
 pub mod planner;
 mod stats;

@@ -12,18 +12,19 @@
 //!   (never stopping), which is all [`rcj_join`](crate::rcj_join) needs
 //!   to keep its one-shot shape.
 //! * [`RcjStream`] — the consumption half: a lazy iterator over result
-//!   pairs. Three sources back it:
-//!   * **sequential leaf order** — one outer leaf group per pull through
-//!     the shared pager; exactly the sequential executor, suspended
-//!     between leaves;
-//!   * **parallel leaf order** — outer leaves are processed in *waves*
-//!     of `workers × 4` leaves on scoped threads over per-worker
+//!   pairs. Two sources back it:
+//!   * **leaf order** — the one-shot join's leaf pass, suspended between
+//!     batches. With one worker a batch is one outer leaf group, read
+//!     with no prefetch, so a drained stream reads what
+//!     [`Plan::collect`](crate::Plan::collect) reads. With more, a batch
+//!     is a *wave* of `workers × 4` leaf groups on the work-stealing
+//!     executor, over per-worker
 //!     [`PooledPager`](ringjoin_storage::PooledPager)s that all account
-//!     into the pager's [buffer pool](ringjoin_storage::Pager::pool),
-//!     merged by chunk index. The pair sequence is **identical** to the
-//!     sequential stream (and to [`rcj_join`](crate::rcj_join) under
-//!     either executor); memory stays bounded by one wave, and the
-//!     cache stays warm across waves and across runs;
+//!     into the pager's [buffer pool](ringjoin_storage::Pager::pool) and
+//!     merged on the leaf tag. The pair sequence is **identical** to
+//!     [`rcj_join`](crate::rcj_join) under either executor; memory stays
+//!     bounded by one wave, and the cache stays warm across waves and
+//!     across runs;
 //!   * **ascending ring diameter** — an index-agnostic incremental
 //!     distance join (Hjaltason–Samet) over the two probes, with each
 //!     candidate lazily verified. Since candidate distance *is* ring
@@ -50,14 +51,14 @@
 //! [`rcj_stream_by_diameter`] and [`rcj_self_stream_by_diameter`] build
 //! streams directly over trees.
 
-use crate::executor::Readers;
+use crate::executor::{run_stealing, Readers};
 use crate::index::{IndexEntry, IndexProbe, NodeRef, RcjIndex};
-use crate::join::{leaf_items, outer_leaves, process_leaf, RcjOptions};
+use crate::join::{LeafPass, RcjOptions};
 use crate::pair::RcjPair;
 use crate::stats::RcjStats;
 use crate::verify::verify_with;
 use ringjoin_geom::{Circle, Item, Point, Rect};
-use ringjoin_storage::{BufferPool, SharedPager};
+use ringjoin_storage::{BufferPool, Prefetcher, SharedPager};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -177,11 +178,21 @@ impl Iterator for RcjStream {
 }
 
 // ---------------------------------------------------------------------
-// Leaf-order sources
+// Leaf-order source
 // ---------------------------------------------------------------------
 
-/// Sequential source: one outer leaf group per batch — the sequential
-/// executor, suspended between leaf groups.
+/// Number of outer leaf groups each worker processes per wave of the
+/// parallel stream. Small enough to bound buffered output, large enough
+/// to amortise the scoped-thread spawn.
+const WAVE_LEAVES_PER_WORKER: usize = 4;
+
+/// Leaf-order source: the one-shot join's [`LeafPass`], suspended
+/// between batches. With one worker a batch is one leaf group, read with
+/// no prefetch, so a drained stream reads what
+/// [`Plan::collect`](crate::Plan::collect) reads. With more, a batch is
+/// a wave of `workers × WAVE_LEAVES_PER_WORKER` leaf groups on the
+/// work-stealing executor, whose merge on the leaf tag keeps the
+/// sequential order.
 ///
 /// The source is **pinned to the epoch it was opened at**: construction
 /// captures each pager's page source and current epoch into private
@@ -189,210 +200,53 @@ impl Iterator for RcjStream {
 /// ([`Pager::begin_epoch`](ringjoin_storage::Pager::begin_epoch)) landing
 /// while the stream is suspended between batches cannot change what the
 /// remaining batches read — the stream drains the snapshot it started on.
-struct SeqLeafSource<PQ: IndexProbe, PP: IndexProbe> {
-    probe_q: PQ,
-    probe_p: PP,
-    /// Owning pagers, kept to absorb the pinned handles' I/O counters
-    /// when the stream is dropped (consumed or abandoned).
-    pager_q: SharedPager,
-    pager_p: SharedPager,
-    readers: Readers,
-    leaves: Vec<NodeRef>,
-    pos: usize,
-    self_join: bool,
-    opts: RcjOptions,
-}
-
-impl<PQ: IndexProbe, PP: IndexProbe> SeqLeafSource<PQ, PP> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        probe_q: PQ,
-        probe_p: PP,
-        pager_q: SharedPager,
-        pager_p: SharedPager,
-        leaves: Vec<NodeRef>,
-        self_join: bool,
-        opts: RcjOptions,
-    ) -> Self {
-        let readers = Readers::pin(&pager_q, &pager_p, None);
-        SeqLeafSource {
-            probe_q,
-            probe_p,
-            pager_q,
-            pager_p,
-            readers,
-            leaves,
-            pos: 0,
-            self_join,
-            opts,
-        }
-    }
-}
-
-impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for SeqLeafSource<PQ, PP> {
-    fn next_batch(&mut self, out: &mut Vec<RcjPair>, stats: &mut RcjStats) -> bool {
-        if self.pos >= self.leaves.len() {
-            return false;
-        }
-        let leaf = self.leaves[self.pos];
-        self.pos += 1;
-        let mut pagers = self.readers.pagers();
-        let items = leaf_items(&self.probe_q, pagers.q(), leaf);
-        process_leaf(
-            &self.probe_q,
-            &self.probe_p,
-            &mut pagers,
-            &items,
-            self.self_join,
-            &self.opts,
-            out,
-            stats,
-        );
-        true
-    }
-}
-
-impl<PQ: IndexProbe, PP: IndexProbe> Drop for SeqLeafSource<PQ, PP> {
-    /// Folds the pinned handles' I/O counters back into the owning
-    /// pagers, mirroring [`ParLeafSource`]'s accounting.
-    fn drop(&mut self) {
-        self.readers.absorb(&self.pager_q, &self.pager_p);
-    }
-}
-
-/// Number of outer leaf groups each worker processes per wave of the
-/// parallel stream. Small enough to bound buffered output, large enough
-/// to amortise the scoped-thread spawn.
-const WAVE_LEAVES_PER_WORKER: usize = 4;
-
-/// Parallel source: waves of `workers × WAVE_LEAVES_PER_WORKER` leaf
-/// groups on scoped threads, merged by chunk index — the same
-/// deterministic order as the sequential stream.
-struct ParLeafSource<PQ: IndexProbe, PP: IndexProbe> {
-    probe_q: PQ,
-    probe_p: PP,
-    /// Owning pagers, kept to absorb the per-worker I/O counters when
-    /// the stream is dropped (consumed or abandoned).
+struct LeafSource<PQ: IndexProbe, PP: IndexProbe> {
+    pass: LeafPass<PQ, PP>,
+    /// Owning pagers, kept to absorb the readers' I/O counters when the
+    /// stream is dropped (consumed or abandoned).
     pager_q: SharedPager,
     pager_p: SharedPager,
     /// Each worker's handles, kept across waves. The cache itself is
     /// the pager's buffer — residency survives waves, workers and whole
     /// runs; only the per-worker counters are private here.
-    workers: Vec<Readers>,
-    leaves: Vec<NodeRef>,
+    readers: Vec<Readers>,
+    /// Stages a disk-native parallel stream's upcoming leaf pages;
+    /// `None` for resident sources and for the sequential stream.
+    prefetcher: Option<Prefetcher>,
     pos: usize,
-    self_join: bool,
-    opts: RcjOptions,
-    /// Background staging thread for disk-native runs: claiming a wave
-    /// requests the *next* wave's leaf pages so store I/O overlaps
-    /// verification. `None` for resident sources.
-    prefetcher: Option<ringjoin_storage::Prefetcher>,
 }
 
-impl<PQ: IndexProbe, PP: IndexProbe> ParLeafSource<PQ, PP> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        probe_q: PQ,
-        probe_p: PP,
-        pager_q: SharedPager,
-        pager_p: SharedPager,
-        leaves: Vec<NodeRef>,
-        workers: usize,
-        self_join: bool,
-        opts: RcjOptions,
-    ) -> Self {
-        let pinned = Readers::pin(&pager_q, &pager_p, None);
-        let prefetcher = pinned.prefetcher();
-        let workers = vec![pinned; workers];
-        ParLeafSource {
-            probe_q,
-            probe_p,
-            pager_q,
-            pager_p,
-            workers,
-            leaves,
-            pos: 0,
-            self_join,
-            opts,
-            prefetcher,
-        }
-    }
-}
-
-impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for ParLeafSource<PQ, PP> {
+impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for LeafSource<PQ, PP> {
     fn next_batch(&mut self, out: &mut Vec<RcjPair>, stats: &mut RcjStats) -> bool {
-        if self.pos >= self.leaves.len() {
+        let n = self.pass.leaves.len();
+        if self.pos >= n {
             return false;
         }
-        let wave_len =
-            (self.workers.len() * WAVE_LEAVES_PER_WORKER).min(self.leaves.len() - self.pos);
-        let wave = &self.leaves[self.pos..self.pos + wave_len];
-        self.pos += wave_len;
-        let chunk_len = wave_len.div_ceil(self.workers.len()).max(1);
-        if let Some(pf) = &self.prefetcher {
-            // This wave is claimed; stage the next wave's leaf pages in
-            // the background while the workers verify this one.
-            let next_len =
-                (self.workers.len() * WAVE_LEAVES_PER_WORKER).min(self.leaves.len() - self.pos);
-            pf.request(
-                self.leaves[self.pos..self.pos + next_len]
-                    .iter()
-                    .map(|leaf| leaf.page)
-                    .collect(),
-            );
-        }
-
-        let probe_q = self.probe_q;
-        let probe_p = self.probe_p;
-        let self_join = self.self_join;
-        let opts = self.opts;
-        let results: Vec<(Vec<RcjPair>, RcjStats)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = wave
-                .chunks(chunk_len)
-                .zip(self.workers.iter_mut())
-                .map(|(chunk, worker)| {
-                    scope.spawn(move || {
-                        let mut pairs: Vec<RcjPair> = Vec::new();
-                        let mut wstats = RcjStats::default();
-                        let mut pagers = worker.pagers();
-                        for leaf in chunk {
-                            let items = leaf_items(&probe_q, pagers.q(), *leaf);
-                            process_leaf(
-                                &probe_q,
-                                &probe_p,
-                                &mut pagers,
-                                &items,
-                                self_join,
-                                &opts,
-                                &mut pairs,
-                                &mut wstats,
-                            );
-                        }
-                        (pairs, wstats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("RCJ stream worker panicked"))
-                .collect()
-        });
-        // Chunk order is leaf order is sequential order.
-        for (pairs, wstats) in results {
-            out.extend(pairs);
-            stats.merge(wstats);
+        if let [reader] = &mut self.readers[..] {
+            self.pass.run(self.pos, &mut reader.pagers(), out, stats);
+            self.pos += 1;
+        } else {
+            let end = n.min(self.pos + self.readers.len() * WAVE_LEAVES_PER_WORKER);
+            out.extend(run_stealing(
+                &self.pass,
+                self.pos..end,
+                &mut self.readers,
+                self.prefetcher.as_ref(),
+                stats,
+            ));
+            self.pos = end;
         }
         true
     }
 }
 
-impl<PQ: IndexProbe, PP: IndexProbe> Drop for ParLeafSource<PQ, PP> {
-    /// Folds the per-worker I/O counters back into the owning pagers so
+impl<PQ: IndexProbe, PP: IndexProbe> Drop for LeafSource<PQ, PP> {
+    /// Folds the readers' I/O counters back into the owning pagers so
     /// aggregate statistics match the whole-run executor's accounting
     /// even for partially consumed streams.
     fn drop(&mut self) {
-        for w in &self.workers {
-            w.absorb(&self.pager_q, &self.pager_p);
+        for r in &self.readers {
+            r.absorb(&self.pager_q, &self.pager_p);
         }
     }
 }
@@ -819,7 +673,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for DiameterSource<PQ, PP> {
 
 impl<PQ: IndexProbe, PP: IndexProbe> Drop for DiameterSource<PQ, PP> {
     /// Folds the pinned handles' I/O counters back into the owning
-    /// pagers, mirroring [`ParLeafSource`]'s accounting.
+    /// pagers, mirroring [`LeafSource`]'s accounting.
     fn drop(&mut self) {
         self.readers.absorb(&self.pager_q, &self.pager_p);
     }
@@ -835,35 +689,23 @@ fn leaf_stream<IQ: RcjIndex, IP: RcjIndex>(
     self_join: bool,
     opts: &RcjOptions,
 ) -> RcjStream {
-    // `Auto` resolves exactly as in the one-shot path.
-    let opts = RcjOptions {
-        algorithm: opts.algorithm.resolve(&tq.summary()),
-        ..*opts
-    };
-    let leaves = outer_leaves(tq, &opts);
-    let workers = opts.executor.worker_count().min(leaves.len().max(1));
-    if workers <= 1 {
-        RcjStream::new(Box::new(SeqLeafSource::new(
-            tq.probe(),
-            tp.probe(),
-            tq.pager(),
-            tp.pager(),
-            leaves,
-            self_join,
-            opts,
-        )))
+    let pass = LeafPass::new(tq, tp, self_join, opts);
+    let (pager_q, pager_p) = (tq.pager(), tp.pager());
+    let pinned = Readers::pin(&pager_q, &pager_p, None);
+    let workers = pass.workers();
+    let prefetcher = if workers > 1 {
+        pinned.prefetcher()
     } else {
-        RcjStream::new(Box::new(ParLeafSource::new(
-            tq.probe(),
-            tp.probe(),
-            tq.pager(),
-            tp.pager(),
-            leaves,
-            workers,
-            self_join,
-            opts,
-        )))
-    }
+        None
+    };
+    RcjStream::new(Box::new(LeafSource {
+        pass,
+        pager_q,
+        pager_p,
+        readers: vec![pinned; workers],
+        prefetcher,
+        pos: 0,
+    }))
 }
 
 /// Lazily streams the RCJ of `(tq, tp)` in deterministic leaf order —

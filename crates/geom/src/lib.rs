@@ -12,8 +12,6 @@
 //! * [`HalfPlane`] — the pruning regions `Ψ⁺(q, p)` / `Ψ⁻(q, p)` of
 //!   Definition 1 in the paper, together with the point test of Lemma 1 and
 //!   the MBR test of Lemma 3.
-//! * [`Metric`] — the distance abstraction used by the Section 6
-//!   ("future work") generalisation of RCJ to the `L1` and `L∞` metrics.
 //!
 //! # Exactness conventions
 //!
@@ -52,13 +50,11 @@
 mod circle;
 mod halfplane;
 mod item;
-mod metric;
 mod point;
 mod rect;
 
 pub use circle::Circle;
 pub use halfplane::{prunes, HalfPlane};
 pub use item::Item;
-pub use metric::Metric;
 pub use point::{pt, Point, Vec2};
 pub use rect::Rect;

@@ -2,11 +2,12 @@
 //!
 //! These pin down the invariants the RCJ algorithms rely on: the
 //! equivalence between the Lemma 1 half-plane and circle interiors, the
-//! convexity argument behind the face-inside-circle rule, and the metric
-//! axioms of the Section 6 generalisation.
+//! exact strict-interior circle test (the defining endpoints are never
+//! inside), the convexity argument behind the face-inside-circle rule,
+//! and the distance bounds of MBRs.
 
 use proptest::prelude::*;
-use ringjoin_geom::{prunes, pt, Circle, HalfPlane, Metric, Point, Rect};
+use ringjoin_geom::{prunes, pt, Circle, HalfPlane, Point, Rect};
 
 fn coord() -> impl Strategy<Value = f64> {
     // The evaluation domain of the paper plus a margin; finite and tame so
@@ -173,44 +174,5 @@ proptest! {
         prop_assert!(u.contains_rect(a));
         prop_assert!(u.contains_rect(b));
         prop_assert!(u.area() + 1e-9 >= a.area().max(b.area()));
-    }
-
-    /// Metric axioms (identity, symmetry, triangle inequality) for all
-    /// three metrics.
-    #[test]
-    fn metric_axioms(a in point(), b in point(), c in point()) {
-        for m in [Metric::L2, Metric::L1, Metric::Linf] {
-            prop_assert!(m.dist(a, a) == 0.0);
-            prop_assert_eq!(m.dist(a, b), m.dist(b, a));
-            let slack = 1e-9 * (1.0 + m.dist(a, c));
-            prop_assert!(m.dist(a, c) <= m.dist(a, b) + m.dist(b, c) + slack);
-        }
-    }
-
-    /// The midpoint ball is a *smallest* enclosing ball: its radius is
-    /// d(a,b)/2 and both endpoints are at exactly that distance from the
-    /// center.
-    #[test]
-    fn midball_is_smallest(a in point(), b in point()) {
-        for m in [Metric::L2, Metric::L1, Metric::Linf] {
-            let mid = a.midpoint(b);
-            let d = m.dist(a, b);
-            let slack = 1e-9 * (1.0 + d);
-            prop_assert!((m.dist(a, mid) - 0.5 * d).abs() <= slack);
-            prop_assert!((m.dist(b, mid) - 0.5 * d).abs() <= slack);
-            // Endpoints on the boundary, never strictly inside.
-            prop_assert!(!m.strictly_inside_midball(a, a, b));
-            prop_assert!(!m.strictly_inside_midball(b, a, b));
-        }
-    }
-
-    /// The midball bounding rect is a superset of the ball in all metrics.
-    #[test]
-    fn midball_bbox_superset(a in point(), b in point(), x in point()) {
-        for m in [Metric::L2, Metric::L1, Metric::Linf] {
-            if m.strictly_inside_midball(x, a, b) {
-                prop_assert!(m.midball_bounding_rect(a, b).contains_point(x));
-            }
-        }
     }
 }

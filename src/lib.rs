@@ -13,10 +13,10 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`geom`] | `ringjoin-geom` | points, MBRs, circles, the Ψ⁻ pruning half-planes, metrics |
+//! | [`geom`] | `ringjoin-geom` | points, MBRs, circles, the Ψ⁻ pruning half-planes |
 //! | [`storage`] | `ringjoin-storage` | 1 KB pages, the LRU buffer pool, the 10 ms/fault cost model |
 //! | [`rtree`] | `ringjoin-rtree` | disk-based R*-tree with incremental NN search |
-//! | [`core`] | `ringjoin-core` | the RCJ: INJ / BIJ / OBJ, self-join, brute oracle, metric variants |
+//! | [`core`] | `ringjoin-core` | the RCJ: INJ / BIJ / OBJ, self-join, streams, brute oracle |
 //! | [`spatialjoin`] | `ringjoin-spatialjoin` | ε-join, k-closest-pairs, kNN join, precision/recall |
 //! | [`datagen`] | `ringjoin-datagen` | UI / Gaussian / GNIS-like workload generators |
 //! | [`server`] | `ringjoin-server` | sharded serving: space partition, shard engines, TCP wire protocol, client |
@@ -76,7 +76,7 @@ pub use ringjoin_core::{
     RcjIndex, RcjOptions, RcjOutput, RcjPair, RcjStats, RcjStream,
 };
 pub use ringjoin_datagen::{gaussian_clusters, gnis_like, uniform, GnisDataset};
-pub use ringjoin_geom::{pt, Circle, HalfPlane, Metric, Point, Rect};
+pub use ringjoin_geom::{pt, Circle, HalfPlane, Point, Rect};
 pub use ringjoin_rtree::{bulk_load, bulk_load_with, Item, RTree, RTreeConfig};
 pub use ringjoin_server::{
     Client, RingBounds, Server, ServerConfig, ShardWorkerServer, ShardedEngine, TopologyConfig,

@@ -12,7 +12,7 @@
 //! `k`-th smallest diameter.
 
 use proptest::prelude::*;
-use ringjoin::{pt, uniform, Engine, IndexKind, IoStats, Item, RcjAlgorithm, RcjPair};
+use ringjoin::{pt, uniform, Engine, IndexKind, IoStats, Item, RcjAlgorithm, RcjPair, RcjStats};
 
 const REGION: f64 = 1000.0;
 const ALGOS: [RcjAlgorithm; 3] = [RcjAlgorithm::Inj, RcjAlgorithm::Bij, RcjAlgorithm::Obj];
@@ -127,6 +127,14 @@ proptest! {
 /// pages, in the same order, through the pager's one LRU buffer — so
 /// they report equal logical reads, hits and faults, for either index,
 /// resident or on disk, whether the budget holds every page or not.
+///
+/// The served reader counts the same way: `Plan::run_leaves` over every
+/// leaf position gives `collect()`'s pairs, counters and logical reads
+/// (and, resident, its hits and faults; on disk its prefetcher moves
+/// the split, but every read is still a hit or a fault). Two
+/// interleaved position subsets merged by leaf tag give the same pairs
+/// and merged counters, and so does a four-thread stream, with the same
+/// logical reads.
 #[test]
 fn sequential_collect_and_stream_count_the_same_io() {
     let dir = std::env::temp_dir().join(format!("ringjoin-stream-io-{}", std::process::id()));
@@ -143,20 +151,51 @@ fn sequential_collect_and_stream_count_the_same_io() {
                 load.index(kind);
             }
             let pages = engine.pager().borrow().num_pages() as usize;
-            let mut run = |budget: usize, drain: bool| -> IoStats {
+            let leaves = engine.leaf_regions("q").unwrap().len();
+            let mut run = |budget: usize, mode: Mode| -> (Vec<RcjPair>, RcjStats, IoStats) {
                 engine.set_buffer_pages(budget);
-                let plan = engine.query().join("q", "p").threads(1).plan().unwrap();
-                if drain {
-                    plan.stream().for_each(drop);
-                } else {
-                    plan.collect();
-                }
+                let threads = if mode == Mode::Stream4 { 4 } else { 1 };
+                let plan = engine
+                    .query()
+                    .join("q", "p")
+                    .threads(threads)
+                    .plan()
+                    .unwrap();
+                let (pairs, stats) = match mode {
+                    Mode::Collect => {
+                        let out = plan.collect();
+                        (out.pairs, out.stats)
+                    }
+                    Mode::Stream | Mode::Stream4 => {
+                        let mut stream = plan.stream();
+                        let pairs: Vec<RcjPair> = stream.by_ref().collect();
+                        (pairs, stream.stats())
+                    }
+                    Mode::Leaves | Mode::Subsets => {
+                        let subsets: Vec<Vec<usize>> = if mode == Mode::Leaves {
+                            vec![(0..leaves).collect()]
+                        } else {
+                            vec![
+                                (1..leaves).step_by(2).collect(),
+                                (0..leaves).step_by(2).collect(),
+                            ]
+                        };
+                        let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
+                        let mut stats = RcjStats::default();
+                        for subset in &subsets {
+                            stats.merge(plan.run_leaves(subset, &mut tagged));
+                        }
+                        tagged.sort_by_key(|(leaf, _)| *leaf);
+                        (tagged.into_iter().map(|(_, pr)| pr).collect(), stats)
+                    }
+                };
                 let io = engine.pager().borrow().stats();
-                io
+                (pairs, stats, io)
             };
             for budget in [pages, pages / 8] {
-                let collected = run(budget, false);
-                let streamed = run(budget, true);
+                let at = format!("{} on_disk={on_disk} budget={budget}/{pages}", kind.name());
+                let (pairs, stats, collected) = run(budget, Mode::Collect);
+                let (_, _, streamed) = run(budget, Mode::Stream);
                 assert!(collected.read_faults > 0);
                 assert_eq!(
                     (
@@ -169,13 +208,54 @@ fn sequential_collect_and_stream_count_the_same_io() {
                         collected.read_hits,
                         collected.read_faults
                     ),
-                    "{} on_disk={on_disk} budget={budget}/{pages}",
-                    kind.name(),
+                    "{at}",
                 );
+
+                let (served_pairs, served_stats, served) = run(budget, Mode::Leaves);
+                assert_eq!(served_pairs, pairs, "{at}: run_leaves pairs");
+                assert_eq!(served_stats, stats, "{at}: run_leaves stats");
+                assert_eq!(served.logical_reads, collected.logical_reads, "{at}");
+                if on_disk {
+                    assert_eq!(
+                        served.read_hits + served.read_faults,
+                        served.logical_reads,
+                        "{at}: every served read is a hit or a fault"
+                    );
+                } else {
+                    assert_eq!(
+                        (served.read_hits, served.read_faults),
+                        (collected.read_hits, collected.read_faults),
+                        "{at}: run_leaves hits and faults"
+                    );
+                }
+
+                let (merged_pairs, merged_stats, _) = run(budget, Mode::Subsets);
+                assert_eq!(merged_pairs, pairs, "{at}: merged subset pairs");
+                assert_eq!(merged_stats, stats, "{at}: merged subset stats");
+
+                let (par_pairs, par_stats, par) = run(budget, Mode::Stream4);
+                assert_eq!(par_pairs, pairs, "{at}: 4-thread stream pairs");
+                assert_eq!(par_stats, stats, "{at}: 4-thread stream stats");
+                assert_eq!(par.logical_reads, collected.logical_reads, "{at}");
             }
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// How [`sequential_collect_and_stream_count_the_same_io`] runs a plan.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    /// `collect()` on one thread.
+    Collect,
+    /// A drained `stream()` on one thread.
+    Stream,
+    /// `run_leaves` over every leaf position in one call.
+    Leaves,
+    /// `run_leaves` over the odd, then the even positions.
+    Subsets,
+    /// A drained `stream()` on four threads.
+    Stream4,
 }
 
 /// Bounded-memory smoke: a top-5 query through the diameter-ordered
