@@ -4,8 +4,8 @@
 //! goes through the core [`Engine`]: datasets are registered under
 //! names, the query builder produces an inspectable [`Plan`] (which
 //! `explain` prints verbatim and `--stats` summarises as a plan line),
-//! and execution is `plan.collect()` — or the diameter-ordered stream
-//! with early exit for `top-k`.
+//! and execution is `plan.collect()` — for `top-k`, one leaf pass cut at
+//! the `k`-th best squared diameter so far.
 
 use crate::args::{ArgError, Args};
 use ringjoin_core::{
@@ -1020,8 +1020,8 @@ pub fn run(args: &Args) -> Result<Option<String>, ArgError> {
             let k: usize = args.req_parse("k")?;
             let executor = parse_executor(args)?;
             let engine = build_engine(args, false)?;
-            // The plan's top-k path streams in ascending ring diameter
-            // with early exit — no full join, no sort.
+            // The plan's top-k path is one leaf pass into a ranked sink
+            // that cuts each filter — no full join, no sort.
             let plan = query(&engine, false)
                 .executor(executor)
                 .top_k(k)
@@ -1275,8 +1275,8 @@ mod tests {
         assert!(text.contains("INJ (fixed by the query)"), "{text}");
         assert!(text.contains("parallel (4 threads)"), "{text}");
 
-        // Top-k plans are honest: the diameter stream bypasses the leaf
-        // algorithms and has no parallel path, whatever the flags said.
+        // Top-k plans are honest: they run the chosen leaf algorithm
+        // sequentially, whatever the thread flag said.
         let text = run(&parse(&s(&[
             "explain",
             "--p",
@@ -1294,13 +1294,10 @@ mod tests {
         .unwrap()
         .unwrap();
         assert!(text.contains("top-k: 7"), "{text}");
-        assert!(
-            text.contains("diameter-ordered incremental stream"),
-            "{text}"
-        );
+        assert!(text.contains("INJ (fixed by the query)"), "{text}");
         assert!(text.contains("executor: sequential (forced"), "{text}");
-        assert!(text.contains("algo=topk-stream"), "{text}");
-        assert!(text.contains("threads=1"), "{text}");
+        assert!(text.contains("algo=inj"), "{text}");
+        assert!(text.contains("threads=1 topk=7"), "{text}");
 
         // Self-join form.
         let text = run(&parse(&s(&["explain", "--input", &p])).unwrap())

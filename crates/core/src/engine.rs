@@ -32,8 +32,8 @@ use crate::join::{
 use crate::planner::{DatasetSummary, JoinCostModel, PlanEstimate};
 use crate::stats::RcjStats;
 use crate::stream::{
-    rcj_self_stream, rcj_self_stream_by_diameter, rcj_self_stream_by_diameter_in, rcj_stream,
-    rcj_stream_by_diameter, rcj_stream_by_diameter_in, RcjStream, TaggedPairSink,
+    rcj_self_stream, rcj_self_stream_by_diameter, rcj_stream, rcj_stream_by_diameter, RcjStream,
+    TaggedPairSink,
 };
 use crate::{Executor, OuterOrder, RcjIndex};
 use ringjoin_geom::{pt, Item, Point, Rect};
@@ -520,7 +520,7 @@ pub fn validate_batch(
 /// resulting pointset is exactly [`Engine::dataset_items`]; pair-set
 /// equality with a bulk-loaded oracle is guaranteed, byte-order equality
 /// additionally holds for diameter-ordered (top-k) streams, whose
-/// canonical `(diameter, pair key)` order is independent of tree shape.
+/// [rank order](crate::RcjPair::rank_cmp) is independent of tree shape.
 pub struct UpdateBuilder<'e> {
     engine: &'e mut Engine,
     name: String,
@@ -789,12 +789,13 @@ impl<'e> QueryBuilder<'e> {
     }
 
     /// Asks for only the `k` most compact pairs (smallest ring
-    /// diameters, the tourist-recommendation ranking). The plan switches
-    /// to the diameter-ordered incremental stream with early exit —
-    /// which bypasses the INJ/BIJ/OBJ leaf drivers and is inherently
-    /// sequential, so any [`QueryBuilder::algorithm`]/
-    /// [`QueryBuilder::executor`] choice is overridden and the plan
-    /// reports `algo=topk-stream threads=1`.
+    /// diameters, the tourist-recommendation ranking), in
+    /// [rank order](crate::RcjPair::rank_cmp). The plan runs its leaf
+    /// algorithm once, in depth-first leaf order, into a
+    /// [`TopK`](crate::TopK) sink that cuts each leaf's filter at the
+    /// `k`-th best squared diameter found so far. The pass is
+    /// sequential, so any [`QueryBuilder::executor`] choice is
+    /// overridden and the plan reports `threads=1 topk=<k>`.
     pub fn top_k(mut self, k: usize) -> Self {
         self.top_k = Some(k);
         self
@@ -838,9 +839,9 @@ impl<'e> QueryBuilder<'e> {
             RcjAlgorithm::Auto => model.choose(&outer_summary),
             concrete => concrete,
         };
-        // A top-k plan runs the diameter-ordered stream, which bypasses
-        // the leaf algorithms and has no parallel path — the plan must
-        // say so rather than report an executor that would never run.
+        // A top-k plan runs its cut leaf pass sequentially, the cut
+        // shrinking leaf by leaf — the plan must say so rather than
+        // report an executor that would never run.
         let executor = if self.top_k.is_some() {
             Executor::Sequential
         } else {
@@ -893,9 +894,7 @@ pub struct Plan<'e> {
 
 impl Plan<'_> {
     /// The concrete algorithm this plan runs ([`RcjAlgorithm::Auto`] is
-    /// already resolved). Top-k plans bypass the leaf algorithms
-    /// entirely (see [`QueryBuilder::top_k`]); the resolved value is
-    /// still recorded here but only executes if `top_k` is removed.
+    /// already resolved), top-k plans included.
     pub fn algorithm(&self) -> RcjAlgorithm {
         self.algorithm
     }
@@ -939,20 +938,19 @@ impl Plan<'_> {
     }
 
     /// One-line summary (`algo=obj index=rtree threads=4`), printed by
-    /// the CLI's `--stats` reporting. Top-k plans run the
-    /// diameter-ordered stream, not a leaf algorithm, and say so
-    /// (`algo=topk-stream threads=1`).
+    /// the CLI's `--stats` reporting. Top-k plans add their bound
+    /// (`algo=obj index=rtree threads=1 topk=10`).
     pub fn summary_line(&self) -> String {
-        let algo = if self.top_k.is_some() {
-            "topk-stream".to_string()
-        } else {
-            self.algorithm.name().to_lowercase()
-        };
-        format!(
-            "algo={algo} index={} threads={}",
+        let mut line = format!(
+            "algo={} index={} threads={}",
+            self.algorithm.name().to_lowercase(),
             self.index_tag(),
             self.executor.worker_count(),
-        )
+        );
+        if let Some(k) = self.top_k {
+            line.push_str(&format!(" topk={k}"));
+        }
+        line
     }
 
     /// The resolved driver options this plan executes with.
@@ -967,8 +965,9 @@ impl Plan<'_> {
     }
 
     /// Runs the plan and materialises the result. Top-k plans collect
-    /// the `k` most compact pairs in ascending diameter order (via the
-    /// early-exit stream); other plans run the whole-list executor.
+    /// the `k` most compact pairs in rank order (one cut leaf pass,
+    /// through [`Plan::stream`]); other plans run the whole-list
+    /// executor.
     pub fn collect(&self) -> RcjOutput {
         if self.top_k.is_some() {
             let mut stream = self.stream();
@@ -995,9 +994,9 @@ impl Plan<'_> {
     /// index reproduces [`Plan::collect`] byte for byte, with the
     /// per-run [`RcjStats`] merging to the sequential totals. The subset
     /// runs sequentially in-thread (the caller owns the parallelism) and
-    /// any `top_k` bound on the plan is ignored — top-k shards use
-    /// [`Plan::stream_by_diameter_in`] instead. Pages are counted in the
-    /// engine pager's buffer.
+    /// any `top_k` bound on the plan is ignored — a top-k shard passes a
+    /// [`TopK`](crate::TopK) sink, whose cut bounds the run, and merges
+    /// by rank. Pages are counted in the engine pager's buffer.
     pub fn run_leaves(&self, positions: &[usize], sink: &mut dyn TaggedPairSink) -> RcjStats {
         let pool = with_tree!(self.outer, |t| t.pager().borrow().pool().clone());
         self.run_leaves_pooled(positions, &pool, sink)
@@ -1032,45 +1031,10 @@ impl Plan<'_> {
         }
     }
 
-    /// Opens the plan's diameter-ordered stream restricted to one
-    /// shard's cell: only pairs whose `q` (for self-joins: whose
-    /// larger-id endpoint) lies in `q_region` — half-open membership, so
-    /// adjacent cells partition boundary points — are yielded, in
-    /// ascending ring diameter. Any `top_k` bound on the plan is applied
-    /// as a [`RcjStream::limit`], preserving the early exit per shard; a
-    /// k-bounded merge of per-cell streams reproduces the unrestricted
-    /// top-k answer.
-    ///
-    /// Pages are read through the caller-supplied
-    /// [`BufferPool`](ringjoin_storage::BufferPool), as in
-    /// [`Plan::run_leaves_pooled`]: a shard's top-k stays within the
-    /// shard's page budget and is counted in the pool's hits and faults.
-    pub fn stream_by_diameter_in(
-        &self,
-        q_region: Rect,
-        pool: &ringjoin_storage::BufferPool,
-    ) -> RcjStream {
-        let opts = self.options();
-        let stream = if self.self_join {
-            with_tree!(self.outer, |t| rcj_self_stream_by_diameter_in(
-                t, q_region, pool, &opts
-            ))
-        } else {
-            with_tree_pair!(self.outer, self.inner, |tq, tp| {
-                rcj_stream_by_diameter_in(tq, tp, q_region, pool, &opts)
-            })
-        };
-        match self.top_k {
-            Some(k) => stream.limit(k),
-            None => stream,
-        }
-    }
-
     /// Opens the plan's lazy [`RcjStream`]. Leaf-order plans yield
     /// exactly the [`Plan::collect`] pairs in the same order with
-    /// bounded memory; top-k plans yield up to `k` pairs in ascending
-    /// ring diameter with early exit (the executor is ignored there —
-    /// the incremental traversal is inherently sequential).
+    /// bounded memory; top-k plans yield up to `k` pairs in rank order,
+    /// from one sequential leaf pass into a [`TopK`](crate::TopK) sink.
     pub fn stream(&self) -> RcjStream {
         let opts = self.options();
         match (self.top_k, self.self_join) {
@@ -1110,55 +1074,50 @@ impl fmt::Display for Plan<'_> {
                 describe(self.inner)
             )?;
         }
-        if let Some(k) = self.top_k {
-            // The diameter-ordered stream bypasses the leaf algorithms
-            // and has no parallel path; showing estimates or a thread
-            // count here would describe a run that never happens.
+        writeln!(
+            f,
+            "  algorithm: {}{}",
+            self.algorithm.name(),
+            if self.auto_resolved {
+                " (resolved from AUTO by the cost model)"
+            } else {
+                " (fixed by the query)"
+            }
+        )?;
+        for e in &self.estimates {
             writeln!(
                 f,
-                "  algorithm: diameter-ordered incremental stream (top-k bypasses INJ/BIJ/OBJ)"
-            )?;
-            writeln!(
-                f,
-                "  executor: sequential (forced: the incremental traversal has no parallel path)"
-            )?;
-            writeln!(
-                f,
-                "  top-k: {k} (early exit after the {k} most compact pairs)"
-            )?;
-        } else {
-            writeln!(
-                f,
-                "  algorithm: {}{}",
-                self.algorithm.name(),
-                if self.auto_resolved {
-                    " (resolved from AUTO by the cost model)"
+                "    est {}: {:.0} filter + {:.0} verify = {:.0} node reads ({} {}){}",
+                e.algorithm.name(),
+                e.filter_reads,
+                e.verify_reads,
+                e.total_reads(),
+                e.units,
+                e.unit,
+                if e.algorithm == self.algorithm {
+                    "  <- chosen"
                 } else {
-                    " (fixed by the query)"
+                    ""
                 }
             )?;
-            for e in &self.estimates {
+        }
+        match (self.top_k, self.executor) {
+            (Some(k), _) => {
+                // The cut shrinks leaf by leaf, so the pass has no
+                // parallel path; a thread count would describe a run
+                // that never happens.
                 writeln!(
                     f,
-                    "    est {}: {:.0} filter + {:.0} verify = {:.0} node reads ({} {}){}",
-                    e.algorithm.name(),
-                    e.filter_reads,
-                    e.verify_reads,
-                    e.total_reads(),
-                    e.units,
-                    e.unit,
-                    if e.algorithm == self.algorithm {
-                        "  <- chosen"
-                    } else {
-                        ""
-                    }
+                    "  executor: sequential (forced: the top-k cut shrinks leaf by leaf)"
+                )?;
+                writeln!(
+                    f,
+                    "  top-k: {k} (one leaf pass; each filter is cut at the k-th best squared diameter so far)"
                 )?;
             }
-            match self.executor {
-                Executor::Sequential => writeln!(f, "  executor: sequential")?,
-                Executor::Parallel { threads } => {
-                    writeln!(f, "  executor: parallel ({threads} threads)")?
-                }
+            (None, Executor::Sequential) => writeln!(f, "  executor: sequential")?,
+            (None, Executor::Parallel { threads }) => {
+                writeln!(f, "  executor: parallel ({threads} threads)")?
             }
         }
         if self.skip_verification {
@@ -1297,11 +1256,13 @@ mod tests {
         let k = 10.min(full.pairs.len());
         let plan = engine.query().join("q", "p").top_k(k).plan().unwrap();
         assert!(plan.to_string().contains("top-k"), "{plan}");
-        // Top-k reports the stream it actually runs, not a leaf
-        // algorithm/executor that would never execute.
+        // Top-k reports the sequential leaf pass it actually runs.
         assert_eq!(
             plan.summary_line(),
-            "algo=topk-stream index=rtree threads=1"
+            format!(
+                "algo={} index=rtree threads=1 topk={k}",
+                plan.algorithm().name().to_lowercase()
+            )
         );
         assert_eq!(plan.executor(), Executor::Sequential);
         let top = plan.collect();

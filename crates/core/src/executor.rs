@@ -18,11 +18,16 @@
 //!   the caller's positions in the caller's order on one reader, each
 //!   pair tagged with its leaf index.
 //!
+//! A ranked query is a schedule too: a [`TopK`](crate::TopK) sink's cut
+//! shrinks leaf by leaf, so top-k runs the whole list in depth-first
+//! order on one reader (the engine's diameter stream), or a shard's
+//! subset in its order; the merge then goes by rank, not leaf index.
+//!
 //! On disk, a reader that knows its upcoming leaves stages their pages
 //! on a background [`Prefetcher`] through one lookahead: on every eighth
 //! claim, the next 16 leaf pages. A work-stealing worker looks ahead in
 //! its own deque, the subset reader along its subset. The sequential
-//! executor and the sequential stream never prefetch.
+//! executor and the sequential and ranked streams never prefetch.
 //!
 //! The outer-leaf loop is embarrassingly parallel: leaf groups of `T_Q`
 //! touch disjoint slices of the output and all index access is
@@ -257,11 +262,7 @@ pub(crate) fn execute<PQ: IndexProbe, PP: IndexProbe>(
             q: &mut pgq,
             p: &mut pgp,
         };
-        for pos in 0..pass.leaves.len() {
-            if !pass.run(pos, &mut pagers, sink, &mut stats) {
-                break;
-            }
-        }
+        pass.run_all(&mut pagers, sink, &mut stats);
         return stats;
     }
     // Workers read each pager's page source through its own buffer:
@@ -304,6 +305,10 @@ struct TagAdapter<'a> {
 impl PairSink for TagAdapter<'_> {
     fn push(&mut self, pair: RcjPair) -> bool {
         self.inner.push(self.leaf, pair)
+    }
+
+    fn cut(&self) -> f64 {
+        self.inner.cut()
     }
 }
 

@@ -62,6 +62,18 @@
 //! entry produced. Pop order, candidate sets, their order and every
 //! counter are those of testing each popped entry for every query point
 //! against every pruner.
+//!
+//! # The cut
+//!
+//! A ranked query needs only candidates within a squared distance `cut`
+//! of their query point (its `k`-th best squared diameter so far). Each
+//! filter therefore takes a cut, and `Traversal::offer` also discards,
+//! per query point, every entry farther than it. This changes nothing
+//! within the cut: a point that prunes a candidate lies strictly inside
+//! the candidate's circle, so it is strictly closer to `q` and within
+//! the cut too. The candidates within the cut, and their order, are
+//! those of the uncut filter. An infinite cut (every join) runs a
+//! traversal compiled without the test.
 
 use crate::index::{IndexEntry, IndexProbe, RcjIndex};
 use crate::stats::RcjStats;
@@ -207,10 +219,14 @@ fn retain_live(live: &mut [u64], mut pruned: impl FnMut(usize) -> bool) -> bool 
 }
 
 /// The incremental-NN traversal of `T_P` for a set of query points (see
-/// the module docs for the live-set rule).
-struct Traversal<'q> {
+/// the module docs for the live-set rule). `CUT` compiles in the test
+/// against `cut`.
+struct Traversal<'q, const CUT: bool> {
     /// The location heap keys are measured from.
     origin: Point,
+    /// Squared distance from a query point beyond which its entries are
+    /// discarded; read only when `CUT`.
+    cut: f64,
     queries: &'q mut [Query],
     /// Words per live set.
     words: usize,
@@ -223,11 +239,24 @@ struct Traversal<'q> {
     clock: u64,
 }
 
-impl Traversal<'_> {
+impl<'q, const CUT: bool> Traversal<'q, CUT> {
+    fn new(origin: Point, cut: f64, queries: &'q mut [Query]) -> Self {
+        Traversal {
+            origin,
+            cut,
+            words: queries.len().div_ceil(64),
+            queries,
+            pushed: Vec::new(),
+            slab: Vec::new(),
+            heap: BinaryHeap::new(),
+            clock: 0,
+        }
+    }
+
     /// Tests `children`, just produced by a node whose live set is
-    /// `parent`, against the current pruners of the parent's live
-    /// points. Pushes each child that keeps a live point, in order; a
-    /// child with none is discarded and counted as popped.
+    /// `parent`, against the cut and the current pruners of the
+    /// parent's live points. Pushes each child that keeps a live point,
+    /// in order; a child with none is discarded and counted as popped.
     fn offer(&mut self, children: &[IndexEntry], parent: &[u64], stats: &mut RcjStats) {
         let words = self.words;
         let first = self.slab.len();
@@ -240,9 +269,14 @@ impl Traversal<'_> {
             for (k, child) in children.iter().enumerate() {
                 let pruned = match *child {
                     IndexEntry::Item(it) => {
-                        qp.exclude == Some(it.id) || qp.pruners.any(|h| h.contains_point(it.point))
+                        qp.exclude == Some(it.id)
+                            || (CUT && qp.q.dist_sq(it.point) > self.cut)
+                            || qp.pruners.any(|h| h.contains_point(it.point))
                     }
-                    IndexEntry::Node(node) => qp.pruners.any(|h| h.contains_rect(node.region)),
+                    IndexEntry::Node(node) => {
+                        (CUT && node.region.mindist_sq(qp.q) > self.cut)
+                            || qp.pruners.any(|h| h.contains_rect(node.region))
+                    }
                 };
                 if !pruned {
                     sets[k * words + w] |= bit;
@@ -338,25 +372,21 @@ impl Traversal<'_> {
     }
 }
 
-/// Runs the filter traversal from `origin` for `queries`, returning each
-/// query point's candidate set in the order of discovery.
+/// Runs the filter traversal from `origin` for `queries`, cut at `cut`,
+/// returning each query point's candidate set in the order of discovery.
 fn traverse(
     probe: &impl IndexProbe,
     pg: &mut dyn PageAccess,
     origin: Point,
     mut queries: Vec<Query>,
+    cut: f64,
     stats: &mut RcjStats,
 ) -> Vec<Vec<Item>> {
-    Traversal {
-        origin,
-        words: queries.len().div_ceil(64),
-        queries: &mut queries,
-        pushed: Vec::new(),
-        slab: Vec::new(),
-        heap: BinaryHeap::new(),
-        clock: 0,
+    if cut < f64::INFINITY {
+        Traversal::<true>::new(origin, cut, &mut queries).run(probe, pg, stats);
+    } else {
+        Traversal::<false>::new(origin, cut, &mut queries).run(probe, pg, stats);
     }
-    .run(probe, pg, stats);
     queries.into_iter().map(|qp| qp.cands).collect()
 }
 
@@ -377,20 +407,30 @@ pub fn filter<I: RcjIndex>(
     stats: &mut RcjStats,
 ) -> Vec<Item> {
     let mut pg = tree_p.pager();
-    filter_with(&tree_p.probe(), &mut pg, q, exclude_id, stats)
+    filter_with(
+        &tree_p.probe(),
+        &mut pg,
+        q,
+        exclude_id,
+        f64::INFINITY,
+        stats,
+    )
 }
 
 /// [`filter`] over an explicit probe and page-access handle — the form
-/// the executor's workers call with their private buffers.
+/// the executor's workers call with their private buffers — returning
+/// only the candidates within squared distance `cut` of `q` (see the
+/// module docs; `f64::INFINITY` for all of them).
 pub fn filter_with(
     probe: &impl IndexProbe,
     pg: &mut dyn PageAccess,
     q: Point,
     exclude_id: Option<u64>,
+    cut: f64,
     stats: &mut RcjStats,
 ) -> Vec<Item> {
     let queries = vec![Query::new(q, exclude_id, 0)];
-    traverse(probe, pg, q, queries, stats).swap_remove(0)
+    traverse(probe, pg, q, queries, cut, stats).swap_remove(0)
 }
 
 /// Output of the bulk filter: one candidate set per point of the leaf.
@@ -423,17 +463,21 @@ pub fn bulk_filter<I: RcjIndex>(
         leaf_points,
         symmetric,
         exclude_same_id,
+        f64::INFINITY,
         stats,
     )
 }
 
-/// [`bulk_filter`] over an explicit probe and page-access handle.
+/// [`bulk_filter`] over an explicit probe and page-access handle, each
+/// set holding only the candidates within squared distance `cut` of its
+/// point (see the module docs; `f64::INFINITY` for all of them).
 pub fn bulk_filter_with(
     probe: &impl IndexProbe,
     pg: &mut dyn PageAccess,
     leaf_points: &[Item],
     symmetric: bool,
     exclude_same_id: bool,
+    cut: f64,
     stats: &mut RcjStats,
 ) -> BulkFilterResult {
     let n = leaf_points.len();
@@ -466,7 +510,7 @@ pub fn bulk_filter_with(
             qp
         })
         .collect();
-    let sets = traverse(probe, pg, centroid, queries, stats);
+    let sets = traverse(probe, pg, centroid, queries, cut, stats);
     BulkFilterResult { sets }
 }
 
@@ -836,19 +880,26 @@ mod tests {
 
     /// Both kernels over `tree`, for BIJ and OBJ, with and without
     /// self-join exclusion: same sets in the same order, same counters.
-    fn kernels_agree<I: RcjIndex>(tree: &I, leaf: &[Item]) -> Result<(), TestCaseError> {
+    /// Cut at `cut`, the kernel's sets are the reference sets restricted
+    /// to squared distance `<= cut` from their point, in the same order.
+    fn kernels_agree<I: RcjIndex>(tree: &I, leaf: &[Item], cut: f64) -> Result<(), TestCaseError> {
         let probe = tree.probe();
         for symmetric in [false, true] {
             for exclude in [false, true] {
                 let (mut got_stats, mut want_stats) = (RcjStats::default(), RcjStats::default());
-                let got = bulk_filter_with(
-                    &probe,
-                    &mut tree.pager(),
-                    leaf,
-                    symmetric,
-                    exclude,
-                    &mut got_stats,
-                );
+                let kernel = |cut: f64, stats: &mut RcjStats| {
+                    bulk_filter_with(
+                        &probe,
+                        &mut tree.pager(),
+                        leaf,
+                        symmetric,
+                        exclude,
+                        cut,
+                        stats,
+                    )
+                };
+                let got = kernel(f64::INFINITY, &mut got_stats);
+                let got_cut = kernel(cut, &mut RcjStats::default());
                 let want = bulk_filter_reference(
                     &probe,
                     &mut tree.pager(),
@@ -865,6 +916,25 @@ mod tests {
                     exclude
                 );
                 prop_assert_eq!(got_stats, want_stats);
+                let want_cut: Vec<Vec<Item>> = want
+                    .sets
+                    .iter()
+                    .zip(leaf)
+                    .map(|(set, q)| {
+                        set.iter()
+                            .copied()
+                            .filter(|p| q.point.dist_sq(p.point) <= cut)
+                            .collect()
+                    })
+                    .collect();
+                prop_assert_eq!(
+                    &got_cut.sets,
+                    &want_cut,
+                    "cut sets differ (cut {}, symmetric {}, exclude {})",
+                    cut,
+                    symmetric,
+                    exclude
+                );
             }
         }
         Ok(())
@@ -879,7 +949,9 @@ mod tests {
         /// quadtrees after an update batch, for leaves of 1 to 130
         /// points (more than 64 needs a multi-word live set). A leaf is
         /// either a subset of the tree's own items (as in a self-join,
-        /// where exclusion bites) or fresh points.
+        /// where exclusion bites) or fresh points. The cut is either
+        /// random or the exact squared distance of one leaf point to one
+        /// item, so ties at the cut occur.
         #[test]
         fn bulk_filter_matches_the_reference_loop(
             shape in 0u8..4,
@@ -890,6 +962,8 @@ mod tests {
             own_items in any::<bool>(),
             leaf_raw in coords(130),
             offset in any::<usize>(),
+            cut_at in any::<usize>(),
+            random_cut in 0.0..5000.0f64,
         ) {
             let (rtree, quad, items) = updated_trees(
                 &layout(shape, &raw),
@@ -907,8 +981,15 @@ mod tests {
                     .map(|(k, p)| Item::new(1_000_000 + k as u64, p))
                     .collect()
             };
-            kernels_agree(&rtree, &leaf)?;
-            kernels_agree(&quad, &leaf)?;
+            let cut = match items.len() {
+                0 => random_cut,
+                n if cut_at % 2 == 0 => leaf[cut_at / 2 % leaf.len()]
+                    .point
+                    .dist_sq(items[cut_at / 2 % n].point),
+                _ => random_cut,
+            };
+            kernels_agree(&rtree, &leaf, cut)?;
+            kernels_agree(&quad, &leaf, cut)?;
         }
     }
 }

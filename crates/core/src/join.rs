@@ -21,6 +21,11 @@
 //! the lazy access path over the same drivers is
 //! [`RcjStream`](crate::RcjStream) (via the engine's
 //! [`Plan::stream`](crate::Plan::stream) or [`rcj_stream`](crate::rcj_stream)).
+//! Ranked queries are one more sink: the [`TopK`](crate::TopK) sink
+//! keeps the `k` best pairs, and the pass cuts each leaf's filter at
+//! the sink's [cut](crate::PairSink::cut), its `k`-th best squared
+//! diameter so far. An unbounded sink's cut is infinite, and its filter
+//! runs without the test.
 //! [`RcjAlgorithm::Auto`] defers the algorithm choice to the
 //! [`planner`](crate::planner)'s calibrated cost model.
 
@@ -488,6 +493,9 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
     /// Expands the leaf group at `pos` and computes its RCJ contribution,
     /// emitting result pairs into `sink`. Returns `false` as soon as the
     /// sink requests a stop (early exit), `true` otherwise.
+    ///
+    /// Each filter is cut at the sink's [cut](PairSink::cut), read just
+    /// before it runs: a ranked sink's shrinking bound.
     pub(crate) fn run(
         &self,
         pos: usize,
@@ -501,7 +509,9 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
                 // Algorithm 4: per-point filter and verification.
                 for &q in &leaf_points {
                     let exclude = self.self_join.then_some(q.id);
-                    let cands = filter_with(&self.probe_p, pagers.p(), q.point, exclude, stats);
+                    let cut = sink.cut();
+                    let cands =
+                        filter_with(&self.probe_p, pagers.p(), q.point, exclude, cut, stats);
                     stats.candidate_pairs += cands.len() as u64;
                     let pairs: Vec<RcjPair> =
                         cands.into_iter().map(|p| RcjPair::new(p, q)).collect();
@@ -519,6 +529,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
                     &leaf_points,
                     symmetric,
                     self.self_join,
+                    sink.cut(),
                     stats,
                 );
                 let mut pairs: Vec<RcjPair> = Vec::new();
@@ -529,6 +540,21 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
                 self.finish(pagers, pairs, sink, stats)
             }
             RcjAlgorithm::Auto => unreachable!("Auto is resolved when the pass is built"),
+        }
+    }
+
+    /// Runs every leaf group in list order, stopping when the sink does:
+    /// the sequential executor's loop, and one round of a ranked stream.
+    pub(crate) fn run_all(
+        &self,
+        pagers: &mut Pagers<'_>,
+        sink: &mut dyn PairSink,
+        stats: &mut RcjStats,
+    ) {
+        for pos in 0..self.leaves.len() {
+            if !self.run(pos, pagers, sink, stats) {
+                break;
+            }
         }
     }
 

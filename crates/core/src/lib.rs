@@ -109,8 +109,9 @@
 //!   sequential, pair for pair); `RINGJOIN_THREADS` switches the
 //!   session default.
 //! * [`PairSink`]/[`rcj_join_into`] — the drivers emit pairs instead of
-//!   materialising them; streams, early exit and custom sinks all hang
-//!   off this seam.
+//!   materialising them; streams, early exit, custom sinks and ranked
+//!   queries (the [`TopK`] sink, which cuts the filter at its `k`-th
+//!   best squared diameter) all hang off this seam.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -144,7 +145,7 @@ pub use join::{
 pub use pair::{pair_keys, sort_by_diameter, RcjPair};
 pub use stats::RcjStats;
 pub use stream::{
-    rcj_self_stream, rcj_self_stream_by_diameter, rcj_self_stream_by_diameter_in, rcj_stream,
-    rcj_stream_by_diameter, rcj_stream_by_diameter_in, PairSink, RcjStream, TaggedPairSink,
+    rcj_self_stream, rcj_self_stream_by_diameter, rcj_stream, rcj_stream_by_diameter, PairSink,
+    RcjStream, TaggedPairSink, TopK,
 };
 pub use verify::{verify, verify_with};

@@ -2,6 +2,7 @@
 
 use ringjoin_geom::{Circle, Point};
 use ringjoin_rtree::Item;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A result pair `⟨p, q⟩` of the ring-constrained join.
@@ -51,10 +52,27 @@ impl RcjPair {
         self.p.point.dist(self.q.point)
     }
 
+    /// The squared ring diameter: the exact rank key. Two distinct
+    /// squares can round to one [`RcjPair::diameter`].
+    #[inline]
+    pub fn diameter_sq(&self) -> f64 {
+        self.p.point.dist_sq(self.q.point)
+    }
+
     /// Identity key `(p.id, q.id)` for set comparisons between algorithms.
     #[inline]
     pub fn key(&self) -> (u64, u64) {
         (self.p.id, self.q.id)
+    }
+
+    /// The rank order of ranked queries: ascending squared diameter, then
+    /// ascending pair key. The top-k sink, the shard merge and
+    /// [`sort_by_diameter`] all order by it, so their answers agree
+    /// even on exact and near ties.
+    pub fn rank_cmp(&self, other: &RcjPair) -> Ordering {
+        self.diameter_sq()
+            .total_cmp(&other.diameter_sq())
+            .then_with(|| self.key().cmp(&other.key()))
     }
 }
 
@@ -72,13 +90,9 @@ impl fmt::Display for RcjPair {
 }
 
 /// Sorts pairs by ascending ring diameter (tourist-recommendation order),
-/// ties broken by ids for determinism.
+/// in [rank order](RcjPair::rank_cmp): the order of every top-k answer.
 pub fn sort_by_diameter(pairs: &mut [RcjPair]) {
-    pairs.sort_by(|a, b| {
-        a.diameter()
-            .total_cmp(&b.diameter())
-            .then_with(|| a.key().cmp(&b.key()))
-    });
+    pairs.sort_by(RcjPair::rank_cmp);
 }
 
 /// Normalises a pair list into sorted `(p.id, q.id)` keys, the canonical

@@ -1,4 +1,5 @@
-//! Lazy, bounded-memory result streaming for the RCJ.
+//! Lazy, bounded-memory result streaming for the RCJ, and the sinks
+//! the leaf pass emits into.
 //!
 //! The paper's algorithms are described as "compute the whole join" —
 //! but their structure is naturally incremental: every driver processes
@@ -6,16 +7,19 @@
 //! contribution is final the moment it is produced. This module exposes
 //! that seam in two pieces:
 //!
-//! * [`PairSink`] — the emission half. The generic INJ/BIJ/OBJ drivers
-//!   report result pairs through this trait instead of pushing into a
-//!   `Vec`; a sink may stop the run early. `Vec<RcjPair>` implements it
-//!   (never stopping), which is all [`rcj_join`](crate::rcj_join) needs
-//!   to keep its one-shot shape.
+//! * [`PairSink`] — the emission half. The leaf pass reports result
+//!   pairs through this trait instead of pushing into a `Vec`; a sink
+//!   may stop the run early, and may bound it with a
+//!   [cut](PairSink::cut). `Vec<RcjPair>` implements it (never
+//!   stopping, never cutting), which is all
+//!   [`rcj_join`](crate::rcj_join) needs to keep its one-shot shape.
+//!   [`TopK`] is the ranked sink: it keeps the `k` best pairs and cuts
+//!   the pass at the `k`-th best squared diameter.
 //! * [`RcjStream`] — the consumption half: a lazy iterator over result
-//!   pairs. Two sources back it:
-//!   * **leaf order** — the one-shot join's leaf pass, suspended between
-//!     batches. With one worker a batch is one outer leaf group, read
-//!     with no prefetch, so a drained stream reads what
+//!   pairs. Both of its orders run the one leaf pass:
+//!   * **leaf order** — the pass suspended between batches. With one
+//!     worker a batch is one outer leaf group, read with no prefetch, so
+//!     a drained stream reads what
 //!     [`Plan::collect`](crate::Plan::collect) reads. With more, a batch
 //!     is a *wave* of `workers × 4` leaf groups on the work-stealing
 //!     executor, over per-worker
@@ -25,40 +29,28 @@
 //!     [`rcj_join`](crate::rcj_join) under either executor; memory stays
 //!     bounded by one wave, and the cache stays warm across waves and
 //!     across runs;
-//!   * **ascending ring diameter** — an index-agnostic incremental
-//!     distance join (Hjaltason–Samet) over the two probes, with each
-//!     candidate lazily verified. Since candidate distance *is* ring
-//!     diameter, taking the first `k` pairs answers a top-k query with
-//!     early exit: the traversal never expands subtree pairs further
-//!     than the `k`-th diameter. That bound is loose in one way that
-//!     sets the cost: every pair of *overlapping* regions is at
-//!     distance 0, so the whole overlap of the two trees is expanded
-//!     before the first pair of positive diameter is emitted. Two rules
-//!     keep that walk small. **Sibling pruning** (Lemma 1, with Lemma
-//!     5's free pruners) drops an item pair when another item of the
-//!     node just read lies strictly inside its circle. **One read per
-//!     partner node** pairs the children of an expanded node that meet
-//!     the (larger) partner node's region with the partner's entries
-//!     directly, instead of re-reading the partner once per child. The
-//!     order is canonical (diameter, then pair key), and only pairs
-//!     verification would reject are dropped, so neither rule changes a
-//!     pair or its position. On the SP pair of the paper's real data
-//!     (21,523 × 22,247 points) a top-10 reads 5,998 pages, a sixth of a
-//!     full join's 34,947.
+//!   * **ascending ring diameter** — rounds of the pass into a [`TopK`]
+//!     sink, in depth-first leaf order. A round for `k` pairs cuts each
+//!     leaf's filter at the `k`-th best squared diameter found so far,
+//!     so only candidates within it are verified, and the cut falls as
+//!     better pairs arrive. A round that fills its sink hands over to
+//!     the next, with `k` eight times larger, which skips the pairs
+//!     already yielded. [`RcjStream::limit`] sizes the first round, so a
+//!     top-k is one pass. The order is the
+//!     [rank order](RcjPair::rank_cmp): squared diameter, then pair key,
+//!     whatever the tree shape.
 //!
-//! The engine's [`Plan::stream`](crate::Plan::stream) picks the source;
+//! The engine's [`Plan::stream`](crate::Plan::stream) picks the order;
 //! the free functions [`rcj_stream`], [`rcj_self_stream`],
 //! [`rcj_stream_by_diameter`] and [`rcj_self_stream_by_diameter`] build
 //! streams directly over trees.
 
 use crate::executor::{run_stealing, Readers};
-use crate::index::{IndexEntry, IndexProbe, NodeRef, RcjIndex};
+use crate::index::{IndexProbe, RcjIndex};
 use crate::join::{LeafPass, RcjOptions};
 use crate::pair::RcjPair;
 use crate::stats::RcjStats;
-use crate::verify::verify_with;
-use ringjoin_geom::{Circle, Item, Point, Rect};
-use ringjoin_storage::{BufferPool, Prefetcher, SharedPager};
+use ringjoin_storage::{Prefetcher, SharedPager};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -67,10 +59,18 @@ use std::collections::{BinaryHeap, VecDeque};
 /// The join drivers emit every verified pair through a sink. Returning
 /// `false` asks the driver to stop: the sequential executor abandons the
 /// remaining outer leaves (see [`rcj_join_into`](crate::rcj_join_into)),
-/// which is what gives streams and top-k queries their early exit.
+/// which is what gives leaf-order streams their early exit.
 pub trait PairSink {
     /// Receives one result pair; returns `false` to stop the run.
     fn push(&mut self, pair: RcjPair) -> bool;
+
+    /// The squared diameter beyond which the sink takes no more pairs.
+    /// The leaf pass reads it before each filter and cuts the filter
+    /// there, which drops no pair within it. The default, `f64::INFINITY`,
+    /// takes every pair and runs the filter uncut.
+    fn cut(&self) -> f64 {
+        f64::INFINITY
+    }
 }
 
 /// The materialising sink: plain collection, never stops.
@@ -89,11 +89,17 @@ impl PairSink for Vec<RcjPair> {
 /// over disjoint leaf subsets and orders the union of tagged pairs by
 /// leaf index, reproducing the single-engine output byte for byte (the
 /// router adds its own shard id as provenance). Returning `false` asks
-/// the driver to stop early, as with [`PairSink`].
+/// the driver to stop early, and the cut bounds the run, as with
+/// [`PairSink`].
 pub trait TaggedPairSink {
     /// Receives one result pair produced by outer leaf group `leaf`;
     /// returns `false` to stop the run.
     fn push(&mut self, leaf: usize, pair: RcjPair) -> bool;
+
+    /// See [`PairSink::cut`].
+    fn cut(&self) -> f64 {
+        f64::INFINITY
+    }
 }
 
 /// The materialising tagged sink: collects `(leaf, pair)`, never stops.
@@ -104,12 +110,107 @@ impl TaggedPairSink for Vec<(usize, RcjPair)> {
     }
 }
 
+/// The ranked sink: keeps the `k` best pairs in
+/// [rank order](RcjPair::rank_cmp) and, once it holds `k`, reports the
+/// `k`-th squared diameter as its [cut](PairSink::cut).
+///
+/// Whatever leaves a pass runs into it, in whatever order, the sink ends
+/// holding the `k` best pairs those leaves produce: a pair is dropped
+/// only when `k` better ones are held, and the cut only drops pairs
+/// farther than the `k`-th held one. Pairs at exactly the cut survive
+/// it, so exact ties are ranked by key. Under `skip_verification` the
+/// sink ranks the filter's candidates instead of verified pairs.
+///
+/// As a [`TaggedPairSink`] it ignores the leaf tag: a shard runs it over
+/// the leaves it owns, and merging the shards' answers by rank gives the
+/// whole pass's answer.
+pub struct TopK {
+    k: usize,
+    /// The best pairs so far, the worst on top.
+    best: BinaryHeap<Ranked>,
+}
+
+/// A pair ordered by [`RcjPair::rank_cmp`].
+struct Ranked(RcjPair);
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Ranked {}
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.rank_cmp(&other.0)
+    }
+}
+
+impl TopK {
+    /// An empty sink for the `k` best pairs.
+    pub fn new(k: usize) -> TopK {
+        TopK {
+            k,
+            best: BinaryHeap::new(),
+        }
+    }
+
+    /// The pairs held, in rank order.
+    pub fn into_pairs(self) -> Vec<RcjPair> {
+        self.best
+            .into_sorted_vec()
+            .into_iter()
+            .map(|r| r.0)
+            .collect()
+    }
+}
+
+impl PairSink for TopK {
+    fn push(&mut self, pair: RcjPair) -> bool {
+        if self.best.len() < self.k {
+            self.best.push(Ranked(pair));
+        } else if let Some(mut worst) = self.best.peek_mut() {
+            if pair.rank_cmp(&worst.0).is_lt() {
+                *worst = Ranked(pair);
+            }
+        }
+        true
+    }
+
+    fn cut(&self) -> f64 {
+        if self.best.len() < self.k {
+            return f64::INFINITY;
+        }
+        // `k = 0` holds nothing and takes nothing.
+        self.best
+            .peek()
+            .map_or(f64::NEG_INFINITY, |worst| worst.0.diameter_sq())
+    }
+}
+
+impl TaggedPairSink for TopK {
+    fn push(&mut self, _leaf: usize, pair: RcjPair) -> bool {
+        PairSink::push(self, pair)
+    }
+
+    fn cut(&self) -> f64 {
+        PairSink::cut(self)
+    }
+}
+
 /// Internal supplier of pair batches (one outer leaf group, one wave of
-/// leaf groups, or one diameter-ordered candidate per call).
+/// leaf groups, or one ranked round).
 trait BatchSource {
     /// Appends the next batch of pairs to `out` (possibly none), charging
     /// counters to `stats`. Returns `false` when the stream is exhausted.
     fn next_batch(&mut self, out: &mut Vec<RcjPair>, stats: &mut RcjStats) -> bool;
+
+    /// Told the stream's [limit](RcjStream::limit) before any batch.
+    fn limit(&mut self, _k: usize) {}
 }
 
 /// A lazy iterator over RCJ result pairs.
@@ -118,8 +219,8 @@ trait BatchSource {
 /// [`rcj_stream`]-family constructors. Leaf-order streams yield exactly
 /// the [`rcj_join`](crate::rcj_join) output — same pairs, same order —
 /// while holding at most one leaf batch (sequential) or one wave
-/// (parallel) in memory. Diameter-order streams yield pairs in ascending
-/// ring diameter with early exit.
+/// (parallel) in memory. Diameter-order streams yield pairs in rank
+/// order, one round of the leaf pass at a time.
 pub struct RcjStream {
     source: Box<dyn BatchSource>,
     buf: VecDeque<RcjPair>,
@@ -142,17 +243,18 @@ impl RcjStream {
     }
 
     /// Caps the stream at `k` pairs: after the `k`-th pair the stream
-    /// ends and no further index page is read. This is the top-k early
-    /// exit when combined with a diameter-ordered stream.
+    /// ends and no further index page is read. A diameter-ordered stream
+    /// sizes its first round at `k`, so a top-k is one leaf pass.
     pub fn limit(mut self, k: usize) -> Self {
         self.limit = Some(k);
+        self.source.limit(k);
         self
     }
 
     /// Counters accumulated so far. `result_pairs` counts the pairs
     /// *produced* by the underlying driver (at least the pairs yielded;
     /// a leaf-order stream may have buffered a few more from the current
-    /// batch).
+    /// batch, and a ranked round counts every pair its sink was offered).
     pub fn stats(&self) -> RcjStats {
         self.stats
     }
@@ -252,428 +354,63 @@ impl<PQ: IndexProbe, PP: IndexProbe> Drop for LeafSource<PQ, PP> {
 }
 
 // ---------------------------------------------------------------------
-// Diameter-order source (top-k)
+// Diameter-order source
 // ---------------------------------------------------------------------
 
-/// Traversal target of the incremental distance join: an index node (with
-/// its subtree-bounding region) or a data item.
-#[derive(Clone, Copy)]
-enum CpRef {
-    Node(NodeRef),
-    Item(Item),
-}
+/// `k` of an unlimited diameter-ordered stream's first round.
+const FIRST_ROUND: usize = 16;
 
-impl CpRef {
-    fn rect(&self) -> Rect {
-        match self {
-            CpRef::Node(n) => n.region,
-            CpRef::Item(it) => Rect::from_point(it.point),
-        }
-    }
-}
+/// Factor by which each round's `k` exceeds the last one's.
+const ROUND_GROWTH: usize = 8;
 
-impl From<IndexEntry> for CpRef {
-    fn from(e: IndexEntry) -> CpRef {
-        match e {
-            IndexEntry::Item(it) => CpRef::Item(it),
-            IndexEntry::Node(n) => CpRef::Node(n),
-        }
-    }
-}
-
-/// The tree a traversal target comes from: `P` targets are the first
-/// member of every heap pair, `Q` targets the second.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Side {
-    P,
-    Q,
-}
-
-impl Side {
-    fn other(self) -> Side {
-        match self {
-            Side::P => Side::Q,
-            Side::Q => Side::P,
-        }
-    }
-}
-
-/// Heap element: a pair of targets ordered by ascending mindist; ties
-/// order node expansions first, then item pairs by ascending pair key
-/// (see [`CpElem::rank`]), then insertion sequence.
-struct CpElem {
-    key: f64,
-    seq: u64,
-    a: CpRef,
-    b: CpRef,
-}
-
-impl CpElem {
-    /// Tie rank among elements at the same distance key: elements still
-    /// containing a node come first (a node at mindist `d` may hide a
-    /// pair of diameter exactly `d` with a smaller key, so it must be
-    /// expanded before any tied pair is emitted), then item-item pairs
-    /// in ascending pair key. This makes the emission order of
-    /// equal-diameter pairs **canonical** — independent of traversal
-    /// history — which is what lets a sharded k-bounded merge keyed on
-    /// `(diameter, pair key)` reproduce the single-engine stream byte
-    /// for byte even through exact ties (duplicate coordinates).
-    fn rank(&self) -> (u8, (u64, u64)) {
-        match (&self.a, &self.b) {
-            (CpRef::Item(p), CpRef::Item(q)) => (1, (p.id, q.id)),
-            _ => (0, (0, 0)),
-        }
-    }
-}
-
-impl PartialEq for CpElem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl Eq for CpElem {}
-impl PartialOrd for CpElem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for CpElem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed comparisons: BinaryHeap is a max-heap, and the
-        // traversal needs the smallest (key, rank, seq) on top.
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.rank().cmp(&self.rank()))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Which node of a popped node pair `(a, b)` is expanded: the larger one
-/// (the classic heuristic), `a` on ties.
-fn expands_p_side(a: NodeRef, b: NodeRef) -> bool {
-    a.region.area() >= b.region.area()
-}
-
-/// The traversal frontier: the heap of target pairs. Every push applies
-/// the shard-cell restriction and, in a self-join, drops the item pairs
-/// that are never reported.
-struct Frontier {
-    heap: BinaryHeap<CpElem>,
-    seq: u64,
-    self_join: bool,
-    /// Restriction of the `Q` side to one shard's cell: only pairs whose
-    /// `q` lies in the region (half-open membership, so adjacent cells
-    /// partition boundary points) are emitted, and `q`-subtrees disjoint
-    /// from the region are never expanded. `None` = unrestricted.
-    q_region: Option<Rect>,
-}
-
-impl Frontier {
-    /// May the `Q`-side target `b` still produce an in-region `q`?
-    /// Nodes use a (conservative, closed) intersection test; items use
-    /// the exact half-open membership.
-    fn q_side_admissible(&self, b: &CpRef) -> bool {
-        match (self.q_region, b) {
-            (None, _) => true,
-            (Some(region), CpRef::Node(n)) => n.region.intersects(region),
-            (Some(region), CpRef::Item(it)) => region.contains_point_half_open(it.point),
-        }
-    }
-
-    fn push(&mut self, a: CpRef, b: CpRef) {
-        if !self.q_side_admissible(&b) {
-            // Outside this shard's cell: the subtree (or point) cannot
-            // contribute an owned pair, so it never enters the heap.
-            return;
-        }
-        let key = match (&a, &b) {
-            // Self-joins meet each unordered pair from both sides (and
-            // each point against itself); only the smaller-id-first
-            // orientation is ever reported.
-            (CpRef::Item(p), CpRef::Item(q)) if self.self_join && p.id >= q.id => return,
-            (CpRef::Item(p), CpRef::Item(q)) => p.point.dist_sq(q.point),
-            _ => a.rect().mindist_rect_sq(b.rect()),
-        };
-        self.seq += 1;
-        self.heap.push(CpElem {
-            key,
-            seq: self.seq,
-            a,
-            b,
-        });
-    }
-
-    /// Pushes the pair of `x`, a target of `side`'s tree, and `y`, a
-    /// target of the other tree.
-    fn push_from(&mut self, side: Side, x: CpRef, y: CpRef) {
-        match side {
-            Side::P => self.push(x, y),
-            Side::Q => self.push(y, x),
-        }
-    }
-}
-
-/// Diameter-ordered source: an index-agnostic incremental distance join
-/// over the two probes (`a` targets from `T_P`, `b` targets from `T_Q`),
-/// lazily verifying each candidate. Candidate distance equals ring
-/// diameter, so the emission order is ascending diameter, ties in
-/// ascending pair key ([`CpElem::rank`]), and every RCJ pair eventually
-/// appears if the stream is fully drained.
+/// Diameter-order source: rounds of the leaf pass, in depth-first order
+/// on one reader, each into a fresh [`TopK`] sink. Round `r` returns the
+/// `k_r` best pairs in rank order, whose first `k_{r-1}` are the last
+/// round's answer, so it yields only the rest. A round that comes back
+/// short of its `k` held the whole join, and ends the stream.
 ///
-/// Every pair of overlapping regions has mindist 0, so all of them are
-/// expanded before the first pair of positive diameter is emitted: even a
-/// top-10 walks the whole overlap of the two trees. Two rules keep that
-/// walk small. Neither moves the output, because the order is canonical
-/// (independent of when a node is expanded) and only pairs verification
-/// would reject are dropped:
-///
-/// * **Sibling pruning** (Lemma 1 with Lemma 5's free pruners): a node
-///   expanded against a fixed item `f` does not push its item `x` when
-///   a sibling item lies strictly inside the circle with diameter
-///   `x f` — the exact predicate verification applies. Verified
-///   streams only.
-/// * **One read per partner node**: expanding node `A` against node `B`
-///   queues `(child, B)` for each child of `A`. A child that meets `B`'s
-///   region has key 0, and if `B` is the larger of the two, popping that
-///   pair would read `B`, once per such child. Instead `B` is read once
-///   and those children are paired with its entries directly. Every
-///   other child stays a lazy `(child, B)` pair, so each node pair is
-///   expanded on the same side as before.
-///
-/// Like the leaf-order sources, the traversal is **pinned to the epoch
-/// it was opened at**: expansion and verification read through private
-/// [`Readers`] handles captured at construction, so a top-k stream
-/// being drained incrementally keeps its answer set stable across
-/// concurrent mutation batches.
-struct DiameterSource<PQ: IndexProbe, PP: IndexProbe> {
-    probe_q: PQ,
-    probe_p: PP,
-    /// Owning pagers, kept to absorb the pinned handles' I/O counters
-    /// when the stream is dropped (consumed or abandoned).
+/// Like [`LeafSource`], it is pinned to the epoch it was opened at:
+/// every round reads through the [`Readers`] captured at construction.
+struct RankedSource<PQ: IndexProbe, PP: IndexProbe> {
+    pass: LeafPass<PQ, PP>,
     pager_q: SharedPager,
     pager_p: SharedPager,
     readers: Readers,
-    frontier: Frontier,
-    /// Entries of the node being expanded and of its partner node.
-    entries: Vec<IndexEntry>,
-    partner: Vec<IndexEntry>,
-    /// Sibling-pruning scratch: the node's items with their squared
-    /// distance to the fixed item, and the points of the items kept.
-    order: Vec<(f64, Item)>,
-    kept: Vec<Point>,
-    verify: bool,
-    face_rule: bool,
+    /// The next round's `k`; 0 once a round came back short.
+    k: usize,
+    /// Pairs the earlier rounds yielded.
+    yielded: usize,
 }
 
-impl<PQ: IndexProbe, PP: IndexProbe> DiameterSource<PQ, PP> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        probe_q: PQ,
-        probe_p: PP,
-        pager_q: SharedPager,
-        pager_p: SharedPager,
-        self_join: bool,
-        q_region: Option<Rect>,
-        pool: Option<&BufferPool>,
-        opts: &RcjOptions,
-    ) -> Self {
-        let readers = Readers::pin(&pager_q, &pager_p, pool);
-        let mut src = DiameterSource {
-            probe_q,
-            probe_p,
-            pager_q,
-            pager_p,
-            readers,
-            frontier: Frontier {
-                heap: BinaryHeap::new(),
-                seq: 0,
-                self_join,
-                q_region,
-            },
-            entries: Vec::new(),
-            partner: Vec::new(),
-            order: Vec::new(),
-            kept: Vec::new(),
-            verify: !opts.skip_verification,
-            face_rule: !opts.no_face_rule,
-        };
-        src.frontier
-            .push(CpRef::Node(probe_p.root()), CpRef::Node(probe_q.root()));
-        src
-    }
-
-    /// Decodes `node` of `side`'s tree into `out`.
-    fn read(&mut self, side: Side, node: NodeRef, out: &mut Vec<IndexEntry>, stats: &mut RcjStats) {
-        stats.filter_node_reads += 1;
-        out.clear();
-        let mut pagers = self.readers.pagers();
-        match side {
-            Side::P => self.probe_p.expand(pagers.p(), node, out),
-            Side::Q => self.probe_q.expand(pagers.q(), node, out),
-        }
-    }
-
-    /// Expands `node` of `side`'s tree against the fixed item `f`.
-    fn expand_against_item(&mut self, side: Side, node: NodeRef, f: Item, stats: &mut RcjStats) {
-        let mut entries = std::mem::take(&mut self.entries);
-        self.read(side, node, &mut entries, stats);
-        self.push_against_item(side, &entries, f);
-        self.entries = entries;
-    }
-
-    /// Expands `node` of `side`'s tree against `partner`, a node of the
-    /// other tree, reading `partner` at most once (see the type docs).
-    fn expand_against_node(
-        &mut self,
-        side: Side,
-        node: NodeRef,
-        partner: NodeRef,
-        stats: &mut RcjStats,
-    ) {
-        let mut entries = std::mem::take(&mut self.entries);
-        let mut partner_entries = std::mem::take(&mut self.partner);
-        self.read(side, node, &mut entries, stats);
-        let mut partner_read = false;
-        for &e in &entries {
-            let child = CpRef::from(e);
-            if side == Side::Q && !self.frontier.q_side_admissible(&child) {
-                continue;
-            }
-            // Would the pair `(child, partner)` expand the partner when
-            // popped? Then, at key 0, expand it now.
-            let partner_next = match (child, side) {
-                (CpRef::Item(_), _) => true,
-                (CpRef::Node(c), Side::P) => !expands_p_side(c, partner),
-                (CpRef::Node(c), Side::Q) => expands_p_side(partner, c),
-            };
-            if !partner_next || child.rect().mindist_rect_sq(partner.region) > 0.0 {
-                self.frontier.push_from(side, child, CpRef::Node(partner));
-                continue;
-            }
-            if !partner_read {
-                if self.frontier.self_join && partner.page == node.page {
-                    // A self-join pairs each node with itself: its
-                    // entries are already in hand.
-                    partner_entries.clone_from(&entries);
-                } else {
-                    self.read(side.other(), partner, &mut partner_entries, stats);
-                }
-                partner_read = true;
-            }
-            match child {
-                CpRef::Item(f) => self.push_against_item(side.other(), &partner_entries, f),
-                CpRef::Node(_) => {
-                    for &pe in &partner_entries {
-                        self.frontier.push_from(side, child, CpRef::from(pe));
-                    }
-                }
-            }
-        }
-        self.entries = entries;
-        self.partner = partner_entries;
-    }
-
-    /// Pushes the pair of every entry of one node of `side`'s tree with
-    /// the fixed item `f` of the other tree. Child nodes are pushed as
-    /// they are; child items are sibling-pruned when the stream verifies.
-    ///
-    /// A sibling `y` strictly inside the circle with diameter `x f` is
-    /// strictly closer to `f` than `x`, so the items are taken nearest
-    /// first and each is tested only against the items kept before it
-    /// (Algorithm 2's loop).
-    fn push_against_item(&mut self, side: Side, entries: &[IndexEntry], f: Item) {
-        let fixed = CpRef::Item(f);
-        self.order.clear();
-        for e in entries {
-            match *e {
-                IndexEntry::Node(n) => self.frontier.push_from(side, CpRef::Node(n), fixed),
-                IndexEntry::Item(x) if self.verify => {
-                    self.order.push((x.point.dist_sq(f.point), x));
-                }
-                IndexEntry::Item(x) => self.frontier.push_from(side, CpRef::Item(x), fixed),
-            }
-        }
-        self.order
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
-        self.kept.clear();
-        for &(_, x) in &self.order {
-            // The pair's (p, q) order, as verification tests it.
-            let (p, q) = match side {
-                Side::P => (x.point, f.point),
-                Side::Q => (f.point, x.point),
-            };
-            if self
-                .kept
-                .iter()
-                .any(|&y| Circle::strictly_contains_diameter(y, p, q))
-            {
-                continue;
-            }
-            self.kept.push(x.point);
-            self.frontier.push_from(side, CpRef::Item(x), fixed);
-        }
-    }
-}
-
-impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for DiameterSource<PQ, PP> {
+impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for RankedSource<PQ, PP> {
     fn next_batch(&mut self, out: &mut Vec<RcjPair>, stats: &mut RcjStats) -> bool {
-        while let Some(elem) = self.frontier.heap.pop() {
-            stats.filter_heap_pops += 1;
-            match (elem.a, elem.b) {
-                (CpRef::Item(p), CpRef::Item(q)) => {
-                    let pair = RcjPair::new(p, q);
-                    stats.candidate_pairs += 1;
-                    let mut alive = [true];
-                    if self.verify {
-                        let mut pagers = self.readers.pagers();
-                        verify_with(
-                            &self.probe_q,
-                            pagers.q(),
-                            &[pair],
-                            &mut alive,
-                            self.face_rule,
-                            stats,
-                        );
-                        if alive[0] && !self.frontier.self_join {
-                            verify_with(
-                                &self.probe_p,
-                                pagers.p(),
-                                &[pair],
-                                &mut alive,
-                                self.face_rule,
-                                stats,
-                            );
-                        }
-                    }
-                    if alive[0] {
-                        stats.result_pairs += 1;
-                        out.push(pair);
-                        return true;
-                    }
-                }
-                (CpRef::Node(na), CpRef::Node(nb)) => {
-                    if expands_p_side(na, nb) {
-                        self.expand_against_node(Side::P, na, nb, stats);
-                    } else {
-                        self.expand_against_node(Side::Q, nb, na, stats);
-                    }
-                }
-                (CpRef::Node(na), CpRef::Item(f)) => {
-                    self.expand_against_item(Side::P, na, f, stats)
-                }
-                (CpRef::Item(f), CpRef::Node(nb)) => {
-                    self.expand_against_item(Side::Q, nb, f, stats)
-                }
-            }
+        if self.k == 0 {
+            return false;
         }
-        false
+        let mut top = TopK::new(self.k);
+        self.pass
+            .run_all(&mut self.readers.pagers(), &mut top, stats);
+        let pairs = top.into_pairs();
+        out.extend_from_slice(&pairs[self.yielded..]);
+        self.k = if pairs.len() < self.k {
+            0
+        } else {
+            self.k.saturating_mul(ROUND_GROWTH)
+        };
+        self.yielded = pairs.len();
+        true
+    }
+
+    fn limit(&mut self, k: usize) {
+        if self.yielded == 0 && self.k > 0 {
+            self.k = k.max(1);
+        }
     }
 }
 
-impl<PQ: IndexProbe, PP: IndexProbe> Drop for DiameterSource<PQ, PP> {
-    /// Folds the pinned handles' I/O counters back into the owning
-    /// pagers, mirroring [`LeafSource`]'s accounting.
+impl<PQ: IndexProbe, PP: IndexProbe> Drop for RankedSource<PQ, PP> {
+    /// Folds the reader's I/O counters back into the owning pagers,
+    /// mirroring [`LeafSource`]'s accounting.
     fn drop(&mut self) {
         self.readers.absorb(&self.pager_q, &self.pager_p);
     }
@@ -683,15 +420,28 @@ impl<PQ: IndexProbe, PP: IndexProbe> Drop for DiameterSource<PQ, PP> {
 // Constructors
 // ---------------------------------------------------------------------
 
-fn leaf_stream<IQ: RcjIndex, IP: RcjIndex>(
+/// Opens a stream over the pass of `(tq, tp)`, pinned to the pagers'
+/// current epoch: in diameter order if `ranked`, else in leaf order.
+fn open<IQ: RcjIndex, IP: RcjIndex>(
     tq: &IQ,
     tp: &IP,
     self_join: bool,
+    ranked: bool,
     opts: &RcjOptions,
 ) -> RcjStream {
     let pass = LeafPass::new(tq, tp, self_join, opts);
     let (pager_q, pager_p) = (tq.pager(), tp.pager());
     let pinned = Readers::pin(&pager_q, &pager_p, None);
+    if ranked {
+        return RcjStream::new(Box::new(RankedSource {
+            pass,
+            pager_q,
+            pager_p,
+            readers: pinned,
+            k: FIRST_ROUND,
+            yielded: 0,
+        }));
+    }
     let workers = pass.workers();
     let prefetcher = if workers > 1 {
         pinned.prefetcher()
@@ -714,121 +464,49 @@ fn leaf_stream<IQ: RcjIndex, IP: RcjIndex>(
 /// bounded by one leaf batch (sequential executor) or one wave
 /// (parallel executor).
 pub fn rcj_stream<IQ: RcjIndex, IP: RcjIndex>(tq: &IQ, tp: &IP, opts: &RcjOptions) -> RcjStream {
-    leaf_stream(tq, tp, false, opts)
+    open(tq, tp, false, false, opts)
 }
 
 /// Lazily streams the self-RCJ of one dataset; the streaming analogue of
 /// [`rcj_self_join`](crate::rcj_self_join).
 pub fn rcj_self_stream<I: RcjIndex>(tree: &I, opts: &RcjOptions) -> RcjStream {
-    leaf_stream(tree, tree, true, opts)
+    open(tree, tree, true, false, opts)
 }
 
 /// Streams the RCJ of `(tq, tp)` in **ascending ring diameter** order —
-/// the tourist-recommendation ranking, ties in ascending pair key.
-/// Combine with [`RcjStream::limit`] (or just `take(k)`) for a top-k
-/// query with early exit: no node pair farther apart than the `k`-th
-/// diameter is expanded.
+/// the tourist-recommendation ranking, in [rank order](RcjPair::rank_cmp)
+/// (squared diameter, then pair key).
 ///
-/// What a top-k costs: every pair of overlapping index regions is at
-/// distance 0, so the stream expands the whole overlap of the two trees
-/// before it emits the first pair of positive diameter. Sibling pruning
-/// and one read per partner node (see the module docs) keep that walk
-/// to a fraction of a full join's pages without changing a pair.
-/// Honors `opts.skip_verification` (which also turns sibling pruning
-/// off, so every raw candidate is emitted) and `opts.no_face_rule`; the
-/// executor choice is ignored (the incremental traversal is inherently
-/// sequential).
+/// The stream runs rounds of the leaf pass into a [`TopK`] sink (see the
+/// module docs). Combine with [`RcjStream::limit`] for a top-k query: the
+/// first round is then sized at `k`, and the answer costs one pass whose
+/// filters are cut at the `k`-th best squared diameter found so far.
+/// Without a limit the first round takes 16 pairs and each next round
+/// eight times more, so `take(n)` runs about `log8(n / 16) + 1` passes.
+/// Honors the options' algorithm, `skip_verification` (the stream then
+/// ranks the filter's candidates) and `no_face_rule`; the rounds always
+/// run sequentially, in the options' outer order.
 pub fn rcj_stream_by_diameter<IQ: RcjIndex, IP: RcjIndex>(
     tq: &IQ,
     tp: &IP,
     opts: &RcjOptions,
 ) -> RcjStream {
-    RcjStream::new(Box::new(DiameterSource::new(
-        tq.probe(),
-        tp.probe(),
-        tq.pager(),
-        tp.pager(),
-        false,
-        None,
-        None,
-        opts,
-    )))
-}
-
-/// [`rcj_stream_by_diameter`] restricted to one shard's cell: only
-/// pairs whose `q` lies in `q_region` (half-open membership:
-/// min-inclusive, max-exclusive) are emitted, and `Q`-subtrees disjoint
-/// from the region are never expanded. Pages are read through `pool`,
-/// the caller's page budget, rather than the pagers' own buffers.
-///
-/// Running this stream per cell of a space partition yields **disjoint**
-/// sub-streams whose union is exactly the unrestricted stream — so a
-/// shard router can merge per-shard diameter-ordered streams with a
-/// k-bounded heap and keep the top-k early exit across shards.
-pub fn rcj_stream_by_diameter_in<IQ: RcjIndex, IP: RcjIndex>(
-    tq: &IQ,
-    tp: &IP,
-    q_region: Rect,
-    pool: &BufferPool,
-    opts: &RcjOptions,
-) -> RcjStream {
-    RcjStream::new(Box::new(DiameterSource::new(
-        tq.probe(),
-        tp.probe(),
-        tq.pager(),
-        tp.pager(),
-        false,
-        Some(q_region),
-        Some(pool),
-        opts,
-    )))
+    open(tq, tp, false, true, opts)
 }
 
 /// Diameter-ordered self-RCJ stream; each unordered pair appears once,
 /// smaller id first. See [`rcj_stream_by_diameter`].
 pub fn rcj_self_stream_by_diameter<I: RcjIndex>(tree: &I, opts: &RcjOptions) -> RcjStream {
-    RcjStream::new(Box::new(DiameterSource::new(
-        tree.probe(),
-        tree.probe(),
-        tree.pager(),
-        tree.pager(),
-        true,
-        None,
-        None,
-        opts,
-    )))
-}
-
-/// [`rcj_self_stream_by_diameter`] restricted to one shard's cell: a
-/// pair `{i, j}` (reported `p.id < q.id`) is owned by the cell that
-/// contains its **larger-id** endpoint, so per-cell streams partition
-/// the self-join result exactly as the bichromatic variant does. See
-/// [`rcj_stream_by_diameter_in`].
-pub fn rcj_self_stream_by_diameter_in<I: RcjIndex>(
-    tree: &I,
-    q_region: Rect,
-    pool: &BufferPool,
-    opts: &RcjOptions,
-) -> RcjStream {
-    RcjStream::new(Box::new(DiameterSource::new(
-        tree.probe(),
-        tree.probe(),
-        tree.pager(),
-        tree.pager(),
-        true,
-        Some(q_region),
-        Some(pool),
-        opts,
-    )))
+    open(tree, tree, true, true, opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{pair_keys, rcj_join, rcj_self_join, sort_by_diameter, Executor, RcjAlgorithm};
-    use ringjoin_geom::pt;
+    use ringjoin_geom::{pt, Item};
     use ringjoin_rtree::bulk_load;
-    use ringjoin_storage::{MemDisk, Pager, SharedPager};
+    use ringjoin_storage::{BufferPool, MemDisk, Pager, SharedPager};
 
     fn pager() -> SharedPager {
         Pager::new(MemDisk::new(512), 64).into_shared()
@@ -935,31 +613,26 @@ mod tests {
     }
 
     #[test]
-    fn unverified_diameter_stream_emits_every_raw_candidate() {
-        // Sibling pruning is a verification shortcut: without
-        // verification the stream must emit the whole cross product, in
-        // ascending squared diameter and then pair key.
+    fn unverified_diameter_stream_ranks_the_filter_candidates() {
+        // Without verification a join reports the filter's candidates;
+        // the diameter stream ranks exactly those, across its rounds.
         let pg = pager();
-        let ps = items(60, 61, 500.0);
-        let qs = items(70, 67, 500.0);
-        let tp = bulk_load(pg.clone(), ps.clone());
-        let tq = bulk_load(pg.clone(), qs.clone());
+        let tp = bulk_load(pg.clone(), items(60, 61, 500.0));
+        let tq = bulk_load(pg.clone(), items(70, 67, 500.0));
         let opts = RcjOptions {
             skip_verification: true,
             ..RcjOptions::default()
         };
+        let mut expect = rcj_join(&tq, &tp, &opts).pairs;
+        sort_by_diameter(&mut expect);
+        assert!(expect.len() > FIRST_ROUND * ROUND_GROWTH);
         let all: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &opts).collect();
-        let mut expect: Vec<RcjPair> = ps
-            .iter()
-            .flat_map(|&p| qs.iter().map(move |&q| RcjPair::new(p, q)))
-            .collect();
-        let rank = |pr: &RcjPair| (pr.p.point.dist_sq(pr.q.point), pr.key());
-        expect.sort_by(|a, b| rank(a).partial_cmp(&rank(b)).unwrap());
         assert_eq!(all, expect);
 
-        let tree = bulk_load(pg, ps);
-        let pairs = rcj_self_stream_by_diameter(&tree, &opts).count();
-        assert_eq!(pairs, 60 * 59 / 2);
+        let mut expect = rcj_self_join(&tp, &opts).pairs;
+        sort_by_diameter(&mut expect);
+        let all: Vec<RcjPair> = rcj_self_stream_by_diameter(&tp, &opts).collect();
+        assert_eq!(all, expect);
     }
 
     #[test]
@@ -976,48 +649,42 @@ mod tests {
     }
 
     #[test]
-    fn region_restricted_diameter_streams_partition_the_result() {
+    fn top_k_over_leaf_subsets_merges_to_the_ranked_stream() {
+        // A shard's top-k: a TopK sink over a subset of the outer
+        // leaves. Every pair comes from one leaf, so the subsets' answers
+        // merged by rank are the whole pass's answer.
         let pg = pager();
         let tp = bulk_load(pg.clone(), items(200, 51, 1000.0));
         let tq = bulk_load(pg.clone(), items(200, 53, 1000.0));
+        let tree = bulk_load(pg.clone(), items(180, 57, 800.0));
         let opts = RcjOptions::default();
         let pool = BufferPool::new(16);
-        let all: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &opts).collect();
-        // Two half-open cells split at x = 500: every q belongs to
-        // exactly one, so the union of the restricted streams is the
-        // unrestricted stream.
-        let inf = f64::INFINITY;
-        let left = Rect::new(ringjoin_geom::pt(-inf, -inf), ringjoin_geom::pt(500.0, inf));
-        let right = Rect::new(ringjoin_geom::pt(500.0, -inf), ringjoin_geom::pt(inf, inf));
-        let mut union: Vec<RcjPair> = Vec::new();
-        for cell in [left, right] {
-            let part: Vec<RcjPair> =
-                rcj_stream_by_diameter_in(&tq, &tp, cell, &pool, &opts).collect();
-            for w in part.windows(2) {
-                assert!(w[0].diameter() <= w[1].diameter());
+        for k in [1, 7, 40, 10_000] {
+            let subsets = |n: usize| -> [Vec<usize>; 2] {
+                [(0..n).step_by(2).collect(), (1..n).step_by(2).collect()]
+            };
+            let mut merged = Vec::new();
+            for subset in subsets(crate::leaf_regions(&tq).len()) {
+                let mut top = TopK::new(k);
+                crate::rcj_join_leaves_pooled(&tq, &tp, &subset, &pool, &opts, &mut top);
+                merged.extend(top.into_pairs());
             }
-            for pr in &part {
-                assert!(cell.contains_point_half_open(pr.q.point));
-            }
-            union.extend(part);
-        }
-        assert_eq!(pair_keys(&union), pair_keys(&all));
+            sort_by_diameter(&mut merged);
+            merged.truncate(k);
+            let want: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &opts).limit(k).collect();
+            assert_eq!(merged, want, "k={k}");
 
-        // Self-join: ownership is by the larger-id endpoint (reported as
-        // the pair's q side), partitioning the result the same way.
-        let tree = bulk_load(pg.clone(), items(180, 57, 800.0));
-        let self_all: Vec<RcjPair> = rcj_self_stream_by_diameter(&tree, &opts).collect();
-        let mut self_union: Vec<RcjPair> = Vec::new();
-        for cell in [left, right] {
-            let part: Vec<RcjPair> =
-                rcj_self_stream_by_diameter_in(&tree, cell, &pool, &opts).collect();
-            for pr in &part {
-                assert!(pr.p.id < pr.q.id);
-                assert!(cell.contains_point_half_open(pr.q.point));
+            let mut merged = Vec::new();
+            for subset in subsets(crate::leaf_regions(&tree).len()) {
+                let mut top = TopK::new(k);
+                crate::rcj_self_join_leaves_pooled(&tree, &subset, &pool, &opts, &mut top);
+                merged.extend(top.into_pairs());
             }
-            self_union.extend(part);
+            sort_by_diameter(&mut merged);
+            merged.truncate(k);
+            let want: Vec<RcjPair> = rcj_self_stream_by_diameter(&tree, &opts).limit(k).collect();
+            assert_eq!(merged, want, "self-join k={k}");
         }
-        assert_eq!(pair_keys(&self_union), pair_keys(&self_all));
     }
 
     #[test]

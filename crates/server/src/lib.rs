@@ -13,8 +13,8 @@
 //!   constraint is *global*, so verification needs the whole index —
 //!   shards partition the **work**, not the data) and one cell of the
 //!   partition. Join output is byte-identical to a single engine: pairs
-//!   merge by global outer-leaf index, top-k merges the per-shard
-//!   diameter-ordered streams with a k-bounded heap, and per-shard
+//!   merge by global outer-leaf index, top-k merges each shard's `k`
+//!   best pairs in rank order with a k-bounded heap, and per-shard
 //!   [`RcjStats`](ringjoin_core::RcjStats) merge to the sequential
 //!   totals.
 //! * [`proto`] — the frame format (`u32` big-endian length + UTF-8

@@ -1299,7 +1299,8 @@ pub enum ShardReply {
         /// The worker's run counters.
         stats: RcjStats,
     },
-    /// `STOPK`: the cell's most compact pairs, ascending diameter.
+    /// `STOPK`: the most compact pairs of the shard's outer leaves, in
+    /// rank order.
     Ranked {
         /// At most `k` pairs.
         pairs: Vec<RcjPair>,

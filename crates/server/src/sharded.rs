@@ -22,14 +22,15 @@
 //!   each leaf is owned by exactly one shard), reproducing the
 //!   single-engine output *byte for byte*, with per-shard [`RcjStats`]
 //!   merging to the sequential totals.
-//! * **Top-k** — shards run diameter-ordered streams restricted to
-//!   their cell ([`Plan::stream_by_diameter_in`]), each limited to `k`,
-//!   and a k-bounded heap merge keeps the `k` smallest overall — the
-//!   early exit survives sharding. Exact diameter ties are ordered by
-//!   pair key — the same canonical tie order the single-engine
-//!   diameter stream emits — so byte-identity holds even through
-//!   duplicate coordinates. (Top-k *stats* do depend on the partition,
-//!   since partition-shaped work is precisely what early exit avoids.)
+//! * **Top-k** — each shard runs its owned outer leaves, as for a join
+//!   ([`Plan::run_leaves_pooled`]), into a [`TopK`] sink whose cut
+//!   bounds every filter at the shard's `k`-th best squared diameter
+//!   so far. Every pair comes from one leaf and so from one shard, so
+//!   a k-bounded merge of the shards' answers in
+//!   [rank order](RcjPair::rank_cmp) (squared diameter, then pair key)
+//!   is the single-engine answer, byte for byte, ties included. (Top-k
+//!   *stats* do depend on the partition: each shard's cut falls with
+//!   its own pairs only.)
 //!
 //! Shard workers are long-lived threads owning their engines, so index
 //! construction is paid once per `LOAD` and queries are message
@@ -44,8 +45,8 @@ use crate::topology::{BackendFactory, HealFn, RespawnPolicy, ShardBackend, Shard
 use crate::ServerError;
 use ringjoin_core::planner::{DatasetSummary, JoinCostModel};
 use ringjoin_core::{
-    validate_batch, Engine, EngineError, IndexKind, Mutation, Plan, QueryBuilder, RcjAlgorithm,
-    RcjPair, RcjStats,
+    validate_batch, Engine, EngineError, IndexKind, Mutation, PairSink, Plan, QueryBuilder,
+    RcjAlgorithm, RcjPair, RcjStats, TopK,
 };
 use ringjoin_geom::{Item, Point, Rect};
 use ringjoin_storage::{BufferPool, Wal};
@@ -401,13 +402,12 @@ impl ShardWorker {
             .datasets
             .get(outer)
             .ok_or_else(|| format!("shard has no dataset {outer:?}"))?;
-        let cell = ds.cell;
-        let plan = Self::plan(&self.engine, outer, inner, RcjAlgorithm::Auto, Some(k))?;
-        let mut stream = plan.stream_by_diameter_in(cell, &self.pool);
-        let pairs: Vec<RcjPair> = stream.by_ref().collect();
+        let plan = Self::plan(&self.engine, outer, inner, RcjAlgorithm::Auto, None)?;
+        let mut top = TopK::new(k);
+        let stats = plan.run_leaves_pooled(&ds.owned, &self.pool, &mut top);
         Ok(ShardReply::Ranked {
-            pairs,
-            stats: stream.stats(),
+            pairs: top.into_pairs(),
+            stats,
         })
     }
 }
@@ -1421,11 +1421,11 @@ impl ShardedEngine {
         })
     }
 
-    /// Sharded top-k by ascending ring diameter: every shard streams its
-    /// cell's pairs diameter-ordered with the `k` early exit, and a
-    /// k-bounded merge keeps the `k` most compact overall. Exact
-    /// diameter ties are ordered by pair key, matching the
-    /// single-engine stream's canonical tie order.
+    /// Sharded top-k by ascending ring diameter: every shard owning
+    /// outer leaves keeps the `k` best pairs of its leaves (a cut leaf
+    /// pass into a [`TopK`] sink), and a k-bounded merge in
+    /// [rank order](RcjPair::rank_cmp) keeps the `k` most compact
+    /// overall — the single-engine answer, ties included.
     pub fn top_k(&self, outer: &str, inner: &str, k: usize) -> Result<ShardedOutput, ServerError> {
         let st = self.read_state();
         Self::require(&st.catalog, inner)?;
@@ -1446,10 +1446,10 @@ impl ShardedEngine {
         k: usize,
     ) -> Result<ShardedOutput, ServerError> {
         let entry = Self::require(catalog, outer)?;
-        // Top-k ownership is by q *point* location, so cells holding no
-        // point of the outer dataset can never contribute.
+        // As for a join, cells owning no leaf of the outer dataset can
+        // never contribute.
         let participating: Vec<usize> = (0..self.topology.cells())
-            .filter(|&i| entry.item_counts[i] > 0)
+            .filter(|&i| entry.leaves[i] > 0)
             .collect();
         let req = ShardRequest::TopK {
             outer: outer.to_string(),
@@ -1604,57 +1604,15 @@ fn validate_bounds(rb: &RingBounds) -> Result<(), ServerError> {
     Ok(())
 }
 
-/// K-bounded heap merge of per-shard diameter-ordered pair streams:
-/// repeatedly takes the globally smallest head by `(diameter, pair
-/// key)` until `k` pairs are drawn or every stream is dry. Pulls at
-/// most `k` pairs from any one stream.
-fn merge_top_k(mut streams: Vec<std::vec::IntoIter<RcjPair>>, k: usize) -> Vec<RcjPair> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    // Each heap entry carries its pair; (diameter, key) is a total
-    // order over NaN-free data, `src` resumes the right stream.
-    struct Head {
-        pair: RcjPair,
-        src: usize,
+/// K-bounded merge of per-shard answers in
+/// [rank order](RcjPair::rank_cmp): the `k` best pairs of all streams,
+/// ranked by the same [`TopK`] sink each shard ranked its own pairs with.
+fn merge_top_k(streams: Vec<std::vec::IntoIter<RcjPair>>, k: usize) -> Vec<RcjPair> {
+    let mut top = TopK::new(k);
+    for pair in streams.into_iter().flatten() {
+        PairSink::push(&mut top, pair);
     }
-    impl PartialEq for Head {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == std::cmp::Ordering::Equal
-        }
-    }
-    impl Eq for Head {}
-    impl PartialOrd for Head {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Head {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.pair
-                .diameter()
-                .total_cmp(&other.pair.diameter())
-                .then_with(|| self.pair.key().cmp(&other.pair.key()))
-                .then_with(|| self.src.cmp(&other.src))
-        }
-    }
-
-    let mut heap: BinaryHeap<Reverse<Head>> = streams
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(src, s)| s.next().map(|pair| Reverse(Head { pair, src })))
-        .collect();
-    let mut out = Vec::with_capacity(k.min(64));
-    while out.len() < k {
-        let Some(Reverse(top)) = heap.pop() else {
-            break;
-        };
-        out.push(top.pair);
-        if let Some(pair) = streams[top.src].next() {
-            heap.push(Reverse(Head { pair, src: top.src }));
-        }
-    }
-    out
+    top.into_pairs()
 }
 
 #[cfg(test)]
@@ -2330,5 +2288,23 @@ mod tests {
         assert_eq!(merged[0].key(), (0, 9));
         assert_eq!(merged[1].key(), (1, 1));
         assert!(keys.contains(&(1, 2)) || keys.contains(&(2, 2)));
+    }
+
+    #[test]
+    fn top_k_merge_ranks_near_ties_by_squared_diameter() {
+        // Squared diameters 2^52 + 1 and 2^52: both diameters round to
+        // 2^26, so only the squares order the two pairs.
+        let a = RcjPair::new(
+            Item::new(0, pt(1e9, 0.0)),
+            Item::new(0, pt(1e9 + 67_108_864.0, 1.0)),
+        );
+        let b = RcjPair::new(
+            Item::new(1, pt(0.0, 0.0)),
+            Item::new(1, pt(67_108_864.0, 0.0)),
+        );
+        assert_eq!(a.diameter(), b.diameter());
+        assert!(a.diameter_sq() > b.diameter_sq());
+        let merged = merge_top_k(vec![vec![a].into_iter(), vec![b].into_iter()], 2);
+        assert_eq!(merged, vec![b, a]);
     }
 }

@@ -7,21 +7,20 @@
 //! [`sort_by_diameter`](crate::sort_by_diameter)), but a browsing UI only
 //! needs the first few results.
 //!
-//! This module is now a thin veneer over the core engine's streaming
-//! layer: [`rcj_by_diameter`] opens a diameter-ordered
-//! [`RcjStream`] — an index-agnostic incremental
-//! distance join (candidate distance *is* ring diameter) with lazy
-//! verification and early exit. The same stream backs the engine's
-//! `query().top_k(k)` plans and the CLI's `top-k` subcommand; prefer
+//! This module is a thin veneer over the core engine's streaming layer:
+//! [`rcj_by_diameter`] opens a diameter-ordered [`RcjStream`], which runs
+//! the join's own leaf pass into a top-k sink that cuts each leaf's
+//! filter at the `k`-th best squared diameter found so far. The same
+//! pass backs the engine's `query().top_k(k)` plans, the CLI's `top-k`
+//! subcommand and the server's `TOPK`; prefer
 //! [`Engine`](crate::core::Engine) when the datasets live in a session.
 //!
-//! Early exit does not make a top-k cheap in proportion to `k`:
-//! overlapping index regions are at distance 0, so even the first pair
-//! waits for the whole overlap of the two trees to be expanded. The
-//! stream keeps that walk small by pruning item pairs with their
-//! siblings and reading each partner node once (see
-//! [`ringjoin_core::rcj_stream_by_diameter`]); on the paper's SP pair a
-//! top-10 reads about a sixth of a full join's pages.
+//! The stream is unbounded, so it runs rounds of that pass with `k`
+//! growing eightfold from 16 (see
+//! [`ringjoin_core::rcj_stream_by_diameter`]); `.limit(k)` sizes the
+//! first round and makes a top-k one pass. On the paper's SP pair a
+//! top-10 verifies 187 candidates, and a drained stream costs a few
+//! joins.
 
 use ringjoin_core::{rcj_stream_by_diameter, RcjIndex, RcjOptions, RcjStream};
 
@@ -30,9 +29,8 @@ use ringjoin_core::{rcj_stream_by_diameter, RcjIndex, RcjOptions, RcjStream};
 pub type RcjByDiameter = RcjStream;
 
 /// Streams the RCJ result of `(tp, tq)` in ascending ring-diameter
-/// order; take the first `k` for a top-k query with early exit (no node
-/// pair farther apart than the `k`-th diameter is expanded, but every
-/// overlapping one is — see the module docs). Works over any
+/// order, ties by pair key; `.limit(k)` (or `take(k)`, in more rounds)
+/// answers a top-k query (see the module docs). Works over any
 /// [`RcjIndex`] on either side.
 ///
 /// ```
@@ -98,8 +96,8 @@ mod tests {
         let all: Vec<RcjPair> = stream.by_ref().collect();
         let full = rcj_join(&tq, &tp, &RcjOptions::default()).pairs;
         assert_eq!(pair_keys(&all), pair_keys(&full));
-        // Sibling pruning drops most of the cross product before it is
-        // ever verified, even when the whole stream is drained.
+        // Each round's cut filter drops most of the cross product before
+        // it is ever verified, even when the whole stream is drained.
         let verified = stream.stats().candidate_pairs;
         assert!(
             verified <= 150 * 150 / 4,

@@ -222,3 +222,40 @@ fn grid_data_with_massive_cocircularity() {
     check_self_stream(&rtree, &expect, "rtree");
     check_self_stream(&quad, &expect, "quadtree");
 }
+
+#[test]
+fn near_tie_diameters_rank_by_their_squares() {
+    // Squared diameters 2^52 (pair (1,1)) and 2^52 + 1 (pair (0,0)) both
+    // round to the diameter 2^26. Ranking by the rounded diameter would
+    // put (0,0) first on its key; every ranked answer orders by the
+    // squares instead, and so agrees with every other one.
+    let ps = vec![Item::new(1, pt(0.0, 0.0)), Item::new(0, pt(1e9, 0.0))];
+    let qs = vec![
+        Item::new(1, pt(67_108_864.0, 0.0)),
+        Item::new(0, pt(1e9 + 67_108_864.0, 1.0)),
+    ];
+    let pager = Pager::new(MemDisk::new(1024), 16).into_shared();
+    let tp = bulk_load(pager.clone(), ps.clone());
+    let tq = bulk_load(pager, qs.clone());
+    let opts = RcjOptions::default();
+    let mut sorted = rcj_join(&tq, &tp, &opts).pairs;
+    sort_by_diameter(&mut sorted);
+    assert_eq!(sorted[0].diameter(), sorted[1].diameter());
+    assert_eq!(sorted[0].key(), (1, 1));
+    let drained: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &opts).collect();
+    assert_eq!(drained, sorted);
+    let top: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &opts).limit(2).collect();
+    assert_eq!(top, sorted[..2]);
+    for shards in [1, 2] {
+        let se = ringjoin::ShardedEngine::new(shards).unwrap();
+        se.load("p", ps.clone(), ringjoin::IndexKind::Rtree)
+            .unwrap();
+        se.load("q", qs.clone(), ringjoin::IndexKind::Rtree)
+            .unwrap();
+        assert_eq!(
+            se.top_k("q", "p", 2).unwrap().pairs,
+            sorted[..2],
+            "{shards} shards"
+        );
+    }
+}

@@ -8,11 +8,12 @@
 //! [`RcjStats`] must also equal the single-engine counters exactly:
 //! every leaf group is processed once by exactly one shard, so the
 //! counters are a partition-invariant sum. Top-k counters are *not*
-//! asserted equal — early-exit work depends on the partition (that is
-//! the point of the k-bounded merge) — but the answer itself is.
+//! asserted equal — each shard's cut falls with its own pairs only —
+//! but the answer itself is, and it is checked against the full join
+//! sorted by rank, at a small `k` and at a `k` past the result count.
 
 use proptest::prelude::*;
-use ringjoin::{pt, Engine, IndexKind, Item, RcjPair, RcjStats, ShardedEngine};
+use ringjoin::{pt, sort_by_diameter, Engine, IndexKind, Item, RcjPair, RcjStats, ShardedEngine};
 
 const REGION: f64 = 1000.0;
 const KINDS: [IndexKind; 2] = [IndexKind::Rtree, IndexKind::Quadtree];
@@ -74,7 +75,10 @@ fn any_pts(max: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop_oneof![uniform_pts(max), gaussian_pts(max), clustered_pts(max)]
 }
 
-/// Single-engine reference: (pairs, stats) for the full join.
+/// Single-engine reference: (pairs, stats) for the full join, and its
+/// top-k for a small `k`. Both of the engine's top-k answers, that `k`
+/// and one past the result count, are checked against the full join
+/// sorted by rank.
 fn reference_join(
     p: &[Item],
     q: &[Item],
@@ -84,15 +88,16 @@ fn reference_join(
     engine.load("p", p.to_vec()).index(kind);
     engine.load("q", q.to_vec()).index(kind);
     let out = engine.query().join("q", "p").collect().unwrap();
+    let top_k = |k: usize| -> Vec<RcjPair> {
+        let plan = engine.query().join("q", "p").top_k(k).plan().unwrap();
+        plan.stream().collect()
+    };
     let k = 8.min(out.pairs.len().max(1));
-    let top: Vec<RcjPair> = engine
-        .query()
-        .join("q", "p")
-        .top_k(k)
-        .plan()
-        .unwrap()
-        .stream()
-        .collect();
+    let top = top_k(k);
+    let mut ranked = out.pairs.clone();
+    sort_by_diameter(&mut ranked);
+    assert_eq!(top, ranked[..k.min(ranked.len())], "top-{k} ({kind:?})");
+    assert_eq!(top_k(ranked.len() + 1), ranked, "top-all ({kind:?})");
     (out.pairs, out.stats, top)
 }
 
@@ -123,6 +128,10 @@ proptest! {
                 let top = se.top_k("q", "p", k).unwrap();
                 prop_assert_eq!(&top.pairs, &ref_top, "top-{} diverged at {} shards ({:?})", k, shards, kind);
             }
+            let mut ranked = ref_pairs.clone();
+            sort_by_diameter(&mut ranked);
+            let all = se.top_k("q", "p", ranked.len() + 1).unwrap();
+            prop_assert_eq!(&all.pairs, &ranked, "top-all diverged at {} shards ({:?})", shards, kind);
         }
     }
 
@@ -139,15 +148,16 @@ proptest! {
         let mut engine = Engine::new();
         engine.load("d", items.clone()).index(kind);
         let reference = engine.query().self_join("d").collect().unwrap();
+        let top_k = |k: usize| -> Vec<RcjPair> {
+            let plan = engine.query().self_join("d").top_k(k).plan().unwrap();
+            plan.stream().collect()
+        };
         let k = 6.min(reference.pairs.len().max(1));
-        let ref_top: Vec<RcjPair> = engine
-            .query()
-            .self_join("d")
-            .top_k(k)
-            .plan()
-            .unwrap()
-            .stream()
-            .collect();
+        let ref_top = top_k(k);
+        let mut ranked = reference.pairs.clone();
+        sort_by_diameter(&mut ranked);
+        prop_assert_eq!(&ref_top[..], &ranked[..k.min(ranked.len())]);
+        prop_assert_eq!(&top_k(ranked.len() + 1), &ranked);
 
         for shards in SHARD_COUNTS {
             let se = ShardedEngine::new(shards).unwrap();
@@ -162,6 +172,8 @@ proptest! {
                 let top = se.top_k_self("d", k).unwrap();
                 prop_assert_eq!(&top.pairs, &ref_top, "self top-{} diverged at {} shards ({:?})", k, shards, kind);
             }
+            let all = se.top_k_self("d", ranked.len() + 1).unwrap();
+            prop_assert_eq!(&all.pairs, &ranked, "self top-all diverged at {} shards ({:?})", shards, kind);
         }
     }
 

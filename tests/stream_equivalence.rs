@@ -6,13 +6,16 @@
 //! bounded-memory stream and full materialisation without observable
 //! difference.
 //!
-//! Plus the bounded-memory/early-exit claim: a top-k plan answered via
-//! the diameter-ordered stream must read strictly fewer index pages
-//! than full materialisation, because it expands no region beyond the
-//! `k`-th smallest diameter.
+//! Plus the cost of a ranked query: a top-k plan's leaf pass, cut at the
+//! `k`-th best squared diameter so far, must read strictly fewer index
+//! pages than full materialisation, and a top-k past the result count
+//! must cost no more than the join it returns.
 
 use proptest::prelude::*;
-use ringjoin::{pt, uniform, Engine, IndexKind, IoStats, Item, RcjAlgorithm, RcjPair, RcjStats};
+use ringjoin::{
+    pt, sort_by_diameter, uniform, Engine, IndexKind, IoStats, Item, RcjAlgorithm, RcjPair,
+    RcjStats,
+};
 
 const REGION: f64 = 1000.0;
 const ALGOS: [RcjAlgorithm; 3] = [RcjAlgorithm::Inj, RcjAlgorithm::Bij, RcjAlgorithm::Obj];
@@ -258,9 +261,11 @@ enum Mode {
     Stream4,
 }
 
-/// Bounded-memory smoke: a top-5 query through the diameter-ordered
-/// stream must touch strictly fewer index pages than materialising the
-/// whole join — the early exit is real, not cosmetic.
+/// Ranked-query cost on both indexes: a top-5 plan must touch strictly
+/// fewer index pages than materialising the whole join — the cut is
+/// real, not cosmetic — and a top-k past the result count returns the
+/// whole join in rank order for no more page reads and no more verified
+/// candidates than the join itself.
 #[test]
 fn top_k_stream_reads_strictly_fewer_pages_than_full_join() {
     let n = 1500;
@@ -276,37 +281,50 @@ fn top_k_stream_reads_strictly_fewer_pages_than_full_join() {
             .map(|i| Item::new(i as u64, pt(next() * 10_000.0, next() * 10_000.0)))
             .collect()
     };
-    let mut engine = Engine::new();
-    engine.load("p", mk(77)).index(IndexKind::Rtree);
-    engine.load("q", mk(78)).index(IndexKind::Rtree);
-    let pager = engine.pager();
+    for kind in KINDS {
+        let mut engine = Engine::new();
+        engine.load("p", mk(77)).index(kind);
+        engine.load("q", mk(78)).index(kind);
+        let pager = engine.pager();
+        let run = |k: Option<usize>| {
+            let before = pager.borrow().stats();
+            let mut query = engine.query().join("q", "p").threads(1);
+            if let Some(k) = k {
+                query = query.top_k(k);
+            }
+            let out = query.plan().unwrap().collect();
+            (out, pager.borrow().stats().since(before).logical_reads)
+        };
 
-    let before = pager.borrow().stats();
-    let top = engine
-        .query()
-        .join("q", "p")
-        .top_k(5)
-        .plan()
-        .unwrap()
-        .collect();
-    let topk_reads = pager.borrow().stats().since(before).logical_reads;
-    assert_eq!(top.pairs.len(), 5);
-    for w in top.pairs.windows(2) {
-        assert!(w[0].diameter() <= w[1].diameter());
+        let (top, topk_reads) = run(Some(5));
+        assert_eq!(top.pairs.len(), 5);
+        for w in top.pairs.windows(2) {
+            assert!(w[0].diameter() <= w[1].diameter());
+        }
+
+        let (full, full_reads) = run(None);
+        assert!(full.pairs.len() > 5);
+        assert!(
+            topk_reads < full_reads,
+            "{}: top-5 read {topk_reads} pages, full materialisation {full_reads}",
+            kind.name()
+        );
+
+        let (all, all_reads) = run(Some(full.pairs.len() + 1));
+        let mut ranked = full.pairs.clone();
+        sort_by_diameter(&mut ranked);
+        assert_eq!(all.pairs, ranked, "{}", kind.name());
+        assert!(
+            all_reads <= full_reads,
+            "{}: top-all read {all_reads} pages, full materialisation {full_reads}",
+            kind.name()
+        );
+        assert!(
+            all.stats.candidate_pairs <= full.stats.candidate_pairs,
+            "{}: top-all verified {} candidates, full materialisation {}",
+            kind.name(),
+            all.stats.candidate_pairs,
+            full.stats.candidate_pairs
+        );
     }
-
-    let before = pager.borrow().stats();
-    let full = engine
-        .query()
-        .join("q", "p")
-        .threads(1)
-        .plan()
-        .unwrap()
-        .collect();
-    let full_reads = pager.borrow().stats().since(before).logical_reads;
-    assert!(full.pairs.len() > 5);
-    assert!(
-        topk_reads < full_reads,
-        "top-5 stream read {topk_reads} pages, full materialisation {full_reads}"
-    );
 }
