@@ -556,16 +556,25 @@ fn write_addr_file(args: &Args, addr: std::net::SocketAddr) -> Result<(), ArgErr
 /// The `serve --shard-of ...` form: a shard-worker process serving one
 /// coordinator over the shard wire grammar.
 fn cmd_serve_worker(args: &Args, spec: &str) -> Result<Option<String>, ArgError> {
-    for coordinator_only in [
-        "shards",
-        "replicas",
-        "workers",
-        "max-sessions",
-        "queue-depth",
+    let cell = "a --shard-of worker serves whatever cell its coordinator assigns";
+    for (coordinator_only, why) in [
+        ("shards", cell),
+        ("replicas", cell),
+        ("workers", cell),
+        ("max-sessions", cell),
+        ("queue-depth", cell),
+        (
+            "data-dir",
+            "a --shard-of worker keeps no log; its coordinator logs every batch and replays it to the worker",
+        ),
+        (
+            "on-disk",
+            "a --shard-of worker spills to the page file its coordinator names with each load",
+        ),
     ] {
         if args.opt(coordinator_only).is_some() {
             return Err(ArgError(format!(
-                "--{coordinator_only} is a coordinator option; a --shard-of worker serves whatever cell its coordinator assigns"
+                "--{coordinator_only} is a coordinator option; {why}"
             )));
         }
     }
@@ -676,7 +685,6 @@ fn cmd_serve(args: &Args) -> Result<Option<String>, ArgError> {
         on_disk,
         buffer_pages,
         data_dir,
-        ..ServerConfig::default()
     })
     .map_err(server_err)?;
     write_addr_file(args, server.local_addr())?;
@@ -1881,6 +1889,33 @@ mod tests {
             "{}",
             err.0
         );
+        // A worker refuses every coordinator option instead of ignoring
+        // it. The port is out of range, so a worker that skipped the
+        // check would fail on its bind (without a name lookup) rather
+        // than serve.
+        for (opt, value) in [
+            ("shards", "2"),
+            ("replicas", "2"),
+            ("workers", "spawn"),
+            ("max-sessions", "4"),
+            ("queue-depth", "4"),
+            ("data-dir", "wal"),
+            ("on-disk", "pages.rjp"),
+        ] {
+            let flag = format!("--{opt}");
+            let argv = [
+                "serve",
+                "--shard-of",
+                "auto",
+                "--addr",
+                "127.0.0.1:99999",
+                &flag,
+                value,
+            ];
+            let err = run(&parse(&s(&argv)).unwrap()).unwrap_err();
+            let refusal = format!("{flag} is a coordinator option");
+            assert!(err.0.starts_with(&refusal), "{}", err.0);
+        }
         // --pipeline 0 would send nothing and hang: rejected before any
         // request goes out (the server is real, so the error is ours).
         let server = Server::bind(&ServerConfig {

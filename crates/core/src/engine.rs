@@ -137,8 +137,7 @@ struct Dataset {
     /// oracle loads.
     items: BTreeMap<u64, Point>,
     /// Mutation epoch: 0 at load, +1 per applied non-empty update batch.
-    /// Queries planned at different epochs may see different answers;
-    /// plan caches must key on this.
+    /// Queries planned at different epochs may see different answers.
     epoch: u64,
     /// The decoded nodes [`Engine::leaf_regions`] walks, kept across
     /// calls so a walk after a mutation batch reads only the pages the
@@ -835,10 +834,7 @@ impl<'e> QueryBuilder<'e> {
         };
         let model = JoinCostModel::default();
         let outer_summary = outer.summary();
-        let algorithm = match self.algorithm {
-            RcjAlgorithm::Auto => model.choose(&outer_summary),
-            concrete => concrete,
-        };
+        let algorithm = self.algorithm.resolve(&outer_summary);
         // A top-k plan runs its cut leaf pass sequentially, the cut
         // shrinking leaf by leaf — the plan must say so rather than
         // report an executor that would never run.

@@ -61,7 +61,6 @@ mod admission;
 mod client;
 mod num;
 mod partition;
-mod plan_cache;
 pub mod proto;
 mod remote;
 mod server;

@@ -39,7 +39,7 @@
 //! | request | body | response |
 //! |---|---|---|
 //! | `HELLO` | — | `OK role=shard accepts=<rect\|any>` |
-//! | `SLOAD <name> <kind> cell=<rect> [spill=<path> writer=<0\|1>]` | `id x y` rows | `OK leaves=.. extent=<rect> items=.. pages=.. leaf_pages=.. kind=..` |
+//! | `SLOAD <name> <kind> cell=<rect> [spill=<path> writer=<0\|1>]` | `id x y` rows | `OK leaves=.. extent=<rect>` |
 //! | `SUPDATE <name> epoch=<n>` | `+ id x y` / `- id` / `^ id x y` rows | same fields as `SLOAD` |
 //! | `SJOIN <outer> [inner=<name>] [algo=..] [bounds=.. maxd=..]` | — | counters + tagged pair rows |
 //! | `STOPK <outer> <k> [inner=<name>]` | — | counters + pair rows |
@@ -118,7 +118,6 @@
 use crate::num::{write_f64, write_u64, Row, Rows};
 use crate::sharded::RingBounds;
 use crate::ServerError;
-use ringjoin_core::planner::DatasetSummary;
 use ringjoin_core::{IndexKind, Mutation, RcjAlgorithm, RcjPair, RcjStats};
 use ringjoin_geom::{pt, Item, Rect};
 use std::fmt::Write as _;
@@ -1067,7 +1066,7 @@ pub enum ShardRequest {
         outer: String,
         /// Inner dataset (`None` = self-join).
         inner: Option<String>,
-        /// Concrete algorithm (the coordinator resolves `Auto`).
+        /// Algorithm; the worker resolves `Auto` over its replica.
         algo: RcjAlgorithm,
         /// Optional region-of-interest restriction.
         bounds: Option<RingBounds>,
@@ -1268,16 +1267,13 @@ impl ShardRequest {
 }
 
 /// A worker's ownership of a dataset after a load or an update batch:
-/// its owned outer-leaf count, the union of those leaves' regions, and
-/// the planner summary.
+/// its owned outer-leaf count and the union of those leaves' regions.
 #[derive(Clone, Copy, Debug)]
 pub struct Ownership {
     /// Outer leaf groups the worker owns.
     pub leaves: usize,
     /// Union of the owned leaf regions (empty when none are owned).
     pub extent: Rect,
-    /// The dataset's planner-facing summary.
-    pub summary: DatasetSummary,
 }
 
 /// A shard worker's answer to one [`ShardRequest`] — one variant per
@@ -1334,10 +1330,6 @@ impl ShardReply {
                 &[
                     ("leaves", own.leaves.to_string()),
                     ("extent", encode_rect(own.extent)),
-                    ("items", own.summary.items.to_string()),
-                    ("pages", own.summary.pages.to_string()),
-                    ("leaf_pages", own.summary.leaf_pages.to_string()),
-                    ("kind", own.summary.kind.to_string()),
                 ],
                 "",
             ),
@@ -1376,18 +1368,9 @@ impl ShardReply {
                 ShardReply::Hello { accepts }
             }
             ShardRequest::Load { .. } | ShardRequest::Update { .. } => {
-                let num = |key: &str| -> Result<u64, ServerError> {
-                    parse_num(required(&reply, key)?, key)
-                };
                 ShardReply::Indexed(Ownership {
                     leaves: parse_num(required(&reply, "leaves")?, "leaves")?,
                     extent: parse_rect(required(&reply, "extent")?)?,
-                    summary: DatasetSummary {
-                        kind: parse_kind(required(&reply, "kind")?)?.name(),
-                        items: num("items")?,
-                        pages: num("pages")?,
-                        leaf_pages: num("leaf_pages")?,
-                    },
                 })
             }
             ShardRequest::Join { .. } => ShardReply::Joined {

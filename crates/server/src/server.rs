@@ -9,10 +9,10 @@
 //! order (so clients can pipeline) against the one shared engine.
 //! Connections beyond the limit are not queued blind — they get an
 //! `ERR busy` frame with a retry hint and are closed. Below the
-//! sessions sits the admission gate: at most `max_inflight`
-//! engine-bound requests run at once, `queue_depth` more wait, and the
-//! rest are bounced with the same `ERR busy` shape. Memory is bounded
-//! by construction at both layers — overload sheds load, it never
+//! sessions sits the admission gate: at most one engine-bound request
+//! per shard runs at once, `queue_depth` more wait, and the rest are
+//! bounced with the same `ERR busy` shape. Memory is bounded by
+//! construction at both layers — overload sheds load, it never
 //! accumulates it.
 //!
 //! A request can never take the process down: every failure — protocol,
@@ -49,7 +49,8 @@ pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:4815` (port `0` picks an
     /// ephemeral port — query it with [`Server::local_addr`]).
     pub addr: String,
-    /// Number of shard engines (must be at least 1).
+    /// Number of shard engines (must be at least 1), and so the number
+    /// of engine-bound requests the admission gate lets run at once.
     pub shards: usize,
     /// Concurrent client sessions accepted (must be at least 1);
     /// further connections are rejected with `ERR busy`.
@@ -57,9 +58,6 @@ pub struct ServerConfig {
     /// Engine-bound requests that may *wait* for an admission slot
     /// before the server starts shedding load with `ERR busy`.
     pub queue_depth: usize,
-    /// Engine-bound requests running concurrently; `0` means "one per
-    /// shard", the default.
-    pub max_inflight: usize,
     /// Disk-native serving: every `LOAD` spills the page space to this
     /// page file (shard 0 writes it, the replicas attach to it), and
     /// the shared buffer pool's frames become the only RAM residency of
@@ -93,7 +91,6 @@ impl Default for ServerConfig {
             shards: 1,
             max_sessions: 16,
             queue_depth: 32,
-            max_inflight: 0,
             on_disk: None,
             buffer_pages: 0,
             replicas: 1,
@@ -189,11 +186,6 @@ impl Server {
             data_dir: config.data_dir.clone(),
             ..crate::sharded::TopologyConfig::default()
         })?;
-        let max_inflight = if config.max_inflight == 0 {
-            config.shards
-        } else {
-            config.max_inflight
-        };
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| ServerError::Io(format!("cannot bind {}: {e}", config.addr)))?;
         let addr = listener
@@ -203,7 +195,7 @@ impl Server {
             listener,
             shared: Arc::new(Shared {
                 engine,
-                admission: Admission::new(max_inflight, config.queue_depth),
+                admission: Admission::new(config.shards, config.queue_depth),
                 max_sessions: config.max_sessions,
                 sessions: AtomicUsize::new(0),
                 sessions_total: AtomicU64::new(0),
@@ -423,9 +415,9 @@ fn dispatch(req: Request, id: Option<u64>, shared: &Shared) -> Handled {
 
 /// The `STATS` body: shard count, session and request counters (split
 /// into `requests_ok`/`requests_err`; the counters exclude the `STATS`
-/// request reporting them), admission and plan-cache counters, the
-/// shared buffer pool's lifetime hit/fault counters (cache behavior on
-/// the wire), and one line per loaded dataset.
+/// request reporting them), admission counters, the shared buffer
+/// pool's lifetime hit/fault counters (cache behavior on the wire), and
+/// one line per loaded dataset.
 fn stats_reply(id: Option<u64>, shared: &Shared) -> String {
     let engine = &shared.engine;
     let mut body = String::new();
@@ -440,15 +432,8 @@ fn stats_reply(id: Option<u64>, shared: &Shared) -> String {
             info.items_per_shard,
         ));
     }
-    let (pool_hits, pool_faults, pool_prefetch_hits, _) = engine.pool_stats();
-    // Never NaN: a fresh server (0 hits + 0 faults) reports 0.0000.
-    let pool_hit_rate = if pool_hits + pool_faults == 0 {
-        0.0
-    } else {
-        pool_hits as f64 / (pool_hits + pool_faults) as f64
-    };
+    let (pool_hits, pool_faults, pool_prefetch_hits, pool_hit_rate) = engine.pool_stats();
     let (admitted, rejected_busy) = shared.admission.stats();
-    let (plan_hits, plan_misses) = engine.plan_cache_stats();
     let (wal_records, wal_bytes) = engine.wal_stats();
     // Per-slot health rows (flat cell-major slot index, matching the
     // topology's routing order) keep a degraded topology observable.
@@ -501,8 +486,6 @@ fn stats_reply(id: Option<u64>, shared: &Shared) -> String {
             ),
             ("admitted", admitted.to_string()),
             ("rejected_busy", rejected_busy.to_string()),
-            ("plan_cache_hits", plan_hits.to_string()),
-            ("plan_cache_misses", plan_misses.to_string()),
             ("pool_hits", pool_hits.to_string()),
             ("pool_faults", pool_faults.to_string()),
             ("pool_prefetch_hits", pool_prefetch_hits.to_string()),

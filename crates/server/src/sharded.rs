@@ -38,12 +38,10 @@
 //! parse off the wire, and one dispatch answers it in both places.
 
 use crate::partition::SpacePartition;
-use crate::plan_cache::{PlanCache, QueryShape};
 use crate::proto::{encode_load, encode_rect, Ownership, Request, ShardReply, ShardRequest};
 use crate::remote::{RemoteShard, SpawnedShard};
 use crate::topology::{BackendFactory, HealFn, RespawnPolicy, ShardBackend, ShardFault, Topology};
 use crate::ServerError;
-use ringjoin_core::planner::{DatasetSummary, JoinCostModel};
 use ringjoin_core::{
     validate_batch, Engine, EngineError, IndexKind, Mutation, PairSink, Plan, QueryBuilder,
     RcjAlgorithm, RcjPair, RcjStats, TopK,
@@ -229,11 +227,9 @@ impl ShardWorker {
                 ));
             }
         }
-        let summary = self
-            .engine
+        self.engine
             .load(name.to_string(), items.to_vec())
-            .index(kind)
-            .summary();
+            .index(kind);
         if let Some((path, writer)) = spill {
             let pager = self.engine.pager();
             if writer {
@@ -251,7 +247,7 @@ impl ShardWorker {
                 pager.borrow_mut().attach_store(path);
             }
         }
-        self.reindex_ownership(name, cell, summary)
+        self.reindex_ownership(name, cell)
     }
 
     /// Recomputes which leaf groups this worker owns for `name` (their
@@ -259,12 +255,7 @@ impl ShardWorker {
     /// them, returning the ownership the coordinator's routing catalog
     /// wants. After a batch, the engine's memoized walk reads only the
     /// pages the batch wrote.
-    fn reindex_ownership(
-        &mut self,
-        name: &str,
-        cell: Rect,
-        summary: DatasetSummary,
-    ) -> Result<Ownership, String> {
+    fn reindex_ownership(&mut self, name: &str, cell: Rect) -> Result<Ownership, String> {
         let leaf_regions = self.engine.leaf_regions(name).map_err(|e| e.to_string())?;
         let owned: Vec<usize> = leaf_regions
             .iter()
@@ -285,11 +276,7 @@ impl ShardWorker {
                 owned,
             },
         );
-        Ok(Ownership {
-            leaves,
-            extent,
-            summary,
-        })
+        Ok(Ownership { leaves, extent })
     }
 
     /// Applies one mutation batch, keyed by its **target epoch** for
@@ -331,17 +318,12 @@ impl ShardWorker {
                 "dataset {name:?} is at epoch {current}, cannot apply batch for epoch {target_epoch}"
             ));
         }
-        let summary = self
-            .engine
-            .dataset(name)
-            .ok_or_else(|| format!("shard has no dataset {name:?}"))?
-            .summary();
         let cell = self
             .datasets
             .get(name)
             .ok_or_else(|| format!("shard has no cell recorded for {name:?}"))?
             .cell;
-        self.reindex_ownership(name, cell, summary)
+        self.reindex_ownership(name, cell)
     }
 
     fn plan<'e>(
@@ -609,10 +591,6 @@ struct CatalogEntry {
     /// ring-expanded bounds are routed against. Empty for shards that
     /// own nothing.
     extents: Vec<Rect>,
-    /// The planner-facing summary (identical across shards — every
-    /// replica is built the same way), kept in the catalog so the
-    /// front door can resolve `Auto` without asking a worker.
-    summary: DatasetSummary,
 }
 
 type Catalog = BTreeMap<String, CatalogEntry>;
@@ -707,9 +685,6 @@ struct CatalogState {
 pub struct ShardedEngine {
     topology: Topology,
     state: Arc<RwLock<CatalogState>>,
-    /// Resolved-algorithm cache keyed on (outer, inner, shape,
-    /// requested algorithm); see the `plan_cache` module.
-    plans: PlanCache,
     /// The one buffer pool all *local* shard workers account through
     /// (see [`ShardedEngine::pool_stats`]); worker processes run their
     /// own.
@@ -853,7 +828,6 @@ impl ShardedEngine {
         let mut engine = ShardedEngine {
             topology,
             state,
-            plans: PlanCache::new(),
             pool,
             on_disk: cfg.on_disk,
             updates: AtomicU64::new(0),
@@ -1003,11 +977,6 @@ impl ShardedEngine {
         )
     }
 
-    /// Lifetime counters of the plan cache: `(hits, misses)`.
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        self.plans.stats()
-    }
-
     fn read_state(&self) -> RwLockReadGuard<'_, CatalogState> {
         self.state.read().expect("catalog lock poisoned")
     }
@@ -1088,7 +1057,7 @@ impl ShardedEngine {
             })
             .collect();
         let owners = self.log_and_fan_out(&mut st, record, || encode_load(name, kind, &items))?;
-        let (leaves, extents, summary) = routing(&owners);
+        let (leaves, extents) = routing(&owners);
         st.catalog.insert(
             name.to_string(),
             CatalogEntry {
@@ -1100,7 +1069,6 @@ impl ShardedEngine {
                 leaves: leaves.clone(),
                 item_counts: item_counts.clone(),
                 extents,
-                summary,
             },
         );
         Ok(DatasetInfo {
@@ -1187,7 +1155,7 @@ impl ShardedEngine {
         }
         entry.items = entry.points.len() as u64;
         entry.epoch = target_epoch;
-        (entry.leaves, entry.extents, entry.summary) = routing(&owners);
+        (entry.leaves, entry.extents) = routing(&owners);
         self.updates.fetch_add(1, Ordering::Relaxed);
         Ok(UpdateInfo {
             name: name.to_string(),
@@ -1300,35 +1268,6 @@ impl ShardedEngine {
             .ok_or_else(|| ServerError::UnknownDataset(name.to_string()))
     }
 
-    /// Resolves the algorithm the shards will run, through the plan
-    /// cache: `Auto` is decided once per query shape by the cost model
-    /// over the outer dataset's catalog summary; concrete requests pass
-    /// through (and are cached all the same, making repeats observable).
-    fn resolve_algo(
-        &self,
-        outer: &str,
-        outer_epoch: u64,
-        inner: Option<(&str, u64)>,
-        requested: RcjAlgorithm,
-        summary: DatasetSummary,
-    ) -> RcjAlgorithm {
-        let shape = match inner {
-            Some(_) => QueryShape::Join,
-            None => QueryShape::SelfJoin,
-        };
-        self.plans.resolve(
-            outer,
-            outer_epoch,
-            inner,
-            shape,
-            requested,
-            || match requested {
-                RcjAlgorithm::Auto => JoinCostModel::default().choose(&summary),
-                concrete => concrete,
-            },
-        )
-    }
-
     /// Shards a bichromatic join across the outer dataset's partition
     /// and merges the per-shard streams back into the exact
     /// single-engine answer (same pairs, same order, same merged
@@ -1360,9 +1299,12 @@ impl ShardedEngine {
     }
 
     /// The shared join fan-out, run under the catalog's read lock (held
-    /// by the caller through `catalog`): routing, the cache-resolved
-    /// algorithm, the replica round-trips (with failover — see the
-    /// topology module) and the deterministic merge.
+    /// by the caller through `catalog`): routing, the replica
+    /// round-trips (with failover — see the topology module) and the
+    /// deterministic merge. The requested algorithm travels unchanged:
+    /// each shard resolves `Auto` over its own replica, and every
+    /// replica is built from the same history, so all shards pick what
+    /// a single engine picks.
     fn join_locked(
         &self,
         catalog: &Catalog,
@@ -1375,10 +1317,6 @@ impl ShardedEngine {
         if let Some(rb) = &bounds {
             validate_bounds(rb)?;
         }
-        // Inner presence was validated by the caller; its epoch joins
-        // the plan key so mutating either side invalidates the plan.
-        let inner_keyed = inner.map(|n| (n, catalog.get(n).map_or(0, |e| e.epoch)));
-        let algo = self.resolve_algo(outer, entry.epoch, inner_keyed, algo, entry.summary);
         // Route: cells owning no leaf of the outer dataset can never
         // contribute; with bounds, neither can cells whose extent
         // misses the ring-expanded bounds.
@@ -1574,13 +1512,11 @@ fn fan_out<T: Send>(
 }
 
 /// The routing-catalog view of a fan-out: per-cell owned-leaf counts
-/// and extents, plus the planner summary (identical across cells —
-/// every replica builds the same index).
-fn routing(owners: &[Ownership]) -> (Vec<usize>, Vec<Rect>, DatasetSummary) {
+/// and extents.
+fn routing(owners: &[Ownership]) -> (Vec<usize>, Vec<Rect>) {
     (
         owners.iter().map(|o| o.leaves).collect(),
         owners.iter().map(|o| o.extent).collect(),
-        owners[0].summary,
     )
 }
 
@@ -1640,18 +1576,27 @@ mod tests {
     #[test]
     fn sharded_join_is_byte_identical_to_single_engine() {
         let ps = items(220, 3, 1200.0);
-        let qs = items(220, 5, 1200.0);
-        let engine = unsharded(&ps, &qs, IndexKind::Rtree);
-        let reference = engine.query().join("q", "p").collect().unwrap();
-
-        for shards in [1usize, 2, 3, 4] {
-            let se = ShardedEngine::new(shards).unwrap();
-            se.load("p", ps.clone(), IndexKind::Rtree).unwrap();
-            se.load("q", qs.clone(), IndexKind::Rtree).unwrap();
-            let out = se.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
-            assert_eq!(out.pairs, reference.pairs, "shards={shards}");
-            assert_eq!(out.stats, reference.stats, "shards={shards}");
-            assert!(out.shards_queried >= 1 && out.shards_queried <= shards);
+        // `Auto` resolves on the shards. A 3-point R-tree outer is cheaper
+        // under INJ, a 220-point one under OBJ: both choices must match
+        // the single engine's.
+        for (qs, chosen) in [
+            (items(220, 5, 1200.0), RcjAlgorithm::Obj),
+            (items(3, 5, 1200.0), RcjAlgorithm::Inj),
+        ] {
+            let engine = unsharded(&ps, &qs, IndexKind::Rtree);
+            let plan = engine.query().join("q", "p").plan().unwrap();
+            assert_eq!(plan.algorithm(), chosen);
+            let reference = plan.collect();
+            for shards in [1usize, 2, 3, 4] {
+                let se = ShardedEngine::new(shards).unwrap();
+                se.load("p", ps.clone(), IndexKind::Rtree).unwrap();
+                se.load("q", qs.clone(), IndexKind::Rtree).unwrap();
+                let out = se.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
+                let label = format!("outer={} shards={shards}", qs.len());
+                assert_eq!(out.pairs, reference.pairs, "{label}");
+                assert_eq!(out.stats, reference.stats, "{label}");
+                assert!(out.shards_queried >= 1 && out.shards_queried <= shards);
+            }
         }
     }
 
@@ -2063,7 +2008,6 @@ mod tests {
                 prop_assert_eq!(&entry.leaves, &leaves);
                 prop_assert_eq!(&entry.extents, &extents);
                 prop_assert_eq!(&entry.item_counts, &counts);
-                prop_assert_eq!(entry.summary, fresh.dataset("d").unwrap().summary());
             }
             let served = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
             let reference = fresh.query().self_join("d").collect().unwrap();

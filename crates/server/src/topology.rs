@@ -438,7 +438,6 @@ impl Drop for Topology {
 mod tests {
     use super::*;
     use crate::proto::Ownership;
-    use ringjoin_core::planner::DatasetSummary;
     use ringjoin_core::{IndexKind, RcjAlgorithm};
     use ringjoin_geom::Rect;
     use std::sync::atomic::AtomicBool;
@@ -461,7 +460,6 @@ mod tests {
                     Ok(ShardReply::Indexed(Ownership {
                         leaves: 1,
                         extent: Rect::empty(),
-                        summary: DatasetSummary::new("rtree", 1, 1, 1),
                     }))
                 }
                 ShardRequest::Explain { .. } => Ok(ShardReply::Plan(self.label.clone())),

@@ -8,7 +8,6 @@
 //! variant round-trip exactly.
 
 use proptest::prelude::*;
-use ringjoin_core::planner::DatasetSummary;
 use ringjoin_core::{IndexKind, Mutation, RcjAlgorithm, RcjPair, RcjStats};
 use ringjoin_geom::{pt, Item, Rect};
 use ringjoin_server::proto::{
@@ -240,12 +239,6 @@ impl Gen {
                 ShardReply::Indexed(Ownership {
                     leaves: self.below(100) as usize,
                     extent: self.rect(),
-                    summary: DatasetSummary::new(
-                        "quadtree",
-                        self.below(1000),
-                        self.below(100),
-                        self.below(50),
-                    ),
                 }),
             ),
             (

@@ -354,7 +354,7 @@ fn stats_keys_match_the_documented_schema() {
     }
     assert_eq!(rows, (1, 2), "one dataset row, one row per shard slot");
     let status_keys = emitted.iter().filter(|(line, _)| line == "status");
-    assert_eq!(status_keys.count(), 24, "{:?}", reply.fields);
+    assert_eq!(status_keys.count(), 22, "{:?}", reply.fields);
     let documented = documented_stats_keys();
     let undocumented: Vec<_> = emitted.difference(&documented).collect();
     let missing: Vec<_> = documented.difference(&emitted).collect();
@@ -388,7 +388,6 @@ fn admission_queue_overflow_returns_busy() {
     let (addr, handle) = start_with(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         shards: 1,
-        max_inflight: 1,
         queue_depth: 0,
         ..ServerConfig::default()
     });
@@ -466,7 +465,6 @@ fn interleaved_client_progresses_despite_a_pipelining_hog() {
     let (addr, handle) = start_with(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         shards: 1,
-        max_inflight: 1,
         queue_depth: 32,
         ..ServerConfig::default()
     });
