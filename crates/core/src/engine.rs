@@ -25,24 +25,20 @@
 //! [`std::fmt::Display`] — the CLI's `explain` subcommand prints it
 //! verbatim.
 
-use crate::join::{
-    rcj_join, rcj_join_leaves_pooled, rcj_self_join, rcj_self_join_leaves_pooled, LeafRegionMemo,
-    RcjAlgorithm, RcjOptions, RcjOutput,
-};
+use crate::executor::{execute, run_subset};
+use crate::index::NodeRef;
+use crate::join::{LeafPass, LeafRegionMemo, RcjAlgorithm, RcjOptions, RcjOutput};
 use crate::planner::{DatasetSummary, JoinCostModel, PlanEstimate};
 use crate::stats::RcjStats;
-use crate::stream::{
-    rcj_self_stream, rcj_self_stream_by_diameter, rcj_stream, rcj_stream_by_diameter, RcjStream,
-    TaggedPairSink,
-};
+use crate::stream::{open, RcjStream, TaggedPairSink};
 use crate::{Executor, OuterOrder, RcjIndex};
 use ringjoin_geom::{pt, Item, Point, Rect};
 use ringjoin_quadtree::QuadTree;
 use ringjoin_rtree::{bulk_load, RTree};
 use ringjoin_storage::{MemDisk, Pager, SharedPager};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index kind to build for a dataset registered with
 /// [`Engine::load`].
@@ -126,7 +122,8 @@ impl fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// One registered dataset: its name, the index built over it, the
-/// authoritative id → point catalog, and its mutation epoch.
+/// authoritative id → point catalog, its mutation epoch and its outer
+/// leaf list.
 struct Dataset {
     name: String,
     index: AnyIndex,
@@ -139,10 +136,14 @@ struct Dataset {
     /// Mutation epoch: 0 at load, +1 per applied non-empty update batch.
     /// Queries planned at different epochs may see different answers.
     epoch: u64,
-    /// The decoded nodes [`Engine::leaf_regions`] walks, kept across
-    /// calls so a walk after a mutation batch reads only the pages the
-    /// batch wrote.
-    regions: RefCell<LeafRegionMemo>,
+    /// The decoded nodes the leaf walk keeps, so the walk after a
+    /// mutation batch reads only the pages the batch wrote.
+    memo: LeafRegionMemo,
+    /// The index's leaf groups in depth-first order, each with the tight
+    /// MBR of its items as its region: the list every leaf pass with
+    /// this dataset as `Q` runs. Refreshed where the index changes, at
+    /// load and after each applied update batch.
+    leaves: Arc<[NodeRef]>,
 }
 
 /// The index kinds the engine can host natively.
@@ -164,6 +165,17 @@ impl Dataset {
             AnyIndex::Rtree(t) => t.summary(),
             AnyIndex::Quadtree(t) => t.summary(),
         }
+    }
+
+    /// Re-lists the leaves after the index changed. The memo re-reads
+    /// only pages written since its last walk: every page after a load,
+    /// the batch's pages after an update.
+    fn refresh_leaves(&mut self) {
+        let leaves = match &self.index {
+            AnyIndex::Rtree(t) => self.memo.leaves(t),
+            AnyIndex::Quadtree(t) => self.memo.leaves(t),
+        };
+        self.leaves = leaves.into();
     }
 }
 
@@ -329,15 +341,21 @@ impl Engine {
     ///
     /// The result holds until the next applied [`Engine::update`] batch
     /// or re-load of the name, which can move, split or merge leaf
-    /// groups. The first call reads every index page once; the engine
-    /// keeps each dataset's decoded nodes, keyed by page and checked
-    /// against the page's write stamp, so a later call reads only the
-    /// pages written since — after a mutation batch, the pages the batch
-    /// wrote.
+    /// groups. Reads no page: the engine keeps each dataset's leaf list,
+    /// the one its plans run. [`LoadBuilder::index`] lists it, reading
+    /// every index page once, and [`UpdateBuilder::apply`] refreshes it
+    /// from decoded nodes keyed by page and checked against the page's
+    /// write stamp, re-reading only the pages the batch wrote.
     pub fn leaf_regions(&self, name: &str) -> Result<Vec<Rect>, EngineError> {
-        let ds = self.get(name)?;
-        let mut memo = ds.regions.borrow_mut();
-        Ok(with_tree!(ds, |t| memo.regions(t)))
+        Ok(self.leaves(name)?.iter().map(|leaf| leaf.region).collect())
+    }
+
+    /// The dataset's kept leaf list, borrowed: the leaf groups
+    /// [`Engine::leaf_regions`] reports, in the same order, each with its
+    /// page. Reads no page and copies nothing, so a router can look up
+    /// the regions of a few positions.
+    pub fn leaves(&self, name: &str) -> Result<&[NodeRef], EngineError> {
+        Ok(&self.get(name)?.leaves)
     }
 
     /// Starts building a query over this engine's datasets.
@@ -387,7 +405,9 @@ impl LoadBuilder<'_> {
     /// [`DatasetHandle`].
     ///
     /// R-trees are STR bulk-loaded; quadtrees cover the items' bounding
-    /// box and are built by insertion. Replacing an existing name keeps
+    /// box and are built by insertion. The dataset's leaf list is then
+    /// walked once, reading every page of the new index (see
+    /// [`Engine::leaf_regions`]). Replacing an existing name keeps
     /// the old index's pages allocated (pages are never reclaimed within
     /// a session) — the buffer can be re-sized afterwards with
     /// [`Engine::set_buffer_frac`].
@@ -411,13 +431,15 @@ impl LoadBuilder<'_> {
                 AnyIndex::Quadtree(tree)
             }
         };
-        let ds = Dataset {
+        let mut ds = Dataset {
             name: name.clone(),
             index,
             items: catalog,
             epoch: 0,
-            regions: RefCell::default(),
+            memo: LeafRegionMemo::default(),
+            leaves: Arc::new([]),
         };
+        ds.refresh_leaves();
         let handle = DatasetHandle {
             name: ds.name.clone(),
             kind: ds.kind(),
@@ -572,7 +594,9 @@ impl UpdateBuilder<'_> {
 
     /// Validates and applies the batch, returning the dataset's handle
     /// at its new epoch. An empty batch is a no-op: no storage epoch is
-    /// opened and the dataset epoch does not advance.
+    /// opened and the dataset epoch does not advance. The dataset's leaf
+    /// list is refreshed last, re-reading only the pages the batch wrote
+    /// (every page of a rebuilt quadtree).
     pub fn apply(self) -> Result<DatasetHandle, EngineError> {
         let UpdateBuilder {
             engine,
@@ -659,6 +683,7 @@ impl UpdateBuilder<'_> {
                 }
             }
         }
+        ds.refresh_leaves();
         ds.epoch += 1;
         Ok(DatasetHandle {
             name: ds.name.clone(),
@@ -963,7 +988,9 @@ impl Plan<'_> {
     /// Runs the plan and materialises the result. Top-k plans collect
     /// the `k` most compact pairs in rank order (one cut leaf pass,
     /// through [`Plan::stream`]); other plans run the whole-list
-    /// executor.
+    /// executor. Either way the pass runs the outer dataset's kept leaf
+    /// list, so it reads each page of `T_Q` once less than the one-shot
+    /// [`rcj_join`](crate::rcj_join), which walks `T_Q` for the list.
     pub fn collect(&self) -> RcjOutput {
         if self.top_k.is_some() {
             let mut stream = self.stream();
@@ -973,17 +1000,21 @@ impl Plan<'_> {
             return RcjOutput { pairs, stats };
         }
         let opts = self.options();
-        if self.self_join {
-            with_tree!(self.outer, |t| rcj_self_join(t, &opts))
-        } else {
-            with_tree_pair!(self.outer, self.inner, |tq, tp| rcj_join(tq, tp, &opts))
-        }
+        let mut pairs: Vec<_> = Vec::new();
+        let stats = with_tree_pair!(self.outer, self.inner, |tq, tp| execute(
+            &LeafPass::new(tq, tp, self.self_join, &opts, self.outer.leaves.clone()),
+            tq.pager(),
+            tp.pager(),
+            &mut pairs,
+        ));
+        RcjOutput { pairs, stats }
     }
 
     /// Runs the plan's leaf drivers over an explicit **subset** of the
     /// outer dataset's leaf groups (positions into
     /// [`Engine::leaf_regions`]), emitting every pair tagged with the
-    /// global leaf index that produced it.
+    /// global leaf index that produced it. The positions index the
+    /// dataset's kept leaf list, so an empty subset reads no page.
     ///
     /// This is the per-shard execution primitive: disjoint position sets
     /// run independently, and ordering the union of tagged pairs by leaf
@@ -992,7 +1023,9 @@ impl Plan<'_> {
     /// runs sequentially in-thread (the caller owns the parallelism) and
     /// any `top_k` bound on the plan is ignored — a top-k shard passes a
     /// [`TopK`](crate::TopK) sink, whose cut bounds the run, and merges
-    /// by rank. Pages are counted in the engine pager's buffer.
+    /// by rank. Out-of-range positions are ignored; a sink returning
+    /// `false` stops the run early. Pages are counted in the engine
+    /// pager's buffer.
     pub fn run_leaves(&self, positions: &[usize], sink: &mut dyn TaggedPairSink) -> RcjStats {
         let pool = with_tree!(self.outer, |t| t.pager().borrow().pool().clone());
         self.run_leaves_pooled(positions, &pool, sink)
@@ -1008,23 +1041,25 @@ impl Plan<'_> {
     /// per-run I/O counters are absorbed back into the engine pager on
     /// return. This is how the sharded server keeps its replicas on
     /// **one** warm cache: every shard passes the same pool, and pages
-    /// faulted by one shard's leaf subset are hits for the next.
+    /// faulted by one shard's leaf subset are hits for the next. On a
+    /// disk-native engine the run stages its upcoming leaf pages in the
+    /// background as it goes: on every eighth position, the pages of the
+    /// next 16.
     pub fn run_leaves_pooled(
         &self,
         positions: &[usize],
         pool: &ringjoin_storage::BufferPool,
         sink: &mut dyn TaggedPairSink,
     ) -> RcjStats {
-        let opts = self.options();
-        if self.self_join {
-            with_tree!(self.outer, |t| rcj_self_join_leaves_pooled(
-                t, positions, pool, &opts, sink
-            ))
-        } else {
-            with_tree_pair!(self.outer, self.inner, |tq, tp| rcj_join_leaves_pooled(
-                tq, tp, positions, pool, &opts, sink
-            ))
-        }
+        let opts = self.options().depth_first();
+        with_tree_pair!(self.outer, self.inner, |tq, tp| run_subset(
+            &LeafPass::new(tq, tp, self.self_join, &opts, self.outer.leaves.clone()),
+            &tq.pager(),
+            &tp.pager(),
+            positions,
+            pool,
+            sink,
+        ))
     }
 
     /// Opens the plan's lazy [`RcjStream`]. Leaf-order plans yield
@@ -1033,18 +1068,15 @@ impl Plan<'_> {
     /// from one sequential leaf pass into a [`TopK`](crate::TopK) sink.
     pub fn stream(&self) -> RcjStream {
         let opts = self.options();
-        match (self.top_k, self.self_join) {
-            (Some(k), false) => with_tree_pair!(self.outer, self.inner, |tq, tp| {
-                rcj_stream_by_diameter(tq, tp, &opts).limit(k)
-            }),
-            (Some(k), true) => {
-                with_tree!(self.outer, |t| rcj_self_stream_by_diameter(t, &opts)
-                    .limit(k))
-            }
-            (None, false) => {
-                with_tree_pair!(self.outer, self.inner, |tq, tp| rcj_stream(tq, tp, &opts))
-            }
-            (None, true) => with_tree!(self.outer, |t| rcj_self_stream(t, &opts)),
+        let stream = with_tree_pair!(self.outer, self.inner, |tq, tp| open(
+            LeafPass::new(tq, tp, self.self_join, &opts, self.outer.leaves.clone()),
+            tq.pager(),
+            tp.pager(),
+            self.top_k.is_some(),
+        ));
+        match self.top_k {
+            Some(k) => stream.limit(k),
+            None => stream,
         }
     }
 }
@@ -1132,7 +1164,9 @@ impl fmt::Display for Plan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pair_keys, rcj_brute, RcjPair};
+    use crate::{pair_keys, rcj_brute, IndexEntry, IndexProbe, RcjPair};
+    use proptest::prelude::*;
+    use ringjoin_storage::{PageAccess, PageId};
 
     fn points(n: usize, seed: u64, span: f64) -> Vec<Item> {
         ringjoin_testsupport::lcg_points(n, seed, span)
@@ -1296,6 +1330,69 @@ mod tests {
     }
 
     #[test]
+    fn leaf_subset_runs_partition_the_join() {
+        for kind in [IndexKind::Rtree, IndexKind::Quadtree] {
+            let mut engine = Engine::new();
+            engine.load("p", points(250, 63, 1500.0)).index(kind);
+            engine.load("q", points(250, 67, 1500.0)).index(kind);
+            let plan = engine
+                .query()
+                .join("q", "p")
+                .executor(Executor::Sequential)
+                .plan()
+                .unwrap();
+            let full = plan.collect();
+            let n = engine.leaf_regions("q").unwrap().len();
+            assert!(n > 1, "workload too small to partition");
+            let pool = engine.pager().borrow().pool().clone();
+            // Split the leaf list into interleaved (non-contiguous)
+            // subsets: the merge key is the tag, not the subset shape.
+            let evens: Vec<usize> = (0..n).step_by(2).collect();
+            let odds: Vec<usize> = (1..n).step_by(2).collect();
+            let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
+            let mut stats = plan.run_leaves_pooled(&odds, &pool, &mut tagged);
+            stats.merge(plan.run_leaves(&evens, &mut tagged));
+            // Ordering by the global leaf index reproduces the sequential
+            // output byte for byte, and the stats merge to its totals.
+            tagged.sort_by_key(|(leaf, _)| *leaf);
+            let merged: Vec<RcjPair> = tagged.into_iter().map(|(_, pr)| pr).collect();
+            assert_eq!(merged, full.pairs, "{}", kind.name());
+            assert_eq!(stats, full.stats, "{}", kind.name());
+            // Out-of-range positions are ignored, not a panic.
+            let mut none: Vec<(usize, RcjPair)> = Vec::new();
+            let s = plan.run_leaves_pooled(&[n + 7], &pool, &mut none);
+            assert!(none.is_empty());
+            assert_eq!(s, RcjStats::default());
+        }
+    }
+
+    #[test]
+    fn self_join_leaf_subsets_partition_too() {
+        for kind in [IndexKind::Rtree, IndexKind::Quadtree] {
+            let mut engine = Engine::new();
+            engine.load("d", points(220, 71, 900.0)).index(kind);
+            let plan = engine
+                .query()
+                .self_join("d")
+                .executor(Executor::Sequential)
+                .plan()
+                .unwrap();
+            let full = plan.collect();
+            let n = engine.leaf_regions("d").unwrap().len();
+            let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
+            let mut stats = RcjStats::default();
+            for start in 0..3usize {
+                let subset: Vec<usize> = (start..n).step_by(3).collect();
+                stats.merge(plan.run_leaves(&subset, &mut tagged));
+            }
+            tagged.sort_by_key(|(leaf, _)| *leaf);
+            let merged: Vec<RcjPair> = tagged.into_iter().map(|(_, pr)| pr).collect();
+            assert_eq!(merged, full.pairs, "{}", kind.name());
+            assert_eq!(stats, full.stats, "{}", kind.name());
+        }
+    }
+
+    #[test]
     fn updates_do_not_grow_an_unbounded_pool() {
         // Recency-only frames are keyed by page, not by (epoch, page): a
         // resident dataset joined after each of many one-point batches
@@ -1331,51 +1428,82 @@ mod tests {
         assert!(own <= pages, "{own} pager frames for {pages} pages");
     }
 
-    /// The leaf regions as first defined: collect the leaf groups in one
-    /// walk, then re-read each leaf for its items.
-    fn two_pass_leaf_regions(engine: &Engine, name: &str) -> Vec<Rect> {
+    /// Every node holding data items, depth-first, by plain recursion
+    /// through `IndexProbe::expand`: the reference the memo's walk is
+    /// checked against.
+    fn collect_leaves<P: IndexProbe>(
+        probe: &P,
+        pg: &mut dyn PageAccess,
+        node: NodeRef,
+        out: &mut Vec<NodeRef>,
+    ) {
+        let mut entries = Vec::new();
+        probe.expand(pg, node, &mut entries);
+        if entries.iter().any(|e| matches!(e, IndexEntry::Item(_))) {
+            out.push(node);
+        }
+        for e in entries {
+            if let IndexEntry::Node(child) = e {
+                collect_leaves(probe, pg, child, out);
+            }
+        }
+    }
+
+    /// The leaf list as first defined: collect the leaf groups in one
+    /// plain recursive walk, then re-read each leaf for its items.
+    fn two_pass_leaves(engine: &Engine, name: &str) -> Vec<(PageId, Rect)> {
         let ds = engine.get(name).unwrap();
         with_tree!(ds, |t| {
             let probe = t.probe();
             let mut pg = t.pager();
-            crate::join::LeafPass::new(t, t, false, &RcjOptions::default())
-                .leaves
+            let mut leaves = Vec::new();
+            collect_leaves(&probe, &mut pg, probe.root(), &mut leaves);
+            leaves
                 .into_iter()
                 .map(|n| {
                     let items = crate::join::leaf_items(&probe, &mut pg, n);
-                    Rect::from_points(items.iter().map(|it| it.point)).unwrap()
+                    let region = Rect::from_points(items.iter().map(|it| it.point)).unwrap();
+                    (n.page, region)
                 })
                 .collect()
         })
     }
 
+    /// The leaf list a dataset keeps, as pages and regions.
+    fn kept_leaves(engine: &Engine, name: &str) -> Vec<(PageId, Rect)> {
+        let ds = engine.get(name).unwrap();
+        ds.leaves.iter().map(|n| (n.page, n.region)).collect()
+    }
+
     #[test]
     fn a_write_reads_only_the_pages_it_wrote() {
+        // The refresh that ends `UpdateBuilder::apply`, driven on an
+        // index mutated through its own insert, so the insert's reads
+        // are not counted as the refresh's.
         for kind in [IndexKind::Rtree, IndexKind::Quadtree] {
             let items = points(20_000, 97, 10_000.0);
             let inside = items[0].point;
             let mut engine = Engine::new();
             engine.load("d", items).index(kind);
-            engine.leaf_regions("d").unwrap();
             let pager = engine.pager();
+            let ds = engine.datasets.get_mut("d").unwrap();
             let before = pager.borrow().stats();
-            engine
-                .update("d")
-                .insert([Item::new(1 << 40, inside)])
-                .apply()
-                .unwrap();
-            let applied = pager.borrow().stats();
-            let regions = engine.leaf_regions("d").unwrap();
-            let walked = pager.borrow().stats().since(applied);
-            let wrote = applied.since(before).logical_writes;
-            assert!(wrote > 0, "{}: the batch wrote nothing", kind.name());
+            match &mut ds.index {
+                AnyIndex::Rtree(t) => t.insert(Item::new(1 << 40, inside)),
+                AnyIndex::Quadtree(t) => t.insert(1 << 40, inside),
+            }
+            let inserted = pager.borrow().stats();
+            ds.refresh_leaves();
+            let walked = pager.borrow().stats().since(inserted);
+            let wrote = inserted.since(before).logical_writes;
+            assert!(wrote > 0, "{}: the insert wrote nothing", kind.name());
             assert!(
                 walked.logical_reads <= wrote,
-                "{}: the walk after a one-point batch read {} pages, the batch wrote {wrote}",
+                "{}: the refresh after a one-point insert read {} pages, the insert wrote {wrote}",
                 kind.name(),
                 walked.logical_reads
             );
-            assert_eq!(regions, two_pass_leaf_regions(&engine, "d"));
+            assert_eq!(kept_leaves(&engine, "d"), two_pass_leaves(&engine, "d"));
         }
     }
 
@@ -1404,18 +1532,162 @@ mod tests {
                     .map(|id| Mutation::Upsert(Item::new(id, pt(id as f64 % 997.0, 3.5))))
                     .collect(),
             ];
-            assert_eq!(
-                engine.leaf_regions("d").unwrap(),
-                two_pass_leaf_regions(&engine, "d")
-            );
+            assert_eq!(kept_leaves(&engine, "d"), two_pass_leaves(&engine, "d"));
             for (i, ops) in batches.iter().enumerate() {
                 engine.update("d").mutations(ops).apply().unwrap();
+                let kept = kept_leaves(&engine, "d");
                 assert_eq!(
-                    engine.leaf_regions("d").unwrap(),
-                    two_pass_leaf_regions(&engine, "d"),
+                    kept,
+                    two_pass_leaves(&engine, "d"),
                     "{}: batch {i}",
                     kind.name()
                 );
+                let regions: Vec<Rect> = kept.iter().map(|&(_, r)| r).collect();
+                assert_eq!(engine.leaf_regions("d").unwrap(), regions);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The kept list against a from-scratch walk, on random batches:
+        /// inserts spread out or stacked on one point (overflow chains),
+        /// now and then one outside the data's box (a quadtree rebuild),
+        /// deletes (condensed R-tree nodes) and upserts that move
+        /// points. After every batch, on both index kinds, the kept list
+        /// equals `two_pass_leaves` page for page and region for region,
+        /// and a plan's self-join equals the one-shot `rcj_self_join`
+        /// over the same tree, whose list is a fresh walk, in pairs,
+        /// pair order and counters.
+        #[test]
+        fn kept_leaves_equal_a_from_scratch_walk_after_random_batches(
+            seed in 0..1000u64,
+            batches in proptest::collection::vec(
+                (any::<bool>(), 0..130usize, 0..80usize, 0..60usize, any::<u64>()),
+                1..6,
+            ),
+        ) {
+            for kind in [IndexKind::Rtree, IndexKind::Quadtree] {
+                let mut engine = Engine::new();
+                engine.load("d", points(300, seed, 1000.0)).index(kind);
+                let mut next_id = 1u64 << 32;
+                let mut fresh_id = || {
+                    next_id += 1;
+                    next_id
+                };
+                for (i, batch) in batches.iter().enumerate() {
+                    let &(stacked, inserts, deletes, upserts, salt) = batch;
+                    let spot = pt((salt % 997) as f64, (salt % 991) as f64);
+                    let mut ops: Vec<Mutation> = points(inserts, salt, 1000.0)
+                        .into_iter()
+                        .map(|it| if stacked { spot } else { it.point })
+                        .map(|point| Item::new(fresh_id(), point))
+                        .map(Mutation::Insert)
+                        .collect();
+                    if salt % 4 == 0 {
+                        let outside = pt(-300.0 - (salt % 50) as f64, 1400.0);
+                        ops.push(Mutation::Insert(Item::new(fresh_id(), outside)));
+                    }
+                    // Deletes take every other live item from a random
+                    // start, upserts the ones between.
+                    let live = engine.dataset_items("d").unwrap();
+                    let start = (salt % live.len().max(1) as u64) as usize;
+                    let mut moved = points(upserts, salt ^ 0x5eed, 1000.0).into_iter();
+                    for (k, it) in live.iter().skip(start).enumerate() {
+                        if k % 2 == 0 && k / 2 < deletes {
+                            ops.push(Mutation::Delete(it.id));
+                        } else if k % 2 == 1 {
+                            if let Some(to) = moved.next() {
+                                ops.push(Mutation::Upsert(Item::new(it.id, to.point)));
+                            }
+                        }
+                    }
+                    engine.update("d").mutations(&ops).apply().unwrap();
+                    let what = format!("{}: batch {i}", kind.name());
+                    let kept = kept_leaves(&engine, "d");
+                    prop_assert_eq!(kept, two_pass_leaves(&engine, "d"), "{}", what);
+                    let opts = RcjOptions::default();
+                    let planned = engine.query().self_join("d").plan().unwrap().collect();
+                    let ds = engine.get("d").unwrap();
+                    let one_shot = with_tree!(ds, |t| crate::rcj_self_join(t, &opts));
+                    prop_assert!(planned.pairs == one_shot.pairs, "{}", what);
+                    prop_assert_eq!(planned.stats, one_shot.stats, "{}", what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plans_read_no_page_before_their_first_leaf() {
+        // A plan runs the dataset's kept leaf list: running no leaf, on
+        // either index kind, for a join or a self-join, reads nothing.
+        for kind in [IndexKind::Rtree, IndexKind::Quadtree] {
+            let mut engine = Engine::new();
+            engine.load("p", points(800, 101, 2000.0)).index(kind);
+            engine.load("q", points(800, 103, 2000.0)).index(kind);
+            let pager = engine.pager();
+            for self_join in [false, true] {
+                let query = engine.query();
+                let query = if self_join {
+                    query.self_join("q")
+                } else {
+                    query.join("q", "p")
+                };
+                let plan = query.plan().unwrap();
+                let before = pager.borrow().stats();
+                let mut sink: Vec<(usize, RcjPair)> = Vec::new();
+                let stats = plan.run_leaves(&[], &mut sink);
+                let io = pager.borrow().stats().since(before);
+                assert!(sink.is_empty());
+                assert_eq!(stats, RcjStats::default());
+                assert_eq!(
+                    io.logical_reads,
+                    0,
+                    "{}: self_join={self_join}",
+                    kind.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_one_shot_join_reads_each_page_of_t_q_once_more() {
+        // The one-shot join lists T_Q's leaves with one walk, reading
+        // each of its pages once; an engine plan runs the kept list.
+        // Nothing else differs: same pairs, same counters.
+        for kind in [IndexKind::Rtree, IndexKind::Quadtree] {
+            let mut engine = Engine::new();
+            engine.load("p", points(800, 107, 2000.0)).index(kind);
+            engine.load("q", points(800, 109, 2000.0)).index(kind);
+            let pager = engine.pager();
+            let reads = |run: &dyn Fn() -> RcjOutput| {
+                let before = pager.borrow().stats();
+                let out = run();
+                (out, pager.borrow().stats().since(before).logical_reads)
+            };
+            let (q, p) = (engine.get("q").unwrap(), engine.get("p").unwrap());
+            let opts = RcjOptions::default();
+            for self_join in [false, true] {
+                let query = engine.query().algorithm(opts.algorithm);
+                let query = if self_join {
+                    query.self_join("q")
+                } else {
+                    query.join("q", "p")
+                };
+                let plan = query.plan().unwrap();
+                let (planned, planned_reads) = reads(&|| plan.collect());
+                let (one_shot, one_shot_reads) = reads(&|| {
+                    if self_join {
+                        with_tree!(q, |t| crate::rcj_self_join(t, &opts))
+                    } else {
+                        with_tree_pair!(q, p, |tq, tp| crate::rcj_join(tq, tp, &opts))
+                    }
+                });
+                let what = format!("{}: self_join={self_join}", kind.name());
+                assert_eq!(one_shot.pairs, planned.pairs, "{what}");
+                assert_eq!(one_shot.stats, planned.stats, "{what}");
+                assert_eq!(one_shot_reads - planned_reads, q.summary().pages, "{what}");
             }
         }
     }

@@ -12,11 +12,10 @@
 //! * **Work stealing** ([`Executor::Parallel`]): the leaves spread over
 //!   worker threads, as below. The parallel leaf-order stream runs the
 //!   same scheduler one wave at a time, on readers it keeps across waves.
-//! * **Leaf subset**, behind
-//!   [`rcj_join_leaves_pooled`](crate::rcj_join_leaves_pooled) and every
-//!   shard's [`Plan::run_leaves_pooled`](crate::Plan::run_leaves_pooled):
-//!   the caller's positions in the caller's order on one reader, each
-//!   pair tagged with its leaf index.
+//! * **Leaf subset**, behind every shard's
+//!   [`Plan::run_leaves_pooled`](crate::Plan::run_leaves_pooled): the
+//!   caller's positions in the caller's order on one reader, each pair
+//!   tagged with its leaf index.
 //!
 //! A ranked query is a schedule too: a [`TopK`](crate::TopK) sink's cut
 //! shrinks leaf by leaf, so top-k runs the whole list in depth-first
@@ -388,13 +387,13 @@ fn lookahead<I: IntoIterator<Item = usize>>(
     }
 }
 
-/// Scheduling weight of one outer leaf group: its spatial extent
-/// (rectangle half-perimeter). On skewed `T_Q` a wide leaf spans more of
-/// the inner tree — more filter sub-trees opened, more verification
-/// probes — so extent-weighted seeding hands each worker comparable
-/// *work*, not just comparable leaf counts. The `1.0` floor keeps
-/// zero-extent leaves (duplicate-heavy data) and non-finite regions (a
-/// root standing in for the whole plane) schedulable.
+/// Scheduling weight of one outer leaf group: the extent (rectangle
+/// half-perimeter) of its region, the tight MBR of its items. On skewed
+/// `T_Q` a wide leaf spans more of the inner tree — more filter
+/// sub-trees opened, more verification probes — so extent-weighted
+/// seeding hands each worker comparable *work*, not just comparable leaf
+/// counts. The `1.0` floor keeps zero-extent leaves (duplicate-heavy
+/// data) and non-finite regions (points at infinity) schedulable.
 fn leaf_weight(leaf: &NodeRef) -> f64 {
     let margin = leaf.region.margin();
     if margin.is_finite() && margin > 0.0 {

@@ -7,10 +7,17 @@
 //! candidates. The pass is generic over [`RcjIndex`], so it serves every
 //! index (R*-tree, quadtree, and any future one) — the index-specific
 //! knowledge lives entirely in the [`IndexProbe`](crate::IndexProbe).
+//!
+//! The pass is handed its leaf list, in depth-first order. One walk
+//! lists an index's leaves: the page-keyed memo behind
+//! [`leaf_regions`]. The [`Engine`](crate::Engine) keeps each dataset's
+//! list, so its plans read no page before the first leaf; the one-shot
+//! functions here walk `T_Q` once per call.
 //! When and where each leaf runs is the
 //! [`executor`](crate::executor)'s schedule: sequentially through the
 //! shared pager, on work-stealing threads reading through the pager's
-//! buffer, or over an explicit leaf subset ([`rcj_join_leaves_pooled`]).
+//! buffer, or over an explicit leaf subset
+//! ([`Plan::run_leaves_pooled`](crate::Plan::run_leaves_pooled)).
 //! Every schedule gives the same pairs in the same order and counts in
 //! one LRU.
 //!
@@ -29,18 +36,19 @@
 //! [`RcjAlgorithm::Auto`] defers the algorithm choice to the
 //! [`planner`](crate::planner)'s calibrated cost model.
 
-use crate::executor::{execute, run_subset, Pagers};
+use crate::executor::{execute, Pagers};
 use crate::filter::{bulk_filter_with, filter_with};
 use crate::index::{IndexEntry, IndexProbe, NodeRef, RcjIndex};
 use crate::pair::RcjPair;
 use crate::planner::JoinCostModel;
 use crate::stats::RcjStats;
-use crate::stream::{PairSink, TaggedPairSink};
+use crate::stream::PairSink;
 use crate::verify::verify_with;
 use crate::Executor;
 use ringjoin_geom::{Item, Rect};
 use ringjoin_storage::{PageAccess, PageId};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 /// Which RCJ algorithm to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -146,6 +154,16 @@ impl RcjOptions {
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
         self
+    }
+
+    /// These options in depth-first outer order: the order of a run over
+    /// a subset of leaf positions, which are global leaf indices only in
+    /// that order.
+    pub(crate) fn depth_first(&self) -> RcjOptions {
+        RcjOptions {
+            outer_order: OuterOrder::DepthFirst,
+            ..*self
+        }
     }
 }
 
@@ -253,7 +271,7 @@ fn run_into<IQ: RcjIndex, IP: RcjIndex>(
     sink: &mut dyn PairSink,
 ) -> RcjStats {
     execute(
-        &LeafPass::new(tq, tp, self_join, opts),
+        &LeafPass::new(tq, tp, self_join, opts, outer_leaves(tq)),
         tq.pager(),
         tp.pager(),
         sink,
@@ -264,8 +282,8 @@ fn run_into<IQ: RcjIndex, IP: RcjIndex>(
 /// order [`rcj_join`]'s drivers process them in (with the default
 /// [`OuterOrder::DepthFirst`]), so the position of a region in this list
 /// is the leaf group's **global leaf index**: the partition key of
-/// [`rcj_join_leaves_pooled`] and the merge key sharded executions order
-/// their results by.
+/// [`Plan::run_leaves`](crate::Plan::run_leaves) and the merge key
+/// sharded executions order their results by.
 ///
 /// Each region is the *tight* MBR of the group's data items, not the
 /// stored node region — node regions can be conservative (the R-tree
@@ -273,15 +291,21 @@ fn run_into<IQ: RcjIndex, IP: RcjIndex>(
 /// a space partition, not a data bound), and a shard router needs a
 /// finite, data-derived rectangle to assign and route by.
 ///
-/// Reads every index page once. Callers that route repeatedly over a
-/// tree that changes between calls should go through
-/// [`Engine::leaf_regions`](crate::Engine::leaf_regions), which keeps
-/// each dataset's decoded nodes and re-reads only rewritten pages.
+/// Reads every index page once. Callers that route repeatedly should go
+/// through [`Engine::leaf_regions`](crate::Engine::leaf_regions), which
+/// reads none: the engine keeps each dataset's list.
 pub fn leaf_regions<I: RcjIndex>(tree: &I) -> Vec<Rect> {
-    LeafRegionMemo::default().regions(tree)
+    outer_leaves(tree).iter().map(|leaf| leaf.region).collect()
 }
 
-/// What the leaf-region walk keeps of one decoded node.
+/// `tree`'s leaf groups in depth-first order, each with the tight MBR of
+/// its items as its region: one fresh walk of the memo behind
+/// [`leaf_regions`], reading every index page once.
+pub(crate) fn outer_leaves<I: RcjIndex>(tree: &I) -> Arc<[NodeRef]> {
+    LeafRegionMemo::default().leaves(tree).into()
+}
+
+/// What the leaf walk keeps of one decoded node.
 struct NodeSummary {
     /// The page's [write stamp](ringjoin_storage::Pager::page_stamp)
     /// when it was decoded.
@@ -290,10 +314,13 @@ struct NodeSummary {
     children: Box<[PageId]>,
     /// Tight MBR of the node's own data items; `None` if it holds none.
     items: Option<Rect>,
+    /// Whether the walk in progress has reached the node; cleared when
+    /// the walk ends.
+    seen: bool,
 }
 
-/// A page-keyed memo of decoded node summaries for one tree, behind
-/// [`leaf_regions`].
+/// A page-keyed memo of decoded node summaries for one tree: the one
+/// walk that lists an index's leaves.
 ///
 /// Invariant: an entry decoded at stamp `s` is used only while the
 /// pager still reports stamp `s` for its page, so it always equals what
@@ -301,42 +328,53 @@ struct NodeSummary {
 /// write moved — after a mutation batch, the pages the batch wrote — and
 /// answers the rest from memory. It still visits every node, in the
 /// order a from-scratch walk would, so leaf indices need no splicing.
-/// Entries for pages the walk no longer reaches (a condensed R-tree
-/// node, a rebuilt quadtree) are dropped by it.
+/// Entries stay in place: a walk looks each page up once and marks it
+/// seen, and entries for pages it no longer reaches (a condensed R-tree
+/// node, a rebuilt quadtree) are dropped when it ends. A walk from an
+/// empty memo reads every page once, in depth-first preorder.
 #[derive(Default)]
 pub(crate) struct LeafRegionMemo {
     nodes: HashMap<PageId, NodeSummary>,
 }
 
 impl LeafRegionMemo {
-    /// The regions of `tree`'s leaf groups, exactly as [`leaf_regions`]
-    /// documents them.
-    pub(crate) fn regions<I: RcjIndex>(&mut self, tree: &I) -> Vec<Rect> {
+    /// `tree`'s leaf groups in depth-first order: every node that stores
+    /// data items (R-tree leaves, quadtree buckets and their
+    /// overflow-chain pages alike), each with the tight MBR of its items
+    /// as its region, as [`leaf_regions`] documents them.
+    pub(crate) fn leaves<I: RcjIndex>(&mut self, tree: &I) -> Vec<NodeRef> {
         let probe = tree.probe();
         let root = probe.root();
         let mut pg = tree.pager();
-        let mut known = std::mem::take(&mut self.nodes);
-        self.nodes.reserve(known.len());
-        let mut regions = Vec::new();
+        let mut leaves = Vec::new();
         let mut entries = Vec::new();
         let mut stack = vec![root.page];
         while let Some(page) = stack.pop() {
             let stamp = pg.borrow().page_stamp(page);
-            let node = match known.remove(&page) {
-                Some(node) if node.stamp == stamp => node,
-                _ => {
-                    // Only child pages and item bounds are kept, so the
-                    // region the node is expanded under does not matter.
-                    entries.clear();
-                    probe.expand(&mut pg, NodeRef { page, ..root }, &mut entries);
-                    summarize(stamp, &entries)
-                }
+            let mut decode = || {
+                // Only child pages and item bounds are kept, so the
+                // region the node is expanded under does not matter.
+                entries.clear();
+                probe.expand(&mut pg, NodeRef { page, ..root }, &mut entries);
+                summarize(stamp, &entries)
             };
-            regions.extend(node.items);
+            let node = match self.nodes.entry(page) {
+                Entry::Occupied(known) => {
+                    let node = known.into_mut();
+                    if node.stamp != stamp {
+                        *node = decode();
+                    }
+                    node
+                }
+                Entry::Vacant(slot) => slot.insert(decode()),
+            };
+            node.seen = true;
+            leaves.extend(node.items.map(|region| NodeRef { page, region }));
             stack.extend(node.children.iter().rev());
-            self.nodes.insert(page, node);
         }
-        regions
+        self.nodes
+            .retain(|_, node| std::mem::replace(&mut node.seen, false));
+        leaves
     }
 }
 
@@ -354,79 +392,8 @@ fn summarize(stamp: u64, entries: &[IndexEntry]) -> NodeSummary {
             IndexEntry::Item(it) => Some(it.point),
             IndexEntry::Node(_) => None,
         })),
+        seen: false,
     }
-}
-
-/// Runs the RCJ drivers over an explicit **subset** of the outer tree's
-/// leaf groups, emitting each pair tagged with the global leaf index
-/// that produced it, with page reads counted in `pool`.
-///
-/// `positions` index into the depth-first leaf list (the order of
-/// [`leaf_regions`]); out-of-range positions are ignored. Because every
-/// leaf group's contribution is independent, running disjoint position
-/// sets — on different threads, processes, or machines — and ordering
-/// the tagged results by leaf index reproduces the full
-/// [`rcj_join`] output *byte for byte*, and the per-run [`RcjStats`]
-/// [merge](RcjStats::merge) to the sequential totals. This is the
-/// primitive a space-partitioned shard router executes per shard. The
-/// subset is processed sequentially in-thread (the caller owns the
-/// parallelism); a sink returning `false` stops the run early. On a
-/// disk-native pager the run stages its upcoming leaf pages in the
-/// background as it goes: on every eighth position, the pages of the
-/// next 16.
-///
-/// Pass the pager's own [buffer](ringjoin_storage::Pager::pool) to
-/// count in the one LRU every other access path uses. The sharded
-/// server instead passes **one** pool to every shard replica, so
-/// inner-tree pages faulted by one shard's run are warm for every
-/// other shard (the replicas are built identically, so their page-id
-/// spaces coincide). Reads go through cached
-/// [snapshots](ringjoin_storage::Pager::snapshot) (or the page store of
-/// a disk-native pager), and the per-run
-/// [`IoStats`](ringjoin_storage::IoStats) are absorbed back into the
-/// owning pager(s) on return, exactly like a parallel executor
-/// worker's. When the two trees live in *different* pagers they share
-/// the one pool — results stay exact (bytes always come from each
-/// side's own source); only the hit/fault accounting conflates the two
-/// id spaces.
-pub fn rcj_join_leaves_pooled<IQ: RcjIndex, IP: RcjIndex>(
-    tq: &IQ,
-    tp: &IP,
-    positions: &[usize],
-    pool: &ringjoin_storage::BufferPool,
-    opts: &RcjOptions,
-    sink: &mut dyn TaggedPairSink,
-) -> RcjStats {
-    run_leaf_subset_pooled(tq, tp, false, positions, pool, opts, sink)
-}
-
-/// Self-join variant of [`rcj_join_leaves_pooled`].
-pub fn rcj_self_join_leaves_pooled<I: RcjIndex>(
-    tree: &I,
-    positions: &[usize],
-    pool: &ringjoin_storage::BufferPool,
-    opts: &RcjOptions,
-    sink: &mut dyn TaggedPairSink,
-) -> RcjStats {
-    run_leaf_subset_pooled(tree, tree, true, positions, pool, opts, sink)
-}
-
-fn run_leaf_subset_pooled<IQ: RcjIndex, IP: RcjIndex>(
-    tq: &IQ,
-    tp: &IP,
-    self_join: bool,
-    positions: &[usize],
-    pool: &ringjoin_storage::BufferPool,
-    opts: &RcjOptions,
-    sink: &mut dyn TaggedPairSink,
-) -> RcjStats {
-    // Global leaf indices are only meaningful in depth-first order.
-    let opts = RcjOptions {
-        outer_order: OuterOrder::DepthFirst,
-        ..*opts
-    };
-    let pass = LeafPass::new(tq, tp, self_join, &opts);
-    run_subset(&pass, &tq.pager(), &tp.pager(), positions, pool, sink)
 }
 
 /// One pass over the outer tree's leaf groups — the loop of Algorithms
@@ -438,26 +405,34 @@ fn run_leaf_subset_pooled<IQ: RcjIndex, IP: RcjIndex>(
 /// with [`RcjAlgorithm::Auto`] resolved. Every leaf-order path runs its
 /// leaves through [`LeafPass::run`] and differs only in schedule (see
 /// the [`executor`](crate::executor)): the sequential and work-stealing
-/// executors, the leaf-subset driver behind [`rcj_join_leaves_pooled`],
-/// and the leaf-order [`RcjStream`](crate::RcjStream).
+/// executors, the leaf-subset driver behind
+/// [`Plan::run_leaves_pooled`](crate::Plan::run_leaves_pooled), and the
+/// leaf-order [`RcjStream`](crate::RcjStream).
 pub(crate) struct LeafPass<PQ: IndexProbe, PP: IndexProbe> {
     probe_q: PQ,
     probe_p: PP,
-    /// The outer leaf groups; a position in this list is a leaf's global
-    /// index when the order is depth-first.
-    pub(crate) leaves: Vec<NodeRef>,
+    /// The outer leaf groups, each with the tight MBR of its items as
+    /// its region; a position in this list is a leaf's global index when
+    /// the order is depth-first.
+    pub(crate) leaves: Arc<[NodeRef]>,
     self_join: bool,
     opts: RcjOptions,
 }
 
 impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
-    /// Resolves `Auto` against the outer summary, then collects the outer
-    /// leaf groups in depth-first order (one cheap pass over `T_Q`,
-    /// charged to its pager), optionally destroying the locality for the
-    /// ablation. [`LeafPass::run`] re-reads each leaf page right before
-    /// its group is processed, which keeps it hot in the buffer in the
-    /// depth-first case, matching Algorithm 5's inline recursion.
-    pub(crate) fn new<IQ, IP>(tq: &IQ, tp: &IP, self_join: bool, opts: &RcjOptions) -> Self
+    /// Resolves `Auto` against the outer summary and takes `leaves`,
+    /// `tq`'s leaf groups in depth-first order as [`outer_leaves`] lists
+    /// them, shuffling a copy for the ablation order. Reads no page:
+    /// [`LeafPass::run`] reads each leaf page right before its group is
+    /// processed, which keeps it hot in the buffer in the depth-first
+    /// case, matching Algorithm 5's inline recursion.
+    pub(crate) fn new<IQ, IP>(
+        tq: &IQ,
+        tp: &IP,
+        self_join: bool,
+        opts: &RcjOptions,
+        leaves: Arc<[NodeRef]>,
+    ) -> Self
     where
         IQ: RcjIndex<Probe = PQ>,
         IP: RcjIndex<Probe = PP>,
@@ -466,14 +441,16 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
             algorithm: opts.algorithm.resolve(&tq.summary()),
             ..*opts
         };
-        let probe_q = tq.probe();
-        let mut leaves = Vec::new();
-        collect_leaves(&probe_q, &mut tq.pager(), probe_q.root(), &mut leaves);
-        if let OuterOrder::Shuffled(seed) = opts.outer_order {
-            shuffle(&mut leaves, seed);
-        }
+        let leaves = match opts.outer_order {
+            OuterOrder::DepthFirst => leaves,
+            OuterOrder::Shuffled(seed) => {
+                let mut shuffled = leaves.to_vec();
+                shuffle(&mut shuffled, seed);
+                shuffled.into()
+            }
+        };
         LeafPass {
-            probe_q,
+            probe_q: tq.probe(),
             probe_p: tp.probe(),
             leaves,
             self_join,
@@ -596,28 +573,8 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
     }
 }
 
-/// Depth-first walk recording every node that stores data items — R-tree
-/// leaves, quadtree buckets and their overflow-chain pages alike.
-fn collect_leaves(
-    probe: &impl IndexProbe,
-    pg: &mut dyn PageAccess,
-    node: NodeRef,
-    out: &mut Vec<NodeRef>,
-) {
-    let mut entries: Vec<IndexEntry> = Vec::new();
-    probe.expand(pg, node, &mut entries);
-    if entries.iter().any(|e| matches!(e, IndexEntry::Item(_))) {
-        out.push(node);
-    }
-    for e in &entries {
-        if let IndexEntry::Node(child) = e {
-            collect_leaves(probe, pg, *child, out);
-        }
-    }
-}
-
-/// The data items of one collected leaf group (re-expanding the node, so
-/// the page is hot right when the group is processed).
+/// The data items of one listed leaf group (expanding the node, so the
+/// page is hot right when the group is processed).
 pub(crate) fn leaf_items(
     probe: &impl IndexProbe,
     pg: &mut dyn PageAccess,
@@ -843,73 +800,6 @@ mod tests {
         let obj = rcj_join(&tq, &tp, &RcjOptions::algorithm(RcjAlgorithm::Obj));
         assert!(obj.stats.candidate_pairs <= bij.stats.candidate_pairs);
         assert_eq!(pair_keys(&bij.pairs), pair_keys(&obj.pairs));
-    }
-
-    #[test]
-    fn leaf_subset_runs_partition_the_join() {
-        let ps = items(&lcg_points(250, 63, 1500.0), 0);
-        let qs = items(&lcg_points(250, 67, 1500.0), 0);
-        let pg = pager();
-        let tp = bulk_load(pg.clone(), ps);
-        let tq = bulk_load(pg.clone(), qs);
-        let opts = RcjOptions::default().with_executor(Executor::Sequential);
-        let full = rcj_join(&tq, &tp, &opts);
-
-        let regions = leaf_regions(&tq);
-        assert!(regions.len() > 1, "workload too small to partition");
-        let pool = pg.borrow().pool().clone();
-        // Split the leaf list into interleaved (non-contiguous) subsets:
-        // the merge key is the tag, not the subset shape.
-        let evens: Vec<usize> = (0..regions.len()).step_by(2).collect();
-        let odds: Vec<usize> = (1..regions.len()).step_by(2).collect();
-        let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
-        let mut stats = rcj_join_leaves_pooled(&tq, &tp, &odds, &pool, &opts, &mut tagged);
-        stats.merge(rcj_join_leaves_pooled(
-            &tq,
-            &tp,
-            &evens,
-            &pool,
-            &opts,
-            &mut tagged,
-        ));
-        // Ordering by the global leaf index reproduces the sequential
-        // output byte for byte, and the stats merge to its totals.
-        tagged.sort_by_key(|(leaf, _)| *leaf);
-        let merged: Vec<RcjPair> = tagged.into_iter().map(|(_, pr)| pr).collect();
-        assert_eq!(merged, full.pairs);
-        assert_eq!(stats, full.stats);
-        // Out-of-range positions are ignored, not a panic.
-        let mut none: Vec<(usize, RcjPair)> = Vec::new();
-        let s = rcj_join_leaves_pooled(&tq, &tp, &[regions.len() + 7], &pool, &opts, &mut none);
-        assert!(none.is_empty());
-        assert_eq!(s, RcjStats::default());
-    }
-
-    #[test]
-    fn self_join_leaf_subsets_partition_too() {
-        let its = items(&lcg_points(220, 71, 900.0), 0);
-        let pg = pager();
-        let tree = bulk_load(pg.clone(), its);
-        let opts = RcjOptions::default().with_executor(Executor::Sequential);
-        let full = rcj_self_join(&tree, &opts);
-        let n = leaf_regions(&tree).len();
-        let pool = pg.borrow().pool().clone();
-        let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
-        let mut stats = RcjStats::default();
-        for start in 0..3usize {
-            let subset: Vec<usize> = (start..n).step_by(3).collect();
-            stats.merge(rcj_self_join_leaves_pooled(
-                &tree,
-                &subset,
-                &pool,
-                &opts,
-                &mut tagged,
-            ));
-        }
-        tagged.sort_by_key(|(leaf, _)| *leaf);
-        let merged: Vec<RcjPair> = tagged.into_iter().map(|(_, pr)| pr).collect();
-        assert_eq!(merged, full.pairs);
-        assert_eq!(stats, full.stats);
     }
 
     #[test]

@@ -138,9 +138,8 @@ pub use executor::Executor;
 pub use filter::{bulk_filter, bulk_filter_with, filter, filter_with, BulkFilterResult};
 pub use index::{IndexEntry, IndexProbe, NodeRef, QuadTreeProbe, RTreeProbe, RcjIndex};
 pub use join::{
-    leaf_regions, rcj_join, rcj_join_into, rcj_join_leaves_pooled, rcj_self_join,
-    rcj_self_join_into, rcj_self_join_leaves_pooled, OuterOrder, RcjAlgorithm, RcjOptions,
-    RcjOutput,
+    leaf_regions, rcj_join, rcj_join_into, rcj_self_join, rcj_self_join_into, OuterOrder,
+    RcjAlgorithm, RcjOptions, RcjOutput,
 };
 pub use pair::{pair_keys, sort_by_diameter, RcjPair};
 pub use stats::RcjStats;

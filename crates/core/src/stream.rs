@@ -47,7 +47,7 @@
 
 use crate::executor::{run_stealing, Readers};
 use crate::index::{IndexProbe, RcjIndex};
-use crate::join::{LeafPass, RcjOptions};
+use crate::join::{outer_leaves, LeafPass, RcjOptions};
 use crate::pair::RcjPair;
 use crate::stats::RcjStats;
 use ringjoin_storage::{Prefetcher, SharedPager};
@@ -84,11 +84,11 @@ impl PairSink for Vec<RcjPair> {
 /// Receiver of RCJ result pairs tagged with the **global outer-leaf
 /// index** that produced them.
 ///
-/// The tag is what makes distributed execution mergeable: a shard
-/// router runs [`rcj_join_leaves_pooled`](crate::rcj_join_leaves_pooled)
-/// over disjoint leaf subsets and orders the union of tagged pairs by
-/// leaf index, reproducing the single-engine output byte for byte (the
-/// router adds its own shard id as provenance). Returning `false` asks
+/// The tag is what makes distributed execution mergeable: each shard
+/// runs [`Plan::run_leaves_pooled`](crate::Plan::run_leaves_pooled) over
+/// its own leaf subset, and the router orders the union of tagged pairs
+/// by leaf index, reproducing the single-engine output byte for byte
+/// (the router adds its own shard id as provenance). Returning `false` asks
 /// the driver to stop early, and the cut bounds the run, as with
 /// [`PairSink`].
 pub trait TaggedPairSink {
@@ -420,17 +420,15 @@ impl<PQ: IndexProbe, PP: IndexProbe> Drop for RankedSource<PQ, PP> {
 // Constructors
 // ---------------------------------------------------------------------
 
-/// Opens a stream over the pass of `(tq, tp)`, pinned to the pagers'
-/// current epoch: in diameter order if `ranked`, else in leaf order.
-fn open<IQ: RcjIndex, IP: RcjIndex>(
-    tq: &IQ,
-    tp: &IP,
-    self_join: bool,
+/// Opens a stream over `pass`, whose outer and inner trees live in
+/// `pager_q` and `pager_p`, pinned to the pagers' current epoch: in
+/// diameter order if `ranked`, else in leaf order.
+pub(crate) fn open<PQ: IndexProbe, PP: IndexProbe>(
+    pass: LeafPass<PQ, PP>,
+    pager_q: SharedPager,
+    pager_p: SharedPager,
     ranked: bool,
-    opts: &RcjOptions,
 ) -> RcjStream {
-    let pass = LeafPass::new(tq, tp, self_join, opts);
-    let (pager_q, pager_p) = (tq.pager(), tp.pager());
     let pinned = Readers::pin(&pager_q, &pager_p, None);
     if ranked {
         return RcjStream::new(Box::new(RankedSource {
@@ -458,19 +456,32 @@ fn open<IQ: RcjIndex, IP: RcjIndex>(
     }))
 }
 
+/// [`open`] over a fresh pass of `(tq, tp)`, whose leaf list costs one
+/// walk of `tq`.
+fn open_trees<IQ: RcjIndex, IP: RcjIndex>(
+    tq: &IQ,
+    tp: &IP,
+    self_join: bool,
+    ranked: bool,
+    opts: &RcjOptions,
+) -> RcjStream {
+    let pass = LeafPass::new(tq, tp, self_join, opts, outer_leaves(tq));
+    open(pass, tq.pager(), tp.pager(), ranked)
+}
+
 /// Lazily streams the RCJ of `(tq, tp)` in deterministic leaf order —
 /// the same pairs in the same order as
 /// [`rcj_join`](crate::rcj_join) with the same options, with memory
 /// bounded by one leaf batch (sequential executor) or one wave
 /// (parallel executor).
 pub fn rcj_stream<IQ: RcjIndex, IP: RcjIndex>(tq: &IQ, tp: &IP, opts: &RcjOptions) -> RcjStream {
-    open(tq, tp, false, false, opts)
+    open_trees(tq, tp, false, false, opts)
 }
 
 /// Lazily streams the self-RCJ of one dataset; the streaming analogue of
 /// [`rcj_self_join`](crate::rcj_self_join).
 pub fn rcj_self_stream<I: RcjIndex>(tree: &I, opts: &RcjOptions) -> RcjStream {
-    open(tree, tree, true, false, opts)
+    open_trees(tree, tree, true, false, opts)
 }
 
 /// Streams the RCJ of `(tq, tp)` in **ascending ring diameter** order —
@@ -491,19 +502,21 @@ pub fn rcj_stream_by_diameter<IQ: RcjIndex, IP: RcjIndex>(
     tp: &IP,
     opts: &RcjOptions,
 ) -> RcjStream {
-    open(tq, tp, false, true, opts)
+    open_trees(tq, tp, false, true, opts)
 }
 
 /// Diameter-ordered self-RCJ stream; each unordered pair appears once,
 /// smaller id first. See [`rcj_stream_by_diameter`].
 pub fn rcj_self_stream_by_diameter<I: RcjIndex>(tree: &I, opts: &RcjOptions) -> RcjStream {
-    open(tree, tree, true, true, opts)
+    open_trees(tree, tree, true, true, opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pair_keys, rcj_join, rcj_self_join, sort_by_diameter, Executor, RcjAlgorithm};
+    use crate::{
+        pair_keys, rcj_join, rcj_self_join, sort_by_diameter, Executor, IndexKind, RcjAlgorithm,
+    };
     use ringjoin_geom::{pt, Item};
     use ringjoin_rtree::bulk_load;
     use ringjoin_storage::{BufferPool, MemDisk, Pager, SharedPager};
@@ -653,37 +666,40 @@ mod tests {
         // A shard's top-k: a TopK sink over a subset of the outer
         // leaves. Every pair comes from one leaf, so the subsets' answers
         // merged by rank are the whole pass's answer.
-        let pg = pager();
-        let tp = bulk_load(pg.clone(), items(200, 51, 1000.0));
-        let tq = bulk_load(pg.clone(), items(200, 53, 1000.0));
-        let tree = bulk_load(pg.clone(), items(180, 57, 800.0));
-        let opts = RcjOptions::default();
+        let mut engine = crate::Engine::new();
+        engine
+            .load("p", items(200, 51, 1000.0))
+            .index(IndexKind::Rtree);
+        engine
+            .load("q", items(200, 53, 1000.0))
+            .index(IndexKind::Rtree);
+        engine
+            .load("d", items(180, 57, 800.0))
+            .index(IndexKind::Rtree);
         let pool = BufferPool::new(16);
         for k in [1, 7, 40, 10_000] {
-            let subsets = |n: usize| -> [Vec<usize>; 2] {
-                [(0..n).step_by(2).collect(), (1..n).step_by(2).collect()]
-            };
-            let mut merged = Vec::new();
-            for subset in subsets(crate::leaf_regions(&tq).len()) {
-                let mut top = TopK::new(k);
-                crate::rcj_join_leaves_pooled(&tq, &tp, &subset, &pool, &opts, &mut top);
-                merged.extend(top.into_pairs());
+            for (outer, inner) in [("q", Some("p")), ("d", None)] {
+                let query = || {
+                    let query = engine.query();
+                    match inner {
+                        Some(inner) => query.join(outer, inner),
+                        None => query.self_join(outer),
+                    }
+                };
+                let plan = query().plan().unwrap();
+                let n = engine.leaf_regions(outer).unwrap().len();
+                let mut merged = Vec::new();
+                for start in 0..2 {
+                    let subset: Vec<usize> = (start..n).step_by(2).collect();
+                    let mut top = TopK::new(k);
+                    plan.run_leaves_pooled(&subset, &pool, &mut top);
+                    merged.extend(top.into_pairs());
+                }
+                sort_by_diameter(&mut merged);
+                merged.truncate(k);
+                let want: Vec<RcjPair> = query().top_k(k).stream().unwrap().collect();
+                assert_eq!(merged, want, "{outer}: k={k}");
             }
-            sort_by_diameter(&mut merged);
-            merged.truncate(k);
-            let want: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &opts).limit(k).collect();
-            assert_eq!(merged, want, "k={k}");
-
-            let mut merged = Vec::new();
-            for subset in subsets(crate::leaf_regions(&tree).len()) {
-                let mut top = TopK::new(k);
-                crate::rcj_self_join_leaves_pooled(&tree, &subset, &pool, &opts, &mut top);
-                merged.extend(top.into_pairs());
-            }
-            sort_by_diameter(&mut merged);
-            merged.truncate(k);
-            let want: Vec<RcjPair> = rcj_self_stream_by_diameter(&tree, &opts).limit(k).collect();
-            assert_eq!(merged, want, "self-join k={k}");
         }
     }
 

@@ -5,11 +5,14 @@
 //! applicable to other hierarchical spatial indexes (e.g., point
 //! quad-tree) as well". This crate makes that claim executable: a
 //! page-per-node PR quadtree over the same [`ringjoin_storage`] pager
-//! (so the same buffer manager and I/O accounting), with range search
-//! and incremental nearest-neighbour ranking. The shared generic
-//! INJ/BIJ/OBJ drivers of `ringjoin_core` run over quadrant regions
-//! exactly as they run over R-tree MBRs (minus the face-inside-circle
-//! rule, which needs minimal regions).
+//! (so the same buffer manager and I/O accounting), with insertion,
+//! removal and range search. The shared generic INJ/BIJ/OBJ drivers of
+//! `ringjoin_core` run over quadrant regions exactly as they run over
+//! R-tree MBRs (minus the face-inside-circle rule, which needs minimal
+//! regions): they read the tree only through core's `QuadTreeProbe`,
+//! which decodes one node at a time, so every traversal the join needs
+//! (the filter's, the verification's and the depth-first list of outer
+//! leaves) lives in core, once for both index kinds.
 //!
 //! # Structure
 //!
@@ -49,4 +52,4 @@ mod node;
 mod tree;
 
 pub use node::{decode as quadtree_decode, quadrant, QItem, QNode};
-pub use tree::{QNearestIter, QuadTree};
+pub use tree::QuadTree;

@@ -3,8 +3,6 @@
 use crate::node::{decode, encode, leaf_capacity, quadrant, quadrant_of, QItem, QNode};
 use ringjoin_geom::{Point, Rect};
 use ringjoin_storage::{PageId, SharedPager};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Maximum subdivision depth; deeper duplicate-heavy buckets chain into
 /// overflow pages instead of splitting further.
@@ -243,43 +241,6 @@ impl QuadTree {
         }
     }
 
-    /// Incremental nearest-neighbour iterator (Hjaltason–Samet over
-    /// quadrant regions instead of MBRs).
-    pub fn nearest_iter(&self, query: Point) -> QNearestIter<'_> {
-        let mut it = QNearestIter {
-            tree: self,
-            query,
-            heap: BinaryHeap::new(),
-            seq: 0,
-        };
-        it.push_node(self.root, self.region);
-        it
-    }
-
-    /// Visits every leaf bucket depth-first (NW, NE, SW, SE), the outer
-    /// scan order of the quadtree RCJ driver.
-    pub fn for_each_leaf_df(&self, mut f: impl FnMut(&[QItem])) {
-        self.df_rec(self.root, &mut f);
-    }
-
-    fn df_rec(&self, page: PageId, f: &mut impl FnMut(&[QItem])) {
-        match self.read_node(page) {
-            QNode::Leaf { items, next } => {
-                f(&items);
-                if !next.is_invalid() {
-                    self.df_rec(next, f);
-                }
-            }
-            QNode::Internal { children } => {
-                for child in children {
-                    if !child.is_invalid() {
-                        self.df_rec(child, f);
-                    }
-                }
-            }
-        }
-    }
-
     /// Structural check: every point lies in its region, bucket sizes
     /// respect capacity, counters match. Returns the item count.
     pub fn validate(&self) -> Result<u64, String> {
@@ -338,93 +299,6 @@ impl QuadTree {
     }
 }
 
-/// Heap element of the quadtree INN traversal.
-struct Elem {
-    key: f64,
-    seq: u64,
-    target: Target,
-}
-
-enum Target {
-    Node(PageId, Rect),
-    Item(QItem),
-}
-
-impl PartialEq for Elem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl Eq for Elem {}
-impl PartialOrd for Elem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Elem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Iterator yielding `(item, squared distance)` in ascending distance.
-pub struct QNearestIter<'a> {
-    tree: &'a QuadTree,
-    query: Point,
-    heap: BinaryHeap<Elem>,
-    seq: u64,
-}
-
-impl QNearestIter<'_> {
-    fn push_node(&mut self, page: PageId, region: Rect) {
-        match self.tree.read_node(page) {
-            QNode::Leaf { items, next } => {
-                for it in items {
-                    self.seq += 1;
-                    self.heap.push(Elem {
-                        key: self.query.dist_sq(it.point),
-                        seq: self.seq,
-                        target: Target::Item(it),
-                    });
-                }
-                if !next.is_invalid() {
-                    self.push_node(next, region);
-                }
-            }
-            QNode::Internal { children } => {
-                for (qi, child) in children.iter().enumerate() {
-                    if !child.is_invalid() {
-                        let sub = quadrant(region, qi);
-                        self.seq += 1;
-                        self.heap.push(Elem {
-                            key: sub.mindist_sq(self.query),
-                            seq: self.seq,
-                            target: Target::Node(*child, sub),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Iterator for QNearestIter<'_> {
-    type Item = (QItem, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while let Some(elem) = self.heap.pop() {
-            match elem.target {
-                Target::Item(it) => return Some((it, elem.key)),
-                Target::Node(page, region) => self.push_node(page, region),
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,23 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_iter_is_sorted_and_complete() {
-        let pts = lcg(800, 7);
-        let t = tree_with(&pts);
-        let q = pt(333.0, 667.0);
-        let got: Vec<f64> = t.nearest_iter(q).map(|(_, d)| d).collect();
-        assert_eq!(got.len(), 800);
-        for w in got.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-        let mut expect: Vec<f64> = pts.iter().map(|&(x, y)| q.dist_sq(pt(x, y))).collect();
-        expect.sort_by(f64::total_cmp);
-        for (g, e) in got.iter().zip(expect.iter()) {
-            assert_eq!(g, e);
-        }
-    }
-
-    #[test]
     fn duplicate_flood_uses_overflow_chains() {
         let pager = Pager::new(MemDisk::new(256), 64).into_shared();
         let region = Rect::new(pt(0.0, 0.0), pt(100.0, 100.0));
@@ -500,16 +357,6 @@ mod tests {
         assert_eq!(t.validate().unwrap(), 300);
         let hits = t.range(Rect::new(pt(50.0, 50.0), pt(50.0, 50.0)));
         assert_eq!(hits.len(), 300);
-    }
-
-    #[test]
-    fn df_scan_sees_everything_once() {
-        let pts = lcg(1500, 11);
-        let t = tree_with(&pts);
-        let mut ids = Vec::new();
-        t.for_each_leaf_df(|items| ids.extend(items.iter().map(|it| it.id)));
-        ids.sort_unstable();
-        assert_eq!(ids, (0..1500u64).collect::<Vec<_>>());
     }
 
     #[test]

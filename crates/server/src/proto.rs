@@ -402,7 +402,9 @@ pub enum Request {
 }
 
 /// Validates a dataset name for the wire: non-empty, no whitespace or
-/// control characters (names are whitespace-delimited on the wire).
+/// control characters (names are whitespace-delimited on the wire), and
+/// no `=` (a token holding one is a `key=value` option, so a name with
+/// one could be loaded but not named in every verb).
 pub fn validate_name(name: &str) -> Result<(), ServerError> {
     if name.is_empty() {
         return Err(ServerError::BadRequest("empty dataset name".into()));
@@ -410,6 +412,11 @@ pub fn validate_name(name: &str) -> Result<(), ServerError> {
     if name.chars().any(|c| c.is_whitespace() || c.is_control()) {
         return Err(ServerError::BadRequest(format!(
             "dataset name {name:?} contains whitespace or control characters"
+        )));
+    }
+    if name.contains('=') {
+        return Err(ServerError::BadRequest(format!(
+            "dataset name {name:?} contains '=', which marks a key=value option"
         )));
     }
     Ok(())
@@ -1841,6 +1848,35 @@ mod tests {
             assert!(ShardRequest::parse(bad).is_err(), "accepted {bad:?}");
         }
         assert!(ShardRequest::parse("SJOIN q inner=p cell=0,0,1,1 epoch=2").is_ok());
+    }
+
+    #[test]
+    fn names_holding_an_equals_sign_are_refused_up_front() {
+        // `EXPLAIN` tells names from options by the `=`, so such a name
+        // could be loaded but never explained: every verb that
+        // introduces or mutates a name refuses it instead.
+        for bad in [
+            "LOAD v=2 rtree\n1 2 3",
+            "INSERT v=2\n1 2 3",
+            "UPSERT v=2\n1 2 3",
+            "DELETE v=2\n1",
+        ] {
+            let err = Request::parse(bad).unwrap_err().to_string();
+            assert!(err.contains("\"v=2\""), "{bad:?}: {err}");
+        }
+        for bad in [
+            "SLOAD v=2 rtree cell=0,0,1,1\n1 2 3",
+            "SUPDATE v=2 epoch=1\n+ 1 2 3",
+            "SJOIN q inner=v=2",
+        ] {
+            let err = ShardRequest::parse(bad).unwrap_err().to_string();
+            assert!(err.contains("\"v=2\""), "{bad:?}: {err}");
+        }
+        assert!(validate_name("v2").is_ok());
+        assert!(matches!(
+            Request::parse("EXPLAIN v2 p").unwrap(),
+            Request::Explain { outer, inner: Some(inner), .. } if outer == "v2" && inner == "p"
+        ));
     }
 
     #[test]

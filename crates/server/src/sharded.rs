@@ -40,7 +40,7 @@
 use crate::partition::SpacePartition;
 use crate::proto::{encode_load, encode_rect, Ownership, Request, ShardReply, ShardRequest};
 use crate::remote::{RemoteShard, SpawnedShard};
-use crate::topology::{BackendFactory, HealFn, RespawnPolicy, ShardBackend, ShardFault, Topology};
+use crate::topology::{BackendFactory, HealFn, ShardBackend, ShardFault, Topology};
 use crate::ServerError;
 use ringjoin_core::{
     validate_batch, Engine, EngineError, IndexKind, Mutation, PairSink, Plan, QueryBuilder,
@@ -139,7 +139,8 @@ pub struct UpdateInfo {
 
 struct WorkerDataset {
     cell: Rect,
-    leaf_regions: Vec<Rect>,
+    /// Positions, in the engine's leaf list, of the leaves whose centre
+    /// lies in `cell`.
     owned: Vec<usize>,
 }
 
@@ -253,29 +254,23 @@ impl ShardWorker {
     /// Recomputes which leaf groups this worker owns for `name` (their
     /// regions changed under a load or a mutation batch) and records
     /// them, returning the ownership the coordinator's routing catalog
-    /// wants. After a batch, the engine's memoized walk reads only the
-    /// pages the batch wrote.
+    /// wants. The regions come from the engine's leaf list, which the
+    /// load or the batch refreshed; reading them reads no page.
     fn reindex_ownership(&mut self, name: &str, cell: Rect) -> Result<Ownership, String> {
-        let leaf_regions = self.engine.leaf_regions(name).map_err(|e| e.to_string())?;
-        let owned: Vec<usize> = leaf_regions
+        let leaves = self.engine.leaves(name).map_err(|e| e.to_string())?;
+        let owned: Vec<usize> = leaves
             .iter()
             .enumerate()
-            .filter(|(_, r)| cell.contains_point_half_open(r.center()))
+            .filter(|(_, leaf)| cell.contains_point_half_open(leaf.region.center()))
             .map(|(i, _)| i)
             .collect();
         let mut extent = Rect::empty();
         for &i in &owned {
-            extent.expand_rect(leaf_regions[i]);
+            extent.expand_rect(leaves[i].region);
         }
         let leaves = owned.len();
-        self.datasets.insert(
-            name.to_string(),
-            WorkerDataset {
-                cell,
-                leaf_regions,
-                owned,
-            },
-        );
+        self.datasets
+            .insert(name.to_string(), WorkerDataset { cell, owned });
         Ok(Ownership { leaves, extent })
     }
 
@@ -359,10 +354,11 @@ impl ShardWorker {
             None => ds.owned.clone(),
             Some(rb) => {
                 let inflated = rb.inflated();
+                let leaves = self.engine.leaves(outer).map_err(|e| e.to_string())?;
                 ds.owned
                     .iter()
                     .copied()
-                    .filter(|&i| ds.leaf_regions[i].intersects(inflated))
+                    .filter(|&i| leaves[i].region.intersects(inflated))
                     .collect()
             }
         };
@@ -532,10 +528,8 @@ pub struct TopologyConfig {
     pub buffer_pages: usize,
     /// Per-request socket deadline for remote workers.
     pub request_timeout: Duration,
-    /// Supervisor respawn attempts per down event.
-    pub respawn_attempts: u32,
     /// Base supervisor backoff between respawn attempts (doubled each
-    /// retry).
+    /// retry, over a fixed number of attempts per down event).
     pub respawn_backoff: Duration,
     /// Durable coordinator state: when set, every LOAD and update batch
     /// is appended to a write-ahead log under `<data_dir>/wal` and
@@ -555,7 +549,6 @@ impl Default for TopologyConfig {
             on_disk: None,
             buffer_pages: 0,
             request_timeout: Duration::from_secs(30),
-            respawn_attempts: 5,
             respawn_backoff: Duration::from_millis(100),
             data_dir: None,
         }
@@ -815,16 +808,7 @@ impl ShardedEngine {
                 Ok(st.log.len() as u64)
             })
         };
-        let topology = Topology::new(
-            cfg.shards,
-            cfg.replicas,
-            factory,
-            heal,
-            RespawnPolicy {
-                attempts: cfg.respawn_attempts,
-                backoff: cfg.respawn_backoff,
-            },
-        )?;
+        let topology = Topology::new(cfg.shards, cfg.replicas, factory, heal, cfg.respawn_backoff)?;
         let mut engine = ShardedEngine {
             topology,
             state,
@@ -1924,14 +1908,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// Routing gate: after every batch, the routing state the batch
-        /// patched in — each worker's leaf regions (the memoized walk)
-        /// and owned leaves, the coordinator's per-cell leaf counts,
-        /// extents, and item counts moved by the batch's net effect —
-        /// equals a from-scratch recomputation: a fresh engine replays
-        /// the same history into the same tree, walks it with no memo,
-        /// and every point is recounted.
+        /// patched in — each worker's leaf regions and owned leaves, the
+        /// coordinator's per-cell leaf counts, extents, and item counts
+        /// moved by the batch's net effect — equals that state
+        /// recomputed on a fresh engine that replays the same history
+        /// into the same tree: ownership from its leaf regions, counts
+        /// from every point. The fresh engine keeps its leaf list the way
+        /// a worker's does, refreshed by each batch, so this gate does
+        /// not check the list itself; core's
+        /// `kept_leaves_equal_a_from_scratch_walk_after_random_batches`
+        /// checks it against a walk from scratch.
         #[test]
-        fn batch_patched_routing_equals_a_from_scratch_rebuild(
+        fn batch_patched_routing_equals_a_replay_on_a_fresh_engine(
             shards in 1..5usize,
             quadtree in any::<bool>(),
             seed in 0..1000u64,
@@ -1994,9 +1982,8 @@ mod tests {
                     extents[cell].expand_rect(*region);
                 }
                 for (worker, owned) in workers.iter().zip(&owned) {
-                    let ds = &worker.datasets["d"];
-                    prop_assert_eq!(&ds.leaf_regions, &regions);
-                    prop_assert_eq!(&ds.owned, owned);
+                    prop_assert_eq!(&worker.engine.leaf_regions("d").unwrap(), &regions);
+                    prop_assert_eq!(&worker.datasets["d"].owned, owned);
                 }
                 let leaves: Vec<usize> = owned.iter().map(Vec::len).collect();
                 let mut counts = vec![0u64; cells.len()];
@@ -2035,6 +2022,33 @@ mod tests {
         assert!(restarted.recovery_ms() > 0.0);
         restarted.shutdown();
         assert_eq!(ShardedEngine::new(1).unwrap().recovery_ms(), 0.0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_logged_load_of_a_name_no_verb_accepts_fails_recovery() {
+        // A name holding `=` is refused on the wire, so a log that loads
+        // one was not written by this server: recovery refuses it as a
+        // corrupt record instead of serving a dataset `EXPLAIN` cannot
+        // name.
+        let dir = ringjoin_testsupport::scratch_dir("sharded-recovery-bad-name");
+        let (_, mut wal) = Wal::open(dir.join("wal")).unwrap();
+        let load = encode_load("v=2", IndexKind::Rtree, &items(20, 43, 100.0));
+        wal.append(load.as_bytes()).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let cfg = TopologyConfig {
+            data_dir: Some(dir.clone()),
+            ..TopologyConfig::default()
+        };
+        let err = ShardedEngine::with_topology(cfg)
+            .err()
+            .map(|e| e.to_string());
+        assert!(
+            err.as_deref()
+                .is_some_and(|e| e.contains("WAL record 0 corrupt")),
+            "{err:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

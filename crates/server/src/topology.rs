@@ -95,24 +95,9 @@ pub(crate) type BackendFactory =
 pub(crate) type HealFn =
     Arc<dyn Fn(usize, Box<dyn ShardBackend>, &Slot) -> Result<u64, String> + Send + Sync>;
 
-/// Bounds the supervisor's respawn loop per down event.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RespawnPolicy {
-    /// Spawn-and-heal attempts before the slot is parked down (a later
-    /// routed call kicks it again).
-    pub attempts: u32,
-    /// Base backoff between attempts, doubled each retry.
-    pub backoff: Duration,
-}
-
-impl Default for RespawnPolicy {
-    fn default() -> Self {
-        RespawnPolicy {
-            attempts: 5,
-            backoff: Duration::from_millis(100),
-        }
-    }
-}
+/// Spawn-and-heal attempts the supervisor makes per down event before
+/// it parks the slot down (a later routed call kicks it again).
+const RESPAWN_ATTEMPTS: u32 = 5;
 
 // ---------------------------------------------------------------------
 // Slots
@@ -178,13 +163,14 @@ pub(crate) struct Topology {
 impl Topology {
     /// Builds the full topology strictly: every `(cell, replica)` slot
     /// must spawn, or construction fails. The supervisor thread starts
-    /// immediately.
+    /// immediately; it waits `backoff` before its second respawn attempt
+    /// on a slot, doubling the wait on each attempt after that.
     pub(crate) fn new(
         cells: usize,
         replicas: usize,
         factory: BackendFactory,
         heal: HealFn,
-        policy: RespawnPolicy,
+        backoff: Duration,
     ) -> Result<Topology, ServerError> {
         if cells == 0 || replicas == 0 {
             return Err(ServerError::InvalidShards);
@@ -218,14 +204,14 @@ impl Topology {
                     let cell = idx / replicas;
                     let rep = idx % replicas;
                     let mut healed = false;
-                    for attempt in 0..policy.attempts {
+                    for attempt in 0..RESPAWN_ATTEMPTS {
                         if attempt > 0 {
                             // Exponential backoff with a small
                             // deterministic jitter (no RNG dependency)
                             // so sibling respawns don't stampede.
                             let jitter = (idx as u64 * 31 + attempt as u64 * 17) % 23;
                             std::thread::sleep(
-                                policy.backoff * 2u32.saturating_pow(attempt - 1)
+                                backoff * 2u32.saturating_pow(attempt - 1)
                                     + Duration::from_millis(jitter),
                             );
                         }
@@ -481,6 +467,11 @@ mod tests {
         }
     }
 
+    /// The respawn backoff every topology starts with.
+    fn backoff() -> Duration {
+        crate::TopologyConfig::default().respawn_backoff
+    }
+
     /// Factory + heal that build healthy mocks and count replays.
     fn fixture(kill_switches: Arc<Mutex<Vec<Arc<AtomicBool>>>>) -> (BackendFactory, HealFn) {
         let factory: BackendFactory = Arc::new(move |cell, rep| {
@@ -502,7 +493,7 @@ mod tests {
     fn failover_hides_a_dead_replica_and_supervisor_heals_it() {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(Arc::clone(&switches));
-        let topo = Topology::new(1, 2, factory, heal, RespawnPolicy::default()).unwrap();
+        let topo = Topology::new(1, 2, factory, heal, backoff()).unwrap();
         // Kill replica 0's transport: the next calls must still answer
         // (replica 1) without ever surfacing an error.
         switches.lock().unwrap()[0].store(true, Ordering::SeqCst);
@@ -527,7 +518,7 @@ mod tests {
     fn single_replica_loss_is_a_clean_shard_gone_then_heals() {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(Arc::clone(&switches));
-        let topo = Topology::new(2, 1, factory, heal, RespawnPolicy::default()).unwrap();
+        let topo = Topology::new(2, 1, factory, heal, backoff()).unwrap();
         switches.lock().unwrap()[1].store(true, Ordering::SeqCst);
         // Cell 1 has no sibling: the loss surfaces as ShardGone(1).
         let err = explain(&topo, 1);
@@ -543,7 +534,7 @@ mod tests {
     fn request_errors_do_not_fail_over() {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(Arc::clone(&switches));
-        let topo = Topology::new(1, 2, factory, heal, RespawnPolicy::default()).unwrap();
+        let topo = Topology::new(1, 2, factory, heal, backoff()).unwrap();
         let join = ShardRequest::Join {
             outer: "d".into(),
             inner: None,
@@ -563,7 +554,7 @@ mod tests {
     fn call_slot_skips_down_slots_and_reports_hard_errors() {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(Arc::clone(&switches));
-        let topo = Topology::new(1, 2, factory, heal, RespawnPolicy::default()).unwrap();
+        let topo = Topology::new(1, 2, factory, heal, backoff()).unwrap();
         let load = ShardRequest::Load {
             name: "d".into(),
             kind: IndexKind::Rtree,
@@ -591,17 +582,11 @@ mod tests {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(switches);
         assert!(matches!(
-            Topology::new(
-                0,
-                1,
-                Arc::clone(&factory),
-                Arc::clone(&heal),
-                RespawnPolicy::default()
-            ),
+            Topology::new(0, 1, Arc::clone(&factory), Arc::clone(&heal), backoff()),
             Err(ServerError::InvalidShards)
         ));
         assert!(matches!(
-            Topology::new(1, 0, factory, heal, RespawnPolicy::default()),
+            Topology::new(1, 0, factory, heal, backoff()),
             Err(ServerError::InvalidShards)
         ));
     }
