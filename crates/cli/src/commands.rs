@@ -10,12 +10,12 @@
 use crate::args::{ArgError, Args};
 use ringjoin_core::{
     bounds, rcj_join, Engine, Executor, IndexKind, Plan, QueryBuilder, RcjAlgorithm, RcjOptions,
-    RcjOutput,
+    RcjOutput, RingBounds,
 };
 use ringjoin_datagen::{gaussian_clusters, gnis_like, io as dio, uniform, GnisDataset};
 use ringjoin_rtree::{bulk_load, Item, RTree};
 use ringjoin_server::proto::{self, parse_mutation_row, write_mutation_row};
-use ringjoin_server::{Client, Mutation, RingBounds, Server, ServerConfig};
+use ringjoin_server::{Client, Mutation, Server, ServerConfig};
 use ringjoin_spatialjoin::{epsilon_join, k_closest_pairs, knn_join, precision_recall};
 use ringjoin_storage::{CostModel, MemDisk, Pager, SharedPager};
 use std::collections::HashSet;
@@ -34,14 +34,21 @@ COMMANDS
   join       --p FILE --q FILE [--algo auto|inj|bij|obj] [--out FILE]
              [--index rtree|quadtree] [--buffer-frac F] [--page-size B]
              [--threads N] [--on-disk FILE] [--buffer-pages N] [--stats]
+             [--bounds X0,Y0,X1,Y1 --max-diameter D]
   self-join  --input FILE [--algo auto|inj|bij|obj] [--out FILE]
              [--index rtree|quadtree] [--threads N] [--on-disk FILE]
              [--buffer-pages N] [--stats]
-  top-k      --p FILE --q FILE --k K [--index rtree|quadtree]
-             [--on-disk FILE] [--buffer-pages N]
-             (smallest ring diameters first, streamed with early exit)
+             [--bounds X0,Y0,X1,Y1 --max-diameter D]
+             (--bounds/--max-diameter keep only the rings that meet the
+              rectangle and are at most D wide: the in-process oracle of
+              a served bounded `client join`/`client self-join`)
+  top-k      --p FILE --q FILE --k K [--out FILE] [--index rtree|quadtree]
+             [--threads N] [--on-disk FILE] [--buffer-pages N] [--stats]
+             (smallest ring diameters first, one leaf pass; runs
+              sequentially whatever --threads says)
   explain    (--p FILE --q FILE | --input FILE) [--algo ...] [--k K]
              [--index rtree|quadtree] [--threads N]
+             [--bounds X0,Y0,X1,Y1 --max-diameter D]
              (print the resolved query plan without running it)
   replay     --p FILE --q FILE --target p|q --log FILE [--batches N]
              [--algo ...] [--out FILE] [--index rtree|quadtree]
@@ -78,7 +85,7 @@ COMMANDS
   client join      --outer Q --inner P [--algo ..] [--out FILE] [--stats]
                    [--bounds X0,Y0,X1,Y1 --max-diameter D] [--pipeline N]
   client self-join --dataset NAME [--algo ..] [--out FILE] [--stats]
-                   [--pipeline N]
+                   [--bounds X0,Y0,X1,Y1 --max-diameter D] [--pipeline N]
   client top-k     --outer Q --inner P --k K [--out FILE] [--pipeline N]
   client explain   --outer Q [--inner P] [--algo ..] [--k K]
   client insert    --name NAME --input FILE
@@ -1011,12 +1018,13 @@ pub fn run(args: &Args) -> Result<Option<String>, ArgError> {
             let self_join = args.command == "self-join";
             let algo = parse_algo(args.opt("algo"), "obj")?;
             let executor = parse_executor(args)?;
+            let window = parse_bounds(args)?;
             let engine = build_engine(args, self_join)?;
-            let plan = query(&engine, self_join)
-                .algorithm(algo)
-                .executor(executor)
-                .plan()
-                .map_err(engine_err)?;
+            let mut builder = query(&engine, self_join).algorithm(algo).executor(executor);
+            if let Some(rb) = window {
+                builder = builder.within(rb);
+            }
+            let plan = builder.plan().map_err(engine_err)?;
             let out = plan.collect();
             if args.flag("stats") {
                 report_stats(&engine.pager(), &plan, &out);
@@ -1050,6 +1058,9 @@ pub fn run(args: &Args) -> Result<Option<String>, ArgError> {
             let mut builder = query(&engine, self_join).algorithm(algo).executor(executor);
             if let Some(_k) = args.opt("k") {
                 builder = builder.top_k(args.req_parse("k")?);
+            }
+            if let Some(rb) = parse_bounds(args)? {
+                builder = builder.within(rb);
             }
             let plan = builder.plan().map_err(engine_err)?;
             Ok(Some(plan.to_string()))
@@ -1126,6 +1137,7 @@ pub fn run(args: &Args) -> Result<Option<String>, ArgError> {
 mod tests {
     use super::*;
     use crate::args::parse;
+    use ringjoin_core::RcjPair;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -1247,6 +1259,112 @@ mod tests {
     }
 
     #[test]
+    fn local_bounded_joins_equal_the_full_join_filtered_by_admits() {
+        let p = tmp("wp.bin");
+        let q = tmp("wq.bin");
+        run(&parse(&s(&[
+            "generate", "--kind", "uniform", "--n", "600", "--seed", "4", "--out", &p,
+        ]))
+        .unwrap())
+        .unwrap();
+        run(&parse(&s(&[
+            "generate",
+            "--kind",
+            "gaussian",
+            "--n",
+            "600",
+            "--clusters",
+            "3",
+            "--seed",
+            "5",
+            "--out",
+            &q,
+        ]))
+        .unwrap())
+        .unwrap();
+        let (ps, qs) = (load_items(&p).unwrap(), load_items(&q).unwrap());
+        let extent =
+            ringjoin_geom::Rect::from_points(ps.iter().chain(&qs).map(|it| it.point)).unwrap();
+        let (w, h) = (extent.max.x - extent.min.x, extent.max.y - extent.min.y);
+        let bounds = format!(
+            "{},{},{},{}",
+            extent.min.x + 0.6 * w,
+            extent.min.y + 0.6 * h,
+            extent.min.x + 0.3 * w,
+            extent.min.y + 0.3 * h,
+        );
+        let maxd = (0.08 * w).to_string();
+        let rb = RingBounds {
+            bounds: proto::parse_bounds(&bounds).unwrap(),
+            max_diameter: maxd.parse().unwrap(),
+        };
+        let point_of = |items: &[Item]| -> std::collections::HashMap<u64, Item> {
+            items.iter().map(|it| (it.id, *it)).collect()
+        };
+        for self_join in [false, true] {
+            let (command, inputs, inner, outer) = match self_join {
+                false => (
+                    "join",
+                    vec!["--p", &p, "--q", &q],
+                    point_of(&ps),
+                    point_of(&qs),
+                ),
+                true => (
+                    "self-join",
+                    vec!["--input", &p],
+                    point_of(&ps),
+                    point_of(&ps),
+                ),
+            };
+            for index in ["rtree", "quadtree"] {
+                let (full, bounded) = (tmp("w_full.csv"), tmp("w_bounded.csv"));
+                let mut argv = vec![command, "--index", index, "--out", &full];
+                argv.extend(&inputs);
+                run(&parse(&s(&argv)).unwrap()).unwrap();
+                argv[4] = &bounded;
+                argv.extend(["--bounds", &bounds, "--max-diameter", &maxd]);
+                run(&parse(&s(&argv)).unwrap()).unwrap();
+                let full = std::fs::read_to_string(&full).unwrap();
+                let expect: Vec<&str> = full
+                    .lines()
+                    .enumerate()
+                    .filter(|&(i, line)| {
+                        let ids: Vec<u64> = line
+                            .split(',')
+                            .take(2)
+                            .map(|f| f.parse().unwrap_or(0))
+                            .collect();
+                        i == 0 || rb.admits(&RcjPair::new(inner[&ids[0]], outer[&ids[1]]))
+                    })
+                    .map(|(_, line)| line)
+                    .collect();
+                let label = format!("{command} --index {index}");
+                assert!(expect.len() > 10, "{label}: widen the window");
+                assert!(expect.len() < full.lines().count(), "{label}: narrow it");
+                let got = std::fs::read_to_string(&bounded).unwrap();
+                assert_eq!(got.lines().collect::<Vec<_>>(), expect, "{label}");
+            }
+        }
+        // Both flags or neither, and a window validation refuses is an
+        // error, not a panic.
+        let lone = s(&["join", "--p", &p, "--q", &q, "--bounds", &bounds]);
+        assert!(run(&parse(&lone).unwrap()).is_err());
+        let negative = s(&[
+            "join",
+            "--p",
+            &p,
+            "--q",
+            &q,
+            "--bounds",
+            &bounds,
+            "--max-diameter",
+            "-1",
+        ]);
+        let err = run(&parse(&negative).unwrap()).unwrap_err();
+        assert!(err.0.contains("maxd"), "{err}");
+    }
+
+    #[test]
     fn explain_prints_the_plan() {
         let p = tmp("ep.bin");
         let q = tmp("eq.bin");
@@ -1312,6 +1430,24 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(text.contains("RCJ self-join"), "{text}");
+
+        // A window shows in the plan.
+        let text = run(&parse(&s(&[
+            "explain",
+            "--input",
+            &p,
+            "--bounds",
+            "0,0,10,20",
+            "--max-diameter",
+            "5",
+        ]))
+        .unwrap())
+        .unwrap()
+        .unwrap();
+        assert!(
+            text.contains("window: rings meeting [0, 0, 10, 20] at most 5 wide"),
+            "{text}"
+        );
 
         // Mixed-kind tag appears when --index differs between runs is
         // impossible through one flag, but the quadtree tag must show.

@@ -11,6 +11,7 @@
 //!   Engine::new()                         session: one pager, a default executor
 //!     .load("shops", items).index(Rtree)  named datasets, any index kind
 //!     .query().join("homes", "shops")     builder: what to join, how
+//!     .within(window)                     optional: only the rings a window admits
 //!     .plan()?                            inspectable Plan (algorithm, cost
 //!                                         estimates, executor) — `explain`
 //!     .stream() / .collect()              lazy RcjStream or materialised RcjOutput
@@ -31,6 +32,7 @@ use crate::join::{LeafPass, LeafRegionMemo, RcjAlgorithm, RcjOptions, RcjOutput}
 use crate::planner::{DatasetSummary, JoinCostModel, PlanEstimate};
 use crate::stats::RcjStats;
 use crate::stream::{open, RcjStream, TaggedPairSink};
+use crate::window::{validate_bounds, RingBounds};
 use crate::{Executor, OuterOrder, RcjIndex};
 use ringjoin_geom::{pt, Item, Point, Rect};
 use ringjoin_quadtree::QuadTree;
@@ -89,6 +91,10 @@ pub enum EngineError {
         /// The offending point id.
         id: u64,
     },
+    /// A [`QueryBuilder::within`] window that
+    /// [`validate_bounds`](crate::validate_bounds) refuses; carries the
+    /// reason.
+    InvalidWindow(String),
 }
 
 impl fmt::Display for EngineError {
@@ -115,6 +121,7 @@ impl fmt::Display for EngineError {
             EngineError::MissingId { dataset, id } => {
                 write!(f, "delete from {dataset:?}: id {id} not present")
             }
+            EngineError::InvalidWindow(why) => write!(f, "invalid window: {why}"),
         }
     }
 }
@@ -366,6 +373,7 @@ impl Engine {
             algorithm: RcjAlgorithm::Auto,
             executor: None,
             top_k: None,
+            window: None,
             skip_verification: false,
             no_face_rule: false,
             outer_order: OuterOrder::DepthFirst,
@@ -768,6 +776,7 @@ pub struct QueryBuilder<'e> {
     algorithm: RcjAlgorithm,
     executor: Option<Executor>,
     top_k: Option<usize>,
+    window: Option<RingBounds>,
     skip_verification: bool,
     no_face_rule: bool,
     outer_order: OuterOrder,
@@ -819,9 +828,27 @@ impl<'e> QueryBuilder<'e> {
     /// [`TopK`](crate::TopK) sink that cuts each leaf's filter at the
     /// `k`-th best squared diameter found so far. The pass is
     /// sequential, so any [`QueryBuilder::executor`] choice is
-    /// overridden and the plan reports `threads=1 topk=<k>`.
+    /// overridden and the plan reports `threads=1 topk=<k>`. Within a
+    /// window, the answer is the `k` best pairs the window admits: the
+    /// sink's cut and the window's combine by `min`.
     pub fn top_k(mut self, k: usize) -> Self {
         self.top_k = Some(k);
+        self
+    }
+
+    /// Restricts the query to a window: the answer is exactly the
+    /// pairs of the unrestricted query that
+    /// [`RingBounds::admits`] accepts, in the same order. The plan does
+    /// only the work those pairs need: it skips the outer leaves whose
+    /// region misses [`RingBounds::inflated`] without reading them, cuts
+    /// each leaf point's filter at the exact `max_diameter` (at −∞ for a
+    /// point outside that rectangle), and drops the candidates the
+    /// window rejects before verifying any (see [`RingBounds`]). Its
+    /// [`RcjStats`] therefore count less than the unrestricted query's.
+    /// [`QueryBuilder::plan`] refuses a window
+    /// [`validate_bounds`](crate::validate_bounds) refuses.
+    pub fn within(mut self, rb: RingBounds) -> Self {
+        self.window = Some(rb);
         self
     }
 
@@ -848,6 +875,9 @@ impl<'e> QueryBuilder<'e> {
     /// summaries only.
     pub fn plan(self) -> Result<Plan<'e>, EngineError> {
         let kind = self.kind.ok_or(EngineError::NoQuery)?;
+        if let Some(rb) = &self.window {
+            validate_bounds(rb)?;
+        }
         let (outer, inner, self_join) = match &kind {
             QueryKind::Join { outer, inner } => {
                 (self.engine.get(outer)?, self.engine.get(inner)?, false)
@@ -877,6 +907,7 @@ impl<'e> QueryBuilder<'e> {
             estimates: model.estimates(&outer_summary),
             executor,
             top_k: self.top_k,
+            window: self.window,
             skip_verification: self.skip_verification,
             no_face_rule: self.no_face_rule,
             outer_order: self.outer_order,
@@ -908,6 +939,7 @@ pub struct Plan<'e> {
     estimates: [PlanEstimate; 3],
     executor: Executor,
     top_k: Option<usize>,
+    window: Option<RingBounds>,
     skip_verification: bool,
     no_face_rule: bool,
     outer_order: OuterOrder,
@@ -1002,7 +1034,8 @@ impl Plan<'_> {
         let opts = self.options();
         let mut pairs: Vec<_> = Vec::new();
         let stats = with_tree_pair!(self.outer, self.inner, |tq, tp| execute(
-            &LeafPass::new(tq, tp, self.self_join, &opts, self.outer.leaves.clone()),
+            &LeafPass::new(tq, tp, self.self_join, &opts, self.outer.leaves.clone())
+                .within(self.window),
             tq.pager(),
             tp.pager(),
             &mut pairs,
@@ -1023,9 +1056,12 @@ impl Plan<'_> {
     /// runs sequentially in-thread (the caller owns the parallelism) and
     /// any `top_k` bound on the plan is ignored — a top-k shard passes a
     /// [`TopK`](crate::TopK) sink, whose cut bounds the run, and merges
-    /// by rank. Out-of-range positions are ignored; a sink returning
-    /// `false` stops the run early. Pages are counted in the engine
-    /// pager's buffer.
+    /// by rank. A [window](QueryBuilder::within) is not ignored: the run
+    /// skips, unread and unprefetched, the positions whose leaf the
+    /// window does not reach, and emits only the pairs it admits, so a
+    /// shard passes all its positions and filters nothing. Out-of-range
+    /// positions are ignored; a sink returning `false` stops the run
+    /// early. Pages are counted in the engine pager's buffer.
     pub fn run_leaves(&self, positions: &[usize], sink: &mut dyn TaggedPairSink) -> RcjStats {
         let pool = with_tree!(self.outer, |t| t.pager().borrow().pool().clone());
         self.run_leaves_pooled(positions, &pool, sink)
@@ -1053,7 +1089,8 @@ impl Plan<'_> {
     ) -> RcjStats {
         let opts = self.options().depth_first();
         with_tree_pair!(self.outer, self.inner, |tq, tp| run_subset(
-            &LeafPass::new(tq, tp, self.self_join, &opts, self.outer.leaves.clone()),
+            &LeafPass::new(tq, tp, self.self_join, &opts, self.outer.leaves.clone())
+                .within(self.window),
             &tq.pager(),
             &tp.pager(),
             positions,
@@ -1069,7 +1106,8 @@ impl Plan<'_> {
     pub fn stream(&self) -> RcjStream {
         let opts = self.options();
         let stream = with_tree_pair!(self.outer, self.inner, |tq, tp| open(
-            LeafPass::new(tq, tp, self.self_join, &opts, self.outer.leaves.clone()),
+            LeafPass::new(tq, tp, self.self_join, &opts, self.outer.leaves.clone())
+                .within(self.window),
             tq.pager(),
             tp.pager(),
             self.top_k.is_some(),
@@ -1151,6 +1189,14 @@ impl fmt::Display for Plan<'_> {
         if self.skip_verification {
             writeln!(f, "  verification: skipped (candidates only)")?;
         }
+        if let Some(rb) = &self.window {
+            let r = rb.bounds;
+            writeln!(
+                f,
+                "  window: rings meeting [{}, {}, {}, {}] at most {} wide (leaves skipped, filters cut)",
+                r.min.x, r.min.y, r.max.x, r.max.y, rb.max_diameter
+            )?;
+        }
         if self.no_face_rule {
             writeln!(f, "  face rule: disabled")?;
         }
@@ -1174,6 +1220,94 @@ mod tests {
             .enumerate()
             .map(|(i, (x, y))| Item::new(i as u64, pt(x, y)))
             .collect()
+    }
+
+    #[test]
+    fn a_window_keeps_a_pair_whose_squared_bound_rounds_below_it() {
+        // `maxd * maxd` is 12.999999999999998, below the pair's squared
+        // diameter 13, yet `admits` accepts the pair: the filter's cut
+        // must be the exact one.
+        let mut engine = Engine::new();
+        engine
+            .load("p", vec![Item::new(1, pt(0.0, 0.0))])
+            .index(IndexKind::Rtree);
+        engine
+            .load("q", vec![Item::new(2, pt(2.0, 3.0))])
+            .index(IndexKind::Rtree);
+        let rb = RingBounds {
+            bounds: Rect::new(pt(-1.0, -1.0), pt(1.0, 1.0)),
+            max_diameter: 13f64.sqrt(),
+        };
+        assert!(rb.max_diameter * rb.max_diameter < 13.0);
+        let full = engine.query().join("q", "p").collect().unwrap().pairs;
+        assert!(rb.admits(&full[0]));
+        for algo in [RcjAlgorithm::Inj, RcjAlgorithm::Bij, RcjAlgorithm::Obj] {
+            let out = engine
+                .query()
+                .join("q", "p")
+                .algorithm(algo)
+                .within(rb)
+                .collect()
+                .unwrap();
+            assert_eq!(out.pairs, full, "{}", algo.name());
+        }
+    }
+
+    #[test]
+    fn top_k_within_a_window_ranks_the_windowed_join() {
+        let mut engine = Engine::new();
+        engine
+            .load("p", points(300, 11, 2000.0))
+            .index(IndexKind::Rtree);
+        engine
+            .load("q", points(300, 13, 2000.0))
+            .index(IndexKind::Quadtree);
+        let rb = RingBounds {
+            bounds: Rect::new(pt(500.0, 500.0), pt(1200.0, 1100.0)),
+            max_diameter: 180.0,
+        };
+        for self_join in [false, true] {
+            let query = || match self_join {
+                false => engine.query().join("q", "p"),
+                true => engine.query().self_join("p"),
+            };
+            let full = query().collect().unwrap().pairs;
+            let mut ranked = query().within(rb).collect().unwrap().pairs;
+            assert!(ranked.len() > 10, "widen the window");
+            assert!(ranked.iter().eq(full.iter().filter(|pr| rb.admits(pr))));
+            ranked.sort_by(RcjPair::rank_cmp);
+            for k in [1, 7, ranked.len(), ranked.len() + 3] {
+                let top = query().top_k(k).within(rb).collect().unwrap();
+                assert_eq!(top.pairs, ranked[..k.min(ranked.len())], "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn plans_show_a_window_and_refuse_one_validation_refuses() {
+        let mut engine = Engine::new();
+        engine
+            .load("d", points(20, 3, 100.0))
+            .index(IndexKind::Rtree);
+        let rb = RingBounds {
+            bounds: Rect::new(pt(0.0, 0.0), pt(1.0, 1.5)),
+            max_diameter: 2.0,
+        };
+        let plan = engine.query().self_join("d").within(rb).plan().unwrap();
+        let text = plan.to_string();
+        assert!(
+            text.contains("window: rings meeting [0, 0, 1, 1.5] at most 2 wide"),
+            "{text}"
+        );
+        let bad = RingBounds {
+            max_diameter: -1.0,
+            ..rb
+        };
+        let err = engine.query().self_join("d").within(bad).plan().err();
+        assert!(
+            matches!(err, Some(EngineError::InvalidWindow(_))),
+            "{err:?}"
+        );
     }
 
     #[test]

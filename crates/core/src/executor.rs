@@ -319,7 +319,9 @@ impl PairSink for TagAdapter<'_> {
 ///
 /// Disk-native pages are prefetched along the subset itself: it is this
 /// call's schedule, so each [`lookahead`] stages the upcoming positions,
-/// the current one included.
+/// the current one included. A windowed pass schedules only the leaves
+/// its window [reaches](LeafPass::reaches): the others are neither
+/// claimed nor staged.
 pub(crate) fn run_subset<PQ: IndexProbe, PP: IndexProbe>(
     pass: &LeafPass<PQ, PP>,
     pager_q: &SharedPager,
@@ -332,15 +334,20 @@ pub(crate) fn run_subset<PQ: IndexProbe, PP: IndexProbe>(
     let prefetcher = readers.prefetcher();
     let mut pagers = readers.pagers();
     let mut stats = RcjStats::default();
-    for (claim, &pos) in positions.iter().enumerate() {
-        lookahead(prefetcher.as_ref(), claim, &pass.leaves, || {
-            positions[claim..].iter().copied()
+    let mut claim = 0;
+    for (i, &pos) in positions.iter().enumerate() {
+        if pos >= pass.leaves.len() || !pass.reaches(pos) {
+            continue;
+        }
+        lookahead(prefetcher.as_ref(), claim, pass, || {
+            positions[i..].iter().copied()
         });
+        claim += 1;
         let mut tagged = TagAdapter {
             leaf: pos,
             inner: sink,
         };
-        if pos < pass.leaves.len() && !pass.run(pos, &mut pagers, &mut tagged, &mut stats) {
+        if !pass.run(pos, &mut pagers, &mut tagged, &mut stats) {
             break;
         }
     }
@@ -367,21 +374,24 @@ const PREFETCH_WINDOW: usize = 16;
 
 /// A reader's prefetch lookahead, called once per claimed leaf: on the
 /// first claim and every `PREFETCH_WINDOW / 2` claims after it, stages
-/// the pages of the leaves at the first `PREFETCH_WINDOW` positions
-/// `upcoming` lists. Positions index `leaves`; out-of-range ones are
-/// skipped. Does nothing without a prefetcher (resident pages).
-fn lookahead<I: IntoIterator<Item = usize>>(
+/// the pages of the first `PREFETCH_WINDOW` leaves `upcoming` lists.
+/// Positions index the pass's leaves; out-of-range ones, and leaves the
+/// pass's window does not [reach](LeafPass::reaches), are passed over,
+/// so a windowed pass stages `PREFETCH_WINDOW` leaves it will run. Does
+/// nothing without a prefetcher (resident pages).
+fn lookahead<PQ: IndexProbe, PP: IndexProbe, I: IntoIterator<Item = usize>>(
     prefetcher: Option<&Prefetcher>,
     claim: usize,
-    leaves: &[NodeRef],
+    pass: &LeafPass<PQ, PP>,
     upcoming: impl FnOnce() -> I,
 ) {
     if let Some(pf) = prefetcher.filter(|_| claim.is_multiple_of(PREFETCH_WINDOW / 2)) {
         pf.request(
             upcoming()
                 .into_iter()
+                .filter(|&pos| pos < pass.leaves.len() && pass.reaches(pos))
                 .take(PREFETCH_WINDOW)
-                .filter_map(|pos| leaves.get(pos).map(|leaf| leaf.page))
+                .map(|pos| pass.leaves[pos].page)
                 .collect(),
         );
     }
@@ -494,9 +504,16 @@ pub(crate) fn run_stealing<PQ: IndexProbe, PP: IndexProbe>(
                     let mut pagers = reader.pagers();
                     let mut claim = 0;
                     while let Some(i) = next_leaf(queues, w) {
-                        lookahead(prefetcher, claim, leaves, || {
+                        if !pass.reaches(base + i) {
+                            continue;
+                        }
+                        lookahead(prefetcher, claim, pass, || {
                             let dq = queues[w].lock().expect("worker deque poisoned");
-                            dq.iter().take(PREFETCH_WINDOW).copied().collect::<Vec<_>>()
+                            dq.iter()
+                                .map(|&i| base + i)
+                                .filter(|&pos| pass.reaches(pos))
+                                .take(PREFETCH_WINDOW)
+                                .collect::<Vec<_>>()
                         });
                         claim += 1;
                         let mut tag_sink = TagAdapter {

@@ -65,15 +65,19 @@
 //!
 //! # The cut
 //!
-//! A ranked query needs only candidates within a squared distance `cut`
-//! of their query point (its `k`-th best squared diameter so far). Each
-//! filter therefore takes a cut, and `Traversal::offer` also discards,
-//! per query point, every entry farther than it. This changes nothing
-//! within the cut: a point that prunes a candidate lies strictly inside
-//! the candidate's circle, so it is strictly closer to `q` and within
-//! the cut too. The candidates within the cut, and their order, are
-//! those of the uncut filter. An infinite cut (every join) runs a
-//! traversal compiled without the test.
+//! A ranked or windowed query needs only the candidates within a
+//! squared distance of their query point: the `k`-th best squared
+//! diameter so far, a window's exact `max_diameter` cut, or −∞ for a
+//! point that can end no admitted pair (see
+//! [`RingBounds`](crate::RingBounds)). Each query point therefore
+//! carries its own cut, and `Traversal::offer` also discards, per live
+//! point, every entry farther than that point's cut. This changes
+//! nothing within the cut: a point that prunes a candidate lies
+//! strictly inside the candidate's circle, so it is strictly closer to
+//! `q` and within the cut too. The candidates within each point's cut,
+//! and their order, are those of the uncut filter. When every cut is
+//! infinite (every unbounded join) the traversal is compiled without
+//! the test.
 
 use crate::index::{IndexEntry, IndexProbe, RcjIndex};
 use crate::stats::RcjStats;
@@ -165,18 +169,22 @@ struct Query {
     q: Point,
     /// Self-join mode: the id of `q` itself, never its own candidate.
     exclude: Option<u64>,
+    /// Squared distance from `q` beyond which its entries are
+    /// discarded; read only by a cut traversal.
+    cut: f64,
     cands: Vec<Item>,
     pruners: PrunerList,
 }
 
 impl Query {
-    /// A query point with room for `siblings` Lemma 5 pruners plus a few
-    /// candidates.
-    fn new(q: Point, exclude: Option<u64>, siblings: usize) -> Self {
+    /// A query point cut at `cut`, with room for `siblings` Lemma 5
+    /// pruners plus a few candidates.
+    fn new(q: Point, exclude: Option<u64>, cut: f64, siblings: usize) -> Self {
         let room = siblings + 8;
         Query {
             q,
             exclude,
+            cut,
             cands: Vec::new(),
             pruners: PrunerList {
                 planes: Vec::with_capacity(room),
@@ -220,13 +228,10 @@ fn retain_live(live: &mut [u64], mut pruned: impl FnMut(usize) -> bool) -> bool 
 
 /// The incremental-NN traversal of `T_P` for a set of query points (see
 /// the module docs for the live-set rule). `CUT` compiles in the test
-/// against `cut`.
+/// against each query point's cut.
 struct Traversal<'q, const CUT: bool> {
     /// The location heap keys are measured from.
     origin: Point,
-    /// Squared distance from a query point beyond which its entries are
-    /// discarded; read only when `CUT`.
-    cut: f64,
     queries: &'q mut [Query],
     /// Words per live set.
     words: usize,
@@ -240,10 +245,9 @@ struct Traversal<'q, const CUT: bool> {
 }
 
 impl<'q, const CUT: bool> Traversal<'q, CUT> {
-    fn new(origin: Point, cut: f64, queries: &'q mut [Query]) -> Self {
+    fn new(origin: Point, queries: &'q mut [Query]) -> Self {
         Traversal {
             origin,
-            cut,
             words: queries.len().div_ceil(64),
             queries,
             pushed: Vec::new(),
@@ -254,7 +258,7 @@ impl<'q, const CUT: bool> Traversal<'q, CUT> {
     }
 
     /// Tests `children`, just produced by a node whose live set is
-    /// `parent`, against the cut and the current pruners of the
+    /// `parent`, against the cuts and the current pruners of the
     /// parent's live points. Pushes each child that keeps a live point,
     /// in order; a child with none is discarded and counted as popped.
     fn offer(&mut self, children: &[IndexEntry], parent: &[u64], stats: &mut RcjStats) {
@@ -270,11 +274,11 @@ impl<'q, const CUT: bool> Traversal<'q, CUT> {
                 let pruned = match *child {
                     IndexEntry::Item(it) => {
                         qp.exclude == Some(it.id)
-                            || (CUT && qp.q.dist_sq(it.point) > self.cut)
+                            || (CUT && qp.q.dist_sq(it.point) > qp.cut)
                             || qp.pruners.any(|h| h.contains_point(it.point))
                     }
                     IndexEntry::Node(node) => {
-                        (CUT && node.region.mindist_sq(qp.q) > self.cut)
+                        (CUT && node.region.mindist_sq(qp.q) > qp.cut)
                             || qp.pruners.any(|h| h.contains_rect(node.region))
                     }
                 };
@@ -372,20 +376,20 @@ impl<'q, const CUT: bool> Traversal<'q, CUT> {
     }
 }
 
-/// Runs the filter traversal from `origin` for `queries`, cut at `cut`,
-/// returning each query point's candidate set in the order of discovery.
+/// Runs the filter traversal from `origin` for `queries`, each cut at
+/// its own cut, returning each query point's candidate set in the order
+/// of discovery.
 fn traverse(
     probe: &impl IndexProbe,
     pg: &mut dyn PageAccess,
     origin: Point,
     mut queries: Vec<Query>,
-    cut: f64,
     stats: &mut RcjStats,
 ) -> Vec<Vec<Item>> {
-    if cut < f64::INFINITY {
-        Traversal::<true>::new(origin, cut, &mut queries).run(probe, pg, stats);
+    if queries.iter().any(|qp| qp.cut < f64::INFINITY) {
+        Traversal::<true>::new(origin, &mut queries).run(probe, pg, stats);
     } else {
-        Traversal::<false>::new(origin, cut, &mut queries).run(probe, pg, stats);
+        Traversal::<false>::new(origin, &mut queries).run(probe, pg, stats);
     }
     queries.into_iter().map(|qp| qp.cands).collect()
 }
@@ -429,8 +433,8 @@ pub fn filter_with(
     cut: f64,
     stats: &mut RcjStats,
 ) -> Vec<Item> {
-    let queries = vec![Query::new(q, exclude_id, 0)];
-    traverse(probe, pg, q, queries, cut, stats).swap_remove(0)
+    let queries = vec![Query::new(q, exclude_id, cut, 0)];
+    traverse(probe, pg, q, queries, stats).swap_remove(0)
 }
 
 /// Output of the bulk filter: one candidate set per point of the leaf.
@@ -463,24 +467,29 @@ pub fn bulk_filter<I: RcjIndex>(
         leaf_points,
         symmetric,
         exclude_same_id,
-        f64::INFINITY,
+        &vec![f64::INFINITY; leaf_points.len()],
         stats,
     )
 }
 
-/// [`bulk_filter`] over an explicit probe and page-access handle, each
-/// set holding only the candidates within squared distance `cut` of its
-/// point (see the module docs; `f64::INFINITY` for all of them).
+/// [`bulk_filter`] over an explicit probe and page-access handle, set
+/// `i` holding only the candidates within squared distance `cuts[i]` of
+/// `leaf_points[i]` (see the module docs; `f64::INFINITY` for all of
+/// them, `f64::NEG_INFINITY` for none).
+///
+/// # Panics
+/// Panics unless there is one cut per leaf point.
 pub fn bulk_filter_with(
     probe: &impl IndexProbe,
     pg: &mut dyn PageAccess,
     leaf_points: &[Item],
     symmetric: bool,
     exclude_same_id: bool,
-    cut: f64,
+    cuts: &[f64],
     stats: &mut RcjStats,
 ) -> BulkFilterResult {
     let n = leaf_points.len();
+    assert_eq!(cuts.len(), n, "one cut per leaf point");
     if n == 0 {
         return BulkFilterResult { sets: Vec::new() };
     }
@@ -498,7 +507,8 @@ pub fn bulk_filter_with(
         .iter()
         .enumerate()
         .map(|(i, it)| {
-            let mut qp = Query::new(it.point, exclude_same_id.then_some(it.id), siblings);
+            let exclude = exclude_same_id.then_some(it.id);
+            let mut qp = Query::new(it.point, exclude, cuts[i], siblings);
             if symmetric {
                 // Lemma 5: every sibling prunes on q's behalf from the start.
                 for (j, sib) in leaf_points.iter().enumerate() {
@@ -510,7 +520,7 @@ pub fn bulk_filter_with(
             qp
         })
         .collect();
-    let sets = traverse(probe, pg, centroid, queries, cut, stats);
+    let sets = traverse(probe, pg, centroid, queries, stats);
     BulkFilterResult { sets }
 }
 
@@ -880,26 +890,33 @@ mod tests {
 
     /// Both kernels over `tree`, for BIJ and OBJ, with and without
     /// self-join exclusion: same sets in the same order, same counters.
-    /// Cut at `cut`, the kernel's sets are the reference sets restricted
-    /// to squared distance `<= cut` from their point, in the same order.
-    fn kernels_agree<I: RcjIndex>(tree: &I, leaf: &[Item], cut: f64) -> Result<(), TestCaseError> {
+    /// Cut at `cuts`, the kernel's set `i` is reference set `i`
+    /// restricted to squared distance `<= cuts[i]` from its point, in the
+    /// same order, and the cut run counts no more than the uncut one.
+    fn kernels_agree<I: RcjIndex>(
+        tree: &I,
+        leaf: &[Item],
+        cuts: &[f64],
+    ) -> Result<(), TestCaseError> {
         let probe = tree.probe();
+        let uncut = vec![f64::INFINITY; leaf.len()];
         for symmetric in [false, true] {
             for exclude in [false, true] {
                 let (mut got_stats, mut want_stats) = (RcjStats::default(), RcjStats::default());
-                let kernel = |cut: f64, stats: &mut RcjStats| {
+                let kernel = |cuts: &[f64], stats: &mut RcjStats| {
                     bulk_filter_with(
                         &probe,
                         &mut tree.pager(),
                         leaf,
                         symmetric,
                         exclude,
-                        cut,
+                        cuts,
                         stats,
                     )
                 };
-                let got = kernel(f64::INFINITY, &mut got_stats);
-                let got_cut = kernel(cut, &mut RcjStats::default());
+                let got = kernel(&uncut, &mut got_stats);
+                let mut cut_stats = RcjStats::default();
+                let got_cut = kernel(cuts, &mut cut_stats);
                 let want = bulk_filter_reference(
                     &probe,
                     &mut tree.pager(),
@@ -919,8 +936,8 @@ mod tests {
                 let want_cut: Vec<Vec<Item>> = want
                     .sets
                     .iter()
-                    .zip(leaf)
-                    .map(|(set, q)| {
+                    .zip(leaf.iter().zip(cuts))
+                    .map(|(set, (q, &cut))| {
                         set.iter()
                             .copied()
                             .filter(|p| q.point.dist_sq(p.point) <= cut)
@@ -930,11 +947,13 @@ mod tests {
                 prop_assert_eq!(
                     &got_cut.sets,
                     &want_cut,
-                    "cut sets differ (cut {}, symmetric {}, exclude {})",
-                    cut,
+                    "cut sets differ (cuts {:?}, symmetric {}, exclude {})",
+                    cuts,
                     symmetric,
                     exclude
                 );
+                prop_assert!(cut_stats.filter_heap_pops <= got_stats.filter_heap_pops);
+                prop_assert!(cut_stats.filter_node_reads <= got_stats.filter_node_reads);
             }
         }
         Ok(())
@@ -949,9 +968,10 @@ mod tests {
         /// quadtrees after an update batch, for leaves of 1 to 130
         /// points (more than 64 needs a multi-word live set). A leaf is
         /// either a subset of the tree's own items (as in a self-join,
-        /// where exclusion bites) or fresh points. The cut is either
-        /// random or the exact squared distance of one leaf point to one
-        /// item, so ties at the cut occur.
+        /// where exclusion bites) or fresh points. Each leaf point has
+        /// its own cut: random, the exact squared distance from the
+        /// point to one item (so ties at the cut occur), −∞ (a point
+        /// that can end no windowed pair) or +∞.
         #[test]
         fn bulk_filter_matches_the_reference_loop(
             shape in 0u8..4,
@@ -962,8 +982,9 @@ mod tests {
             own_items in any::<bool>(),
             leaf_raw in coords(130),
             offset in any::<usize>(),
-            cut_at in any::<usize>(),
-            random_cut in 0.0..5000.0f64,
+            cut_kinds in proptest::collection::vec(0u8..4, 130),
+            cut_items in proptest::collection::vec(any::<usize>(), 130),
+            random_cuts in proptest::collection::vec(0.0..5000.0f64, 130),
         ) {
             let (rtree, quad, items) = updated_trees(
                 &layout(shape, &raw),
@@ -981,15 +1002,18 @@ mod tests {
                     .map(|(k, p)| Item::new(1_000_000 + k as u64, p))
                     .collect()
             };
-            let cut = match items.len() {
-                0 => random_cut,
-                n if cut_at % 2 == 0 => leaf[cut_at / 2 % leaf.len()]
-                    .point
-                    .dist_sq(items[cut_at / 2 % n].point),
-                _ => random_cut,
-            };
-            kernels_agree(&rtree, &leaf, cut)?;
-            kernels_agree(&quad, &leaf, cut)?;
+            let cuts: Vec<f64> = leaf
+                .iter()
+                .enumerate()
+                .map(|(i, q)| match (cut_kinds[i], items.len()) {
+                    (1, n) if n > 0 => q.point.dist_sq(items[cut_items[i] % n].point),
+                    (2, _) => f64::NEG_INFINITY,
+                    (3, _) => f64::INFINITY,
+                    _ => random_cuts[i],
+                })
+                .collect();
+            kernels_agree(&rtree, &leaf, &cuts)?;
+            kernels_agree(&quad, &leaf, &cuts)?;
         }
     }
 }

@@ -31,8 +31,14 @@
 //! Ranked queries are one more sink: the [`TopK`](crate::TopK) sink
 //! keeps the `k` best pairs, and the pass cuts each leaf's filter at
 //! the sink's [cut](crate::PairSink::cut), its `k`-th best squared
-//! diameter so far. An unbounded sink's cut is infinite, and its filter
-//! runs without the test.
+//! diameter so far. A windowed plan
+//! ([`QueryBuilder::within`](crate::QueryBuilder::within)) hands the
+//! pass its [`RingBounds`]: the pass skips the outer leaves the window
+//! does not reach, cuts each leaf point's filter at the window's exact
+//! diameter (at −∞ for a point no admitted pair can end; a sink's cut
+//! combines with it by `min`), and verifies only the candidates the
+//! window admits. Without a window and with an unbounded sink every cut
+//! is infinite, and the filter runs without the test.
 //! [`RcjAlgorithm::Auto`] defers the algorithm choice to the
 //! [`planner`](crate::planner)'s calibrated cost model.
 
@@ -44,6 +50,7 @@ use crate::planner::JoinCostModel;
 use crate::stats::RcjStats;
 use crate::stream::PairSink;
 use crate::verify::verify_with;
+use crate::window::{RingBounds, Window};
 use crate::Executor;
 use ringjoin_geom::{Item, Rect};
 use ringjoin_storage::{PageAccess, PageId};
@@ -401,13 +408,14 @@ fn summarize(stamp: u64, entries: &[IndexEntry]) -> NodeSummary {
 /// candidates.
 ///
 /// The pass holds what every leaf needs: both probes, the outer leaf
-/// groups in processing order, the self-join flag and the run's options
-/// with [`RcjAlgorithm::Auto`] resolved. Every leaf-order path runs its
-/// leaves through [`LeafPass::run`] and differs only in schedule (see
-/// the [`executor`](crate::executor)): the sequential and work-stealing
-/// executors, the leaf-subset driver behind
-/// [`Plan::run_leaves_pooled`](crate::Plan::run_leaves_pooled), and the
-/// leaf-order [`RcjStream`](crate::RcjStream).
+/// groups in processing order, the self-join flag, the run's options
+/// with [`RcjAlgorithm::Auto`] resolved, and a windowed plan's window
+/// in the form the pass tests it (see [`LeafPass::within`]). Every
+/// leaf-order path runs its leaves through [`LeafPass::run`] and
+/// differs only in schedule (see the [`executor`](crate::executor)):
+/// the sequential and work-stealing executors, the leaf-subset driver
+/// behind [`Plan::run_leaves_pooled`](crate::Plan::run_leaves_pooled),
+/// and the leaf-order [`RcjStream`](crate::RcjStream).
 pub(crate) struct LeafPass<PQ: IndexProbe, PP: IndexProbe> {
     probe_q: PQ,
     probe_p: PP,
@@ -417,6 +425,7 @@ pub(crate) struct LeafPass<PQ: IndexProbe, PP: IndexProbe> {
     pub(crate) leaves: Arc<[NodeRef]>,
     self_join: bool,
     opts: RcjOptions,
+    window: Option<Window>,
 }
 
 impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
@@ -455,7 +464,17 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
             leaves,
             self_join,
             opts,
+            window: None,
         }
+    }
+
+    /// Restricts the pass to `window`, a window the plan has checked
+    /// with [`validate_bounds`](crate::validate_bounds): see
+    /// [`LeafPass::reaches`] and [`LeafPass::run`]. `None` leaves the
+    /// pass unbounded.
+    pub(crate) fn within(mut self, window: Option<RingBounds>) -> Self {
+        self.window = window.map(Window::new);
+        self
     }
 
     /// The number of workers the options' executor runs the pass on: at
@@ -467,12 +486,24 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
             .min(self.leaves.len().max(1))
     }
 
+    /// Can the leaf group at `pos` hold the `q` of a pair the window
+    /// admits? Always without a window. A leaf that cannot is neither
+    /// read nor prefetched.
+    pub(crate) fn reaches(&self, pos: usize) -> bool {
+        self.window
+            .as_ref()
+            .is_none_or(|w| w.reaches(self.leaves[pos].region))
+    }
+
     /// Expands the leaf group at `pos` and computes its RCJ contribution,
     /// emitting result pairs into `sink`. Returns `false` as soon as the
     /// sink requests a stop (early exit), `true` otherwise.
     ///
     /// Each filter is cut at the sink's [cut](PairSink::cut), read just
-    /// before it runs: a ranked sink's shrinking bound.
+    /// before it runs: a ranked sink's shrinking bound. Within a window,
+    /// a leaf the window does not reach is skipped unread, and each
+    /// point's cut is the smaller of the sink's and the window's for
+    /// that point.
     pub(crate) fn run(
         &self,
         pos: usize,
@@ -480,13 +511,20 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
         sink: &mut dyn PairSink,
         stats: &mut RcjStats,
     ) -> bool {
+        if !self.reaches(pos) {
+            return true;
+        }
         let leaf_points = leaf_items(&self.probe_q, pagers.q(), self.leaves[pos]);
+        let cut_of = |q: &Item, sink_cut: f64| match &self.window {
+            None => sink_cut,
+            Some(w) => w.cut(q.point).min(sink_cut),
+        };
         match self.opts.algorithm {
             RcjAlgorithm::Inj => {
                 // Algorithm 4: per-point filter and verification.
                 for &q in &leaf_points {
                     let exclude = self.self_join.then_some(q.id);
-                    let cut = sink.cut();
+                    let cut = cut_of(&q, sink.cut());
                     let cands =
                         filter_with(&self.probe_p, pagers.p(), q.point, exclude, cut, stats);
                     stats.candidate_pairs += cands.len() as u64;
@@ -500,13 +538,15 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
             }
             RcjAlgorithm::Bij | RcjAlgorithm::Obj => {
                 let symmetric = self.opts.algorithm == RcjAlgorithm::Obj;
+                let sink_cut = sink.cut();
+                let cuts: Vec<f64> = leaf_points.iter().map(|q| cut_of(q, sink_cut)).collect();
                 let bulk = bulk_filter_with(
                     &self.probe_p,
                     pagers.p(),
                     &leaf_points,
                     symmetric,
                     self.self_join,
-                    sink.cut(),
+                    &cuts,
                     stats,
                 );
                 let mut pairs: Vec<RcjPair> = Vec::new();
@@ -535,15 +575,19 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
         }
     }
 
-    /// Verification + reporting for a batch of candidate pairs. Returns
+    /// Verification + reporting for a batch of candidate pairs, of which
+    /// a window's pass verifies only those the window admits. Returns
     /// `false` when the sink stopped the run mid-batch.
     fn finish(
         &self,
         pagers: &mut Pagers<'_>,
-        pairs: Vec<RcjPair>,
+        mut pairs: Vec<RcjPair>,
         sink: &mut dyn PairSink,
         stats: &mut RcjStats,
     ) -> bool {
+        if let Some(w) = &self.window {
+            pairs.retain(|pr| w.admits(pr));
+        }
         if pairs.is_empty() {
             return true;
         }

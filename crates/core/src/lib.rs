@@ -21,7 +21,8 @@
 //!   [`IndexKind::Rtree`] or [`IndexKind::Quadtree`]); datasets persist
 //!   across queries and the two sides of one join may mix index kinds.
 //! * [`Plan`] — [`Engine::query`] builders ([`QueryBuilder::join`],
-//!   [`QueryBuilder::self_join`], [`QueryBuilder::top_k`], ...) resolve
+//!   [`QueryBuilder::self_join`], [`QueryBuilder::top_k`],
+//!   [`QueryBuilder::within`], ...) resolve
 //!   into an inspectable plan: concrete algorithm (with
 //!   [`RcjAlgorithm::Auto`] resolved by the [`planner`]'s calibrated
 //!   cost model), index kinds, executor, and per-algorithm cost
@@ -34,8 +35,8 @@
 //! # Quickstart
 //!
 //! ```
-//! use ringjoin_core::{Engine, IndexKind, RcjAlgorithm};
-//! use ringjoin_geom::{pt, Item};
+//! use ringjoin_core::{Engine, IndexKind, RcjAlgorithm, RingBounds};
+//! use ringjoin_geom::{pt, Item, Rect};
 //!
 //! let mut engine = Engine::new();
 //! let restaurants =
@@ -58,6 +59,12 @@
 //! // ... or materialise the classic output shape.
 //! let out = plan.collect();
 //! assert!(out.stats.result_pairs > 0);
+//!
+//! // Within a window: the rings meeting a region and at most 20 wide,
+//! // exactly the full answer's pairs the window admits.
+//! let view = RingBounds { bounds: Rect::new(pt(0.0, 0.0), pt(40.0, 30.0)), max_diameter: 20.0 };
+//! let windowed = engine.query().join("residences", "restaurants").within(view).collect()?;
+//! assert!(windowed.pairs.iter().eq(out.pairs.iter().filter(|pr| view.admits(pr))));
 //! # Ok::<(), ringjoin_core::EngineError>(())
 //! ```
 //!
@@ -112,6 +119,9 @@
 //!   materialising them; streams, early exit, custom sinks and ranked
 //!   queries (the [`TopK`] sink, which cuts the filter at its `k`-th
 //!   best squared diameter) all hang off this seam.
+//! * [`RingBounds`] — windowed joins: the pairs whose ring meets a
+//!   region and is at most a given diameter wide, with each leaf point's
+//!   filter cut at that diameter and the rest of the map left unread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -128,6 +138,7 @@ pub mod planner;
 mod stats;
 mod stream;
 mod verify;
+mod window;
 
 pub use brute::{brute_candidates, rcj_brute, rcj_brute_self};
 pub use engine::{
@@ -148,3 +159,4 @@ pub use stream::{
     RcjStream, TaggedPairSink, TopK,
 };
 pub use verify::{verify, verify_with};
+pub use window::{validate_bounds, RingBounds};

@@ -11,9 +11,8 @@
 //! wedging the caller forever.
 
 use crate::proto::{parse_pairs, read_frame, stats_from_reply, write_frame, Reply, Request};
-use crate::sharded::RingBounds;
 use crate::ServerError;
-use ringjoin_core::{IndexKind, RcjAlgorithm, RcjPair, RcjStats};
+use ringjoin_core::{IndexKind, RcjAlgorithm, RcjPair, RcjStats, RingBounds};
 use ringjoin_geom::Item;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;

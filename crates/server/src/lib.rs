@@ -70,10 +70,10 @@ mod topology;
 pub use client::{Client, RemoteOutput, DEFAULT_TIMEOUT};
 pub use partition::SpacePartition;
 pub use remote::{ShardWorkerServer, WorkerHandle};
-pub use ringjoin_core::Mutation;
+pub use ringjoin_core::{Mutation, RingBounds};
 pub use server::{Server, ServerConfig};
 pub use sharded::{
-    DatasetInfo, RingBounds, ShardedEngine, ShardedOutput, TopologyConfig, UpdateInfo, WorkerSpec,
+    DatasetInfo, ShardedEngine, ShardedOutput, TopologyConfig, UpdateInfo, WorkerSpec,
 };
 
 use std::fmt;

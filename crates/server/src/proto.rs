@@ -116,9 +116,8 @@
 //!   becomes a number through `str::parse`.
 
 use crate::num::{write_f64, write_u64, Row, Rows};
-use crate::sharded::RingBounds;
 use crate::ServerError;
-use ringjoin_core::{IndexKind, Mutation, RcjAlgorithm, RcjPair, RcjStats};
+use ringjoin_core::{IndexKind, Mutation, RcjAlgorithm, RcjPair, RcjStats, RingBounds};
 use ringjoin_geom::{pt, Item, Rect};
 use std::fmt::Write as _;
 use std::io::{Read, Write};

@@ -467,7 +467,7 @@ impl Drop for SpawnedShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ringjoin_core::{IndexKind, RcjAlgorithm};
+    use ringjoin_core::{IndexKind, RcjAlgorithm, RingBounds};
     use ringjoin_geom::{pt, Item};
 
     fn items(n: usize, seed: u64, span: f64) -> Arc<Vec<Item>> {
@@ -549,6 +549,40 @@ mod tests {
             panic!("explain did not answer with a plan");
         };
         assert!(plan.contains("self-join"), "{plan}");
+        shard.shutdown();
+    }
+
+    #[test]
+    fn worker_answers_an_invalid_window_with_err_and_keeps_serving() {
+        let (_handle, addr) = start_worker();
+        let mut shard = RemoteShard::connect(&addr, Duration::from_secs(10)).unwrap();
+        let everything = Rect::new(
+            pt(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            pt(f64::INFINITY, f64::INFINITY),
+        );
+        assert!(shard
+            .request(&load(everything, items(60, 7, 300.0)))
+            .is_ok());
+        // `SJOIN d bounds=0,0,100,100 maxd=-1`, sent straight to the
+        // worker: no coordinator validated it first.
+        let join = |max_diameter| ShardRequest::Join {
+            outer: "d".into(),
+            inner: None,
+            algo: RcjAlgorithm::Auto,
+            bounds: Some(RingBounds {
+                bounds: Rect::new(pt(0.0, 0.0), pt(100.0, 100.0)),
+                max_diameter,
+            }),
+        };
+        let err = shard.request(&join(-1.0));
+        assert!(
+            matches!(&err, Err(ShardFault::Request(msg)) if msg.contains("maxd")),
+            "{err:?}"
+        );
+        assert!(matches!(
+            shard.request(&join(40.0)),
+            Ok(ShardReply::Joined { .. })
+        ));
         shard.shutdown();
     }
 

@@ -22,6 +22,16 @@
 //!   each leaf is owned by exactly one shard), reproducing the
 //!   single-engine output *byte for byte*, with per-shard [`RcjStats`]
 //!   merging to the sequential totals.
+//! * **Bounded join** — a [`RingBounds`] window is validated once by
+//!   the coordinator ([`validate_bounds`], which each worker's planning
+//!   repeats for requests that reach it directly), fans out only to the
+//!   cells whose extent meets [`RingBounds::inflated`], and travels to
+//!   each shard as a plan constraint
+//!   ([`QueryBuilder::within`]): the shard's leaf pass skips the owned
+//!   leaves the window does not reach, cuts each filter at the window's
+//!   diameter and verifies only admitted candidates. Shards return only
+//!   admitted pairs and their counters as counted, so the merge is the
+//!   single engine's windowed answer and [`RcjStats`], byte for byte.
 //! * **Top-k** — each shard runs its owned outer leaves, as for a join
 //!   ([`Plan::run_leaves_pooled`]), into a [`TopK`] sink whose cut
 //!   bounds every filter at the shard's `k`-th best squared diameter
@@ -43,8 +53,8 @@ use crate::remote::{RemoteShard, SpawnedShard};
 use crate::topology::{BackendFactory, HealFn, ShardBackend, ShardFault, Topology};
 use crate::ServerError;
 use ringjoin_core::{
-    validate_batch, Engine, EngineError, IndexKind, Mutation, PairSink, Plan, QueryBuilder,
-    RcjAlgorithm, RcjPair, RcjStats, TopK,
+    validate_batch, validate_bounds, Engine, EngineError, IndexKind, Mutation, PairSink, Plan,
+    QueryBuilder, RcjAlgorithm, RcjPair, RcjStats, RingBounds, TopK,
 };
 use ringjoin_geom::{Item, Point, Rect};
 use ringjoin_storage::{BufferPool, Wal};
@@ -55,38 +65,6 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// A region-of-interest restriction on a join: report only pairs whose
-/// ring (the pair's circle) intersects `bounds` and whose diameter is at
-/// most `max_diameter`.
-///
-/// The pair's `q` then necessarily lies within
-/// `bounds.inflate(max_diameter)` — the **ring-expanded bounds** — which
-/// is what routes the request to the subset of shards (and outer leaf
-/// groups) that can contribute.
-#[derive(Clone, Copy, Debug)]
-pub struct RingBounds {
-    /// The region of interest the ring must intersect.
-    pub bounds: Rect,
-    /// Upper bound on the ring diameter of reported pairs (must be
-    /// non-negative and finite).
-    pub max_diameter: f64,
-}
-
-impl RingBounds {
-    /// The ring-expanded routing rectangle.
-    pub fn inflated(&self) -> Rect {
-        self.bounds.inflate(self.max_diameter)
-    }
-
-    /// Does `pair` satisfy the restriction? (Circle-rectangle
-    /// intersection: the circle meets `bounds` iff the center is within
-    /// one radius of it.)
-    pub fn admits(&self, pair: &RcjPair) -> bool {
-        pair.diameter() <= self.max_diameter
-            && self.bounds.mindist_sq(pair.center()) <= pair.radius() * pair.radius()
-    }
-}
 
 /// What a sharded query returns: the merged pairs, the merged run
 /// counters, and how many shards participated.
@@ -203,7 +181,7 @@ impl ShardWorker {
                 inner,
                 algo,
                 k,
-            } => Self::plan(&self.engine, outer, inner.as_deref(), *algo, *k)
+            } => Self::plan(&self.engine, outer, inner.as_deref(), *algo, *k, None)
                 .map(|plan| ShardReply::Plan(plan.to_string())),
             ShardRequest::Shutdown => Ok(ShardReply::Bye),
         }
@@ -321,12 +299,15 @@ impl ShardWorker {
         self.reindex_ownership(name, cell)
     }
 
+    /// The plan of one shard query. Planning validates the window, so a
+    /// worker refuses one the coordinator would have refused.
     fn plan<'e>(
         engine: &'e Engine,
         outer: &str,
         inner: Option<&str>,
         algo: RcjAlgorithm,
         top_k: Option<usize>,
+        window: Option<RingBounds>,
     ) -> Result<Plan<'e>, String> {
         let mut q: QueryBuilder<'e> = match inner {
             Some(inner) => engine.query().join(outer, inner),
@@ -336,9 +317,14 @@ impl ShardWorker {
         if let Some(k) = top_k {
             q = q.top_k(k);
         }
+        if let Some(rb) = window {
+            q = q.within(rb);
+        }
         q.plan().map_err(|e| e.to_string())
     }
 
+    /// Runs the owned leaves. Within a window the plan skips the leaves
+    /// the window does not reach and reports only the pairs it admits.
     fn join(
         &mut self,
         outer: &str,
@@ -350,25 +336,9 @@ impl ShardWorker {
             .datasets
             .get(outer)
             .ok_or_else(|| format!("shard has no dataset {outer:?}"))?;
-        let positions: Vec<usize> = match &bounds {
-            None => ds.owned.clone(),
-            Some(rb) => {
-                let inflated = rb.inflated();
-                let leaves = self.engine.leaves(outer).map_err(|e| e.to_string())?;
-                ds.owned
-                    .iter()
-                    .copied()
-                    .filter(|&i| leaves[i].region.intersects(inflated))
-                    .collect()
-            }
-        };
-        let plan = Self::plan(&self.engine, outer, inner, algo, None)?;
+        let plan = Self::plan(&self.engine, outer, inner, algo, None, bounds)?;
         let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
-        let mut stats = plan.run_leaves_pooled(&positions, &self.pool, &mut tagged);
-        if let Some(rb) = bounds {
-            tagged.retain(|(_, pr)| rb.admits(pr));
-            stats.result_pairs = tagged.len() as u64;
-        }
+        let stats = plan.run_leaves_pooled(&ds.owned, &self.pool, &mut tagged);
         Ok(ShardReply::Joined {
             pairs: tagged,
             stats,
@@ -380,7 +350,7 @@ impl ShardWorker {
             .datasets
             .get(outer)
             .ok_or_else(|| format!("shard has no dataset {outer:?}"))?;
-        let plan = Self::plan(&self.engine, outer, inner, RcjAlgorithm::Auto, None)?;
+        let plan = Self::plan(&self.engine, outer, inner, RcjAlgorithm::Auto, None, None)?;
         let mut top = TopK::new(k);
         let stats = plan.run_leaves_pooled(&ds.owned, &self.pool, &mut top);
         Ok(ShardReply::Ranked {
@@ -1256,9 +1226,10 @@ impl ShardedEngine {
     /// and merges the per-shard streams back into the exact
     /// single-engine answer (same pairs, same order, same merged
     /// [`RcjStats`]). With `bounds`, only pairs whose ring intersects
-    /// the bounds (and is at most `max_diameter` wide) are computed, and
-    /// only the shards whose extent meets the ring-expanded bounds are
-    /// queried.
+    /// the bounds (and is at most `max_diameter` wide) are computed, as
+    /// by [`QueryBuilder::within`], and only the shards whose extent
+    /// meets the ring-expanded bounds are queried. A window
+    /// [`validate_bounds`] refuses is a [`ServerError::BadRequest`].
     pub fn join(
         &self,
         outer: &str,
@@ -1299,7 +1270,7 @@ impl ShardedEngine {
     ) -> Result<ShardedOutput, ServerError> {
         let entry = Self::require(catalog, outer)?;
         if let Some(rb) = &bounds {
-            validate_bounds(rb)?;
+            validate_bounds(rb).map_err(refusal)?;
         }
         // Route: cells owning no leaf of the outer dataset can never
         // contribute; with bounds, neither can cells whose extent
@@ -1462,9 +1433,11 @@ fn require_finite(it: &Item) -> Result<(), ServerError> {
     }
 }
 
-/// The wire refusal of a batch [`validate_batch`] turned down.
+/// The wire refusal of a batch [`validate_batch`] or a window
+/// [`validate_bounds`] turned down.
 fn refusal(e: EngineError) -> ServerError {
     ServerError::BadRequest(match e {
+        EngineError::InvalidWindow(why) => why,
         EngineError::DuplicateId { dataset, id } => {
             format!("INSERT of duplicate id {id} into dataset {dataset:?}")
         }
@@ -1502,26 +1475,6 @@ fn routing(owners: &[Ownership]) -> (Vec<usize>, Vec<Rect>) {
         owners.iter().map(|o| o.leaves).collect(),
         owners.iter().map(|o| o.extent).collect(),
     )
-}
-
-/// Validates a [`RingBounds`] request parameter.
-fn validate_bounds(rb: &RingBounds) -> Result<(), ServerError> {
-    let r = rb.bounds;
-    if [r.min.x, r.min.y, r.max.x, r.max.y]
-        .iter()
-        .any(|c| c.is_nan())
-    {
-        return Err(ServerError::BadRequest("bounds has a NaN corner".into()));
-    }
-    if r.is_empty() {
-        return Err(ServerError::BadRequest("bounds rectangle is empty".into()));
-    }
-    if !(rb.max_diameter.is_finite() && rb.max_diameter >= 0.0) {
-        return Err(ServerError::BadRequest(
-            "maxd must be finite and non-negative".into(),
-        ));
-    }
-    Ok(())
 }
 
 /// K-bounded merge of per-shard answers in
@@ -1661,6 +1614,27 @@ mod tests {
     }
 
     #[test]
+    fn a_bounded_join_routes_to_an_admitted_pair_an_ulp_outside_the_plain_inflation() {
+        // `bounds.inflate(maxd)` starts at x = -233.66812400133205, one
+        // ulp right of q, so routing by it queried no shard at all.
+        let p = vec![Item::new(1, pt(437.7759677280631, 0.5))];
+        let q = vec![Item::new(2, pt(-233.66812400133207, 0.5))];
+        let rb = RingBounds {
+            bounds: Rect::new(pt(437.7759677280631, 0.0), pt(444.9772559251448, 1.0)),
+            max_diameter: 671.4440917293952,
+        };
+        let se = ShardedEngine::new(1).unwrap();
+        se.load("p", p, IndexKind::Rtree).unwrap();
+        se.load("q", q, IndexKind::Rtree).unwrap();
+        let full = se.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
+        assert_eq!(full.pairs.len(), 1);
+        assert!(rb.admits(&full.pairs[0]));
+        let out = se.join("q", "p", RcjAlgorithm::Auto, Some(rb)).unwrap();
+        assert_eq!(out.pairs, full.pairs);
+        assert_eq!(out.shards_queried, 1);
+    }
+
+    #[test]
     fn validation_rejects_bad_inputs_without_panicking() {
         assert!(matches!(
             ShardedEngine::new(0),
@@ -1696,7 +1670,7 @@ mod tests {
         };
         assert!(matches!(
             se.self_join("d", RcjAlgorithm::Auto, Some(nan)),
-            Err(ServerError::BadRequest(_))
+            Err(ServerError::BadRequest(why)) if why == "maxd must be finite and non-negative"
         ));
     }
 
