@@ -8,7 +8,7 @@
 //! `pool_hit_warm` bounds the bookkeeping floor it can never beat.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ringjoin_storage::{BufferPool, FilePageStore, PageId, PageStore};
+use ringjoin_storage::{BufferPool, DiskStorage, FileDisk, PageId, PageStore};
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -18,20 +18,23 @@ const PAGE_SIZE: usize = 1024;
 /// measured iteration of the scan benchmarks.
 const SCAN: u32 = 1024;
 
-/// Writes a `SCAN`-page file of deterministic junk and opens it as a
-/// read-only page store.
-fn store() -> (FilePageStore, PathBuf) {
+/// Writes a `SCAN`-page file of deterministic junk; the handle that
+/// wrote it is the store the readers read.
+fn store() -> (FileDisk, PathBuf) {
     let path = std::env::temp_dir().join(format!(
         "ringjoin-bench-page-store-{}.rjp",
         std::process::id()
     ));
-    let mut bytes = vec![0u8; SCAN as usize * PAGE_SIZE];
-    for (i, b) in bytes.iter_mut().enumerate() {
-        *b = (i % 251) as u8;
+    let mut file = FileDisk::create(&path, PAGE_SIZE).expect("create benchmark page file");
+    let mut page = vec![0u8; PAGE_SIZE];
+    for i in 0..SCAN {
+        let id = file.allocate();
+        for (j, b) in page.iter_mut().enumerate() {
+            *b = ((i as usize * PAGE_SIZE + j) % 251) as u8;
+        }
+        file.write_page(id, &page);
     }
-    std::fs::write(&path, &bytes).expect("write benchmark page file");
-    let store = FilePageStore::open(&path, PAGE_SIZE).expect("open benchmark page file");
-    (store, path)
+    (file, path)
 }
 
 fn bench_page_store(c: &mut Criterion) {

@@ -1450,7 +1450,6 @@ pub fn serving(cfg: &ExpConfig) -> String {
 /// order), for the determinism assertion of the scaling experiment.
 /// Measurement discipline is `run_phase`'s, identical to every figure.
 fn run_rcj_with_keys(w: &Workload, opts: &RcjOptions) -> (Measured, Vec<(u64, u64)>) {
-    crate::harness::warm_executor(w, opts);
     let (out, mut m) = run_phase(w, || rcj_join(&w.tq, &w.tp, opts));
     m.stats = out.stats;
     (m, out.pairs.iter().map(|pr| pr.key()).collect())

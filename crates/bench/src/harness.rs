@@ -100,22 +100,9 @@ impl Measured {
     }
 }
 
-/// Pre-builds the pager's shared page source outside any timed window
-/// when `opts` selects the parallel executor: the resident snapshot
-/// (an O(database) copy, cached until the next write) or the reopened
-/// page-store handle for spilled workloads. Without this, whichever
-/// algorithm happens to run first on a workload would be charged for
-/// the setup.
-pub fn warm_executor(w: &Workload, opts: &RcjOptions) {
-    if opts.executor.worker_count() > 1 {
-        w.pager.borrow_mut().page_source();
-    }
-}
-
 /// Runs one RCJ configuration cold (buffer cleared, stats zeroed) and
 /// measures it.
 pub fn run_rcj(w: &Workload, opts: &RcjOptions) -> Measured {
-    warm_executor(w, opts);
     w.reset();
     let t0 = Instant::now();
     let out = rcj_join(&w.tq, &w.tp, opts);

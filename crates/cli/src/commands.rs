@@ -979,6 +979,52 @@ fn cmd_replay(args: &Args) -> Result<Option<String>, ArgError> {
     Ok(None)
 }
 
+/// The options `command` reads — with `sub`, the client operation —
+/// or `None` for a command or operation that dispatch refuses anyway.
+fn accepted_options(command: &str, sub: Option<&str>) -> Option<Vec<&'static str>> {
+    // What `build_engine` reads beside the dataset files.
+    const ENGINE: &str = "index page-size buffer-frac on-disk buffer-pages";
+    // What every client operation takes.
+    const CLIENT: &str = "addr timeout retries";
+    let (own, shared) = match (command, sub) {
+        ("generate", _) => ("kind n out seed clusters sigma", ""),
+        ("join", _) => ("p q algo threads bounds max-diameter stats out", ENGINE),
+        ("self-join", _) => ("input algo threads bounds max-diameter stats out", ENGINE),
+        ("top-k", _) => ("p q k threads stats out", ENGINE),
+        ("explain", _) => ("p q input algo k threads bounds max-diameter", ENGINE),
+        ("replay", _) => ("p q target log batches algo threads stats out", ENGINE),
+        ("compare", _) => ("p q epsilon kcp knn", ""),
+        ("bound", _) => ("np nq", ""),
+        ("help", _) => ("", ""),
+        ("serve", _) => (
+            "addr port addr-file shards replicas workers max-sessions queue-depth \
+             on-disk buffer-pages data-dir shard-of",
+            "",
+        ),
+        ("client", Some(op)) => (
+            match op {
+                "load" => "name input index",
+                "join" => "outer inner algo bounds max-diameter pipeline stats out",
+                "self-join" => "dataset algo bounds max-diameter pipeline stats out",
+                "top-k" => "outer inner k pipeline stats out",
+                "explain" => "outer inner algo k",
+                "insert" | "upsert" => "name input",
+                "delete" => "name ids",
+                "mutate-stream" => "name batches batch-size seed id-base interval-ms log quiet",
+                "stats" | "shutdown" => "",
+                _ => return None,
+            },
+            CLIENT,
+        ),
+        _ => return None,
+    };
+    Some(
+        own.split_whitespace()
+            .chain(shared.split_whitespace())
+            .collect(),
+    )
+}
+
 /// Runs one parsed command; returns the text to print on stdout (pair
 /// CSVs go straight to their sink instead).
 pub fn run(args: &Args) -> Result<Option<String>, ArgError> {
@@ -988,6 +1034,21 @@ pub fn run(args: &Args) -> Result<Option<String>, ArgError> {
                 "unexpected positional argument {sub:?} after {:?}",
                 args.command
             )));
+        }
+    }
+    // An option the command would not read is refused before it runs:
+    // a misspelt flag or a window on `top-k` must not pass silently.
+    if let Some(accepted) = accepted_options(&args.command, args.sub.as_deref()) {
+        if let Some(key) = args
+            .options
+            .keys()
+            .find(|k| !accepted.contains(&k.as_str()))
+        {
+            let command = match &args.sub {
+                Some(op) => format!("{} {op}", args.command),
+                None => args.command.clone(),
+            };
+            return Err(ArgError(format!("{command} does not take --{key}")));
         }
     }
     match args.command.as_str() {
@@ -2090,6 +2151,60 @@ mod tests {
         let err = run(&parse(&s(&["client", "frobnicate", "--addr", "127.0.0.1:1"])).unwrap())
             .unwrap_err();
         assert!(!err.0.is_empty());
+    }
+
+    #[test]
+    fn options_a_command_does_not_read_are_refused_before_it_runs() {
+        let p = tmp("refuse_p.bin");
+        let q = tmp("refuse_q.bin");
+        for (path, seed) in [(&p, "5"), (&q, "6")] {
+            run(&parse(&s(&[
+                "generate", "--kind", "uniform", "--n", "200", "--seed", seed, "--out", path,
+            ]))
+            .unwrap())
+            .unwrap();
+        }
+        // `top-k` takes no window: it would print the unwindowed top-k.
+        let out = tmp("refuse_topk.csv");
+        let err = run(&parse(&s(&[
+            "top-k",
+            "--p",
+            &p,
+            "--q",
+            &q,
+            "--k",
+            "3",
+            "--bounds",
+            "0,0,1,1",
+            "--max-diameter",
+            "1",
+            "--out",
+            &out,
+        ]))
+        .unwrap())
+        .unwrap_err();
+        assert_eq!(err.0, "top-k does not take --bounds");
+        assert!(!Path::new(&out).exists(), "the command must not run");
+        // A misspelt flag names itself.
+        let err = run(&parse(&s(&[
+            "join", "--p", &p, "--q", &q, "--thread", "4", "--out", &out,
+        ]))
+        .unwrap())
+        .unwrap_err();
+        assert_eq!(err.0, "join does not take --thread");
+        assert!(!Path::new(&out).exists(), "the command must not run");
+        // Client operations are checked per operation, before connecting.
+        let err = run(&parse(&s(&[
+            "client",
+            "stats",
+            "--addr",
+            "127.0.0.1:1",
+            "--name",
+            "p",
+        ]))
+        .unwrap())
+        .unwrap_err();
+        assert_eq!(err.0, "client stats does not take --name");
     }
 
     #[test]

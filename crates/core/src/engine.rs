@@ -18,8 +18,8 @@
 //! ```
 //!
 //! Datasets persist across queries, so index construction is paid once;
-//! page snapshots taken for parallel execution are cached in the pager
-//! and reused; and because both built-in probes live in this crate, the
+//! a query pins the pager's own pages, sharing them rather than copying
+//! them; and because both built-in probes live in this crate, the
 //! two sides of one join can mix index kinds freely. The
 //! [`Plan`] resolves [`RcjAlgorithm::Auto`] through the
 //! [`planner`](crate::planner)'s calibrated cost model and implements
@@ -331,7 +331,6 @@ impl Engine {
             engine: self,
             name: name.into(),
             ops: Vec::new(),
-            version_store: true,
         }
     }
 
@@ -538,8 +537,11 @@ pub fn validate_batch(
 /// non-empty batch advances the dataset's epoch by one and opens a new
 /// storage epoch first
 /// ([`Pager::begin_epoch`](ringjoin_storage::Pager::begin_epoch)), so
-/// streams opened before the batch keep draining the snapshot they
-/// started on while new queries see the updated pointset.
+/// streams opened before the batch keep draining the pages they pinned
+/// while new queries see the updated pointset. The batch copies only
+/// what such a stream still holds: each resident page it rewrites, or,
+/// on a disk-native engine, the page file, versioned to `<base>.e<N>`.
+/// With no reader pinned, it writes in place.
 ///
 /// Indexes are maintained **incrementally**: R-trees take the R*
 /// insert/delete path (ChooseSubtree, forced reinsertion, CondenseTree),
@@ -554,7 +556,6 @@ pub struct UpdateBuilder<'e> {
     engine: &'e mut Engine,
     name: String,
     ops: Vec<Mutation>,
-    version_store: bool,
 }
 
 impl UpdateBuilder<'_> {
@@ -587,31 +588,13 @@ impl UpdateBuilder<'_> {
         self
     }
 
-    /// Controls whether a **disk-native** engine versions its page file
-    /// when the batch opens a new storage epoch (default `true`: the
-    /// current pages are re-spilled to `<base>.e<N>` so readers pinned
-    /// to the old file keep it via their open descriptors). Callers that
-    /// serialize updates against reads externally — the sharded server
-    /// applies updates under its catalog write lock — pass `false` to
-    /// skip the copy. In-memory engines are unaffected: snapshot pinning
-    /// needs no file versioning.
-    pub fn version_store(mut self, on: bool) -> Self {
-        self.version_store = on;
-        self
-    }
-
     /// Validates and applies the batch, returning the dataset's handle
     /// at its new epoch. An empty batch is a no-op: no storage epoch is
     /// opened and the dataset epoch does not advance. The dataset's leaf
     /// list is refreshed last, re-reading only the pages the batch wrote
     /// (every page of a rebuilt quadtree).
     pub fn apply(self) -> Result<DatasetHandle, EngineError> {
-        let UpdateBuilder {
-            engine,
-            name,
-            ops,
-            version_store,
-        } = self;
+        let UpdateBuilder { engine, name, ops } = self;
         // Whole-batch validation before any mutation.
         validate_batch(&name, &engine.get(&name)?.items, &ops)?;
         if ops.is_empty() {
@@ -619,9 +602,9 @@ impl UpdateBuilder<'_> {
         }
         // Open the new storage epoch BEFORE touching any page: readers
         // pinned to the previous epoch (in-flight streams) keep their
-        // snapshot, and every page version written below — including
+        // pages, and every page version written below — including
         // rewrites of existing page ids — belongs to the new epoch.
-        engine.pager.borrow_mut().begin_epoch(version_store);
+        engine.pager.borrow_mut().begin_epoch();
         let ds = engine
             .datasets
             .get_mut(&name)
@@ -1072,8 +1055,9 @@ impl Plan<'_> {
     /// [`BufferPool`](ringjoin_storage::BufferPool) instead of the
     /// engine pager's.
     ///
-    /// Engine datasets all live in one pager, so the run reads a single
-    /// cached snapshot (or the page store, on disk) through the pool;
+    /// Engine datasets all live in one pager, so the run pins its pages
+    /// once — the resident page table, or the page file on disk, shared
+    /// and not copied — and reads them through the pool;
     /// per-run I/O counters are absorbed back into the engine pager on
     /// return. This is how the sharded server keeps its replicas on
     /// **one** warm cache: every shard passes the same pool, and pages
@@ -2051,8 +2035,8 @@ mod tests {
         let mut stream = engine.query().join("q", "p").top_k(40).stream().unwrap();
         let mut drained: Vec<RcjPair> = stream.by_ref().take(10).collect();
         // Delete the endpoints of several upcoming pairs; the pinned
-        // stream must still produce them from its snapshot (default
-        // store versioning keeps the old page file readable).
+        // stream must still produce them from its snapshot (the stream
+        // holds the page file, so the batch versions it).
         engine
             .update("p")
             .delete(

@@ -33,8 +33,9 @@
 //! read-only. Two design decisions carry the parallel cold-cache fix:
 //!
 //! * **One shared cache, not `workers` cold ones.** Every worker reads
-//!   the `Arc`-shared read-only
-//!   [`PageSnapshot`](ringjoin_storage::PageSnapshot) through a
+//!   the pages the run pinned
+//!   ([`Pager::page_source`](ringjoin_storage::Pager::page_source): the
+//!   pager's own pages, shared by `Arc`, none copied) through a
 //!   [`PooledPager`](ringjoin_storage::PooledPager) accounting into the
 //!   pager's own [buffer pool](ringjoin_storage::Pager::pool) — the
 //!   exact-LRU cache sequential runs read through, at the **same total
@@ -209,7 +210,7 @@ impl Readers {
         pool: Option<&BufferPool>,
     ) -> Readers {
         let pin = |pager: &SharedPager| {
-            let mut pg = pager.borrow_mut();
+            let pg = pager.borrow();
             let pool = pool.unwrap_or(pg.pool()).clone();
             PooledPager::new(pg.page_source(), pool, pg.epoch())
         };

@@ -223,7 +223,10 @@ impl ShardWorker {
             } else {
                 // Replicas were built identically, so the writer's page
                 // file *is* their page space: attach without copying.
-                pager.borrow_mut().attach_store(path);
+                pager
+                    .borrow_mut()
+                    .attach_store(path)
+                    .map_err(|e| format!("attaching page file {}: {e}", path.display()))?;
             }
         }
         self.reindex_ownership(name, cell)
@@ -259,9 +262,11 @@ impl ShardWorker {
     /// `target_epoch - 1` is a hard refusal (the worker has diverged
     /// and must be rebuilt from the log).
     ///
-    /// The engine applies with `version_store(false)`: the coordinator
-    /// serializes updates against every query under its catalog write
-    /// lock, so no reader needs the retired epoch's page file. A worker
+    /// The coordinator serializes updates against every query under its
+    /// catalog write lock, so no reader holds the writer's page file
+    /// when the batch lands, and the batch writes the file in place. A
+    /// replica holds the file through a handle of its own, which the
+    /// writer never waits on. A worker
     /// *attached* to a shared page file detaches afterwards — its local
     /// pages are now ahead of anything the (possibly dead) writer wrote
     /// through — and serves resident from its own page space.
@@ -280,7 +285,6 @@ impl ShardWorker {
             let handle = self
                 .engine
                 .update(name.to_string())
-                .version_store(false)
                 .mutations(ops)
                 .apply()
                 .map_err(|e| e.to_string())?;

@@ -554,6 +554,39 @@ fn disk_native_server_round_trip_matches_resident_engine() {
     let hits: u64 = reply.field("pool_hits").unwrap().parse().unwrap();
     assert!(prefetch <= hits, "prefetch hits are a subset of pool hits");
 
+    // One batch of each mutation verb, served and in process: the
+    // served join after them is the resident engine's.
+    let added = [
+        Item::new(10_000, pt(700.0, 650.0)),
+        Item::new(10_001, pt(1500.0, -20.0)),
+    ];
+    let moved = [
+        Item::new(ps[3].id, pt(ps[3].point.x + 1.5, ps[3].point.y - 2.0)),
+        Item::new(10_002, pt(20.0, 1390.0)),
+    ];
+    let gone = [ps[7].id, 10_000];
+    client.insert("p", &added).unwrap();
+    client.upsert("p", &moved).unwrap();
+    client.delete("p", &gone).unwrap();
+    engine.update("p").insert(added).apply().unwrap();
+    engine.update("p").upsert(moved).apply().unwrap();
+    engine.update("p").delete(gone).apply().unwrap();
+    let local = engine.query().join("q", "p").collect().unwrap();
+    let remote = client.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
+    assert_eq!(remote.pairs, local.pairs);
+    // Updates run under the catalog's write lock, so no reader holds
+    // the page file when a batch lands: the file is written in place,
+    // never versioned to `pages.rjp.e<N>`.
+    let versions: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("pages.rjp.e"))
+        .collect();
+    assert!(
+        versions.is_empty(),
+        "served updates versioned the page file: {versions:?}"
+    );
+
     client.shutdown().unwrap();
     handle.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();

@@ -14,8 +14,8 @@
 //! a fault and an eviction are each O(1), and the arena stops allocating
 //! once it is full. Frames are of two kinds:
 //!
-//! * **Recency-only**, keyed by page. The bytes live elsewhere (an
-//!   immutable [`PageSnapshot`] or a memory-resident device), and a
+//! * **Recency-only**, keyed by page. The bytes live elsewhere (a
+//!   memory-resident device, or a [`PageSnapshot`] pinned on it), and a
 //!   fault means "under this budget the access would have gone to the
 //!   device". The key carries no epoch: a page rewritten by a mutation
 //!   batch keeps its frame, so a resident dataset's pool never outgrows
@@ -35,9 +35,8 @@
 //! the prefetcher staged it counts as a *prefetch hit* (a subset of
 //! hits), surfaced separately in [`IoStats`].
 
-use crate::disk::{PageId, PageStore};
+use crate::disk::{PageId, PageSnapshot, PageStore};
 use crate::pager::{IoStats, PageAccess};
-use crate::snapshot::PageSnapshot;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -468,12 +467,6 @@ impl PageSource {
 impl From<PageSnapshot> for PageSource {
     fn from(snapshot: PageSnapshot) -> PageSource {
         PageSource::Resident(snapshot)
-    }
-}
-
-impl From<Arc<dyn PageStore>> for PageSource {
-    fn from(store: Arc<dyn PageStore>) -> PageSource {
-        PageSource::Store(store)
     }
 }
 

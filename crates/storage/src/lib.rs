@@ -7,9 +7,9 @@
 //! the number of (possibly repeated) node accesses. This crate provides that
 //! exact machinery:
 //!
-//! * [`DiskStorage`] — the raw page device, with an in-memory
-//!   implementation ([`MemDisk`], used by tests and benchmarks for
-//!   determinism) and a real file-backed one ([`FileDisk`]).
+//! * [`DiskStorage`] — the raw page device: the in-memory [`MemDisk`]
+//!   (used by tests and benchmarks for determinism) or the page file
+//!   [`FileDisk`].
 //! * [`BufferPool`] — the LRU page cache of configurable capacity that
 //!   every access path counts in.
 //! * [`Pager`] — ties the two together and maintains [`IoStats`]: logical
@@ -17,22 +17,23 @@
 //!   writes.
 //! * [`CostModel`] — converts fault counts into the simulated I/O time the
 //!   paper reports (10 ms per fault by default).
-//! * [`PageAccess`] + [`PageSnapshot`] — the concurrency seam: an
+//! * [`PageAccess`] + [`PooledPager`] — the concurrency seam: an
 //!   object-safe read path implemented by both the shared sequential
-//!   pager and per-worker handles over an `Arc`-shared read-only
-//!   snapshot, which is what lets the join executor run workers without
-//!   a contended lock on the bytes.
-//! * [`PooledPager`] — a worker's handle on a shared [`BufferPool`]
-//!   (usually the pager's own, [`Pager::pool`]): parallel workers,
+//!   pager and per-worker handles. A handle reads the pages it pinned
+//!   ([`Pager::page_source`]) and counts in a shared [`BufferPool`]
+//!   (usually the pager's own, [`Pager::pool`]), so parallel workers,
 //!   streams and server shards read through one warm cache at the
-//!   sequential budget instead of `workers` cold ones, and the pool's
-//!   lifetime hit/fault counters serve observability.
-//! * [`PageStore`] + [`PageSource`] — the disk-native residency layer:
-//!   [`Pager::spill_to`] moves a dataset onto a real on-disk page file
-//!   ([`FilePageStore`]), the pool's frames then *own* whatever page
-//!   bytes fit the budget, and a [`Prefetcher`] stages upcoming pages
-//!   in the background so `read_faults` tracks the paper's I/O model
-//!   instead of RAM size.
+//!   sequential budget, without a contended lock on the bytes.
+//! * One page space. A pinned reader shares the device's pages by `Arc`
+//!   and copies none: a [`PageSnapshot`] is a resident device's page
+//!   table, and a disk-native pager hands out its [`FileDisk`] (the
+//!   [`PageStore`] the pool faults pages out of, which a background
+//!   [`Prefetcher`] stages ahead of the readers). A write copies only
+//!   what a pinned reader still holds: a resident page, or, at
+//!   [`Pager::begin_epoch`], the page file.
+//!   [`Pager::spill_to`] moves a dataset onto a page file, after which
+//!   the pool's frames own whatever page bytes fit the budget, so
+//!   `read_faults` tracks the paper's I/O model instead of RAM size.
 //! * [`Wal`] — the durable write-ahead mutation log the serving
 //!   coordinator appends LOAD/mutation batches to (length-prefixed,
 //!   CRC32-checksummed, fsynced before fan-out), with segment rotation
@@ -67,11 +68,9 @@
 mod buffer_pool;
 mod disk;
 mod pager;
-mod snapshot;
 mod wal;
 
 pub use buffer_pool::{BufferPool, PageSource, PoolRead, PooledPager, Prefetcher};
-pub use disk::{DiskStorage, FileDisk, FilePageStore, MemDisk, PageId, PageStore};
+pub use disk::{DiskStorage, FileDisk, MemDisk, PageId, PageSnapshot, PageStore};
 pub use pager::{read_page_as, CostModel, IoStats, PageAccess, Pager, SharedPager};
-pub use snapshot::PageSnapshot;
 pub use wal::{crc32, decode_segment, Wal, DEFAULT_SEGMENT_BYTES, MAX_RECORD_BYTES};

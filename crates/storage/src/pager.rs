@@ -1,6 +1,6 @@
 //! The pager: buffer-managed page access with the paper's I/O accounting.
 
-use crate::buffer_pool::{BufferPool, PoolRead};
+use crate::buffer_pool::{BufferPool, PageSource, PoolRead};
 use crate::disk::{DiskStorage, FileDisk, PageId};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -127,8 +127,18 @@ impl CostModel {
 /// Both R-trees of a join live in **one** pager so they share the single
 /// LRU buffer, exactly as in the paper ("the default size of the memory
 /// buffer is 1% of the sum of both tree sizes").
+///
+/// The pager and the readers pinned on it ([`Pager::page_source`]) share
+/// one page space: the device's. A pin copies no page. A write copies
+/// only what a pinned reader still holds — a resident page
+/// ([`MemDisk`](crate::MemDisk)), or, at [`Pager::begin_epoch`], the
+/// page file.
 pub struct Pager {
     disk: Box<dyn DiskStorage>,
+    /// A page file another pager writes, holding the pages of this one
+    /// ([`Pager::attach_store`]): what this pager's readers pin in place
+    /// of the device.
+    attached: Option<FileDisk>,
     /// The LRU buffer. The pager's own reads and writes count in it, and
     /// so does every [`PooledPager`](crate::PooledPager) pinned on
     /// [`Pager::pool`] — parallel workers and streams — so every access
@@ -137,29 +147,9 @@ pub struct Pager {
     /// against the live budget.
     pool: BufferPool,
     stats: IoStats,
-    /// Last snapshot taken, reused while no write/allocation has
-    /// invalidated it — repeated parallel joins over unmodified trees
-    /// must not each pay an O(database) copy.
-    snapshot_cache: Option<crate::PageSnapshot>,
-    /// Path of the on-disk page file, once [`Pager::spill_to`] or
-    /// [`Pager::attach_store`] made this pager disk-native.
-    store_path: Option<PathBuf>,
-    /// Cached read-only store over `store_path`, reopened lazily after
-    /// any write or allocation (which may grow or change the file).
-    store_cache: Option<Arc<crate::FilePageStore>>,
-    /// `true` when this pager's own device *is* the page file
-    /// ([`Pager::spill_to`]); `false` when the file is externally
-    /// maintained ([`Pager::attach_store`]). Only an owned store may be
-    /// re-versioned by [`Pager::begin_epoch`].
-    store_owned: bool,
-    /// Base path epoch-versioned page files derive from — the path the
-    /// first [`Pager::spill_to`]/[`Pager::attach_store`] named, stable
-    /// while [`Pager::begin_epoch`] retargets `store_path` to
-    /// `<base>.e<N>` files.
-    store_base: Option<PathBuf>,
     /// Dataset version counter: bumped by [`Pager::begin_epoch`] before
-    /// a mutation batch, so snapshots and byte-owning frames taken under
-    /// the old epoch stay isolated from pages rewritten under the new one.
+    /// a mutation batch, so byte-owning frames read under the old epoch
+    /// stay isolated from pages rewritten under the new one.
     epoch: u64,
     /// Write stamps: `stamps[i]` is the `write_clock` value of the last
     /// [`Pager::write`] to page `i` (`0`, or past the end: never written
@@ -175,13 +165,9 @@ impl Pager {
     pub fn new<D: DiskStorage + 'static>(disk: D, buffer_pages: usize) -> Self {
         Pager {
             disk: Box::new(disk),
+            attached: None,
             pool: BufferPool::new(buffer_pages),
             stats: IoStats::default(),
-            snapshot_cache: None,
-            store_path: None,
-            store_cache: None,
-            store_owned: false,
-            store_base: None,
             epoch: 0,
             stamps: Vec::new(),
             write_clock: 0,
@@ -205,10 +191,6 @@ impl Pager {
 
     /// Allocates a fresh zeroed page.
     pub fn allocate(&mut self) -> PageId {
-        self.snapshot_cache = None;
-        // The page file grew: a cached read-only store has a stale page
-        // count and must be reopened on next use.
-        self.store_cache = None;
         self.disk.allocate()
     }
 
@@ -245,9 +227,6 @@ impl Pager {
     /// not in the buffer is a write fault; the written bytes refresh its
     /// frame.
     pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) {
-        self.snapshot_cache = None;
-        // The bytes behind a page store change: reopen it on next use.
-        self.store_cache = None;
         self.stats.logical_writes += 1;
         self.write_clock += 1;
         let slot = id.0 as usize;
@@ -301,47 +280,29 @@ impl Pager {
         self.stats.merge(delta);
     }
 
-    /// Captures an immutable, `Arc`-shared copy of every allocated page,
-    /// read straight from the device — no buffer pollution, no
-    /// statistics. This is the read-only page source the parallel
-    /// executor hands to its [`PooledPager`](crate::PooledPager)s; the
-    /// write-through discipline of [`Pager::write`] guarantees the device
-    /// is current.
+    /// The resident pages as they are now, for a reader that holds the
+    /// view until it is done: the device's page table, shared, with no
+    /// page copied and no buffer access or statistic counted. Later
+    /// writes leave the view as it was (see
+    /// [`PageSnapshot`](crate::PageSnapshot)).
     ///
-    /// The snapshot is cached: while no write or allocation has gone
-    /// through this pager since the last call, the same `Arc` is handed
-    /// back, so back-to-back parallel joins over unmodified trees copy
-    /// the database once, not once per run. (Mutating the device behind
-    /// the pager's back is outside the contract — all index writes go
-    /// through [`Pager::write`].)
-    pub fn snapshot(&mut self) -> crate::PageSnapshot {
-        if let Some(snap) = &self.snapshot_cache {
-            return snap.clone();
+    /// # Panics
+    /// Panics if the pager is disk-native: its readers pin the page
+    /// file instead ([`Pager::page_source`]).
+    pub fn snapshot(&self) -> crate::PageSnapshot {
+        match self.disk.pin() {
+            PageSource::Resident(snapshot) => snapshot,
+            PageSource::Store(_) => panic!("a disk-native pager has no resident snapshot"),
         }
-        let page_size = self.disk.page_size();
-        let n = self.disk.num_pages();
-        let mut pages = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            // Read straight into the page's final allocation: one copy
-            // per page, not a staging read plus a clone.
-            let mut page = vec![0u8; page_size];
-            self.disk.read_page(PageId(i), &mut page);
-            pages.push(page.into_boxed_slice());
-        }
-        let snap = crate::PageSnapshot::from_pages(page_size, pages);
-        self.snapshot_cache = Some(snap.clone());
-        snap
     }
 
     /// Spills every allocated page to a page file at `path` and switches
     /// this pager's device to that file — from here on the pager is
     /// **disk-native**: sequential reads fault pages in from the file,
     /// write-through keeps the file authoritative, and
-    /// [`Pager::page_source`] hands parallel runs a shared read-only
-    /// [`FilePageStore`](crate::FilePageStore) over it instead of a
-    /// resident snapshot.
+    /// [`Pager::page_source`] hands readers the file itself.
     ///
-    /// Spilling an **owned** store to the *same* path is a no-op (the
+    /// Spilling to the path of the pager's own file is a no-op (the
     /// write-through discipline already keeps the file current —
     /// re-copying would truncate the very file the pager is reading
     /// from). Spilling to a new path re-copies and re-targets, and an
@@ -351,15 +312,20 @@ impl Pager {
     /// page space — mutation batches may have made the file stale.
     pub fn spill_to<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
         let path = path.as_ref();
-        if self.store_owned && self.store_path.as_deref() == Some(path) {
+        if self.disk.file().is_some_and(|file| file.path() == path) {
             return Ok(());
         }
+        self.spill(path, path)
+    }
+
+    /// Copies every page into a new page file at `path`, sized once, whose
+    /// versions are named after `base`, and makes it the device.
+    fn spill(&mut self, path: &Path, base: &Path) -> std::io::Result<()> {
         let page_size = self.disk.page_size();
-        let mut file = FileDisk::create(path, page_size)?;
+        let mut file = FileDisk::sized(path, base, page_size, self.disk.num_pages())?;
         let mut buf = vec![0u8; page_size];
-        for i in 0..self.disk.num_pages() {
+        for i in 0..file.num_pages() {
             let id = PageId(i);
-            file.allocate();
             self.disk.read_page(id, &mut buf);
             file.write_page(id, &buf);
         }
@@ -369,29 +335,25 @@ impl Pager {
         self.pool
             .own_bytes(self.epoch, page_size, |id, buf| old.read_page(id, buf));
         self.disk = Box::new(file);
-        self.store_path = Some(path.to_path_buf());
-        self.store_cache = None;
-        self.store_owned = true;
-        self.store_base = Some(path.to_path_buf());
-        // The resident copy is now redundant; drop it so the disk-native
-        // pager actually runs at file + frames, not file + frames + RAM.
-        self.snapshot_cache = None;
+        self.attached = None;
         Ok(())
     }
 
     /// Marks this pager disk-native over an **externally maintained**
-    /// page file at `path`, without copying anything. The caller
-    /// guarantees the file holds byte-identical pages under the same
-    /// page-id space as this pager's own device — the sharded server's
-    /// replicas satisfy this by construction: every shard builds the
-    /// same indexes in the same order, and shard 0 spills (and
+    /// page file at `path`, without copying anything: its readers pin
+    /// the file, read-only, in place of the pager's own pages. The
+    /// caller guarantees the file holds byte-identical pages under the
+    /// same page-id space as this pager's own device — the sharded
+    /// server's replicas satisfy this by construction: every shard builds
+    /// the same indexes in the same order, and shard 0 spills (and
     /// write-through maintains) the one file all replicas then read.
-    pub fn attach_store<P: AsRef<Path>>(&mut self, path: P) {
-        self.store_path = Some(path.as_ref().to_path_buf());
-        self.store_cache = None;
-        self.store_owned = false;
-        self.store_base = Some(path.as_ref().to_path_buf());
-        self.snapshot_cache = None;
+    ///
+    /// # Errors
+    /// Fails if the file cannot be opened, or its length is not a whole
+    /// number of pages.
+    pub fn attach_store<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
+        self.attached = Some(FileDisk::attach(path.as_ref(), self.page_size())?);
+        Ok(())
     }
 
     /// Drops an **attached** (non-owned) store, returning reads to this
@@ -402,14 +364,7 @@ impl Pager {
     /// dead writer would leave it stale forever, so updaters detach and
     /// serve resident from their own (current) page space.
     pub fn detach_unowned_store(&mut self) -> bool {
-        if self.store_path.is_none() || self.store_owned {
-            return false;
-        }
-        self.store_path = None;
-        self.store_cache = None;
-        self.store_base = None;
-        self.snapshot_cache = None;
-        true
+        self.attached.take().is_some()
     }
 
     /// Current dataset epoch: `0` until the first
@@ -422,87 +377,71 @@ impl Pager {
     }
 
     /// Opens a new epoch ahead of a mutation batch: bumps the epoch
-    /// counter, drops the buffer's byte-owning frames of retired epochs
-    /// and invalidates the cached snapshot and read-only store, so page
-    /// sources handed out *before* this call keep the old bytes
-    /// (resident snapshots are immutable; a disk-native store keeps its
-    /// open descriptor) while sources taken *after* the batch see the new
-    /// page versions.
+    /// counter and drops the buffer's byte-owning frames of retired
+    /// epochs, so page sources handed out *before* this call keep the
+    /// old bytes while sources taken *after* the batch see the new page
+    /// versions.
     ///
-    /// With `version_store` set on a pager whose page file is **owned**
-    /// (made disk-native by [`Pager::spill_to`]), the current page space
-    /// is first copied to `<base>.e<N>` and the pager retargeted there —
-    /// in-place write-through then never touches the file in-flight
-    /// readers hold open. The previous epoch's file is unlinked (POSIX
-    /// keeps it readable through open descriptors); the original base
-    /// file is never removed. Attached (externally maintained) stores
-    /// are never versioned — their replication protocol serializes
-    /// readers and writers above this layer.
+    /// A resident pager needs nothing more: its writes copy the pages a
+    /// pinned reader holds. A disk-native pager's writes change its file
+    /// in place, so while a reader still holds the file, the current
+    /// page space is first copied to `<base>.e<N>` and the pager
+    /// retargeted there; `<base>` is the path first spilled to. The
+    /// previous epoch's file is unlinked (POSIX keeps it readable
+    /// through open descriptors); the base file is never removed. With
+    /// no reader holding the file, the batch writes it in place. An
+    /// attached (externally maintained) store is never versioned — its
+    /// replication protocol serializes readers and writers above this
+    /// layer.
     ///
     /// # Panics
     /// Panics if the versioned page file cannot be written, matching
     /// [`Pager::spill_to`]'s callers.
-    pub fn begin_epoch(&mut self, version_store: bool) -> u64 {
+    pub fn begin_epoch(&mut self) -> u64 {
         self.epoch += 1;
         self.pool.drop_epochs_before(self.epoch);
-        self.snapshot_cache = None;
-        if self.store_path.is_some() {
-            self.store_cache = None;
-            if version_store && self.store_owned {
-                let base = self
-                    .store_base
-                    .clone()
-                    .expect("owned store always records its base path");
-                let mut next = base.clone().into_os_string();
-                next.push(format!(".e{}", self.epoch));
-                let next = PathBuf::from(next);
-                let prev = self.store_path.clone();
-                self.spill_to(&next)
-                    .unwrap_or_else(|e| panic!("versioning page file to {}: {e}", next.display()));
-                // spill_to re-derives the base from its argument; epoch
-                // files must keep chaining off the original path.
-                self.store_base = Some(base.clone());
-                if let Some(prev) = prev {
-                    if prev != base {
-                        let _ = std::fs::remove_file(prev);
-                    }
-                }
+        let held = self.disk.file().filter(|file| file.is_shared());
+        if let Some((prev, base)) =
+            held.map(|file| (file.path().to_path_buf(), file.base().to_path_buf()))
+        {
+            let mut next = base.clone().into_os_string();
+            next.push(format!(".e{}", self.epoch));
+            let next = PathBuf::from(next);
+            self.spill(&next, &base)
+                .unwrap_or_else(|e| panic!("versioning page file to {}: {e}", next.display()));
+            if prev != base {
+                let _ = std::fs::remove_file(prev);
             }
         }
         self.epoch
     }
 
+    /// The page file readers pin, if this pager is disk-native: an
+    /// attached file, or the pager's own device.
+    fn store(&self) -> Option<&FileDisk> {
+        self.attached.as_ref().or_else(|| self.disk.file())
+    }
+
     /// Path of the on-disk page file, if this pager is disk-native.
     pub fn store_path(&self) -> Option<&Path> {
-        self.store_path.as_deref()
+        self.store().map(FileDisk::path)
     }
 
-    /// The shared read-only page store parallel runs read through, if
-    /// this pager is disk-native (opened lazily, cached until a write
-    /// or allocation touches the page space).
-    ///
-    /// # Panics
-    /// Panics if the page file cannot be opened — a disk-native pager
-    /// whose file vanished is not a recoverable condition here.
-    pub fn page_store(&mut self) -> Option<Arc<crate::FilePageStore>> {
-        let path = self.store_path.as_deref()?;
-        if let Some(store) = &self.store_cache {
-            return Some(Arc::clone(store));
-        }
-        let store = crate::FilePageStore::open(path, self.disk.page_size())
-            .unwrap_or_else(|e| panic!("opening page store {}: {e}", path.display()));
-        let store = Arc::new(store);
-        self.store_cache = Some(Arc::clone(&store));
-        Some(store)
+    /// A handle on the page file parallel runs read through, if this
+    /// pager is disk-native. The handle shares the open file; while it
+    /// is alive, [`Pager::begin_epoch`] moves the pager's own writes to
+    /// a new file, so the handle keeps reading the pages as they were.
+    pub fn page_store(&self) -> Option<FileDisk> {
+        self.store().cloned()
     }
 
-    /// The page source parallel runs should read through: the shared
-    /// [`FilePageStore`](crate::FilePageStore) when disk-native, else a
-    /// resident [`PageSnapshot`](crate::PageSnapshot).
-    pub fn page_source(&mut self) -> crate::PageSource {
-        match self.page_store() {
-            Some(store) => crate::PageSource::Store(store as Arc<dyn crate::PageStore>),
-            None => crate::PageSource::Resident(self.snapshot()),
+    /// The page source a reader pins: the shared page file when
+    /// disk-native, else a resident [`PageSnapshot`](crate::PageSnapshot).
+    /// Either way the source shares the pager's pages, copying none.
+    pub fn page_source(&self) -> PageSource {
+        match &self.attached {
+            Some(file) => file.pin(),
+            None => self.disk.pin(),
         }
     }
 
@@ -543,10 +482,10 @@ impl Pager {
 /// join operators walking both) go through one buffer pool.
 ///
 /// This is the *sequential* access path, so `Rc<RefCell<_>>` suffices.
-/// Parallel runs read an [`Arc`-shared snapshot](Pager::snapshot) (or
-/// the page store) through per-worker
-/// [`PooledPager`](crate::PooledPager)s instead; both paths count in the
-/// pager's one [`BufferPool`] and meet in the [`PageAccess`] trait.
+/// Parallel runs read the pages they pinned ([`Pager::page_source`])
+/// through per-worker [`PooledPager`](crate::PooledPager)s instead;
+/// both paths count in the pager's one [`BufferPool`] and meet in the
+/// [`PageAccess`] trait.
 pub type SharedPager = Rc<RefCell<Pager>>;
 
 /// Object-safe read access to pages.
@@ -607,7 +546,6 @@ impl PageAccess for SharedPager {
 mod tests {
     use super::*;
     use crate::disk::{MemDisk, PageStore};
-    use crate::PageSource;
 
     /// A device that must be read (no resident pages) and counts reads.
     struct CountingDisk {
@@ -632,6 +570,9 @@ mod tests {
         fn write_page(&mut self, id: PageId, buf: &[u8]) {
             self.inner.write_page(id, buf);
         }
+        fn pin(&self) -> PageSource {
+            self.inner.pin()
+        }
     }
 
     #[test]
@@ -653,7 +594,7 @@ mod tests {
         assert_eq!(p.stats().read_faults, 0);
         assert_eq!(p.stats().write_faults, 1);
         // A new epoch drops the retired epoch's frames.
-        p.begin_epoch(false);
+        p.begin_epoch();
         assert!(p.pool().is_empty());
         p.read(a, |b| assert_eq!(b[0], 2));
         assert_eq!(reads.get(), 2);
@@ -675,7 +616,7 @@ mod tests {
         let reads = p.stats().logical_reads;
         p.read(a, |_| ());
         p.spill_to(dir.join("pages.rj")).unwrap();
-        p.begin_epoch(true);
+        p.begin_epoch();
         assert_eq!(p.page_stamp(a), stamp_a);
         assert_eq!(p.stats().logical_reads, reads + 1, "asking is not a read");
         // Every write moves the stamp, even one that rewrites equal bytes.
@@ -857,7 +798,7 @@ mod tests {
         assert_eq!(buf[0], 4);
 
         // Write-through keeps the file authoritative: a later write is
-        // visible through a freshly opened store.
+        // visible through a fresh handle.
         p.write(ids[0], |b| b[0] = 42);
         let store = p.page_store().unwrap();
         store.read_into(ids[0], &mut buf);
@@ -877,7 +818,7 @@ mod tests {
         p.write(a, |b| b[0] = 1);
         assert_eq!(p.epoch(), 0);
         let old = p.snapshot();
-        assert_eq!(p.begin_epoch(false), 1);
+        assert_eq!(p.begin_epoch(), 1);
         p.write(a, |b| b[0] = 2);
         let new = p.snapshot();
         assert!(!old.shares_pages(&new), "epoch bump invalidates the cache");
@@ -898,7 +839,7 @@ mod tests {
 
         // Pin a reader on epoch 0, then mutate under epoch 1.
         let old_store = p.page_store().unwrap();
-        p.begin_epoch(true);
+        p.begin_epoch();
         assert_eq!(p.store_path(), Some(dir.join("pages.rj.e1").as_path()));
         p.write(a, |b| b[0] = 2);
 
@@ -912,7 +853,7 @@ mod tests {
 
         // The next epoch chains off the base name and unlinks the
         // retired intermediate (open descriptors keep it readable).
-        p.begin_epoch(true);
+        p.begin_epoch();
         assert_eq!(p.store_path(), Some(dir.join("pages.rj.e2").as_path()));
         assert!(!dir.join("pages.rj.e1").exists());
         old_store.read_into(a, &mut buf);
@@ -935,8 +876,8 @@ mod tests {
         let mut replica = Pager::new(MemDisk::new(128), 4);
         let ra = replica.allocate();
         replica.write(ra, |b| b[0] = 7);
-        replica.attach_store(&base);
-        replica.begin_epoch(true);
+        replica.attach_store(&base).unwrap();
+        replica.begin_epoch();
         assert_eq!(
             replica.store_path(),
             Some(base.as_path()),
@@ -948,7 +889,29 @@ mod tests {
     }
 
     #[test]
-    fn allocation_reopens_the_store_with_the_grown_page_space() {
+    fn begin_epoch_writes_an_unheld_file_in_place() {
+        let dir = std::env::temp_dir().join(format!("ringjoin-inplace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("pages.rj");
+
+        let mut p = Pager::new(MemDisk::new(128), 4);
+        let a = p.allocate();
+        p.spill_to(&base).unwrap();
+        // A reader that has come and gone leaves nothing to version.
+        drop(p.page_source());
+        p.begin_epoch();
+        p.write(a, |b| b[0] = 5);
+        assert_eq!(p.store_path(), Some(base.as_path()));
+        assert!(!dir.join("pages.rj.e1").exists());
+        let mut buf = vec![0u8; 128];
+        p.page_store().unwrap().read_into(a, &mut buf);
+        assert_eq!(buf[0], 5);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_store_handle_taken_after_growth_reads_the_new_pages() {
         let dir = std::env::temp_dir().join(format!("ringjoin-grow-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pages.rj");
@@ -960,7 +923,7 @@ mod tests {
         let b = p.allocate();
         p.write(b, |bytes| bytes[0] = 9);
         let store = p.page_store().unwrap();
-        assert_eq!(store.num_pages(), 2, "store reopened after growth");
+        assert_eq!(store.num_pages(), 2, "the handle counts the new page");
         let mut buf = vec![0u8; 128];
         store.read_into(b, &mut buf);
         assert_eq!(buf[0], 9);

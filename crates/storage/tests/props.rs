@@ -1,9 +1,13 @@
 //! Property-based tests for the storage layer: the pager must behave
-//! like a plain array of pages regardless of buffer capacity, and fault
-//! accounting must obey the LRU inclusion property.
+//! like a plain array of pages regardless of buffer capacity, fault
+//! accounting must obey the LRU inclusion property, and a reader pinned
+//! on the pager's pages must keep reading them as they were.
 
 use proptest::prelude::*;
-use ringjoin_storage::{DiskStorage, FileDisk, MemDisk, PageId, Pager};
+use ringjoin_storage::{
+    read_page_as, DiskStorage, FileDisk, MemDisk, PageId, PageSource, PageStore, Pager, PooledPager,
+};
+use std::path::Path;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -21,6 +25,35 @@ fn op() -> impl Strategy<Value = Op> {
         3 => any::<u8>().prop_map(Op::Read),
         1 => Just(Op::Allocate),
     ]
+}
+
+/// What happens to the pinned views before a batch opens.
+#[derive(Clone, Debug)]
+enum Views {
+    /// Pin a view of the pages as they are.
+    Pin,
+    /// Drop the view at this index (modulo the views held), if any.
+    Drop(u8),
+    /// Leave the views as they are.
+    Keep,
+}
+
+fn views() -> impl Strategy<Value = Views> {
+    prop_oneof![
+        2 => Just(Views::Pin),
+        2 => any::<u8>().prop_map(Views::Drop),
+        1 => Just(Views::Keep),
+    ]
+}
+
+/// The names of the files in `dir`, sorted.
+fn files_in(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 proptest! {
@@ -120,12 +153,98 @@ proptest! {
                     let idx = PageId((*p as usize % n) as u32);
                     let mut a = vec![0u8; PS];
                     let mut b = vec![0u8; PS];
+                    let mut c = vec![0u8; PS];
                     mem.read_page(idx, &mut a);
                     file.read_page(idx, &mut b);
+                    // The reader side of the same handle: what a pinned
+                    // reader of the file reads.
+                    PageStore::read_into(&file, idx, &mut c);
                     prop_assert_eq!(&a, &b);
+                    prop_assert_eq!(&a, &c);
                 }
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+    /// One page space, one isolation rule. Batches of allocations and
+    /// writes, each opened by `begin_epoch` as the engine opens an
+    /// update, run against a resident pager and a spilled one, with
+    /// views pinned and dropped between batches. Every pinned view
+    /// keeps reading its pin-time bytes, through the pager's own pool,
+    /// and a batch opened while no view is pinned writes in place: it
+    /// creates no page file.
+    #[test]
+    fn pinned_views_keep_their_bytes(
+        batches in proptest::collection::vec(
+            (views(), proptest::collection::vec(op(), 0..16)),
+            1..12,
+        ),
+    ) {
+        const PS: usize = 128;
+        for spilled in [false, true] {
+            let dir = ringjoin_testsupport::scratch_dir("storage-pinned");
+            let mut pager = Pager::new(MemDisk::new(PS), 2);
+            pager.allocate();
+            let mut model: Vec<[u8; PS]> = vec![[0u8; PS]];
+            if spilled {
+                pager.spill_to(dir.join("pages.rjp")).unwrap();
+            }
+            let mut pinned: Vec<(PageSource, u64, Vec<[u8; PS]>)> = Vec::new();
+            for (views, ops) in &batches {
+                match views {
+                    Views::Pin => pinned.push((pager.page_source(), pager.epoch(), model.clone())),
+                    Views::Drop(i) if !pinned.is_empty() => {
+                        pinned.remove(*i as usize % pinned.len());
+                    }
+                    _ => {}
+                }
+                let files = files_in(&dir);
+                pager.begin_epoch();
+                for o in ops {
+                    match o {
+                        Op::Allocate => {
+                            pager.allocate();
+                            model.push([0u8; PS]);
+                        }
+                        Op::Write(p, off, b) => {
+                            let idx = *p as usize % model.len();
+                            let off = *off as usize % PS;
+                            pager.write(PageId(idx as u32), |bytes| bytes[off] = *b);
+                            model[idx][off] = *b;
+                        }
+                        Op::Read(p) => {
+                            let idx = *p as usize % model.len();
+                            let same = pager.read(PageId(idx as u32), |bytes| bytes == &model[idx][..]);
+                            prop_assert!(same, "spilled={}: page {} diverged", spilled, idx);
+                        }
+                    }
+                }
+                if pinned.is_empty() {
+                    prop_assert_eq!(
+                        files_in(&dir),
+                        files,
+                        "spilled={}: a batch with no view pinned wrote a page file",
+                        spilled
+                    );
+                }
+                for (source, epoch, pages) in &pinned {
+                    let mut reader = PooledPager::new(source.clone(), pager.pool().clone(), *epoch);
+                    for (i, expect) in pages.iter().enumerate() {
+                        let same = read_page_as(&mut reader, PageId(i as u32), |bytes| {
+                            bytes == &expect[..]
+                        });
+                        prop_assert!(
+                            same,
+                            "spilled={}: the view pinned at epoch {} lost page {}",
+                            spilled,
+                            epoch,
+                            i
+                        );
+                    }
+                }
+            }
+            drop(pinned);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
