@@ -8,7 +8,7 @@
 //! `pool_hit_warm` bounds the bookkeeping floor it can never beat.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ringjoin_storage::{BufferPool, DiskStorage, FileDisk, PageId, PageStore};
+use ringjoin_storage::{BufferPool, DiskStorage, FileDisk, PageId};
 use std::hint::black_box;
 use std::path::PathBuf;
 

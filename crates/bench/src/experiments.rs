@@ -563,7 +563,7 @@ fn skew_workload(cfg: &ExpConfig, name: &str) -> Workload {
 }
 
 /// Thread counts exercised by the out-of-core phase of [`scaling`]
-/// (the sequential pager path and the pooled parallel path).
+/// (one sequential reader, and four work-stealing workers).
 pub const OOC_THREADS: [usize; 2] = [1, 4];
 
 /// Update rounds run by the live-update phase of [`scaling`]: fresh

@@ -59,8 +59,8 @@ impl Workload {
     }
 
     /// Moves the workload's page space into an on-disk page file: after
-    /// this every buffer miss is a real file read, for both the
-    /// sequential pager path and the pooled parallel path.
+    /// this every buffer miss is a real file read, for the sequential
+    /// reader and the parallel workers alike.
     pub fn spill_to(&self, path: &std::path::Path) {
         self.pager
             .borrow_mut()

@@ -1196,7 +1196,7 @@ mod tests {
     use super::*;
     use crate::{pair_keys, rcj_brute, IndexEntry, IndexProbe, RcjPair};
     use proptest::prelude::*;
-    use ringjoin_storage::{PageAccess, PageId};
+    use ringjoin_storage::{PageId, PooledPager};
 
     fn points(n: usize, seed: u64, span: f64) -> Vec<Item> {
         ringjoin_testsupport::lcg_points(n, seed, span)
@@ -1551,7 +1551,7 @@ mod tests {
     /// checked against.
     fn collect_leaves<P: IndexProbe>(
         probe: &P,
-        pg: &mut dyn PageAccess,
+        pg: &mut PooledPager,
         node: NodeRef,
         out: &mut Vec<NodeRef>,
     ) {
@@ -1573,17 +1573,18 @@ mod tests {
         let ds = engine.get(name).unwrap();
         with_tree!(ds, |t| {
             let probe = t.probe();
-            let mut pg = t.pager();
-            let mut leaves = Vec::new();
-            collect_leaves(&probe, &mut pg, probe.root(), &mut leaves);
-            leaves
-                .into_iter()
-                .map(|n| {
-                    let items = crate::join::leaf_items(&probe, &mut pg, n);
-                    let region = Rect::from_points(items.iter().map(|it| it.point)).unwrap();
-                    (n.page, region)
-                })
-                .collect()
+            crate::executor::read_pinned(&t.pager(), |pg| {
+                let mut leaves = Vec::new();
+                collect_leaves(&probe, pg, probe.root(), &mut leaves);
+                leaves
+                    .into_iter()
+                    .map(|n| {
+                        let items = crate::join::leaf_items(&probe, pg, n);
+                        let region = Rect::from_points(items.iter().map(|it| it.point)).unwrap();
+                        (n.page, region)
+                    })
+                    .collect()
+            })
         })
     }
 
@@ -2128,6 +2129,58 @@ mod tests {
                 "threads={threads}: prefetch hits are a subset of hits"
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sequential_joins_and_leaf_walks_leave_the_page_file_unpinned() {
+        // A sequential join and the leaf walk that ends every batch pin
+        // the page file; a batch opened while a pin lives would version
+        // the file to `<file>.e<N>`. None may be left, and the join
+        // after the batches must equal a resident engine's.
+        let dir = ringjoin_testsupport::scratch_dir("engine-unpinned");
+        let path = dir.join("pages.rj");
+        let (mut mem, mut disk) = (Engine::new(), Engine::new());
+        for (engine, on_disk) in [(&mut mem, None), (&mut disk, Some(&path))] {
+            engine
+                .load("p", points(500, 113, 2000.0))
+                .index(IndexKind::Rtree);
+            let load = engine.load("q", points(500, 127, 2000.0));
+            match on_disk {
+                Some(path) => load.on_disk(path),
+                None => load,
+            }
+            .index(IndexKind::Quadtree);
+        }
+        let join = |engine: &Engine| {
+            let query = engine.query().join("q", "p");
+            query.executor(Executor::Sequential).collect().unwrap()
+        };
+        assert_eq!(join(&disk).pairs, join(&mem).pairs);
+        for engine in [&mut mem, &mut disk] {
+            let added = Item::new(1 << 40, pt(7.0, 9.0));
+            engine
+                .update("p")
+                .delete([3])
+                .insert([added])
+                .apply()
+                .unwrap();
+            let moved = Item::new(5, pt(1500.0, 20.0));
+            engine
+                .update("q")
+                .upsert([moved])
+                .delete([8])
+                .apply()
+                .unwrap();
+        }
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["pages.rj"], "a batch versioned the page file");
+        let (got, want) = (join(&disk), join(&mem));
+        assert_eq!(got.pairs, want.pairs);
+        assert_eq!(got.stats, want.stats);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

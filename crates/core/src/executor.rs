@@ -6,9 +6,8 @@
 //! in which leaves run, in what order, on which threads:
 //!
 //! * **Sequential** ([`Executor::Sequential`]): every leaf in list order
-//!   through the pagers themselves, with no snapshot and no prefetch, so
-//!   the paper's fault counts are exact. A sink's early exit stops it
-//!   leaf by leaf.
+//!   on one reader, with no prefetch, so the paper's fault counts are
+//!   exact. A sink's early exit stops it leaf by leaf.
 //! * **Work stealing** ([`Executor::Parallel`]): the leaves spread over
 //!   worker threads, as below. The parallel leaf-order stream runs the
 //!   same scheduler one wave at a time, on readers it keeps across waves.
@@ -32,16 +31,17 @@
 //! touch disjoint slices of the output and all index access is
 //! read-only. Two design decisions carry the parallel cold-cache fix:
 //!
-//! * **One shared cache, not `workers` cold ones.** Every worker reads
-//!   the pages the run pinned
+//! * **One shared cache, not `workers` cold ones.** Every reader, the
+//!   sequential one included, reads the pages the run pinned
 //!   ([`Pager::page_source`](ringjoin_storage::Pager::page_source): the
 //!   pager's own pages, shared by `Arc`, none copied) through a
 //!   [`PooledPager`](ringjoin_storage::PooledPager) accounting into the
-//!   pager's own [buffer pool](ringjoin_storage::Pager::pool) — the
-//!   exact-LRU cache sequential runs read through, at the **same total
-//!   budget**. Hot inner nodes faulted by one worker are hits for every
-//!   other worker (and for later runs: the pool stays warm across joins
-//!   over an unmodified pager).
+//!   pager's own [buffer pool](ringjoin_storage::Pager::pool) — one
+//!   exact-LRU cache at the **same total budget** for every schedule.
+//!   Hot inner nodes faulted by one worker are hits for every other
+//!   worker (and for later runs: the pool stays warm across joins over
+//!   an unmodified pager). A run's pin ends with the run, so a batch
+//!   after it writes a page file in place.
 //! * **Work stealing, merged by leaf index.** The outer leaf list is
 //!   seeded into per-worker deques as contiguous chunks weighted by
 //!   **leaf spatial extent** (a cheap locality-aware proxy for work on
@@ -73,7 +73,7 @@ use crate::join::LeafPass;
 use crate::pair::RcjPair;
 use crate::stats::RcjStats;
 use crate::stream::{PairSink, TaggedPairSink};
-use ringjoin_storage::{BufferPool, PageAccess, PooledPager, Prefetcher, SharedPager};
+use ringjoin_storage::{BufferPool, PooledPager, Prefetcher, SharedPager};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::rc::Rc;
@@ -82,8 +82,8 @@ use std::sync::Mutex;
 /// Execution mode of an RCJ run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Executor {
-    /// Process the outer leaves one by one through the shared pager —
-    /// the paper's original cost model.
+    /// Process the outer leaves one by one on one reader, with no
+    /// prefetch — the paper's original cost model.
     Sequential,
     /// Schedule the outer leaves across `threads` work-stealing workers
     /// over the shared buffer pool. Output is byte-identical to
@@ -148,41 +148,6 @@ impl Default for Executor {
     }
 }
 
-/// Page-access handles for the two sides of a join.
-///
-/// Sequential runs hand out two clones of the shared pager(s); parallel
-/// workers hand out their private pooled pagers — one if both trees live
-/// in the same pager (always true for self-joins), two otherwise.
-pub(crate) enum Pagers<'a> {
-    /// Both trees through one handle.
-    Shared(&'a mut dyn PageAccess),
-    /// Separate handles for the outer (`q`) and inner (`p`) tree.
-    Split {
-        /// Outer-tree access.
-        q: &'a mut dyn PageAccess,
-        /// Inner-tree access.
-        p: &'a mut dyn PageAccess,
-    },
-}
-
-impl Pagers<'_> {
-    /// Access to the outer tree's pages.
-    pub(crate) fn q(&mut self) -> &mut dyn PageAccess {
-        match self {
-            Pagers::Shared(pg) => *pg,
-            Pagers::Split { q, .. } => *q,
-        }
-    }
-
-    /// Access to the inner tree's pages.
-    pub(crate) fn p(&mut self) -> &mut dyn PageAccess {
-        match self {
-            Pagers::Shared(pg) => *pg,
-            Pagers::Split { p, .. } => *p,
-        }
-    }
-}
-
 /// A reader's private handles on the pages of a join's two trees: one
 /// [`PooledPager`] per distinct pager, pinned to the pager's page source
 /// and epoch at the time of [`Readers::pin`], so a mutation batch landing
@@ -209,23 +174,20 @@ impl Readers {
         pager_p: &SharedPager,
         pool: Option<&BufferPool>,
     ) -> Readers {
-        let pin = |pager: &SharedPager| {
-            let pg = pager.borrow();
-            let pool = pool.unwrap_or(pg.pool()).clone();
-            PooledPager::new(pg.page_source(), pool, pg.epoch())
-        };
         Readers {
-            q: pin(pager_q),
-            p: (!Rc::ptr_eq(pager_q, pager_p)).then(|| pin(pager_p)),
+            q: pin(pager_q, pool),
+            p: (!Rc::ptr_eq(pager_q, pager_p)).then(|| pin(pager_p, pool)),
         }
     }
 
-    /// The handles as the per-leaf driver takes them.
-    pub(crate) fn pagers(&mut self) -> Pagers<'_> {
-        match &mut self.p {
-            None => Pagers::Shared(&mut self.q),
-            Some(p) => Pagers::Split { q: &mut self.q, p },
-        }
+    /// The outer tree's reader.
+    pub(crate) fn q(&mut self) -> &mut PooledPager {
+        &mut self.q
+    }
+
+    /// The inner tree's reader (the outer one when they share a pager).
+    pub(crate) fn p(&mut self) -> &mut PooledPager {
+        self.p.as_mut().unwrap_or(&mut self.q)
     }
 
     /// A background stager for the outer tree's pages, when they live
@@ -243,6 +205,27 @@ impl Readers {
     }
 }
 
+/// A reader of `pager`'s pages as they are now, at its epoch, counting
+/// in `pool` (the pager's own buffer when `None`).
+fn pin(pager: &SharedPager, pool: Option<&BufferPool>) -> PooledPager {
+    let pg = pager.borrow();
+    PooledPager::new(
+        pg.page_source(),
+        pool.unwrap_or(pg.pool()).clone(),
+        pg.epoch(),
+    )
+}
+
+/// Runs `read` on a reader pinned on `pager`, then ends the pin and adds
+/// the reader's I/O counters to the pager: the leaf walk and the
+/// tree-level filter and verify read this way.
+pub(crate) fn read_pinned<T>(pager: &SharedPager, read: impl FnOnce(&mut PooledPager) -> T) -> T {
+    let mut reader = pin(pager, None);
+    let out = read(&mut reader);
+    pager.borrow_mut().absorb(reader.stats());
+    out
+}
+
 /// Runs the pass under the executor chosen in its options, emitting
 /// pairs into `sink` in deterministic leaf order and returning the
 /// accumulated CPU-side counters.
@@ -253,25 +236,20 @@ pub(crate) fn execute<PQ: IndexProbe, PP: IndexProbe>(
     sink: &mut dyn PairSink,
 ) -> RcjStats {
     let mut stats = RcjStats::default();
+    // Every reader reads each pager's page source through its own
+    // buffer: trees sharing a pager (the paper's setup, and every
+    // self-join) share both, and the buffer stays warm across runs. A
+    // disk-native pager hands out its file instead of a resident
+    // snapshot — the pool's frames become the only RAM copy.
+    let mut pinned = Readers::pin(&pager_q, &pager_p, None);
     let workers = pass.workers();
     if workers <= 1 {
-        // Through the pagers themselves: no snapshot and no prefetch, so
-        // the paper's fault counts are exact.
-        let (mut pgq, mut pgp) = (pager_q, pager_p);
-        let mut pagers = Pagers::Split {
-            q: &mut pgq,
-            p: &mut pgp,
-        };
-        pass.run_all(&mut pagers, sink, &mut stats);
+        // One reader and no prefetch, so the paper's fault counts are
+        // exact.
+        pass.run_all(&mut pinned, sink, &mut stats);
+        pinned.absorb(&pager_q, &pager_p);
         return stats;
     }
-    // Workers read each pager's page source through its own buffer:
-    // trees sharing a pager (the paper's setup, and every self-join)
-    // share both, exactly as they share one LRU buffer sequentially,
-    // and the buffer stays warm across runs. A disk-native pager hands
-    // out its store instead of a resident snapshot — the pool's frames
-    // become the only RAM copy.
-    let pinned = Readers::pin(&pager_q, &pager_p, None);
     let prefetcher = pinned.prefetcher();
     let mut readers = vec![pinned; workers];
     let pairs = run_stealing(
@@ -333,7 +311,6 @@ pub(crate) fn run_subset<PQ: IndexProbe, PP: IndexProbe>(
 ) -> RcjStats {
     let mut readers = Readers::pin(pager_q, pager_p, Some(pool));
     let prefetcher = readers.prefetcher();
-    let mut pagers = readers.pagers();
     let mut stats = RcjStats::default();
     let mut claim = 0;
     for (i, &pos) in positions.iter().enumerate() {
@@ -348,7 +325,7 @@ pub(crate) fn run_subset<PQ: IndexProbe, PP: IndexProbe>(
             leaf: pos,
             inner: sink,
         };
-        if !pass.run(pos, &mut pagers, &mut tagged, &mut stats) {
+        if !pass.run(pos, &mut readers, &mut tagged, &mut stats) {
             break;
         }
     }
@@ -502,7 +479,6 @@ pub(crate) fn run_stealing<PQ: IndexProbe, PP: IndexProbe>(
                 scope.spawn(move || {
                     let mut tagged: Vec<(usize, RcjPair)> = Vec::new();
                     let mut stats = RcjStats::default();
-                    let mut pagers = reader.pagers();
                     let mut claim = 0;
                     while let Some(i) = next_leaf(queues, w) {
                         if !pass.reaches(base + i) {
@@ -521,7 +497,7 @@ pub(crate) fn run_stealing<PQ: IndexProbe, PP: IndexProbe>(
                             leaf: base + i,
                             inner: &mut tagged,
                         };
-                        pass.run(base + i, &mut pagers, &mut tag_sink, &mut stats);
+                        pass.run(base + i, reader, &mut tag_sink, &mut stats);
                     }
                     (tagged, stats)
                 })

@@ -13,9 +13,9 @@
 //!
 //! The traversal is written against [`IndexProbe`], so the same code
 //! filters through R-tree MBRs and quadtree quadrant regions — Lemma 3
-//! only needs the region to bound the subtree's points. Page access goes
-//! through an explicit [`PageAccess`], so the same code also runs on the
-//! shared sequential pager and on per-worker buffers.
+//! only needs the region to bound the subtree's points. Pages are read
+//! through an explicit [`PooledPager`], the reader the leaf pass hands
+//! it (one per worker in parallel runs).
 //!
 //! The bulk variant (Algorithm 7) filters a whole leaf node of `T_Q` in a
 //! single traversal of `T_P`, ordered by distance from the leaf centroid;
@@ -79,10 +79,11 @@
 //! infinite (every unbounded join) the traversal is compiled without
 //! the test.
 
+use crate::executor::read_pinned;
 use crate::index::{IndexEntry, IndexProbe, RcjIndex};
 use crate::stats::RcjStats;
 use ringjoin_geom::{HalfPlane, Item, Point};
-use ringjoin_storage::PageAccess;
+use ringjoin_storage::PooledPager;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -313,7 +314,7 @@ impl<'q, const CUT: bool> Traversal<'q, CUT> {
         self.slab.truncate(slot);
     }
 
-    fn run(mut self, probe: &impl IndexProbe, pg: &mut dyn PageAccess, stats: &mut RcjStats) {
+    fn run(mut self, probe: &impl IndexProbe, pg: &mut PooledPager, stats: &mut RcjStats) {
         let n = self.queries.len();
         // The root's parent set: every query point.
         let mut parent: Vec<u64> = (0..self.words)
@@ -381,7 +382,7 @@ impl<'q, const CUT: bool> Traversal<'q, CUT> {
 /// of discovery.
 fn traverse(
     probe: &impl IndexProbe,
-    pg: &mut dyn PageAccess,
+    pg: &mut PooledPager,
     origin: Point,
     mut queries: Vec<Query>,
     stats: &mut RcjStats,
@@ -394,9 +395,8 @@ fn traverse(
     queries.into_iter().map(|qp| qp.cands).collect()
 }
 
-/// Algorithm 2: candidate retrieval for a single query point, through
-/// the tree's own pager (see [`filter_with`] for the executor-facing
-/// variant).
+/// Algorithm 2: candidate retrieval for a single query point, through a
+/// reader pinned on the tree's pager whose counters the pager absorbs.
 ///
 /// `exclude_id` removes one identity from consideration — the query point
 /// itself during a self-join, where `T_P` is the same tree that contains
@@ -410,24 +410,17 @@ pub fn filter<I: RcjIndex>(
     exclude_id: Option<u64>,
     stats: &mut RcjStats,
 ) -> Vec<Item> {
-    let mut pg = tree_p.pager();
-    filter_with(
-        &tree_p.probe(),
-        &mut pg,
-        q,
-        exclude_id,
-        f64::INFINITY,
-        stats,
-    )
+    read_pinned(&tree_p.pager(), |pg| {
+        filter_with(&tree_p.probe(), pg, q, exclude_id, f64::INFINITY, stats)
+    })
 }
 
-/// [`filter`] over an explicit probe and page-access handle — the form
-/// the executor's workers call with their private buffers — returning
-/// only the candidates within squared distance `cut` of `q` (see the
-/// module docs; `f64::INFINITY` for all of them).
-pub fn filter_with(
+/// [`filter`] over an explicit probe and reader — the form the leaf
+/// pass calls — returning only the candidates within squared distance
+/// `cut` of `q` (see the module docs; `f64::INFINITY` for all of them).
+pub(crate) fn filter_with(
     probe: &impl IndexProbe,
-    pg: &mut dyn PageAccess,
+    pg: &mut PooledPager,
     q: Point,
     exclude_id: Option<u64>,
     cut: f64,
@@ -444,8 +437,8 @@ pub struct BulkFilterResult {
 }
 
 /// Algorithm 7 + Section 4.2: bulk candidate retrieval for all points of
-/// one leaf node of `T_Q`, through the tree's own pager (see
-/// [`bulk_filter_with`] for the executor-facing variant).
+/// one leaf node of `T_Q`, through a reader pinned on the tree's pager
+/// whose counters the pager absorbs.
 ///
 /// * `leaf_points` — the points `V` of the leaf.
 /// * `symmetric` — enables the Lemma 5 rule (the OBJ optimisation):
@@ -460,28 +453,29 @@ pub fn bulk_filter<I: RcjIndex>(
     exclude_same_id: bool,
     stats: &mut RcjStats,
 ) -> BulkFilterResult {
-    let mut pg = tree_p.pager();
-    bulk_filter_with(
-        &tree_p.probe(),
-        &mut pg,
-        leaf_points,
-        symmetric,
-        exclude_same_id,
-        &vec![f64::INFINITY; leaf_points.len()],
-        stats,
-    )
+    read_pinned(&tree_p.pager(), |pg| {
+        bulk_filter_with(
+            &tree_p.probe(),
+            pg,
+            leaf_points,
+            symmetric,
+            exclude_same_id,
+            &vec![f64::INFINITY; leaf_points.len()],
+            stats,
+        )
+    })
 }
 
-/// [`bulk_filter`] over an explicit probe and page-access handle, set
-/// `i` holding only the candidates within squared distance `cuts[i]` of
+/// [`bulk_filter`] over an explicit probe and reader, set `i` holding
+/// only the candidates within squared distance `cuts[i]` of
 /// `leaf_points[i]` (see the module docs; `f64::INFINITY` for all of
 /// them, `f64::NEG_INFINITY` for none).
 ///
 /// # Panics
 /// Panics unless there is one cut per leaf point.
-pub fn bulk_filter_with(
+pub(crate) fn bulk_filter_with(
     probe: &impl IndexProbe,
-    pg: &mut dyn PageAccess,
+    pg: &mut PooledPager,
     leaf_points: &[Item],
     symmetric: bool,
     exclude_same_id: bool,
@@ -728,7 +722,7 @@ mod tests {
     /// `bulk_filter_matches_the_reference_loop`.
     fn bulk_filter_reference(
         probe: &impl IndexProbe,
-        pg: &mut dyn PageAccess,
+        pg: &mut PooledPager,
         leaf_points: &[Item],
         symmetric: bool,
         exclude_same_id: bool,
@@ -904,27 +898,16 @@ mod tests {
             for exclude in [false, true] {
                 let (mut got_stats, mut want_stats) = (RcjStats::default(), RcjStats::default());
                 let kernel = |cuts: &[f64], stats: &mut RcjStats| {
-                    bulk_filter_with(
-                        &probe,
-                        &mut tree.pager(),
-                        leaf,
-                        symmetric,
-                        exclude,
-                        cuts,
-                        stats,
-                    )
+                    read_pinned(&tree.pager(), |pg| {
+                        bulk_filter_with(&probe, pg, leaf, symmetric, exclude, cuts, stats)
+                    })
                 };
                 let got = kernel(&uncut, &mut got_stats);
                 let mut cut_stats = RcjStats::default();
                 let got_cut = kernel(cuts, &mut cut_stats);
-                let want = bulk_filter_reference(
-                    &probe,
-                    &mut tree.pager(),
-                    leaf,
-                    symmetric,
-                    exclude,
-                    &mut want_stats,
-                );
+                let want = read_pinned(&tree.pager(), |pg| {
+                    bulk_filter_reference(&probe, pg, leaf, symmetric, exclude, &mut want_stats)
+                });
                 prop_assert_eq!(
                     &got.sets,
                     &want.sets,

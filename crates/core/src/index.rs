@@ -19,10 +19,9 @@
 //! [`IndexProbe`] captures exactly that. It is deliberately a tiny
 //! `Copy + Send + Sync + 'static` value (root page plus decode
 //! parameters) with **no** interior page access of its own: every read
-//! goes through the [`PageAccess`] argument, which is how the same
-//! driver code runs sequentially over the owning [`SharedPager`] and in
-//! parallel over per-worker
-//! [`PooledPager`](ringjoin_storage::PooledPager)s. [`RcjIndex`] ties a
+//! goes through the [`PooledPager`] argument, a reader pinned on the
+//! tree's pager, which is how the same driver code runs on one reader
+//! sequentially and on one per worker in parallel. [`RcjIndex`] ties a
 //! probe to the tree that owns the pages, and additionally describes the
 //! dataset ([`RcjIndex::summary`]) so the
 //! [`planner`](crate::planner) can cost queries without touching pages.
@@ -34,7 +33,7 @@ use crate::planner::DatasetSummary;
 use ringjoin_geom::{Item, Point, Rect};
 use ringjoin_quadtree::{quadrant, quadtree_decode, QNode, QuadTree};
 use ringjoin_rtree::{NodeCodec, NodeEntry, RTree};
-use ringjoin_storage::{read_page_as, PageAccess, PageId, SharedPager};
+use ringjoin_storage::{PageId, PooledPager, SharedPager};
 
 /// A reference to an index node: its page plus a region bounding every
 /// point in its subtree (an MBR for R-trees, a quadrant region for
@@ -60,7 +59,7 @@ pub enum IndexEntry {
 ///
 /// All INJ/BIJ/OBJ driver logic — leaf enumeration, the incremental-NN
 /// filter, circle verification — is written once against this trait; see
-/// the crate's [`filter`](crate::filter_with), [`verify`](crate::verify_with)
+/// the crate's [`filter`](crate::filter), [`verify`](crate::verify)
 /// and [`rcj_join`](crate::rcj_join). The `'static` bound keeps probes
 /// storable inside long-lived values such as [`RcjStream`](crate::RcjStream);
 /// a probe is a value (codec parameters plus a root page), never a
@@ -79,7 +78,7 @@ pub trait IndexProbe: Copy + Send + Sync + 'static {
     /// Decodes the node at `node` through `pg` and appends its entries
     /// to `out` in storage order. Child regions must bound the child's
     /// subtree; overflow continuations reuse the node's own region.
-    fn expand(&self, pg: &mut dyn PageAccess, node: NodeRef, out: &mut Vec<IndexEntry>);
+    fn expand(&self, pg: &mut PooledPager, node: NodeRef, out: &mut Vec<IndexEntry>);
 }
 
 /// An index the RCJ drivers can run over.
@@ -90,9 +89,8 @@ pub trait RcjIndex {
     /// Creates a probe for this tree.
     fn probe(&self) -> Self::Probe;
 
-    /// The pager owning this tree's pages: the sequential access path,
-    /// and the source of the snapshot the parallel executor hands to its
-    /// workers.
+    /// The pager owning this tree's pages, which every join reader is
+    /// pinned on.
     fn pager(&self) -> SharedPager;
 
     /// Catalog-style description of the indexed dataset (cardinality,
@@ -126,8 +124,8 @@ impl IndexProbe for RTreeProbe {
         true
     }
 
-    fn expand(&self, pg: &mut dyn PageAccess, node: NodeRef, out: &mut Vec<IndexEntry>) {
-        let decoded = read_page_as(pg, node.page, |bytes| self.codec.decode(bytes));
+    fn expand(&self, pg: &mut PooledPager, node: NodeRef, out: &mut Vec<IndexEntry>) {
+        let decoded = pg.read(node.page, |bytes| self.codec.decode(bytes));
         for e in &decoded.entries {
             match e {
                 NodeEntry::Item(it) => out.push(IndexEntry::Item(*it)),
@@ -201,8 +199,8 @@ impl IndexProbe for QuadTreeProbe {
         false
     }
 
-    fn expand(&self, pg: &mut dyn PageAccess, node: NodeRef, out: &mut Vec<IndexEntry>) {
-        match read_page_as(pg, node.page, quadtree_decode) {
+    fn expand(&self, pg: &mut PooledPager, node: NodeRef, out: &mut Vec<IndexEntry>) {
+        match pg.read(node.page, quadtree_decode) {
             QNode::Leaf { items, next } => {
                 out.extend(items.into_iter().map(IndexEntry::Item));
                 if !next.is_invalid() {
@@ -270,25 +268,26 @@ mod tests {
         assert!(probe.minimal_regions());
 
         // Exhaustive DF walk through the trait only.
-        let mut pg = RcjIndex::pager(&tree);
         let mut stack = vec![probe.root()];
         let mut seen = Vec::new();
-        while let Some(node) = stack.pop() {
-            let mut entries = Vec::new();
-            probe.expand(&mut pg, node, &mut entries);
-            for e in entries {
-                match e {
-                    IndexEntry::Item(it) => seen.push(it.id),
-                    IndexEntry::Node(child) => {
-                        // Child regions bound their subtrees (spot check:
-                        // the region is inside the parent's).
-                        assert!(node.region.contains_point(child.region.min));
-                        assert!(node.region.contains_point(child.region.max));
-                        stack.push(child);
+        crate::executor::read_pinned(&RcjIndex::pager(&tree), |pg| {
+            while let Some(node) = stack.pop() {
+                let mut entries = Vec::new();
+                probe.expand(pg, node, &mut entries);
+                for e in entries {
+                    match e {
+                        IndexEntry::Item(it) => seen.push(it.id),
+                        IndexEntry::Node(child) => {
+                            // Child regions bound their subtrees (spot
+                            // check: the region is inside the parent's).
+                            assert!(node.region.contains_point(child.region.min));
+                            assert!(node.region.contains_point(child.region.max));
+                            stack.push(child);
+                        }
                     }
                 }
             }
-        }
+        });
         seen.sort_unstable();
         assert_eq!(seen, (0..300u64).collect::<Vec<_>>());
     }

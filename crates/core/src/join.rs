@@ -14,12 +14,12 @@
 //! list, so its plans read no page before the first leaf; the one-shot
 //! functions here walk `T_Q` once per call.
 //! When and where each leaf runs is the
-//! [`executor`](crate::executor)'s schedule: sequentially through the
-//! shared pager, on work-stealing threads reading through the pager's
-//! buffer, or over an explicit leaf subset
-//! ([`Plan::run_leaves_pooled`](crate::Plan::run_leaves_pooled)).
-//! Every schedule gives the same pairs in the same order and counts in
-//! one LRU.
+//! [`executor`](crate::executor)'s schedule: sequentially on one reader,
+//! on work-stealing threads, or over an explicit leaf subset
+//! ([`Plan::run_leaves_pooled`](crate::Plan::run_leaves_pooled)). Every
+//! schedule, and the leaf walk, reads through readers pinned on the
+//! pager ([`PooledPager`](ringjoin_storage::PooledPager)s); every one
+//! gives the same pairs in the same order and counts in one LRU.
 //!
 //! Result pairs are *emitted*, not materialised: every driver reports
 //! through a [`PairSink`](crate::PairSink), and a plain `Vec<RcjPair>`
@@ -42,7 +42,7 @@
 //! [`RcjAlgorithm::Auto`] defers the algorithm choice to the
 //! [`planner`](crate::planner)'s calibrated cost model.
 
-use crate::executor::{execute, Pagers};
+use crate::executor::{execute, read_pinned, Readers};
 use crate::filter::{bulk_filter_with, filter_with};
 use crate::index::{IndexEntry, IndexProbe, NodeRef, RcjIndex};
 use crate::pair::RcjPair;
@@ -53,7 +53,7 @@ use crate::verify::verify_with;
 use crate::window::{RingBounds, Window};
 use crate::Executor;
 use ringjoin_geom::{Item, Rect};
-use ringjoin_storage::{PageAccess, PageId};
+use ringjoin_storage::{PageId, PooledPager};
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
@@ -176,7 +176,7 @@ impl RcjOptions {
 
 /// The outcome of an RCJ run: result pairs plus CPU-side counters (I/O
 /// counters live in the shared pager and are snapshotted by the caller;
-/// parallel runs fold their per-worker I/O counters back into it).
+/// every run folds its readers' I/O counters back into it).
 #[derive(Clone, Debug)]
 pub struct RcjOutput {
     /// The join result (or the unverified candidates when
@@ -348,37 +348,41 @@ impl LeafRegionMemo {
     /// `tree`'s leaf groups in depth-first order: every node that stores
     /// data items (R-tree leaves, quadtree buckets and their
     /// overflow-chain pages alike), each with the tight MBR of its items
-    /// as its region, as [`leaf_regions`] documents them.
+    /// as its region, as [`leaf_regions`] documents them. Pages are read
+    /// through a reader pinned on the tree's pager; their stamps come
+    /// from the pager itself.
     pub(crate) fn leaves<I: RcjIndex>(&mut self, tree: &I) -> Vec<NodeRef> {
         let probe = tree.probe();
         let root = probe.root();
-        let mut pg = tree.pager();
+        let pager = tree.pager();
         let mut leaves = Vec::new();
         let mut entries = Vec::new();
         let mut stack = vec![root.page];
-        while let Some(page) = stack.pop() {
-            let stamp = pg.borrow().page_stamp(page);
-            let mut decode = || {
-                // Only child pages and item bounds are kept, so the
-                // region the node is expanded under does not matter.
-                entries.clear();
-                probe.expand(&mut pg, NodeRef { page, ..root }, &mut entries);
-                summarize(stamp, &entries)
-            };
-            let node = match self.nodes.entry(page) {
-                Entry::Occupied(known) => {
-                    let node = known.into_mut();
-                    if node.stamp != stamp {
-                        *node = decode();
+        read_pinned(&pager, |pg| {
+            while let Some(page) = stack.pop() {
+                let stamp = pager.borrow().page_stamp(page);
+                let mut decode = || {
+                    // Only child pages and item bounds are kept, so the
+                    // region the node is expanded under does not matter.
+                    entries.clear();
+                    probe.expand(pg, NodeRef { page, ..root }, &mut entries);
+                    summarize(stamp, &entries)
+                };
+                let node = match self.nodes.entry(page) {
+                    Entry::Occupied(known) => {
+                        let node = known.into_mut();
+                        if node.stamp != stamp {
+                            *node = decode();
+                        }
+                        node
                     }
-                    node
-                }
-                Entry::Vacant(slot) => slot.insert(decode()),
-            };
-            node.seen = true;
-            leaves.extend(node.items.map(|region| NodeRef { page, region }));
-            stack.extend(node.children.iter().rev());
-        }
+                    Entry::Vacant(slot) => slot.insert(decode()),
+                };
+                node.seen = true;
+                leaves.extend(node.items.map(|region| NodeRef { page, region }));
+                stack.extend(node.children.iter().rev());
+            }
+        });
         self.nodes
             .retain(|_, node| std::mem::replace(&mut node.seen, false));
         leaves
@@ -507,14 +511,14 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
     pub(crate) fn run(
         &self,
         pos: usize,
-        pagers: &mut Pagers<'_>,
+        readers: &mut Readers,
         sink: &mut dyn PairSink,
         stats: &mut RcjStats,
     ) -> bool {
         if !self.reaches(pos) {
             return true;
         }
-        let leaf_points = leaf_items(&self.probe_q, pagers.q(), self.leaves[pos]);
+        let leaf_points = leaf_items(&self.probe_q, readers.q(), self.leaves[pos]);
         let cut_of = |q: &Item, sink_cut: f64| match &self.window {
             None => sink_cut,
             Some(w) => w.cut(q.point).min(sink_cut),
@@ -526,11 +530,11 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
                     let exclude = self.self_join.then_some(q.id);
                     let cut = cut_of(&q, sink.cut());
                     let cands =
-                        filter_with(&self.probe_p, pagers.p(), q.point, exclude, cut, stats);
+                        filter_with(&self.probe_p, readers.p(), q.point, exclude, cut, stats);
                     stats.candidate_pairs += cands.len() as u64;
                     let pairs: Vec<RcjPair> =
                         cands.into_iter().map(|p| RcjPair::new(p, q)).collect();
-                    if !self.finish(pagers, pairs, sink, stats) {
+                    if !self.finish(readers, pairs, sink, stats) {
                         return false;
                     }
                 }
@@ -542,7 +546,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
                 let cuts: Vec<f64> = leaf_points.iter().map(|q| cut_of(q, sink_cut)).collect();
                 let bulk = bulk_filter_with(
                     &self.probe_p,
-                    pagers.p(),
+                    readers.p(),
                     &leaf_points,
                     symmetric,
                     self.self_join,
@@ -554,7 +558,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
                     stats.candidate_pairs += bulk.sets[i].len() as u64;
                     pairs.extend(bulk.sets[i].iter().map(|&p| RcjPair::new(p, q)));
                 }
-                self.finish(pagers, pairs, sink, stats)
+                self.finish(readers, pairs, sink, stats)
             }
             RcjAlgorithm::Auto => unreachable!("Auto is resolved when the pass is built"),
         }
@@ -564,12 +568,12 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
     /// the sequential executor's loop, and one round of a ranked stream.
     pub(crate) fn run_all(
         &self,
-        pagers: &mut Pagers<'_>,
+        readers: &mut Readers,
         sink: &mut dyn PairSink,
         stats: &mut RcjStats,
     ) {
         for pos in 0..self.leaves.len() {
-            if !self.run(pos, pagers, sink, stats) {
+            if !self.run(pos, readers, sink, stats) {
                 break;
             }
         }
@@ -580,7 +584,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
     /// `false` when the sink stopped the run mid-batch.
     fn finish(
         &self,
-        pagers: &mut Pagers<'_>,
+        readers: &mut Readers,
         mut pairs: Vec<RcjPair>,
         sink: &mut dyn PairSink,
         stats: &mut RcjStats,
@@ -594,9 +598,9 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
         let mut alive = vec![true; pairs.len()];
         if !self.opts.skip_verification {
             let face = !self.opts.no_face_rule;
-            verify_with(&self.probe_q, pagers.q(), &pairs, &mut alive, face, stats);
+            verify_with(&self.probe_q, readers.q(), &pairs, &mut alive, face, stats);
             if !self.self_join {
-                verify_with(&self.probe_p, pagers.p(), &pairs, &mut alive, face, stats);
+                verify_with(&self.probe_p, readers.p(), &pairs, &mut alive, face, stats);
             }
         }
         for (i, pr) in pairs.into_iter().enumerate() {
@@ -621,7 +625,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> LeafPass<PQ, PP> {
 /// page is hot right when the group is processed).
 pub(crate) fn leaf_items(
     probe: &impl IndexProbe,
-    pg: &mut dyn PageAccess,
+    pg: &mut PooledPager,
     leaf: NodeRef,
 ) -> Vec<Item> {
     let mut entries: Vec<IndexEntry> = Vec::new();

@@ -146,7 +146,7 @@ pub use engine::{
     QueryBuilder, UpdateBuilder,
 };
 pub use executor::Executor;
-pub use filter::{bulk_filter, bulk_filter_with, filter, filter_with, BulkFilterResult};
+pub use filter::{bulk_filter, filter, BulkFilterResult};
 pub use index::{IndexEntry, IndexProbe, NodeRef, QuadTreeProbe, RTreeProbe, RcjIndex};
 pub use join::{
     leaf_regions, rcj_join, rcj_join_into, rcj_self_join, rcj_self_join_into, OuterOrder,
@@ -158,5 +158,5 @@ pub use stream::{
     rcj_self_stream, rcj_self_stream_by_diameter, rcj_stream, rcj_stream_by_diameter, PairSink,
     RcjStream, TaggedPairSink, TopK,
 };
-pub use verify::{verify, verify_with};
+pub use verify::verify;
 pub use window::{validate_bounds, RingBounds};

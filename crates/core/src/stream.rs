@@ -325,7 +325,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for LeafSource<PQ, PP> {
             return false;
         }
         if let [reader] = &mut self.readers[..] {
-            self.pass.run(self.pos, &mut reader.pagers(), out, stats);
+            self.pass.run(self.pos, reader, out, stats);
             self.pos += 1;
         } else {
             let end = n.min(self.pos + self.readers.len() * WAVE_LEAVES_PER_WORKER);
@@ -388,8 +388,7 @@ impl<PQ: IndexProbe, PP: IndexProbe> BatchSource for RankedSource<PQ, PP> {
             return false;
         }
         let mut top = TopK::new(self.k);
-        self.pass
-            .run_all(&mut self.readers.pagers(), &mut top, stats);
+        self.pass.run_all(&mut self.readers, &mut top, stats);
         let pairs = top.into_pairs();
         out.extend_from_slice(&pairs[self.yielded..]);
         self.k = if pairs.len() < self.k {
@@ -602,12 +601,57 @@ mod tests {
         let tp = bulk_load(pg.clone(), items(150, 23, 800.0));
         let tq = bulk_load(pg.clone(), items(150, 29, 800.0));
         let opts = RcjOptions::default();
-        let all: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &opts).collect();
+        let mut stream = rcj_stream_by_diameter(&tq, &tp, &opts);
+        let all: Vec<RcjPair> = stream.by_ref().collect();
         for w in all.windows(2) {
             assert!(w[0].diameter() <= w[1].diameter());
         }
         let full = rcj_join(&tq, &tp, &opts);
         assert_eq!(pair_keys(&all), pair_keys(&full.pairs));
+        // Each round's cut filter drops most of the cross product before
+        // it is ever verified, even when the whole stream is drained.
+        let verified = stream.stats().candidate_pairs;
+        assert!(
+            verified <= 150 * 150 / 4,
+            "drained stream verified {verified} of 22,500 pairs"
+        );
+    }
+
+    #[test]
+    fn a_top_10_verifies_a_sliver_of_the_cross_product() {
+        let pg = Pager::new(MemDisk::new(1024), 256).into_shared();
+        let tp = bulk_load(pg.clone(), items(800, 71, 10_000.0));
+        let tq = bulk_load(pg.clone(), items(800, 73, 10_000.0));
+        let mut stream = rcj_stream_by_diameter(&tq, &tp, &RcjOptions::default());
+        let top: Vec<RcjPair> = stream.by_ref().take(10).collect();
+        assert_eq!(top.len(), 10);
+        let verified = stream.stats().candidate_pairs;
+        assert!(
+            verified < 800 * 800 / 100,
+            "streamed top-10 verified {verified} pairs"
+        );
+    }
+
+    #[test]
+    fn diameter_stream_over_a_quadtree_inner_and_an_rtree_outer() {
+        let pg = pager();
+        let mut tp = ringjoin_quadtree::QuadTree::new(
+            pg.clone(),
+            ringjoin_geom::Rect::new(pt(0.0, 0.0), pt(1000.0, 1000.0)),
+        );
+        for it in items(200, 79, 1000.0) {
+            tp.insert(it.id, it.point);
+        }
+        let tq = bulk_load(pg.clone(), items(200, 83, 1000.0));
+        let opts = RcjOptions::default();
+        let top: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &opts).take(20).collect();
+        assert_eq!(top.len(), 20);
+        for w in top.windows(2) {
+            assert!(w[0].diameter() <= w[1].diameter());
+        }
+        let mut full = rcj_join(&tq, &tp, &opts).pairs;
+        sort_by_diameter(&mut full);
+        assert_eq!(top, full[..20]);
     }
 
     #[test]

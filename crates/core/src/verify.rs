@@ -24,11 +24,12 @@
 //! endpoints — which live in the verified trees — never invalidate their
 //! own pair and no id bookkeeping is needed.
 
+use crate::executor::read_pinned;
 use crate::index::{IndexEntry, IndexProbe, NodeRef, RcjIndex};
 use crate::pair::RcjPair;
 use crate::stats::RcjStats;
 use ringjoin_geom::{Circle, Point, Rect};
-use ringjoin_storage::PageAccess;
+use ringjoin_storage::PooledPager;
 
 /// A candidate circle with cached geometry for the rectangle tests.
 struct Cand {
@@ -40,7 +41,8 @@ struct Cand {
 }
 
 /// Verifies `pairs` against `tree`, clearing `alive[i]` for every pair
-/// whose circle strictly contains a point of the tree.
+/// whose circle strictly contains a point of the tree. Reads through a
+/// reader pinned on the tree's pager, whose counters the pager absorbs.
 ///
 /// `face_rule` enables the face-inside-circle shortcut (on in all paper
 /// algorithms; exposed for the ablation benchmark). It only takes effect
@@ -59,15 +61,16 @@ pub fn verify<I: RcjIndex>(
     face_rule: bool,
     stats: &mut RcjStats,
 ) {
-    let mut pg = tree.pager();
-    verify_with(&tree.probe(), &mut pg, pairs, alive, face_rule, stats)
+    read_pinned(&tree.pager(), |pg| {
+        verify_with(&tree.probe(), pg, pairs, alive, face_rule, stats)
+    })
 }
 
-/// [`verify`] over an explicit probe and page-access handle — the form
-/// the executor's workers call with their private buffers.
-pub fn verify_with(
+/// [`verify`] over an explicit probe and reader — the form the leaf pass
+/// calls.
+pub(crate) fn verify_with(
     probe: &impl IndexProbe,
-    pg: &mut dyn PageAccess,
+    pg: &mut PooledPager,
     pairs: &[RcjPair],
     alive: &mut [bool],
     face_rule: bool,
@@ -116,7 +119,7 @@ fn sweep_prefix(idxs: &[usize], cands: &[Cand], x_limit: f64) -> usize {
 #[allow(clippy::too_many_arguments)]
 fn verify_node(
     probe: &impl IndexProbe,
-    pg: &mut dyn PageAccess,
+    pg: &mut PooledPager,
     node: NodeRef,
     idxs: &[usize],
     cands: &[Cand],

@@ -266,10 +266,12 @@ impl ShardWorker {
     /// catalog write lock, so no reader holds the writer's page file
     /// when the batch lands, and the batch writes the file in place. A
     /// replica holds the file through a handle of its own, which the
-    /// writer never waits on. A worker
-    /// *attached* to a shared page file detaches afterwards — its local
-    /// pages are now ahead of anything the (possibly dead) writer wrote
-    /// through — and serves resident from its own page space.
+    /// writer never waits on. A worker *attached* to a shared page file
+    /// detaches at the batch's first write
+    /// ([`Pager::attach_store`](ringjoin_storage::Pager::attach_store))
+    /// — its local pages are then ahead of anything the (possibly dead)
+    /// writer wrote through — and serves resident from its own page
+    /// space.
     fn update(
         &mut self,
         name: &str,
@@ -289,7 +291,6 @@ impl ShardWorker {
                 .apply()
                 .map_err(|e| e.to_string())?;
             debug_assert_eq!(handle.epoch(), target_epoch);
-            self.engine.pager().borrow_mut().detach_unowned_store();
         } else if current != target_epoch {
             return Err(format!(
                 "dataset {name:?} is at epoch {current}, cannot apply batch for epoch {target_epoch}"
@@ -2055,6 +2056,21 @@ mod tests {
         // Again: the mutated pages keep serving deterministically.
         let again = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
         assert_eq!(again.pairs, reference.pairs);
+        // A second LOAD reaches replicas the batch detached and attaches
+        // them again; a second batch detaches them at its first write.
+        let more = items(180, 67, 1000.0);
+        let batch = vec![
+            Mutation::Delete(21),
+            Mutation::Insert(Item::new(900, pt(300.5, 610.0))),
+        ];
+        for engine in [&resident, &se] {
+            engine.load("e", more.clone(), IndexKind::Quadtree).unwrap();
+            engine.update("d", batch.clone()).unwrap();
+        }
+        let reference = resident.join("e", "d", RcjAlgorithm::Auto, None).unwrap();
+        let out = se.join("e", "d", RcjAlgorithm::Auto, None).unwrap();
+        assert_eq!(out.pairs, reference.pairs);
+        assert_eq!(out.stats, reference.stats);
         drop(se);
         drop(resident);
         std::fs::remove_dir_all(&dir).ok();

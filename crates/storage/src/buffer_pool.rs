@@ -4,10 +4,10 @@
 //! 1 KB pages, a buffer of 1% of both trees by default). A
 //! [`BufferPool`] is that buffer. Each [`Pager`](crate::Pager) owns one,
 //! and everything that reads the pager's pages counts its hits and
-//! faults there: the pager's own reads and writes (index builds, the
-//! sequential executor, the outer-leaf walk) and every [`PooledPager`]
-//! pinned on it (parallel workers, streams, server shard replicas). A
-//! run's counts are those of one LRU, whichever path read each page.
+//! faults there: the pager's own reads and writes (index maintenance)
+//! and every [`PooledPager`] pinned on it (every join reader: the
+//! sequential and parallel executors, streams, server shard replicas,
+//! the leaf walk). A run's counts are those of one LRU.
 //!
 //! One mutex guards a frame arena threaded on an intrusive
 //! doubly-linked recency list, plus a hash map from key to frame: a hit,
@@ -21,9 +21,9 @@
 //!   batch keeps its frame, so a resident dataset's pool never outgrows
 //!   its page count, however many epochs it lives through.
 //! * **Byte-owning**, keyed by `(epoch, page)`. A fault reads the page
-//!   from a [`PageStore`] (or the pager's file device) into the frame,
-//!   and a hit serves the frame's bytes. The epoch keeps bytes read
-//!   under a retired epoch away from readers of the current one;
+//!   from a page file ([`FileDisk`]) into the frame, and a hit serves
+//!   the frame's bytes. The epoch keeps bytes read under a retired
+//!   epoch away from readers of the current one;
 //!   [`Pager::begin_epoch`](crate::Pager::begin_epoch) drops them.
 //!   Readers pin bytes by cloning the frame's `Arc<[u8]>` under the
 //!   lock, so eviction never invalidates an outstanding read and no lock
@@ -35,8 +35,8 @@
 //! the prefetcher staged it counts as a *prefetch hit* (a subset of
 //! hits), surfaced separately in [`IoStats`].
 
-use crate::disk::{PageId, PageSnapshot, PageStore};
-use crate::pager::{IoStats, PageAccess};
+use crate::disk::{FileDisk, PageId, PageSnapshot};
+use crate::pager::IoStats;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -298,7 +298,7 @@ impl BufferPool {
     /// readers of every other, which keeps in-flight streams draining an
     /// old snapshot from poisoning — or being poisoned by — the live
     /// epoch's cache.
-    pub fn load(&self, epoch: u64, page: PageId, store: &dyn PageStore) -> (Arc<[u8]>, PoolRead) {
+    pub fn load(&self, epoch: u64, page: PageId, store: &FileDisk) -> (Arc<[u8]>, PoolRead) {
         self.fetch(epoch, page, store.page_size(), |buf| {
             store.read_into(page, buf)
         })
@@ -309,7 +309,7 @@ impl BufferPool {
     /// hit/fault counter (the prefetcher's own reads are not demand I/O
     /// — the access that later claims the frame counts as a prefetch hit
     /// instead of a fault).
-    pub fn prefetch(&self, epoch: u64, page: PageId, store: &dyn PageStore) {
+    pub fn prefetch(&self, epoch: u64, page: PageId, store: &FileDisk) {
         let key = (Some(epoch), page);
         if self.lock().map.contains_key(&key) {
             return;
@@ -441,27 +441,17 @@ impl BufferPool {
 }
 
 /// Where a [`PooledPager`] gets page bytes from: a fully resident
-/// snapshot (the in-memory mode) or a shared [`PageStore`] the pool
-/// faults pages out of on demand (the disk-native mode).
+/// snapshot (the in-memory mode) or a shared page file the pool faults
+/// pages out of on demand (the disk-native mode).
 ///
 /// Cloning is cheap in both arms (an `Arc` bump).
 #[derive(Clone)]
 pub enum PageSource {
     /// All pages resident in RAM; the pool tracks recency only.
     Resident(PageSnapshot),
-    /// Pages live in the store; the pool's frames own whatever subset
+    /// Pages live in the file; the pool's frames own whatever subset
     /// currently fits the budget.
-    Store(Arc<dyn PageStore>),
-}
-
-impl PageSource {
-    /// Page size of the underlying source.
-    pub fn page_size(&self) -> usize {
-        match self {
-            PageSource::Resident(snap) => snap.page_size(),
-            PageSource::Store(store) => store.page_size(),
-        }
-    }
+    Store(FileDisk),
 }
 
 impl From<PageSnapshot> for PageSource {
@@ -472,8 +462,15 @@ impl From<PageSnapshot> for PageSource {
 
 /// A reader's handle onto a shared [`BufferPool`]: page reads whose
 /// hit/fault accounting goes through the pool, with private
-/// [`IoStats`] merged back into the owning pager by the executor's
-/// absorb-per-worker aggregation.
+/// [`IoStats`] the caller merges back into the owning pager
+/// ([`Pager::absorb`](crate::Pager::absorb)).
+///
+/// It is the one way a join reads pages: the sequential and parallel
+/// executors, streams, top-k, server shards, the leaf walk and the
+/// filter and verify kernels all read through a handle pinned on the
+/// pager ([`Pager::page_source`](crate::Pager::page_source), its
+/// [pool](crate::Pager::pool) and its [epoch](crate::Pager::epoch)).
+/// Index maintenance reads and writes through the pager itself.
 ///
 /// With a [`PageSource::Resident`] source, bytes always come from this
 /// handle's own snapshot and the pool only decides whether the access
@@ -522,32 +519,28 @@ impl PooledPager {
         match &self.source {
             PageSource::Store(store) => Some(Prefetcher::spawn(
                 self.pool.clone(),
-                Arc::clone(store),
+                store.clone(),
                 self.epoch,
             )),
             PageSource::Resident(_) => None,
         }
     }
-}
 
-impl PageAccess for PooledPager {
-    fn page_size(&self) -> usize {
-        self.source.page_size()
-    }
-
-    fn with_page(&mut self, id: PageId, f: &mut dyn FnMut(&[u8])) {
+    /// Reads page `id`, counting one logical read (and a fault on a
+    /// miss) through the pool, and maps its bytes with `f`.
+    pub fn read<T>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> T {
         match &self.source {
             PageSource::Resident(snapshot) => {
                 self.stats
                     .count_read(PoolRead::touched(self.pool.access(id)));
-                f(snapshot.page(id));
+                f(snapshot.page(id))
             }
             PageSource::Store(store) => {
-                let (bytes, outcome) = self.pool.load(self.epoch, id, store.as_ref());
+                let (bytes, outcome) = self.pool.load(self.epoch, id, store);
                 self.stats.count_read(outcome);
                 // No pool lock is held here: `f` may recurse into
                 // further page reads (probe expansion does).
-                f(&bytes);
+                f(&bytes)
             }
         }
     }
@@ -570,14 +563,14 @@ impl Prefetcher {
     /// Spawns the staging thread over `pool` and `store`. Staged frames
     /// carry dataset epoch `epoch`, so they satisfy exactly the readers
     /// pinned under the same epoch.
-    pub fn spawn(pool: BufferPool, store: Arc<dyn PageStore>, epoch: u64) -> Prefetcher {
+    pub fn spawn(pool: BufferPool, store: FileDisk, epoch: u64) -> Prefetcher {
         let (tx, rx) = std::sync::mpsc::channel::<Vec<PageId>>();
         let handle = std::thread::Builder::new()
             .name("ringjoin-prefetch".into())
             .spawn(move || {
                 while let Ok(batch) = rx.recv() {
                     for id in batch {
-                        pool.prefetch(epoch, id, store.as_ref());
+                        pool.prefetch(epoch, id, &store);
                     }
                 }
             })
@@ -613,16 +606,32 @@ impl Drop for Prefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::MemDisk;
-    use crate::pager::{read_page_as, Pager};
+    use crate::disk::{DiskStorage, MemDisk};
 
+    /// `n` resident pages, page `i` starting with byte `i + 1`.
     fn snapshot_with_pages(n: u32) -> PageSnapshot {
-        let mut p = Pager::new(MemDisk::new(128), 4);
+        let mut disk = MemDisk::new(128);
         for i in 0..n {
-            let id = p.allocate();
-            p.write(id, |bytes| bytes[0] = i as u8 + 1);
+            let id = disk.allocate();
+            disk.write_page(id, &[i as u8 + 1; 128]);
         }
-        p.snapshot()
+        disk.snapshot()
+    }
+
+    /// A page file of `n` pages named `name` in a scratch directory,
+    /// page `i` starting with byte `first + i`.
+    fn file_with_pages(name: &str, n: u32, first: u8) -> FileDisk {
+        let dir = ringjoin_testsupport::scratch_dir("pool");
+        let mut file = FileDisk::create(dir.join(name), 128).unwrap();
+        for i in 0..n {
+            let id = file.allocate();
+            file.write_page(id, &[first + i as u8; 128]);
+        }
+        file
+    }
+
+    fn remove_scratch(file: &FileDisk) {
+        std::fs::remove_dir_all(file.path().parent().unwrap()).ok();
     }
 
     fn ids(v: &[u32]) -> Vec<PageId> {
@@ -770,9 +779,9 @@ mod tests {
         let snap = snapshot_with_pages(3);
         let pool = BufferPool::new(8);
         let mut pg = PooledPager::new(snap, pool.clone(), 0);
-        read_page_as(&mut pg, PageId(0), |b| assert_eq!(b[0], 1));
-        read_page_as(&mut pg, PageId(0), |b| assert_eq!(b[0], 1));
-        read_page_as(&mut pg, PageId(2), |b| assert_eq!(b[0], 3));
+        pg.read(PageId(0), |b| assert_eq!(b[0], 1));
+        pg.read(PageId(0), |b| assert_eq!(b[0], 1));
+        pg.read(PageId(2), |b| assert_eq!(b[0], 3));
         let s = pg.stats();
         assert_eq!(s.logical_reads, 3);
         assert_eq!(s.read_hits, 1);
@@ -796,7 +805,7 @@ mod tests {
                     scope.spawn(move || {
                         let mut pg = PooledPager::new(snap, pool, 0);
                         for i in 0..8u32 {
-                            read_page_as(&mut pg, PageId(i), |b| {
+                            pg.read(PageId(i), |b| {
                                 assert_eq!(b[0], i as u8 + 1);
                             });
                         }
@@ -831,54 +840,53 @@ mod tests {
 
     #[test]
     fn store_backed_load_serves_bytes_and_faults_under_budget() {
-        let snap = snapshot_with_pages(8);
-        let store: Arc<dyn crate::PageStore> = Arc::new(snap);
+        let store = file_with_pages("load.rjp", 8, 1);
         let pool = BufferPool::new(2);
-        let mut pg = PooledPager::new(PageSource::Store(Arc::clone(&store)), pool.clone(), 0);
+        let mut pg = PooledPager::new(PageSource::Store(store.clone()), pool.clone(), 0);
         // Cold pass over 8 pages through a 2-frame pool: all faults,
         // but every byte is correct.
         for i in 0..8u32 {
-            read_page_as(&mut pg, PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
+            pg.read(PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
         }
         let s = pg.stats();
         assert_eq!(s.logical_reads, 8);
         assert_eq!(s.read_faults, 8);
         assert_eq!(s.read_hits, 0);
         // Re-reading the last resident page is a frame hit.
-        read_page_as(&mut pg, PageId(7), |b| assert_eq!(b[0], 8));
+        pg.read(PageId(7), |b| assert_eq!(b[0], 8));
         assert_eq!(pg.stats().read_hits, 1);
         assert_eq!(pg.stats().prefetch_hits, 0);
         assert_eq!(
             pg.stats().read_hits + pg.stats().read_faults,
             pg.stats().logical_reads
         );
+        remove_scratch(&store);
     }
 
     #[test]
     fn evicted_readers_keep_pinned_bytes() {
-        let snap = snapshot_with_pages(4);
-        let store: Arc<dyn crate::PageStore> = Arc::new(snap);
+        let store = file_with_pages("evict.rjp", 4, 1);
         let pool = BufferPool::new(1);
-        let (pinned, outcome) = pool.load(0, PageId(0), store.as_ref());
+        let (pinned, outcome) = pool.load(0, PageId(0), &store);
         assert_eq!(outcome, PoolRead::Fault);
         // Evict page 0 by cycling other pages through the single frame.
-        pool.load(0, PageId(1), store.as_ref());
-        pool.load(0, PageId(2), store.as_ref());
+        pool.load(0, PageId(1), &store);
+        pool.load(0, PageId(2), &store);
         assert_eq!(pinned[0], 1, "evicted frame's bytes stay valid via the pin");
+        remove_scratch(&store);
     }
 
     #[test]
     fn prefetched_pages_hit_and_count_separately() {
-        let snap = snapshot_with_pages(8);
-        let store: Arc<dyn crate::PageStore> = Arc::new(snap);
+        let store = file_with_pages("prefetch.rjp", 8, 1);
         let pool = BufferPool::new(8);
         for i in 0..4u32 {
-            pool.prefetch(0, PageId(i), store.as_ref());
+            pool.prefetch(0, PageId(i), &store);
         }
         assert_eq!(pool.hits() + pool.faults(), 0, "prefetch is not demand I/O");
-        let mut pg = PooledPager::new(PageSource::Store(Arc::clone(&store)), pool.clone(), 0);
+        let mut pg = PooledPager::new(PageSource::Store(store.clone()), pool.clone(), 0);
         for i in 0..8u32 {
-            read_page_as(&mut pg, PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
+            pg.read(PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
         }
         let s = pg.stats();
         assert_eq!(s.prefetch_hits, 4, "staged pages are prefetch hits");
@@ -887,28 +895,29 @@ mod tests {
         assert_eq!(pool.prefetch_hits(), 4);
         // The flag is consumed: a second read of a staged page is a
         // plain hit.
-        read_page_as(&mut pg, PageId(0), |_| {});
+        pg.read(PageId(0), |_| {});
         assert_eq!(pg.stats().prefetch_hits, 4);
         assert_eq!(pg.stats().read_hits, 5);
+        remove_scratch(&store);
     }
 
     #[test]
     fn prefetcher_thread_stages_batches() {
-        let snap = snapshot_with_pages(8);
-        let store: Arc<dyn crate::PageStore> = Arc::new(snap);
+        let store = file_with_pages("stage.rjp", 8, 1);
         let pool = BufferPool::new(8);
         {
-            let prefetcher = Prefetcher::spawn(pool.clone(), Arc::clone(&store), 0);
+            let prefetcher = Prefetcher::spawn(pool.clone(), store.clone(), 0);
             prefetcher.request((0..8).map(PageId).collect());
             // Drop joins the thread, so the batch is fully staged below.
         }
         assert_eq!(pool.len(), 8);
-        let mut pg = PooledPager::new(PageSource::Store(store), pool, 0);
+        let mut pg = PooledPager::new(PageSource::Store(store.clone()), pool, 0);
         for i in 0..8u32 {
-            read_page_as(&mut pg, PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
+            pg.read(PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
         }
         assert_eq!(pg.stats().prefetch_hits, 8);
         assert_eq!(pg.stats().read_faults, 0);
+        remove_scratch(&store);
     }
 
     #[test]
@@ -916,37 +925,31 @@ mod tests {
         // Two "epochs" of the same page id space with different bytes:
         // a reader pinned to epoch 0 and a reader at epoch 1 share one
         // pool without ever serving each other's bytes.
-        let old_snap = snapshot_with_pages(4);
-        let mut p = Pager::new(MemDisk::new(128), 4);
-        for i in 0..4 {
-            let id = p.allocate();
-            p.write(id, |bytes| bytes[0] = 100 + i as u8);
-        }
-        let new_snap = p.snapshot();
-        let old_store: Arc<dyn crate::PageStore> = Arc::new(old_snap);
-        let new_store: Arc<dyn crate::PageStore> = Arc::new(new_snap);
+        let old_store = file_with_pages("old.rjp", 4, 1);
+        let new_store = file_with_pages("new.rjp", 4, 100);
 
         let pool = BufferPool::new(16);
         let mut old_rd = PooledPager::new(PageSource::Store(old_store), pool.clone(), 0);
-        let mut new_rd = PooledPager::new(PageSource::Store(new_store), pool.clone(), 1);
+        let mut new_rd = PooledPager::new(PageSource::Store(new_store.clone()), pool.clone(), 1);
         for i in 0..4u32 {
-            read_page_as(&mut old_rd, PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
-            read_page_as(&mut new_rd, PageId(i), |b| assert_eq!(b[0], 100 + i as u8));
+            old_rd.read(PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
+            new_rd.read(PageId(i), |b| assert_eq!(b[0], 100 + i as u8));
         }
         // Same page ids, different epochs: no cross-epoch hits.
         assert_eq!(old_rd.stats().read_faults, 4);
         assert_eq!(new_rd.stats().read_faults, 4);
         assert_eq!(pool.len(), 8, "one frame per (epoch, page)");
         // Re-reads hit within each epoch.
-        read_page_as(&mut old_rd, PageId(0), |b| assert_eq!(b[0], 1));
-        read_page_as(&mut new_rd, PageId(0), |b| assert_eq!(b[0], 100));
+        old_rd.read(PageId(0), |b| assert_eq!(b[0], 1));
+        new_rd.read(PageId(0), |b| assert_eq!(b[0], 100));
         assert_eq!(old_rd.stats().read_hits, 1);
         assert_eq!(new_rd.stats().read_hits, 1);
         // Retiring epoch 0 drops its frames and keeps the live epoch's.
         pool.drop_epochs_before(1);
         assert_eq!(pool.len(), 4);
-        read_page_as(&mut new_rd, PageId(3), |b| assert_eq!(b[0], 103));
+        new_rd.read(PageId(3), |b| assert_eq!(b[0], 103));
         assert_eq!(new_rd.stats().read_hits, 2);
+        remove_scratch(&new_store);
     }
 
     #[test]
@@ -958,7 +961,7 @@ mod tests {
         for epoch in 0..10 {
             let mut rd = PooledPager::new(snap.clone(), pool.clone(), epoch);
             for i in 0..4u32 {
-                read_page_as(&mut rd, PageId(i), |_| {});
+                rd.read(PageId(i), |_| {});
             }
         }
         assert_eq!(pool.len(), 4);
@@ -967,25 +970,25 @@ mod tests {
 
     #[test]
     fn prefetch_stages_into_its_own_epoch() {
-        let snap = snapshot_with_pages(4);
-        let store: Arc<dyn crate::PageStore> = Arc::new(snap);
+        let store = file_with_pages("epoch.rjp", 4, 1);
         let pool = BufferPool::new(16);
         {
-            let pf = Prefetcher::spawn(pool.clone(), Arc::clone(&store), 3);
+            let pf = Prefetcher::spawn(pool.clone(), store.clone(), 3);
             pf.request((0..4).map(PageId).collect());
         }
         // A reader on a different epoch sees nothing staged...
-        let mut other = PooledPager::new(PageSource::Store(Arc::clone(&store)), pool.clone(), 2);
-        read_page_as(&mut other, PageId(0), |_| {});
+        let mut other = PooledPager::new(PageSource::Store(store.clone()), pool.clone(), 2);
+        other.read(PageId(0), |_| {});
         assert_eq!(other.stats().read_faults, 1);
         assert_eq!(other.stats().prefetch_hits, 0);
         // ...while the matching epoch takes prefetch hits.
-        let mut pinned = PooledPager::new(PageSource::Store(store), pool, 3);
+        let mut pinned = PooledPager::new(PageSource::Store(store.clone()), pool, 3);
         for i in 0..4u32 {
-            read_page_as(&mut pinned, PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
+            pinned.read(PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
         }
         assert_eq!(pinned.stats().prefetch_hits, 4);
         assert_eq!(pinned.stats().read_faults, 0);
+        remove_scratch(&store);
     }
 
     #[test]

@@ -71,29 +71,6 @@ pub trait DiskStorage {
     }
 }
 
-/// A shared, read-only page source that many readers can hit at once.
-///
-/// This is the residency boundary of the disk-native engine: the
-/// [`BufferPool`](crate::BufferPool) reads pages *from* a store into its
-/// frames on a miss, and serves frame bytes on a hit. Unlike
-/// [`DiskStorage`] (the pager's exclusive, mutable device), a
-/// `PageStore` takes `&self` so one handle can serve parallel join
-/// workers and the background prefetch thread concurrently.
-pub trait PageStore: Send + Sync {
-    /// Size of every page in bytes.
-    fn page_size(&self) -> usize;
-
-    /// Number of readable pages.
-    fn num_pages(&self) -> u32;
-
-    /// Reads page `id` into `buf` (`buf.len() == page_size()`).
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range — like [`DiskStorage::read_page`],
-    /// an unallocated read is a logic error in the index layer.
-    fn read_into(&self, id: PageId, buf: &mut [u8]);
-}
-
 /// The pages of a [`MemDisk`]: each page's bytes behind an `Arc`, and
 /// the table of them behind another, so a view is one `Arc` clone.
 type PageTable = Arc<Vec<Arc<[u8]>>>;
@@ -211,23 +188,6 @@ impl PageSnapshot {
     }
 }
 
-/// A snapshot is a perfectly valid (RAM-resident) [`PageStore`]: reads
-/// copy out of the shared pages. Lets tests and benches exercise the
-/// pool's store-backed path without touching the filesystem.
-impl PageStore for PageSnapshot {
-    fn page_size(&self) -> usize {
-        PageSnapshot::page_size(self)
-    }
-
-    fn num_pages(&self) -> u32 {
-        PageSnapshot::num_pages(self)
-    }
-
-    fn read_into(&self, id: PageId, buf: &mut [u8]) {
-        buf.copy_from_slice(self.page(id));
-    }
-}
-
 /// A page file: page `i` at byte offset `i * page_size`, read and
 /// written with positioned I/O.
 ///
@@ -235,8 +195,11 @@ impl PageStore for PageSnapshot {
 /// `Arc` — the pager's device, the readers pinned on it, the prefetch
 /// thread — and none of them moves a seek cursor another depends on.
 /// A clone keeps the page count it was cloned with. The file is the
-/// [`DiskStorage`] of a disk-native [`Pager`](crate::Pager) and the
-/// [`PageStore`] of its readers.
+/// [`DiskStorage`] of a disk-native [`Pager`](crate::Pager), and the
+/// store the [`BufferPool`](crate::BufferPool) faults its readers'
+/// pages out of: [`FileDisk::read_into`] takes `&self`, so one handle
+/// serves parallel join workers and the background prefetch thread at
+/// once.
 #[derive(Clone)]
 pub struct FileDisk {
     page_size: usize,
@@ -334,18 +297,14 @@ impl FileDisk {
     fn offset(&self, id: PageId) -> u64 {
         id.0 as u64 * self.page_size as u64
     }
-}
 
-impl PageStore for FileDisk {
-    fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.num_pages
-    }
-
-    fn read_into(&self, id: PageId, buf: &mut [u8]) {
+    /// Reads page `id` into `buf` (`buf.len() == page_size()`).
+    ///
+    /// # Panics
+    /// Panics if `id` is past this handle's page count — like
+    /// [`DiskStorage::read_page`], an unallocated read is a logic error
+    /// in the index layer.
+    pub fn read_into(&self, id: PageId, buf: &mut [u8]) {
         assert!(id.0 < self.num_pages, "read of unallocated page {id:?}");
         read_at(&self.file, buf, self.offset(id)).expect("reading page");
     }
@@ -381,7 +340,7 @@ impl DiskStorage for FileDisk {
     }
 
     fn pin(&self) -> PageSource {
-        PageSource::Store(Arc::new(self.clone()))
+        PageSource::Store(self.clone())
     }
 
     fn file(&self) -> Option<&FileDisk> {

@@ -17,19 +17,20 @@
 //!   writes.
 //! * [`CostModel`] — converts fault counts into the simulated I/O time the
 //!   paper reports (10 ms per fault by default).
-//! * [`PageAccess`] + [`PooledPager`] — the concurrency seam: an
-//!   object-safe read path implemented by both the shared sequential
-//!   pager and per-worker handles. A handle reads the pages it pinned
-//!   ([`Pager::page_source`]) and counts in a shared [`BufferPool`]
-//!   (usually the pager's own, [`Pager::pool`]), so parallel workers,
-//!   streams and server shards read through one warm cache at the
-//!   sequential budget, without a contended lock on the bytes.
+//! * [`PooledPager`] — the one read path of a join. Index maintenance
+//!   (bulk loads, inserts, deletes) reads and writes through the pager;
+//!   every join reader — sequential or parallel, stream, top-k, server
+//!   shard, leaf walk — reads the pages it pinned ([`Pager::page_source`])
+//!   and counts in a shared [`BufferPool`] (usually the pager's own,
+//!   [`Pager::pool`]), so all of them read through one warm cache at one
+//!   budget, without a contended lock on the bytes. The caller absorbs
+//!   the reader's counters into the pager ([`Pager::absorb`]).
 //! * One page space. A pinned reader shares the device's pages by `Arc`
 //!   and copies none: a [`PageSnapshot`] is a resident device's page
-//!   table, and a disk-native pager hands out its [`FileDisk`] (the
-//!   [`PageStore`] the pool faults pages out of, which a background
-//!   [`Prefetcher`] stages ahead of the readers). A write copies only
-//!   what a pinned reader still holds: a resident page, or, at
+//!   table, and a disk-native pager hands out its [`FileDisk`], which
+//!   the pool faults pages out of and a background [`Prefetcher`]
+//!   stages ahead of the readers. A write copies only what a pinned
+//!   reader still holds: a resident page, or, at
 //!   [`Pager::begin_epoch`], the page file.
 //!   [`Pager::spill_to`] moves a dataset onto a page file, after which
 //!   the pool's frames own whatever page bytes fit the budget, so
@@ -71,6 +72,6 @@ mod pager;
 mod wal;
 
 pub use buffer_pool::{BufferPool, PageSource, PoolRead, PooledPager, Prefetcher};
-pub use disk::{DiskStorage, FileDisk, MemDisk, PageId, PageSnapshot, PageStore};
-pub use pager::{read_page_as, CostModel, IoStats, PageAccess, Pager, SharedPager};
+pub use disk::{DiskStorage, FileDisk, MemDisk, PageId, PageSnapshot};
+pub use pager::{CostModel, IoStats, Pager, SharedPager};
 pub use wal::{crc32, decode_segment, Wal, DEFAULT_SEGMENT_BYTES, MAX_RECORD_BYTES};

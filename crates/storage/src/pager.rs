@@ -128,21 +128,26 @@ impl CostModel {
 /// LRU buffer, exactly as in the paper ("the default size of the memory
 /// buffer is 1% of the sum of both tree sizes").
 ///
-/// The pager and the readers pinned on it ([`Pager::page_source`]) share
-/// one page space: the device's. A pin copies no page. A write copies
-/// only what a pinned reader still holds — a resident page
-/// ([`MemDisk`](crate::MemDisk)), or, at [`Pager::begin_epoch`], the
-/// page file.
+/// The pager reads and writes for index maintenance: bulk loads,
+/// inserts, deletes and the trees' own searches. Joins read through
+/// [`PooledPager`](crate::PooledPager)s pinned on it
+/// ([`Pager::page_source`], [`Pager::pool`], [`Pager::epoch`]), and the
+/// caller absorbs their counters ([`Pager::absorb`]).
+///
+/// The pager and its pinned readers share one page space: the
+/// device's. A pin copies no page. A write copies only what a pinned
+/// reader still holds — a resident page ([`MemDisk`](crate::MemDisk)),
+/// or, at [`Pager::begin_epoch`], the page file.
 pub struct Pager {
     disk: Box<dyn DiskStorage>,
     /// A page file another pager writes, holding the pages of this one
     /// ([`Pager::attach_store`]): what this pager's readers pin in place
-    /// of the device.
+    /// of the device, until this pager changes its own pages.
     attached: Option<FileDisk>,
     /// The LRU buffer. The pager's own reads and writes count in it, and
     /// so does every [`PooledPager`](crate::PooledPager) pinned on
-    /// [`Pager::pool`] — parallel workers and streams — so every access
-    /// path replays one LRU. It stays warm across runs and is resized
+    /// [`Pager::pool`] — every join reader — so every access path
+    /// replays one LRU. It stays warm across runs and is resized
     /// and emptied in place, so handles taken earlier keep accounting
     /// against the live budget.
     pool: BufferPool,
@@ -189,8 +194,10 @@ impl Pager {
         self.disk.num_pages()
     }
 
-    /// Allocates a fresh zeroed page.
+    /// Allocates a fresh zeroed page. Detaches an attached store
+    /// ([`Pager::attach_store`]).
     pub fn allocate(&mut self) -> PageId {
+        self.attached = None;
         self.disk.allocate()
     }
 
@@ -225,8 +232,9 @@ impl Pager {
     /// need a dirty-page flush — the join algorithms are read-only and the
     /// paper's measurements exclude index construction anyway. A page
     /// not in the buffer is a write fault; the written bytes refresh its
-    /// frame.
+    /// frame. Detaches an attached store ([`Pager::attach_store`]).
     pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) {
+        self.attached = None;
         self.stats.logical_writes += 1;
         self.write_clock += 1;
         let slot = id.0 as usize;
@@ -280,25 +288,9 @@ impl Pager {
         self.stats.merge(delta);
     }
 
-    /// The resident pages as they are now, for a reader that holds the
-    /// view until it is done: the device's page table, shared, with no
-    /// page copied and no buffer access or statistic counted. Later
-    /// writes leave the view as it was (see
-    /// [`PageSnapshot`](crate::PageSnapshot)).
-    ///
-    /// # Panics
-    /// Panics if the pager is disk-native: its readers pin the page
-    /// file instead ([`Pager::page_source`]).
-    pub fn snapshot(&self) -> crate::PageSnapshot {
-        match self.disk.pin() {
-            PageSource::Resident(snapshot) => snapshot,
-            PageSource::Store(_) => panic!("a disk-native pager has no resident snapshot"),
-        }
-    }
-
     /// Spills every allocated page to a page file at `path` and switches
     /// this pager's device to that file — from here on the pager is
-    /// **disk-native**: sequential reads fault pages in from the file,
+    /// **disk-native**: its own reads fault pages in from the file,
     /// write-through keeps the file authoritative, and
     /// [`Pager::page_source`] hands readers the file itself.
     ///
@@ -348,23 +340,18 @@ impl Pager {
     /// the same indexes in the same order, and shard 0 spills (and
     /// write-through maintains) the one file all replicas then read.
     ///
+    /// The pager's first [`allocate`](Pager::allocate) or
+    /// [`write`](Pager::write) after this call detaches the file: from
+    /// then on the pager's own pages are ahead of anything the file's
+    /// writer (possibly dead, or mid-batch) wrote through, so readers
+    /// pin them again.
+    ///
     /// # Errors
     /// Fails if the file cannot be opened, or its length is not a whole
     /// number of pages.
     pub fn attach_store<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
         self.attached = Some(FileDisk::attach(path.as_ref(), self.page_size())?);
         Ok(())
-    }
-
-    /// Drops an **attached** (non-owned) store, returning reads to this
-    /// pager's own device; an owned store (or no store) is untouched and
-    /// returns `false`. An attached file is maintained by its writer's
-    /// write-through — the moment this pager mutates its *local* pages
-    /// (a live-update batch) the file no longer speaks for them, and a
-    /// dead writer would leave it stale forever, so updaters detach and
-    /// serve resident from their own (current) page space.
-    pub fn detach_unowned_store(&mut self) -> bool {
-        self.attached.take().is_some()
     }
 
     /// Current dataset epoch: `0` until the first
@@ -416,28 +403,13 @@ impl Pager {
         self.epoch
     }
 
-    /// The page file readers pin, if this pager is disk-native: an
-    /// attached file, or the pager's own device.
-    fn store(&self) -> Option<&FileDisk> {
-        self.attached.as_ref().or_else(|| self.disk.file())
-    }
-
-    /// Path of the on-disk page file, if this pager is disk-native.
-    pub fn store_path(&self) -> Option<&Path> {
-        self.store().map(FileDisk::path)
-    }
-
-    /// A handle on the page file parallel runs read through, if this
-    /// pager is disk-native. The handle shares the open file; while it
-    /// is alive, [`Pager::begin_epoch`] moves the pager's own writes to
-    /// a new file, so the handle keeps reading the pages as they were.
-    pub fn page_store(&self) -> Option<FileDisk> {
-        self.store().cloned()
-    }
-
     /// The page source a reader pins: the shared page file when
-    /// disk-native, else a resident [`PageSnapshot`](crate::PageSnapshot).
-    /// Either way the source shares the pager's pages, copying none.
+    /// disk-native (an attached file, or the pager's own device), else a
+    /// resident [`PageSnapshot`](crate::PageSnapshot). Either way the
+    /// source shares the pager's pages, copying none. While a pinned
+    /// page file is alive, [`Pager::begin_epoch`] moves the pager's own
+    /// writes to a new file, so the pin keeps reading the pages as they
+    /// were.
     pub fn page_source(&self) -> PageSource {
         match &self.attached {
             Some(file) => file.pin(),
@@ -446,9 +418,9 @@ impl Pager {
     }
 
     /// The pager's buffer, for [`PooledPager`](crate::PooledPager)s to
-    /// account through: a parallel run competes with the sequential one
-    /// at the **same total budget**, in the same LRU, and hits pages
-    /// earlier runs warmed.
+    /// account through: every join reader competes with index
+    /// maintenance at the **same total budget**, in the same LRU, and
+    /// hits pages earlier runs warmed.
     pub fn pool(&self) -> &BufferPool {
         &self.pool
     }
@@ -481,71 +453,32 @@ impl Pager {
 /// Shared-ownership handle to a [`Pager`], letting two R-trees (and the
 /// join operators walking both) go through one buffer pool.
 ///
-/// This is the *sequential* access path, so `Rc<RefCell<_>>` suffices.
-/// Parallel runs read the pages they pinned ([`Pager::page_source`])
-/// through per-worker [`PooledPager`](crate::PooledPager)s instead;
-/// both paths count in the pager's one [`BufferPool`] and meet in the
-/// [`PageAccess`] trait.
+/// Index maintenance borrows the pager through it; a join borrows it
+/// only to pin its readers ([`PooledPager`](crate::PooledPager)) and to
+/// absorb their counters, so `Rc<RefCell<_>>` suffices.
 pub type SharedPager = Rc<RefCell<Pager>>;
-
-/// Object-safe read access to pages.
-///
-/// The join drivers are generic over this, so one implementation serves
-/// both execution modes: the owning [`SharedPager`] for sequential runs
-/// and a per-worker [`PooledPager`](crate::PooledPager) for parallel
-/// runs. Every call counts as one logical read (and possibly one fault)
-/// in the implementation's statistics.
-pub trait PageAccess {
-    /// Page size in bytes.
-    fn page_size(&self) -> usize;
-
-    /// Reads page `id`, counting the access, and hands its bytes to `f`
-    /// exactly once.
-    fn with_page(&mut self, id: PageId, f: &mut dyn FnMut(&[u8]));
-}
-
-/// Reads a page through a [`PageAccess`] and maps its bytes to a value —
-/// the ergonomic (non-object-safe) wrapper over
-/// [`PageAccess::with_page`].
-pub fn read_page_as<T>(
-    pg: &mut (impl PageAccess + ?Sized),
-    id: PageId,
-    f: impl FnOnce(&[u8]) -> T,
-) -> T {
-    let mut f = Some(f);
-    let mut out = None;
-    pg.with_page(id, &mut |bytes| {
-        if let Some(f) = f.take() {
-            out = Some(f(bytes));
-        }
-    });
-    out.expect("PageAccess::with_page must invoke the callback")
-}
-
-impl PageAccess for Pager {
-    fn page_size(&self) -> usize {
-        self.disk.page_size()
-    }
-
-    fn with_page(&mut self, id: PageId, f: &mut dyn FnMut(&[u8])) {
-        self.read(id, |bytes| f(bytes));
-    }
-}
-
-impl PageAccess for SharedPager {
-    fn page_size(&self) -> usize {
-        self.borrow().page_size()
-    }
-
-    fn with_page(&mut self, id: PageId, f: &mut dyn FnMut(&[u8])) {
-        self.borrow_mut().read(id, |bytes| f(bytes));
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::{MemDisk, PageStore};
+    use crate::disk::{MemDisk, PageSnapshot};
+
+    /// The page file a reader pinned now reads, if the pager is
+    /// disk-native.
+    fn pinned_file(p: &Pager) -> Option<FileDisk> {
+        match p.page_source() {
+            PageSource::Store(file) => Some(file),
+            PageSource::Resident(_) => None,
+        }
+    }
+
+    /// The resident pages a reader pinned now reads.
+    fn pinned_pages(p: &Pager) -> PageSnapshot {
+        match p.page_source() {
+            PageSource::Resident(pages) => pages,
+            PageSource::Store(_) => panic!("a disk-native pager pins its file"),
+        }
+    }
 
     /// A device that must be read (no resident pages) and counts reads.
     struct CountingDisk {
@@ -769,9 +702,12 @@ mod tests {
         for (i, &id) in ids.iter().enumerate() {
             p.write(id, |b| b[0] = i as u8 + 1);
         }
-        assert!(p.page_store().is_none(), "memory-resident before the spill");
+        assert!(
+            pinned_file(&p).is_none(),
+            "memory-resident before the spill"
+        );
         p.spill_to(&path).unwrap();
-        assert_eq!(p.store_path(), Some(path.as_path()));
+        assert_eq!(pinned_file(&p).unwrap().path(), path.as_path());
 
         // The buffer keeps its contents across the spill: the two pages
         // written last are still resident, now with their bytes.
@@ -780,7 +716,7 @@ mod tests {
         p.read(ids[4], |b| assert_eq!(b[0], 5));
         assert_eq!(p.stats().read_hits, 2);
 
-        // Sequential reads now come from the file, faulting under the
+        // The pager's reads now come from the file, faulting under the
         // 2-page buffer, with the same bytes.
         p.clear_buffer();
         p.reset_stats();
@@ -800,7 +736,7 @@ mod tests {
         // Write-through keeps the file authoritative: a later write is
         // visible through a fresh handle.
         p.write(ids[0], |b| b[0] = 42);
-        let store = p.page_store().unwrap();
+        let store = pinned_file(&p).unwrap();
         store.read_into(ids[0], &mut buf);
         assert_eq!(buf[0], 42);
 
@@ -817,10 +753,10 @@ mod tests {
         let a = p.allocate();
         p.write(a, |b| b[0] = 1);
         assert_eq!(p.epoch(), 0);
-        let old = p.snapshot();
+        let old = pinned_pages(&p);
         assert_eq!(p.begin_epoch(), 1);
         p.write(a, |b| b[0] = 2);
-        let new = p.snapshot();
+        let new = pinned_pages(&p);
         assert!(!old.shares_pages(&new), "epoch bump invalidates the cache");
         assert_eq!(old.page(a)[0], 1, "pinned snapshot keeps the old bytes");
         assert_eq!(new.page(a)[0], 2);
@@ -838,15 +774,15 @@ mod tests {
         p.spill_to(&base).unwrap();
 
         // Pin a reader on epoch 0, then mutate under epoch 1.
-        let old_store = p.page_store().unwrap();
+        let old_store = pinned_file(&p).unwrap();
         p.begin_epoch();
-        assert_eq!(p.store_path(), Some(dir.join("pages.rj.e1").as_path()));
+        assert_eq!(pinned_file(&p).unwrap().path(), dir.join("pages.rj.e1"));
         p.write(a, |b| b[0] = 2);
 
         let mut buf = vec![0u8; 128];
         old_store.read_into(a, &mut buf);
         assert_eq!(buf[0], 1, "pinned store keeps reading the old file");
-        let new_store = p.page_store().unwrap();
+        let new_store = pinned_file(&p).unwrap();
         new_store.read_into(a, &mut buf);
         assert_eq!(buf[0], 2);
         assert!(base.exists(), "the original spill path is never removed");
@@ -854,7 +790,7 @@ mod tests {
         // The next epoch chains off the base name and unlinks the
         // retired intermediate (open descriptors keep it readable).
         p.begin_epoch();
-        assert_eq!(p.store_path(), Some(dir.join("pages.rj.e2").as_path()));
+        assert_eq!(pinned_file(&p).unwrap().path(), dir.join("pages.rj.e2"));
         assert!(!dir.join("pages.rj.e1").exists());
         old_store.read_into(a, &mut buf);
         assert_eq!(buf[0], 1, "unlinked file stays readable through the pin");
@@ -879,11 +815,49 @@ mod tests {
         replica.attach_store(&base).unwrap();
         replica.begin_epoch();
         assert_eq!(
-            replica.store_path(),
-            Some(base.as_path()),
+            pinned_file(&replica).unwrap().path(),
+            base.as_path(),
             "an attached store keeps pointing at the shared file"
         );
         assert_eq!(replica.epoch(), 1);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_first_allocation_or_write_detaches_an_attached_store() {
+        let dir = std::env::temp_dir().join(format!("ringjoin-detach-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("pages.rj");
+
+        let mut writer = Pager::new(MemDisk::new(128), 4);
+        let a = writer.allocate();
+        writer.write(a, |b| b[0] = 7);
+        writer.spill_to(&base).unwrap();
+
+        // A write: readers pin the replica's own pages, the written
+        // bytes included, while the file keeps the writer's.
+        let mut replica = Pager::new(MemDisk::new(128), 4);
+        let ra = replica.allocate();
+        replica.write(ra, |b| b[0] = 7);
+        replica.attach_store(&base).unwrap();
+        assert_eq!(pinned_file(&replica).unwrap().path(), base.as_path());
+        replica.write(ra, |b| b[0] = 8);
+        assert_eq!(pinned_pages(&replica).page(ra)[0], 8);
+        let mut buf = vec![0u8; 128];
+        pinned_file(&writer).unwrap().read_into(a, &mut buf);
+        assert_eq!(buf[0], 7);
+
+        // An allocation: the new page, past the file's end, is pinned.
+        replica.attach_store(&base).unwrap();
+        let rb = replica.allocate();
+        let pages = pinned_pages(&replica);
+        assert_eq!(pages.num_pages(), 2);
+        assert_eq!(pages.page(rb), &[0u8; 128][..]);
+
+        // A pager's own page file stays pinned through its writes.
+        writer.write(a, |b| b[0] = 9);
+        assert_eq!(pinned_file(&writer).unwrap().path(), base.as_path());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -901,10 +875,10 @@ mod tests {
         drop(p.page_source());
         p.begin_epoch();
         p.write(a, |b| b[0] = 5);
-        assert_eq!(p.store_path(), Some(base.as_path()));
+        assert_eq!(pinned_file(&p).unwrap().path(), base.as_path());
         assert!(!dir.join("pages.rj.e1").exists());
         let mut buf = vec![0u8; 128];
-        p.page_store().unwrap().read_into(a, &mut buf);
+        pinned_file(&p).unwrap().read_into(a, &mut buf);
         assert_eq!(buf[0], 5);
 
         std::fs::remove_dir_all(&dir).ok();
@@ -919,10 +893,10 @@ mod tests {
         let mut p = Pager::new(MemDisk::new(128), 4);
         p.allocate();
         p.spill_to(&path).unwrap();
-        assert_eq!(p.page_store().unwrap().num_pages(), 1);
+        assert_eq!(pinned_file(&p).unwrap().num_pages(), 1);
         let b = p.allocate();
         p.write(b, |bytes| bytes[0] = 9);
-        let store = p.page_store().unwrap();
+        let store = pinned_file(&p).unwrap();
         assert_eq!(store.num_pages(), 2, "the handle counts the new page");
         let mut buf = vec![0u8; 128];
         store.read_into(b, &mut buf);

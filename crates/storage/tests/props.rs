@@ -4,9 +4,7 @@
 //! on the pager's pages must keep reading them as they were.
 
 use proptest::prelude::*;
-use ringjoin_storage::{
-    read_page_as, DiskStorage, FileDisk, MemDisk, PageId, PageSource, PageStore, Pager, PooledPager,
-};
+use ringjoin_storage::{DiskStorage, FileDisk, MemDisk, PageId, PageSource, Pager, PooledPager};
 use std::path::Path;
 
 #[derive(Clone, Debug)]
@@ -158,7 +156,7 @@ proptest! {
                     file.read_page(idx, &mut b);
                     // The reader side of the same handle: what a pinned
                     // reader of the file reads.
-                    PageStore::read_into(&file, idx, &mut c);
+                    file.read_into(idx, &mut c);
                     prop_assert_eq!(&a, &b);
                     prop_assert_eq!(&a, &c);
                 }
@@ -230,9 +228,7 @@ proptest! {
                 for (source, epoch, pages) in &pinned {
                     let mut reader = PooledPager::new(source.clone(), pager.pool().clone(), *epoch);
                     for (i, expect) in pages.iter().enumerate() {
-                        let same = read_page_as(&mut reader, PageId(i as u32), |bytes| {
-                            bytes == &expect[..]
-                        });
+                        let same = reader.read(PageId(i as u32), |bytes| bytes == &expect[..]);
                         prop_assert!(
                             same,
                             "spilled={}: the view pinned at epoch {} lost page {}",

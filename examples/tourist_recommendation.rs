@@ -11,8 +11,8 @@
 //! stand (e.g., which metro exit to take).
 
 use ringjoin::{
-    bulk_load, gnis_like, rcj_by_diameter, rcj_join, sort_by_diameter, GnisDataset, MemDisk, Pager,
-    RcjOptions, RcjPair,
+    bulk_load, gnis_like, rcj_join, rcj_stream_by_diameter, sort_by_diameter, GnisDataset, MemDisk,
+    Pager, RcjOptions, RcjPair,
 };
 
 fn main() {
@@ -51,7 +51,9 @@ fn main() {
 
     // A browsing UI only needs the first page: the diameter-ordered
     // stream yields the same ten pairs without computing the whole join.
-    let top10: Vec<RcjPair> = rcj_by_diameter(&tp, &tq).take(10).collect();
+    let top10: Vec<RcjPair> = rcj_stream_by_diameter(&tq, &tp, &RcjOptions::default())
+        .take(10)
+        .collect();
     assert_eq!(top10, out.pairs[..10]);
 
     // Filtering on the fly (the paper's browsing scenario): only pairs

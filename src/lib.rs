@@ -52,11 +52,27 @@
 //! println!("{} fair middleman locations", out.pairs.len());
 //! # assert!(out.pairs.len() > 0);
 //! ```
+//!
+//! A browsing UI needs only the most compact pairs first: the
+//! diameter-ordered stream yields them in ascending ring diameter, and
+//! `take(k)` stops after a top-k without computing the whole join:
+//!
+//! ```
+//! use ringjoin::{bulk_load, rcj_stream_by_diameter, uniform, MemDisk, Pager, RcjOptions};
+//!
+//! let pager = Pager::new(MemDisk::new(1024), 128).into_shared();
+//! let tp = bulk_load(pager.clone(), uniform(300, 1));
+//! let tq = bulk_load(pager.clone(), uniform(300, 2));
+//! let top3: Vec<_> = rcj_stream_by_diameter(&tq, &tp, &RcjOptions::default())
+//!     .take(3)
+//!     .collect();
+//! assert_eq!(top3.len(), 3);
+//! assert!(top3[0].diameter() <= top3[1].diameter());
+//! assert!(top3[1].diameter() <= top3[2].diameter());
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod topk;
 
 pub use ringjoin_core as core;
 pub use ringjoin_datagen as datagen;
@@ -66,7 +82,6 @@ pub use ringjoin_rtree as rtree;
 pub use ringjoin_server as server;
 pub use ringjoin_spatialjoin as spatialjoin;
 pub use ringjoin_storage as storage;
-pub use topk::{rcj_by_diameter, RcjByDiameter};
 
 pub use ringjoin_core::{
     pair_keys, rcj_brute, rcj_brute_self, rcj_join, rcj_join_into, rcj_self_join,
