@@ -1257,7 +1257,7 @@ pub fn serving(cfg: &ExpConfig) -> String {
             let workers = match mode {
                 "local-threads" => WorkerSpec::Local,
                 _ => WorkerSpec::Provision(std::sync::Arc::new(|_cell, _rep| {
-                    let server = ShardWorkerServer::bind("127.0.0.1:0", None, 0)
+                    let server = ShardWorkerServer::bind("127.0.0.1:0", None, 0, None)
                         .map_err(|e| e.to_string())?;
                     let addr = server.local_addr().to_string();
                     std::thread::spawn(move || {
@@ -1494,16 +1494,6 @@ pub fn run(id: &str, cfg: &ExpConfig) -> Option<String> {
         "serving" => serving(cfg),
         _ => return None,
     })
-}
-
-/// Helper for scaled workloads used by the criterion benches.
-pub fn bench_workload(n: usize) -> Workload {
-    Workload::build(uniform(n, 1111), uniform(n, 2222), DEFAULT_BUFFER_FRAC)
-}
-
-/// Item vector helper for criterion benches.
-pub fn bench_items(n: usize, seed: u64) -> Vec<Item> {
-    uniform(n, seed)
 }
 
 #[cfg(test)]

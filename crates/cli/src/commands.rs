@@ -75,12 +75,17 @@ COMMANDS
               and mutation batch is fsynced to a write-ahead log there
               before any fan-out, and a restart on the same directory
               replays the log — rebuilding every dataset to its logged
-              epoch — before accepting a single session)
+              epoch — before accepting a single session. --on-disk FILE
+              gives each worker slot S (cell-major) its own page file
+              FILE.S; with an address list, start each worker with its
+              own --on-disk and --buffer-pages instead)
   serve      --shard-of auto|X0,Y0,X1,Y1 [--addr HOST:PORT | --port N]
-             [--addr-file FILE] [--buffer-pages N]
+             [--addr-file FILE] [--on-disk FILE] [--buffer-pages N]
              (shard-worker mode: serve one coordinator's cell over the
               shard wire grammar; `auto` accepts any cell. --addr-file
-              writes the bound address, for coordinators and scripts)
+              writes the bound address, for coordinators and scripts.
+              --on-disk FILE spills every load to FILE, which this
+              worker alone reads and writes)
   client load      --name NAME --input FILE [--index rtree|quadtree]
   client join      --outer Q --inner P [--algo ..] [--out FILE] [--stats]
                    [--bounds X0,Y0,X1,Y1 --max-diameter D] [--pipeline N]
@@ -574,10 +579,6 @@ fn cmd_serve_worker(args: &Args, spec: &str) -> Result<Option<String>, ArgError>
             "data-dir",
             "a --shard-of worker keeps no log; its coordinator logs every batch and replays it to the worker",
         ),
-        (
-            "on-disk",
-            "a --shard-of worker spills to the page file its coordinator names with each load",
-        ),
     ] {
         if args.opt(coordinator_only).is_some() {
             return Err(ArgError(format!(
@@ -593,11 +594,12 @@ fn cmd_serve_worker(args: &Args, spec: &str) -> Result<Option<String>, ArgError>
         ),
     };
     let buffer_pages: usize = args.opt_parse("buffer-pages", 0)?;
+    let page_file = args.opt("on-disk").map(std::path::PathBuf::from);
     let addr = match args.opt("addr") {
         Some(a) => a.to_string(),
         None => format!("127.0.0.1:{}", args.opt_parse::<u16>("port", 4815)?),
     };
-    let server = ringjoin_server::ShardWorkerServer::bind(&addr, accepts, buffer_pages)
+    let server = ringjoin_server::ShardWorkerServer::bind(&addr, accepts, buffer_pages, page_file)
         .map_err(server_err)?;
     write_addr_file(args, server.local_addr())?;
     eprintln!(
@@ -2097,7 +2099,6 @@ mod tests {
             ("max-sessions", "4"),
             ("queue-depth", "4"),
             ("data-dir", "wal"),
-            ("on-disk", "pages.rjp"),
         ] {
             let flag = format!("--{opt}");
             let argv = [

@@ -8,7 +8,7 @@
 use ringjoin_core::{Engine, IndexKind, RcjAlgorithm, RcjPair, RcjStats};
 use ringjoin_rtree::Item;
 use ringjoin_server::{ShardedEngine, TopologyConfig, WorkerSpec};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 const REGION: f64 = 1000.0;
@@ -37,6 +37,36 @@ fn reference(p: &[Item], q: &[Item]) -> (Vec<RcjPair>, RcjStats) {
     engine.load("q", q.to_vec()).index(IndexKind::Rtree);
     let out = engine.query().join("q", "p").collect().unwrap();
     (out.pairs, out.stats)
+}
+
+/// Slot `slot`'s page file of a disk-native topology over `base`.
+fn slot_file(base: &Path, slot: usize) -> PathBuf {
+    let mut path = base.as_os_str().to_owned();
+    path.push(format!(".{slot}"));
+    PathBuf::from(path)
+}
+
+/// Asserts that each of `slots` workers wrote its own page file, and
+/// that every file equals slot 0's byte for byte.
+fn assert_slot_files_identical(base: &Path, slots: usize) {
+    let first = std::fs::read(slot_file(base, 0)).expect("slot 0's page file");
+    assert!(!first.is_empty(), "slot 0's page file is empty");
+    for slot in 1..slots {
+        let bytes = std::fs::read(slot_file(base, slot))
+            .unwrap_or_else(|e| panic!("slot {slot}'s page file: {e}"));
+        assert!(
+            bytes == first,
+            "slot {slot}'s page file differs from slot 0's"
+        );
+    }
+}
+
+fn kill_9(pid: u32) {
+    let killed = std::process::Command::new("kill")
+        .args(["-9", &pid.to_string()])
+        .status()
+        .expect("spawn kill(1)");
+    assert!(killed.success(), "kill -9 {pid} failed");
 }
 
 fn spawned_engine(shards: usize, replicas: usize) -> ShardedEngine {
@@ -74,11 +104,7 @@ fn sigkilled_worker_with_a_spare_replica_is_invisible_to_the_client() {
     // SIGKILL the first worker process — no shutdown handshake, the
     // coordinator finds out the hard way.
     let victim = se.worker_pids()[0].expect("spawned slot 0 has a pid");
-    let killed = std::process::Command::new("kill")
-        .args(["-9", &victim.to_string()])
-        .status()
-        .expect("spawn kill(1)");
-    assert!(killed.success(), "kill -9 {victim} failed");
+    kill_9(victim);
 
     // Every query during the outage and the heal must succeed and
     // match: that is the whole point of --replicas 2.
@@ -112,9 +138,95 @@ fn sigkilled_worker_with_a_spare_replica_is_invisible_to_the_client() {
     se.shutdown();
 }
 
+/// A spawned 2x2 disk-native fleet: each worker process is started
+/// with its own slot file and the coordinator's page budget, and every
+/// slot file equals slot 0's — after the LOADs, and again after a
+/// SIGKILLed worker is respawned and replayed. Every join, before and
+/// after the heal, equals the local reference.
+#[test]
+fn spawned_disk_native_workers_spill_identical_slot_files_and_heal() {
+    let p = lcg_items(150, 23);
+    let q = lcg_items(150, 29);
+    let (ref_pairs, ref_stats) = reference(&p, &q);
+
+    let dir =
+        std::env::temp_dir().join(format!("ringjoin-distributed-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = dir.join("fleet.rjp");
+    let se = ShardedEngine::with_topology(TopologyConfig {
+        shards: 2,
+        replicas: 2,
+        workers: WorkerSpec::Spawn {
+            program: PathBuf::from(env!("CARGO_BIN_EXE_ringjoin")),
+        },
+        on_disk: Some(base.clone()),
+        buffer_pages: 16,
+        request_timeout: Duration::from_secs(20),
+        respawn_backoff: Duration::from_millis(25),
+        ..TopologyConfig::default()
+    })
+    .expect("spawned disk-native topology");
+    se.load("p", p, IndexKind::Rtree).unwrap();
+    se.load("q", q, IndexKind::Rtree).unwrap();
+    assert_slot_files_identical(&base, 4);
+    assert!(!base.exists(), "no worker writes the unnumbered path");
+
+    if cfg!(target_os = "linux") {
+        for (slot, pid) in se.worker_pids().into_iter().enumerate() {
+            let pid = pid.expect("a spawned slot has a pid");
+            let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).expect("worker cmdline");
+            let args: Vec<String> = cmdline
+                .split(|&b| b == 0)
+                .map(|arg| String::from_utf8_lossy(arg).into_owned())
+                .collect();
+            let value = |flag: &str| {
+                let at = args.iter().position(|arg| arg == flag)?;
+                args.get(at + 1).cloned()
+            };
+            assert_eq!(value("--buffer-pages").as_deref(), Some("16"), "{args:?}");
+            assert_eq!(
+                value("--on-disk").map(PathBuf::from),
+                Some(slot_file(&base, slot)),
+                "{args:?}"
+            );
+        }
+    }
+
+    let out = se.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
+    assert_eq!(out.pairs, ref_pairs, "disk-native join diverged");
+    assert_eq!(out.stats, ref_stats, "disk-native stats diverged");
+
+    let victim = se.worker_pids()[1].expect("spawned slot 1 has a pid");
+    kill_9(victim);
+    for round in 0..6 {
+        let out = se
+            .join("q", "p", RcjAlgorithm::Auto, None)
+            .unwrap_or_else(|e| panic!("round {round} surfaced an error: {e}"));
+        assert_eq!(out.pairs, ref_pairs, "round {round} join diverged");
+        assert_eq!(out.stats, ref_stats, "round {round} stats diverged");
+    }
+    assert!(
+        se.wait_healthy(Duration::from_secs(30)),
+        "supervisor never respawned the SIGKILLed worker"
+    );
+    assert_ne!(
+        se.worker_pids()[1],
+        Some(victim),
+        "slot 1 is a fresh process"
+    );
+    let out = se.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
+    assert_eq!(out.pairs, ref_pairs, "healed join diverged");
+    assert_eq!(out.stats, ref_stats, "healed stats diverged");
+    assert_slot_files_identical(&base, 4);
+    se.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The CLI worker mode end to end: a real `ringjoin serve --shard-of
-/// auto --addr-file ...` child, discovered through its address file and
-/// addressed via `WorkerSpec::Remote`, answers byte-identically.
+/// auto --addr-file ... --on-disk ...` child, discovered through its
+/// address file and addressed via `WorkerSpec::Remote`, spills to the
+/// page file it was started with and answers byte-identically.
 #[test]
 fn shard_of_worker_discovered_by_addr_file_answers_byte_identically() {
     let p = lcg_items(80, 17);
@@ -125,7 +237,12 @@ fn shard_of_worker_discovered_by_addr_file_answers_byte_identically() {
         "ringjoin-distributed-test-{}.addr",
         std::process::id()
     ));
+    let page_file = std::env::temp_dir().join(format!(
+        "ringjoin-distributed-test-{}.rjp",
+        std::process::id()
+    ));
     let _ = std::fs::remove_file(&addr_file);
+    let _ = std::fs::remove_file(&page_file);
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ringjoin"))
         .args([
             "serve",
@@ -136,6 +253,8 @@ fn shard_of_worker_discovered_by_addr_file_answers_byte_identically() {
             "--addr-file",
         ])
         .arg(&addr_file)
+        .arg("--on-disk")
+        .arg(&page_file)
         .stdin(std::process::Stdio::null())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -167,6 +286,7 @@ fn shard_of_worker_discovered_by_addr_file_answers_byte_identically() {
     .expect("remote topology over the addr-file worker");
     se.load("p", p, IndexKind::Rtree).unwrap();
     se.load("q", q, IndexKind::Rtree).unwrap();
+    assert!(page_file.is_file(), "the worker never wrote its page file");
     let out = se.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
     assert_eq!(out.pairs, ref_pairs, "addr-file worker join diverged");
     assert_eq!(out.stats, ref_stats, "addr-file worker stats diverged");
@@ -185,4 +305,5 @@ fn shard_of_worker_discovered_by_addr_file_answers_byte_identically() {
             _ => std::thread::sleep(Duration::from_millis(20)),
         }
     }
+    let _ = std::fs::remove_file(&page_file);
 }

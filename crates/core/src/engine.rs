@@ -33,7 +33,7 @@ use crate::planner::{DatasetSummary, JoinCostModel, PlanEstimate};
 use crate::stats::RcjStats;
 use crate::stream::{open, RcjStream, TaggedPairSink};
 use crate::window::{validate_bounds, RingBounds};
-use crate::{Executor, OuterOrder, RcjIndex};
+use crate::{Executor, RcjIndex};
 use ringjoin_geom::{pt, Item, Point, Rect};
 use ringjoin_quadtree::QuadTree;
 use ringjoin_rtree::{bulk_load, RTree};
@@ -256,11 +256,6 @@ impl Engine {
         self.executor = executor;
     }
 
-    /// The default executor new queries inherit.
-    pub fn default_executor(&self) -> Executor {
-        self.executor
-    }
-
     /// Applies the paper's buffer rule — capacity = `frac` of the total
     /// index pages currently loaded (min 1) — then cold-starts the
     /// buffer and zeroes the I/O statistics, so subsequent queries are
@@ -374,8 +369,6 @@ impl Engine {
             top_k: None,
             window: None,
             skip_verification: false,
-            no_face_rule: false,
-            outer_order: OuterOrder::DepthFirst,
         }
     }
 
@@ -761,8 +754,6 @@ pub struct QueryBuilder<'e> {
     top_k: Option<usize>,
     window: Option<RingBounds>,
     skip_verification: bool,
-    no_face_rule: bool,
-    outer_order: OuterOrder,
 }
 
 impl<'e> QueryBuilder<'e> {
@@ -841,18 +832,6 @@ impl<'e> QueryBuilder<'e> {
         self
     }
 
-    /// Disables the face-inside-circle verification shortcut (ablation).
-    pub fn no_face_rule(mut self) -> Self {
-        self.no_face_rule = true;
-        self
-    }
-
-    /// Processes the outer leaves in a seeded shuffled order (ablation).
-    pub fn outer_order(mut self, order: OuterOrder) -> Self {
-        self.outer_order = order;
-        self
-    }
-
     /// Resolves dataset names and the algorithm choice into an
     /// inspectable [`Plan`]. No page is read: planning works on catalog
     /// summaries only.
@@ -892,8 +871,6 @@ impl<'e> QueryBuilder<'e> {
             top_k: self.top_k,
             window: self.window,
             skip_verification: self.skip_verification,
-            no_face_rule: self.no_face_rule,
-            outer_order: self.outer_order,
         })
     }
 
@@ -924,8 +901,6 @@ pub struct Plan<'e> {
     top_k: Option<usize>,
     window: Option<RingBounds>,
     skip_verification: bool,
-    no_face_rule: bool,
-    outer_order: OuterOrder,
 }
 
 impl Plan<'_> {
@@ -949,11 +924,6 @@ impl Plan<'_> {
     /// The top-k bound, if the query asked for one.
     pub fn top_k(&self) -> Option<usize> {
         self.top_k
-    }
-
-    /// `true` for self-join plans.
-    pub fn is_self_join(&self) -> bool {
-        self.self_join
     }
 
     /// The planner's estimates for all three concrete algorithms
@@ -994,9 +964,8 @@ impl Plan<'_> {
         RcjOptions {
             algorithm: self.algorithm,
             skip_verification: self.skip_verification,
-            no_face_rule: self.no_face_rule,
-            outer_order: self.outer_order,
             executor: self.executor,
+            ..RcjOptions::default()
         }
     }
 
@@ -1180,12 +1149,6 @@ impl fmt::Display for Plan<'_> {
                 "  window: rings meeting [{}, {}, {}, {}] at most {} wide (leaves skipped, filters cut)",
                 r.min.x, r.min.y, r.max.x, r.max.y, rb.max_diameter
             )?;
-        }
-        if self.no_face_rule {
-            writeln!(f, "  face rule: disabled")?;
-        }
-        if let OuterOrder::Shuffled(seed) = self.outer_order {
-            writeln!(f, "  outer order: shuffled (seed {seed})")?;
         }
         write!(f, "  plan line: {}", self.summary_line())
     }

@@ -70,13 +70,6 @@ pub struct PhaseCost {
     pub verify_per_unit: f64,
 }
 
-impl PhaseCost {
-    /// Total node reads per unit.
-    pub fn total_per_unit(&self) -> f64 {
-        self.filter_per_unit + self.verify_per_unit
-    }
-}
-
 /// The calibrated cost model: one [`PhaseCost`] per algorithm.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JoinCostModel {

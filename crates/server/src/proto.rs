@@ -39,7 +39,7 @@
 //! | request | body | response |
 //! |---|---|---|
 //! | `HELLO` | — | `OK role=shard accepts=<rect\|any>` |
-//! | `SLOAD <name> <kind> cell=<rect> [spill=<path> writer=<0\|1>]` | `id x y` rows | `OK leaves=.. extent=<rect>` |
+//! | `SLOAD <name> <kind> cell=<rect>` | `id x y` rows | `OK leaves=.. extent=<rect>` |
 //! | `SUPDATE <name> epoch=<n>` | `+ id x y` / `- id` / `^ id x y` rows | same fields as `SLOAD` |
 //! | `SJOIN <outer> [inner=<name>] [algo=..] [bounds=.. maxd=..]` | — | counters + tagged pair rows |
 //! | `STOPK <outer> <k> [inner=<name>]` | — | counters + pair rows |
@@ -48,10 +48,11 @@
 //!
 //! Both grammars share one `key=value` option parser: the shard grammar
 //! accepts the client keys (`algo`, `bounds`, `maxd`, `k`) plus `cell`,
-//! `spill`, `writer`, `inner` and `epoch`; each grammar refuses any
-//! other key. `bounds=` corners are normalised (`x0,y0,x1,y1` in any
-//! corner order), while `cell=` corners travel verbatim, so the empty
-//! rectangle round-trips as empty.
+//! `inner` and `epoch`; each grammar refuses any other key. `bounds=`
+//! corners are normalised (`x0,y0,x1,y1` in any corner order), while
+//! `cell=` corners travel verbatim, so the empty rectangle round-trips
+//! as empty. A worker's page file is not on the wire: the worker is
+//! started with it (`serve --shard-of .. --on-disk FILE`).
 //!
 //! The coordinator's merge keys are **global outer-leaf indices**, so
 //! `SJOIN` replies carry leaf-tagged rows (`leaf p_id p_x p_y q_id q_x
@@ -121,7 +122,6 @@ use ringjoin_core::{IndexKind, Mutation, RcjAlgorithm, RcjPair, RcjStats, RingBo
 use ringjoin_geom::{pt, Item, Rect};
 use std::fmt::Write as _;
 use std::io::{Read, Write};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Hard cap on a frame payload (64 MiB): a malformed or hostile length
@@ -460,11 +460,9 @@ fn encode_bounds(out: &mut String, bounds: &Option<RingBounds>) {
 const CLIENT_OPTIONS: &[&str] = &["algo", "bounds", "maxd", "k"];
 
 /// The option keys of the shard-worker grammar: the client keys plus
-/// the placement (`cell`, `spill`, `writer`), routing (`inner`) and
-/// history (`epoch`) extras.
-const SHARD_OPTIONS: &[&str] = &[
-    "algo", "bounds", "maxd", "k", "cell", "spill", "writer", "inner", "epoch",
-];
+/// the placement (`cell`), routing (`inner`) and history (`epoch`)
+/// extras.
+const SHARD_OPTIONS: &[&str] = &["algo", "bounds", "maxd", "k", "cell", "inner", "epoch"];
 
 /// The `key=value` options of a request line. One parser serves both
 /// grammars; each is handed the keys it allows, and every other key is
@@ -475,8 +473,6 @@ struct Options {
     maxd: Option<f64>,
     k: Option<usize>,
     cell: Option<Rect>,
-    spill: Option<PathBuf>,
-    writer: bool,
     inner: Option<String>,
     epoch: Option<u64>,
 }
@@ -489,8 +485,6 @@ impl Options {
             maxd: None,
             k: None,
             cell: None,
-            spill: None,
-            writer: false,
             inner: None,
             epoch: None,
         };
@@ -508,8 +502,6 @@ impl Options {
                 "k" => opts.k = Some(parse_num(value, "k")?),
                 "bounds" => opts.bounds = Some(parse_bounds(value)?),
                 "cell" => opts.cell = Some(parse_rect(value)?),
-                "spill" => opts.spill = Some(PathBuf::from(value)),
-                "writer" => opts.writer = value == "1",
                 "inner" => {
                     validate_name(value)?;
                     opts.inner = Some(value.to_string());
@@ -1040,14 +1032,6 @@ pub enum ShardRequest {
         /// The half-open partition cell this worker owns for the
         /// dataset (decides outer-leaf ownership).
         cell: Rect,
-        /// Disk-native serving: the shared page file (a path visible to
-        /// the worker — loopback workers share the coordinator's
-        /// filesystem). On the wire it is one token, so it must be
-        /// whitespace-free UTF-8.
-        spill: Option<PathBuf>,
-        /// Whether this worker materializes the page file (exactly one
-        /// writer per `LOAD`; replicas and replays attach).
-        writer: bool,
         /// The full point set (the index is replicated; the cell
         /// partitions the *work*).
         items: Arc<Vec<Item>>,
@@ -1116,22 +1100,11 @@ impl ShardRequest {
                 name,
                 kind,
                 cell,
-                spill,
-                writer,
                 items,
-            } => {
-                let mut out = format!("SLOAD {name} {} cell={}", kind.name(), encode_rect(*cell));
-                if let Some(path) = spill {
-                    let _ = write!(
-                        out,
-                        " spill={} writer={}",
-                        path.display(),
-                        u8::from(*writer)
-                    );
-                }
-                out.push('\n');
-                with_item_rows(out, items)
-            }
+            } => with_item_rows(
+                format!("SLOAD {name} {} cell={}\n", kind.name(), encode_rect(*cell)),
+                items,
+            ),
             ShardRequest::Update {
                 name,
                 target_epoch,
@@ -1189,7 +1162,7 @@ impl ShardRequest {
             "SLOAD" => {
                 let [name, kind, ref rest @ ..] = args[..] else {
                     return Err(ServerError::BadRequest(
-                        "usage: SLOAD <name> <kind> cell=<rect> [spill=<path> writer=<0|1>]".into(),
+                        "usage: SLOAD <name> <kind> cell=<rect>".into(),
                     ));
                 };
                 validate_name(name)?;
@@ -1201,8 +1174,6 @@ impl ShardRequest {
                     name: name.to_string(),
                     kind: parse_kind(kind)?,
                     cell,
-                    spill: opts.spill,
-                    writer: opts.writer,
                     items: Arc::new(parse_rows(body, item_row)?),
                 })
             }
@@ -1752,16 +1723,12 @@ mod tests {
                 name: "pts".into(),
                 kind: IndexKind::Quadtree,
                 cell,
-                spill: Some("/tmp/spill.pages".into()),
-                writer: true,
                 items: Arc::new(awkward.to_vec()),
             },
             ShardRequest::Load {
                 name: "q".into(),
                 kind: IndexKind::Rtree,
                 cell: Rect::empty(),
-                spill: None,
-                writer: false,
                 items: Arc::default(),
             },
             ShardRequest::Update {
@@ -1830,7 +1797,6 @@ mod tests {
             "JOIN q p cell=0,0,1,1",
             "SELFJOIN d epoch=3",
             "EXPLAIN q p inner=p",
-            "JOIN q p spill=/x writer=1",
         ] {
             assert!(Request::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -1847,6 +1813,18 @@ mod tests {
             assert!(ShardRequest::parse(bad).is_err(), "accepted {bad:?}");
         }
         assert!(ShardRequest::parse("SJOIN q inner=p cell=0,0,1,1 epoch=2").is_ok());
+        // A worker's page file is fixed when the worker starts: a load
+        // that names one is refused like any key the grammar lacks.
+        for key in ["spill", "writer"] {
+            let err = ShardRequest::parse(&format!("SLOAD d rtree cell=0,0,1,1 {key}=1\n1 2 3"))
+                .err()
+                .map(|e| e.to_string());
+            assert!(
+                err.as_deref()
+                    .is_some_and(|e| e.contains(&format!("unknown option {key:?}"))),
+                "{key}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::ServerError;
 use ringjoin_geom::Rect;
 use ringjoin_storage::BufferPool;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -107,11 +107,13 @@ impl ShardWorkerServer {
     /// Binds the worker listener and starts its engine thread.
     /// `accepts` restricts which partition cells this worker will
     /// `SLOAD` (`None` = any); `buffer_pages` bounds its private
-    /// buffer pool (`0` = effectively unbounded).
+    /// buffer pool (`0` = effectively unbounded); every `SLOAD` spills
+    /// to `page_file`, when set, which this worker alone reads and writes.
     pub fn bind(
         addr: &str,
         accepts: Option<Rect>,
         buffer_pages: usize,
+        page_file: Option<PathBuf>,
     ) -> Result<ShardWorkerServer, ServerError> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| ServerError::Io(format!("cannot bind {addr}: {e}")))?;
@@ -126,7 +128,7 @@ impl ShardWorkerServer {
         Ok(ShardWorkerServer {
             listener,
             shared: Arc::new(WorkerShared {
-                worker: Mutex::new(LocalShard::spawn(pool, accepts)),
+                worker: Mutex::new(LocalShard::spawn(pool, accepts, page_file)),
                 dead: AtomicBool::new(false),
                 stop: AtomicBool::new(false),
                 addr: bound,
@@ -286,21 +288,6 @@ impl ShardBackend for RemoteShard {
     /// because every shard operation is idempotent (see module docs);
     /// a worker-reported `ERR` is never retried.
     fn request(&mut self, req: &ShardRequest) -> Result<ShardReply, ShardFault> {
-        if let ShardRequest::Load {
-            spill: Some(path), ..
-        } = req
-        {
-            // The page-file path travels as one wire token.
-            if path
-                .to_str()
-                .is_none_or(|p| p.contains(char::is_whitespace))
-            {
-                return Err(ShardFault::Request(format!(
-                    "spill path {} must be whitespace-free UTF-8 to reach a worker process",
-                    path.display()
-                )));
-            }
-        }
         let mut last = String::new();
         for attempt in 0..RECONNECT_ATTEMPTS {
             if attempt > 0 {
@@ -354,33 +341,48 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
 /// A [`ShardBackend`] whose worker is a child process this
 /// coordinator launched: `<program> serve --shard-of auto` on an
-/// ephemeral loopback port, discovered through an address file. The
+/// ephemeral loopback port, discovered through an address file, with
+/// the slot's `--on-disk` file and `--buffer-pages` budget. The
 /// topology's supervisor respawns by simply launching another child —
-/// always on a fresh port, which sidesteps `TIME_WAIT` rebinding.
+/// always on a fresh port, which sidesteps `TIME_WAIT` rebinding — and
+/// its replay of the log rewrites the slot's page file.
 pub(crate) struct SpawnedShard {
     child: std::process::Child,
     remote: RemoteShard,
 }
 
 impl SpawnedShard {
-    /// Launches the worker and connects to it.
-    pub(crate) fn launch(program: &Path, timeout: Duration) -> Result<SpawnedShard, String> {
+    /// Launches the worker — disk-native on `page_file` when set, with a
+    /// pool of `buffer_pages` frames when nonzero — and connects to it.
+    pub(crate) fn launch(
+        program: &Path,
+        timeout: Duration,
+        page_file: Option<PathBuf>,
+        buffer_pages: usize,
+    ) -> Result<SpawnedShard, String> {
         let addr_file = std::env::temp_dir().join(format!(
             "ringjoin-worker-{}-{}.addr",
             std::process::id(),
             SPAWN_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_file(&addr_file);
-        let mut child = std::process::Command::new(program)
-            .args([
-                "serve",
-                "--shard-of",
-                "auto",
-                "--addr",
-                "127.0.0.1:0",
-                "--addr-file",
-            ])
-            .arg(&addr_file)
+        let mut command = std::process::Command::new(program);
+        command.args([
+            "serve",
+            "--shard-of",
+            "auto",
+            "--addr",
+            "127.0.0.1:0",
+            "--addr-file",
+        ]);
+        command.arg(&addr_file);
+        if let Some(path) = page_file {
+            command.arg("--on-disk").arg(path);
+        }
+        if buffer_pages > 0 {
+            command.args(["--buffer-pages", &buffer_pages.to_string()]);
+        }
+        let mut child = command
             .stdin(std::process::Stdio::null())
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::null())
@@ -485,15 +487,13 @@ mod tests {
             name: "d".into(),
             kind: IndexKind::Rtree,
             cell,
-            spill: None,
-            writer: false,
             items,
         }
     }
 
     /// Binds a worker on an ephemeral port, serving on its own thread.
     fn start_worker() -> (WorkerHandle, String) {
-        let server = ShardWorkerServer::bind("127.0.0.1:0", None, 0).unwrap();
+        let server = ShardWorkerServer::bind("127.0.0.1:0", None, 0, None).unwrap();
         let handle = server.handle();
         let addr = server.local_addr().to_string();
         std::thread::spawn(move || {
@@ -589,7 +589,7 @@ mod tests {
     #[test]
     fn worker_rejects_loads_outside_its_cell_and_wrong_roles_fail_fast() {
         let accepts = Rect::new(pt(0.0, 0.0), pt(100.0, 100.0));
-        let server = ShardWorkerServer::bind("127.0.0.1:0", Some(accepts), 0).unwrap();
+        let server = ShardWorkerServer::bind("127.0.0.1:0", Some(accepts), 0, None).unwrap();
         let addr = server.local_addr().to_string();
         let handle = server.handle();
         std::thread::spawn(move || {
@@ -599,6 +599,38 @@ mod tests {
         let far = Rect::new(pt(500.0, 500.0), pt(600.0, 600.0));
         let err = shard.request(&load(far, items(10, 5, 50.0)));
         assert!(matches!(err, Err(ShardFault::Request(_))));
+        handle.kill();
+    }
+
+    #[test]
+    fn a_worker_that_cannot_spill_answers_err_naming_the_file_and_keeps_serving() {
+        let missing = std::env::temp_dir()
+            .join(format!("ringjoin-no-such-dir-{}", std::process::id()))
+            .join("pages.rjp");
+        let server =
+            ShardWorkerServer::bind("127.0.0.1:0", None, 0, Some(missing.clone())).unwrap();
+        let addr = server.local_addr().to_string();
+        let handle = server.handle();
+        std::thread::spawn(move || {
+            let _ = server.serve();
+        });
+        let mut shard = RemoteShard::connect(&addr, Duration::from_secs(10)).unwrap();
+        let everything = Rect::new(
+            pt(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            pt(f64::INFINITY, f64::INFINITY),
+        );
+        let path = missing.display().to_string();
+        for _ in 0..2 {
+            let err = shard.request(&load(everything, items(60, 7, 300.0)));
+            assert!(
+                matches!(&err, Err(ShardFault::Request(msg)) if msg.contains(&path)),
+                "{err:?}"
+            );
+        }
+        assert!(matches!(
+            shard.request(&ShardRequest::Hello),
+            Ok(ShardReply::Hello { .. })
+        ));
         handle.kill();
     }
 

@@ -58,12 +58,13 @@ pub struct ServerConfig {
     /// Engine-bound requests that may *wait* for an admission slot
     /// before the server starts shedding load with `ERR busy`.
     pub queue_depth: usize,
-    /// Disk-native serving: every `LOAD` spills the page space to this
-    /// page file (shard 0 writes it, the replicas attach to it), and
-    /// the shared buffer pool's frames become the only RAM residency of
-    /// the join read path. `None` (the default) serves resident.
+    /// Disk-native serving: every `LOAD` spills each shard worker's
+    /// page space to the worker's own page file, `<on_disk>.<slot>`, and
+    /// the buffer pool's frames become the only RAM residency of the
+    /// join read path. `None` (the default) serves resident.
     pub on_disk: Option<std::path::PathBuf>,
-    /// Page budget of the shared buffer pool; `0` (the default) means
+    /// Page budget of the buffer pool (each spawned worker's own, or
+    /// the one the in-process workers share); `0` (the default) means
     /// effectively unbounded. With [`ServerConfig::on_disk`] set, a
     /// served dataset several times larger than this budget still
     /// joins, faulting pages through the pool.

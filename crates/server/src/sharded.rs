@@ -57,7 +57,7 @@ use ringjoin_core::{
     QueryBuilder, RcjAlgorithm, RcjPair, RcjStats, RingBounds, TopK,
 };
 use ringjoin_geom::{Item, Point, Rect};
-use ringjoin_storage::{BufferPool, Wal};
+use ringjoin_storage::{BufferPool, MemDisk, Pager, Wal};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,16 +130,36 @@ struct ShardWorker {
     datasets: BTreeMap<String, WorkerDataset>,
     /// The pool shared by **every** shard worker of this
     /// [`ShardedEngine`]. Replicas are built identically, so their
-    /// page-id spaces coincide — inner-tree pages one shard's join
-    /// faults in are warm for every other shard's, instead of each
-    /// replica re-faulting its private engine buffer.
+    /// page-id spaces (and, disk-native, their page files' bytes)
+    /// coincide — inner-tree pages one shard's join faults in are warm
+    /// for every other shard's, instead of each replica re-faulting its
+    /// private engine buffer.
     pool: BufferPool,
     /// The `--shard-of` placement contract: loads whose cell misses
     /// this rectangle are refused (`None` = any cell).
     accepts: Option<Rect>,
+    /// Disk-native serving: the page file every `LOAD` spills to. The
+    /// worker is its only reader and writer (`None` = resident).
+    page_file: Option<PathBuf>,
 }
 
 impl ShardWorker {
+    /// A worker accounting its joins through `pool`. A disk-native
+    /// worker's pager buffers at most the pool's budget, which bounds
+    /// the page bytes a spill leaves in its frames.
+    fn new(pool: BufferPool, accepts: Option<Rect>, page_file: Option<PathBuf>) -> ShardWorker {
+        let buffer = page_file
+            .as_ref()
+            .map_or(usize::MAX / 2, |_| pool.capacity());
+        ShardWorker {
+            engine: Engine::with_pager(Pager::new(MemDisk::new(1024), buffer).into_shared()),
+            datasets: BTreeMap::new(),
+            pool,
+            accepts,
+            page_file,
+        }
+    }
+
     /// Answers one shard message.
     fn handle(&mut self, req: &ShardRequest) -> Result<ShardReply, String> {
         match req {
@@ -150,17 +170,9 @@ impl ShardWorker {
                 name,
                 kind,
                 cell,
-                spill,
-                writer,
                 items,
             } => self
-                .load(
-                    name,
-                    *kind,
-                    *cell,
-                    spill.as_deref().map(|p| (p, *writer)),
-                    items,
-                )
+                .load(name, *kind, *cell, items)
                 .map(ShardReply::Indexed),
             ShardRequest::Update {
                 name,
@@ -187,14 +199,14 @@ impl ShardWorker {
         }
     }
 
-    /// Builds the replica and, in disk mode, either materializes the
-    /// shared page file (`writer`) or attaches to it.
+    /// Builds the replica and, in disk mode, spills it to the worker's
+    /// page file (after the first load's copy, write-through keeps the
+    /// file current and the spill is a no-op).
     fn load(
         &mut self,
         name: &str,
         kind: IndexKind,
         cell: Rect,
-        spill: Option<(&Path, bool)>,
         items: &[Item],
     ) -> Result<Ownership, String> {
         if let Some(accepts) = self.accepts {
@@ -209,25 +221,12 @@ impl ShardWorker {
         self.engine
             .load(name.to_string(), items.to_vec())
             .index(kind);
-        if let Some((path, writer)) = spill {
-            let pager = self.engine.pager();
-            if writer {
-                // The writer materializes the page file; its pager
-                // becomes disk-native (write-through keeps the file
-                // current for later loads, where the same-path spill is
-                // a no-op).
-                pager
-                    .borrow_mut()
-                    .spill_to(path)
-                    .map_err(|e| format!("spilling pages to {}: {e}", path.display()))?;
-            } else {
-                // Replicas were built identically, so the writer's page
-                // file *is* their page space: attach without copying.
-                pager
-                    .borrow_mut()
-                    .attach_store(path)
-                    .map_err(|e| format!("attaching page file {}: {e}", path.display()))?;
-            }
+        if let Some(path) = &self.page_file {
+            self.engine
+                .pager()
+                .borrow_mut()
+                .spill_to(path)
+                .map_err(|e| format!("spilling pages to {}: {e}", path.display()))?;
         }
         self.reindex_ownership(name, cell)
     }
@@ -263,15 +262,10 @@ impl ShardWorker {
     /// and must be rebuilt from the log).
     ///
     /// The coordinator serializes updates against every query under its
-    /// catalog write lock, so no reader holds the writer's page file
-    /// when the batch lands, and the batch writes the file in place. A
-    /// replica holds the file through a handle of its own, which the
-    /// writer never waits on. A worker *attached* to a shared page file
-    /// detaches at the batch's first write
-    /// ([`Pager::attach_store`](ringjoin_storage::Pager::attach_store))
-    /// — its local pages are then ahead of anything the (possibly dead)
-    /// writer wrote through — and serves resident from its own page
-    /// space.
+    /// catalog write lock, so no reader holds a worker's page file when
+    /// the batch lands, and the batch writes the file in place. Every
+    /// slot applies the same history, so its file stays byte-identical
+    /// to every other slot's.
     fn update(
         &mut self,
         name: &str,
@@ -386,17 +380,17 @@ pub(crate) struct LocalShard {
 }
 
 impl LocalShard {
-    /// Spawns one worker thread accounting through `pool` and accepting
-    /// loads for cells meeting `accepts` (`None` = any cell).
-    pub(crate) fn spawn(pool: BufferPool, accepts: Option<Rect>) -> LocalShard {
+    /// Spawns one worker thread accounting through `pool`, accepting
+    /// loads for cells meeting `accepts` (`None` = any cell) and, when
+    /// `page_file` is set, serving its pages from that file.
+    pub(crate) fn spawn(
+        pool: BufferPool,
+        accepts: Option<Rect>,
+        page_file: Option<PathBuf>,
+    ) -> LocalShard {
         let (tx, rx) = channel::<Envelope>();
         let handle = std::thread::spawn(move || {
-            let mut worker = ShardWorker {
-                engine: Engine::new(),
-                datasets: BTreeMap::new(),
-                pool,
-                accepts,
-            };
+            let mut worker = ShardWorker::new(pool, accepts, page_file);
             while let Ok((req, reply)) = rx.recv() {
                 let _ = reply.send(worker.handle(&req));
                 if matches!(req, ShardRequest::Shutdown) {
@@ -457,7 +451,9 @@ pub enum WorkerSpec {
     /// `shards * replicas`.
     Remote(Vec<String>),
     /// Child worker processes the coordinator spawns (and respawns)
-    /// itself by running `<program> serve --shard-of auto` on loopback.
+    /// itself by running `<program> serve --shard-of auto` on loopback,
+    /// with the slot's page file (`--on-disk`) and the pool budget
+    /// (`--buffer-pages`) on the command line.
     Spawn {
         /// The worker binary — normally the serving binary itself.
         program: PathBuf,
@@ -493,13 +489,15 @@ pub struct TopologyConfig {
     pub replicas: usize,
     /// Where the workers live.
     pub workers: WorkerSpec,
-    /// Disk-native serving: the shared page file every `LOAD` spills
-    /// to. With remote workers this requires a shared filesystem (the
-    /// loopback deployments of the CLI and CI qualify).
+    /// Disk-native serving: worker slot `s` (cell-major, as `STATS`
+    /// numbers `shard<s>`) spills every `LOAD` to its own page file
+    /// `<on_disk>.<s>`. An error for pre-started workers
+    /// ([`WorkerSpec::Remote`], [`WorkerSpec::Provision`]), which keep
+    /// the storage they were started with.
     pub on_disk: Option<PathBuf>,
     /// Buffer-pool frame budget (`0` = effectively unbounded). Local
-    /// workers share the coordinator's pool; each worker process has
-    /// its own.
+    /// workers share the coordinator's pool; each spawned worker
+    /// process has its own. Nonzero, an error for pre-started workers.
     pub buffer_pages: usize,
     /// Per-request socket deadline for remote workers.
     pub request_timeout: Duration,
@@ -657,10 +655,6 @@ pub struct ShardedEngine {
     /// (see [`ShardedEngine::pool_stats`]); worker processes run their
     /// own.
     pool: BufferPool,
-    /// Disk-native serving: the shared page file every `LOAD` spills to
-    /// (the first live worker writes it, everyone else attaches).
-    /// `None` = resident serving.
-    on_disk: Option<PathBuf>,
     /// Lifetime count of applied update batches, across all datasets —
     /// what `STATS` reports as `updates_total`.
     updates: AtomicU64,
@@ -686,11 +680,11 @@ impl ShardedEngine {
     }
 
     /// [`ShardedEngine::new`] with the residency knobs of disk-native
-    /// serving: when `on_disk` is set, every `LOAD` spills the page
-    /// space to that file (shard 0 writes it; the replicas — whose
-    /// page-id spaces coincide because they are built identically —
-    /// attach to it), and the shared pool's frames become the only RAM
-    /// residency of the join read path. `buffer_pages` bounds the pool
+    /// serving: when `on_disk` is set, every `LOAD` spills each worker's
+    /// page space to that worker's own file (`<on_disk>.<slot>`; the
+    /// workers are built identically, so the files are too), and the
+    /// shared pool's frames become the only RAM residency of the join
+    /// read path. `buffer_pages` bounds the pool
     /// (`0` = effectively unbounded, the resident default), so a served
     /// dataset several times larger than the budget still joins,
     /// faulting pages through the one shared pool.
@@ -721,11 +715,29 @@ impl ShardedEngine {
             cfg.buffer_pages
         });
         let state: Arc<RwLock<CatalogState>> = Arc::new(RwLock::new(CatalogState::default()));
+        let pre_started = matches!(
+            cfg.workers,
+            WorkerSpec::Remote(_) | WorkerSpec::Provision(_)
+        );
+        if pre_started && (cfg.on_disk.is_some() || cfg.buffer_pages > 0) {
+            return Err(ServerError::BadRequest(
+                "pre-started workers keep the storage they were started with: start each \
+                 worker with its own --on-disk FILE and --buffer-pages N instead"
+                    .into(),
+            ));
+        }
+        let (on_disk, replicas) = (cfg.on_disk.clone(), cfg.replicas);
+        let page_file = move |cell: usize, rep: usize| {
+            let mut path = on_disk.clone()?.into_os_string();
+            path.push(format!(".{}", cell * replicas + rep));
+            Some(PathBuf::from(path))
+        };
         let factory: BackendFactory = match &cfg.workers {
             WorkerSpec::Local => {
                 let pool = pool.clone();
-                Arc::new(move |_cell, _rep| {
-                    Ok(Box::new(LocalShard::spawn(pool.clone(), None)) as Box<dyn ShardBackend>)
+                Arc::new(move |cell, rep| {
+                    let shard = LocalShard::spawn(pool.clone(), None, page_file(cell, rep));
+                    Ok(Box::new(shard) as Box<dyn ShardBackend>)
                 })
             }
             WorkerSpec::Remote(addrs) => {
@@ -746,9 +758,9 @@ impl ShardedEngine {
             }
             WorkerSpec::Spawn { program } => {
                 let program = program.clone();
-                let timeout = cfg.request_timeout;
-                Arc::new(move |_cell, _rep| {
-                    SpawnedShard::launch(&program, timeout)
+                let (timeout, buffer_pages) = (cfg.request_timeout, cfg.buffer_pages);
+                Arc::new(move |cell, rep| {
+                    SpawnedShard::launch(&program, timeout, page_file(cell, rep), buffer_pages)
                         .map(|b| Box::new(b) as Box<dyn ShardBackend>)
                 })
             }
@@ -788,7 +800,6 @@ impl ShardedEngine {
             topology,
             state,
             pool,
-            on_disk: cfg.on_disk,
             updates: AtomicU64::new(0),
             recovered: 0,
             recovery: Duration::ZERO,
@@ -1002,16 +1013,13 @@ impl ShardedEngine {
         }
         let cells: Vec<Rect> = (0..cells_n).map(|i| partition.cell(i)).collect();
         let items = Arc::new(items);
-        // One request per cell, exactly as a replay re-sends it (in
-        // disk mode: attach to the page file the writer produced).
+        // One request per cell, exactly as a replay re-sends it.
         let record = cells
             .iter()
             .map(|&cell| ShardRequest::Load {
                 name: name.to_string(),
                 kind,
                 cell,
-                spill: self.on_disk.clone(),
-                writer: false,
                 items: Arc::clone(&items),
             })
             .collect();
@@ -1132,10 +1140,8 @@ impl ShardedEngine {
     /// while the caller holds the write lock, so it replays a log that
     /// already carries this record, and every batch a worker ever sees
     /// is already on disk. Then every replica slot receives its cell's
-    /// request concurrently — except that a disk-native load first runs
-    /// on the first live slot alone, as the writer that materializes
-    /// the shared page file, so nobody attaches to a file that is still
-    /// being written.
+    /// request concurrently; a disk-native slot spills to, or writes
+    /// through to, its own page file.
     ///
     /// Returns each cell's ownership (identical across a cell's
     /// replicas). A record that a live worker refuses, or that cannot
@@ -1157,33 +1163,16 @@ impl ShardedEngine {
         let replicas = self.topology.replicas();
         let total = record.len() * replicas;
         let topo = &self.topology;
-        let mut outcomes = Vec::with_capacity(total);
-        if matches!(record[0], ShardRequest::Load { spill: Some(_), .. }) {
-            for idx in 0..total {
-                let mut req = record[idx / replicas].clone();
-                if let ShardRequest::Load { writer, .. } = &mut req {
-                    *writer = true;
-                }
-                let out = topo.call_slot(idx, &req);
-                let answered = out.is_some();
-                outcomes.push(out);
-                if answered {
-                    break;
-                }
+        let outcomes = fan_out(0..total, |idx| {
+            let out = topo.call_slot(idx, &record[idx / replicas]);
+            if update && idx == 0 {
+                // Slot 0 has applied the batch; the rest of the fleet
+                // may not have — the genuinely partial state a recovery
+                // must heal.
+                crash_point("mid-fanout");
             }
-        }
-        if !matches!(outcomes.last(), Some(Some(Err(_)))) {
-            outcomes.extend(fan_out(outcomes.len()..total, |idx| {
-                let out = topo.call_slot(idx, &record[idx / replicas]);
-                if update && idx == 0 {
-                    // Slot 0 has applied the batch; the rest of the
-                    // fleet may not have — the genuinely partial state
-                    // a recovery must heal.
-                    crash_point("mid-fanout");
-                }
-                out
-            }));
-        }
+            out
+        });
         let mut owners: Vec<Option<Ownership>> = vec![None; record.len()];
         let mut applied = Vec::new();
         let mut hard_err = None;
@@ -1915,19 +1904,12 @@ mod tests {
             let mut workers: Vec<ShardWorker> = cells
                 .iter()
                 .map(|&cell| {
-                    let mut worker = ShardWorker {
-                        engine: Engine::new(),
-                        datasets: BTreeMap::new(),
-                        pool: BufferPool::new(usize::MAX / 2),
-                        accepts: None,
-                    };
+                    let mut worker = ShardWorker::new(BufferPool::new(usize::MAX / 2), None, None);
                     worker
                         .handle(&ShardRequest::Load {
                             name: "d".into(),
                             kind,
                             cell,
-                            spill: None,
-                            writer: false,
                             items: Arc::new(base.clone()),
                         })
                         .unwrap();
@@ -2031,6 +2013,40 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Asserts that each of `slots` workers spilled to its own page
+    /// file `<base>.<slot>`, byte-identical to slot 0's, that no worker
+    /// wrote `<base>` itself, and that no file was versioned to
+    /// `<base>.<slot>.e<N>`.
+    fn assert_slot_files_identical(base: &Path, slots: usize) {
+        let slot_file = |s: usize| {
+            let mut path = base.as_os_str().to_owned();
+            path.push(format!(".{s}"));
+            PathBuf::from(path)
+        };
+        let read = |s: usize| {
+            std::fs::read(slot_file(s)).unwrap_or_else(|e| panic!("slot {s}'s page file: {e}"))
+        };
+        let first = read(0);
+        assert!(!first.is_empty(), "slot 0's page file is empty");
+        for s in 1..slots {
+            assert!(
+                read(s) == first,
+                "slot {s}'s page file differs from slot 0's"
+            );
+        }
+        assert!(!base.exists(), "no worker writes the unnumbered path");
+        let dir = base.parent().expect("a page file lives in a directory");
+        let versions: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".e"))
+            .collect();
+        assert!(
+            versions.is_empty(),
+            "page files were versioned: {versions:?}"
+        );
+    }
+
     #[test]
     fn disk_native_updates_match_resident_serving() {
         let dir = ringjoin_testsupport::scratch_dir("sharded-disk-update");
@@ -2047,17 +2063,18 @@ mod tests {
         resident.update("d", batch.clone()).unwrap();
         let reference = resident.self_join("d", RcjAlgorithm::Auto, None).unwrap();
 
-        let se = ShardedEngine::with_storage(3, Some(path), 8).unwrap();
+        let se = ShardedEngine::with_storage(3, Some(path.clone()), 8).unwrap();
         se.load("d", its, IndexKind::Rtree).unwrap();
         se.update("d", batch).unwrap();
+        assert_slot_files_identical(&path, 3);
         let out = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
         assert_eq!(out.pairs, reference.pairs);
         assert_eq!(out.stats, reference.stats);
         // Again: the mutated pages keep serving deterministically.
         let again = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
         assert_eq!(again.pairs, reference.pairs);
-        // A second LOAD reaches replicas the batch detached and attaches
-        // them again; a second batch detaches them at its first write.
+        // A second LOAD, then a second batch, write through to every
+        // slot's own file, in place.
         let more = items(180, 67, 1000.0);
         let batch = vec![
             Mutation::Delete(21),
@@ -2065,8 +2082,12 @@ mod tests {
         ];
         for engine in [&resident, &se] {
             engine.load("e", more.clone(), IndexKind::Quadtree).unwrap();
+        }
+        assert_slot_files_identical(&path, 3);
+        for engine in [&resident, &se] {
             engine.update("d", batch.clone()).unwrap();
         }
+        assert_slot_files_identical(&path, 3);
         let reference = resident.join("e", "d", RcjAlgorithm::Auto, None).unwrap();
         let out = se.join("e", "d", RcjAlgorithm::Auto, None).unwrap();
         assert_eq!(out.pairs, reference.pairs);
@@ -2107,7 +2128,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_native_shards_share_one_page_file_and_match_resident_serving() {
+    fn disk_native_shards_spill_identical_slot_files_and_match_resident_serving() {
         let dir = ringjoin_testsupport::scratch_dir("sharded-disk");
         let path = dir.join("pages.rjp");
         let ps = items(240, 41, 1300.0);
@@ -2119,11 +2140,11 @@ mod tests {
         let reference = resident.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
 
         // Disk-native with a pool far smaller than the page space: the
-        // joins must fault pages in from the one shared file.
+        // joins must fault pages in from the shards' page files.
         let se = ShardedEngine::with_storage(4, Some(path.clone()), 8).unwrap();
         se.load("p", ps.clone(), IndexKind::Rtree).unwrap();
         se.load("q", qs.clone(), IndexKind::Rtree).unwrap();
-        assert!(path.is_file(), "LOAD must have materialized the page file");
+        assert_slot_files_identical(&path, 4);
         let out = se.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
         assert_eq!(out.pairs, reference.pairs);
         assert_eq!(out.stats, reference.stats);
@@ -2140,6 +2161,78 @@ mod tests {
         drop(se);
         drop(resident);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_disk_native_worker_buffers_at_most_its_budget_after_a_load() {
+        let dir = ringjoin_testsupport::scratch_dir("sharded-worker-budget");
+        let budget = 8;
+        let mut worker =
+            ShardWorker::new(BufferPool::new(budget), None, Some(dir.join("pages.rjp")));
+        let everything = Rect::new(
+            pt(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            pt(f64::INFINITY, f64::INFINITY),
+        );
+        worker
+            .handle(&ShardRequest::Load {
+                name: "d".into(),
+                kind: IndexKind::Rtree,
+                cell: everything,
+                items: Arc::new(items(600, 71, 1000.0)),
+            })
+            .unwrap();
+        let pager = worker.engine.pager();
+        let pager = pager.borrow();
+        assert!(
+            pager.num_pages() as usize > budget,
+            "the index outgrows the budget"
+        );
+        assert!(
+            pager.pool().len() <= budget,
+            "the pager buffers {} pages over a budget of {budget}",
+            pager.pool().len()
+        );
+        drop(pager);
+        drop(worker);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pre_started_workers_refuse_coordinator_storage_without_connecting() {
+        let provisioned = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&provisioned);
+        let specs = [
+            // Nothing listens on port 1: a connection attempt would fail
+            // with a different error.
+            WorkerSpec::Remote(vec!["127.0.0.1:1".into()]),
+            WorkerSpec::Provision(Arc::new(move |_, _| {
+                count.fetch_add(1, Ordering::SeqCst);
+                Err("no worker".into())
+            })),
+        ];
+        for workers in specs {
+            for (on_disk, buffer_pages) in [(Some(PathBuf::from("pages.rjp")), 0), (None, 64)] {
+                let err = ShardedEngine::with_topology(TopologyConfig {
+                    workers: workers.clone(),
+                    on_disk,
+                    buffer_pages,
+                    ..TopologyConfig::default()
+                })
+                .err()
+                .map(|e| e.to_string());
+                assert!(
+                    err.as_deref().is_some_and(|e| e.contains("pre-started")
+                        && e.contains("--on-disk FILE")
+                        && e.contains("--buffer-pages N")),
+                    "{workers:?}: {err:?}"
+                );
+            }
+        }
+        assert_eq!(
+            provisioned.load(Ordering::SeqCst),
+            0,
+            "no worker was provisioned"
+        );
     }
 
     #[test]

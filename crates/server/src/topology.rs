@@ -559,8 +559,6 @@ mod tests {
             name: "d".into(),
             kind: IndexKind::Rtree,
             cell: Rect::empty(),
-            spill: None,
-            writer: false,
             items: Arc::new(Vec::new()),
         };
         assert!(matches!(topo.call_slot(0, &load), Some(Ok(_))));

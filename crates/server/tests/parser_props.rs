@@ -186,15 +186,12 @@ impl Gen {
 
     /// One of every shard request variant.
     fn shard_requests(&mut self) -> Vec<ShardRequest> {
-        let spill = (self.below(2) == 0).then(|| "/tmp/ringjoin-pages.rjp".into());
         vec![
             ShardRequest::Hello,
             ShardRequest::Load {
                 name: self.name(),
                 kind: IndexKind::Rtree,
                 cell: self.rect(),
-                writer: spill.is_some() && self.below(2) == 0,
-                spill,
                 items: Arc::new(self.items()),
             },
             ShardRequest::Update {

@@ -574,17 +574,21 @@ fn disk_native_server_round_trip_matches_resident_engine() {
     let local = engine.query().join("q", "p").collect().unwrap();
     let remote = client.join("q", "p", RcjAlgorithm::Auto, None).unwrap();
     assert_eq!(remote.pairs, local.pairs);
-    // Updates run under the catalog's write lock, so no reader holds
-    // the page file when a batch lands: the file is written in place,
-    // never versioned to `pages.rjp.e<N>`.
+    // Each shard spilled to a page file of its own, `pages.rjp.<slot>`.
+    // Updates run under the catalog's write lock, so no reader holds a
+    // page file when a batch lands: each file is written in place,
+    // never versioned to `pages.rjp.<slot>.e<N>`.
+    for slot in ["pages.rjp.0", "pages.rjp.1"] {
+        assert!(dir.join(slot).is_file(), "{slot} was never written");
+    }
     let versions: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|name| name.starts_with("pages.rjp.e"))
+        .filter(|name| name.starts_with("pages.rjp.") && name.contains(".e"))
         .collect();
     assert!(
         versions.is_empty(),
-        "served updates versioned the page file: {versions:?}"
+        "served updates versioned a page file: {versions:?}"
     );
 
     client.shutdown().unwrap();

@@ -479,7 +479,7 @@ impl From<PageSnapshot> for PageSource {
 /// store into a frame, a hit serves the frame's bytes. (When several
 /// handles over *different* pagers share one pool — the sharded server's
 /// replicas — their page-id spaces coincide because the replicas are
-/// built identically over one shared page file.)
+/// built identically, each into a byte-identical page file of its own.)
 ///
 /// Cloning a handle that has not read yet gives another reader over the
 /// same source, pool and epoch (a parallel worker).

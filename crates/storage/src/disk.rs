@@ -244,31 +244,6 @@ impl FileDisk {
         })
     }
 
-    /// Opens the page file another pager writes at `path`, read-only,
-    /// for a pager whose pages it holds
-    /// ([`Pager::attach_store`](crate::Pager::attach_store)). Its length
-    /// must be a whole number of pages.
-    pub(crate) fn attach(path: &Path, page_size: usize) -> io::Result<Self> {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len();
-        let num_pages = u32::try_from(len / page_size as u64)
-            .ok()
-            .filter(|_| len % page_size as u64 == 0)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("file length {len} is not a whole number of {page_size}-byte pages"),
-                )
-            })?;
-        Ok(FileDisk {
-            page_size,
-            num_pages,
-            file: Arc::new(file),
-            path: path.to_path_buf(),
-            base: path.to_path_buf(),
-        })
-    }
-
     /// Size of every page in bytes.
     pub fn page_size(&self) -> usize {
         self.page_size
@@ -425,24 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn filedisk_roundtrip_and_attach() {
+    fn filedisk_roundtrip() {
         let dir = std::env::temp_dir().join(format!("ringjoin-filedisk-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pages.bin");
-        {
-            let mut d = FileDisk::create(&path, 256).unwrap();
-            roundtrip(&mut d);
-        }
-        let d = FileDisk::attach(&path, 256).unwrap();
-        assert_eq!(d.num_pages(), 2);
-        let mut buf = vec![0u8; 256];
-        d.read_into(PageId(1), &mut buf);
-        assert_eq!(buf[0], 0xAB);
-        assert_eq!(buf[255], 0xCD);
-        assert!(
-            FileDisk::attach(&path, 96).is_err(),
-            "512 bytes are no 96-byte pages"
-        );
+        let mut d = FileDisk::create(dir.join("pages.bin"), 256).unwrap();
+        roundtrip(&mut d);
         std::fs::remove_dir_all(&dir).ok();
     }
 

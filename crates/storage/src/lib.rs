@@ -35,6 +35,8 @@
 //!   [`Pager::spill_to`] moves a dataset onto a page file, after which
 //!   the pool's frames own whatever page bytes fit the budget, so
 //!   `read_faults` tracks the paper's I/O model instead of RAM size.
+//!   The file belongs to the pager that spilled it: that pager is its
+//!   only writer, and only the readers pinned on it read the file.
 //! * [`Wal`] — the durable write-ahead mutation log the serving
 //!   coordinator appends LOAD/mutation batches to (length-prefixed,
 //!   CRC32-checksummed, fsynced before fan-out), with segment rotation

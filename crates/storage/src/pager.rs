@@ -137,13 +137,11 @@ impl CostModel {
 /// The pager and its pinned readers share one page space: the
 /// device's. A pin copies no page. A write copies only what a pinned
 /// reader still holds — a resident page ([`MemDisk`](crate::MemDisk)),
-/// or, at [`Pager::begin_epoch`], the page file.
+/// or, at [`Pager::begin_epoch`], the page file. A disk-native pager's
+/// page file is its own ([`Pager::spill_to`]): the pager is its only
+/// writer, and only the readers pinned on the pager read it.
 pub struct Pager {
     disk: Box<dyn DiskStorage>,
-    /// A page file another pager writes, holding the pages of this one
-    /// ([`Pager::attach_store`]): what this pager's readers pin in place
-    /// of the device, until this pager changes its own pages.
-    attached: Option<FileDisk>,
     /// The LRU buffer. The pager's own reads and writes count in it, and
     /// so does every [`PooledPager`](crate::PooledPager) pinned on
     /// [`Pager::pool`] — every join reader — so every access path
@@ -170,7 +168,6 @@ impl Pager {
     pub fn new<D: DiskStorage + 'static>(disk: D, buffer_pages: usize) -> Self {
         Pager {
             disk: Box::new(disk),
-            attached: None,
             pool: BufferPool::new(buffer_pages),
             stats: IoStats::default(),
             epoch: 0,
@@ -194,10 +191,8 @@ impl Pager {
         self.disk.num_pages()
     }
 
-    /// Allocates a fresh zeroed page. Detaches an attached store
-    /// ([`Pager::attach_store`]).
+    /// Allocates a fresh zeroed page.
     pub fn allocate(&mut self) -> PageId {
-        self.attached = None;
         self.disk.allocate()
     }
 
@@ -232,9 +227,8 @@ impl Pager {
     /// need a dirty-page flush — the join algorithms are read-only and the
     /// paper's measurements exclude index construction anyway. A page
     /// not in the buffer is a write fault; the written bytes refresh its
-    /// frame. Detaches an attached store ([`Pager::attach_store`]).
+    /// frame.
     pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) {
-        self.attached = None;
         self.stats.logical_writes += 1;
         self.write_clock += 1;
         let slot = id.0 as usize;
@@ -268,10 +262,10 @@ impl Pager {
     /// the page again. Stamps are not I/O: asking costs no logical read.
     ///
     /// The invariant holds because every change to a page's bytes goes
-    /// through [`Pager::write`]: [`Pager::spill_to`],
-    /// [`Pager::attach_store`] and [`Pager::begin_epoch`] move or
-    /// version the bytes without changing them, and a page fresh from
-    /// [`Pager::allocate`] reads as zeroes until its first write.
+    /// through [`Pager::write`]: [`Pager::spill_to`] and
+    /// [`Pager::begin_epoch`] move or version the bytes without changing
+    /// them, and a page fresh from [`Pager::allocate`] reads as zeroes
+    /// until its first write.
     pub fn page_stamp(&self, id: PageId) -> u64 {
         self.stamps.get(id.0 as usize).copied().unwrap_or(0)
     }
@@ -297,11 +291,7 @@ impl Pager {
     /// Spilling to the path of the pager's own file is a no-op (the
     /// write-through discipline already keeps the file current —
     /// re-copying would truncate the very file the pager is reading
-    /// from). Spilling to a new path re-copies and re-targets, and an
-    /// *attached* pager asked to spill always copies: it holds current
-    /// pages locally but never wrote the file, so when it is promoted
-    /// to writer (the previous writer died) it must materialize its own
-    /// page space — mutation batches may have made the file stale.
+    /// from). Spilling to a new path re-copies and re-targets.
     pub fn spill_to<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
         let path = path.as_ref();
         if self.disk.file().is_some_and(|file| file.path() == path) {
@@ -327,30 +317,6 @@ impl Pager {
         self.pool
             .own_bytes(self.epoch, page_size, |id, buf| old.read_page(id, buf));
         self.disk = Box::new(file);
-        self.attached = None;
-        Ok(())
-    }
-
-    /// Marks this pager disk-native over an **externally maintained**
-    /// page file at `path`, without copying anything: its readers pin
-    /// the file, read-only, in place of the pager's own pages. The
-    /// caller guarantees the file holds byte-identical pages under the
-    /// same page-id space as this pager's own device — the sharded
-    /// server's replicas satisfy this by construction: every shard builds
-    /// the same indexes in the same order, and shard 0 spills (and
-    /// write-through maintains) the one file all replicas then read.
-    ///
-    /// The pager's first [`allocate`](Pager::allocate) or
-    /// [`write`](Pager::write) after this call detaches the file: from
-    /// then on the pager's own pages are ahead of anything the file's
-    /// writer (possibly dead, or mid-batch) wrote through, so readers
-    /// pin them again.
-    ///
-    /// # Errors
-    /// Fails if the file cannot be opened, or its length is not a whole
-    /// number of pages.
-    pub fn attach_store<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
-        self.attached = Some(FileDisk::attach(path.as_ref(), self.page_size())?);
         Ok(())
     }
 
@@ -376,10 +342,7 @@ impl Pager {
     /// retargeted there; `<base>` is the path first spilled to. The
     /// previous epoch's file is unlinked (POSIX keeps it readable
     /// through open descriptors); the base file is never removed. With
-    /// no reader holding the file, the batch writes it in place. An
-    /// attached (externally maintained) store is never versioned — its
-    /// replication protocol serializes readers and writers above this
-    /// layer.
+    /// no reader holding the file, the batch writes it in place.
     ///
     /// # Panics
     /// Panics if the versioned page file cannot be written, matching
@@ -403,18 +366,14 @@ impl Pager {
         self.epoch
     }
 
-    /// The page source a reader pins: the shared page file when
-    /// disk-native (an attached file, or the pager's own device), else a
-    /// resident [`PageSnapshot`](crate::PageSnapshot). Either way the
-    /// source shares the pager's pages, copying none. While a pinned
-    /// page file is alive, [`Pager::begin_epoch`] moves the pager's own
-    /// writes to a new file, so the pin keeps reading the pages as they
-    /// were.
+    /// The page source a reader pins: the pager's page file when
+    /// disk-native, else a resident [`PageSnapshot`](crate::PageSnapshot).
+    /// Either way the source shares the pager's pages, copying none.
+    /// While a pinned page file is alive, [`Pager::begin_epoch`] moves
+    /// the pager's own writes to a new file, so the pin keeps reading
+    /// the pages as they were.
     pub fn page_source(&self) -> PageSource {
-        match &self.attached {
-            Some(file) => file.pin(),
-            None => self.disk.pin(),
-        }
+        self.disk.pin()
     }
 
     /// The pager's buffer, for [`PooledPager`](crate::PooledPager)s to
@@ -734,9 +693,11 @@ mod tests {
         assert_eq!(buf[0], 4);
 
         // Write-through keeps the file authoritative: a later write is
-        // visible through a fresh handle.
+        // visible through a fresh handle, and a pager's own page file
+        // stays pinned through its writes.
         p.write(ids[0], |b| b[0] = 42);
         let store = pinned_file(&p).unwrap();
+        assert_eq!(store.path(), path.as_path());
         store.read_into(ids[0], &mut buf);
         assert_eq!(buf[0], 42);
 
@@ -794,70 +755,6 @@ mod tests {
         assert!(!dir.join("pages.rj.e1").exists());
         old_store.read_into(a, &mut buf);
         assert_eq!(buf[0], 1, "unlinked file stays readable through the pin");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn attached_stores_are_never_versioned() {
-        let dir = std::env::temp_dir().join(format!("ringjoin-attach-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("pages.rj");
-
-        let mut writer = Pager::new(MemDisk::new(128), 4);
-        let a = writer.allocate();
-        writer.write(a, |b| b[0] = 7);
-        writer.spill_to(&base).unwrap();
-
-        let mut replica = Pager::new(MemDisk::new(128), 4);
-        let ra = replica.allocate();
-        replica.write(ra, |b| b[0] = 7);
-        replica.attach_store(&base).unwrap();
-        replica.begin_epoch();
-        assert_eq!(
-            pinned_file(&replica).unwrap().path(),
-            base.as_path(),
-            "an attached store keeps pointing at the shared file"
-        );
-        assert_eq!(replica.epoch(), 1);
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn the_first_allocation_or_write_detaches_an_attached_store() {
-        let dir = std::env::temp_dir().join(format!("ringjoin-detach-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("pages.rj");
-
-        let mut writer = Pager::new(MemDisk::new(128), 4);
-        let a = writer.allocate();
-        writer.write(a, |b| b[0] = 7);
-        writer.spill_to(&base).unwrap();
-
-        // A write: readers pin the replica's own pages, the written
-        // bytes included, while the file keeps the writer's.
-        let mut replica = Pager::new(MemDisk::new(128), 4);
-        let ra = replica.allocate();
-        replica.write(ra, |b| b[0] = 7);
-        replica.attach_store(&base).unwrap();
-        assert_eq!(pinned_file(&replica).unwrap().path(), base.as_path());
-        replica.write(ra, |b| b[0] = 8);
-        assert_eq!(pinned_pages(&replica).page(ra)[0], 8);
-        let mut buf = vec![0u8; 128];
-        pinned_file(&writer).unwrap().read_into(a, &mut buf);
-        assert_eq!(buf[0], 7);
-
-        // An allocation: the new page, past the file's end, is pinned.
-        replica.attach_store(&base).unwrap();
-        let rb = replica.allocate();
-        let pages = pinned_pages(&replica);
-        assert_eq!(pages.num_pages(), 2);
-        assert_eq!(pages.page(rb), &[0u8; 128][..]);
-
-        // A pager's own page file stays pinned through its writes.
-        writer.write(a, |b| b[0] = 9);
-        assert_eq!(pinned_file(&writer).unwrap().path(), base.as_path());
 
         std::fs::remove_dir_all(&dir).ok();
     }

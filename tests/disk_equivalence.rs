@@ -197,9 +197,9 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Disk-native *sharded* serving — every replica attached to one
-    /// shared page file behind one tight pool — still reproduces the
-    /// single resident engine byte for byte at 1 and 4 shards.
+    /// Disk-native *sharded* serving — every shard spilled to a page
+    /// file of its own behind one shared tight pool — still reproduces
+    /// the single resident engine byte for byte at 1 and 4 shards.
     #[test]
     fn sharded_disk_serving_is_byte_identical_to_memory(
         pv in any_pts(50),

@@ -275,7 +275,8 @@ fn provisioned(shards: usize, replicas: usize) -> (SE, Arc<Mutex<Vec<WorkerHandl
     let handles: Arc<Mutex<Vec<WorkerHandle>>> = Arc::default();
     let registry = Arc::clone(&handles);
     let spec = WorkerSpec::Provision(Arc::new(move |_cell, _rep| {
-        let server = ShardWorkerServer::bind("127.0.0.1:0", None, 0).map_err(|e| e.to_string())?;
+        let server =
+            ShardWorkerServer::bind("127.0.0.1:0", None, 0, None).map_err(|e| e.to_string())?;
         let addr = server.local_addr().to_string();
         registry.lock().unwrap().push(server.handle());
         std::thread::spawn(move || {
