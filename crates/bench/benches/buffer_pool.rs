@@ -2,8 +2,8 @@
 //! and eviction paths that sit on every pooled page access, single-
 //! threaded and under 8-way contention on its one lock.
 //!
-//! The pool is bookkeeping-only (bytes are served from the immutable
-//! snapshot), so these numbers bound the *accounting overhead* the
+//! The pool is bookkeeping-only (bytes are served from the reader's
+//! resident pages), so these numbers bound the *accounting overhead* the
 //! shared-cache design adds to a page read — the quantity that must
 //! stay small for the fault savings to be a net win.
 

@@ -16,16 +16,13 @@ use ringjoin_core::{
 };
 use ringjoin_datagen::{gnis_like, uniform, GnisDataset};
 use ringjoin_rtree::{Item, RTree};
-use ringjoin_storage::PooledPager;
 use std::hint::black_box;
 
 /// The item groups of every leaf of `tree`, in depth-first order, read
 /// through a reader pinned on the tree's pager.
 fn leaf_groups(tree: &RTree) -> Vec<Vec<Item>> {
     let probe = tree.probe();
-    let pager = RcjIndex::pager(tree);
-    let pager = pager.borrow();
-    let mut pg = PooledPager::new(pager.page_source(), pager.pool().clone(), pager.epoch());
+    let mut pg = RcjIndex::pager(tree).borrow().reader(None);
     let mut stack = vec![probe.root()];
     let mut groups = Vec::new();
     while let Some(node) = stack.pop() {

@@ -779,12 +779,14 @@ pub fn scaling(cfg: &ExpConfig) -> String {
         let build = |suffix: &str| -> Engine {
             let mut engine = Engine::new();
             engine.load("p", p_items.clone()).index(IndexKind::Rtree);
-            let load = engine.load("q", q_items.clone());
+            engine.load("q", q_items.clone()).index(IndexKind::Rtree);
             if cfg.on_disk {
-                load.on_disk(scratch.join(format!("updates-{suffix}.rjp")))
-                    .index(IndexKind::Rtree);
-            } else {
-                load.index(IndexKind::Rtree);
+                let path = scratch.join(format!("updates-{suffix}.rjp"));
+                engine
+                    .pager()
+                    .borrow_mut()
+                    .spill_to(&path)
+                    .unwrap_or_else(|e| panic!("spilling to {}: {e}", path.display()));
             }
             engine.set_buffer_frac(DEFAULT_BUFFER_FRAC);
             engine

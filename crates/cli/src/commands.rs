@@ -192,9 +192,9 @@ fn parse_index(s: Option<&str>) -> Result<IndexKind, ArgError> {
 /// Builds an engine session for one command invocation: datasets loaded
 /// from the given files under fixed names, the paper's buffer rule
 /// applied (or the absolute `--buffer-pages` budget), construction I/O
-/// excluded from the statistics. With `--on-disk FILE` the last load
-/// spills the whole page space — every dataset shares one pager — to a
-/// page file, making the engine disk-native.
+/// excluded from the statistics. With `--on-disk FILE` the whole page
+/// space — every dataset shares one pager — is spilled to a page file
+/// after the last load, making the engine disk-native.
 fn build_engine(args: &Args, self_join: bool) -> Result<Engine, ArgError> {
     let page_size: usize = args.opt_parse("page-size", 1024)?;
     let buffer_frac: f64 = args.opt_parse("buffer-frac", 0.01)?;
@@ -204,18 +204,17 @@ fn build_engine(args: &Args, self_join: bool) -> Result<Engine, ArgError> {
         Engine::with_pager(Pager::new(MemDisk::new(page_size), usize::MAX / 2).into_shared());
     if self_join {
         let items = load_items(args.req("input")?)?;
-        let load = engine.load("input", items);
-        match on_disk {
-            Some(path) => load.on_disk(path).index(index),
-            None => load.index(index),
-        };
+        engine.load("input", items).index(index);
     } else {
         engine.load("p", load_items(args.req("p")?)?).index(index);
-        let load = engine.load("q", load_items(args.req("q")?)?);
-        match on_disk {
-            Some(path) => load.on_disk(path).index(index),
-            None => load.index(index),
-        };
+        engine.load("q", load_items(args.req("q")?)?).index(index);
+    }
+    if let Some(path) = on_disk {
+        engine
+            .pager()
+            .borrow_mut()
+            .spill_to(&path)
+            .map_err(|e| ArgError(format!("--on-disk {}: {e}", path.display())))?;
     }
     match args.opt("buffer-pages") {
         Some(_) => {
@@ -1670,6 +1669,39 @@ mod tests {
             "{}",
             err.0
         );
+    }
+
+    #[test]
+    fn an_unwritable_on_disk_path_is_an_argument_error() {
+        let p = tmp("odm_p.bin");
+        let q = tmp("odm_q.bin");
+        for (path, seed) in [(&p, "81"), (&q, "82")] {
+            run(&parse(&s(&[
+                "generate", "--kind", "uniform", "--n", "80", "--seed", seed, "--out", path,
+            ]))
+            .unwrap())
+            .unwrap();
+        }
+        let log = tmp("odm_log.txt");
+        std::fs::write(&log, "").unwrap();
+        let pages = tmp("no-such-dir/pages.rjp");
+        for command in [
+            vec!["join", "--p", &p, "--q", &q],
+            vec!["self-join", "--input", &p],
+            vec!["top-k", "--p", &p, "--q", &q, "--k", "3"],
+            vec![
+                "replay", "--p", &p, "--q", &q, "--target", "p", "--log", &log,
+            ],
+        ] {
+            let argv = [&command[..], &["--on-disk", &pages]].concat();
+            let err = run(&parse(&s(&argv)).unwrap()).unwrap_err();
+            assert!(
+                err.0.starts_with(&format!("--on-disk {pages}: ")),
+                "{}: {}",
+                command[0],
+                err.0
+            );
+        }
     }
 
     #[test]

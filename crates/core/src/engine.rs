@@ -246,6 +246,13 @@ impl Engine {
     }
 
     /// The session's shared pager (I/O statistics live here).
+    ///
+    /// Spilling it ([`Pager::spill_to`](ringjoin_storage::Pager::spill_to))
+    /// after the last load makes the engine **disk-native**: the whole
+    /// page space — every dataset, as they share the pager — moves to a
+    /// page file, and from then on the buffer pool's frames are the only
+    /// RAM residency. Combine with [`Engine::set_buffer_pages`] to join
+    /// datasets several times larger than the memory budget.
     pub fn pager(&self) -> SharedPager {
         self.pager.clone()
     }
@@ -290,7 +297,6 @@ impl Engine {
             engine: self,
             name: name.into(),
             items,
-            on_disk: None,
         }
     }
 
@@ -385,21 +391,9 @@ pub struct LoadBuilder<'e> {
     engine: &'e mut Engine,
     name: String,
     items: Vec<Item>,
-    on_disk: Option<std::path::PathBuf>,
 }
 
 impl LoadBuilder<'_> {
-    /// Makes the engine **disk-native** once this load completes: the
-    /// whole page space (this dataset *and* every other dataset in the
-    /// engine — they share one pager) is spilled to a page file at
-    /// `path`, and from then on the buffer pool's frames are the only
-    /// RAM residency. Combine with [`Engine::set_buffer_pages`] to join
-    /// datasets several times larger than the memory budget.
-    pub fn on_disk(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.on_disk = Some(path.into());
-        self
-    }
-
     /// Builds the chosen index over the items in the engine's pager and
     /// registers the dataset under its name, returning a descriptive
     /// [`DatasetHandle`].
@@ -416,7 +410,6 @@ impl LoadBuilder<'_> {
             engine,
             name,
             items,
-            on_disk,
         } = self;
         let catalog: BTreeMap<u64, Point> = items.iter().map(|it| (it.id, it.point)).collect();
         let index = match kind {
@@ -447,13 +440,6 @@ impl LoadBuilder<'_> {
             epoch: ds.epoch,
         };
         engine.datasets.insert(name, ds);
-        if let Some(path) = on_disk {
-            engine
-                .pager
-                .borrow_mut()
-                .spill_to(&path)
-                .unwrap_or_else(|e| panic!("spilling engine pages to {}: {e}", path.display()));
-        }
         handle
     }
 }
@@ -1985,8 +1971,8 @@ mod tests {
             .index(IndexKind::Rtree);
         engine
             .load("q", points(300, 97, 2000.0))
-            .on_disk(&path)
             .index(IndexKind::Rtree);
+        engine.pager().borrow_mut().spill_to(&path).unwrap();
         let expected: Vec<RcjPair> = engine
             .query()
             .join("q", "p")
@@ -2058,8 +2044,8 @@ mod tests {
         disk.load("p", points(600, 61, 3000.0))
             .index(IndexKind::Rtree);
         disk.load("q", points(600, 67, 3000.0))
-            .on_disk(&path)
             .index(IndexKind::Quadtree);
+        disk.pager().borrow_mut().spill_to(&path).unwrap();
         // Budget ~1/4 of the page space: the dataset cannot be resident.
         let total: u64 = ["p", "q"]
             .iter()
@@ -2108,12 +2094,12 @@ mod tests {
             engine
                 .load("p", points(500, 113, 2000.0))
                 .index(IndexKind::Rtree);
-            let load = engine.load("q", points(500, 127, 2000.0));
-            match on_disk {
-                Some(path) => load.on_disk(path),
-                None => load,
+            engine
+                .load("q", points(500, 127, 2000.0))
+                .index(IndexKind::Quadtree);
+            if let Some(path) = on_disk {
+                engine.pager().borrow_mut().spill_to(path).unwrap();
             }
-            .index(IndexKind::Quadtree);
         }
         let join = |engine: &Engine| {
             let query = engine.query().join("q", "p");

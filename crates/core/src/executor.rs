@@ -32,11 +32,12 @@
 //! read-only. Two design decisions carry the parallel cold-cache fix:
 //!
 //! * **One shared cache, not `workers` cold ones.** Every reader, the
-//!   sequential one included, reads the pages the run pinned
-//!   ([`Pager::page_source`](ringjoin_storage::Pager::page_source): the
-//!   pager's own pages, shared by `Arc`, none copied) through a
-//!   [`PooledPager`](ringjoin_storage::PooledPager) accounting into the
-//!   pager's own [buffer pool](ringjoin_storage::Pager::pool) — one
+//!   sequential one included, is a
+//!   [`PooledPager`](ringjoin_storage::PooledPager) pinned on the pager
+//!   ([`Pager::reader`](ringjoin_storage::Pager::reader): a clone of the
+//!   pager's device, sharing its pages by `Arc`, none copied) and
+//!   accounting into the pager's own
+//!   [buffer pool](ringjoin_storage::Pager::pool) — one
 //!   exact-LRU cache at the **same total budget** for every schedule.
 //!   Hot inner nodes faulted by one worker are hits for every other
 //!   worker (and for later runs: the pool stays warm across joins over
@@ -149,12 +150,12 @@ impl Default for Executor {
 }
 
 /// A reader's private handles on the pages of a join's two trees: one
-/// [`PooledPager`] per distinct pager, pinned to the pager's page source
-/// and epoch at the time of [`Readers::pin`], so a mutation batch landing
+/// [`PooledPager`] per distinct pager, pinned to the pager's device and
+/// epoch at the time of [`Readers::pin`], so a mutation batch landing
 /// mid-run cannot change what the reader sees.
 ///
 /// Cloning a set that has not read yet gives another reader over the
-/// same sources, pools and epochs (a parallel worker);
+/// same devices, pools and epochs (a parallel worker);
 /// [`Readers::absorb`] folds a set's I/O counters back into the pagers.
 #[derive(Clone)]
 pub(crate) struct Readers {
@@ -175,8 +176,8 @@ impl Readers {
         pool: Option<&BufferPool>,
     ) -> Readers {
         Readers {
-            q: pin(pager_q, pool),
-            p: (!Rc::ptr_eq(pager_q, pager_p)).then(|| pin(pager_p, pool)),
+            q: pager_q.borrow().reader(pool),
+            p: (!Rc::ptr_eq(pager_q, pager_p)).then(|| pager_p.borrow().reader(pool)),
         }
     }
 
@@ -205,22 +206,11 @@ impl Readers {
     }
 }
 
-/// A reader of `pager`'s pages as they are now, at its epoch, counting
-/// in `pool` (the pager's own buffer when `None`).
-fn pin(pager: &SharedPager, pool: Option<&BufferPool>) -> PooledPager {
-    let pg = pager.borrow();
-    PooledPager::new(
-        pg.page_source(),
-        pool.unwrap_or(pg.pool()).clone(),
-        pg.epoch(),
-    )
-}
-
 /// Runs `read` on a reader pinned on `pager`, then ends the pin and adds
 /// the reader's I/O counters to the pager: the leaf walk and the
 /// tree-level filter and verify read this way.
 pub(crate) fn read_pinned<T>(pager: &SharedPager, read: impl FnOnce(&mut PooledPager) -> T) -> T {
-    let mut reader = pin(pager, None);
+    let mut reader = pager.borrow().reader(None);
     let out = read(&mut reader);
     pager.borrow_mut().absorb(reader.stats());
     out
@@ -236,11 +226,11 @@ pub(crate) fn execute<PQ: IndexProbe, PP: IndexProbe>(
     sink: &mut dyn PairSink,
 ) -> RcjStats {
     let mut stats = RcjStats::default();
-    // Every reader reads each pager's page source through its own
-    // buffer: trees sharing a pager (the paper's setup, and every
-    // self-join) share both, and the buffer stays warm across runs. A
-    // disk-native pager hands out its file instead of a resident
-    // snapshot — the pool's frames become the only RAM copy.
+    // Every reader reads a clone of each pager's device through the
+    // pager's own buffer: trees sharing a pager (the paper's setup, and
+    // every self-join) share both, and the buffer stays warm across
+    // runs. A disk-native pager's device is its file — the pool's frames
+    // become the only RAM copy.
     let mut pinned = Readers::pin(&pager_q, &pager_p, None);
     let workers = pass.workers();
     if workers <= 1 {

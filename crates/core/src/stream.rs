@@ -297,8 +297,8 @@ const WAVE_LEAVES_PER_WORKER: usize = 4;
 /// sequential order.
 ///
 /// The source is **pinned to the epoch it was opened at**: construction
-/// captures each pager's page source and current epoch into private
-/// [`Readers`] handles on the pager's buffer, so a mutation batch
+/// pins private [`Readers`] on each pager's device and current epoch,
+/// counting in the pager's buffer, so a mutation batch
 /// ([`Pager::begin_epoch`](ringjoin_storage::Pager::begin_epoch)) landing
 /// while the stream is suspended between batches cannot change what the
 /// remaining batches read — the stream drains the snapshot it started on.

@@ -148,16 +148,24 @@ impl ShardWorker {
     /// worker's pager buffers at most the pool's budget, which bounds
     /// the page bytes a spill leaves in its frames.
     fn new(pool: BufferPool, accepts: Option<Rect>, page_file: Option<PathBuf>) -> ShardWorker {
-        let buffer = page_file
-            .as_ref()
-            .map_or(usize::MAX / 2, |_| pool.capacity());
         ShardWorker {
-            engine: Engine::with_pager(Pager::new(MemDisk::new(1024), buffer).into_shared()),
+            engine: Self::empty_engine(&pool, page_file.is_some()),
             datasets: BTreeMap::new(),
             pool,
             accepts,
             page_file,
         }
+    }
+
+    /// The empty engine a worker starts with, and starts over with when
+    /// its first spill is refused.
+    fn empty_engine(pool: &BufferPool, disk_native: bool) -> Engine {
+        let buffer = if disk_native {
+            pool.capacity()
+        } else {
+            usize::MAX / 2
+        };
+        Engine::with_pager(Pager::new(MemDisk::new(1024), buffer).into_shared())
     }
 
     /// Answers one shard message.
@@ -201,7 +209,9 @@ impl ShardWorker {
 
     /// Builds the replica and, in disk mode, spills it to the worker's
     /// page file (after the first load's copy, write-through keeps the
-    /// file current and the spill is a no-op).
+    /// file current and the spill is a no-op). So only a first load's
+    /// spill can be refused, and the worker then starts over empty: the
+    /// refused dataset and its pages go.
     fn load(
         &mut self,
         name: &str,
@@ -222,11 +232,11 @@ impl ShardWorker {
             .load(name.to_string(), items.to_vec())
             .index(kind);
         if let Some(path) = &self.page_file {
-            self.engine
-                .pager()
-                .borrow_mut()
-                .spill_to(path)
-                .map_err(|e| format!("spilling pages to {}: {e}", path.display()))?;
+            let spilled = self.engine.pager().borrow_mut().spill_to(path);
+            if let Err(e) = spilled {
+                self.engine = Self::empty_engine(&self.pool, true);
+                return Err(format!("spilling pages to {}: {e}", path.display()));
+            }
         }
         self.reindex_ownership(name, cell)
     }
@@ -2194,6 +2204,35 @@ mod tests {
         );
         drop(pager);
         drop(worker);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_refused_spill_leaves_no_dataset_and_no_pages_behind() {
+        let dir = ringjoin_testsupport::scratch_dir("sharded-worker-refused");
+        let path = dir.join("missing").join("pages.rjp");
+        let mut worker = ShardWorker::new(BufferPool::new(64), None, Some(path));
+        let everything = Rect::new(
+            pt(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            pt(f64::INFINITY, f64::INFINITY),
+        );
+        for seed in 0..3 {
+            let err = worker
+                .handle(&ShardRequest::Load {
+                    name: "d".into(),
+                    kind: IndexKind::Rtree,
+                    cell: everything,
+                    items: Arc::new(items(3000, 80 + seed, 1000.0)),
+                })
+                .err()
+                .unwrap_or_default();
+            assert!(err.starts_with("spilling pages to "), "{err}");
+            assert!(
+                worker.engine.dataset("d").is_none(),
+                "the refused load stayed"
+            );
+            assert_eq!(worker.engine.pager().borrow().num_pages(), 0);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,9 +15,9 @@
 //! once it is full. Frames are of two kinds:
 //!
 //! * **Recency-only**, keyed by page. The bytes live elsewhere (a
-//!   memory-resident device, or a [`PageSnapshot`] pinned on it), and a
-//!   fault means "under this budget the access would have gone to the
-//!   device". The key carries no epoch: a page rewritten by a mutation
+//!   memory-resident [`MemDisk`](crate::MemDisk), or a reader's clone
+//!   of it), and a fault means "under this budget the access would have
+//!   gone to the device". The key carries no epoch: a page rewritten by a mutation
 //!   batch keeps its frame, so a resident dataset's pool never outgrows
 //!   its page count, however many epochs it lives through.
 //! * **Byte-owning**, keyed by `(epoch, page)`. A fault reads the page
@@ -35,7 +35,7 @@
 //! the prefetcher staged it counts as a *prefetch hit* (a subset of
 //! hits), surfaced separately in [`IoStats`].
 
-use crate::disk::{FileDisk, PageId, PageSnapshot};
+use crate::disk::{Device, FileDisk, PageId};
 use crate::pager::IoStats;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -440,67 +440,46 @@ impl BufferPool {
     }
 }
 
-/// Where a [`PooledPager`] gets page bytes from: a fully resident
-/// snapshot (the in-memory mode) or a shared page file the pool faults
-/// pages out of on demand (the disk-native mode).
-///
-/// Cloning is cheap in both arms (an `Arc` bump).
-#[derive(Clone)]
-pub enum PageSource {
-    /// All pages resident in RAM; the pool tracks recency only.
-    Resident(PageSnapshot),
-    /// Pages live in the file; the pool's frames own whatever subset
-    /// currently fits the budget.
-    Store(FileDisk),
-}
-
-impl From<PageSnapshot> for PageSource {
-    fn from(snapshot: PageSnapshot) -> PageSource {
-        PageSource::Resident(snapshot)
-    }
-}
-
 /// A reader's handle onto a shared [`BufferPool`]: page reads whose
 /// hit/fault accounting goes through the pool, with private
 /// [`IoStats`] the caller merges back into the owning pager
 /// ([`Pager::absorb`](crate::Pager::absorb)).
 ///
-/// It is the one way a join reads pages: the sequential and parallel
+/// It is the one way pages are read: the sequential and parallel
 /// executors, streams, top-k, server shards, the leaf walk and the
 /// filter and verify kernels all read through a handle pinned on the
-/// pager ([`Pager::page_source`](crate::Pager::page_source), its
-/// [pool](crate::Pager::pool) and its [epoch](crate::Pager::epoch)).
-/// Index maintenance reads and writes through the pager itself.
+/// pager ([`Pager::reader`](crate::Pager::reader)), and the pager's own
+/// reads go through the one it keeps on its live device.
 ///
-/// With a [`PageSource::Resident`] source, bytes always come from this
-/// handle's own snapshot and the pool only decides whether the access
-/// counts as a hit or a fault. With a [`PageSource::Store`] source, the
-/// pool is the actual residency layer: a fault reads the page from the
-/// store into a frame, a hit serves the frame's bytes. (When several
-/// handles over *different* pagers share one pool — the sharded server's
-/// replicas — their page-id spaces coincide because the replicas are
-/// built identically, each into a byte-identical page file of its own.)
+/// The handle holds a clone of the pager's device. On a resident
+/// [`MemDisk`](crate::MemDisk), bytes always come from that clone and
+/// the pool only decides whether the access counts as a hit or a
+/// fault. On a [`FileDisk`], the pool is the actual residency layer: a
+/// fault reads the page from the file into a frame, a hit serves the
+/// frame's bytes. (When several handles over *different* pagers share
+/// one pool — the sharded server's replicas — their page-id spaces
+/// coincide because the replicas are built identically, each into a
+/// byte-identical page file of its own.)
 ///
 /// Cloning a handle that has not read yet gives another reader over the
-/// same source, pool and epoch (a parallel worker).
+/// same device, pool and epoch (a parallel worker).
 #[derive(Clone)]
 pub struct PooledPager {
-    source: PageSource,
-    pool: BufferPool,
-    stats: IoStats,
-    /// Dataset epoch this handle's source was pinned under; every
+    pub(crate) device: Device,
+    pub(crate) pool: BufferPool,
+    pub(crate) stats: IoStats,
+    /// Dataset epoch this handle's device was pinned under; every
     /// byte-owning frame it reads is keyed by it (see
     /// [`BufferPool::load`]).
-    epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 impl PooledPager {
-    /// A handle over `source`, captured at dataset `epoch`, accounting
-    /// through `pool`. Accepts a [`PageSnapshot`] directly (resident
-    /// mode) or any [`PageSource`].
-    pub fn new(source: impl Into<PageSource>, pool: BufferPool, epoch: u64) -> PooledPager {
+    /// A handle over `device`, captured at dataset `epoch`, accounting
+    /// through `pool`.
+    pub(crate) fn new(device: Device, pool: BufferPool, epoch: u64) -> PooledPager {
         PooledPager {
-            source: source.into(),
+            device,
             pool,
             stats: IoStats::default(),
             epoch,
@@ -512,31 +491,31 @@ impl PooledPager {
         self.stats
     }
 
-    /// A background [`Prefetcher`] staging pages of this handle's store
-    /// into its pool at its epoch; `None` for a resident source, which
-    /// has nothing to stage.
+    /// A background [`Prefetcher`] staging pages of this handle's page
+    /// file into its pool at its epoch; `None` on a resident device,
+    /// which has nothing to stage.
     pub fn prefetcher(&self) -> Option<Prefetcher> {
-        match &self.source {
-            PageSource::Store(store) => Some(Prefetcher::spawn(
+        match &self.device {
+            Device::File(file) => Some(Prefetcher::spawn(
                 self.pool.clone(),
-                store.clone(),
+                file.clone(),
                 self.epoch,
             )),
-            PageSource::Resident(_) => None,
+            Device::Mem(_) => None,
         }
     }
 
     /// Reads page `id`, counting one logical read (and a fault on a
     /// miss) through the pool, and maps its bytes with `f`.
     pub fn read<T>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> T {
-        match &self.source {
-            PageSource::Resident(snapshot) => {
+        match &self.device {
+            Device::Mem(disk) => {
                 self.stats
                     .count_read(PoolRead::touched(self.pool.access(id)));
-                f(snapshot.page(id))
+                f(disk.page(id))
             }
-            PageSource::Store(store) => {
-                let (bytes, outcome) = self.pool.load(self.epoch, id, store);
+            Device::File(file) => {
+                let (bytes, outcome) = self.pool.load(self.epoch, id, file);
                 self.stats.count_read(outcome);
                 // No pool lock is held here: `f` may recurse into
                 // further page reads (probe expansion does).
@@ -606,16 +585,16 @@ impl Drop for Prefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::{DiskStorage, MemDisk};
+    use crate::disk::MemDisk;
 
     /// `n` resident pages, page `i` starting with byte `i + 1`.
-    fn snapshot_with_pages(n: u32) -> PageSnapshot {
+    fn mem_with_pages(n: u32) -> Device {
         let mut disk = MemDisk::new(128);
         for i in 0..n {
             let id = disk.allocate();
             disk.write_page(id, &[i as u8 + 1; 128]);
         }
-        disk.snapshot()
+        Device::Mem(disk)
     }
 
     /// A page file of `n` pages named `name` in a scratch directory,
@@ -776,7 +755,7 @@ mod tests {
 
     #[test]
     fn pooled_pager_serves_snapshot_bytes_and_counts() {
-        let snap = snapshot_with_pages(3);
+        let snap = mem_with_pages(3);
         let pool = BufferPool::new(8);
         let mut pg = PooledPager::new(snap, pool.clone(), 0);
         pg.read(PageId(0), |b| assert_eq!(b[0], 1));
@@ -795,7 +774,7 @@ mod tests {
         // The cold-cache fix in miniature: 4 workers scanning the same 8
         // pages through one pool fault 8 times *total*, not 8 per
         // worker (modulo races on the initial touch).
-        let snap = snapshot_with_pages(8);
+        let snap = mem_with_pages(8);
         let pool = BufferPool::new(64);
         let totals: Vec<IoStats> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
@@ -842,7 +821,7 @@ mod tests {
     fn store_backed_load_serves_bytes_and_faults_under_budget() {
         let store = file_with_pages("load.rjp", 8, 1);
         let pool = BufferPool::new(2);
-        let mut pg = PooledPager::new(PageSource::Store(store.clone()), pool.clone(), 0);
+        let mut pg = PooledPager::new(Device::File(store.clone()), pool.clone(), 0);
         // Cold pass over 8 pages through a 2-frame pool: all faults,
         // but every byte is correct.
         for i in 0..8u32 {
@@ -884,7 +863,7 @@ mod tests {
             pool.prefetch(0, PageId(i), &store);
         }
         assert_eq!(pool.hits() + pool.faults(), 0, "prefetch is not demand I/O");
-        let mut pg = PooledPager::new(PageSource::Store(store.clone()), pool.clone(), 0);
+        let mut pg = PooledPager::new(Device::File(store.clone()), pool.clone(), 0);
         for i in 0..8u32 {
             pg.read(PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
         }
@@ -911,7 +890,7 @@ mod tests {
             // Drop joins the thread, so the batch is fully staged below.
         }
         assert_eq!(pool.len(), 8);
-        let mut pg = PooledPager::new(PageSource::Store(store.clone()), pool, 0);
+        let mut pg = PooledPager::new(Device::File(store.clone()), pool, 0);
         for i in 0..8u32 {
             pg.read(PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
         }
@@ -929,8 +908,8 @@ mod tests {
         let new_store = file_with_pages("new.rjp", 4, 100);
 
         let pool = BufferPool::new(16);
-        let mut old_rd = PooledPager::new(PageSource::Store(old_store), pool.clone(), 0);
-        let mut new_rd = PooledPager::new(PageSource::Store(new_store.clone()), pool.clone(), 1);
+        let mut old_rd = PooledPager::new(Device::File(old_store), pool.clone(), 0);
+        let mut new_rd = PooledPager::new(Device::File(new_store.clone()), pool.clone(), 1);
         for i in 0..4u32 {
             old_rd.read(PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
             new_rd.read(PageId(i), |b| assert_eq!(b[0], 100 + i as u8));
@@ -956,7 +935,7 @@ mod tests {
     fn snapshot_readers_share_frames_across_epochs() {
         // Recency-only frames are keyed by page alone: readers of two
         // epochs' snapshots of one page space share them.
-        let snap = snapshot_with_pages(4);
+        let snap = mem_with_pages(4);
         let pool = BufferPool::new(usize::MAX / 2);
         for epoch in 0..10 {
             let mut rd = PooledPager::new(snap.clone(), pool.clone(), epoch);
@@ -977,12 +956,12 @@ mod tests {
             pf.request((0..4).map(PageId).collect());
         }
         // A reader on a different epoch sees nothing staged...
-        let mut other = PooledPager::new(PageSource::Store(store.clone()), pool.clone(), 2);
+        let mut other = PooledPager::new(Device::File(store.clone()), pool.clone(), 2);
         other.read(PageId(0), |_| {});
         assert_eq!(other.stats().read_faults, 1);
         assert_eq!(other.stats().prefetch_hits, 0);
         // ...while the matching epoch takes prefetch hits.
-        let mut pinned = PooledPager::new(PageSource::Store(store.clone()), pool, 3);
+        let mut pinned = PooledPager::new(Device::File(store.clone()), pool, 3);
         for i in 0..4u32 {
             pinned.read(PageId(i), |b| assert_eq!(b[0], i as u8 + 1));
         }

@@ -1,7 +1,7 @@
-//! The page devices — resident [`MemDisk`] and the page file
-//! [`FileDisk`] — and the read-only views readers pin on them.
+//! The page devices: resident [`MemDisk`] and the page file
+//! [`FileDisk`], the two arms of the device a pager owns and its
+//! readers pin a clone of.
 
-use crate::buffer_pool::PageSource;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -23,56 +23,8 @@ impl PageId {
     }
 }
 
-/// A device that stores fixed-size pages addressed by [`PageId`].
-///
-/// Implementations do not count I/O — accounting lives in the
-/// [`Pager`](crate::Pager), which sees every access. A `DiskStorage` is the
-/// "platter": dumb, page-granular, and with no notion of caching.
-pub trait DiskStorage {
-    /// Size of every page in bytes.
-    fn page_size(&self) -> usize;
-
-    /// Number of allocated pages.
-    fn num_pages(&self) -> u32;
-
-    /// Appends a fresh zeroed page and returns its id.
-    fn allocate(&mut self) -> PageId;
-
-    /// Reads page `id` into `buf` (`buf.len() == page_size()`).
-    ///
-    /// # Panics
-    /// Panics if `id` was never allocated — an unallocated read is a logic
-    /// error in the index layer, not a runtime condition to handle.
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]);
-
-    /// Writes `buf` to page `id` (`buf.len() == page_size()`).
-    fn write_page(&mut self, id: PageId, buf: &[u8]);
-
-    /// The bytes of page `id` if the device keeps its pages in memory;
-    /// `None` (the default) for a device that must be read. The
-    /// [`Pager`](crate::Pager) reads resident pages in place, and buffers
-    /// copies of the others.
-    fn resident_page(&self, _id: PageId) -> Option<&[u8]> {
-        None
-    }
-
-    /// The pages as they are now, for a reader that holds the view until
-    /// it is done. The view shares the device's pages; it copies none.
-    /// A [`MemDisk`] hands out its page table, and a later write copies
-    /// what the view holds before changing it. A [`FileDisk`] hands out
-    /// its file, which a later write changes in place, so a writer that
-    /// must not disturb a held view moves to a new file first
-    /// ([`Pager::begin_epoch`](crate::Pager::begin_epoch)).
-    fn pin(&self) -> PageSource;
-
-    /// The page file this device is, if it is one.
-    fn file(&self) -> Option<&FileDisk> {
-        None
-    }
-}
-
 /// The pages of a [`MemDisk`]: each page's bytes behind an `Arc`, and
-/// the table of them behind another, so a view is one `Arc` clone.
+/// the table of them behind another, so a clone is one `Arc` bump.
 type PageTable = Arc<Vec<Arc<[u8]>>>;
 
 /// An in-memory page device.
@@ -82,10 +34,13 @@ type PageTable = Arc<Vec<Arc<[u8]>>>;
 /// experiments are deterministic with a memory-backed "disk" while
 /// reproducing the same accounting.
 ///
-/// Its pages are shared copy-on-write with the [`PageSnapshot`]s taken
-/// of it. A write edits its page in place when no snapshot holds the
-/// page, and otherwise gives the device a fresh copy of the table (an
-/// `Arc` bump per page) holding new bytes for that page alone.
+/// A clone is a view of the pages as they are now: it shares the page
+/// table and copies nothing, and later writes to either never show
+/// through the other. A write edits its page in place when no clone
+/// holds the page, and otherwise gives the writer a fresh copy of the
+/// table (an `Arc` bump per page) holding new bytes for that page
+/// alone.
+#[derive(Clone)]
 pub struct MemDisk {
     page_size: usize,
     pages: PageTable,
@@ -102,89 +57,40 @@ impl MemDisk {
         }
     }
 
-    /// A view of the pages as they are now; see [`PageSnapshot`].
-    pub fn snapshot(&self) -> PageSnapshot {
-        PageSnapshot {
-            page_size: self.page_size,
-            pages: Arc::clone(&self.pages),
-        }
-    }
-}
-
-impl DiskStorage for MemDisk {
-    fn page_size(&self) -> usize {
+    /// Size of every page in bytes.
+    pub fn page_size(&self) -> usize {
         self.page_size
     }
 
-    fn num_pages(&self) -> u32 {
+    /// Number of allocated pages.
+    pub fn num_pages(&self) -> u32 {
         self.pages.len() as u32
     }
 
-    fn allocate(&mut self) -> PageId {
+    /// Appends a fresh zeroed page and returns its id.
+    pub fn allocate(&mut self) -> PageId {
         let id = PageId(self.pages.len() as u32);
         Arc::make_mut(&mut self.pages).push(vec![0u8; self.page_size].into());
         id
     }
 
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) {
-        buf.copy_from_slice(&self.pages[id.0 as usize]);
-    }
-
-    fn write_page(&mut self, id: PageId, buf: &[u8]) {
-        let page = &mut Arc::make_mut(&mut self.pages)[id.0 as usize];
-        match Arc::get_mut(page) {
-            Some(bytes) => bytes.copy_from_slice(buf),
-            None => *page = buf.into(),
-        }
-    }
-
-    fn resident_page(&self, id: PageId) -> Option<&[u8]> {
-        Some(&self.pages[id.0 as usize])
-    }
-
-    fn pin(&self) -> PageSource {
-        PageSource::Resident(self.snapshot())
-    }
-}
-
-/// A read-only view of a [`MemDisk`]'s pages as they were when it was
-/// taken: the device's own page table, shared by `Arc`, so taking one
-/// copies nothing and later writes to the device never show through.
-///
-/// Cloning is cheap (an `Arc` bump); all clones share the same pages.
-/// Reads never fault, never lock and never touch statistics — per-access
-/// accounting is the job of the [`PooledPager`](crate::PooledPager)
-/// layered on top.
-#[derive(Clone)]
-pub struct PageSnapshot {
-    page_size: usize,
-    pages: PageTable,
-}
-
-impl PageSnapshot {
-    /// Page size of the snapshotted device.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Number of captured pages.
-    pub fn num_pages(&self) -> u32 {
-        self.pages.len() as u32
-    }
-
     /// The bytes of page `id`.
     ///
     /// # Panics
-    /// Panics if `id` was not allocated when the snapshot was taken.
+    /// Panics if `id` was never allocated — an unallocated read is a logic
+    /// error in the index layer, not a runtime condition to handle.
     #[inline]
     pub fn page(&self, id: PageId) -> &[u8] {
         &self.pages[id.0 as usize]
     }
 
-    /// `true` if both views share one page table: no write or
-    /// allocation reached the device between them.
-    pub fn shares_pages(&self, other: &PageSnapshot) -> bool {
-        Arc::ptr_eq(&self.pages, &other.pages)
+    /// Writes `buf` to page `id` (`buf.len() == page_size()`).
+    pub fn write_page(&mut self, id: PageId, buf: &[u8]) {
+        let page = &mut Arc::make_mut(&mut self.pages)[id.0 as usize];
+        match Arc::get_mut(page) {
+            Some(bytes) => bytes.copy_from_slice(buf),
+            None => *page = buf.into(),
+        }
     }
 }
 
@@ -195,11 +101,10 @@ impl PageSnapshot {
 /// `Arc` — the pager's device, the readers pinned on it, the prefetch
 /// thread — and none of them moves a seek cursor another depends on.
 /// A clone keeps the page count it was cloned with. The file is the
-/// [`DiskStorage`] of a disk-native [`Pager`](crate::Pager), and the
-/// store the [`BufferPool`](crate::BufferPool) faults its readers'
-/// pages out of: [`FileDisk::read_into`] takes `&self`, so one handle
-/// serves parallel join workers and the background prefetch thread at
-/// once.
+/// device of a disk-native [`Pager`](crate::Pager), and the store the
+/// [`BufferPool`](crate::BufferPool) faults its readers' pages out of:
+/// [`FileDisk::read_into`] takes `&self`, so one handle serves parallel
+/// join workers and the background prefetch thread at once.
 #[derive(Clone)]
 pub struct FileDisk {
     page_size: usize,
@@ -273,28 +178,8 @@ impl FileDisk {
         id.0 as u64 * self.page_size as u64
     }
 
-    /// Reads page `id` into `buf` (`buf.len() == page_size()`).
-    ///
-    /// # Panics
-    /// Panics if `id` is past this handle's page count — like
-    /// [`DiskStorage::read_page`], an unallocated read is a logic error
-    /// in the index layer.
-    pub fn read_into(&self, id: PageId, buf: &mut [u8]) {
-        assert!(id.0 < self.num_pages, "read of unallocated page {id:?}");
-        read_at(&self.file, buf, self.offset(id)).expect("reading page");
-    }
-}
-
-impl DiskStorage for FileDisk {
-    fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.num_pages
-    }
-
-    fn allocate(&mut self) -> PageId {
+    /// Appends a fresh zeroed page and returns its id.
+    pub fn allocate(&mut self) -> PageId {
         let id = PageId(self.num_pages);
         self.num_pages += 1;
         // Extend the file eagerly so reads of freshly allocated pages see
@@ -305,21 +190,68 @@ impl DiskStorage for FileDisk {
         id
     }
 
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) {
-        self.read_into(id, buf);
+    /// Reads page `id` into `buf` (`buf.len() == page_size()`).
+    ///
+    /// # Panics
+    /// Panics if `id` is past this handle's page count — like
+    /// [`MemDisk::page`], an unallocated read is a logic error in the
+    /// index layer.
+    pub fn read_into(&self, id: PageId, buf: &mut [u8]) {
+        assert!(id.0 < self.num_pages, "read of unallocated page {id:?}");
+        read_at(&self.file, buf, self.offset(id)).expect("reading page");
     }
 
-    fn write_page(&mut self, id: PageId, buf: &[u8]) {
+    /// Writes `buf` to page `id` (`buf.len() == page_size()`).
+    pub fn write_page(&mut self, id: PageId, buf: &[u8]) {
         assert!(id.0 < self.num_pages, "write of unallocated page {id:?}");
         write_at(&self.file, buf, self.offset(id)).expect("writing page");
     }
+}
 
-    fn pin(&self) -> PageSource {
-        PageSource::Store(self.clone())
+/// A pager's device: resident pages or a page file. A clone is a
+/// reader's pin — the pages as they are now, sharing the device's
+/// bytes and copying none. A [`MemDisk`] clone keeps its bytes however
+/// the device is written later; a [`FileDisk`] clone shares the file,
+/// which a later write changes in place, so a writer that must not
+/// disturb a held pin moves to a new file first
+/// ([`Pager::begin_epoch`](crate::Pager::begin_epoch)).
+#[derive(Clone)]
+pub(crate) enum Device {
+    /// All pages resident in RAM; the pool tracks recency only.
+    Mem(MemDisk),
+    /// Pages live in the file; the pool's frames own whatever subset
+    /// currently fits the budget.
+    File(FileDisk),
+}
+
+impl Device {
+    pub(crate) fn page_size(&self) -> usize {
+        match self {
+            Device::Mem(disk) => disk.page_size(),
+            Device::File(file) => file.page_size(),
+        }
     }
 
-    fn file(&self) -> Option<&FileDisk> {
-        Some(self)
+    pub(crate) fn num_pages(&self) -> u32 {
+        match self {
+            Device::Mem(disk) => disk.num_pages(),
+            Device::File(file) => file.num_pages(),
+        }
+    }
+
+    pub(crate) fn allocate(&mut self) -> PageId {
+        match self {
+            Device::Mem(disk) => disk.allocate(),
+            Device::File(file) => file.allocate(),
+        }
+    }
+
+    /// Copies page `id` into `buf` (`buf.len() == page_size()`).
+    pub(crate) fn read_into(&self, id: PageId, buf: &mut [u8]) {
+        match self {
+            Device::Mem(disk) => buf.copy_from_slice(disk.page(id)),
+            Device::File(file) => file.read_into(id, buf),
+        }
     }
 }
 
@@ -358,31 +290,7 @@ fn write_at(mut file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    fn roundtrip(disk: &mut dyn DiskStorage) {
-        let a = disk.allocate();
-        let b = disk.allocate();
-        assert_eq!(disk.num_pages(), 2);
-
-        let ps = disk.page_size();
-        let mut buf = vec![0u8; ps];
-
-        // Fresh pages read as zeroes.
-        disk.read_page(a, &mut buf);
-        assert!(buf.iter().all(|&x| x == 0));
-
-        buf[0] = 0xAB;
-        buf[ps - 1] = 0xCD;
-        disk.write_page(b, &buf);
-
-        let mut out = vec![0u8; ps];
-        disk.read_page(b, &mut out);
-        assert_eq!(out, buf);
-        // Page a is untouched.
-        disk.read_page(a, &mut out);
-        assert!(out.iter().all(|&x| x == 0));
-    }
-
-    fn snapshot_with_pages(n: u32) -> PageSnapshot {
+    fn mem_with_pages(n: u32) -> MemDisk {
         let mut disk = MemDisk::new(128);
         for i in 0..n {
             let id = disk.allocate();
@@ -390,13 +298,21 @@ mod tests {
             buf[0] = i as u8 + 1;
             disk.write_page(id, &buf);
         }
-        disk.snapshot()
+        disk
     }
 
     #[test]
     fn memdisk_roundtrip() {
         let mut d = MemDisk::new(256);
-        roundtrip(&mut d);
+        let (a, b) = (d.allocate(), d.allocate());
+        assert_eq!(d.num_pages(), 2);
+        assert!(d.page(a).iter().all(|&x| x == 0), "fresh pages are zeroes");
+        let mut buf = vec![0u8; 256];
+        buf[0] = 0xAB;
+        buf[255] = 0xCD;
+        d.write_page(b, &buf);
+        assert_eq!(d.page(b), &buf[..]);
+        assert!(d.page(a).iter().all(|&x| x == 0), "page a is untouched");
     }
 
     #[test]
@@ -404,7 +320,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ringjoin-filedisk-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut d = FileDisk::create(dir.join("pages.bin"), 256).unwrap();
-        roundtrip(&mut d);
+        let (a, b) = (d.allocate(), d.allocate());
+        assert_eq!(d.num_pages(), 2);
+        let mut out = vec![0u8; 256];
+        d.read_into(a, &mut out);
+        assert!(out.iter().all(|&x| x == 0), "fresh pages are zeroes");
+        let mut buf = vec![0u8; 256];
+        buf[0] = 0xAB;
+        buf[255] = 0xCD;
+        d.write_page(b, &buf);
+        d.read_into(b, &mut out);
+        assert_eq!(out, buf);
+        d.read_into(a, &mut out);
+        assert!(out.iter().all(|&x| x == 0), "page a is untouched");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -414,9 +342,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ringjoin-filedisk2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pages.bin");
-        let mut d = FileDisk::create(&path, 256).unwrap();
+        let d = FileDisk::create(&path, 256).unwrap();
         let mut buf = vec![0u8; 256];
-        d.read_page(PageId(0), &mut buf);
+        d.read_into(PageId(0), &mut buf);
     }
 
     #[test]
@@ -452,25 +380,31 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_captures_written_pages() {
-        let snap = snapshot_with_pages(3);
-        assert_eq!(snap.num_pages(), 3);
-        assert_eq!(snap.page_size(), 128);
+    fn a_clone_captures_written_pages() {
+        let view = mem_with_pages(3).clone();
+        assert_eq!(view.num_pages(), 3);
+        assert_eq!(view.page_size(), 128);
         for i in 0..3u32 {
-            assert_eq!(snap.page(PageId(i))[0], i as u8 + 1);
+            assert_eq!(view.page(PageId(i))[0], i as u8 + 1);
         }
     }
 
     #[test]
-    fn snapshots_share_the_table_until_a_write_copies_the_held_page() {
+    fn clones_share_the_table_until_a_write_copies_the_held_page() {
         let mut disk = MemDisk::new(128);
         let (a, b) = (disk.allocate(), disk.allocate());
         disk.write_page(a, &[1; 128]);
-        let s1 = disk.snapshot();
-        assert!(s1.shares_pages(&disk.snapshot()), "no write between them");
+        let s1 = disk.clone();
+        assert!(
+            Arc::ptr_eq(&s1.pages, &disk.pages),
+            "a clone copies nothing"
+        );
         disk.write_page(a, &[2; 128]);
-        let s2 = disk.snapshot();
-        assert!(!s2.shares_pages(&s1), "a write leaves the held table alone");
+        let s2 = disk.clone();
+        assert!(
+            !Arc::ptr_eq(&s2.pages, &s1.pages),
+            "a write leaves the held table alone"
+        );
         assert_eq!(s1.page(a)[0], 1, "the old view keeps the old bytes");
         assert_eq!(s2.page(a)[0], 2);
         assert!(
@@ -479,23 +413,23 @@ mod tests {
         );
         // A second write to a page no view holds edits it in place.
         drop(s2);
-        let before = disk.resident_page(a).unwrap().as_ptr();
+        let before = disk.page(a).as_ptr();
         disk.write_page(a, &[3; 128]);
-        assert_eq!(disk.resident_page(a).unwrap().as_ptr(), before);
+        assert_eq!(disk.page(a).as_ptr(), before);
         disk.allocate();
         assert_eq!(s1.num_pages(), 2, "an allocation leaves the view alone");
         assert_eq!(disk.num_pages(), 3);
     }
 
     #[test]
-    fn snapshots_are_shareable_across_threads() {
-        let snap = snapshot_with_pages(8);
+    fn clones_are_shareable_across_threads() {
+        let disk = mem_with_pages(8);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let snap = snap.clone();
+                let view = disk.clone();
                 scope.spawn(move || {
                     for i in 0..8u32 {
-                        assert_eq!(snap.page(PageId(i))[0], i as u8 + 1);
+                        assert_eq!(view.page(PageId(i))[0], i as u8 + 1);
                     }
                 });
             }

@@ -7,9 +7,8 @@
 //! the number of (possibly repeated) node accesses. This crate provides that
 //! exact machinery:
 //!
-//! * [`DiskStorage`] — the raw page device: the in-memory [`MemDisk`]
-//!   (used by tests and benchmarks for determinism) or the page file
-//!   [`FileDisk`].
+//! * [`MemDisk`] and [`FileDisk`] — the raw page devices: resident pages
+//!   (used by tests and benchmarks for determinism) or a page file.
 //! * [`BufferPool`] — the LRU page cache of configurable capacity that
 //!   every access path counts in.
 //! * [`Pager`] — ties the two together and maintains [`IoStats`]: logical
@@ -17,26 +16,27 @@
 //!   writes.
 //! * [`CostModel`] — converts fault counts into the simulated I/O time the
 //!   paper reports (10 ms per fault by default).
-//! * [`PooledPager`] — the one read path of a join. Index maintenance
-//!   (bulk loads, inserts, deletes) reads and writes through the pager;
-//!   every join reader — sequential or parallel, stream, top-k, server
-//!   shard, leaf walk — reads the pages it pinned ([`Pager::page_source`])
-//!   and counts in a shared [`BufferPool`] (usually the pager's own,
-//!   [`Pager::pool`]), so all of them read through one warm cache at one
-//!   budget, without a contended lock on the bytes. The caller absorbs
-//!   the reader's counters into the pager ([`Pager::absorb`]).
-//! * One page space. A pinned reader shares the device's pages by `Arc`
-//!   and copies none: a [`PageSnapshot`] is a resident device's page
-//!   table, and a disk-native pager hands out its [`FileDisk`], which
-//!   the pool faults pages out of and a background [`Prefetcher`]
-//!   stages ahead of the readers. A write copies only what a pinned
-//!   reader still holds: a resident page, or, at
-//!   [`Pager::begin_epoch`], the page file.
-//!   [`Pager::spill_to`] moves a dataset onto a page file, after which
-//!   the pool's frames own whatever page bytes fit the budget, so
-//!   `read_faults` tracks the paper's I/O model instead of RAM size.
-//!   The file belongs to the pager that spilled it: that pager is its
-//!   only writer, and only the readers pinned on it read the file.
+//! * [`PooledPager`] — the one read path. Index maintenance (bulk loads,
+//!   inserts, deletes) reads and writes through the pager, whose reads
+//!   are those of the reader it keeps on its live device; every join
+//!   reader — sequential or parallel, stream, top-k, server shard, leaf
+//!   walk — is pinned on the pager ([`Pager::reader`]) and counts in a
+//!   shared [`BufferPool`] (usually the pager's own, [`Pager::pool`]),
+//!   so all of them read through one warm cache at one budget, without
+//!   a contended lock on the bytes. The caller absorbs the reader's
+//!   counters into the pager ([`Pager::absorb`]).
+//! * One page space. A pinned reader holds a clone of the pager's
+//!   device, which shares its pages by `Arc` and copies none: a
+//!   [`MemDisk`]'s page table, or the [`FileDisk`] page file, which the
+//!   pool faults pages out of and a background [`Prefetcher`] stages
+//!   ahead of the readers. A write copies only what a pinned reader
+//!   still holds: a resident page, or, at [`Pager::begin_epoch`], the
+//!   page file. [`Pager::spill_to`] moves a pager onto a page file,
+//!   after which the pool's frames own whatever page bytes fit the
+//!   budget, so `read_faults` tracks the paper's I/O model instead of
+//!   RAM size. The file belongs to the pager that spilled it: that
+//!   pager is its only writer, and only the readers pinned on it read
+//!   the file.
 //! * [`Wal`] — the durable write-ahead mutation log the serving
 //!   coordinator appends LOAD/mutation batches to (length-prefixed,
 //!   CRC32-checksummed, fsynced before fan-out), with segment rotation
@@ -73,7 +73,7 @@ mod disk;
 mod pager;
 mod wal;
 
-pub use buffer_pool::{BufferPool, PageSource, PoolRead, PooledPager, Prefetcher};
-pub use disk::{DiskStorage, FileDisk, MemDisk, PageId, PageSnapshot};
+pub use buffer_pool::{BufferPool, PoolRead, PooledPager, Prefetcher};
+pub use disk::{FileDisk, MemDisk, PageId};
 pub use pager::{CostModel, IoStats, Pager, SharedPager};
 pub use wal::{crc32, decode_segment, Wal, DEFAULT_SEGMENT_BYTES, MAX_RECORD_BYTES};

@@ -1,11 +1,10 @@
 //! The pager: buffer-managed page access with the paper's I/O accounting.
 
-use crate::buffer_pool::{BufferPool, PageSource, PoolRead};
-use crate::disk::{DiskStorage, FileDisk, PageId};
+use crate::buffer_pool::{BufferPool, PoolRead, PooledPager};
+use crate::disk::{Device, FileDisk, MemDisk, PageId};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// I/O statistics accumulated by a [`Pager`].
 ///
@@ -122,7 +121,7 @@ impl CostModel {
     }
 }
 
-/// Buffer-managed access to a [`DiskStorage`], with I/O accounting.
+/// Buffer-managed access to a page device, with I/O accounting.
 ///
 /// Both R-trees of a join live in **one** pager so they share the single
 /// LRU buffer, exactly as in the paper ("the default size of the memory
@@ -130,30 +129,27 @@ impl CostModel {
 ///
 /// The pager reads and writes for index maintenance: bulk loads,
 /// inserts, deletes and the trees' own searches. Joins read through
-/// [`PooledPager`](crate::PooledPager)s pinned on it
-/// ([`Pager::page_source`], [`Pager::pool`], [`Pager::epoch`]), and the
-/// caller absorbs their counters ([`Pager::absorb`]).
+/// [`PooledPager`]s pinned on it ([`Pager::reader`]), and the caller
+/// absorbs their counters ([`Pager::absorb`]).
 ///
 /// The pager and its pinned readers share one page space: the
-/// device's. A pin copies no page. A write copies only what a pinned
-/// reader still holds — a resident page ([`MemDisk`](crate::MemDisk)),
-/// or, at [`Pager::begin_epoch`], the page file. A disk-native pager's
-/// page file is its own ([`Pager::spill_to`]): the pager is its only
-/// writer, and only the readers pinned on the pager read it.
+/// device's. The pager starts on a resident [`MemDisk`], and
+/// [`Pager::spill_to`] moves it to a [`FileDisk`] page file of its own:
+/// the pager is the file's only writer, and only the readers pinned on
+/// the pager read it. A pin is a clone of the device and copies no
+/// page. A write copies only what a pinned reader still holds — a
+/// resident page, or, at [`Pager::begin_epoch`], the page file.
 pub struct Pager {
-    disk: Box<dyn DiskStorage>,
-    /// The LRU buffer. The pager's own reads and writes count in it, and
-    /// so does every [`PooledPager`](crate::PooledPager) pinned on
-    /// [`Pager::pool`] — every join reader — so every access path
-    /// replays one LRU. It stays warm across runs and is resized
-    /// and emptied in place, so handles taken earlier keep accounting
-    /// against the live budget.
-    pool: BufferPool,
-    stats: IoStats,
-    /// Dataset version counter: bumped by [`Pager::begin_epoch`] before
-    /// a mutation batch, so byte-owning frames read under the old epoch
-    /// stay isolated from pages rewritten under the new one.
-    epoch: u64,
+    /// The pager's own reader, over its live device, and so the one
+    /// home of the LRU buffer, the counters and the epoch. Readers
+    /// pinned on the pager count in the same buffer unless given
+    /// another, so every access path replays one LRU; the buffer is
+    /// resized and emptied in place, so handles taken earlier keep
+    /// accounting against the live budget. [`Pager::begin_epoch`] bumps
+    /// the epoch before a mutation batch, so byte-owning frames read
+    /// under the old epoch stay isolated from pages rewritten under the
+    /// new one.
+    own: PooledPager,
     /// Write stamps: `stamps[i]` is the `write_clock` value of the last
     /// [`Pager::write`] to page `i` (`0`, or past the end: never written
     /// through this pager). See [`Pager::page_stamp`].
@@ -163,14 +159,17 @@ pub struct Pager {
 }
 
 impl Pager {
-    /// Creates a pager over `disk` with a buffer of `buffer_pages` pages
-    /// (clamped to at least 1).
-    pub fn new<D: DiskStorage + 'static>(disk: D, buffer_pages: usize) -> Self {
+    /// Creates a pager over the empty device `disk` with a buffer of
+    /// `buffer_pages` pages (clamped to at least 1).
+    ///
+    /// # Panics
+    /// Panics if `disk` holds pages: every page of a pager is allocated
+    /// through it, so one it never wrote is a zero page
+    /// ([`Pager::write`] relies on that).
+    pub fn new(disk: MemDisk, buffer_pages: usize) -> Self {
+        assert_eq!(disk.num_pages(), 0, "a pager starts on an empty device");
         Pager {
-            disk: Box::new(disk),
-            pool: BufferPool::new(buffer_pages),
-            stats: IoStats::default(),
-            epoch: 0,
+            own: PooledPager::new(Device::Mem(disk), BufferPool::new(buffer_pages), 0),
             stamps: Vec::new(),
             write_clock: 0,
         }
@@ -183,42 +182,24 @@ impl Pager {
 
     /// Page size of the underlying device.
     pub fn page_size(&self) -> usize {
-        self.disk.page_size()
+        self.own.device.page_size()
     }
 
     /// Number of allocated pages on the device.
     pub fn num_pages(&self) -> u32 {
-        self.disk.num_pages()
+        self.own.device.num_pages()
     }
 
     /// Allocates a fresh zeroed page.
     pub fn allocate(&mut self) -> PageId {
-        self.disk.allocate()
+        self.own.device.allocate()
     }
 
-    /// Reads page `id` through the buffer and passes its bytes to `f`.
-    ///
-    /// A memory-resident device is read in place, and its page's frame
-    /// only tracks recency. Any other device's page is served from its
-    /// frame on a hit and read from the device into one on a fault.
+    /// Reads page `id` through the buffer and passes its bytes to `f`,
+    /// exactly as a reader pinned on the pager now would
+    /// ([`PooledPager::read`]).
     pub fn read<T>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> T {
-        if let Some(bytes) = self.disk.resident_page(id) {
-            self.stats
-                .count_read(PoolRead::touched(self.pool.access(id)));
-            return f(bytes);
-        }
-        let (bytes, outcome) = self.fetch(id);
-        self.stats.count_read(outcome);
-        f(&bytes)
-    }
-
-    /// The byte-owning frame of page `id` at the current epoch, read
-    /// from the device on a fault.
-    fn fetch(&mut self, id: PageId) -> (Arc<[u8]>, PoolRead) {
-        let disk = &mut self.disk;
-        self.pool.fetch(self.epoch, id, disk.page_size(), |buf| {
-            disk.read_page(id, buf)
-        })
+        self.own.read(id, f)
     }
 
     /// Updates page `id` through `f` and writes it through to the device.
@@ -226,32 +207,43 @@ impl Pager {
     /// Write-through keeps the device authoritative, so evictions never
     /// need a dirty-page flush — the join algorithms are read-only and the
     /// paper's measurements exclude index construction anyway. A page
-    /// not in the buffer is a write fault; the written bytes refresh its
-    /// frame.
+    /// not in the buffer is a write fault; on a page file the written
+    /// bytes refresh its frame. A page never written before is the zero
+    /// page it was allocated as, and is not read from the file.
     pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) {
-        self.stats.logical_writes += 1;
+        let fresh = self.page_stamp(id) == 0;
         self.write_clock += 1;
         let slot = id.0 as usize;
         if self.stamps.len() <= slot {
             self.stamps.resize(slot + 1, 0);
         }
         self.stamps[slot] = self.write_clock;
-        let resident = self.disk.resident_page(id).is_some();
-        let (mut bytes, outcome) = if resident {
-            let mut bytes = vec![0u8; self.disk.page_size()];
-            self.disk.read_page(id, &mut bytes);
-            (bytes, PoolRead::touched(self.pool.access(id)))
-        } else {
-            let (bytes, outcome) = self.fetch(id);
-            (bytes.to_vec(), outcome)
+        let own = &mut self.own;
+        own.stats.logical_writes += 1;
+        let (mut bytes, outcome) = match &own.device {
+            Device::Mem(disk) => (
+                disk.page(id).to_vec(),
+                PoolRead::touched(own.pool.access(id)),
+            ),
+            Device::File(file) => {
+                let (bytes, outcome) = own.pool.fetch(own.epoch, id, file.page_size(), |buf| {
+                    if !fresh {
+                        file.read_into(id, buf)
+                    }
+                });
+                (bytes.to_vec(), outcome)
+            }
         };
         if outcome == PoolRead::Fault {
-            self.stats.write_faults += 1;
+            own.stats.write_faults += 1;
         }
         f(&mut bytes);
-        self.disk.write_page(id, &bytes);
-        if !resident {
-            self.pool.refresh(self.epoch, id, bytes.into());
+        match &mut own.device {
+            Device::Mem(disk) => disk.write_page(id, &bytes),
+            Device::File(file) => {
+                file.write_page(id, &bytes);
+                own.pool.refresh(own.epoch, id, bytes.into());
+            }
         }
     }
 
@@ -272,21 +264,21 @@ impl Pager {
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> IoStats {
-        self.stats
+        self.own.stats
     }
 
     /// Adds externally accumulated statistics (per-worker counters from
     /// a parallel run) into this pager's totals, so `stats()` reports the
     /// same aggregate figures a sequential run would.
     pub fn absorb(&mut self, delta: IoStats) {
-        self.stats.merge(delta);
+        self.own.stats.merge(delta);
     }
 
     /// Spills every allocated page to a page file at `path` and switches
     /// this pager's device to that file — from here on the pager is
     /// **disk-native**: its own reads fault pages in from the file,
     /// write-through keeps the file authoritative, and
-    /// [`Pager::page_source`] hands readers the file itself.
+    /// [`Pager::reader`] hands readers the file itself.
     ///
     /// Spilling to the path of the pager's own file is a no-op (the
     /// write-through discipline already keeps the file current —
@@ -294,46 +286,37 @@ impl Pager {
     /// from). Spilling to a new path re-copies and re-targets.
     pub fn spill_to<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
         let path = path.as_ref();
-        if self.disk.file().is_some_and(|file| file.path() == path) {
-            return Ok(());
+        match &self.own.device {
+            Device::File(file) if file.path() == path => Ok(()),
+            _ => self.spill(path, path),
         }
-        self.spill(path, path)
     }
 
     /// Copies every page into a new page file at `path`, sized once, whose
     /// versions are named after `base`, and makes it the device.
     fn spill(&mut self, path: &Path, base: &Path) -> std::io::Result<()> {
-        let page_size = self.disk.page_size();
-        let mut file = FileDisk::sized(path, base, page_size, self.disk.num_pages())?;
+        let own = &mut self.own;
+        let page_size = own.device.page_size();
+        let mut file = FileDisk::sized(path, base, page_size, own.device.num_pages())?;
         let mut buf = vec![0u8; page_size];
         for i in 0..file.num_pages() {
             let id = PageId(i);
-            self.disk.read_page(id, &mut buf);
+            own.device.read_into(id, &mut buf);
             file.write_page(id, &buf);
         }
         // The buffer keeps its contents across the move, as a buffer of
         // the file: its frames take the bytes of the pages they hold.
-        let old = &mut self.disk;
-        self.pool
-            .own_bytes(self.epoch, page_size, |id, buf| old.read_page(id, buf));
-        self.disk = Box::new(file);
+        let old = &own.device;
+        own.pool
+            .own_bytes(own.epoch, page_size, |id, buf| old.read_into(id, buf));
+        own.device = Device::File(file);
         Ok(())
-    }
-
-    /// Current dataset epoch: `0` until the first
-    /// [`Pager::begin_epoch`], then one per mutation batch. Readers that
-    /// pin a [`page_source`](Pager::page_source) tag the byte-owning
-    /// frames they read with this value, so bytes read under different
-    /// epochs never alias.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Opens a new epoch ahead of a mutation batch: bumps the epoch
     /// counter and drops the buffer's byte-owning frames of retired
-    /// epochs, so page sources handed out *before* this call keep the
-    /// old bytes while sources taken *after* the batch see the new page
-    /// versions.
+    /// epochs, so readers pinned *before* this call keep the old bytes
+    /// while readers pinned *after* the batch see the new page versions.
     ///
     /// A resident pager needs nothing more: its writes copy the pages a
     /// pinned reader holds. A disk-native pager's writes change its file
@@ -345,67 +328,72 @@ impl Pager {
     /// no reader holding the file, the batch writes it in place.
     ///
     /// # Panics
-    /// Panics if the versioned page file cannot be written, matching
-    /// [`Pager::spill_to`]'s callers.
+    /// Panics if the versioned page file cannot be written.
     pub fn begin_epoch(&mut self) -> u64 {
-        self.epoch += 1;
-        self.pool.drop_epochs_before(self.epoch);
-        let held = self.disk.file().filter(|file| file.is_shared());
-        if let Some((prev, base)) =
-            held.map(|file| (file.path().to_path_buf(), file.base().to_path_buf()))
-        {
-            let mut next = base.clone().into_os_string();
-            next.push(format!(".e{}", self.epoch));
-            let next = PathBuf::from(next);
-            self.spill(&next, &base)
-                .unwrap_or_else(|e| panic!("versioning page file to {}: {e}", next.display()));
-            if prev != base {
-                let _ = std::fs::remove_file(prev);
+        self.own.epoch += 1;
+        let epoch = self.own.epoch;
+        self.own.pool.drop_epochs_before(epoch);
+        if let Device::File(file) = &self.own.device {
+            if file.is_shared() {
+                let (prev, base) = (file.path().to_path_buf(), file.base().to_path_buf());
+                let mut next = base.clone().into_os_string();
+                next.push(format!(".e{epoch}"));
+                let next = PathBuf::from(next);
+                self.spill(&next, &base)
+                    .unwrap_or_else(|e| panic!("versioning page file to {}: {e}", next.display()));
+                if prev != base {
+                    let _ = std::fs::remove_file(prev);
+                }
             }
         }
-        self.epoch
+        epoch
     }
 
-    /// The page source a reader pins: the pager's page file when
-    /// disk-native, else a resident [`PageSnapshot`](crate::PageSnapshot).
-    /// Either way the source shares the pager's pages, copying none.
-    /// While a pinned page file is alive, [`Pager::begin_epoch`] moves
-    /// the pager's own writes to a new file, so the pin keeps reading
-    /// the pages as they were.
-    pub fn page_source(&self) -> PageSource {
-        self.disk.pin()
+    /// A reader of the pages as they are now, at the current epoch,
+    /// counting in `pool`, or in the pager's own buffer when `None`.
+    /// The reader holds a clone of the device: the resident page table,
+    /// or the page file, shared and not copied. A resident pin keeps its
+    /// bytes whatever the pager writes later. While a pinned page file
+    /// is alive, [`Pager::begin_epoch`] moves the pager's own writes to
+    /// a new file, so the pin keeps reading the pages as they were.
+    pub fn reader(&self, pool: Option<&BufferPool>) -> PooledPager {
+        let own = &self.own;
+        PooledPager::new(
+            own.device.clone(),
+            pool.unwrap_or(&own.pool).clone(),
+            own.epoch,
+        )
     }
 
-    /// The pager's buffer, for [`PooledPager`](crate::PooledPager)s to
-    /// account through: every join reader competes with index
-    /// maintenance at the **same total budget**, in the same LRU, and
-    /// hits pages earlier runs warmed.
+    /// The pager's buffer, which every join reader competes in with
+    /// index maintenance at the **same total budget**, in the same LRU,
+    /// hitting pages earlier runs warmed.
     pub fn pool(&self) -> &BufferPool {
-        &self.pool
+        &self.own.pool
     }
 
     /// Zeroes the statistics (e.g. after index construction, before the
     /// measured join phase).
     pub fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
+        self.own.stats = IoStats::default();
     }
 
     /// Resizes the LRU buffer (Figure 15 sweeps this) **in place**, so
     /// workers holding an old pool handle account against the live,
     /// re-budgeted buffer.
     pub fn set_buffer_capacity(&mut self, pages: usize) {
-        self.pool.set_capacity(pages);
+        self.own.pool.set_capacity(pages);
     }
 
     /// Current buffer capacity in pages.
     pub fn buffer_capacity(&self) -> usize {
-        self.pool.capacity()
+        self.own.pool.capacity()
     }
 
     /// Empties the buffer in place for a cold start without touching
     /// statistics.
     pub fn clear_buffer(&mut self) {
-        self.pool.clear();
+        self.own.pool.clear();
     }
 }
 
@@ -420,77 +408,60 @@ pub type SharedPager = Rc<RefCell<Pager>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::{MemDisk, PageSnapshot};
 
     /// The page file a reader pinned now reads, if the pager is
     /// disk-native.
     fn pinned_file(p: &Pager) -> Option<FileDisk> {
-        match p.page_source() {
-            PageSource::Store(file) => Some(file),
-            PageSource::Resident(_) => None,
+        match p.reader(None).device {
+            Device::File(file) => Some(file),
+            Device::Mem(_) => None,
         }
     }
 
-    /// The resident pages a reader pinned now reads.
-    fn pinned_pages(p: &Pager) -> PageSnapshot {
-        match p.page_source() {
-            PageSource::Resident(pages) => pages,
-            PageSource::Store(_) => panic!("a disk-native pager pins its file"),
-        }
-    }
-
-    /// A device that must be read (no resident pages) and counts reads.
-    struct CountingDisk {
-        inner: MemDisk,
-        reads: Rc<std::cell::Cell<u32>>,
-    }
-
-    impl DiskStorage for CountingDisk {
-        fn page_size(&self) -> usize {
-            self.inner.page_size()
-        }
-        fn num_pages(&self) -> u32 {
-            self.inner.num_pages()
-        }
-        fn allocate(&mut self) -> PageId {
-            self.inner.allocate()
-        }
-        fn read_page(&mut self, id: PageId, buf: &mut [u8]) {
-            self.reads.set(self.reads.get() + 1);
-            self.inner.read_page(id, buf);
-        }
-        fn write_page(&mut self, id: PageId, buf: &[u8]) {
-            self.inner.write_page(id, buf);
-        }
-        fn pin(&self) -> PageSource {
-            self.inner.pin()
-        }
+    /// Overwrites page `id` of the file at `path` with `byte`, behind
+    /// the back of the pager that owns it.
+    fn tamper(path: &Path, id: PageId, byte: u8) {
+        use std::io::{Seek, SeekFrom, Write};
+        let mut file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        file.seek(SeekFrom::Start(id.0 as u64 * 128)).unwrap();
+        file.write_all(&[byte; 128]).unwrap();
     }
 
     #[test]
-    fn hits_on_a_read_device_serve_frames_without_device_reads() {
-        let reads = Rc::new(std::cell::Cell::new(0));
-        let disk = CountingDisk {
-            inner: MemDisk::new(128),
-            reads: Rc::clone(&reads),
-        };
-        let mut p = Pager::new(disk, 4);
+    fn a_fresh_page_is_written_without_a_read_and_hits_serve_frames() {
+        let dir = ringjoin_testsupport::scratch_dir("pager-fresh");
+        let path = dir.join("pages.rj");
+        let mut p = Pager::new(MemDisk::new(128), 4);
         let a = p.allocate();
-        p.write(a, |b| b[0] = 1);
-        assert_eq!(reads.get(), 1, "the first write faults the page in");
-        // The write refreshed the frame: reads hit it, with new bytes.
-        p.read(a, |b| assert_eq!(b[0], 1));
-        p.write(a, |b| b[0] = 2);
-        p.read(a, |b| assert_eq!(b[0], 2));
-        assert_eq!(reads.get(), 1, "hits never read the device");
+        p.spill_to(&path).unwrap();
+        // A page never written is the zero page: the write does not read
+        // the file, yet the access is a write fault, as the page has no
+        // frame.
+        tamper(&path, a, 7);
+        p.write(a, |b| {
+            assert!(b.iter().all(|&x| x == 0), "the write read the file");
+            b[0] = 1;
+        });
+        assert_eq!(p.stats().write_faults, 1);
+        // The write refreshed the frame: reads and writes hit it, with
+        // the written bytes, and never read the file.
+        tamper(&path, a, 9);
+        p.read(a, |b| assert_eq!(b[..2], [1, 0]));
+        p.write(a, |b| {
+            assert_eq!(b[..2], [1, 0]);
+            b[0] = 2;
+        });
+        p.read(a, |b| assert_eq!(b[..2], [2, 0]));
         assert_eq!(p.stats().read_faults, 0);
         assert_eq!(p.stats().write_faults, 1);
-        // A new epoch drops the retired epoch's frames.
+        // A new epoch drops the retired epoch's frames: the next read
+        // faults, and reads the file.
+        tamper(&path, a, 9);
         p.begin_epoch();
         assert!(p.pool().is_empty());
-        p.read(a, |b| assert_eq!(b[0], 2));
-        assert_eq!(reads.get(), 2);
+        p.read(a, |b| assert_eq!(b[0], 9));
         assert_eq!(p.stats().read_faults, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -684,10 +655,8 @@ mod tests {
         }
         assert_eq!(p.stats().read_faults, 6);
 
-        // Parallel runs get a store-backed source over the same file.
-        let PageSource::Store(store) = p.page_source() else {
-            panic!("a spilled pager hands out its page store");
-        };
+        // Readers pin the same file.
+        let store = pinned_file(&p).unwrap();
         let mut buf = vec![0u8; 128];
         store.read_into(ids[3], &mut buf);
         assert_eq!(buf[0], 4);
@@ -713,14 +682,17 @@ mod tests {
         let mut p = Pager::new(MemDisk::new(128), 4);
         let a = p.allocate();
         p.write(a, |b| b[0] = 1);
-        assert_eq!(p.epoch(), 0);
-        let old = pinned_pages(&p);
+        let mut old = p.reader(None);
         assert_eq!(p.begin_epoch(), 1);
         p.write(a, |b| b[0] = 2);
-        let new = pinned_pages(&p);
-        assert!(!old.shares_pages(&new), "epoch bump invalidates the cache");
-        assert_eq!(old.page(a)[0], 1, "pinned snapshot keeps the old bytes");
-        assert_eq!(new.page(a)[0], 2);
+        let mut new = p.reader(None);
+        assert_eq!((old.epoch, new.epoch), (0, 1));
+        assert_eq!(
+            old.read(a, |b| b[0]),
+            1,
+            "pinned snapshot keeps the old bytes"
+        );
+        assert_eq!(new.read(a, |b| b[0]), 2);
     }
 
     #[test]
@@ -769,7 +741,7 @@ mod tests {
         let a = p.allocate();
         p.spill_to(&base).unwrap();
         // A reader that has come and gone leaves nothing to version.
-        drop(p.page_source());
+        drop(p.reader(None));
         p.begin_epoch();
         p.write(a, |b| b[0] = 5);
         assert_eq!(pinned_file(&p).unwrap().path(), base.as_path());

@@ -4,7 +4,7 @@
 //! on the pager's pages must keep reading them as they were.
 
 use proptest::prelude::*;
-use ringjoin_storage::{DiskStorage, FileDisk, MemDisk, PageId, PageSource, Pager, PooledPager};
+use ringjoin_storage::{FileDisk, MemDisk, PageId, Pager, PooledPager};
 use std::path::Path;
 
 #[derive(Clone, Debug)]
@@ -58,42 +58,58 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The pager is transparent: contents equal a reference model for
-    /// any op sequence and any (tiny) buffer capacity.
+    /// any op sequence and any (tiny) buffer capacity, resident and with
+    /// the pager spilled to a page file at a random step. Every write
+    /// hands its closure the model's bytes, a fresh page's zeroes
+    /// included.
     #[test]
-    fn pager_is_transparent(ops in proptest::collection::vec(op(), 1..120), cap in 1usize..5) {
+    fn pager_is_transparent(
+        ops in proptest::collection::vec(op(), 1..120),
+        cap in 1usize..5,
+        spill_at in any::<u8>(),
+    ) {
         const PS: usize = 128;
-        let mut pager = Pager::new(MemDisk::new(PS), cap);
-        let mut model: Vec<[u8; PS]> = Vec::new();
-        let first = pager.allocate();
-        prop_assert_eq!(first, PageId(0));
-        model.push([0u8; PS]);
+        for spill_at in [None, Some(spill_at as usize % ops.len())] {
+            let dir = ringjoin_testsupport::scratch_dir("storage-transparent");
+            let mut pager = Pager::new(MemDisk::new(PS), cap);
+            let mut model: Vec<[u8; PS]> = Vec::new();
+            let first = pager.allocate();
+            prop_assert_eq!(first, PageId(0));
+            model.push([0u8; PS]);
 
-        for o in ops {
-            match o {
-                Op::Allocate => {
-                    pager.allocate();
-                    model.push([0u8; PS]);
+            for (step, o) in ops.iter().enumerate() {
+                if spill_at == Some(step) {
+                    pager.spill_to(dir.join("pages.rjp")).unwrap();
                 }
-                Op::Write(p, off, b) => {
-                    let idx = p as usize % model.len();
-                    let off = off as usize % PS;
-                    pager.write(PageId(idx as u32), |bytes| bytes[off] = b);
-                    model[idx][off] = b;
-                }
-                Op::Read(p) => {
-                    let idx = p as usize % model.len();
-                    let expect = model[idx];
-                    pager.read(PageId(idx as u32), |bytes| {
-                        assert_eq!(bytes, &expect[..], "page {idx} diverged");
-                    });
+                match *o {
+                    Op::Allocate => {
+                        pager.allocate();
+                        model.push([0u8; PS]);
+                    }
+                    Op::Write(p, off, b) => {
+                        let idx = p as usize % model.len();
+                        let off = off as usize % PS;
+                        let mut seen = Vec::new();
+                        pager.write(PageId(idx as u32), |bytes| {
+                            seen = bytes.to_vec();
+                            bytes[off] = b;
+                        });
+                        prop_assert_eq!(&seen[..], &model[idx][..], "write to page {} saw other bytes", idx);
+                        model[idx][off] = b;
+                    }
+                    Op::Read(p) => {
+                        let idx = p as usize % model.len();
+                        let same = pager.read(PageId(idx as u32), |bytes| bytes == &model[idx][..]);
+                        prop_assert!(same, "page {} diverged", idx);
+                    }
                 }
             }
-        }
-        // Every page equals the model at the end.
-        for (i, expect) in model.iter().enumerate() {
-            pager.read(PageId(i as u32), |bytes| {
-                assert_eq!(bytes, &expect[..]);
-            });
+            // Every page equals the model at the end.
+            for (i, expect) in model.iter().enumerate() {
+                let same = pager.read(PageId(i as u32), |bytes| bytes == &expect[..]);
+                prop_assert!(same, "page {} diverged at the end", i);
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
@@ -141,24 +157,16 @@ proptest! {
                 }
                 Op::Write(p, off, b) => {
                     let idx = PageId((*p as usize % n) as u32);
-                    let mut buf = vec![0u8; PS];
-                    mem.read_page(idx, &mut buf);
+                    let mut buf = mem.page(idx).to_vec();
                     buf[*off as usize % PS] = *b;
                     mem.write_page(idx, &buf);
                     file.write_page(idx, &buf);
                 }
                 Op::Read(p) => {
                     let idx = PageId((*p as usize % n) as u32);
-                    let mut a = vec![0u8; PS];
                     let mut b = vec![0u8; PS];
-                    let mut c = vec![0u8; PS];
-                    mem.read_page(idx, &mut a);
-                    file.read_page(idx, &mut b);
-                    // The reader side of the same handle: what a pinned
-                    // reader of the file reads.
-                    file.read_into(idx, &mut c);
-                    prop_assert_eq!(&a, &b);
-                    prop_assert_eq!(&a, &c);
+                    file.read_into(idx, &mut b);
+                    prop_assert_eq!(mem.page(idx), &b[..]);
                 }
             }
         }
@@ -187,17 +195,18 @@ proptest! {
             if spilled {
                 pager.spill_to(dir.join("pages.rjp")).unwrap();
             }
-            let mut pinned: Vec<(PageSource, u64, Vec<[u8; PS]>)> = Vec::new();
+            let mut pinned: Vec<(PooledPager, u64, Vec<[u8; PS]>)> = Vec::new();
+            let mut epoch = 0;
             for (views, ops) in &batches {
                 match views {
-                    Views::Pin => pinned.push((pager.page_source(), pager.epoch(), model.clone())),
+                    Views::Pin => pinned.push((pager.reader(None), epoch, model.clone())),
                     Views::Drop(i) if !pinned.is_empty() => {
                         pinned.remove(*i as usize % pinned.len());
                     }
                     _ => {}
                 }
                 let files = files_in(&dir);
-                pager.begin_epoch();
+                epoch = pager.begin_epoch();
                 for o in ops {
                     match o {
                         Op::Allocate => {
@@ -225,8 +234,7 @@ proptest! {
                         spilled
                     );
                 }
-                for (source, epoch, pages) in &pinned {
-                    let mut reader = PooledPager::new(source.clone(), pager.pool().clone(), *epoch);
+                for (reader, epoch, pages) in &mut pinned {
                     for (i, expect) in pages.iter().enumerate() {
                         let same = reader.read(PageId(i as u32), |bytes| bytes == &expect[..]);
                         prop_assert!(

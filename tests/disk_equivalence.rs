@@ -73,15 +73,10 @@ fn any_pts(max: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
 fn build_pair(p: &[Item], q: &[Item], kind: IndexKind, on_disk: Option<PathBuf>) -> Engine {
     let mut engine = Engine::new();
     engine.load("p", p.to_vec()).index(kind);
-    let load = engine.load("q", q.to_vec());
-    match on_disk {
-        Some(path) => {
-            load.on_disk(path).index(kind);
-            engine.set_buffer_pages(8);
-        }
-        None => {
-            load.index(kind);
-        }
+    engine.load("q", q.to_vec()).index(kind);
+    if let Some(path) = on_disk {
+        engine.pager().borrow_mut().spill_to(path).unwrap();
+        engine.set_buffer_pages(8);
     }
     engine
 }
@@ -89,15 +84,10 @@ fn build_pair(p: &[Item], q: &[Item], kind: IndexKind, on_disk: Option<PathBuf>)
 /// Builds a one-dataset engine the same way for self-joins.
 fn build_self(items: &[Item], kind: IndexKind, on_disk: Option<PathBuf>) -> Engine {
     let mut engine = Engine::new();
-    let load = engine.load("input", items.to_vec());
-    match on_disk {
-        Some(path) => {
-            load.on_disk(path).index(kind);
-            engine.set_buffer_pages(8);
-        }
-        None => {
-            load.index(kind);
-        }
+    engine.load("input", items.to_vec()).index(kind);
+    if let Some(path) = on_disk {
+        engine.pager().borrow_mut().spill_to(path).unwrap();
+        engine.set_buffer_pages(8);
     }
     engine
 }
@@ -246,10 +236,11 @@ fn out_of_core_budget_faults_without_breaking_the_accounting() {
         let mut engine = Engine::new();
         let pages = engine
             .load("input", items.clone())
-            .on_disk(dir.join(format!("ooc-{}.rjp", kind.name())))
             .index(kind)
             .summary()
             .pages as usize;
+        let path = dir.join(format!("ooc-{}.rjp", kind.name()));
+        engine.pager().borrow_mut().spill_to(path).unwrap();
         // A quarter of the dataset's pages: the pool cannot go fully
         // warm, so the join must keep faulting pages in from the file.
         engine.set_buffer_pages((pages / 4).max(1));

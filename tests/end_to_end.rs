@@ -2,8 +2,8 @@
 //! R*-tree → RCJ) wired together through the public facade.
 
 use ringjoin::{
-    bulk_load, gnis_like, pair_keys, rcj_brute, rcj_join, uniform, FileDisk, GnisDataset, Item,
-    MemDisk, Pager, RcjAlgorithm, RcjOptions,
+    bulk_load, gnis_like, pair_keys, rcj_brute, rcj_join, uniform, GnisDataset, Item, MemDisk,
+    Pager, RcjAlgorithm, RcjOptions,
 };
 
 fn paper_workload(n: usize) -> (ringjoin::SharedPager, ringjoin::RTree, ringjoin::RTree) {
@@ -62,8 +62,9 @@ fn file_backed_disk_matches_memory_disk() {
     };
 
     let file_keys = {
-        let disk = FileDisk::create(&path, 1024).unwrap();
-        let pager = Pager::new(disk, 64).into_shared();
+        let mut pager = Pager::new(MemDisk::new(1024), 64);
+        pager.spill_to(&path).unwrap();
+        let pager = pager.into_shared();
         let tp = bulk_load(pager.clone(), p_items);
         let tq = bulk_load(pager.clone(), q_items);
         pair_keys(&rcj_join(&tq, &tp, &RcjOptions::default()).pairs)

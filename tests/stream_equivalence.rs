@@ -146,12 +146,10 @@ fn sequential_collect_and_stream_count_the_same_io() {
         for on_disk in [false, true] {
             let mut engine = Engine::new();
             engine.load("p", uniform(3000, 1)).index(kind);
-            let load = engine.load("q", uniform(3000, 2));
+            engine.load("q", uniform(3000, 2)).index(kind);
             if on_disk {
-                load.on_disk(dir.join(format!("{}.rjp", kind.name())))
-                    .index(kind);
-            } else {
-                load.index(kind);
+                let path = dir.join(format!("{}.rjp", kind.name()));
+                engine.pager().borrow_mut().spill_to(path).unwrap();
             }
             let pages = engine.pager().borrow().num_pages() as usize;
             let leaves = engine.leaf_regions("q").unwrap().len();
