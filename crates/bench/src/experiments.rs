@@ -1242,7 +1242,7 @@ pub fn serving(cfg: &ExpConfig) -> String {
     // encode, socket hop, leaf-tagged decode, global merge) at every
     // shard count. Byte identity against the phase-one baseline is
     // asserted per mode; full health is recorded as provenance.
-    use ringjoin_server::{ShardWorkerServer, ShardedEngine, TopologyConfig, WorkerSpec};
+    use ringjoin_server::{ShardedEngine, TopologyConfig, WorkerSpec};
     const REMOTE_KIND: &str = "in-process-tcp-workers";
     let mut dt = Table::new(&[
         "mode",
@@ -1259,7 +1259,7 @@ pub fn serving(cfg: &ExpConfig) -> String {
             let workers = match mode {
                 "local-threads" => WorkerSpec::Local,
                 _ => WorkerSpec::Provision(std::sync::Arc::new(|_cell, _rep| {
-                    let server = ShardWorkerServer::bind("127.0.0.1:0", None, 0, None)
+                    let server = Server::bind_worker("127.0.0.1:0", None, 0, None)
                         .map_err(|e| e.to_string())?;
                     let addr = server.local_addr().to_string();
                     std::thread::spawn(move || {

@@ -598,7 +598,7 @@ fn cmd_serve_worker(args: &Args, spec: &str) -> Result<Option<String>, ArgError>
         Some(a) => a.to_string(),
         None => format!("127.0.0.1:{}", args.opt_parse::<u16>("port", 4815)?),
     };
-    let server = ringjoin_server::ShardWorkerServer::bind(&addr, accepts, buffer_pages, page_file)
+    let server = ringjoin_server::Server::bind_worker(&addr, accepts, buffer_pages, page_file)
         .map_err(server_err)?;
     write_addr_file(args, server.local_addr())?;
     eprintln!(

@@ -22,6 +22,18 @@ use std::time::Duration;
 /// servers, not slow ones.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long a retry loop waits after its attempt number `attempt`
+/// (counting from 1) failed: `base` doubling with each attempt, up to
+/// 64 × `base`, plus a deterministic jitter under 23 ms drawn from
+/// `salt` and `attempt` (no RNG dependency), so concurrent retriers do
+/// not return in lockstep. The client's reconnects (and so a remote
+/// shard's resends) and the topology supervisor's respawns all wait
+/// this long.
+pub(crate) fn backoff(base: Duration, attempt: u32, salt: u64) -> Duration {
+    let jitter = salt.wrapping_mul(31).wrapping_add(u64::from(attempt) * 17) % 23;
+    base * (1 << (attempt.clamp(1, 7) - 1)) + Duration::from_millis(jitter)
+}
+
 /// A blocking wire-protocol client. Every typed method sends one
 /// request frame and waits for the matching response; `ERR` responses
 /// surface as [`ServerError::Remote`] (overload as
@@ -100,9 +112,14 @@ impl Client {
     /// the request id stamped on it. Pair with [`Client::recv`]:
     /// several sends back to back pipeline on the connection.
     pub fn send(&mut self, req: &Request) -> Result<u64, ServerError> {
+        self.send_payload(&req.encode())
+    }
+
+    /// [`Client::send`] of an encoded request of either grammar.
+    fn send_payload(&mut self, payload: &str) -> Result<u64, ServerError> {
         let id = self.next_id;
         self.next_id += 1;
-        let payload = crate::proto::encode_request_id(id, &req.encode());
+        let payload = crate::proto::encode_request_id(id, payload);
         write_frame(&mut self.stream, payload.as_bytes())
             .map_err(|e| io_error("send failed", e))?;
         Ok(id)
@@ -123,8 +140,8 @@ impl Client {
     /// the peer already closed the connection, drains one pending reply
     /// first: a server that sheds a session writes its `ERR busy` frame
     /// *before* closing, and that verdict beats a raw broken pipe.
-    fn send_or_pending_err(&mut self, req: &Request) -> Result<u64, ServerError> {
-        match self.send(req) {
+    fn send_or_pending_err(&mut self, payload: &str) -> Result<u64, ServerError> {
+        match self.send_payload(payload) {
             Ok(id) => Ok(id),
             Err(send_err) => {
                 if let Ok((_, Err(server_err))) = self.recv() {
@@ -138,7 +155,12 @@ impl Client {
     /// Sends one request and parses the response, checking that the
     /// echoed id matches.
     pub fn request(&mut self, req: &Request) -> Result<Reply, ServerError> {
-        let id = self.send_or_pending_err(req)?;
+        self.round_trip(&req.encode())
+    }
+
+    /// [`Client::request`] of an encoded request of either grammar.
+    fn round_trip(&mut self, payload: &str) -> Result<Reply, ServerError> {
+        let id = self.send_or_pending_err(payload)?;
         let (reply_id, outcome) = self.recv()?;
         let reply = outcome?;
         if reply_id != Some(id) {
@@ -160,24 +182,36 @@ impl Client {
     /// to the peer address first, sleeping an exponentially growing
     /// backoff (25 ms doubling to a 1.6 s cap) so a client spanning a
     /// coordinator restart window rides it out instead of hanging or
-    /// failing fast. Each sleep adds a small deterministic jitter
-    /// (derived from the request id and attempt number — no RNG
-    /// dependency) so a herd of displaced clients does not return in
-    /// lockstep. Every other error, including `Timeout` and server-side
-    /// `ERR` verdicts, passes through untouched.
+    /// failing fast. Each sleep adds the backoff's jitter (derived from
+    /// the request id and attempt number) so a herd of displaced
+    /// clients does not return in lockstep. Every other error,
+    /// including `Timeout` and server-side `ERR` verdicts, passes
+    /// through untouched.
     pub fn request_with_retry(
         &mut self,
         req: &Request,
         max_attempts: u32,
     ) -> Result<Reply, ServerError> {
+        self.request_payload(&req.encode(), max_attempts)
+    }
+
+    /// [`Client::request_with_retry`] of an encoded request of either
+    /// grammar: a coordinator's remote shards send their shard requests
+    /// through this loop.
+    pub(crate) fn request_payload(
+        &mut self,
+        payload: &str,
+        max_attempts: u32,
+    ) -> Result<Reply, ServerError> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let before = self.next_id;
-            let jitter = (before.wrapping_mul(31).wrapping_add(attempt as u64 * 17)) % 23;
-            match self.request(req) {
+            let salt = self.next_id;
+            match self.round_trip(payload) {
                 Err(ServerError::Busy { retry_after_ms }) if attempt < max_attempts => {
-                    std::thread::sleep(Duration::from_millis(retry_after_ms + jitter));
+                    // The server's hint, plus the jitter alone.
+                    let hint = Duration::from_millis(retry_after_ms);
+                    std::thread::sleep(hint + backoff(Duration::ZERO, attempt, salt));
                 }
                 // The connection died: session-limit shed, coordinator
                 // crash, or restart window. Back off, then revive the
@@ -185,8 +219,7 @@ impl Client {
                 // yet the next attempt fails fast on the dead socket
                 // and lands here again, charging the budget each time.
                 Err(ServerError::Io(_)) if attempt < max_attempts => {
-                    let backoff = (25u64 << (attempt.min(7) - 1)).min(1600);
-                    std::thread::sleep(Duration::from_millis(backoff + jitter));
+                    std::thread::sleep(backoff(Duration::from_millis(25), attempt, salt));
                     let _ = self.reconnect();
                 }
                 outcome => return outcome,
@@ -198,15 +231,8 @@ impl Client {
     /// preserving the socket deadlines (and the id counter — reply
     /// matching keeps working across the swap).
     fn reconnect(&mut self) -> Result<(), ServerError> {
-        let fresh = TcpStream::connect(self.peer)
-            .map_err(|e| ServerError::Io(format!("cannot reconnect: {e}")))?;
-        fresh.set_nodelay(true).ok();
         let timeout = self.stream.read_timeout().ok().flatten();
-        fresh
-            .set_read_timeout(timeout)
-            .and_then(|()| fresh.set_write_timeout(timeout))
-            .map_err(|e| ServerError::Io(format!("cannot set socket timeout: {e}")))?;
-        self.stream = fresh;
+        self.stream = Client::connect_with_timeout(self.peer, timeout)?.stream;
         Ok(())
     }
 
@@ -218,7 +244,7 @@ impl Client {
     pub fn pipeline(&mut self, reqs: &[Request]) -> Result<Vec<Reply>, ServerError> {
         let mut ids = Vec::with_capacity(reqs.len());
         for req in reqs {
-            ids.push(self.send_or_pending_err(req)?);
+            ids.push(self.send_or_pending_err(&req.encode())?);
         }
         let mut replies = Vec::with_capacity(reqs.len());
         let mut first_err = None;

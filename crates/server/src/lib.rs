@@ -24,10 +24,13 @@
 //!   so clients can pipeline, and the shard message
 //!   ([`proto::ShardRequest`] / [`proto::ShardReply`]) every shard
 //!   worker — thread or process — answers.
-//! * [`Server`] / [`Client`] — the blocking TCP endpoints. The server
-//!   accepts up to `max_sessions` concurrent sessions (one thread
-//!   each) over one shared engine, with a bounded admission queue in
-//!   front of the shard workers: overload is shed as `ERR busy` +
+//! * [`Server`] / [`Client`] — the blocking TCP endpoints, and the only
+//!   ones: one session loop serves a coordinator and a shard worker
+//!   process alike ([`Server::bind_worker`], `serve --shard-of`), and
+//!   the coordinator reaches its worker processes through the client.
+//!   A coordinator accepts up to `max_sessions` concurrent sessions (one
+//!   thread each) over one shared engine, with a bounded admission queue
+//!   in front of the shard workers: overload is shed as `ERR busy` +
 //!   retry hint ([`ServerError::Busy`] client-side), never buffered
 //!   without bound. Results stay byte-identical to a single in-process
 //!   engine no matter how many sessions are interleaving.
@@ -69,9 +72,8 @@ mod topology;
 
 pub use client::{Client, RemoteOutput, DEFAULT_TIMEOUT};
 pub use partition::SpacePartition;
-pub use remote::{ShardWorkerServer, WorkerHandle};
 pub use ringjoin_core::{Mutation, RingBounds};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, ServerHandle};
 pub use sharded::{
     DatasetInfo, ShardedEngine, ShardedOutput, TopologyConfig, UpdateInfo, WorkerSpec,
 };

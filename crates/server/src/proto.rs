@@ -34,7 +34,12 @@
 //! [`ShardRequest`] and answered as [`ShardReply`]. These two types are
 //! the *only* shard message: in-process worker threads receive the same
 //! `ShardRequest` values over a channel, so a worker process is just the
-//! thread worker behind this codec.
+//! thread worker behind this codec. It is served by the coordinator's
+//! own session loop, so it too echoes a request's `#<id>` token and
+//! answers a reply too large for one frame with `ERR`. The coordinator
+//! reaches it through a [`Client`](crate::Client), whose ids it checks;
+//! a request that hits the client's socket deadline fails over to a
+//! sibling replica at once.
 //!
 //! | request | body | response |
 //! |---|---|---|
@@ -783,15 +788,6 @@ fn item_row(row: &Row<'_, 3>) -> Result<Item, ServerError> {
     item(id, x, y)
 }
 
-/// Parses one `id x y` item row.
-#[cfg(test)]
-pub(crate) fn parse_item_row(line: &str) -> Result<Item, ServerError> {
-    match Rows::line(line).next_row() {
-        Some(row) => item_row(&row),
-        None => Err(item_row_error(line)),
-    }
-}
-
 /// One `DELETE` row: an item id alone.
 fn id_row(row: &Row<'_, 1>) -> Result<u64, ServerError> {
     let id = if row.count() == 1 {
@@ -1293,17 +1289,20 @@ fn required<'r>(reply: &'r Reply, key: &str) -> Result<&'r str, ServerError> {
 }
 
 impl ShardReply {
-    /// Encodes the reply as an `OK` frame payload.
-    pub fn encode(&self) -> String {
+    /// Encodes the reply as an `OK` frame payload, echoing the request
+    /// id (if any) as [`Reply::encode_ok`] does.
+    pub fn encode(&self, id: Option<u64>) -> String {
         match self {
-            ShardReply::Hello { accepts } => Reply::encode(
+            ShardReply::Hello { accepts } => Reply::encode_ok(
+                id,
                 &[
                     ("role", "shard".to_string()),
                     ("accepts", accepts.map_or_else(|| "any".into(), encode_rect)),
                 ],
                 "",
             ),
-            ShardReply::Indexed(own) => Reply::encode(
+            ShardReply::Indexed(own) => Reply::encode_ok(
+                id,
                 &[
                     ("leaves", own.leaves.to_string()),
                     ("extent", encode_rect(own.extent)),
@@ -1313,22 +1312,27 @@ impl ShardReply {
             ShardReply::Joined { pairs, stats } => {
                 let mut fields = vec![("pairs", pairs.len().to_string())];
                 fields.extend(encode_stats_fields(stats));
-                Reply::encode(&fields, &encode_tagged_pairs(pairs))
+                Reply::encode_ok(id, &fields, &encode_tagged_pairs(pairs))
             }
             ShardReply::Ranked { pairs, stats } => {
                 let mut fields = vec![("pairs", pairs.len().to_string())];
                 fields.extend(encode_stats_fields(stats));
-                Reply::encode(&fields, &encode_pairs(pairs))
+                Reply::encode_ok(id, &fields, &encode_pairs(pairs))
             }
-            ShardReply::Plan(text) => Reply::encode(&[], text),
-            ShardReply::Bye => Reply::encode(&[("bye", "1".to_string())], ""),
+            ShardReply::Plan(text) => Reply::encode_ok(id, &[], text),
+            ShardReply::Bye => Reply::encode_ok(id, &[("bye", "1".to_string())], ""),
         }
     }
 
     /// Parses a worker's answer to `req`. An `ERR` payload is an error,
     /// and so is a `HELLO` answered by anything but a shard worker.
     pub fn parse(req: &ShardRequest, payload: &str) -> Result<ShardReply, ServerError> {
-        let reply = Reply::parse(payload)?;
+        Self::from_reply(req, Reply::parse(payload)?)
+    }
+
+    /// [`ShardReply::parse`] of an `OK` reply already split into its
+    /// fields and body.
+    pub(crate) fn from_reply(req: &ShardRequest, reply: Reply) -> Result<ShardReply, ServerError> {
         Ok(match req {
             ShardRequest::Hello => {
                 let role = reply.field("role");
@@ -1377,11 +1381,6 @@ pub struct Reply {
 }
 
 impl Reply {
-    /// Builds an `OK` payload from fields and a body.
-    pub fn encode(fields: &[(&str, String)], body: &str) -> String {
-        Self::encode_ok(None, fields, body)
-    }
-
     /// Builds an `OK` payload, echoing the request id (if any) as the
     /// first status-line field.
     pub fn encode_ok(id: Option<u64>, fields: &[(&str, String)], body: &str) -> String {
@@ -1395,11 +1394,6 @@ impl Reply {
         out.push('\n');
         out.push_str(body);
         out
-    }
-
-    /// Builds an `ERR` payload.
-    pub fn encode_err(message: &str) -> String {
-        Self::encode_err_id(None, message)
     }
 
     /// Builds an `ERR` payload, echoing the request id (if any) right
@@ -1506,6 +1500,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Parses one `id x y` item row.
+    fn parse_item_row(line: &str) -> Result<Item, ServerError> {
+        match Rows::line(line).next_row() {
+            Some(row) => item_row(&row),
+            None => Err(item_row_error(line)),
+        }
+    }
+
     #[test]
     fn frames_round_trip_and_reject_oversize() {
         let mut buf: Vec<u8> = Vec::new();
@@ -1587,7 +1589,7 @@ mod tests {
         assert_eq!(id, Some(5));
         assert!(matches!(err, Err(ServerError::Busy { retry_after_ms: 75 })));
         // Version tolerance: id-less replies keep parsing.
-        let (id, reply) = Reply::parse_with_id(&Reply::encode(&[("x", "1".into())], ""));
+        let (id, reply) = Reply::parse_with_id(&Reply::encode_ok(None, &[("x", "1".into())], ""));
         assert_eq!(id, None);
         assert!(reply.unwrap().id.is_none());
     }
@@ -1617,14 +1619,18 @@ mod tests {
 
     #[test]
     fn replies_parse_fields_and_errors() {
-        let payload = Reply::encode(&[("pairs", "3".into()), ("shards", "2".into())], "a b\n");
+        let payload = Reply::encode_ok(
+            None,
+            &[("pairs", "3".into()), ("shards", "2".into())],
+            "a b\n",
+        );
         let reply = Reply::parse(&payload).unwrap();
         assert_eq!(reply.field("pairs"), Some("3"));
         assert_eq!(reply.field("shards"), Some("2"));
         assert_eq!(reply.field("missing"), None);
         assert_eq!(reply.body, "a b\n");
 
-        let err = Reply::parse(&Reply::encode_err("it\nbroke")).unwrap_err();
+        let err = Reply::parse(&Reply::encode_err_id(None, "it\nbroke")).unwrap_err();
         match err {
             ServerError::Remote(msg) => assert_eq!(msg, "it broke"),
             other => panic!("expected Remote, got {other:?}"),
@@ -1905,10 +1911,11 @@ mod tests {
             verify_node_visits: 9,
         };
         let fields: Vec<(&str, String)> = encode_stats_fields(&stats).into_iter().collect();
-        let reply = Reply::parse(&Reply::encode(&fields, "")).unwrap();
+        let reply = Reply::parse(&Reply::encode_ok(None, &fields, "")).unwrap();
         assert_eq!(stats_from_reply(&reply), stats);
         // Absent fields default to zero rather than failing the reply.
-        let bare = Reply::parse(&Reply::encode(&[("candidates", "4".into())], "")).unwrap();
+        let bare =
+            Reply::parse(&Reply::encode_ok(None, &[("candidates", "4".into())], "")).unwrap();
         assert_eq!(stats_from_reply(&bare).candidate_pairs, 4);
         assert_eq!(stats_from_reply(&bare).result_pairs, 0);
     }

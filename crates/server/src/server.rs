@@ -1,6 +1,10 @@
 //! The process-lifetime half of serving: a TCP listener translating
-//! wire-protocol frames into [`ShardedEngine`] calls, one session
-//! thread per connection.
+//! wire-protocol frames into engine calls, one session thread per
+//! connection. One loop serves both roles: a coordinator answers the
+//! client grammar from a [`ShardedEngine`], and a shard worker
+//! (`serve --shard-of`, [`Server::bind_worker`]) answers the shard
+//! grammar through its worker thread, with the same request-id echo,
+//! reply bound, idle tick and shutdown order.
 //!
 //! # Concurrency model
 //!
@@ -26,14 +30,18 @@
 use crate::admission::Admission;
 use crate::proto::{
     bounded_reply, encode_pairs, encode_stats_fields, read_frame_idle, split_request_id,
-    write_frame, FrameRead, Reply, Request, MAX_FRAME,
+    write_frame, FrameRead, Reply, Request, ShardRequest, MAX_FRAME,
 };
-use crate::sharded::{ShardedEngine, ShardedOutput, UpdateInfo};
+use crate::sharded::{LocalShard, ShardedEngine, ShardedOutput, UpdateInfo};
+use crate::topology::ShardBackend;
 use crate::ServerError;
 use ringjoin_core::Mutation;
+use ringjoin_geom::Rect;
+use ringjoin_storage::BufferPool;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How long a session blocks in `read` before checking the shutdown
@@ -102,17 +110,28 @@ impl Default for ServerConfig {
 }
 
 /// A bound, ready-to-serve RCJ server: the TCP listener plus the
-/// sharded engine behind it. Construct with [`Server::bind`], run with
+/// sharded engine behind it, or a shard worker's thread. Construct with
+/// [`Server::bind`] or [`Server::bind_worker`], run with
 /// [`Server::serve`] (blocking until a `SHUTDOWN` request).
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
 }
 
+/// What a server answers, and from what.
+enum Role {
+    /// The client grammar, from a sharded engine behind the admission
+    /// gate.
+    Coordinator(ShardedEngine, Admission),
+    /// The shard grammar, through one engine-owning worker thread (the
+    /// backend of an in-process shard), which answers one request at a
+    /// time.
+    Worker(Mutex<LocalShard>),
+}
+
 /// Everything the session threads share.
 struct Shared {
-    engine: ShardedEngine,
-    admission: Admission,
+    role: Role,
     max_sessions: usize,
     /// Live session count (incremented at accept, decremented when the
     /// session thread finishes).
@@ -125,6 +144,9 @@ struct Shared {
     /// Connections turned away at the session limit.
     rejected_sessions: AtomicU64,
     shutdown: AtomicBool,
+    /// Set by [`ServerHandle::kill`]: sessions drop their sockets
+    /// without writing another byte.
+    killed: AtomicBool,
     addr: SocketAddr,
 }
 
@@ -187,23 +209,52 @@ impl Server {
             data_dir: config.data_dir.clone(),
             ..crate::sharded::TopologyConfig::default()
         })?;
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| ServerError::Io(format!("cannot bind {}: {e}", config.addr)))?;
+        let admission = Admission::new(config.shards, config.queue_depth);
+        let role = Role::Coordinator(engine, admission);
+        Self::listen(&config.addr, role, config.max_sessions)
+    }
+
+    /// Binds a shard worker, what `serve --shard-of` runs: one
+    /// engine-owning worker thread (identical to an in-process shard)
+    /// answering the shard grammar, with no session limit. `accepts`
+    /// restricts which partition cells it will `SLOAD` (`None` = any);
+    /// `buffer_pages` bounds its private buffer pool (`0` = effectively
+    /// unbounded); every `SLOAD` spills to `page_file`, when set, which
+    /// this worker alone reads and writes.
+    pub fn bind_worker(
+        addr: &str,
+        accepts: Option<Rect>,
+        buffer_pages: usize,
+        page_file: Option<PathBuf>,
+    ) -> Result<Server, ServerError> {
+        let pool = BufferPool::new(if buffer_pages == 0 {
+            usize::MAX / 2
+        } else {
+            buffer_pages
+        });
+        let worker = LocalShard::spawn(pool, accepts, page_file);
+        Self::listen(addr, Role::Worker(Mutex::new(worker)), usize::MAX)
+    }
+
+    /// Binds the listener in front of `role`.
+    fn listen(addr: &str, role: Role, max_sessions: usize) -> Result<Server, ServerError> {
+        let listener = TcpListener::bind(addr)
+            .map_err(|e| ServerError::Io(format!("cannot bind {addr}: {e}")))?;
         let addr = listener
             .local_addr()
             .map_err(|e| ServerError::Io(format!("bound listener has no address: {e}")))?;
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
-                engine,
-                admission: Admission::new(config.shards, config.queue_depth),
-                max_sessions: config.max_sessions,
+                role,
+                max_sessions,
                 sessions: AtomicUsize::new(0),
                 sessions_total: AtomicU64::new(0),
                 requests_ok: AtomicU64::new(0),
                 requests_err: AtomicU64::new(0),
                 rejected_sessions: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
+                killed: AtomicBool::new(false),
                 addr,
             }),
         })
@@ -214,14 +265,23 @@ impl Server {
         self.shared.addr
     }
 
-    /// Serves connections until a `SHUTDOWN` request: each accepted
-    /// connection gets a session thread, up to the session limit —
-    /// beyond it, connections receive `ERR busy` and are closed. On
-    /// shutdown the listener stops accepting, live sessions are joined
-    /// (they observe the flag within one idle tick), and the shard
-    /// workers drain. A per-connection I/O error drops that connection
-    /// and the loop continues; only a failing `accept` (the listener
-    /// itself is broken) is fatal.
+    /// A control handle usable from other threads: the fault-injection
+    /// hook of in-process wire tests.
+    pub fn handle(&self) -> ServerHandle {
+        ServerHandle {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+
+    /// Serves connections until a `SHUTDOWN` request (or
+    /// [`ServerHandle::kill`]): each accepted connection gets a session
+    /// thread, up to the session limit — beyond it, connections receive
+    /// `ERR busy` and are closed. On shutdown the listener stops
+    /// accepting, live sessions are joined (they observe the flag
+    /// within one idle tick), and the shard workers drain. A
+    /// per-connection I/O error drops that connection and the loop
+    /// continues; only a failing `accept` (the listener itself is
+    /// broken) is fatal.
     pub fn serve(self) -> std::io::Result<()> {
         let Server { listener, shared } = self;
         let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -255,7 +315,29 @@ impl Server {
         for handle in sessions {
             let _ = handle.join();
         }
+        // A handle may outlive the loop; the worker thread does not.
+        if let Role::Worker(worker) = &shared.role {
+            worker.lock().expect("worker lock poisoned").shutdown();
+        }
         Ok(())
+    }
+}
+
+/// A clonable control handle onto a running [`Server`] — the
+/// fault-injection hook of in-process wire tests.
+#[derive(Clone)]
+pub struct ServerHandle {
+    shared: Arc<Shared>,
+}
+
+impl ServerHandle {
+    /// Simulates a SIGKILL: the server stops replying, drops every
+    /// session socket without a farewell frame, and stops accepting.
+    /// A peer observes exactly what a killed process looks like — a
+    /// dead transport mid-request.
+    pub fn kill(&self) {
+        self.shared.killed.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
     }
 }
 
@@ -274,6 +356,11 @@ fn serve_session(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
             FrameRead::Frame(payload) => payload,
         };
         let handled = handle_payload(&payload, shared);
+        // A killed server never writes another byte, not even the
+        // answer it was computing when the kill came.
+        if shared.killed.load(Ordering::SeqCst) {
+            return Ok(());
+        }
         let (reply, fits) = bounded_reply(handled.id, handled.payload, MAX_FRAME);
         if handled.ok && fits {
             shared.requests_ok.fetch_add(1, Ordering::Relaxed);
@@ -292,12 +379,17 @@ fn serve_session(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
 }
 
 /// Splits the request id, parses the command, passes the admission
-/// gate (engine-bound work only) and dispatches. Every failure becomes
-/// an `ERR` payload carrying the request id when one was given.
+/// gate (engine-bound work only) and dispatches; a worker hands the
+/// shard request to its worker thread. Every failure becomes an `ERR`
+/// payload carrying the request id when one was given.
 fn handle_payload(payload: &str, shared: &Shared) -> Handled {
     let (id, body) = match split_request_id(payload) {
         Ok(split) => split,
         Err(e) => return Handled::err(None, &e),
+    };
+    let (engine, admission) = match &shared.role {
+        Role::Coordinator(engine, admission) => (engine, admission),
+        Role::Worker(worker) => return answer_shard(id, body, worker),
     };
     let req = match Request::parse(body) {
         Ok(req) => req,
@@ -308,7 +400,7 @@ fn handle_payload(payload: &str, shared: &Shared) -> Handled {
     // admission permit (released when the dispatch returns).
     let _permit = match req {
         Request::Hello | Request::Stats | Request::Shutdown => None,
-        _ => match shared.admission.admit() {
+        _ => match admission.admit() {
             Ok(permit) => Some(permit),
             Err(_) => {
                 return Handled {
@@ -320,14 +412,38 @@ fn handle_payload(payload: &str, shared: &Shared) -> Handled {
             }
         },
     };
-    dispatch(req, id, shared)
+    dispatch(req, id, engine, admission, shared)
+}
+
+/// A worker's answer to one shard request, from its worker thread. A
+/// refusal, or a worker thread that is gone, is an `ERR`.
+fn answer_shard(id: Option<u64>, body: &str, worker: &Mutex<LocalShard>) -> Handled {
+    let req = match ShardRequest::parse(body) {
+        Ok(req) => req,
+        Err(e) => return Handled::err(id, &e),
+    };
+    let out = worker.lock().expect("worker lock poisoned").request(&req);
+    Handled {
+        id,
+        shutdown: matches!(req, ShardRequest::Shutdown),
+        ok: out.is_ok(),
+        payload: match out {
+            Ok(reply) => reply.encode(id),
+            Err(fault) => Reply::encode_err_id(id, &fault.message()),
+        },
+    }
 }
 
 /// Dispatches one parsed request against the sharded engine. Every
 /// error becomes an `ERR` payload — the serving process never panics on
 /// a request.
-fn dispatch(req: Request, id: Option<u64>, shared: &Shared) -> Handled {
-    let engine = &shared.engine;
+fn dispatch(
+    req: Request,
+    id: Option<u64>,
+    engine: &ShardedEngine,
+    admission: &Admission,
+    shared: &Shared,
+) -> Handled {
     let result: Result<(String, bool), ServerError> = match req {
         Request::Load { name, kind, items } => engine.load(&name, items, kind).map(|info| {
             (
@@ -400,7 +516,7 @@ fn dispatch(req: Request, id: Option<u64>, shared: &Shared) -> Handled {
             ),
             false,
         )),
-        Request::Stats => Ok((stats_reply(id, shared), false)),
+        Request::Stats => Ok((stats_reply(id, engine, admission, shared), false)),
         Request::Shutdown => Ok((Reply::encode_ok(id, &[("bye", "1".to_string())], ""), true)),
     };
     match result {
@@ -419,8 +535,12 @@ fn dispatch(req: Request, id: Option<u64>, shared: &Shared) -> Handled {
 /// request reporting them), admission counters, the shared buffer
 /// pool's lifetime hit/fault counters (cache behavior on the wire), and
 /// one line per loaded dataset.
-fn stats_reply(id: Option<u64>, shared: &Shared) -> String {
-    let engine = &shared.engine;
+fn stats_reply(
+    id: Option<u64>,
+    engine: &ShardedEngine,
+    admission: &Admission,
+    shared: &Shared,
+) -> String {
     let mut body = String::new();
     for name in engine.dataset_names() {
         let info = engine.dataset(&name).expect("catalog name listed");
@@ -434,7 +554,7 @@ fn stats_reply(id: Option<u64>, shared: &Shared) -> String {
         ));
     }
     let (pool_hits, pool_faults, pool_prefetch_hits, pool_hit_rate) = engine.pool_stats();
-    let (admitted, rejected_busy) = shared.admission.stats();
+    let (admitted, rejected_busy) = admission.stats();
     let (wal_records, wal_bytes) = engine.wal_stats();
     // Per-slot health rows (flat cell-major slot index, matching the
     // topology's routing order) keep a degraded topology observable.

@@ -382,8 +382,8 @@ type Envelope = (ShardRequest, Sender<Result<ShardReply, String>>);
 /// (`Rc`-shared) and never leaves the thread that owns it. A closed
 /// channel (the worker thread died) surfaces as [`ShardFault::Gone`],
 /// so even thread workers are respawned and replayed by the topology's
-/// supervisor. The [`remote`](crate::remote) worker server puts the
-/// same thread behind a TCP listener.
+/// supervisor. A worker [`Server`](crate::Server) puts the same thread
+/// behind a TCP listener.
 pub(crate) struct LocalShard {
     tx: Sender<Envelope>,
     handle: Option<JoinHandle<()>>,
@@ -686,35 +686,16 @@ impl ShardedEngine {
     /// buffer, it exists so replicas warm pages for each other and so
     /// cache behavior is observable per serving process.
     pub fn new(shards: usize) -> Result<ShardedEngine, ServerError> {
-        Self::with_storage(shards, None, 0)
-    }
-
-    /// [`ShardedEngine::new`] with the residency knobs of disk-native
-    /// serving: when `on_disk` is set, every `LOAD` spills each worker's
-    /// page space to that worker's own file (`<on_disk>.<slot>`; the
-    /// workers are built identically, so the files are too), and the
-    /// shared pool's frames become the only RAM residency of the join
-    /// read path. `buffer_pages` bounds the pool
-    /// (`0` = effectively unbounded, the resident default), so a served
-    /// dataset several times larger than the budget still joins,
-    /// faulting pages through the one shared pool.
-    pub fn with_storage(
-        shards: usize,
-        on_disk: Option<PathBuf>,
-        buffer_pages: usize,
-    ) -> Result<ShardedEngine, ServerError> {
         Self::with_topology(TopologyConfig {
             shards,
-            on_disk,
-            buffer_pages,
             ..TopologyConfig::default()
         })
     }
 
     /// The fully general constructor: every knob of the topology —
     /// worker placement, replicas per cell, storage residency, request
-    /// deadlines and the respawn policy. [`ShardedEngine::new`] and
-    /// [`ShardedEngine::with_storage`] are thin wrappers over this.
+    /// deadlines and the respawn policy. [`ShardedEngine::new`] is a
+    /// thin wrapper over this.
     pub fn with_topology(cfg: TopologyConfig) -> Result<ShardedEngine, ServerError> {
         if cfg.shards == 0 || cfg.replicas == 0 {
             return Err(ServerError::InvalidShards);
@@ -2073,7 +2054,13 @@ mod tests {
         resident.update("d", batch.clone()).unwrap();
         let reference = resident.self_join("d", RcjAlgorithm::Auto, None).unwrap();
 
-        let se = ShardedEngine::with_storage(3, Some(path.clone()), 8).unwrap();
+        let se = ShardedEngine::with_topology(TopologyConfig {
+            shards: 3,
+            on_disk: Some(path.clone()),
+            buffer_pages: 8,
+            ..TopologyConfig::default()
+        })
+        .unwrap();
         se.load("d", its, IndexKind::Rtree).unwrap();
         se.update("d", batch).unwrap();
         assert_slot_files_identical(&path, 3);
@@ -2151,7 +2138,13 @@ mod tests {
 
         // Disk-native with a pool far smaller than the page space: the
         // joins must fault pages in from the shards' page files.
-        let se = ShardedEngine::with_storage(4, Some(path.clone()), 8).unwrap();
+        let se = ShardedEngine::with_topology(TopologyConfig {
+            shards: 4,
+            on_disk: Some(path.clone()),
+            buffer_pages: 8,
+            ..TopologyConfig::default()
+        })
+        .unwrap();
         se.load("p", ps.clone(), IndexKind::Rtree).unwrap();
         se.load("q", qs.clone(), IndexKind::Rtree).unwrap();
         assert_slot_files_identical(&path, 4);
@@ -2286,7 +2279,13 @@ mod tests {
         let self_ref = resident.self_join("d", RcjAlgorithm::Auto, None).unwrap();
         let topk_ref = resident.top_k_self("d", 9).unwrap();
 
-        let se = ShardedEngine::with_storage(3, Some(path), 8).unwrap();
+        let se = ShardedEngine::with_topology(TopologyConfig {
+            shards: 3,
+            on_disk: Some(path),
+            buffer_pages: 8,
+            ..TopologyConfig::default()
+        })
+        .unwrap();
         se.load("d", its, IndexKind::Quadtree).unwrap();
         let out = se.self_join("d", RcjAlgorithm::Auto, None).unwrap();
         assert_eq!(out.pairs, self_ref.pairs);

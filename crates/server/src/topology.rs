@@ -206,14 +206,11 @@ impl Topology {
                     let mut healed = false;
                     for attempt in 0..RESPAWN_ATTEMPTS {
                         if attempt > 0 {
-                            // Exponential backoff with a small
-                            // deterministic jitter (no RNG dependency)
-                            // so sibling respawns don't stampede.
-                            let jitter = (idx as u64 * 31 + attempt as u64 * 17) % 23;
-                            std::thread::sleep(
-                                backoff * 2u32.saturating_pow(attempt - 1)
-                                    + Duration::from_millis(jitter),
-                            );
+                            // Jittered by slot, so sibling respawns
+                            // don't stampede.
+                            std::thread::sleep(crate::client::backoff(
+                                backoff, attempt, idx as u64,
+                            ));
                         }
                         let backend = match factory(cell, rep) {
                             Ok(b) => b,

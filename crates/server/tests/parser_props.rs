@@ -2,21 +2,26 @@
 //! decoder's `wal_props.rs`: whatever bytes arrive — random soup, any
 //! truncation of a valid encoding, or a valid encoding with one
 //! character changed — `split_request_id` + `Request::parse`,
+//! `split_request_id` + `ShardRequest::parse` (a worker's path),
 //! `ShardRequest::parse`, `Reply::parse_with_id`, `ShardReply::parse`,
 //! the pair-row parsers and the durable-log decode return a value or an
 //! error and never panic. Valid encodings of every request and reply
-//! variant round-trip exactly.
+//! variant round-trip exactly. The frame readers meet the same bar over
+//! byte streams delivered in short reads, interrupted and timed out:
+//! valid frames come back whole and in order, and the first bad frame
+//! is an error.
 
 use proptest::prelude::*;
 use ringjoin_core::{IndexKind, Mutation, RcjAlgorithm, RcjPair, RcjStats};
 use ringjoin_geom::{pt, Item, Rect};
 use ringjoin_server::proto::{
     encode_pairs, encode_request_id, encode_stats_fields, encode_tagged_pairs, parse_pairs,
-    parse_tagged_pairs, split_request_id, stats_from_reply, Ownership, Reply, Request, ShardReply,
-    ShardRequest,
+    parse_tagged_pairs, read_frame, read_frame_idle, split_request_id, stats_from_reply,
+    write_frame, FrameRead, Ownership, Reply, Request, ShardReply, ShardRequest, MAX_FRAME,
 };
 use ringjoin_server::{RingBounds, ServerError, ShardedEngine, TopologyConfig};
 use ringjoin_storage::Wal;
+use std::io::{ErrorKind, Read};
 use std::sync::Arc;
 
 /// Expands one drawn seed into structured values (xorshift64*), so a
@@ -272,8 +277,14 @@ impl Gen {
             out.push(encode_request_id(self.below(1 << 40), &req.encode()));
             out.push(req.encode());
         }
-        out.extend(self.shard_requests().iter().map(ShardRequest::encode));
-        out.extend(self.shard_replies().iter().map(|(_, r)| r.encode()));
+        for req in self.shard_requests() {
+            out.push(encode_request_id(self.below(1 << 40), &req.encode()));
+            out.push(req.encode());
+        }
+        for (_, reply) in self.shard_replies() {
+            out.push(reply.encode(Some(self.below(1 << 40))));
+            out.push(reply.encode(None));
+        }
         let pairs: Vec<RcjPair> = (0..3).map(|_| self.pair()).collect();
         out.push(encode_pairs(&pairs));
         let tagged: Vec<(usize, RcjPair)> = pairs.iter().map(|&pr| (7, pr)).collect();
@@ -290,6 +301,7 @@ impl Gen {
 fn parse_everything(payload: &str) {
     if let Ok((_, rest)) = split_request_id(payload) {
         let _ = Request::parse(rest);
+        let _ = ShardRequest::parse(rest);
     }
     let _ = ShardRequest::parse(payload);
     let _ = Reply::parse_with_id(payload);
@@ -336,13 +348,23 @@ proptest! {
         for req in g.shard_requests() {
             let back = ShardRequest::parse(&req.encode()).unwrap();
             prop_assert_eq!(back.encode(), req.encode());
+            // A worker splits the id its coordinator's client stamped.
+            let wire = encode_request_id(43, &req.encode());
+            let (id, rest) = split_request_id(&wire).unwrap();
+            prop_assert_eq!(id, Some(43));
+            prop_assert_eq!(ShardRequest::parse(rest).unwrap().encode(), req.encode());
         }
         for (req, reply) in g.shard_replies() {
-            let back = ShardReply::parse(&req, &reply.encode()).unwrap();
-            prop_assert_eq!(back.encode(), reply.encode());
+            let back = ShardReply::parse(&req, &reply.encode(None)).unwrap();
+            prop_assert_eq!(back.encode(None), reply.encode(None));
+            // ...and echoes it, which leaves the reply itself unchanged.
+            let echoed = reply.encode(Some(43));
+            prop_assert_eq!(Reply::parse_with_id(&echoed).0, Some(43));
+            let back = ShardReply::parse(&req, &echoed).unwrap();
+            prop_assert_eq!(back.encode(None), reply.encode(None));
         }
         // The handshake refuses anything that is not a shard worker.
-        let coordinator = Reply::encode(&[("role", "coordinator".into())], "");
+        let coordinator = Reply::encode_ok(None, &[("role", "coordinator".into())], "");
         prop_assert!(ShardReply::parse(&ShardRequest::Hello, &coordinator).is_err());
 
         let stats = g.stats();
@@ -397,6 +419,205 @@ proptest! {
             for cut in (0..=payload.len()).filter(|&c| payload.is_char_boundary(c)) {
                 parse_everything(&payload[..cut]);
             }
+        }
+    }
+}
+
+/// A byte stream delivered the way a socket delivers it: reads of 1 to
+/// 9 bytes, an `Interrupted` now and then and, with `ticks`, read
+/// timeouts between and inside frames. From offset `stall` on (if set),
+/// every read times out.
+struct Trickle {
+    bytes: Vec<u8>,
+    at: usize,
+    g: Gen,
+    ticks: bool,
+    stall: Option<usize>,
+}
+
+impl Trickle {
+    fn new(bytes: Vec<u8>, seed: u64, ticks: bool, stall: Option<usize>) -> Trickle {
+        Trickle {
+            bytes,
+            at: 0,
+            g: Gen::new(seed),
+            ticks,
+            stall,
+        }
+    }
+}
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.stall == Some(self.at) {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        match self.g.below(10) {
+            0 => return Err(ErrorKind::Interrupted.into()),
+            1 if self.ticks => return Err(ErrorKind::WouldBlock.into()),
+            _ => {}
+        }
+        let until = self.stall.unwrap_or(usize::MAX).min(self.bytes.len());
+        let n = (1 + self.g.below(9) as usize)
+            .min(buf.len())
+            .min(until - self.at);
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// How a frame reader stopped.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum End {
+    /// A clean end of stream between frames.
+    Eof,
+    /// Idle between frames for longer than any random run of timeouts
+    /// lasts (the peer went quiet).
+    Quiet,
+    /// The first error.
+    Failed(ErrorKind),
+}
+
+/// Reads frames off `r` until it stops — with [`read_frame_idle`] when
+/// `idle`, as a serving loop reads, else with [`read_frame`], as a
+/// client reads — returning the frames in order and how it stopped.
+fn read_all(mut r: Trickle, idle: bool) -> (Vec<String>, End) {
+    let mut frames = Vec::new();
+    let mut quiet = 0;
+    loop {
+        let next = if idle {
+            read_frame_idle(&mut r)
+        } else {
+            read_frame(&mut r).map(|frame| frame.map_or(FrameRead::Eof, FrameRead::Frame))
+        };
+        match next {
+            Ok(FrameRead::Frame(frame)) => {
+                frames.push(frame);
+                quiet = 0;
+            }
+            Ok(FrameRead::Idle) => {
+                quiet += 1;
+                if quiet > 1000 {
+                    return (frames, End::Quiet);
+                }
+            }
+            Ok(FrameRead::Eof) => return (frames, End::Eof),
+            Err(e) => return (frames, End::Failed(e.kind())),
+        }
+    }
+}
+
+/// Valid payloads framed back to back, and the offset each frame
+/// starts at (plus the stream's length).
+fn framed(payloads: &[String]) -> (Vec<u8>, Vec<usize>) {
+    let mut bytes = Vec::new();
+    let mut starts = vec![0];
+    for payload in payloads {
+        write_frame(&mut bytes, payload.as_bytes()).unwrap();
+        starts.push(bytes.len());
+    }
+    (bytes, starts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn frames_arrive_whole_and_in_order(seed in any::<u64>()) {
+        let payloads = Gen::new(seed).payloads();
+        let (bytes, _) = framed(&payloads);
+        for idle in [false, true] {
+            let (frames, end) = read_all(Trickle::new(bytes.clone(), seed, idle, None), idle);
+            prop_assert_eq!(&frames, &payloads);
+            prop_assert_eq!(end, End::Eof);
+        }
+    }
+
+    /// A stream damaged at one spot: cut there, its frame's length
+    /// prefix grown past the stream, a byte of its payload made
+    /// non-UTF-8, one bit flipped, or the peer stalled there. Every
+    /// frame before the damaged one comes back byte-exact, and a
+    /// damaged frame the readers can tell is bad is an error.
+    #[test]
+    fn damaged_streams_fail_at_the_first_bad_frame(
+        seed in any::<u64>(),
+        damage in 0usize..5,
+        at in 0.0f64..1.0,
+    ) {
+        let mut g = Gen::new(seed);
+        let payloads = g.payloads();
+        let (mut bytes, starts) = framed(&payloads);
+        let spot = (bytes.len() as f64 * at) as usize;
+        // The damaged frame: the one whose bytes hold `spot`.
+        let hit = starts.iter().rposition(|&s| s <= spot).unwrap();
+        let whole = |cut: usize| starts.iter().filter(|&&s| s <= cut).count() - 1;
+        let mut stall = None;
+        // How the client's and the serving loop's reader must end, after
+        // the frames before the damage: `None` where the damaged bytes
+        // may still read as frames.
+        let (kept, want): (usize, [Option<End>; 2]) = match damage {
+            0 => {
+                bytes.truncate(spot);
+                let end = if starts.contains(&spot) {
+                    End::Eof
+                } else {
+                    End::Failed(ErrorKind::UnexpectedEof)
+                };
+                (whole(spot), [Some(end), Some(end)])
+            }
+            1 => {
+                let rest = bytes.len() - starts[hit] - 4;
+                let (len, end) = match g.below(3) {
+                    0 => (MAX_FRAME + 1, ErrorKind::InvalidData),
+                    1 => (u32::MAX, ErrorKind::InvalidData),
+                    _ => (rest as u32 + 1, ErrorKind::UnexpectedEof),
+                };
+                bytes[starts[hit]..starts[hit] + 4].copy_from_slice(&len.to_be_bytes());
+                (hit, [Some(End::Failed(end)), Some(End::Failed(end))])
+            }
+            2 => {
+                let first = starts[hit] + 4;
+                let byte = first + g.below((starts[hit + 1] - first) as u64) as usize;
+                bytes[byte] = 0xFF;
+                let end = End::Failed(ErrorKind::InvalidData);
+                (hit, [Some(end), Some(end)])
+            }
+            3 => {
+                bytes[spot] ^= 1 << g.below(8);
+                (hit, [None, None])
+            }
+            _ => {
+                stall = Some(spot);
+                let idle_end = if starts.contains(&spot) {
+                    End::Quiet
+                } else {
+                    End::Failed(ErrorKind::TimedOut)
+                };
+                (whole(spot), [Some(End::Failed(ErrorKind::WouldBlock)), Some(idle_end)])
+            }
+        };
+        for (idle, want) in [false, true].into_iter().zip(want) {
+            // Random timeouts only where no stall is planted.
+            let ticks = idle && stall.is_none();
+            let (frames, end) = read_all(Trickle::new(bytes.clone(), seed, ticks, stall), idle);
+            prop_assert!(frames.len() >= kept, "a frame before the damage was lost");
+            prop_assert_eq!(&frames[..kept], &payloads[..kept]);
+            if let Some(want) = want {
+                prop_assert_eq!(frames.len(), kept, "read a frame past the damage");
+                prop_assert_eq!(end, want);
+            }
+        }
+    }
+
+    #[test]
+    fn arbitrary_streams_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        seed in any::<u64>(),
+    ) {
+        for idle in [false, true] {
+            let (_, end) = read_all(Trickle::new(bytes.clone(), seed, idle, None), idle);
+            prop_assert!(end != End::Quiet, "a finite stream never goes quiet");
         }
     }
 }

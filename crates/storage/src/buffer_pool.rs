@@ -425,19 +425,6 @@ impl BufferPool {
     pub fn shares_frames(&self, other: &BufferPool) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
-
-    /// The resident pages from most to least recently used (test hook).
-    #[cfg(test)]
-    pub(crate) fn lru_order(&self) -> Vec<PageId> {
-        let lru = self.lock();
-        let mut out = Vec::with_capacity(lru.map.len());
-        let mut cur = lru.head;
-        while cur != NIL {
-            out.push(lru.frames[cur].key.1);
-            cur = lru.frames[cur].next;
-        }
-        out
-    }
 }
 
 /// A reader's handle onto a shared [`BufferPool`]: page reads whose
@@ -586,6 +573,20 @@ impl Drop for Prefetcher {
 mod tests {
     use super::*;
     use crate::disk::MemDisk;
+
+    impl BufferPool {
+        /// The resident pages from most to least recently used.
+        fn lru_order(&self) -> Vec<PageId> {
+            let lru = self.lock();
+            let mut out = Vec::with_capacity(lru.map.len());
+            let mut cur = lru.head;
+            while cur != NIL {
+                out.push(lru.frames[cur].key.1);
+                cur = lru.frames[cur].next;
+            }
+            out
+        }
+    }
 
     /// `n` resident pages, page `i` starting with byte `i + 1`.
     fn mem_with_pages(n: u32) -> Device {

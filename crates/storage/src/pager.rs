@@ -280,14 +280,16 @@ impl Pager {
     /// write-through keeps the file authoritative, and
     /// [`Pager::reader`] hands readers the file itself.
     ///
-    /// Spilling to the path of the pager's own file is a no-op (the
-    /// write-through discipline already keeps the file current —
-    /// re-copying would truncate the very file the pager is reading
-    /// from). Spilling to a new path re-copies and re-targets.
+    /// Spilling to the path of the pager's own file, or to the path it
+    /// first spilled to, is a no-op: the write-through discipline
+    /// already keeps the file current, and re-copying would truncate
+    /// the very file the pager reads from, or the base file that
+    /// readers pinned before a [`Pager::begin_epoch`] still read.
+    /// Spilling to a new path re-copies and re-targets.
     pub fn spill_to<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
         let path = path.as_ref();
         match &self.own.device {
-            Device::File(file) if file.path() == path => Ok(()),
+            Device::File(file) if file.path() == path || file.base() == path => Ok(()),
             _ => self.spill(path, path),
         }
     }
@@ -749,6 +751,35 @@ mod tests {
         let mut buf = vec![0u8; 128];
         pinned_file(&p).unwrap().read_into(a, &mut buf);
         assert_eq!(buf[0], 5);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn re_spilling_to_the_base_path_leaves_pinned_readers_their_file() {
+        let dir = std::env::temp_dir().join(format!("ringjoin-respill-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("pages.rj");
+
+        let mut p = Pager::new(MemDisk::new(128), 4);
+        let a = p.allocate();
+        p.spill_to(&base).unwrap();
+        p.write(a, |b| b[0] = 1);
+        // A reader pinned at 1 holds the base file, so the next epoch
+        // moves the pager's writes to `pages.rj.e1`.
+        let mut old = p.reader(None);
+        p.begin_epoch();
+        p.write(a, |b| b[0] = 2);
+        // A LOAD spills to the path its worker was started with.
+        p.spill_to(&base).unwrap();
+        p.clear_buffer();
+        assert_eq!(
+            old.read(a, |b| b[0]),
+            1,
+            "the pinned reader's base file was rewritten"
+        );
+        assert_eq!(p.read(a, |b| b[0]), 2);
+        assert_eq!(pinned_file(&p).unwrap().path(), dir.join("pages.rj.e1"));
 
         std::fs::remove_dir_all(&dir).ok();
     }

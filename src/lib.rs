@@ -94,8 +94,8 @@ pub use ringjoin_datagen::{gaussian_clusters, gnis_like, uniform, GnisDataset};
 pub use ringjoin_geom::{pt, Circle, HalfPlane, Point, Rect};
 pub use ringjoin_rtree::{bulk_load, bulk_load_with, Item, RTree, RTreeConfig};
 pub use ringjoin_server::{
-    Client, RingBounds, Server, ServerConfig, ShardWorkerServer, ShardedEngine, TopologyConfig,
-    UpdateInfo, WorkerHandle, WorkerSpec,
+    Client, RingBounds, Server, ServerConfig, ServerHandle, ShardedEngine, TopologyConfig,
+    UpdateInfo, WorkerSpec,
 };
 pub use ringjoin_spatialjoin::{epsilon_join, k_closest_pairs, knn_join, precision_recall};
 pub use ringjoin_storage::{

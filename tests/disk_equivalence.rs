@@ -11,7 +11,9 @@
 //! the paper's I/O model tracks the budget, not RAM size.
 
 use proptest::prelude::*;
-use ringjoin::{pt, Engine, Executor, IndexKind, Item, RcjAlgorithm, RcjPair, ShardedEngine};
+use ringjoin::{
+    pt, Engine, Executor, IndexKind, Item, RcjAlgorithm, RcjPair, ShardedEngine, TopologyConfig,
+};
 use std::path::PathBuf;
 
 const REGION: f64 = 1000.0;
@@ -203,7 +205,13 @@ proptest! {
         let dir = scratch_dir();
         for shards in SHARDS {
             let path = dir.join(format!("shard-{shards}.rjp"));
-            let se = ShardedEngine::with_storage(shards, Some(path), 8).unwrap();
+            let se = ShardedEngine::with_topology(TopologyConfig {
+                shards,
+                on_disk: Some(path),
+                buffer_pages: 8,
+                ..TopologyConfig::default()
+            })
+            .unwrap();
             se.load("p", p.clone(), kind).unwrap();
             se.load("q", q.clone(), kind).unwrap();
             let out = se.join("q", "p", RcjAlgorithm::Auto, None).unwrap();

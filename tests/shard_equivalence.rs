@@ -241,7 +241,7 @@ proptest! {
 // Remote workers: the same oracle across the process hop
 // ---------------------------------------------------------------------
 
-use ringjoin::{ShardWorkerServer, ShardedEngine as SE, TopologyConfig, WorkerHandle, WorkerSpec};
+use ringjoin::{Server, ServerHandle, ShardedEngine as SE, TopologyConfig, WorkerSpec};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -271,12 +271,12 @@ fn lcg_items(n: usize, seed: u64) -> Vec<Item> {
 /// provisions *fresh* workers after a kill, exactly like relaunching a
 /// process. Returns the engine and the registry of worker handles in
 /// provisioning order (cell-major: `cell * replicas + replica`).
-fn provisioned(shards: usize, replicas: usize) -> (SE, Arc<Mutex<Vec<WorkerHandle>>>) {
-    let handles: Arc<Mutex<Vec<WorkerHandle>>> = Arc::default();
+fn provisioned(shards: usize, replicas: usize) -> (SE, Arc<Mutex<Vec<ServerHandle>>>) {
+    let handles: Arc<Mutex<Vec<ServerHandle>>> = Arc::default();
     let registry = Arc::clone(&handles);
     let spec = WorkerSpec::Provision(Arc::new(move |_cell, _rep| {
         let server =
-            ShardWorkerServer::bind("127.0.0.1:0", None, 0, None).map_err(|e| e.to_string())?;
+            Server::bind_worker("127.0.0.1:0", None, 0, None).map_err(|e| e.to_string())?;
         let addr = server.local_addr().to_string();
         registry.lock().unwrap().push(server.handle());
         std::thread::spawn(move || {
