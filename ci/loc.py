@@ -13,12 +13,18 @@ exits 1; move the helper into the file's test module.
 Usage (from the repository root, stdlib only):
 
     python3 ci/loc.py
+    python3 ci/loc.py --against REV
 
-prints one `<lines> <crate src dir>` row per crate (the facade's `src`
-and every `crates/*/src`) and a total.
+The first form prints one `<lines> <crate src dir>` row per crate (the
+facade's `src` and every `crates/*/src`) and a total. The second prints
+`<lines at REV> <lines now> <difference> <crate src dir>` rows, reading
+REV's files with `git ls-tree` and `git show`; the same rule counts, and
+the same check runs on, both sides. A crate present on one side only
+counts 0 on the other.
 """
 
 import pathlib
+import subprocess
 import sys
 
 CFG_TEST = "#[cfg(test)]"
@@ -59,12 +65,13 @@ def test_modules_end_the_file(lines, first):
     return True
 
 
-def count(src):
-    """Non-test lines of the `.rs` files under `src`, and the files
-    whose first `#[cfg(test)]` precedes non-test code."""
+def count(files):
+    """Non-test lines of `files`, `(name, text)` pairs of `.rs` files,
+    and the `(name, line)` of each file whose first `#[cfg(test)]`
+    precedes non-test code."""
     total, bad = 0, []
-    for path in sorted(src.rglob("*.rs")):
-        lines = path.read_text(encoding="utf-8").splitlines()
+    for name, text in files:
+        lines = text.splitlines()
         first = next(
             (i for i, line in enumerate(lines) if line.strip() == CFG_TEST), None
         )
@@ -73,23 +80,79 @@ def count(src):
             continue
         total += first
         if not test_modules_end_the_file(lines, first):
-            bad.append((path, first + 1))
+            bad.append((name, first + 1))
     return total, bad
 
 
-def main():
+def git(root, *args):
+    return subprocess.run(
+        ["git", "-C", str(root), *args], check=True, capture_output=True, text=True
+    ).stdout
+
+
+def tree_files(root, src):
+    """The working tree's `.rs` files under `src`."""
+    return [
+        (path.relative_to(root).as_posix(), path.read_text(encoding="utf-8"))
+        for path in sorted((root / src).rglob("*.rs"))
+    ]
+
+
+def rev_files(root, rev, src):
+    """Revision `rev`'s `.rs` files under `src`."""
+    names = git(root, "ls-tree", "-r", "--name-only", rev, "--", src).splitlines()
+    return [
+        (f"{rev}:{name}", git(root, "show", f"{rev}:{name}"))
+        for name in sorted(names)
+        if name.endswith(".rs")
+    ]
+
+
+def tree_srcs(root):
+    crates = (p for p in (root / "crates").iterdir() if (p / "src").is_dir())
+    return {"src"} | {f"crates/{p.name}/src" for p in crates}
+
+
+def rev_srcs(root, rev):
+    names = git(root, "ls-tree", "-r", "--name-only", rev, "--", "src", "crates")
+    return {
+        "/".join(parts[: parts.index("src") + 1])
+        for parts in (name.split("/") for name in names.splitlines())
+        if "src" in parts and parts.index("src") in (0, 2)
+    }
+
+
+def main(argv):
     root = pathlib.Path(__file__).resolve().parent.parent
-    srcs = [root / "src"] + sorted(p / "src" for p in (root / "crates").iterdir() if (p / "src").is_dir())
-    grand, failures = 0, []
-    for src in srcs:
-        lines, bad = count(src)
-        grand += lines
-        failures += bad
-        print(f"{lines:>6} {src.relative_to(root)}")
-    print(f"{grand:>6} total")
-    for path, line in failures:
+    if argv and (len(argv) != 2 or argv[0] != "--against"):
+        print("usage: python3 ci/loc.py [--against REV]", file=sys.stderr)
+        return 2
+    rev = argv[1] if argv else None
+    try:
+        srcs = sorted(tree_srcs(root) | (rev_srcs(root, rev) if rev else set()))
+        grand, failures = [0, 0], []
+        for src in srcs:
+            lines, bad = count(tree_files(root, src))
+            failures += bad
+            if rev is None:
+                print(f"{lines:>6} {src}")
+                grand[1] += lines
+                continue
+            before, bad = count(rev_files(root, rev, src))
+            failures += bad
+            print(f"{before:>6} {lines:>6} {lines - before:>+6} {src}")
+            grand[0] += before
+            grand[1] += lines
+    except subprocess.CalledProcessError as e:
+        print(f"error: {' '.join(e.cmd)}: {e.stderr.strip()}", file=sys.stderr)
+        return 1
+    if rev is None:
+        print(f"{grand[1]:>6} total")
+    else:
+        print(f"{grand[0]:>6} {grand[1]:>6} {grand[1] - grand[0]:>+6} total")
+    for name, line in failures:
         print(
-            f"error: {path.relative_to(root)}:{line}: #[cfg(test)] precedes non-test code; "
+            f"error: {name}:{line}: #[cfg(test)] precedes non-test code; "
             "move the test-only item into the file's test module",
             file=sys.stderr,
         )
@@ -97,4 +160,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

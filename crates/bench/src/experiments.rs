@@ -1032,7 +1032,7 @@ fn percentile(samples: &mut [f64], p: f64) -> f64 {
 /// figures are advisory on shared runners, so regression gating keys
 /// on the deterministic I/O counters of `BENCH_scaling.json` instead.
 pub fn serving(cfg: &ExpConfig) -> String {
-    use ringjoin_server::{Client, Server, ServerConfig};
+    use ringjoin_server::{Client, Server, ServerConfig, ShardedEngine};
     use std::time::Instant;
 
     let cores = std::thread::available_parallelism()
@@ -1072,11 +1072,13 @@ pub fn serving(cfg: &ExpConfig) -> String {
     let mut json_entries: Vec<String> = Vec::new();
     let mut baseline_pairs: Option<Vec<(u64, u64)>> = None;
     for shards in SERVING_SHARDS {
-        let server = Server::bind(&ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            shards,
-            ..ServerConfig::default()
-        })
+        let server = Server::bind(
+            &ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..ServerConfig::default()
+            },
+            ShardedEngine::new(shards).expect("serving-bench engine"),
+        )
         .expect("bind serving-bench server");
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.serve().expect("serve"));
@@ -1163,12 +1165,14 @@ pub fn serving(cfg: &ExpConfig) -> String {
     let mut ct = Table::new(&["clients", "join req/s", "p50 (ms)", "p99 (ms)", "pairs"]);
     let mut conc_entries: Vec<String> = Vec::new();
     for clients in SERVING_CLIENTS {
-        let server = Server::bind(&ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            shards,
-            max_sessions: clients + 2,
-            ..ServerConfig::default()
-        })
+        let server = Server::bind(
+            &ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                max_sessions: clients + 2,
+                ..ServerConfig::default()
+            },
+            ShardedEngine::new(shards).expect("concurrent serving-bench engine"),
+        )
         .expect("bind concurrent serving-bench server");
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.serve().expect("serve"));
@@ -1242,7 +1246,7 @@ pub fn serving(cfg: &ExpConfig) -> String {
     // encode, socket hop, leaf-tagged decode, global merge) at every
     // shard count. Byte identity against the phase-one baseline is
     // asserted per mode; full health is recorded as provenance.
-    use ringjoin_server::{ShardedEngine, TopologyConfig, WorkerSpec};
+    use ringjoin_server::{TopologyConfig, WorkerSpec};
     const REMOTE_KIND: &str = "in-process-tcp-workers";
     let mut dt = Table::new(&[
         "mode",
@@ -1259,8 +1263,8 @@ pub fn serving(cfg: &ExpConfig) -> String {
             let workers = match mode {
                 "local-threads" => WorkerSpec::Local,
                 _ => WorkerSpec::Provision(std::sync::Arc::new(|_cell, _rep| {
-                    let server = Server::bind_worker("127.0.0.1:0", None, 0, None)
-                        .map_err(|e| e.to_string())?;
+                    let server =
+                        Server::bind_worker("127.0.0.1:0", 0, None).map_err(|e| e.to_string())?;
                     let addr = server.local_addr().to_string();
                     std::thread::spawn(move || {
                         let _ = server.serve();

@@ -15,7 +15,7 @@ use ringjoin_core::{
 use ringjoin_datagen::{gaussian_clusters, gnis_like, io as dio, uniform, GnisDataset};
 use ringjoin_rtree::{bulk_load, Item, RTree};
 use ringjoin_server::proto::{self, parse_mutation_row, write_mutation_row};
-use ringjoin_server::{Client, Mutation, Server, ServerConfig};
+use ringjoin_server::{Client, Mutation, Server, ServerConfig, ShardedEngine, TopologyConfig};
 use ringjoin_spatialjoin::{epsilon_join, k_closest_pairs, knn_join, precision_recall};
 use ringjoin_storage::{CostModel, MemDisk, Pager, SharedPager};
 use std::collections::HashSet;
@@ -70,7 +70,7 @@ COMMANDS
               16 concurrent sessions, admission queue depth 32.
               --workers promotes shard workers to remote processes:
               `spawn` launches one child per shard x replica, an address
-              list connects to already-running --shard-of workers.
+              list connects to already-running --shard-of auto workers.
               --data-dir DIR makes the coordinator durable: every LOAD
               and mutation batch is fsynced to a write-ahead log there
               before any fan-out, and a restart on the same directory
@@ -79,13 +79,13 @@ COMMANDS
               gives each worker slot S (cell-major) its own page file
               FILE.S; with an address list, start each worker with its
               own --on-disk and --buffer-pages instead)
-  serve      --shard-of auto|X0,Y0,X1,Y1 [--addr HOST:PORT | --port N]
+  serve      --shard-of auto [--addr HOST:PORT | --port N]
              [--addr-file FILE] [--on-disk FILE] [--buffer-pages N]
-             (shard-worker mode: serve one coordinator's cell over the
-              shard wire grammar; `auto` accepts any cell. --addr-file
-              writes the bound address, for coordinators and scripts.
-              --on-disk FILE spills every load to FILE, which this
-              worker alone reads and writes)
+             (shard-worker mode: serve whatever cell a coordinator
+              assigns over the shard wire grammar; `auto` is the only
+              value. --addr-file writes the bound address, for
+              coordinators and scripts. --on-disk FILE spills every load
+              to FILE, which this worker alone reads and writes)
   client load      --name NAME --input FILE [--index rtree|quadtree]
   client join      --outer Q --inner P [--algo ..] [--out FILE] [--stats]
                    [--bounds X0,Y0,X1,Y1 --max-diameter D] [--pipeline N]
@@ -564,7 +564,7 @@ fn write_addr_file(args: &Args, addr: std::net::SocketAddr) -> Result<(), ArgErr
     Ok(())
 }
 
-/// The `serve --shard-of ...` form: a shard-worker process serving one
+/// The `serve --shard-of auto` form: a shard-worker process serving one
 /// coordinator over the shard wire grammar.
 fn cmd_serve_worker(args: &Args, spec: &str) -> Result<Option<String>, ArgError> {
     let cell = "a --shard-of worker serves whatever cell its coordinator assigns";
@@ -585,30 +585,20 @@ fn cmd_serve_worker(args: &Args, spec: &str) -> Result<Option<String>, ArgError>
             )));
         }
     }
-    let accepts = match spec {
-        "auto" => None,
-        rect => Some(
-            ringjoin_server::proto::parse_rect(rect)
-                .map_err(|e| ArgError(format!("invalid --shard-of cell: {e}")))?,
-        ),
-    };
+    if spec != "auto" {
+        return Err(ArgError(format!(
+            "--shard-of takes only `auto` (got {spec:?}): {cell}"
+        )));
+    }
     let buffer_pages: usize = args.opt_parse("buffer-pages", 0)?;
     let page_file = args.opt("on-disk").map(std::path::PathBuf::from);
     let addr = match args.opt("addr") {
         Some(a) => a.to_string(),
         None => format!("127.0.0.1:{}", args.opt_parse::<u16>("port", 4815)?),
     };
-    let server = ringjoin_server::Server::bind_worker(&addr, accepts, buffer_pages, page_file)
-        .map_err(server_err)?;
+    let server = Server::bind_worker(&addr, buffer_pages, page_file).map_err(server_err)?;
     write_addr_file(args, server.local_addr())?;
-    eprintln!(
-        "ringjoin-worker listening on {} (accepts {})",
-        server.local_addr(),
-        accepts.map_or("any cell".to_string(), |r| format!(
-            "{},{},{},{}",
-            r.min.x, r.min.y, r.max.x, r.max.y
-        ))
-    );
+    eprintln!("ringjoin-worker listening on {}", server.local_addr());
     server
         .serve()
         .map_err(|e| ArgError(format!("worker serve failed: {e}")))?;
@@ -681,20 +671,23 @@ fn cmd_serve(args: &Args) -> Result<Option<String>, ArgError> {
         Some(dir) => format!(", durable log in {}", dir.display()),
         None => String::new(),
     };
-    // Bind runs startup recovery (replaying the durable log into the
-    // fleet) before the listener accepts its first session.
-    let server = Server::bind(&ServerConfig {
-        addr,
+    // Building the engine runs startup recovery (replaying the durable
+    // log into the fleet) before the listener accepts its first session.
+    let engine = ShardedEngine::with_topology(TopologyConfig {
         shards,
         replicas,
         workers,
-        max_sessions,
-        queue_depth,
         on_disk,
         buffer_pages,
         data_dir,
     })
     .map_err(server_err)?;
+    let config = ServerConfig {
+        addr,
+        max_sessions,
+        queue_depth,
+    };
+    let server = Server::bind(&config, engine).map_err(server_err)?;
     write_addr_file(args, server.local_addr())?;
     eprintln!(
         "ringjoin-server listening on {} with {shards} shard(s){worker_note}, {max_sessions} session(s), queue depth {queue_depth}{residency}{durability}",
@@ -1743,11 +1736,13 @@ mod tests {
             .unwrap())
             .unwrap();
         }
-        let server = Server::bind(&ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            shards: 3,
-            ..ServerConfig::default()
-        })
+        let server = Server::bind(
+            &ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                ..ServerConfig::default()
+            },
+            ShardedEngine::new(3).unwrap(),
+        )
         .unwrap();
         let addr = server.local_addr().to_string();
         let handle = std::thread::spawn(move || server.serve().unwrap());
@@ -1970,11 +1965,13 @@ mod tests {
             .unwrap())
             .unwrap();
         }
-        let server = Server::bind(&ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            shards: 3,
-            ..ServerConfig::default()
-        })
+        let server = Server::bind(
+            &ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                ..ServerConfig::default()
+            },
+            ShardedEngine::new(3).unwrap(),
+        )
         .unwrap();
         let addr = server.local_addr().to_string();
         let handle = std::thread::spawn(move || server.serve().unwrap());
@@ -2146,13 +2143,30 @@ mod tests {
             let refusal = format!("{flag} is a coordinator option");
             assert!(err.0.starts_with(&refusal), "{}", err.0);
         }
+        // A worker serves whatever cell its coordinator assigns: a
+        // placement rectangle is refused, naming the one value taken.
+        let argv = [
+            "serve",
+            "--shard-of",
+            "0,0,1,1",
+            "--addr",
+            "127.0.0.1:99999",
+        ];
+        let err = run(&parse(&s(&argv)).unwrap()).unwrap_err();
+        assert!(
+            err.0.starts_with("--shard-of takes only `auto`"),
+            "{}",
+            err.0
+        );
         // --pipeline 0 would send nothing and hang: rejected before any
         // request goes out (the server is real, so the error is ours).
-        let server = Server::bind(&ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            shards: 1,
-            ..ServerConfig::default()
-        })
+        let server = Server::bind(
+            &ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                ..ServerConfig::default()
+            },
+            ShardedEngine::new(1).unwrap(),
+        )
         .unwrap();
         let paddr = server.local_addr().to_string();
         let handle = std::thread::spawn(move || server.serve().unwrap());

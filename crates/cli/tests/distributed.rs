@@ -76,8 +76,6 @@ fn spawned_engine(shards: usize, replicas: usize) -> ShardedEngine {
         workers: WorkerSpec::Spawn {
             program: PathBuf::from(env!("CARGO_BIN_EXE_ringjoin")),
         },
-        request_timeout: Duration::from_secs(20),
-        respawn_backoff: Duration::from_millis(25),
         ..TopologyConfig::default()
     })
     .expect("spawned topology")
@@ -162,8 +160,6 @@ fn spawned_disk_native_workers_spill_identical_slot_files_and_heal() {
         },
         on_disk: Some(base.clone()),
         buffer_pages: 16,
-        request_timeout: Duration::from_secs(20),
-        respawn_backoff: Duration::from_millis(25),
         ..TopologyConfig::default()
     })
     .expect("spawned disk-native topology");
@@ -280,7 +276,6 @@ fn shard_of_worker_discovered_by_addr_file_answers_byte_identically() {
     let se = ShardedEngine::with_topology(TopologyConfig {
         shards: 1,
         workers: WorkerSpec::Remote(vec![addr]),
-        request_timeout: Duration::from_secs(20),
         ..TopologyConfig::default()
     })
     .expect("remote topology over the addr-file worker");

@@ -26,25 +26,26 @@
 //!   worker — thread or process — answers.
 //! * [`Server`] / [`Client`] — the blocking TCP endpoints, and the only
 //!   ones: one session loop serves a coordinator and a shard worker
-//!   process alike ([`Server::bind_worker`], `serve --shard-of`), and
-//!   the coordinator reaches its worker processes through the client.
-//!   A coordinator accepts up to `max_sessions` concurrent sessions (one
-//!   thread each) over one shared engine, with a bounded admission queue
-//!   in front of the shard workers: overload is shed as `ERR busy` +
-//!   retry hint ([`ServerError::Busy`] client-side), never buffered
-//!   without bound. Results stay byte-identical to a single in-process
-//!   engine no matter how many sessions are interleaving.
+//!   process alike ([`Server::bind_worker`], `serve --shard-of auto`),
+//!   and the coordinator reaches its worker processes through the
+//!   client. A coordinator, bound to the [`ShardedEngine`] it serves
+//!   ([`Server::bind`]), accepts up to `max_sessions` concurrent
+//!   sessions (one thread each), with a bounded admission queue in front
+//!   of the shard workers: overload is shed as `ERR busy` + retry hint
+//!   ([`ServerError::Busy`] client-side), never buffered without bound.
+//!   Results stay byte-identical to a single in-process engine no
+//!   matter how many sessions are interleaving.
 //!
 //! ```no_run
-//! use ringjoin_server::{Client, Server, ServerConfig};
+//! use ringjoin_server::{Client, Server, ServerConfig, ShardedEngine};
 //! use ringjoin_core::{IndexKind, RcjAlgorithm};
 //! # fn items() -> Vec<ringjoin_geom::Item> { Vec::new() }
 //!
-//! let server = Server::bind(&ServerConfig {
+//! let config = ServerConfig {
 //!     addr: "127.0.0.1:0".into(),
-//!     shards: 4,
 //!     ..ServerConfig::default()
-//! })?;
+//! };
+//! let server = Server::bind(&config, ShardedEngine::new(4)?)?;
 //! let addr = server.local_addr();
 //! std::thread::spawn(move || server.serve());
 //!

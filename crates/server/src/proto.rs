@@ -29,7 +29,7 @@
 //!
 //! # Shard-worker grammar
 //!
-//! A **shard worker** (`ringjoin serve --shard-of ...`) speaks the same
+//! A **shard worker** (`ringjoin serve --shard-of auto`) speaks the same
 //! frame format but a different command set, parsed as
 //! [`ShardRequest`] and answered as [`ShardReply`]. These two types are
 //! the *only* shard message: in-process worker threads receive the same
@@ -43,7 +43,7 @@
 //!
 //! | request | body | response |
 //! |---|---|---|
-//! | `HELLO` | — | `OK role=shard accepts=<rect\|any>` |
+//! | `HELLO` | — | `OK role=shard` |
 //! | `SLOAD <name> <kind> cell=<rect>` | `id x y` rows | `OK leaves=.. extent=<rect>` |
 //! | `SUPDATE <name> epoch=<n>` | `+ id x y` / `- id` / `^ id x y` rows | same fields as `SLOAD` |
 //! | `SJOIN <outer> [inner=<name>] [algo=..] [bounds=.. maxd=..]` | — | counters + tagged pair rows |
@@ -57,7 +57,7 @@
 //! corners are normalised (`x0,y0,x1,y1` in any corner order), while
 //! `cell=` corners travel verbatim, so the empty rectangle round-trips
 //! as empty. A worker's page file is not on the wire: the worker is
-//! started with it (`serve --shard-of .. --on-disk FILE`).
+//! started with it (`serve --shard-of auto --on-disk FILE`).
 //!
 //! The coordinator's merge keys are **global outer-leaf indices**, so
 //! `SJOIN` replies carry leaf-tagged rows (`leaf p_id p_x p_y q_id q_x
@@ -224,37 +224,13 @@ fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 fn read_frame_inner(r: &mut impl Read, idle_ok: bool) -> std::io::Result<FrameRead> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    let mut stalls = 0u32;
-    while filled < 4 {
-        match r.read(&mut len_bytes[filled..]) {
-            Ok(0) if filled == 0 => return Ok(FrameRead::Eof),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "truncated frame length",
-                ))
-            }
-            Ok(n) => {
-                filled += n;
-                stalls = 0;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if idle_ok && is_timeout(&e) => {
-                if filled == 0 {
-                    return Ok(FrameRead::Idle);
-                }
-                stalls += 1;
-                if stalls > MID_FRAME_PATIENCE {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "peer stalled mid-frame",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
+    let (mut len_bytes, mut at) = ([0u8; 4], 0);
+    let head = fill(r, &mut [0u8; 4], 4, idle_ok, true, |bytes| {
+        len_bytes[at..at + bytes.len()].copy_from_slice(bytes);
+        at += bytes.len();
+    })?;
+    if let Some(quiet) = head {
+        return Ok(quiet);
     }
     let len = u32::from_be_bytes(len_bytes);
     if len > MAX_FRAME {
@@ -263,28 +239,64 @@ fn read_frame_inner(r: &mut impl Read, idle_ok: bool) -> std::io::Result<FrameRe
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    // Chunked receive: allocation tracks bytes received, never the
-    // (untrusted) length prefix.
+    // Allocation tracks bytes received, never the (untrusted) length
+    // prefix.
     let mut payload: Vec<u8> = Vec::with_capacity((len as usize).min(READ_CHUNK));
-    let mut chunk = [0u8; READ_CHUNK];
-    let mut remaining = len as usize;
+    fill(
+        r,
+        &mut [0u8; READ_CHUNK],
+        len as usize,
+        idle_ok,
+        false,
+        |bytes| payload.extend_from_slice(bytes),
+    )?;
+    String::from_utf8(payload)
+        .map(FrameRead::Frame)
+        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame is not UTF-8"))
+}
+
+/// The one receive loop, for the length prefix (`frame_start`) and the
+/// payload alike: receives `len` bytes, each read asking `r` for at most
+/// `chunk.len()` of them and handing what arrived to `take`. It retries
+/// `Interrupted` and, when `idle_ok`, up to `MID_FRAME_PATIENCE`
+/// consecutive timeouts. An end of stream — or, when `idle_ok`, a
+/// timeout — before a frame's first byte is [`FrameRead::Eof`] or
+/// [`FrameRead::Idle`]; anywhere else it is an error.
+fn fill(
+    r: &mut impl Read,
+    chunk: &mut [u8],
+    len: usize,
+    idle_ok: bool,
+    frame_start: bool,
+    mut take: impl FnMut(&[u8]),
+) -> std::io::Result<Option<FrameRead>> {
+    let mut filled = 0;
     let mut stalls = 0u32;
-    while remaining > 0 {
-        let want = remaining.min(READ_CHUNK);
+    while filled < len {
+        let want = (len - filled).min(chunk.len());
+        let quiet = frame_start && filled == 0;
         match r.read(&mut chunk[..want]) {
+            Ok(0) if quiet => return Ok(Some(FrameRead::Eof)),
             Ok(0) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
-                    "truncated frame payload",
+                    if frame_start {
+                        "truncated frame length"
+                    } else {
+                        "truncated frame payload"
+                    },
                 ))
             }
             Ok(n) => {
-                payload.extend_from_slice(&chunk[..n]);
-                remaining -= n;
+                take(&chunk[..n]);
+                filled += n;
                 stalls = 0;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) if idle_ok && is_timeout(&e) => {
+                if quiet {
+                    return Ok(Some(FrameRead::Idle));
+                }
                 stalls += 1;
                 if stalls > MID_FRAME_PATIENCE {
                     return Err(std::io::Error::new(
@@ -296,9 +308,7 @@ fn read_frame_inner(r: &mut impl Read, idle_ok: bool) -> std::io::Result<FrameRe
             Err(e) => return Err(e),
         }
     }
-    String::from_utf8(payload)
-        .map(FrameRead::Frame)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame is not UTF-8"))
+    Ok(None)
 }
 
 /// Prefixes a request payload with its `#<id>` token.
@@ -1253,12 +1263,8 @@ pub struct Ownership {
 /// reply shape.
 #[derive(Clone, Debug)]
 pub enum ShardReply {
-    /// `HELLO`: the worker's role, plus the cell extent it accepts
-    /// (`None` = any).
-    Hello {
-        /// The `--shard-of` placement contract.
-        accepts: Option<Rect>,
-    },
+    /// `HELLO`: the peer is a shard worker.
+    Hello,
     /// `SLOAD` / `SUPDATE`: the worker's ownership afterwards.
     Indexed(Ownership),
     /// `SJOIN`: leaf-tagged pairs in leaf order plus the run counters.
@@ -1293,14 +1299,7 @@ impl ShardReply {
     /// id (if any) as [`Reply::encode_ok`] does.
     pub fn encode(&self, id: Option<u64>) -> String {
         match self {
-            ShardReply::Hello { accepts } => Reply::encode_ok(
-                id,
-                &[
-                    ("role", "shard".to_string()),
-                    ("accepts", accepts.map_or_else(|| "any".into(), encode_rect)),
-                ],
-                "",
-            ),
+            ShardReply::Hello => Reply::encode_ok(id, &[("role", "shard".to_string())], ""),
             ShardReply::Indexed(own) => Reply::encode_ok(
                 id,
                 &[
@@ -1342,11 +1341,7 @@ impl ShardReply {
                         role.unwrap_or("?")
                     )));
                 }
-                let accepts = match required(&reply, "accepts")? {
-                    "any" => None,
-                    rect => Some(parse_rect(rect)?),
-                };
-                ShardReply::Hello { accepts }
+                ShardReply::Hello
             }
             ShardRequest::Load { .. } | ShardRequest::Update { .. } => {
                 ShardReply::Indexed(Ownership {

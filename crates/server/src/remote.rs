@@ -15,7 +15,7 @@
 //! process hop.
 //!
 //! Failure semantics: a [`RemoteShard`] is a [`Client`] whose socket
-//! deadline is the request timeout, and each request goes through the
+//! deadline is [`REQUEST_TIMEOUT`], and each request goes through the
 //! client's retry loop: a lost connection reconnects and resends,
 //! [`ATTEMPTS`] attempts in all. A worker-reported `ERR` is
 //! [`ShardFault::Request`]: the worker is alive, the request is wrong,
@@ -41,8 +41,12 @@ use std::time::{Duration, Instant};
 /// them, before it is [`ShardFault::Gone`] and the slot fails over.
 const ATTEMPTS: u32 = 3;
 
+/// The socket deadline of one worker request: a request past it fails
+/// over to a sibling replica.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// A [`ShardBackend`] over a [`Client`] connection to a shard worker,
-/// with the request timeout as its socket deadline. See the module docs
+/// with [`REQUEST_TIMEOUT`] as its socket deadline. See the module docs
 /// for the failure semantics.
 pub(crate) struct RemoteShard {
     client: Client,
@@ -54,8 +58,8 @@ impl RemoteShard {
     /// connecting a coordinator to another coordinator (or anything else
     /// speaking the protocol) is a configuration error caught here, not
     /// a hang later.
-    pub(crate) fn connect(addr: &str, timeout: Duration) -> Result<RemoteShard, String> {
-        let mut client = Client::connect_with_timeout(addr, Some(timeout))
+    pub(crate) fn connect(addr: &str) -> Result<RemoteShard, String> {
+        let mut client = Client::connect_with_timeout(addr, Some(REQUEST_TIMEOUT))
             .map_err(|e| format!("connecting to worker {addr}: {e}"))?;
         let hello = ShardRequest::Hello;
         client
@@ -115,7 +119,6 @@ impl SpawnedShard {
     /// pool of `buffer_pages` frames when nonzero — and connects to it.
     pub(crate) fn launch(
         program: &Path,
-        timeout: Duration,
         page_file: Option<PathBuf>,
         buffer_pages: usize,
     ) -> Result<SpawnedShard, String> {
@@ -147,8 +150,8 @@ impl SpawnedShard {
             .stderr(std::process::Stdio::null())
             .spawn()
             .map_err(|e| format!("spawning worker {}: {e}", program.display()))?;
-        let remote = Self::await_addr(&addr_file, &mut child)
-            .and_then(|addr| RemoteShard::connect(&addr, timeout));
+        let remote =
+            Self::await_addr(&addr_file, &mut child).and_then(|addr| RemoteShard::connect(&addr));
         let _ = std::fs::remove_file(&addr_file);
         match remote {
             Ok(remote) => Ok(SpawnedShard { child, remote }),
@@ -217,7 +220,7 @@ impl Drop for SpawnedShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Server, ServerHandle};
+    use crate::{Server, ServerConfig, ServerHandle, ShardedEngine, TopologyConfig, WorkerSpec};
     use ringjoin_core::{IndexKind, RcjAlgorithm, RingBounds};
     use ringjoin_geom::{pt, Item, Rect};
     use std::sync::Arc;
@@ -243,7 +246,7 @@ mod tests {
 
     /// Binds a worker on an ephemeral port, serving on its own thread.
     fn start_worker() -> (ServerHandle, String) {
-        let server = Server::bind_worker("127.0.0.1:0", None, 0, None).unwrap();
+        let server = Server::bind_worker("127.0.0.1:0", 0, None).unwrap();
         let handle = server.handle();
         let addr = server.local_addr().to_string();
         std::thread::spawn(move || {
@@ -255,7 +258,7 @@ mod tests {
     #[test]
     fn remote_worker_round_trips_load_join_topk_explain() {
         let (_handle, addr) = start_worker();
-        let mut shard = RemoteShard::connect(&addr, Duration::from_secs(10)).unwrap();
+        let mut shard = RemoteShard::connect(&addr).unwrap();
         let everything = Rect::new(
             pt(f64::NEG_INFINITY, f64::NEG_INFINITY),
             pt(f64::INFINITY, f64::INFINITY),
@@ -305,7 +308,7 @@ mod tests {
     #[test]
     fn worker_answers_an_invalid_window_with_err_and_keeps_serving() {
         let (_handle, addr) = start_worker();
-        let mut shard = RemoteShard::connect(&addr, Duration::from_secs(10)).unwrap();
+        let mut shard = RemoteShard::connect(&addr).unwrap();
         let everything = Rect::new(
             pt(f64::NEG_INFINITY, f64::NEG_INFINITY),
             pt(f64::INFINITY, f64::INFINITY),
@@ -337,18 +340,34 @@ mod tests {
     }
 
     #[test]
-    fn worker_rejects_loads_outside_its_cell_and_wrong_roles_fail_fast() {
-        let accepts = Rect::new(pt(0.0, 0.0), pt(100.0, 100.0));
-        let server = Server::bind_worker("127.0.0.1:0", Some(accepts), 0, None).unwrap();
-        let addr = server.local_addr().to_string();
-        let handle = server.handle();
+    fn wrong_roles_fail_fast() {
+        // A coordinator listed as a worker: its `HELLO` answers
+        // `role=coordinator`, so the topology is refused at
+        // construction, before any dataset reaches it.
+        let coordinator = Server::bind(
+            &ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                ..ServerConfig::default()
+            },
+            ShardedEngine::new(1).unwrap(),
+        )
+        .unwrap();
+        let addr = coordinator.local_addr().to_string();
+        let handle = coordinator.handle();
         std::thread::spawn(move || {
-            let _ = server.serve();
+            let _ = coordinator.serve();
         });
-        let mut shard = RemoteShard::connect(&addr, Duration::from_secs(10)).unwrap();
-        let far = Rect::new(pt(500.0, 500.0), pt(600.0, 600.0));
-        let err = shard.request(&load(far, items(10, 5, 50.0)));
-        assert!(matches!(err, Err(ShardFault::Request(_))));
+        let err = ShardedEngine::with_topology(TopologyConfig {
+            workers: WorkerSpec::Remote(vec![addr]),
+            ..TopologyConfig::default()
+        })
+        .err()
+        .map(|e| e.to_string());
+        assert!(
+            err.as_deref()
+                .is_some_and(|e| e.contains("role=coordinator")),
+            "{err:?}"
+        );
         handle.kill();
     }
 
@@ -357,13 +376,13 @@ mod tests {
         let missing = std::env::temp_dir()
             .join(format!("ringjoin-no-such-dir-{}", std::process::id()))
             .join("pages.rjp");
-        let server = Server::bind_worker("127.0.0.1:0", None, 0, Some(missing.clone())).unwrap();
+        let server = Server::bind_worker("127.0.0.1:0", 0, Some(missing.clone())).unwrap();
         let addr = server.local_addr().to_string();
         let handle = server.handle();
         std::thread::spawn(move || {
             let _ = server.serve();
         });
-        let mut shard = RemoteShard::connect(&addr, Duration::from_secs(10)).unwrap();
+        let mut shard = RemoteShard::connect(&addr).unwrap();
         let everything = Rect::new(
             pt(f64::NEG_INFINITY, f64::NEG_INFINITY),
             pt(f64::INFINITY, f64::INFINITY),
@@ -378,7 +397,7 @@ mod tests {
         }
         assert!(matches!(
             shard.request(&ShardRequest::Hello),
-            Ok(ShardReply::Hello { .. })
+            Ok(ShardReply::Hello)
         ));
         handle.kill();
     }
@@ -386,7 +405,7 @@ mod tests {
     #[test]
     fn killed_worker_surfaces_gone_after_bounded_retries() {
         let (handle, addr) = start_worker();
-        let mut shard = RemoteShard::connect(&addr, Duration::from_secs(2)).unwrap();
+        let mut shard = RemoteShard::connect(&addr).unwrap();
         handle.kill();
         let err = shard.request(&ShardRequest::Explain {
             outer: "d".into(),
@@ -400,14 +419,14 @@ mod tests {
     #[test]
     fn a_worker_echoes_request_ids_and_stops_on_a_shutdown_it_never_acks() {
         use crate::proto::{read_frame, write_frame};
-        let server = Server::bind_worker("127.0.0.1:0", None, 0, None).unwrap();
+        let server = Server::bind_worker("127.0.0.1:0", 0, None).unwrap();
         let addr = server.local_addr();
         let (done, stopped) = std::sync::mpsc::channel();
         std::thread::spawn(move || done.send(server.serve().is_ok()));
         let mut raw = std::net::TcpStream::connect(addr).unwrap();
         write_frame(&mut raw, b"#7 HELLO").unwrap();
         let hello = read_frame(&mut raw).unwrap().unwrap();
-        assert_eq!(hello, "OK id=7 role=shard accepts=any\n");
+        assert_eq!(hello, "OK id=7 role=shard\n");
         // The worker commits to stopping before it writes the ack, so a
         // coordinator that vanishes right after sending still stops it.
         write_frame(&mut raw, b"#8 SHUTDOWN").unwrap();

@@ -1,10 +1,11 @@
 //! The process-lifetime half of serving: a TCP listener translating
 //! wire-protocol frames into engine calls, one session thread per
 //! connection. One loop serves both roles: a coordinator answers the
-//! client grammar from a [`ShardedEngine`], and a shard worker
-//! (`serve --shard-of`, [`Server::bind_worker`]) answers the shard
-//! grammar through its worker thread, with the same request-id echo,
-//! reply bound, idle tick and shutdown order.
+//! client grammar from the [`ShardedEngine`] it was bound to
+//! ([`Server::bind`]), and a shard worker (`serve --shard-of auto`,
+//! [`Server::bind_worker`]) answers the shard grammar through its
+//! worker thread, with the same request-id echo, reply bound, idle tick
+//! and shutdown order.
 //!
 //! # Concurrency model
 //!
@@ -32,12 +33,10 @@ use crate::proto::{
     bounded_reply, encode_pairs, encode_stats_fields, read_frame_idle, split_request_id,
     write_frame, FrameRead, Reply, Request, ShardRequest, MAX_FRAME,
 };
-use crate::sharded::{LocalShard, ShardedEngine, ShardedOutput, UpdateInfo};
+use crate::sharded::{buffer_pool, LocalShard, ShardedEngine, ShardedOutput, UpdateInfo};
 use crate::topology::ShardBackend;
 use crate::ServerError;
 use ringjoin_core::Mutation;
-use ringjoin_geom::Rect;
-use ringjoin_storage::BufferPool;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -51,60 +50,27 @@ const IDLE_TICK: Duration = Duration::from_millis(100);
 /// The retry hint attached to `ERR busy` rejections.
 const RETRY_AFTER_MS: u64 = 50;
 
-/// Server configuration.
+/// The listener's own settings. What it serves, and where the shard
+/// workers live, is the [`ShardedEngine`] handed to [`Server::bind`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:4815` (port `0` picks an
     /// ephemeral port — query it with [`Server::local_addr`]).
     pub addr: String,
-    /// Number of shard engines (must be at least 1), and so the number
-    /// of engine-bound requests the admission gate lets run at once.
-    pub shards: usize,
     /// Concurrent client sessions accepted (must be at least 1);
     /// further connections are rejected with `ERR busy`.
     pub max_sessions: usize,
     /// Engine-bound requests that may *wait* for an admission slot
     /// before the server starts shedding load with `ERR busy`.
     pub queue_depth: usize,
-    /// Disk-native serving: every `LOAD` spills each shard worker's
-    /// page space to the worker's own page file, `<on_disk>.<slot>`, and
-    /// the buffer pool's frames become the only RAM residency of the
-    /// join read path. `None` (the default) serves resident.
-    pub on_disk: Option<std::path::PathBuf>,
-    /// Page budget of the buffer pool (each spawned worker's own, or
-    /// the one the in-process workers share); `0` (the default) means
-    /// effectively unbounded. With [`ServerConfig::on_disk`] set, a
-    /// served dataset several times larger than this budget still
-    /// joins, faulting pages through the pool.
-    pub buffer_pages: usize,
-    /// Workers per shard cell (must be at least 1). Replicas answer
-    /// byte-identically; reads round-robin across them and fail over
-    /// when one is lost.
-    pub replicas: usize,
-    /// Where the shard workers live: in-process threads (the default),
-    /// pre-started worker processes, or children this server spawns.
-    pub workers: crate::sharded::WorkerSpec,
-    /// Durable coordinator state: LOADs and mutation batches are
-    /// appended to a write-ahead log under this directory (fsynced
-    /// before any fan-out), and [`Server::bind`] replays the log —
-    /// *before* the listener accepts a single session — so a restarted
-    /// coordinator recovers every dataset to its logged epoch. `None`
-    /// (the default) keeps the replay log in memory only.
-    pub data_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:4815".to_string(),
-            shards: 1,
             max_sessions: 16,
             queue_depth: 32,
-            on_disk: None,
-            buffer_pages: 0,
-            replicas: 1,
-            workers: crate::sharded::WorkerSpec::Local,
-            data_dir: None,
         }
     }
 }
@@ -192,47 +158,33 @@ impl Handled {
 }
 
 impl Server {
-    /// Validates the configuration (shard count and session limit both
-    /// at least 1), spawns the shard workers and binds the listener.
-    pub fn bind(config: &ServerConfig) -> Result<Server, ServerError> {
+    /// Validates the session limit (at least 1) and binds the listener
+    /// in front of `engine`, whose shard count sizes the admission gate.
+    /// Building the engine ([`ShardedEngine::with_topology`]) replayed
+    /// any durable log, so no session sees a half-recovered catalog.
+    pub fn bind(config: &ServerConfig, engine: ShardedEngine) -> Result<Server, ServerError> {
         if config.max_sessions == 0 {
             return Err(ServerError::BadRequest(
                 "max_sessions must be at least 1 (got 0)".into(),
             ));
         }
-        let engine = ShardedEngine::with_topology(crate::sharded::TopologyConfig {
-            shards: config.shards,
-            replicas: config.replicas,
-            workers: config.workers.clone(),
-            on_disk: config.on_disk.clone(),
-            buffer_pages: config.buffer_pages,
-            data_dir: config.data_dir.clone(),
-            ..crate::sharded::TopologyConfig::default()
-        })?;
-        let admission = Admission::new(config.shards, config.queue_depth);
+        let admission = Admission::new(engine.shard_count(), config.queue_depth);
         let role = Role::Coordinator(engine, admission);
         Self::listen(&config.addr, role, config.max_sessions)
     }
 
-    /// Binds a shard worker, what `serve --shard-of` runs: one
+    /// Binds a shard worker, what `serve --shard-of auto` runs: one
     /// engine-owning worker thread (identical to an in-process shard)
-    /// answering the shard grammar, with no session limit. `accepts`
-    /// restricts which partition cells it will `SLOAD` (`None` = any);
+    /// answering the shard grammar, with no session limit.
     /// `buffer_pages` bounds its private buffer pool (`0` = effectively
     /// unbounded); every `SLOAD` spills to `page_file`, when set, which
     /// this worker alone reads and writes.
     pub fn bind_worker(
         addr: &str,
-        accepts: Option<Rect>,
         buffer_pages: usize,
         page_file: Option<PathBuf>,
     ) -> Result<Server, ServerError> {
-        let pool = BufferPool::new(if buffer_pages == 0 {
-            usize::MAX / 2
-        } else {
-            buffer_pages
-        });
-        let worker = LocalShard::spawn(pool, accepts, page_file);
+        let worker = LocalShard::spawn(buffer_pool(buffer_pages), page_file);
         Self::listen(addr, Role::Worker(Mutex::new(worker)), usize::MAX)
     }
 

@@ -48,7 +48,7 @@
 //! parse off the wire, and one dispatch answers it in both places.
 
 use crate::partition::SpacePartition;
-use crate::proto::{encode_load, encode_rect, Ownership, Request, ShardReply, ShardRequest};
+use crate::proto::{encode_load, Ownership, Request, ShardReply, ShardRequest};
 use crate::remote::{RemoteShard, SpawnedShard};
 use crate::topology::{BackendFactory, HealFn, ShardBackend, ShardFault, Topology};
 use crate::ServerError;
@@ -135,9 +135,6 @@ struct ShardWorker {
     /// for every other shard's, instead of each replica re-faulting its
     /// private engine buffer.
     pool: BufferPool,
-    /// The `--shard-of` placement contract: loads whose cell misses
-    /// this rectangle are refused (`None` = any cell).
-    accepts: Option<Rect>,
     /// Disk-native serving: the page file every `LOAD` spills to. The
     /// worker is its only reader and writer (`None` = resident).
     page_file: Option<PathBuf>,
@@ -147,12 +144,11 @@ impl ShardWorker {
     /// A worker accounting its joins through `pool`. A disk-native
     /// worker's pager buffers at most the pool's budget, which bounds
     /// the page bytes a spill leaves in its frames.
-    fn new(pool: BufferPool, accepts: Option<Rect>, page_file: Option<PathBuf>) -> ShardWorker {
+    fn new(pool: BufferPool, page_file: Option<PathBuf>) -> ShardWorker {
         ShardWorker {
             engine: Self::empty_engine(&pool, page_file.is_some()),
             datasets: BTreeMap::new(),
             pool,
-            accepts,
             page_file,
         }
     }
@@ -171,9 +167,7 @@ impl ShardWorker {
     /// Answers one shard message.
     fn handle(&mut self, req: &ShardRequest) -> Result<ShardReply, String> {
         match req {
-            ShardRequest::Hello => Ok(ShardReply::Hello {
-                accepts: self.accepts,
-            }),
+            ShardRequest::Hello => Ok(ShardReply::Hello),
             ShardRequest::Load {
                 name,
                 kind,
@@ -219,15 +213,6 @@ impl ShardWorker {
         cell: Rect,
         items: &[Item],
     ) -> Result<Ownership, String> {
-        if let Some(accepts) = self.accepts {
-            if !accepts.intersects(cell) {
-                return Err(format!(
-                    "worker accepts cell {} only, got {}",
-                    encode_rect(accepts),
-                    encode_rect(cell)
-                ));
-            }
-        }
         self.engine
             .load(name.to_string(), items.to_vec())
             .index(kind);
@@ -369,6 +354,17 @@ impl ShardWorker {
     }
 }
 
+/// The buffer pool of a `buffer_pages` frame budget, `0` meaning
+/// effectively unbounded: the one pool rule of a coordinator's shared
+/// pool and a worker process's own.
+pub(crate) fn buffer_pool(buffer_pages: usize) -> BufferPool {
+    BufferPool::new(if buffer_pages == 0 {
+        usize::MAX / 2
+    } else {
+        buffer_pages
+    })
+}
+
 // ---------------------------------------------------------------------
 // Local backend: the worker thread behind the ShardBackend trait
 // ---------------------------------------------------------------------
@@ -390,17 +386,12 @@ pub(crate) struct LocalShard {
 }
 
 impl LocalShard {
-    /// Spawns one worker thread accounting through `pool`, accepting
-    /// loads for cells meeting `accepts` (`None` = any cell) and, when
+    /// Spawns one worker thread accounting through `pool` and, when
     /// `page_file` is set, serving its pages from that file.
-    pub(crate) fn spawn(
-        pool: BufferPool,
-        accepts: Option<Rect>,
-        page_file: Option<PathBuf>,
-    ) -> LocalShard {
+    pub(crate) fn spawn(pool: BufferPool, page_file: Option<PathBuf>) -> LocalShard {
         let (tx, rx) = channel::<Envelope>();
         let handle = std::thread::spawn(move || {
-            let mut worker = ShardWorker::new(pool, accepts, page_file);
+            let mut worker = ShardWorker::new(pool, page_file);
             while let Ok((req, reply)) = rx.recv() {
                 let _ = reply.send(worker.handle(&req));
                 if matches!(req, ShardRequest::Shutdown) {
@@ -488,7 +479,10 @@ impl std::fmt::Debug for WorkerSpec {
     }
 }
 
-/// Full construction knobs of a [`ShardedEngine`] topology.
+/// What a [`ShardedEngine`] is built from: its shape, where its workers
+/// live, their storage, and its durable log. A worker request's socket
+/// deadline (30 s) and the supervisor's first respawn backoff (100 ms)
+/// are fixed.
 #[derive(Clone, Debug)]
 pub struct TopologyConfig {
     /// Partition cells (the shard count; must be at least 1).
@@ -497,7 +491,7 @@ pub struct TopologyConfig {
     /// byte-identically, so reads round-robin across them and fail
     /// over on loss.
     pub replicas: usize,
-    /// Where the workers live.
+    /// Where the workers live (in-process threads by default).
     pub workers: WorkerSpec,
     /// Disk-native serving: worker slot `s` (cell-major, as `STATS`
     /// numbers `shard<s>`) spills every `LOAD` to its own page file
@@ -509,11 +503,6 @@ pub struct TopologyConfig {
     /// workers share the coordinator's pool; each spawned worker
     /// process has its own. Nonzero, an error for pre-started workers.
     pub buffer_pages: usize,
-    /// Per-request socket deadline for remote workers.
-    pub request_timeout: Duration,
-    /// Base supervisor backoff between respawn attempts (doubled each
-    /// retry, over a fixed number of attempts per down event).
-    pub respawn_backoff: Duration,
     /// Durable coordinator state: when set, every LOAD and update batch
     /// is appended to a write-ahead log under `<data_dir>/wal` and
     /// fsynced **before** the fan-out, and construction replays the log
@@ -531,8 +520,6 @@ impl Default for TopologyConfig {
             workers: WorkerSpec::Local,
             on_disk: None,
             buffer_pages: 0,
-            request_timeout: Duration::from_secs(30),
-            respawn_backoff: Duration::from_millis(100),
             data_dir: None,
         }
     }
@@ -693,18 +680,19 @@ impl ShardedEngine {
     }
 
     /// The fully general constructor: every knob of the topology —
-    /// worker placement, replicas per cell, storage residency, request
-    /// deadlines and the respawn policy. [`ShardedEngine::new`] is a
-    /// thin wrapper over this.
+    /// worker placement, replicas per cell, storage residency and the
+    /// durable log, which it replays before returning.
+    /// [`ShardedEngine::new`] is a thin wrapper over this.
     pub fn with_topology(cfg: TopologyConfig) -> Result<ShardedEngine, ServerError> {
-        if cfg.shards == 0 || cfg.replicas == 0 {
+        if cfg.shards == 0 {
             return Err(ServerError::InvalidShards);
         }
-        let pool = BufferPool::new(if cfg.buffer_pages == 0 {
-            usize::MAX / 2
-        } else {
-            cfg.buffer_pages
-        });
+        if cfg.replicas == 0 {
+            return Err(ServerError::BadRequest(
+                "replicas must be at least 1 (got 0)".into(),
+            ));
+        }
+        let pool = buffer_pool(cfg.buffer_pages);
         let state: Arc<RwLock<CatalogState>> = Arc::new(RwLock::new(CatalogState::default()));
         let pre_started = matches!(
             cfg.workers,
@@ -727,7 +715,7 @@ impl ShardedEngine {
             WorkerSpec::Local => {
                 let pool = pool.clone();
                 Arc::new(move |cell, rep| {
-                    let shard = LocalShard::spawn(pool.clone(), None, page_file(cell, rep));
+                    let shard = LocalShard::spawn(pool.clone(), page_file(cell, rep));
                     Ok(Box::new(shard) as Box<dyn ShardBackend>)
                 })
             }
@@ -741,27 +729,24 @@ impl ShardedEngine {
                 }
                 let addrs = addrs.clone();
                 let replicas = cfg.replicas;
-                let timeout = cfg.request_timeout;
                 Arc::new(move |cell, rep| {
-                    RemoteShard::connect(&addrs[cell * replicas + rep], timeout)
+                    RemoteShard::connect(&addrs[cell * replicas + rep])
                         .map(|b| Box::new(b) as Box<dyn ShardBackend>)
                 })
             }
             WorkerSpec::Spawn { program } => {
                 let program = program.clone();
-                let (timeout, buffer_pages) = (cfg.request_timeout, cfg.buffer_pages);
+                let buffer_pages = cfg.buffer_pages;
                 Arc::new(move |cell, rep| {
-                    SpawnedShard::launch(&program, timeout, page_file(cell, rep), buffer_pages)
+                    SpawnedShard::launch(&program, page_file(cell, rep), buffer_pages)
                         .map(|b| Box::new(b) as Box<dyn ShardBackend>)
                 })
             }
             WorkerSpec::Provision(provision) => {
                 let provision = Arc::clone(provision);
-                let timeout = cfg.request_timeout;
                 Arc::new(move |cell, rep| {
                     let addr = provision(cell, rep)?;
-                    RemoteShard::connect(&addr, timeout)
-                        .map(|b| Box::new(b) as Box<dyn ShardBackend>)
+                    RemoteShard::connect(&addr).map(|b| Box::new(b) as Box<dyn ShardBackend>)
                 })
             }
         };
@@ -786,7 +771,7 @@ impl ShardedEngine {
                 Ok(st.log.len() as u64)
             })
         };
-        let topology = Topology::new(cfg.shards, cfg.replicas, factory, heal, cfg.respawn_backoff)?;
+        let topology = Topology::new(cfg.shards, cfg.replicas, factory, heal)?;
         let mut engine = ShardedEngine {
             topology,
             state,
@@ -1895,7 +1880,7 @@ mod tests {
             let mut workers: Vec<ShardWorker> = cells
                 .iter()
                 .map(|&cell| {
-                    let mut worker = ShardWorker::new(BufferPool::new(usize::MAX / 2), None, None);
+                    let mut worker = ShardWorker::new(BufferPool::new(usize::MAX / 2), None);
                     worker
                         .handle(&ShardRequest::Load {
                             name: "d".into(),
@@ -2170,8 +2155,7 @@ mod tests {
     fn a_disk_native_worker_buffers_at_most_its_budget_after_a_load() {
         let dir = ringjoin_testsupport::scratch_dir("sharded-worker-budget");
         let budget = 8;
-        let mut worker =
-            ShardWorker::new(BufferPool::new(budget), None, Some(dir.join("pages.rjp")));
+        let mut worker = ShardWorker::new(BufferPool::new(budget), Some(dir.join("pages.rjp")));
         let everything = Rect::new(
             pt(f64::NEG_INFINITY, f64::NEG_INFINITY),
             pt(f64::INFINITY, f64::INFINITY),
@@ -2204,7 +2188,7 @@ mod tests {
     fn a_refused_spill_leaves_no_dataset_and_no_pages_behind() {
         let dir = ringjoin_testsupport::scratch_dir("sharded-worker-refused");
         let path = dir.join("missing").join("pages.rjp");
-        let mut worker = ShardWorker::new(BufferPool::new(64), None, Some(path));
+        let mut worker = ShardWorker::new(BufferPool::new(64), Some(path));
         let everything = Rect::new(
             pt(f64::NEG_INFINITY, f64::NEG_INFINITY),
             pt(f64::INFINITY, f64::INFINITY),
@@ -2227,6 +2211,47 @@ mod tests {
             assert_eq!(worker.engine.pager().borrow().num_pages(), 0);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_sized_topologies_are_rejected() {
+        assert!(matches!(
+            ShardedEngine::with_topology(TopologyConfig {
+                shards: 0,
+                ..TopologyConfig::default()
+            }),
+            Err(ServerError::InvalidShards)
+        ));
+        // Zero replicas is not reported as a zero shard count.
+        let err = ShardedEngine::with_topology(TopologyConfig {
+            shards: 2,
+            replicas: 0,
+            ..TopologyConfig::default()
+        })
+        .err()
+        .map(|e| e.to_string());
+        assert_eq!(
+            err.as_deref(),
+            Some("bad request: replicas must be at least 1 (got 0)")
+        );
+    }
+
+    #[test]
+    fn a_worker_list_of_the_wrong_length_is_refused_without_connecting() {
+        // Nothing listens on port 1: a connection attempt would fail
+        // with a different error.
+        let err = ShardedEngine::with_topology(TopologyConfig {
+            shards: 2,
+            replicas: 2,
+            workers: WorkerSpec::Remote(vec!["127.0.0.1:1".into(); 3]),
+            ..TopologyConfig::default()
+        })
+        .err()
+        .map(|e| e.to_string());
+        assert_eq!(
+            err.as_deref(),
+            Some("bad request: worker list has 3 address(es), need shards x replicas = 4")
+        );
     }
 
     #[test]

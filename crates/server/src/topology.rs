@@ -99,6 +99,10 @@ pub(crate) type HealFn =
 /// it parks the slot down (a later routed call kicks it again).
 const RESPAWN_ATTEMPTS: u32 = 5;
 
+/// The supervisor's wait before its second attempt on a slot, doubled
+/// on each attempt after that.
+const RESPAWN_BACKOFF: Duration = Duration::from_millis(100);
+
 // ---------------------------------------------------------------------
 // Slots
 // ---------------------------------------------------------------------
@@ -163,18 +167,15 @@ pub(crate) struct Topology {
 impl Topology {
     /// Builds the full topology strictly: every `(cell, replica)` slot
     /// must spawn, or construction fails. The supervisor thread starts
-    /// immediately; it waits `backoff` before its second respawn attempt
-    /// on a slot, doubling the wait on each attempt after that.
+    /// immediately. Its caller,
+    /// [`ShardedEngine::with_topology`](crate::ShardedEngine::with_topology),
+    /// has checked that `cells` and `replicas` are at least 1.
     pub(crate) fn new(
         cells: usize,
         replicas: usize,
         factory: BackendFactory,
         heal: HealFn,
-        backoff: Duration,
     ) -> Result<Topology, ServerError> {
-        if cells == 0 || replicas == 0 {
-            return Err(ServerError::InvalidShards);
-        }
         let mut slots = Vec::with_capacity(cells * replicas);
         for cell in 0..cells {
             for rep in 0..replicas {
@@ -209,7 +210,9 @@ impl Topology {
                             // Jittered by slot, so sibling respawns
                             // don't stampede.
                             std::thread::sleep(crate::client::backoff(
-                                backoff, attempt, idx as u64,
+                                RESPAWN_BACKOFF,
+                                attempt,
+                                idx as u64,
                             ));
                         }
                         let backend = match factory(cell, rep) {
@@ -464,11 +467,6 @@ mod tests {
         }
     }
 
-    /// The respawn backoff every topology starts with.
-    fn backoff() -> Duration {
-        crate::TopologyConfig::default().respawn_backoff
-    }
-
     /// Factory + heal that build healthy mocks and count replays.
     fn fixture(kill_switches: Arc<Mutex<Vec<Arc<AtomicBool>>>>) -> (BackendFactory, HealFn) {
         let factory: BackendFactory = Arc::new(move |cell, rep| {
@@ -490,7 +488,7 @@ mod tests {
     fn failover_hides_a_dead_replica_and_supervisor_heals_it() {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(Arc::clone(&switches));
-        let topo = Topology::new(1, 2, factory, heal, backoff()).unwrap();
+        let topo = Topology::new(1, 2, factory, heal).unwrap();
         // Kill replica 0's transport: the next calls must still answer
         // (replica 1) without ever surfacing an error.
         switches.lock().unwrap()[0].store(true, Ordering::SeqCst);
@@ -515,7 +513,7 @@ mod tests {
     fn single_replica_loss_is_a_clean_shard_gone_then_heals() {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(Arc::clone(&switches));
-        let topo = Topology::new(2, 1, factory, heal, backoff()).unwrap();
+        let topo = Topology::new(2, 1, factory, heal).unwrap();
         switches.lock().unwrap()[1].store(true, Ordering::SeqCst);
         // Cell 1 has no sibling: the loss surfaces as ShardGone(1).
         let err = explain(&topo, 1);
@@ -531,7 +529,7 @@ mod tests {
     fn request_errors_do_not_fail_over() {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(Arc::clone(&switches));
-        let topo = Topology::new(1, 2, factory, heal, backoff()).unwrap();
+        let topo = Topology::new(1, 2, factory, heal).unwrap();
         let join = ShardRequest::Join {
             outer: "d".into(),
             inner: None,
@@ -551,7 +549,7 @@ mod tests {
     fn call_slot_skips_down_slots_and_reports_hard_errors() {
         let switches = Arc::new(Mutex::new(Vec::new()));
         let (factory, heal) = fixture(Arc::clone(&switches));
-        let topo = Topology::new(1, 2, factory, heal, backoff()).unwrap();
+        let topo = Topology::new(1, 2, factory, heal).unwrap();
         let load = ShardRequest::Load {
             name: "d".into(),
             kind: IndexKind::Rtree,
@@ -570,19 +568,5 @@ mod tests {
         switches.lock().unwrap()[1].store(true, Ordering::SeqCst);
         assert!(topo.call_slot(1, &load).is_none());
         assert!(topo.wait_healthy(Duration::from_secs(5)));
-    }
-
-    #[test]
-    fn zero_sized_topologies_are_rejected() {
-        let switches = Arc::new(Mutex::new(Vec::new()));
-        let (factory, heal) = fixture(switches);
-        assert!(matches!(
-            Topology::new(0, 1, Arc::clone(&factory), Arc::clone(&heal), backoff()),
-            Err(ServerError::InvalidShards)
-        ));
-        assert!(matches!(
-            Topology::new(1, 0, factory, heal, backoff()),
-            Err(ServerError::InvalidShards)
-        ));
     }
 }

@@ -6,7 +6,7 @@
 use ringjoin_core::{Engine, IndexKind, RcjAlgorithm, RcjPair, RcjStream};
 use ringjoin_geom::{pt, Item};
 use ringjoin_server::proto::Request;
-use ringjoin_server::{Client, Server, ServerConfig};
+use ringjoin_server::{Client, Server, ServerConfig, ShardedEngine};
 
 fn items(n: usize, seed: u64, span: f64) -> Vec<Item> {
     ringjoin_testsupport::lcg_points(n, seed, span)
@@ -46,12 +46,14 @@ fn concurrent_sessions_match_a_solo_engine_byte_for_byte() {
     let qs = items(300, 73, 1800.0);
     let reference = reference(&ps, &qs, 7);
 
-    let server = Server::bind(&ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 3,
-        max_sessions: SESSIONS + 2,
-        ..ServerConfig::default()
-    })
+    let server = Server::bind(
+        &ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            max_sessions: SESSIONS + 2,
+            ..ServerConfig::default()
+        },
+        ShardedEngine::new(3).unwrap(),
+    )
     .unwrap();
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.serve().unwrap());
@@ -96,11 +98,13 @@ fn pipelined_request_ids_map_replies_to_requests() {
     let qs = items(200, 83, 1200.0);
     let reference = reference(&ps, &qs, 5);
 
-    let server = Server::bind(&ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 2,
-        ..ServerConfig::default()
-    })
+    let server = Server::bind(
+        &ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        },
+        ShardedEngine::new(2).unwrap(),
+    )
     .unwrap();
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.serve().unwrap());
@@ -193,11 +197,13 @@ fn load_during_concurrent_queries_is_serialized() {
     let rs = items(120, 101, 1400.0);
     let reference = reference(&ps, &qs, 6);
 
-    let server = Server::bind(&ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 2,
-        ..ServerConfig::default()
-    })
+    let server = Server::bind(
+        &ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        },
+        ShardedEngine::new(2).unwrap(),
+    )
     .unwrap();
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.serve().unwrap());

@@ -230,12 +230,7 @@ impl Gen {
         let reqs = self.shard_requests();
         let pairs: Vec<RcjPair> = (0..self.below(4)).map(|_| self.pair()).collect();
         vec![
-            (
-                reqs[0].clone(),
-                ShardReply::Hello {
-                    accepts: (self.below(2) == 0).then(|| self.rect()),
-                },
-            ),
+            (reqs[0].clone(), ShardReply::Hello),
             (
                 reqs[1].clone(),
                 ShardReply::Indexed(Ownership {

@@ -5,7 +5,7 @@
 
 use ringjoin_core::{Engine, IndexKind, RcjAlgorithm};
 use ringjoin_geom::{pt, Item, Rect};
-use ringjoin_server::{Client, RingBounds, Server, ServerConfig};
+use ringjoin_server::{Client, RingBounds, Server, ServerConfig, ShardedEngine, TopologyConfig};
 use std::collections::BTreeSet;
 
 fn items(n: usize, seed: u64, span: f64) -> Vec<Item> {
@@ -19,15 +19,25 @@ fn items(n: usize, seed: u64, span: f64) -> Vec<Item> {
 /// Starts a server on an ephemeral port, returns its address and the
 /// serve-thread handle (joined after SHUTDOWN).
 fn start(shards: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-    start_with(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards,
-        ..ServerConfig::default()
-    })
+    start_with(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        },
+        TopologyConfig {
+            shards,
+            ..TopologyConfig::default()
+        },
+    )
 }
 
-fn start_with(config: ServerConfig) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-    let server = Server::bind(&config).expect("bind ephemeral");
+/// [`start`] with a listener and a topology of the test's own.
+fn start_with(
+    config: ServerConfig,
+    topology: TopologyConfig,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let engine = ShardedEngine::with_topology(topology).expect("engine");
+    let server = Server::bind(&config, engine).expect("bind ephemeral");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.serve().expect("serve"));
     (addr, handle)
@@ -385,12 +395,14 @@ fn admission_queue_overflow_returns_busy() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
-    let (addr, handle) = start_with(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 1,
-        queue_depth: 0,
-        ..ServerConfig::default()
-    });
+    let (addr, handle) = start_with(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            queue_depth: 0,
+            ..ServerConfig::default()
+        },
+        TopologyConfig::default(),
+    );
     let mut loader = Client::connect(addr).unwrap();
     loader
         .load("p", IndexKind::Rtree, &items(400, 61, 1500.0))
@@ -462,12 +474,14 @@ fn admission_queue_overflow_returns_busy() {
 #[test]
 fn interleaved_client_progresses_despite_a_pipelining_hog() {
     use ringjoin_server::proto::Request;
-    let (addr, handle) = start_with(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 1,
-        queue_depth: 32,
-        ..ServerConfig::default()
-    });
+    let (addr, handle) = start_with(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            queue_depth: 32,
+            ..ServerConfig::default()
+        },
+        TopologyConfig::default(),
+    );
     let mut loader = Client::connect(addr).unwrap();
     loader
         .load("p", IndexKind::Rtree, &items(600, 71, 1600.0))
@@ -533,13 +547,18 @@ fn disk_native_server_round_trip_matches_resident_engine() {
     engine.load("q", qs.clone()).index(IndexKind::Rtree);
     let local = engine.query().join("q", "p").collect().unwrap();
 
-    let (addr, handle) = start_with(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 2,
-        on_disk: Some(dir.join("pages.rjp")),
-        buffer_pages: 8,
-        ..ServerConfig::default()
-    });
+    let (addr, handle) = start_with(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        },
+        TopologyConfig {
+            shards: 2,
+            on_disk: Some(dir.join("pages.rjp")),
+            buffer_pages: 8,
+            ..TopologyConfig::default()
+        },
+    );
     let mut client = Client::connect(addr).unwrap();
     client.load("p", IndexKind::Rtree, &ps).unwrap();
     client.load("q", IndexKind::Rtree, &qs).unwrap();
@@ -602,12 +621,14 @@ fn disk_native_server_round_trip_matches_resident_engine() {
 #[test]
 fn session_limit_rejects_with_busy() {
     use ringjoin_server::ServerError;
-    let (addr, handle) = start_with(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 1,
-        max_sessions: 1,
-        ..ServerConfig::default()
-    });
+    let (addr, handle) = start_with(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            max_sessions: 1,
+            ..ServerConfig::default()
+        },
+        TopologyConfig::default(),
+    );
     let mut first = Client::connect(addr).unwrap();
     first.stats().unwrap(); // session established and serving
 
@@ -684,12 +705,14 @@ fn shed_request_is_retried_on_the_same_connection() {
 #[test]
 fn session_limit_shed_succeeds_on_retry_after_reconnect() {
     use ringjoin_server::proto::Request;
-    let (addr, handle) = start_with(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 1,
-        max_sessions: 1,
-        ..ServerConfig::default()
-    });
+    let (addr, handle) = start_with(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            max_sessions: 1,
+            ..ServerConfig::default()
+        },
+        TopologyConfig::default(),
+    );
     let mut holder = Client::connect(addr).unwrap();
     holder.stats().unwrap(); // the only session slot is now taken
 
@@ -719,12 +742,17 @@ fn retry_rides_out_a_coordinator_restart_window() {
     use ringjoin_server::proto::Request;
     let dir = std::env::temp_dir().join(format!("ringjoin-wire-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (addr, handle) = start_with(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 2,
-        data_dir: Some(dir.clone()),
-        ..ServerConfig::default()
-    });
+    let (addr, handle) = start_with(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        },
+        TopologyConfig {
+            shards: 2,
+            data_dir: Some(dir.clone()),
+            ..TopologyConfig::default()
+        },
+    );
     let mut probe = Client::connect(addr).unwrap();
     probe
         .load("p", IndexKind::Rtree, &items(50, 47, 800.0))
@@ -739,12 +767,17 @@ fn retry_rides_out_a_coordinator_restart_window() {
     let rebind = dir.clone();
     let restarter = std::thread::spawn(move || {
         std::thread::sleep(std::time::Duration::from_millis(600));
-        start_with(ServerConfig {
-            addr: addr.to_string(),
-            shards: 2,
-            data_dir: Some(rebind),
-            ..ServerConfig::default()
-        })
+        start_with(
+            ServerConfig {
+                addr: addr.to_string(),
+                ..ServerConfig::default()
+            },
+            TopologyConfig {
+                shards: 2,
+                data_dir: Some(rebind),
+                ..TopologyConfig::default()
+            },
+        )
     });
 
     let reply = probe
@@ -772,11 +805,13 @@ fn non_finite_coordinates_are_refused_and_never_logged() {
     let dir = ringjoin_testsupport::scratch_dir("wire-non-finite");
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        shards: 1,
-        data_dir: Some(dir.clone()),
         ..ServerConfig::default()
     };
-    let (addr, handle) = start_with(config.clone());
+    let topology = TopologyConfig {
+        data_dir: Some(dir.clone()),
+        ..TopologyConfig::default()
+    };
+    let (addr, handle) = start_with(config.clone(), topology.clone());
     let mut client = Client::connect(addr).unwrap();
     client
         .load("p", IndexKind::Rtree, &items(40, 7, 300.0))
@@ -814,7 +849,7 @@ fn non_finite_coordinates_are_refused_and_never_logged() {
     handle.join().unwrap();
 
     // The restart recovers the two loads and the one valid batch.
-    let (addr, handle) = start_with(config);
+    let (addr, handle) = start_with(config, topology);
     let mut client = Client::connect(addr).unwrap();
     let reply = client
         .request(&ringjoin_server::proto::Request::Stats)

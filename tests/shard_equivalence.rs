@@ -275,8 +275,7 @@ fn provisioned(shards: usize, replicas: usize) -> (SE, Arc<Mutex<Vec<ServerHandl
     let handles: Arc<Mutex<Vec<ServerHandle>>> = Arc::default();
     let registry = Arc::clone(&handles);
     let spec = WorkerSpec::Provision(Arc::new(move |_cell, _rep| {
-        let server =
-            Server::bind_worker("127.0.0.1:0", None, 0, None).map_err(|e| e.to_string())?;
+        let server = Server::bind_worker("127.0.0.1:0", 0, None).map_err(|e| e.to_string())?;
         let addr = server.local_addr().to_string();
         registry.lock().unwrap().push(server.handle());
         std::thread::spawn(move || {
@@ -288,8 +287,6 @@ fn provisioned(shards: usize, replicas: usize) -> (SE, Arc<Mutex<Vec<ServerHandl
         shards,
         replicas,
         workers: spec,
-        request_timeout: Duration::from_secs(10),
-        respawn_backoff: Duration::from_millis(10),
         ..TopologyConfig::default()
     })
     .expect("provisioned topology");
