@@ -7,12 +7,15 @@
 //! produces for them. `filter_sp` runs the whole filter phase of an OBJ
 //! join of the SP pair (GNIS-like Schools leaves against
 //! PopulatedPlaces, at the served benchmark's scale) with every page
-//! resident, so the kernel can be timed without the server.
+//! resident, so the kernel can be timed without the server. `topk_sp`
+//! runs an engine top-10 and top-1000 over the same pair, resident: one
+//! leaf pass whose filters are cut at the `k`-th best squared diameter.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ringjoin_bench::harness::{Workload, DEFAULT_BUFFER_FRAC};
 use ringjoin_core::{
-    bulk_filter, filter, verify, IndexEntry, IndexProbe, RcjIndex, RcjPair, RcjStats,
+    bulk_filter, filter, verify, Engine, IndexEntry, IndexKind, IndexProbe, RcjIndex, RcjPair,
+    RcjStats,
 };
 use ringjoin_datagen::{gnis_like, uniform, GnisDataset};
 use ringjoin_rtree::{Item, RTree};
@@ -122,5 +125,26 @@ fn bench_verify(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_filter, bench_verify);
+fn bench_topk(c: &mut Criterion) {
+    let mut engine = Engine::new();
+    engine
+        .load("q", gnis_like(GnisDataset::Schools, 21_523))
+        .index(IndexKind::Rtree);
+    engine
+        .load("p", gnis_like(GnisDataset::PopulatedPlaces, 22_247))
+        .index(IndexKind::Rtree);
+    let mut g = c.benchmark_group("topk_sp");
+    g.sample_size(10);
+    for k in [10, 1000] {
+        g.bench_function(format!("engine_top{k}"), |b| {
+            b.iter(|| {
+                let query = engine.query().join("q", "p").top_k(black_box(k));
+                black_box(query.collect().unwrap())
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_filter, bench_verify, bench_topk);
 criterion_main!(benches);

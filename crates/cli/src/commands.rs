@@ -554,6 +554,16 @@ fn report_remote_stats(out: &ringjoin_server::RemoteOutput) {
     );
 }
 
+/// The address `serve` listens on: `--addr`, else `--port` on
+/// 127.0.0.1, else [`ServerConfig`]'s default.
+fn listen_addr(args: &Args) -> Result<String, ArgError> {
+    match (args.opt("addr"), args.opt("port")) {
+        (Some(addr), _) => Ok(addr.to_string()),
+        (None, Some(_)) => Ok(format!("127.0.0.1:{}", args.opt_parse::<u16>("port", 0)?)),
+        (None, None) => Ok(ServerConfig::default().addr),
+    }
+}
+
 /// Writes the bound address (plus a trailing newline, the
 /// "write complete" marker pollers wait for) where `--addr-file` asked.
 fn write_addr_file(args: &Args, addr: std::net::SocketAddr) -> Result<(), ArgError> {
@@ -592,10 +602,7 @@ fn cmd_serve_worker(args: &Args, spec: &str) -> Result<Option<String>, ArgError>
     }
     let buffer_pages: usize = args.opt_parse("buffer-pages", 0)?;
     let page_file = args.opt("on-disk").map(std::path::PathBuf::from);
-    let addr = match args.opt("addr") {
-        Some(a) => a.to_string(),
-        None => format!("127.0.0.1:{}", args.opt_parse::<u16>("port", 4815)?),
-    };
+    let addr = listen_addr(args)?;
     let server = Server::bind_worker(&addr, buffer_pages, page_file).map_err(server_err)?;
     write_addr_file(args, server.local_addr())?;
     eprintln!("ringjoin-worker listening on {}", server.local_addr());
@@ -610,17 +617,20 @@ fn cmd_serve(args: &Args) -> Result<Option<String>, ArgError> {
     if let Some(spec) = args.opt("shard-of") {
         return cmd_serve_worker(args, spec);
     }
-    let shards: usize = args.opt_parse("shards", 1)?;
+    let (defaults, fleet) = (ServerConfig::default(), TopologyConfig::default());
+    let shards: usize = args.opt_parse("shards", fleet.shards)?;
     if shards == 0 {
-        return Err(ArgError(
-            "--shards must be at least 1 (got 0); omit the flag for a single shard".into(),
-        ));
+        return Err(ArgError(format!(
+            "--shards must be at least 1 (got 0); omit the flag for the default {}",
+            fleet.shards
+        )));
     }
-    let replicas: usize = args.opt_parse("replicas", 1)?;
+    let replicas: usize = args.opt_parse("replicas", fleet.replicas)?;
     if replicas == 0 {
-        return Err(ArgError(
-            "--replicas must be at least 1 (got 0); omit the flag for a single replica".into(),
-        ));
+        return Err(ArgError(format!(
+            "--replicas must be at least 1 (got 0); omit the flag for the default {}",
+            fleet.replicas
+        )));
     }
     let workers = match args.opt("workers") {
         None => ringjoin_server::WorkerSpec::Local,
@@ -633,20 +643,18 @@ fn cmd_serve(args: &Args) -> Result<Option<String>, ArgError> {
             ringjoin_server::WorkerSpec::Remote(list.split(',').map(str::to_string).collect())
         }
     };
-    let max_sessions: usize = args.opt_parse("max-sessions", 16)?;
+    let max_sessions: usize = args.opt_parse("max-sessions", defaults.max_sessions)?;
     if max_sessions == 0 {
-        return Err(ArgError(
-            "--max-sessions must be at least 1 (got 0); omit the flag for the default 16".into(),
-        ));
+        return Err(ArgError(format!(
+            "--max-sessions must be at least 1 (got 0); omit the flag for the default {}",
+            defaults.max_sessions
+        )));
     }
-    let queue_depth: usize = args.opt_parse("queue-depth", 32)?;
+    let queue_depth: usize = args.opt_parse("queue-depth", defaults.queue_depth)?;
     let on_disk = args.opt("on-disk").map(std::path::PathBuf::from);
     let data_dir = args.opt("data-dir").map(std::path::PathBuf::from);
-    let buffer_pages: usize = args.opt_parse("buffer-pages", 0)?;
-    let addr = match args.opt("addr") {
-        Some(a) => a.to_string(),
-        None => format!("127.0.0.1:{}", args.opt_parse::<u16>("port", 4815)?),
-    };
+    let buffer_pages: usize = args.opt_parse("buffer-pages", fleet.buffer_pages)?;
+    let addr = listen_addr(args)?;
     let residency = match &on_disk {
         Some(path) => format!(
             ", disk-native on {} ({} buffer page(s))",
@@ -757,8 +765,10 @@ fn cmd_client(args: &Args) -> Result<Option<String>, ArgError> {
                 .into(),
         )
     })?;
-    let addr = args.opt("addr").unwrap_or("127.0.0.1:4815");
-    let timeout = match args.opt_parse::<u64>("timeout", 30)? {
+    let addr = args
+        .opt("addr")
+        .map_or_else(|| ServerConfig::default().addr, str::to_string);
+    let timeout = match args.opt_parse("timeout", ringjoin_server::DEFAULT_TIMEOUT.as_secs())? {
         0 => None,
         secs => Some(std::time::Duration::from_secs(secs)),
     };
@@ -2104,6 +2114,26 @@ mod tests {
 
         run(&parse(&s(&["client", "shutdown", "--addr", &addr])).unwrap()).unwrap();
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn usage_states_the_library_defaults() {
+        let (defaults, fleet) = (ServerConfig::default(), TopologyConfig::default());
+        let stated = format!(
+            "default {}, {} shard, {} concurrent sessions, admission queue depth {}.",
+            defaults.addr, fleet.shards, defaults.max_sessions, defaults.queue_depth
+        );
+        let timeout = format!(
+            "[--timeout SECS] (default {};",
+            ringjoin_server::DEFAULT_TIMEOUT.as_secs()
+        );
+        let usage = USAGE.split_whitespace().collect::<Vec<_>>().join(" ");
+        for stated in [stated, timeout] {
+            assert!(
+                usage.contains(&stated),
+                "USAGE's defaults disagree with the library's: want {stated:?}"
+            );
+        }
     }
 
     #[test]

@@ -32,6 +32,14 @@
 //! A test is an `any` over that list, so its order is free; the slot
 //! that pruned last is tried first.
 //!
+//! The siblings are built at the point's first pruner test, not when
+//! the traversal starts: a cut traversal never tests most of its points
+//! against any pruner (see *The cut*), and their `n − 1` half-planes
+//! would go unread. The list is the same either way: siblings first,
+//! born at 0, since a candidate joins only after an item passed the
+//! point's pruner test, and the pop-time re-test (below) reads only
+//! pruners born after the push.
+//!
 //! Every heap entry carries a *live set*: a bitset of the query points
 //! its parent was not pruned for (⌈n/64⌉ words, whatever the leaf size).
 //! A node is tested only for its live points and hands the survivors to
@@ -49,6 +57,16 @@
 //!   inheritance adds to what Lemma 3 already assumes);
 //! * pruner lists only grow, so the half-plane that pruned the parent
 //!   still prunes when the child is popped.
+//!
+//! One verdict is known before any test: a region that holds `q`
+//! (closed, [`Rect::contains_point`]) is in no `Ψ⁻(q, p)`, so a child
+//! whose region holds a live point is not tested against that point's
+//! pruners. At `q` the expression `(x − p) · (p − q)` rounds to
+//! `−|p − q|²`, never above 0, and `contains_rect` evaluates it at a
+//! corner where it can only be smaller (the inheritance argument of the
+//! [`HalfPlane`] docs, run from `q`). This skips the R-tree root (the
+//! whole plane), the quadtree root when it holds `q`, and every node on
+//! the path down to `q`'s own location.
 //!
 //! # Push-time discard
 //!
@@ -78,11 +96,27 @@
 //! and their order, are those of the uncut filter. When every cut is
 //! infinite (every unbounded join) the traversal is compiled without
 //! the test.
+//!
+//! A cut traversal first tests each child once for all the live points
+//! together: against the bounding box of their locations, at the
+//! largest of their cuts ([`Rect::mindist_rect_sq`] for a node,
+//! [`Rect::mindist_sq`] for an item). A child beyond that is beyond
+//! every live point's own cut, because for `q` in the box the rounded
+//! box distance is never larger than the rounded distance from `q`
+//! (subtraction, squaring and addition round monotonically). Only the
+//! children that pass are tested point by point. With one live point
+//! the box test is that point's own, so it is skipped. No cut is NaN
+//! (ranked cuts are squared diameters of finite points, window cuts
+//! come from validated bounds), which the box test relies on.
+//!
+//! None of these shortcuts changes a verdict for any (point, entry)
+//! pair, so pops, pushes, candidate sets, their order and every
+//! [`RcjStats`] counter are those of testing everything.
 
 use crate::executor::read_pinned;
 use crate::index::{IndexEntry, IndexProbe, RcjIndex};
 use crate::stats::RcjStats;
-use ringjoin_geom::{HalfPlane, Item, Point};
+use ringjoin_geom::{HalfPlane, Item, Point, Rect};
 use ringjoin_storage::PooledPager;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -171,27 +205,77 @@ struct Query {
     /// Self-join mode: the id of `q` itself, never its own candidate.
     exclude: Option<u64>,
     /// Squared distance from `q` beyond which its entries are
-    /// discarded; read only by a cut traversal.
+    /// discarded; read only by a cut traversal. Never NaN.
     cut: f64,
+    /// Lemma 5: the leaf siblings have yet to join `pruners` (they do
+    /// at the point's first pruner test).
+    siblings_due: bool,
     cands: Vec<Item>,
     pruners: PrunerList,
 }
 
 impl Query {
-    /// A query point cut at `cut`, with room for `siblings` Lemma 5
-    /// pruners plus a few candidates.
-    fn new(q: Point, exclude: Option<u64>, cut: f64, siblings: usize) -> Self {
-        let room = siblings + 8;
+    /// A query point cut at `cut`, pruned by its leaf siblings when
+    /// `symmetric`.
+    fn new(q: Point, exclude: Option<u64>, cut: f64, symmetric: bool) -> Self {
+        debug_assert!(!cut.is_nan(), "the cut of {q:?} is NaN");
         Query {
             q,
             exclude,
             cut,
+            siblings_due: symmetric,
             cands: Vec::new(),
             pruners: PrunerList {
-                planes: Vec::with_capacity(room),
-                born: Vec::with_capacity(room),
+                planes: Vec::new(),
+                born: Vec::new(),
                 hint: 0,
             },
+        }
+    }
+
+    /// The pruners of leaf point `i`, for a test; `leaf` holds the leaf's
+    /// points, which join as Lemma 5 siblings, born at 0, on the first
+    /// call. No candidate precedes them: a candidate joins only after
+    /// an item passed a test of this point.
+    #[inline]
+    fn pruners(&mut self, i: usize, leaf: &[Item]) -> &mut PrunerList {
+        if self.siblings_due {
+            self.siblings_due = false;
+            self.push_siblings(i, leaf);
+        }
+        &mut self.pruners
+    }
+
+    /// Is `entry` discarded for this point, leaf point `i` of `leaf`:
+    /// its own id in a self-join, beyond its cut (`CUT` only), or covered
+    /// by one of its pruners?
+    #[inline(always)]
+    fn discards<const CUT: bool>(&mut self, i: usize, leaf: &[Item], entry: IndexEntry) -> bool {
+        match entry {
+            IndexEntry::Item(it) => {
+                self.exclude == Some(it.id)
+                    || (CUT && self.q.dist_sq(it.point) > self.cut)
+                    || self.pruners(i, leaf).any(|h| h.contains_point(it.point))
+            }
+            // A region that holds `q` is in no `Ψ⁻(q, ·)`.
+            IndexEntry::Node(node) => {
+                (CUT && node.region.mindist_sq(self.q) > self.cut)
+                    || (!node.region.contains_point(self.q)
+                        && self.pruners(i, leaf).any(|h| h.contains_rect(node.region)))
+            }
+        }
+    }
+
+    #[cold]
+    fn push_siblings(&mut self, i: usize, leaf: &[Item]) {
+        // The `n − 1` siblings plus room for a few candidates.
+        let room = leaf.len() + 7;
+        self.pruners.planes.reserve(room);
+        self.pruners.born.reserve(room);
+        for (j, sib) in leaf.iter().enumerate() {
+            if j != i {
+                self.pruners.push(self.q, sib.point, 0);
+            }
         }
     }
 }
@@ -228,12 +312,17 @@ fn retain_live(live: &mut [u64], mut pruned: impl FnMut(usize) -> bool) -> bool 
 }
 
 /// The incremental-NN traversal of `T_P` for a set of query points (see
-/// the module docs for the live-set rule). `CUT` compiles in the test
-/// against each query point's cut.
+/// the module docs for the live-set rule). `CUT` compiles in the tests
+/// against the query points' cuts: each point's own, and the box test.
 struct Traversal<'q, const CUT: bool> {
     /// The location heap keys are measured from.
     origin: Point,
     queries: &'q mut [Query],
+    /// The leaf's points, for the queries' Lemma 5 siblings.
+    leaf: &'q [Item],
+    /// The children of the expansion in hand that some live point's
+    /// cut may reach (indices into them).
+    reach: Vec<usize>,
     /// Words per live set.
     words: usize,
     /// Every pushed entry, in push order.
@@ -246,11 +335,13 @@ struct Traversal<'q, const CUT: bool> {
 }
 
 impl<'q, const CUT: bool> Traversal<'q, CUT> {
-    fn new(origin: Point, queries: &'q mut [Query]) -> Self {
+    fn new(origin: Point, queries: &'q mut [Query], leaf: &'q [Item]) -> Self {
         Traversal {
             origin,
             words: queries.len().div_ceil(64),
             queries,
+            leaf,
+            reach: Vec::new(),
             pushed: Vec::new(),
             slab: Vec::new(),
             heap: BinaryHeap::new(),
@@ -268,23 +359,45 @@ impl<'q, const CUT: bool> Traversal<'q, CUT> {
         self.slab.resize(first + children.len() * words, 0);
         let sets = &mut self.slab[first..];
         let queries = &mut *self.queries;
+        let leaf = self.leaf;
+        // The cut's box test: a child beyond the largest cut from the box
+        // of the live points is beyond every live point's own cut. With
+        // one live point it would repeat that point's test.
+        let reach = &mut self.reach;
+        let mut live = 0;
+        let (mut bbox, mut widest) = (Rect::empty(), f64::NEG_INFINITY);
+        if CUT {
+            for_each_live(parent, |i| {
+                live += 1;
+                bbox.expand_point(queries[i].q);
+                widest = widest.max(queries[i].cut);
+            });
+        }
+        let boxed = live > 1;
+        if boxed {
+            reach.clear();
+            reach.extend(children.iter().enumerate().filter_map(|(k, child)| {
+                let gap = match *child {
+                    IndexEntry::Item(it) => bbox.mindist_sq(it.point),
+                    IndexEntry::Node(node) => node.region.mindist_rect_sq(bbox),
+                };
+                (gap <= widest).then_some(k)
+            }));
+        }
         for_each_live(parent, |i| {
             let qp = &mut queries[i];
             let (w, bit) = (i / 64, 1u64 << (i % 64));
-            for (k, child) in children.iter().enumerate() {
-                let pruned = match *child {
-                    IndexEntry::Item(it) => {
-                        qp.exclude == Some(it.id)
-                            || (CUT && qp.q.dist_sq(it.point) > qp.cut)
-                            || qp.pruners.any(|h| h.contains_point(it.point))
+            if boxed {
+                for &k in reach.iter() {
+                    if !qp.discards::<CUT>(i, leaf, children[k]) {
+                        sets[k * words + w] |= bit;
                     }
-                    IndexEntry::Node(node) => {
-                        (CUT && node.region.mindist_sq(qp.q) > qp.cut)
-                            || qp.pruners.any(|h| h.contains_rect(node.region))
+                }
+            } else {
+                for (k, &child) in children.iter().enumerate() {
+                    if !qp.discards::<CUT>(i, leaf, child) {
+                        sets[k * words + w] |= bit;
                     }
-                };
-                if !pruned {
-                    sets[k * words + w] |= bit;
                 }
             }
         });
@@ -379,18 +492,20 @@ impl<'q, const CUT: bool> Traversal<'q, CUT> {
 
 /// Runs the filter traversal from `origin` for `queries`, each cut at
 /// its own cut, returning each query point's candidate set in the order
-/// of discovery.
+/// of discovery. `leaf` holds the points whose queries take Lemma 5
+/// siblings.
 fn traverse(
     probe: &impl IndexProbe,
     pg: &mut PooledPager,
     origin: Point,
     mut queries: Vec<Query>,
+    leaf: &[Item],
     stats: &mut RcjStats,
 ) -> Vec<Vec<Item>> {
     if queries.iter().any(|qp| qp.cut < f64::INFINITY) {
-        Traversal::<true>::new(origin, &mut queries).run(probe, pg, stats);
+        Traversal::<true>::new(origin, &mut queries, leaf).run(probe, pg, stats);
     } else {
-        Traversal::<false>::new(origin, &mut queries).run(probe, pg, stats);
+        Traversal::<false>::new(origin, &mut queries, leaf).run(probe, pg, stats);
     }
     queries.into_iter().map(|qp| qp.cands).collect()
 }
@@ -426,8 +541,8 @@ pub(crate) fn filter_with(
     cut: f64,
     stats: &mut RcjStats,
 ) -> Vec<Item> {
-    let queries = vec![Query::new(q, exclude_id, cut, 0)];
-    traverse(probe, pg, q, queries, stats).swap_remove(0)
+    let queries = vec![Query::new(q, exclude_id, cut, false)];
+    traverse(probe, pg, q, queries, &[], stats).swap_remove(0)
 }
 
 /// Output of the bulk filter: one candidate set per point of the leaf.
@@ -496,25 +611,14 @@ pub(crate) fn bulk_filter_with(
         Point::new(sx / n as f64, sy / n as f64)
     };
 
-    let siblings = if symmetric { n - 1 } else { 0 };
+    // Lemma 5: every sibling prunes on q's behalf from the start (born
+    // at 0, built at q's first pruner test).
     let queries = leaf_points
         .iter()
-        .enumerate()
-        .map(|(i, it)| {
-            let exclude = exclude_same_id.then_some(it.id);
-            let mut qp = Query::new(it.point, exclude, cuts[i], siblings);
-            if symmetric {
-                // Lemma 5: every sibling prunes on q's behalf from the start.
-                for (j, sib) in leaf_points.iter().enumerate() {
-                    if j != i {
-                        qp.pruners.push(it.point, sib.point, 0);
-                    }
-                }
-            }
-            qp
-        })
+        .zip(cuts)
+        .map(|(it, &cut)| Query::new(it.point, exclude_same_id.then_some(it.id), cut, symmetric))
         .collect();
-    let sets = traverse(probe, pg, centroid, queries, stats);
+    let sets = traverse(probe, pg, centroid, queries, leaf_points, stats);
     BulkFilterResult { sets }
 }
 

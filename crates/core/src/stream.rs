@@ -33,7 +33,11 @@
 //!     sink, in depth-first leaf order. A round for `k` pairs cuts each
 //!     leaf's filter at the `k`-th best squared diameter found so far,
 //!     so only candidates within it are verified, and the cut falls as
-//!     better pairs arrive. A round that fills its sink hands over to
+//!     better pairs arrive. The cut filter pays for little beyond its
+//!     cut: it tests each child once for all of a node's live points,
+//!     and builds a leaf point's Lemma 5 pruners at its first pruner
+//!     test, which no entry beyond its cut causes (see the filter
+//!     module's *The cut*). A round that fills its sink hands over to
 //!     the next, with `k` eight times larger, which skips the pairs
 //!     already yielded. [`RcjStream::limit`] sizes the first round, so a
 //!     top-k is one pass. The order is the

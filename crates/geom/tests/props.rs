@@ -4,7 +4,8 @@
 //! equivalence between the Lemma 1 half-plane and circle interiors, the
 //! exact strict-interior circle test (the defining endpoints are never
 //! inside), the convexity argument behind the face-inside-circle rule,
-//! and the distance bounds of MBRs.
+//! the distance bounds of MBRs, and the two floating-point facts that
+//! let the filter skip tests whose verdict is known.
 
 use proptest::prelude::*;
 use ringjoin_geom::{prunes, pt, Circle, HalfPlane, Point, Rect};
@@ -44,6 +45,50 @@ fn hugging_rect(q: Point, p: Point, along: f64, gap: f64, w: f64, h: f64) -> Rec
         c.y + if ny >= 0.0 { h } else { -h },
     );
     Rect::new(c, far)
+}
+
+/// A coordinate scale, from products that underflow into subnormals
+/// to squares that overflow to infinity.
+fn scale() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(1e-300),
+        Just(1e-160),
+        Just(1.0),
+        Just(1e4),
+        Just(1e154),
+        Just(1e300),
+    ]
+}
+
+/// `x` moved `n` ulps up (or down, for negative `n`).
+fn ulps(x: f64, n: i8) -> f64 {
+    (0..n.unsigned_abs()).fold(x, |x, _| if n > 0 { x.next_up() } else { x.next_down() })
+}
+
+/// A rectangle that holds `q`: the box of `a`, `b` and `q` (`kind` 0),
+/// that box with side `side` pulled onto `q` (1, `q` on its boundary),
+/// the single point `q` (2), the whole plane (3, the R-tree root's
+/// region), or the box with sides `side` and `side + 1` at infinity (4).
+fn holding(q: Point, a: Point, b: Point, kind: u8, side: u8) -> Rect {
+    let mut r = Rect::new(a, b).union(Rect::from_point(q));
+    let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+    let mut pull = |side: u8, to_q: bool| match side % 4 {
+        0 => r.min.x = if to_q { q.x } else { ninf },
+        1 => r.max.x = if to_q { q.x } else { inf },
+        2 => r.min.y = if to_q { q.y } else { ninf },
+        _ => r.max.y = if to_q { q.y } else { inf },
+    };
+    match kind {
+        0 => {}
+        1 => pull(side, true),
+        2 => return Rect::from_point(q),
+        3 => return Rect::new(pt(ninf, ninf), pt(inf, inf)),
+        _ => {
+            pull(side, false);
+            pull(side + 1, false);
+        }
+    }
+    r
 }
 
 proptest! {
@@ -109,6 +154,91 @@ proptest! {
         }
         prop_assert!(psi.contains_rect(Rect::new(inside[0], inside[1])));
         prop_assert!(psi.contains_rect(Rect::new(edges[0], edges[2])));
+    }
+
+    /// No pruning region `Ψ⁻(q, ·)` covers a rectangle that holds `q`:
+    /// `contains_rect` evaluates `(x − p) · (p − q)` at the rectangle's
+    /// extreme corner, where it is no larger than at `q`, and at `q` it
+    /// rounds to `−|p − q|²`, never above 0 (a zero times an infinite
+    /// side is NaN, which fails the test too). So the filter skips the
+    /// pruner test of a node whose region holds the point. The
+    /// rectangle holds `q` inside, on its boundary, as a single point or
+    /// with infinite sides; `p` lies anywhere, within a few ulps of `q`,
+    /// or on it.
+    #[test]
+    fn no_pruning_region_covers_a_rectangle_holding_q(
+        scale in scale(),
+        raw in proptest::collection::vec((-1.0..1.0f64, -1.0..1.0f64), 4),
+        p_kind in 0u8..3,
+        steps in (-4i8..5, -4i8..5),
+        r_kind in 0u8..5,
+        side in 0u8..4,
+    ) {
+        let [q, p, a, b] = [0, 1, 2, 3].map(|k| pt(raw[k].0 * scale, raw[k].1 * scale));
+        let p = match p_kind {
+            0 => p,
+            1 => pt(ulps(q.x, steps.0), ulps(q.y, steps.1)),
+            _ => q,
+        };
+        let r = holding(q, a, b, r_kind, side);
+        prop_assert!(r.contains_point(q), "{:?} does not hold {:?}", r, q);
+        prop_assert!(
+            !HalfPlane::pruning_region(q, p).contains_rect(r),
+            "Ψ⁻({:?}, {:?}) covers {:?}",
+            q,
+            p,
+            r
+        );
+    }
+
+    /// The cut's box test bounds from below in floating point: for `q`
+    /// in a box `b`, the distance from `b` to a region `r` or a point
+    /// `x` never exceeds the distance from `q` (subtraction, squaring
+    /// and addition round monotonically). So an entry beyond the largest
+    /// cut from the box of a node's live points is beyond each point's
+    /// own cut. `q` lies inside `b` or on its boundary, `b` may be a
+    /// single point, `r` may have infinite sides or hold `q`, and `x`
+    /// may lie within a few ulps of `q`.
+    #[test]
+    fn box_distance_never_exceeds_a_member_distance(
+        scale in scale(),
+        raw in proptest::collection::vec((-1.0..1.0f64, -1.0..1.0f64), 7),
+        b_kind in 0u8..3,
+        r_kind in 0u8..5,
+        sides in (0u8..4, 0u8..4),
+        x_near in any::<bool>(),
+        steps in (-4i8..5, -4i8..5),
+    ) {
+        let [q, a, c, r0, r1, x, at] =
+            [0, 1, 2, 3, 4, 5, 6].map(|k| pt(raw[k].0 * scale, raw[k].1 * scale));
+        let b = holding(q, a, c, b_kind, sides.0);
+        let r = match r_kind {
+            0 => Rect::new(r0, r1),
+            1 => holding(at, r0, r1, 1, sides.1),
+            2 => holding(q, r0, r1, 0, sides.1),
+            3 => holding(at, r0, r1, 3, sides.1),
+            _ => holding(at, r0, r1, 4, sides.1),
+        };
+        let x = if x_near { pt(ulps(q.x, steps.0), ulps(q.y, steps.1)) } else { x };
+        prop_assert!(b.contains_point(q));
+        prop_assert!(
+            r.mindist_rect_sq(b) <= r.mindist_sq(q),
+            "{:?} from {:?}: {} > {} from {:?}",
+            r,
+            b,
+            r.mindist_rect_sq(b),
+            r.mindist_sq(q),
+            q
+        );
+        prop_assert!(
+            b.mindist_sq(x) <= q.dist_sq(x),
+            "{:?} from {:?}: {} > {} from {:?}",
+            x,
+            b,
+            b.mindist_sq(x),
+            q.dist_sq(x),
+            q
+        );
     }
 
     /// The diameter-circle dot test agrees with the constructed

@@ -224,58 +224,48 @@ fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 fn read_frame_inner(r: &mut impl Read, idle_ok: bool) -> std::io::Result<FrameRead> {
-    let (mut len_bytes, mut at) = ([0u8; 4], 0);
-    let head = fill(r, &mut [0u8; 4], 4, idle_ok, true, |bytes| {
-        len_bytes[at..at + bytes.len()].copy_from_slice(bytes);
-        at += bytes.len();
-    })?;
-    if let Some(quiet) = head {
+    let mut buf = Vec::with_capacity(4);
+    if let Some(quiet) = fill(r, &mut buf, 4, idle_ok, true)? {
         return Ok(quiet);
     }
-    let len = u32::from_be_bytes(len_bytes);
+    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
     if len > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    // Allocation tracks bytes received, never the (untrusted) length
-    // prefix.
-    let mut payload: Vec<u8> = Vec::with_capacity((len as usize).min(READ_CHUNK));
-    fill(
-        r,
-        &mut [0u8; READ_CHUNK],
-        len as usize,
-        idle_ok,
-        false,
-        |bytes| payload.extend_from_slice(bytes),
-    )?;
-    String::from_utf8(payload)
+    buf.clear();
+    fill(r, &mut buf, len as usize, idle_ok, false)?;
+    String::from_utf8(buf)
         .map(FrameRead::Frame)
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame is not UTF-8"))
 }
 
 /// The one receive loop, for the length prefix (`frame_start`) and the
-/// payload alike: receives `len` bytes, each read asking `r` for at most
-/// `chunk.len()` of them and handing what arrived to `take`. It retries
-/// `Interrupted` and, when `idle_ok`, up to `MID_FRAME_PATIENCE`
-/// consecutive timeouts. An end of stream — or, when `idle_ok`, a
-/// timeout — before a frame's first byte is [`FrameRead::Eof`] or
-/// [`FrameRead::Idle`]; anywhere else it is an error.
+/// payload alike: receives `len` bytes straight into the empty `buf`.
+/// The buffer grows by at most [`READ_CHUNK`] zeroed bytes past what has
+/// arrived, so each byte is zeroed once and allocation tracks the bytes
+/// received, never the (untrusted) length. It retries `Interrupted`
+/// and, when `idle_ok`, up to `MID_FRAME_PATIENCE` consecutive timeouts.
+/// An end of stream — or, when `idle_ok`, a timeout — before a frame's
+/// first byte is [`FrameRead::Eof`] or [`FrameRead::Idle`]; anywhere
+/// else it is an error.
 fn fill(
     r: &mut impl Read,
-    chunk: &mut [u8],
+    buf: &mut Vec<u8>,
     len: usize,
     idle_ok: bool,
     frame_start: bool,
-    mut take: impl FnMut(&[u8]),
 ) -> std::io::Result<Option<FrameRead>> {
     let mut filled = 0;
     let mut stalls = 0u32;
     while filled < len {
-        let want = (len - filled).min(chunk.len());
+        if buf.len() == filled {
+            buf.resize(filled + (len - filled).min(READ_CHUNK), 0);
+        }
         let quiet = frame_start && filled == 0;
-        match r.read(&mut chunk[..want]) {
+        match r.read(&mut buf[filled..]) {
             Ok(0) if quiet => return Ok(Some(FrameRead::Eof)),
             Ok(0) => {
                 return Err(std::io::Error::new(
@@ -288,7 +278,6 @@ fn fill(
                 ))
             }
             Ok(n) => {
-                take(&chunk[..n]);
                 filled += n;
                 stalls = 0;
             }

@@ -1,5 +1,5 @@
-//! Every `RcjStats` counter of INJ, BIJ and OBJ, pinned on real-like
-//! data.
+//! Every `RcjStats` counter of INJ, BIJ and OBJ, and of OBJ's ranked
+//! and windowed queries, pinned on real-like data.
 //!
 //! The join's counters are part of its contract: pairs, pair order and
 //! `RcjStats` stay byte-identical across refactors of the filter and the
@@ -8,8 +8,10 @@
 //! self-joins over a small GNIS-like SP pair — Schools as the outer
 //! dataset, PopulatedPlaces as the inner — on the R*-tree and on the
 //! quadtree, fresh and after seeded mutation batches (R* reinsertion and
-//! condensing; quadtree splits and overflow chains), and compares every
-//! counter with a recorded constant.
+//! condensing; quadtree splits and overflow chains), plus OBJ's top-10
+//! and top-100 (the filter cut at the `k`-th best squared diameter) and
+//! a windowed OBJ join and self-join (cut at the window's diameter), and
+//! compares every counter with a recorded constant.
 //!
 //! The engine's executor follows `RINGJOIN_THREADS`; a parallel run
 //! reports the sequential counters exactly, so one table serves every
@@ -17,7 +19,8 @@
 //! message prints the whole table in this file's syntax.
 
 use ringjoin::{
-    gnis_like, pt, Engine, GnisDataset, IndexKind, Item, Mutation, RcjAlgorithm, RcjStats,
+    gnis_like, pt, Engine, GnisDataset, IndexKind, Item, Mutation, RcjAlgorithm, RcjStats, Rect,
+    RingBounds,
 };
 
 /// Outer dataset size (GNIS-like Schools).
@@ -109,20 +112,62 @@ fn apply_batches(engine: &mut Engine, seed: u64) {
     }
 }
 
-/// The counters of the join `q ⋈ p` and the self-join of `q`, per
-/// algorithm, in `ALGOS` order.
+/// The queries of each state, in the order [`counters`] runs them:
+/// every algorithm's join `q ⋈ p` and self-join of `q`, then OBJ's
+/// ranked and windowed forms of both.
+const QUERIES: [&str; 12] = [
+    "INJ join",
+    "BIJ join",
+    "OBJ join",
+    "INJ self-join",
+    "BIJ self-join",
+    "OBJ self-join",
+    "OBJ top-10 join",
+    "OBJ top-100 join",
+    "OBJ top-10 self-join",
+    "OBJ top-100 self-join",
+    "OBJ window join",
+    "OBJ window self-join",
+];
+
+/// The `k` of the ranked rows.
+const TOP_K: [usize; 2] = [10, 100];
+
+/// The window of the windowed rows: rings meeting the middle of the
+/// domain, at most 400 wide.
+const WINDOW: RingBounds = RingBounds {
+    bounds: Rect {
+        min: pt(3000.0, 3000.0),
+        max: pt(6000.0, 6000.0),
+    },
+    max_diameter: 400.0,
+};
+
+/// The counters of [`QUERIES`], in order.
 fn counters(engine: &Engine) -> Vec<RcjStats> {
+    let query = |self_join: bool, algo: RcjAlgorithm| {
+        let query = engine.query().algorithm(algo);
+        if self_join {
+            query.self_join("q")
+        } else {
+            query.join("q", "p")
+        }
+    };
     let mut out = Vec::new();
     for self_join in [false, true] {
         for algo in ALGOS {
-            let query = engine.query().algorithm(algo);
-            let query = if self_join {
-                query.self_join("q")
-            } else {
-                query.join("q", "p")
-            };
-            out.push(query.collect().unwrap().stats);
+            out.push(query(self_join, algo).collect().unwrap().stats);
         }
+    }
+    for self_join in [false, true] {
+        for k in TOP_K {
+            let ranked = query(self_join, RcjAlgorithm::Obj).top_k(k);
+            out.push(ranked.collect().unwrap().stats);
+        }
+    }
+    for self_join in [false, true] {
+        let windowed = query(self_join, RcjAlgorithm::Obj).within(WINDOW);
+        out.push(windowed.collect().unwrap().stats);
     }
     out
 }
@@ -186,6 +231,42 @@ const EXPECTED: &[Row] = &[
     ),
     (
         "rtree",
+        "fresh",
+        "OBJ top-10 join",
+        stats(174, 10, 28651, 1283, 211),
+    ),
+    (
+        "rtree",
+        "fresh",
+        "OBJ top-100 join",
+        stats(970, 100, 29633, 1318, 725),
+    ),
+    (
+        "rtree",
+        "fresh",
+        "OBJ top-10 self-join",
+        stats(321, 10, 17752, 895, 135),
+    ),
+    (
+        "rtree",
+        "fresh",
+        "OBJ top-100 self-join",
+        stats(1622, 100, 23836, 1119, 470),
+    ),
+    (
+        "rtree",
+        "fresh",
+        "OBJ window join",
+        stats(1996, 899, 8499, 364, 456),
+    ),
+    (
+        "rtree",
+        "fresh",
+        "OBJ window self-join",
+        stats(2988, 1001, 8617, 372, 277),
+    ),
+    (
+        "rtree",
         "updated",
         "INJ join",
         stats(28445, 11582, 1125944, 50398, 50179),
@@ -219,6 +300,42 @@ const EXPECTED: &[Row] = &[
         "updated",
         "OBJ self-join",
         stats(56013, 25890, 94179, 3902, 2391),
+    ),
+    (
+        "rtree",
+        "updated",
+        "OBJ top-10 join",
+        stats(175, 10, 32438, 1414, 259),
+    ),
+    (
+        "rtree",
+        "updated",
+        "OBJ top-100 join",
+        stats(1072, 100, 33943, 1467, 762),
+    ),
+    (
+        "rtree",
+        "updated",
+        "OBJ top-10 self-join",
+        stats(27269, 10, 21422, 1034, 101),
+    ),
+    (
+        "rtree",
+        "updated",
+        "OBJ top-100 self-join",
+        stats(28217, 100, 23412, 1106, 200),
+    ),
+    (
+        "rtree",
+        "updated",
+        "OBJ window join",
+        stats(2091, 848, 9273, 397, 488),
+    ),
+    (
+        "rtree",
+        "updated",
+        "OBJ window self-join",
+        stats(3076, 981, 9895, 412, 293),
     ),
     (
         "quadtree",
@@ -258,6 +375,42 @@ const EXPECTED: &[Row] = &[
     ),
     (
         "quadtree",
+        "fresh",
+        "OBJ top-10 join",
+        stats(130, 10, 19061, 2455, 563),
+    ),
+    (
+        "quadtree",
+        "fresh",
+        "OBJ top-100 join",
+        stats(879, 100, 24803, 2936, 1737),
+    ),
+    (
+        "quadtree",
+        "fresh",
+        "OBJ top-10 self-join",
+        stats(218, 10, 18536, 2525, 256),
+    ),
+    (
+        "quadtree",
+        "fresh",
+        "OBJ top-100 self-join",
+        stats(1539, 100, 26673, 3181, 1113),
+    ),
+    (
+        "quadtree",
+        "fresh",
+        "OBJ window join",
+        stats(1959, 899, 9216, 861, 927),
+    ),
+    (
+        "quadtree",
+        "fresh",
+        "OBJ window self-join",
+        stats(2988, 1001, 8899, 904, 559),
+    ),
+    (
+        "quadtree",
         "updated",
         "INJ join",
         stats(28445, 11582, 666230, 77384, 92893),
@@ -292,6 +445,42 @@ const EXPECTED: &[Row] = &[
         "OBJ self-join",
         stats(54450, 25890, 90811, 10866, 7390),
     ),
+    (
+        "quadtree",
+        "updated",
+        "OBJ top-10 join",
+        stats(139, 10, 25291, 3193, 572),
+    ),
+    (
+        "quadtree",
+        "updated",
+        "OBJ top-100 join",
+        stats(1137, 100, 27894, 3452, 1794),
+    ),
+    (
+        "quadtree",
+        "updated",
+        "OBJ top-10 self-join",
+        stats(27222, 10, 16755, 2936, 126),
+    ),
+    (
+        "quadtree",
+        "updated",
+        "OBJ top-100 self-join",
+        stats(27934, 100, 18404, 3098, 322),
+    ),
+    (
+        "quadtree",
+        "updated",
+        "OBJ window join",
+        stats(1937, 848, 8651, 898, 975),
+    ),
+    (
+        "quadtree",
+        "updated",
+        "OBJ window self-join",
+        stats(2946, 981, 9182, 948, 581),
+    ),
 ];
 
 fn all_counters() -> Vec<Row> {
@@ -305,15 +494,7 @@ fn all_counters() -> Vec<Row> {
             if state == "updated" {
                 apply_batches(&mut engine, 0x5eed_0018);
             }
-            let queries = [
-                "INJ join",
-                "BIJ join",
-                "OBJ join",
-                "INJ self-join",
-                "BIJ self-join",
-                "OBJ self-join",
-            ];
-            for (query, stats) in queries.into_iter().zip(counters(&engine)) {
+            for (query, stats) in QUERIES.into_iter().zip(counters(&engine)) {
                 rows.push((kind_name, state, query, stats));
             }
         }
